@@ -8,176 +8,150 @@ a numerical period map (:mod:`.symbolic`), graph polynomials with a Monte
 Carlo period integrator (:mod:`.feynper`), and the electron g-2 series
 with its measurement registry (:mod:`.g2`).  The ``euler-periods``
 console script in :mod:`.cli` exposes all of it.
+
+``import euler_periods`` loads no layer.  A layer is imported the first
+time one of its names, or the layer itself, is looked up on the package
+(PEP 562), so ``euler_periods.zeta`` loads :mod:`.eulerfun` and what it
+needs, and nothing else.  numpy is loaded only by the Monte Carlo
+functions, :func:`period_mc` and :func:`integrator_selftest`.
+
+``euler_periods.mzv`` is the function :func:`mzv`, whichever layer was loaded
+first; the layer of that name is reached with ``from euler_periods.mzv
+import ...``.
 """
 
-from .errors import (
-    Disconnected,
-    DivergentIndex,
-    DomainError,
-    EulerPeriodsError,
-    InputError,
-    InternalCheckError,
-    NoConvergence,
-    NonFiniteSample,
-    NotPrimitive,
-    ParseError,
-    PrecisionNotMet,
-    SchemaError,
-    TooLarge,
-)
-from .eulerfun import (
-    IdentityKind,
-    gamma_const,
-    identity_residual,
-    phi,
-    polylog,
-    zeta,
-    zeta_even_closed,
-)
-from .feynper import (
-    GraphPolynomial,
-    MultiGraph,
-    PeriodEstimate,
-    SelfTestReport,
-    bubble,
-    graph_from_dict,
-    integrator_selftest,
-    is_primitive_log_divergent,
-    k4,
-    kirchhoff_polynomial,
-    load_graph,
-    loop_number,
-    matrix_tree_count,
-    named_graph,
-    period_mc,
-    snap_to_multiple,
-    spanning_trees,
-    triangle,
-    wheel,
-)
-from .g2 import (
-    A4_DIGITS,
-    CoeffMode,
-    CoefficientSet,
-    ComparisonResult,
-    Measurement,
-    assemble,
-    coeff_a2,
-    coeff_a3,
-    combine_uncertainties,
-    compare,
-    default_registry_path,
-    format_difference,
-    g_factor,
-    invert_alpha,
-    load_registry,
-    lookup,
-)
-from .mzv import multiphi, mzv, mzv_bruteforce, p35_combination, stuffle_residual
-from .numkernel import (
-    BigReal,
-    SeriesSpec,
-    accel_alt_sum,
-    bernoulli,
-    em_sum,
-    euler_at_zero,
-    working_dps,
-)
-from .symbolic import (
-    MotivicExpr,
-    StabilityReport,
-    TensorSum,
-    UnipotentExpr,
-    UTensorSum,
-    coact,
-    coassoc_residual,
-    galois_conjugates,
-    hopf_coproduct,
-    parse_expr,
-    period_map,
-    stability_report,
-)
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "A4_DIGITS",
-    "BigReal",
-    "CoeffMode",
-    "CoefficientSet",
-    "ComparisonResult",
-    "Disconnected",
-    "DivergentIndex",
-    "DomainError",
-    "EulerPeriodsError",
-    "GraphPolynomial",
-    "IdentityKind",
-    "InputError",
-    "InternalCheckError",
-    "Measurement",
-    "MotivicExpr",
-    "MultiGraph",
-    "NoConvergence",
-    "NonFiniteSample",
-    "NotPrimitive",
-    "ParseError",
-    "PeriodEstimate",
-    "PrecisionNotMet",
-    "SchemaError",
-    "SelfTestReport",
-    "SeriesSpec",
-    "StabilityReport",
-    "TensorSum",
-    "TooLarge",
-    "UTensorSum",
-    "UnipotentExpr",
-    "accel_alt_sum",
-    "assemble",
-    "bernoulli",
-    "bubble",
-    "coact",
-    "coassoc_residual",
-    "coeff_a2",
-    "coeff_a3",
-    "combine_uncertainties",
-    "compare",
-    "default_registry_path",
-    "em_sum",
-    "euler_at_zero",
-    "format_difference",
-    "g_factor",
-    "galois_conjugates",
-    "gamma_const",
-    "graph_from_dict",
-    "hopf_coproduct",
-    "identity_residual",
-    "integrator_selftest",
-    "invert_alpha",
-    "is_primitive_log_divergent",
-    "k4",
-    "kirchhoff_polynomial",
-    "load_graph",
-    "load_registry",
-    "lookup",
-    "loop_number",
-    "matrix_tree_count",
-    "multiphi",
-    "mzv",
-    "mzv_bruteforce",
-    "named_graph",
-    "p35_combination",
-    "parse_expr",
-    "period_map",
-    "period_mc",
-    "phi",
-    "polylog",
-    "snap_to_multiple",
-    "spanning_trees",
-    "stability_report",
-    "stuffle_residual",
-    "triangle",
-    "wheel",
-    "working_dps",
-    "zeta",
-    "zeta_even_closed",
-]
+#: The public names, each listed once under the layer that defines it.
+_EXPORTS = {
+    "errors": (
+        "Disconnected",
+        "DivergentIndex",
+        "DomainError",
+        "EulerPeriodsError",
+        "InputError",
+        "InternalCheckError",
+        "NoConvergence",
+        "NonFiniteSample",
+        "NotPrimitive",
+        "ParseError",
+        "PrecisionNotMet",
+        "SchemaError",
+        "TooLarge",
+    ),
+    "numkernel": (
+        "BigReal",
+        "SeriesSpec",
+        "accel_alt_sum",
+        "bernoulli",
+        "em_sum",
+        "euler_at_zero",
+        "working_dps",
+    ),
+    "eulerfun": (
+        "IdentityKind",
+        "gamma_const",
+        "identity_residual",
+        "phi",
+        "polylog",
+        "zeta",
+        "zeta_even_closed",
+    ),
+    "mzv": ("multiphi", "mzv", "mzv_bruteforce", "p35_combination", "stuffle_residual"),
+    "symbolic": (
+        "MotivicExpr",
+        "StabilityReport",
+        "TensorSum",
+        "UnipotentExpr",
+        "UTensorSum",
+        "coact",
+        "coassoc_residual",
+        "galois_conjugates",
+        "hopf_coproduct",
+        "parse_expr",
+        "period_map",
+        "stability_report",
+    ),
+    "feynper": (
+        "GraphPolynomial",
+        "MultiGraph",
+        "PeriodEstimate",
+        "SelfTestReport",
+        "bubble",
+        "graph_from_dict",
+        "integrator_selftest",
+        "is_primitive_log_divergent",
+        "k4",
+        "kirchhoff_polynomial",
+        "load_graph",
+        "loop_number",
+        "matrix_tree_count",
+        "named_graph",
+        "period_mc",
+        "snap_to_multiple",
+        "spanning_trees",
+        "triangle",
+        "wheel",
+    ),
+    "g2": (
+        "A4_DIGITS",
+        "CoeffMode",
+        "CoefficientSet",
+        "ComparisonResult",
+        "Measurement",
+        "assemble",
+        "coeff_a2",
+        "coeff_a3",
+        "combine_uncertainties",
+        "compare",
+        "default_registry_path",
+        "format_difference",
+        "g_factor",
+        "invert_alpha",
+        "load_registry",
+        "lookup",
+    ),
+}
+
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_LAYER_OF)
+
+
+def __getattr__(name: str):
+    # Names come before layers: ``mzv`` is both, and the package has always
+    # exported the function.  A resolved name is cached so that later lookups
+    # skip this hook.
+    if name in _LAYER_OF:
+        value = getattr(import_module(f".{_LAYER_OF[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})
+
+
+class _Package(ModuleType):
+    """The package module, which keeps an exported name over a layer of that name.
+
+    Loading a submodule binds it as an attribute of its package.  When
+    ``.mzv`` is first loaded, by :mod:`.g2` say, that would replace the
+    exported function ``mzv`` with the module; the layer stays reachable as
+    ``sys.modules["euler_periods.mzv"]`` and through ``from .mzv import``.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _LAYER_OF and isinstance(value, ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

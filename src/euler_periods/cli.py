@@ -5,6 +5,9 @@ exits 0 on success, 1 when a requested precision could not be certified,
 2 on invalid input, and 3 when an internal cross-check fails.  Identical
 arguments produce byte-identical output.  Interfaces use decimal strings
 only, so reports can be compared across machines and languages.
+
+Each subcommand imports the layer it runs when it runs, so a call loads
+only what it needs; numpy is loaded by ``period`` and ``selftest`` alone.
 """
 
 from __future__ import annotations
@@ -15,11 +18,10 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import mpmath
 
-from . import eulerfun, feynper, g2, symbolic
-from .mzv import multiphi, mzv as mzv_value, stuffle_residual
 from .errors import (
     Disconnected,
     DomainError,
@@ -34,6 +36,9 @@ from .errors import (
     TooLarge,
 )
 from .numkernel import BigReal, bernoulli, check_prec, working_dps
+
+if TYPE_CHECKING:
+    from . import feynper, g2
 
 _GRAPH_NAMES = ("bubble", "triangle", "k4", "w4")
 _IDENTITY_KINDS = ("dilog-reflection", "cotangent", "euler-product", "phi-funceq")
@@ -80,6 +85,7 @@ def _rational(text: str, what: str) -> Fraction:
 
 
 def _registry_rows(config: RunConfig):
+    from . import g2
     path = config.registry_path or os.environ.get("EULER_PERIODS_REGISTRY")
     if path:
         return g2.load_registry(path)
@@ -92,19 +98,23 @@ def _registry_rows(config: RunConfig):
 
 
 def _cmd_zeta(args, config):
+    from . import eulerfun
     return *_certified_line(eulerfun.zeta(_rational(args.s, "s"), config.prec)), 0
 
 
 def _cmd_phi(args, config):
+    from . import eulerfun
     return *_certified_line(eulerfun.phi(_rational(args.s, "s"), config.prec)), 0
 
 
 def _cmd_polylog(args, config):
+    from . import eulerfun
     z = _rational(args.z, "z")
     return *_certified_line(eulerfun.polylog(args.n, z, config.prec)), 0
 
 
 def _cmd_gamma(args, config):
+    from . import eulerfun
     return *_certified_line(eulerfun.gamma_const(config.prec, args.method)), 0
 
 
@@ -114,15 +124,18 @@ def _cmd_bernoulli(args, config):
 
 
 def _cmd_mzv(args, config):
-    return *_certified_line(mzv_value(tuple(args.parts), config.prec)), 0
+    from .mzv import mzv
+    return *_certified_line(mzv(tuple(args.parts), config.prec)), 0
 
 
 def _cmd_multiphi(args, config):
+    from .mzv import multiphi
     value = multiphi(tuple(args.parts), config.prec, cutoff=args.cutoff)
     return *_certified_line(value), 0
 
 
 def _cmd_stuffle_check(args, config):
+    from .mzv import stuffle_residual
     r = stuffle_residual(args.m, args.n, config.prec)
     with mpmath.workdps(working_dps(r.prec)):
         resid = abs(r.value)
@@ -136,6 +149,7 @@ def _cmd_stuffle_check(args, config):
 
 
 def _cmd_identity_check(args, config):
+    from . import eulerfun
     kind = args.kind.upper().replace("-", "_")
     params: dict[str, object] = {}
     if args.x is not None:
@@ -162,6 +176,7 @@ def _cmd_identity_check(args, config):
 
 
 def _cmd_coact(args, config):
+    from . import symbolic
     expr = symbolic.parse_expr(args.expr)
     tensor = symbolic.coact(expr)
     text = str(tensor)
@@ -169,6 +184,7 @@ def _cmd_coact(args, config):
 
 
 def _cmd_conjugates(args, config):
+    from . import symbolic
     expr = symbolic.parse_expr(args.expr)
     conj, dim = symbolic.galois_conjugates(expr)
     lines = [str(c) for c in conj]
@@ -177,11 +193,13 @@ def _cmd_conjugates(args, config):
 
 
 def _cmd_per(args, config):
+    from . import symbolic
     expr = symbolic.parse_expr(args.expr)
     return *_certified_line(symbolic.period_map(expr, config.prec)), 0
 
 
 def _graph_from_arg(text: str) -> feynper.MultiGraph:
+    from . import feynper
     if text.lower() in _GRAPH_NAMES:
         return feynper.named_graph(text)
     try:
@@ -193,6 +211,7 @@ def _graph_from_arg(text: str) -> feynper.MultiGraph:
 
 
 def _cmd_period(args, config):
+    from . import feynper
     graph = _graph_from_arg(args.graph)
     est = feynper.period_mc(graph, args.samples, seed=config.seed, prec_report=config.prec)
     text = str(est)
@@ -202,6 +221,7 @@ def _cmd_period(args, config):
 
 
 def _cmd_selftest(args, config):
+    from . import feynper
     report = feynper.integrator_selftest(args.samples, seed=config.seed)
     lines = str(report).split("\n")
     payload = {
@@ -214,6 +234,7 @@ def _cmd_selftest(args, config):
 
 
 def _coefficients(args) -> g2.CoefficientSet:
+    from . import g2
     kw = {}
     if getattr(args, "a2_mode", None):
         kw["a2_mode"] = g2.CoeffMode[args.a2_mode.upper().replace("-", "_")]
@@ -223,6 +244,7 @@ def _coefficients(args) -> g2.CoefficientSet:
 
 
 def _cmd_g2_assemble(args, config):
+    from . import g2
     rows = _registry_rows(config)
     if args.alpha_inv is None:
         alpha = g2.lookup(rows, "alpha:rb:2011").as_bigreal(config.prec)
@@ -236,6 +258,7 @@ def _cmd_g2_assemble(args, config):
 
 
 def _cmd_g2_invert_alpha(args, config):
+    from . import g2
     rows = _registry_rows(config)
     try:
         target = g2.lookup(rows, args.target)
@@ -254,6 +277,7 @@ def _cmd_g2_invert_alpha(args, config):
 
 
 def _cmd_g2_compare(args, config):
+    from . import g2
     rows = _registry_rows(config)
     result = g2.compare(g2.lookup(rows, args.a), g2.lookup(rows, args.b))
     text = str(result)

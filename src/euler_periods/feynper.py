@@ -23,6 +23,9 @@ variance finite for every graph with at most 8 edges while leaving the
 estimator unbiased.  Sampling is sharded with per-shard derived seeds and
 combined by exactly rounded summation, so results are bit-identical for a
 fixed (graph, samples, seed) regardless of shard evaluation order.
+
+numpy is imported by the Monte Carlo functions when they run, so the exact
+graph work, and a program that never samples, do without it.
 """
 
 from __future__ import annotations
@@ -30,13 +33,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import mpmath
-import numpy as np
 
 from .errors import (Disconnected, DomainError, InputError, InternalCheckError,
                      NonFiniteSample, NotPrimitive, SchemaError, TooLarge)
 from .numkernel import BigReal, check_prec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MultiGraph",
@@ -439,6 +445,7 @@ class PeriodEstimate:
 
 
 def _shard_rng(seed: int, *key: int) -> np.random.Generator:
+    import numpy as np
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -478,6 +485,8 @@ def period_mc(g: MultiGraph, samples: int, seed: int = 42,
     Raises :class:`NotPrimitive` if the power-counting test fails and
     :class:`NonFiniteSample` if any integrand evaluation overflows.
     """
+    import numpy as np
+
     if not isinstance(samples, int) or samples < 1:
         raise InputError(f"samples must be a positive integer, got {samples!r}")
     if not isinstance(seed, int):
@@ -559,6 +568,8 @@ def integrator_selftest(samples: int, seed: int = 42) -> SelfTestReport:
     from the reference in units of its standard error; the report passes
     when all deviations are within 3.
     """
+    import numpy as np
+
     if not isinstance(samples, int) or samples < 10 ** 4:
         raise DomainError(f"self-test needs at least 1e4 samples, got {samples!r}")
     with mpmath.workdps(30):

@@ -31,8 +31,6 @@ from mpmath import mpf
 
 from .errors import DomainError, PrecisionNotMet
 
-Rational = Fraction
-
 #: Decimal digits carried internally beyond the requested precision.
 GUARD_DIGITS = 10
 

@@ -1,14 +1,23 @@
 """Command line behaviour: text output, JSON mode, exit codes, registry paths.
 
-All tests drive :func:`euler_periods.cli.dispatch` in process and read the
+Most tests drive :func:`euler_periods.cli.dispatch` in process and read the
 streams through capsys, so they check the exact bytes a shell user sees.
+The tests of what a call imports run a fresh interpreter, because this
+process has loaded every layer long before they run.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import euler_periods
 from euler_periods.cli import dispatch
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 GOOD_REGISTRY_ROW = {
     "label": "probe:2026",
@@ -354,3 +363,107 @@ def test_registry_broken_file_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "registry-list", "--registry", str(bad))
     assert code == 2
     assert "JSON" in err
+
+
+# ---------------------------------------------------------------------------
+# Imports: a call loads only the layers its subcommand runs
+# ---------------------------------------------------------------------------
+
+
+def fresh_python(code: str) -> list[str]:
+    """Run ``code`` in a new interpreter; its stdout lines."""
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, check=True, timeout=120)
+    return proc.stdout.splitlines()
+
+
+def loaded_after(code: str) -> set[str]:
+    """Names in ``sys.modules`` after ``code`` ran in a new interpreter."""
+    return set(fresh_python(f"{code}\nimport sys\nprint(' '.join(sys.modules))")[-1].split())
+
+
+def test_importing_the_cli_loads_no_layer_and_no_numpy():
+    loaded = loaded_after("import euler_periods.cli")
+    for name in ("numpy", "euler_periods.eulerfun", "euler_periods.mzv",
+                 "euler_periods.symbolic", "euler_periods.feynper", "euler_periods.g2"):
+        assert name not in loaded
+
+
+def test_zeta_call_loads_neither_numpy_nor_unrelated_layers():
+    loaded = loaded_after("from euler_periods.cli import dispatch; dispatch(['zeta', '2'])")
+    assert "euler_periods.eulerfun" in loaded
+    for name in ("numpy", "euler_periods.symbolic", "euler_periods.g2", "euler_periods.feynper"):
+        assert name not in loaded
+
+
+def test_period_call_loads_numpy():
+    loaded = loaded_after(
+        "from euler_periods.cli import dispatch; dispatch(['period', 'k4', '--samples', '10000'])")
+    assert "numpy" in loaded
+
+
+# ---------------------------------------------------------------------------
+# The package namespace: names resolve from their layer on first use
+# ---------------------------------------------------------------------------
+
+
+def test_every_exported_name_and_layer_is_listed_before_it_is_loaded():
+    out = fresh_python("import euler_periods as p\n"
+                       "print(sorted({*p.__all__, *p._EXPORTS} - set(dir(p))))")
+    assert out == ["[]"]
+
+
+#: Prints the exported names that are not their layer's object, on the
+#: package and after a star import.
+MISMATCHED_NAMES = """
+import euler_periods
+from importlib import import_module
+star = {}
+exec("from euler_periods import *", star)
+print("mismatched:", sorted(n for n, layer in euler_periods._LAYER_OF.items()
+             if not getattr(euler_periods, n) is star[n]
+             is getattr(import_module("euler_periods." + layer), n)))
+"""
+
+
+@pytest.mark.parametrize("before", [
+    "",
+    "import euler_periods.g2",
+    "import euler_periods.mzv",
+    "from euler_periods.cli import dispatch; dispatch(['mzv', '2', '3'])",
+])
+def test_every_exported_name_is_its_layers_object_in_any_import_order(before):
+    # ``mzv`` names a function and its layer; loading the layer first must
+    # not rebind the package's ``mzv`` to the module.
+    out = fresh_python(f"{before}\n{MISMATCHED_NAMES}\n"
+                       "from euler_periods.cli import dispatch; dispatch(['mzv', '2', '3'])\n"
+                       f"{MISMATCHED_NAMES}")
+    assert [line for line in out if line.startswith("mismatched:")] == ["mismatched: []"] * 2
+
+
+def test_package_mzv_is_the_function():
+    from euler_periods import mzv
+    from euler_periods.mzv import mzv as layer_mzv
+
+    assert mzv is layer_mzv is euler_periods.mzv
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from euler_periods import *", namespace)
+    assert set(euler_periods.__all__) <= set(namespace)
+
+
+def test_layer_attribute_is_imported_on_demand():
+    out = fresh_python(
+        "import sys, euler_periods\n"
+        "print('euler_periods.feynper' in sys.modules)\n"
+        "print(euler_periods.feynper.k4().n_edges)")
+    assert out == ["False", "6"]
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        euler_periods.no_such_name
+    with pytest.raises(ImportError):
+        exec("from euler_periods import no_such_name", {})
