@@ -865,9 +865,11 @@ def period_map(e: MotivicExpr, prec: int = 15) -> BigReal:
 
     ``zeta_m(n)`` becomes ``zeta(n)``, ``Li_m(n; z)`` becomes
     ``polylog(n, z)`` (so domain restrictions on ``z`` apply and symbolic
-    points are rejected), and ``twopi_i`` becomes the real number ``2*pi``:
-    only even powers of it occur in expressions this package produces, so
-    the formal imaginary unit never reaches the numerics.
+    points are rejected), and ``twopi_i`` becomes the real number ``2*pi``.
+    The map is real-valued, so a monomial with an odd power of ``twopi_i``,
+    whose period is imaginary, raises :class:`DomainError`.  An even power
+    ``twopi_i**(2k)`` evaluates to ``(2*pi)**(2k)``, without the sign
+    ``(-1)**k`` of ``(2*pi*i)**(2k)``.
 
     Exact rational relations between symbols evaluate to 0 within the
     declared bound; ``5*zeta_m(4) - 2*zeta_m(2)*zeta_m(2)`` is the canonical
@@ -876,6 +878,12 @@ def period_map(e: MotivicExpr, prec: int = 15) -> BigReal:
     if not isinstance(e, MotivicExpr):
         raise DomainError("period_map expects a MotivicExpr")
     check_prec(prec)
+    for mono, _ in e._sorted_terms():
+        degree = sum(1 for atom in mono if atom[0] == "tpim")
+        if degree % 2:
+            raise DomainError(
+                f"the monomial {'*'.join(map(_fmt_motivic_atom, mono))} has odd twopi_i "
+                f"degree {degree}, so its period is imaginary; the period map is real-valued")
     inner = min(prec + 6, MAX_PREC)
     cache: dict[tuple, BigReal] = {}
 

@@ -283,6 +283,8 @@ def test_exit_one_uncertifiable_cutoff(capsys):
     ("period", "triangle"),
     ("period", "heptagon"),
     ("per", "Li_m(2; 2/1)"),
+    ("per", "twopi_i"),
+    ("per", "zeta_m(3)*twopi_i", "--json"),
     ("coact", "zeta_m("),
     ("coact", "zeta_m(1)"),
     ("g2-compare", "exp:2008", "exp:1899"),

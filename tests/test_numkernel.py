@@ -1,8 +1,12 @@
 """Kernel tests: exact rationals, BigReal propagation, the two summers."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -13,6 +17,7 @@ from euler_periods.numkernel import (
     BigReal,
     SeriesSpec,
     accel_alt_sum,
+    as_mpf,
     bernoulli,
     check_prec,
     em_parameters,
@@ -363,3 +368,88 @@ def test_em_parameters_scale_with_prec():
     assert t2 >= t1
     spec = SeriesSpec(term=lambda k: mpf(k) ** -2, power_decay=2)
     assert em_sum(spec, n2, t2, 60).certified()
+
+
+def em_sum_reference(s, n_split: int, bernoulli_terms: int, prec: int) -> tuple[mpf, mpf]:
+    """``em_sum`` for ``k**-s`` with the textbook O(J**2) tail.
+
+    Every correction term builds its Pochhammer product afresh from 1 and
+    converts ``B_2j/(2j)!`` anew; returns ``(value, err)``.
+    """
+    wd = working_dps(prec)
+    with mpmath.workdps(wd):
+        sv = as_mpf(s)
+        n = mpf(n_split)
+        partial = mpmath.fsum(mpf(k) ** (-sv) for k in range(1, n_split + 1))
+        integral = -mpmath.log(n) if sv == 1 else n ** (1 - sv) / (sv - 1)
+        value = partial + integral - n ** (-sv) / 2
+
+        def correction(j: int) -> mpf:
+            poch = mpf(1)
+            for i in range(2 * j - 1):
+                poch *= sv + i
+            ratio = bernoulli(2 * j) / math.factorial(2 * j)
+            return mpf(ratio.numerator) / ratio.denominator * poch * n ** (1 - sv - 2 * j)
+
+        for j in range(1, bernoulli_terms + 1):
+            value += correction(j)
+        cushion = (1 + abs(value)) * mpf(10) ** (-(wd - 2))
+        err = abs(correction(bernoulli_terms + 1)) + cushion * (n_split + bernoulli_terms)
+        return value, err
+
+
+def power_spec(s, prec: int) -> SeriesSpec:
+    """``k**-s`` with ``s`` read at the working precision, as ``zeta`` builds it."""
+    with mpmath.workdps(working_dps(prec)):
+        sv = as_mpf(s)
+    return SeriesSpec(term=lambda k: mpf(k) ** (-sv), power_decay=s)
+
+
+@pytest.mark.parametrize("prec", [1, 15, 50, 100])
+@pytest.mark.parametrize("s", [1, 2, Fraction(5, 2), Fraction(7, 3), 3, 40, 163], ids=str)
+def test_em_sum_bits_match_textbook_tail(s, prec):
+    n_split, terms = em_parameters(prec)
+    value, err = em_sum_reference(s, n_split, terms, prec)
+    while err > mpf(10) ** -prec:  # the split doubling that zeta retries with
+        n_split *= 2
+        value, err = em_sum_reference(s, n_split, terms, prec)
+    x = em_sum(power_spec(s, prec), n_split, terms, prec)
+    assert x.value._mpf_ == value._mpf_
+    assert x.err._mpf_ == err._mpf_
+
+
+@pytest.mark.parametrize("terms", [0, 1, 2])
+def test_em_sum_bits_match_textbook_tail_with_few_terms(terms):
+    x = em_sum(power_spec(40, 15), 20, terms, 15)
+    value, err = em_sum_reference(40, 20, terms, 15)
+    assert (x.value._mpf_, x.err._mpf_) == (value._mpf_, err._mpf_)
+
+
+# ---------------------------------------------------------------------------
+# Caches keyed on working precision
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def bits_in_fresh_interpreter(calls: list[str]) -> str:
+    """Bits of the last of ``calls``, each run in order in a new interpreter."""
+    code = ("from fractions import Fraction\n"
+            "from euler_periods.eulerfun import gamma_const, phi, zeta\n"
+            + "".join(f"x = {call}\n" for call in calls)
+            + "print((x.value._mpf_, x.err._mpf_))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, check=True, timeout=120)
+    return proc.stdout
+
+
+@pytest.mark.parametrize("warm,call", [
+    # At prec 15 the second CVZ pass has n = 47 terms, as the first pass
+    # has at prec 21.
+    ("phi(Fraction(5, 2), 21)", "phi(Fraction(5, 2), 15)"),
+    ("gamma_const(21, 'ZETA_SERIES')", "gamma_const(15, 'ZETA_SERIES')"),
+    # Both precisions use the Bernoulli ratios for j = 1..6.
+    ("zeta(Fraction(7, 3), 15)", "zeta(Fraction(7, 3), 21)"),
+])
+def test_cached_weights_do_not_leak_across_precisions(warm, call):
+    assert bits_in_fresh_interpreter([warm, call]) == bits_in_fresh_interpreter([call])

@@ -349,6 +349,15 @@ def test_period_map_twopi_squared_against_zeta2():
     assert abs(float(x.value)) <= 1e-12
 
 
+@pytest.mark.parametrize("text", ["twopi_i", "zeta_m(3)*twopi_i",
+                                  "zeta_m(2) + twopi_i*twopi_i*twopi_i"])
+def test_period_map_rejects_odd_twopi_i_degree(text):
+    # (2*pi*i)^k is imaginary for odd k; the real-valued map must not
+    # report a real number for it.
+    with pytest.raises(DomainError, match="odd twopi_i degree"):
+        period_map(parse_expr(text), 15)
+
+
 def test_period_map_li_half():
     prec = 18
     x = period_map(LIM(2, Fraction(1, 2)), prec)
