@@ -1,4 +1,4 @@
-"""Exact rationals, error-carrying reals, and the two summation engines.
+"""Exact rationals, error-carrying reals, and the summation engines.
 
 Everything numerical in this package funnels through this module:
 
@@ -9,10 +9,14 @@ Everything numerical in this package funnels through this module:
 * :func:`em_sum` evaluates slowly convergent monotone series by partial sum
   plus integral tail plus Bernoulli correction terms.
 * :func:`accel_alt_sum` evaluates alternating series by Chebyshev-weighted
-  acceleration, needing O(digits) terms instead of exponentially many.
+  acceleration, needing O(digits) terms instead of exponentially many;
+  :func:`accel_alt_terms` does the same from given terms with error bounds.
+* :func:`zeta_values` evaluates ``zeta(2), ..., zeta(top)`` by
+  Euler-Maclaurin summation in one pass over a shared table of powers.
 
-Both engines cache what depends only on the working precision, never on
-the series: the Bernoulli ratios and the Chebyshev weights.
+The engines cache what depends only on the working precision, never on
+the series: the Bernoulli ratios, the Chebyshev weights and the batch's
+plan of splits.
 
 Error bounds are certified heuristically: the declared bound is the first
 omitted correction term (plus a rounding cushion), not an interval
@@ -28,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 import mpmath
 from mpmath import mpf
@@ -43,6 +47,7 @@ MIN_PREC = 1
 MAX_PREC = 100
 
 ScalarLike = Union[int, Fraction, str, mpf, float]
+_T = TypeVar("_T")
 
 
 def working_dps(prec: int) -> int:
@@ -302,39 +307,72 @@ def _cvz(mags: Sequence[mpf], n: int, wd: int) -> mpf:
     return s / d
 
 
+def _cvz_lengths(wd: int) -> tuple[int, int]:
+    # Term counts of the two Chebyshev estimates made at ``wd`` digits.
+    n = int(1.35 * wd) + 6
+    return n, n + 8
+
+
+def alt_terms_needed(prec: int) -> int:
+    """How many leading terms :func:`accel_alt_terms` reads at ``prec``."""
+    return _cvz_lengths(working_dps(check_prec(prec)))[1]
+
+
 def accel_alt_sum(spec: SeriesSpec, prec: int) -> BigReal:
     """Evaluate an alternating series to ``prec`` certified digits.
 
-    The estimate is computed twice with different term counts; the declared
-    bound is a multiple of the discrepancy plus rounding.  Series whose
-    terms become identically zero are summed directly (a finite sum is its
-    own best acceleration).
-
-    Cost: ``n + 8`` term evaluations, with ``n = int(1.35 * wd) + 6`` and
-    ``wd = working_dps(prec)``, plus two dot products of about ``n`` mpf
-    multiplications.  The Chebyshev weights depend only on ``(n, wd)`` and
-    are computed once per process and cached under that key.  Each ``wd``
-    uses two keys (``n`` and ``n + 8``), so the cache holds at most 200
-    entries, about 4 MB once every ``prec`` from 1 to 100 has been used.
+    Evaluates the first :func:`alt_terms_needed` terms of ``spec`` at the
+    working precision and sums them with :func:`accel_alt_terms`, treating
+    each term as exact.
 
     Raises :class:`PrecisionNotMet` when the bound cannot be certified.
     """
     check_prec(prec)
     if not spec.alternating:
         raise DomainError("accel_alt_sum requires an alternating SeriesSpec")
-    wd = working_dps(prec)
-    with mpmath.workdps(wd):
-        n = int(1.35 * wd) + 6
-        n2 = n + 8
-        terms = [spec.term(k) for k in range(1, n2 + 1)]
+    with mpmath.workdps(working_dps(prec)):
+        terms = [spec.term(k) for k in range(1, alt_terms_needed(prec) + 1)]
+    return accel_alt_terms(terms, prec)
 
+
+def accel_alt_terms(terms: Sequence[mpf], prec: int,
+                    bounds: Sequence[mpf] | None = None) -> BigReal:
+    """Chebyshev-accelerated sum of an alternating series from its terms.
+
+    ``terms`` holds the first :func:`alt_terms_needed` terms ``a_1, a_2,
+    ...``, and ``bounds``, if given, a bound ``|a_k - true a_k| <= delta_k``
+    for each.  The estimate is computed twice with different term counts;
+    the declared bound is a multiple of the discrepancy, plus rounding,
+    plus the propagated input uncertainty ``sum(|c_k| * delta_k) / d``
+    taken with the Chebyshev weights ``c_k`` and normaliser ``d`` of the
+    estimate returned.  Series whose terms become identically zero are
+    summed directly (a finite sum is its own best acceleration).
+
+    Cost: two dot products of about ``n`` mpf multiplications, with
+    ``n = int(1.35 * wd) + 6`` and ``wd = working_dps(prec)``, plus one
+    more for the input uncertainty.  The Chebyshev weights depend only on
+    ``(n, wd)`` and are computed once per process and cached under that
+    key.  Each ``wd`` uses two keys (``n`` and ``n + 8``), so the cache
+    holds at most 200 entries, about 4 MB once every ``prec`` from 1 to
+    100 has been used.
+
+    Raises :class:`PrecisionNotMet` when the bound cannot be certified.
+    """
+    check_prec(prec)
+    wd = working_dps(prec)
+    n, n2 = _cvz_lengths(wd)
+    if len(terms) != n2 or (bounds is not None and len(bounds) != n2):
+        raise DomainError(f"accel_alt_terms at prec {prec} takes exactly {n2} terms and bounds")
+    with mpmath.workdps(wd):
         # Finite series short-circuit: two consecutive zero terms are read
         # as "the tail is identically zero".
         for j in range(len(terms) - 1):
             if terms[j] == 0 and terms[j + 1] == 0:
                 v = mpmath.fsum(terms[:j])
-                out = BigReal(v, _round_cushion(v, wd) * max(1, j), prec)
-                return out.demand("accel_alt_sum")
+                err = _round_cushion(v, wd) * max(1, j)
+                if bounds is not None:
+                    err += mpmath.fsum(bounds)
+                return BigReal(v, err, prec).demand("accel_alt_sum")
 
         sign = 1 if terms[0] >= 0 else -1
         for j in range(min(10, n) - 1):
@@ -344,6 +382,9 @@ def accel_alt_sum(spec: SeriesSpec, prec: int) -> BigReal:
         s1 = sign * _cvz(mags, n, wd)
         s2 = sign * _cvz(mags, n2, wd)
         err = 4 * abs(s1 - s2) + _round_cushion(s2, wd) * n2
+        if bounds is not None:
+            weights, d = _cvz_weights(n2, wd)
+            err += mpmath.fsum(abs(c) * b for c, b in zip(weights, bounds)) / d
         return BigReal(s2, err, prec).demand("accel_alt_sum")
 
 
@@ -356,7 +397,13 @@ def accel_alt_sum(spec: SeriesSpec, prec: int) -> BigReal:
 def _bernoulli_ratio(j: int, wd: int) -> mpf:
     """``B_2j / (2j)!`` rounded at ``wd`` digits."""
     with mpmath.workdps(wd):
-        return _mpf_fraction(bernoulli(2 * j) / math.factorial(2 * j))
+        return _mpf_fraction(_bernoulli_ratio_exact(j))
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_ratio_exact(j: int) -> Fraction:
+    """``B_2j / (2j)!`` as an exact fraction."""
+    return bernoulli(2 * j) / math.factorial(2 * j)
 
 
 def em_sum(spec: SeriesSpec, n_split: int, bernoulli_terms: int, prec: int) -> BigReal:
@@ -418,6 +465,29 @@ def em_sum(spec: SeriesSpec, n_split: int, bernoulli_terms: int, prec: int) -> B
         return BigReal(value, err, prec).demand("em_sum")
 
 
+def _doubling_retries(evaluate: Callable[[int], _T], n_split: int) -> _T:
+    # ``evaluate(n)`` for n = n_split, 2 n_split, 4 n_split, 8 n_split: the
+    # first result that does not raise PrecisionNotMet, else the last error.
+    for attempt in range(4):
+        try:
+            return evaluate(n_split * 2 ** attempt)
+        except PrecisionNotMet:
+            if attempt == 3:
+                raise
+    raise AssertionError("unreachable")
+
+
+def em_sum_certified(spec: SeriesSpec, prec: int) -> BigReal:
+    """:func:`em_sum` at :func:`em_parameters`, doubling ``n_split`` on a miss.
+
+    Up to three doublings; the first split that certifies gives the
+    result, so whenever the a-priori split suffices the result is that of
+    a single :func:`em_sum` call.
+    """
+    n_split, terms = em_parameters(prec)
+    return _doubling_retries(lambda n: em_sum(spec, n, terms, prec), n_split)
+
+
 def em_parameters(prec: int) -> tuple[int, int]:
     """A (n_split, bernoulli_terms) pair adequate for ``prec`` digits.
 
@@ -430,3 +500,144 @@ def em_parameters(prec: int) -> tuple[int, int]:
     n_split = max(12, wd)
     terms = int(wd * math.log(10) / (2 * math.log(n_split))) + 2
     return n_split, terms
+
+
+# ---------------------------------------------------------------------------
+# Zeta at the integers, in one batch
+# ---------------------------------------------------------------------------
+
+# |B_2m|/(2m)! = 2 zeta(2m) / (2 pi)^(2m) <= (pi^2/3) / (2 pi)^(2m) for m >= 1.
+_LOG10_BERNOULLI_RATIO_BOUND = math.log10(math.pi ** 2 / 3)
+_LOG10_2PI = math.log10(2 * math.pi)
+
+# Cost of one Bernoulli correction term of zeta_values, counted in
+# power-table rows (one row is one small integer division and one addition).
+_BERNOULLI_TERM_COST = 6
+
+
+def _first_omitted_log10(s: int, n: int, terms: int) -> float:
+    # Upper estimate of log10 of the first omitted Euler-Maclaurin term of
+    # sum(k**-s) split at n after ``terms`` corrections:
+    # |B_2m|/(2m)! * s(s+1)...(s+2m-2) * n**(1-s-2m) with m = terms + 1.
+    m = terms + 1
+    return (_LOG10_BERNOULLI_RATIO_BOUND - 2 * m * _LOG10_2PI
+            + (math.lgamma(s + 2 * m - 1) - math.lgamma(s)) / math.log(10)
+            - (s + 2 * m - 1) * math.log10(n))
+
+
+@lru_cache(maxsize=None)
+def _zeta_plan(top: int, wd: int) -> tuple[tuple[int, int], ...]:
+    """``(n_split, bernoulli_terms)`` for each ``s = 2..top`` at ``wd`` digits.
+
+    Each pair is the cheapest, at ``_BERNOULLI_TERM_COST``, whose
+    estimated first omitted term is at most ``10**-(wd - GUARD_DIGITS + 1)``,
+    a tenth of the bound :func:`zeta_values` promises; ``n_split`` never
+    grows with ``s``, so the power table only ever loses rows.
+    """
+    digits = wd - GUARD_DIGITS + 1
+    plan = []
+    n = 2
+    for s in range(top, 1, -1):
+        best_cost, best = math.inf, None
+        terms = None
+        # The cost is about convex in n: once a split _BERNOULLI_TERM_COST
+        # rows past the best saves no term, a larger one saves none either.
+        while best is None or n - best[0] <= _BERNOULLI_TERM_COST:
+            if terms is None:
+                # Past about pi*n - s/2 terms the corrections grow again, so
+                # below that the estimate falls with every term.
+                hi = max(0, int(math.pi * n - s / 2))
+                if _first_omitted_log10(s, n, hi) <= -digits:
+                    lo = 0
+                    while lo < hi:
+                        mid = (lo + hi) // 2
+                        if _first_omitted_log10(s, n, mid) <= -digits:
+                            hi = mid
+                        else:
+                            lo = mid + 1
+                    terms = hi
+            else:
+                while terms and _first_omitted_log10(s, n, terms - 1) <= -digits:
+                    terms -= 1
+            if terms is not None:
+                if n + _BERNOULLI_TERM_COST * terms < best_cost:
+                    best_cost, best = n + _BERNOULLI_TERM_COST * terms, (n, terms)
+                if not terms:
+                    break
+            n += 1
+        plan.append(best)
+        n = best[0]
+    return tuple(reversed(plan))
+
+
+def _em_power_sum(s: int, rows: Sequence[int], terms: int, bits: int, wd: int) -> tuple[mpf, mpf]:
+    # em_sum for k**-s, split at n = len(rows), in fixed point with ``bits``
+    # fraction bits: rows[k-1] is 2**bits * k**-s, at most 2 units low.
+    # Every division below rounds down once, so the integer total is off by
+    # a few units per row and per term, where the rounding cushion allows
+    # about 10**3 units per row and per term.
+    n = len(rows)
+    tail = rows[-1] * n  # n**(1-s)
+    total = sum(rows) + tail // (s - 1) - rows[-1] // 2
+    poch = s  # s(s+1)...(s+2j-2)
+    npow = 1  # n**(2j)
+    for j in range(1, terms + 2):
+        npow *= n * n
+        ratio = _bernoulli_ratio_exact(j)
+        correction = tail * poch * ratio.numerator // (ratio.denominator * npow)
+        if j > terms:
+            first_omitted = mpf((abs(correction) + 1, -bits))
+            break
+        total += correction
+        poch *= (s + 2 * j - 1) * (s + 2 * j)
+    value = mpf((total, -bits))
+    return value, first_omitted + _round_cushion(value, wd) * (n + terms)
+
+
+def zeta_values(top: int, wd: int) -> list[tuple[mpf, mpf]]:
+    """``(zeta(s), bound)`` for ``s = 2..top``, computed at ``wd`` digits.
+
+    Every bound is at most ``10**-(wd - GUARD_DIGITS)``.  Each ``zeta(s)``
+    is Euler-Maclaurin summation as in :func:`em_sum`, and its bound is the
+    same: the first omitted Bernoulli term plus the rounding cushion.
+    ``wd`` is a working precision, not a ``prec``, and has no upper cap.
+
+    Shared work: one fixed-point table of ``1/m`` with as many fraction
+    bits as ``wd`` digits carry, and each ``m**-s`` is ``m**-(s-1)``
+    divided by ``m``, one small integer division that keeps every row
+    within 2 units of the true power.  A row is dropped once no larger
+    ``s`` splits beyond it.  The split and the number of Bernoulli terms
+    for each ``s`` come a priori from a closed-form estimate of the first
+    omitted term (:func:`_zeta_plan`); large ``s`` needs no Bernoulli term
+    and a handful of rows.  If the bound still misses, that ``zeta(s)`` is
+    recomputed with the split doubled, up to three times, before
+    :class:`PrecisionNotMet` is raised.
+
+    Cost: ``sum(n_s)`` small integer divisions and ``sum(J_s)`` Bernoulli
+    terms of a few exact integer products each.  The plan depends only on
+    ``(top, wd)`` and is cached under that key; no value is cached.
+    """
+    if not isinstance(top, int) or top < 2:
+        raise DomainError(f"zeta_values needs an integer top >= 2, got {top!r}")
+    if not isinstance(wd, int) or wd <= GUARD_DIGITS:
+        raise DomainError(f"zeta_values needs an integer wd > {GUARD_DIGITS}, got {wd!r}")
+    plan = _zeta_plan(top, wd)
+    with mpmath.workdps(wd):
+        bits = mpmath.mp.prec
+        limit = mpf(10) ** -(wd - GUARD_DIGITS)
+        rows = [(1 << bits) // m for m in range(1, plan[0][0] + 1)]
+        out = []
+        for s, (n_split, terms) in enumerate(plan, start=2):
+            rows = [r // m for r, m in zip(rows, range(1, n_split + 1))]
+
+            def evaluate(n: int) -> tuple[mpf, mpf]:
+                extra = [(1 << bits) // m ** s for m in range(len(rows) + 1, n + 1)]
+                value, err = _em_power_sum(s, rows + extra, terms, bits, wd)
+                if err > limit:
+                    raise PrecisionNotMet(
+                        f"zeta_values: zeta({s}) bound {mpmath.nstr(err, 3)} exceeds "
+                        f"1e-{wd - GUARD_DIGITS} at split {n}")
+                return value, err
+
+            out.append(_doubling_retries(evaluate, n_split))
+        return out

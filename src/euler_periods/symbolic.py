@@ -865,11 +865,11 @@ def period_map(e: MotivicExpr, prec: int = 15) -> BigReal:
 
     ``zeta_m(n)`` becomes ``zeta(n)``, ``Li_m(n; z)`` becomes
     ``polylog(n, z)`` (so domain restrictions on ``z`` apply and symbolic
-    points are rejected), and ``twopi_i`` becomes the real number ``2*pi``.
-    The map is real-valued, so a monomial with an odd power of ``twopi_i``,
-    whose period is imaginary, raises :class:`DomainError`.  An even power
-    ``twopi_i**(2k)`` evaluates to ``(2*pi)**(2k)``, without the sign
-    ``(-1)**k`` of ``(2*pi*i)**(2k)``.
+    points are rejected), and ``twopi_i`` becomes ``2*pi*i``.  The map is
+    real-valued, so a monomial with an odd power of ``twopi_i``, whose
+    period is imaginary, raises :class:`DomainError`.  An even power
+    ``twopi_i**(2k)`` evaluates to ``(-1)**k * (2*pi)**(2k)``, so
+    ``twopi_i*twopi_i`` is ``-4*pi**2``.
 
     Exact rational relations between symbols evaluate to 0 within the
     declared bound; ``5*zeta_m(4) - 2*zeta_m(2)*zeta_m(2)`` is the canonical
@@ -904,6 +904,9 @@ def period_map(e: MotivicExpr, prec: int = 15) -> BigReal:
 
     total = BigReal.exact(0, inner)
     for mono, c in e._sorted_terms():
+        # i**(2k) = (-1)**k, the sign the real factors (2*pi)**(2k) leave out.
+        if sum(1 for atom in mono if atom[0] == "tpim") % 4:
+            c = -c
         term = BigReal.exact(c, inner)
         for atom in mono:
             term = term * atom_value(atom)

@@ -161,6 +161,14 @@ def test_per_kernel_combination(capsys):
     assert out.rstrip().endswith("± 1e-15")
 
 
+def test_per_twopi_i_squared_is_negative(capsys):
+    # (2*pi*i)**2 = -4*pi**2.
+    code, out, err = run(capsys, "per", "twopi_i*twopi_i")
+    assert code == 0
+    assert out == "-39.4784176043574 ± 1e-15\n"
+    assert err == ""
+
+
 def test_g2_assemble_default_alpha(capsys):
     code, out, _ = run(capsys, "g2-assemble")
     assert code == 0

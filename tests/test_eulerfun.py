@@ -12,6 +12,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
+from euler_periods import eulerfun
 from euler_periods.errors import DomainError, TooLarge
 from euler_periods.eulerfun import (
     IdentityKind,
@@ -23,7 +24,7 @@ from euler_periods.eulerfun import (
     zeta,
     zeta_even_closed,
 )
-from euler_periods.numkernel import working_dps
+from euler_periods.numkernel import working_dps, zeta_values
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +248,40 @@ def test_gamma_zeta_series_matches_mpmath():
     g = gamma_const(prec, method="ZETA_SERIES")
     with mpmath.workdps(working_dps(prec)):
         assert abs(g.value - mpmath.euler) <= mpf(10) ** (-prec)
+
+
+@pytest.mark.parametrize("prec", [60, 65, 68, 69, 70, 80, 90, 100])
+def test_gamma_em_certifies_at_high_prec(prec):
+    # The a-priori split falls short from prec 65 on; doubling it certifies.
+    g = gamma_const(prec, method="EM")
+    assert g.certified()
+    with mpmath.workdps(130):
+        assert abs(g.value - mpmath.euler) <= g.err
+
+
+@pytest.mark.parametrize("prec", [1, 2, 5, 10, 15, 20, 30, 40, 50, 60, 70, 80, 90, 100])
+def test_gamma_zeta_series_sweep_covers_gamma(prec):
+    g = gamma_const(prec, method="ZETA_SERIES")
+    assert g.certified()
+    with mpmath.workdps(130):
+        assert abs(g.value - mpmath.euler) <= g.err
+
+
+def test_gamma_zeta_series_bound_carries_zeta_input_uncertainty(monkeypatch):
+    # Every zeta(n) high by 1e-18, with a bound that says so.  The shift of
+    # the terms is smooth, so the two Chebyshev estimates agree on it and
+    # only the propagated input bound can cover it.
+    delta = mpf("1e-18")
+
+    def coarse_zeta_values(top, wd):
+        with mpmath.workdps(wd):
+            return [(z + delta, e + delta) for z, e in zeta_values(top, wd)]
+
+    monkeypatch.setattr(eulerfun, "zeta_values", coarse_zeta_values)
+    g = gamma_const(15, method="ZETA_SERIES")
+    assert g.certified()
+    with mpmath.workdps(60):
+        assert abs(g.value - mpmath.euler) <= g.err
 
 
 def test_gamma_routes_agree_within_bounds():

@@ -12,11 +12,16 @@ import mpmath
 import pytest
 from mpmath import mpf
 
+from euler_periods import numkernel
 from euler_periods.errors import DomainError, PrecisionNotMet
+from euler_periods.eulerfun import zeta_even_closed
 from euler_periods.numkernel import (
+    GUARD_DIGITS,
     BigReal,
     SeriesSpec,
     accel_alt_sum,
+    accel_alt_terms,
+    alt_terms_needed,
     as_mpf,
     bernoulli,
     check_prec,
@@ -24,6 +29,7 @@ from euler_periods.numkernel import (
     em_sum,
     euler_at_zero,
     working_dps,
+    zeta_values,
 )
 
 
@@ -305,6 +311,94 @@ def test_accel_alt_bit_identical_reruns():
     assert repr(a) == repr(b)
 
 
+def eta2_terms(prec: int) -> list:
+    with mpmath.workdps(working_dps(prec)):
+        return [mpf(-1) ** (k - 1) / mpf(k) ** 2 for k in range(1, alt_terms_needed(prec) + 1)]
+
+
+@pytest.mark.parametrize("prec", [1, 15, 100])
+def test_accel_alt_terms_without_bounds_is_accel_alt_sum(prec):
+    spec = SeriesSpec(term=lambda k: mpf(-1) ** (k - 1) / mpf(k) ** 2, alternating=True)
+    a = accel_alt_sum(spec, prec)
+    b = accel_alt_terms(eta2_terms(prec), prec)
+    assert (a.value._mpf_, a.err._mpf_) == (b.value._mpf_, b.err._mpf_)
+
+
+def test_accel_alt_terms_bound_covers_worst_case_input_error():
+    # The Chebyshev weights alternate in sign like the terms, so one shift
+    # of every term by +delta moves the estimate by sum(|c_k|) * delta / d,
+    # the most terms within delta of the true ones can move it.
+    prec, delta = 15, mpf("1e-18")
+    exact = accel_alt_terms(eta2_terms(prec), prec)
+    with mpmath.workdps(working_dps(prec)):
+        shifted = [t + delta for t in eta2_terms(prec)]
+        true = mpmath.pi ** 2 / 12
+    blind = accel_alt_terms(shifted, prec)
+    aware = accel_alt_terms(shifted, prec, [delta] * len(shifted))
+    assert blind.value == aware.value
+    with mpmath.workdps(working_dps(prec)):
+        assert abs(exact.value - true) <= exact.err
+        assert abs(aware.value - true) <= aware.err
+        assert abs(blind.value - true) > blind.err
+    assert aware.certified()
+
+
+@pytest.mark.parametrize("cut,bounds", [(1, None), (0, []), (0, [mpf(0)])])
+def test_accel_alt_terms_validates_lengths(cut, bounds):
+    terms = eta2_terms(15)
+    with pytest.raises(DomainError):
+        accel_alt_terms(terms[:len(terms) - cut], 15, bounds)
+
+
+# ---------------------------------------------------------------------------
+# Zeta at the integers, in one batch
+# ---------------------------------------------------------------------------
+
+
+def assert_zeta_values_cover(values: list, wd: int) -> None:
+    with mpmath.workdps(wd + 30):
+        for s, (value, err) in enumerate(values, start=2):
+            assert err <= mpf(10) ** -(wd - GUARD_DIGITS), s
+            assert abs(value - mpmath.zeta(s)) <= err, s
+            if s % 2 == 0:
+                r = zeta_even_closed(s // 2)
+                closed = mpf(r.numerator) / r.denominator * mpmath.pi ** s
+                assert abs(value - closed) <= err, s
+
+
+@pytest.mark.parametrize("prec", [1, 50, 100])
+def test_zeta_values_match_mpmath_and_even_closed_forms(prec):
+    # The batch Euler's constant by the zeta series takes at this prec.
+    top, wd = alt_terms_needed(prec) + 1, working_dps(prec) + 6
+    values = zeta_values(top, wd)
+    assert len(values) == top - 1
+    assert_zeta_values_cover(values, wd)
+
+
+def test_zeta_values_retry_a_short_split(monkeypatch):
+    plan = numkernel._zeta_plan(60, 40)
+    monkeypatch.setattr(numkernel, "_zeta_plan",
+                        lambda top, wd: tuple((max(2, n // 3), j) for n, j in plan))
+    assert_zeta_values_cover(zeta_values(60, 40), 40)
+
+
+def test_zeta_values_raise_when_doubling_cannot_certify(monkeypatch):
+    monkeypatch.setattr(numkernel, "_zeta_plan", lambda top, wd: ((2, 0),) * (top - 1))
+    with pytest.raises(PrecisionNotMet, match="zeta\\(2\\)"):
+        zeta_values(5, 40)
+
+
+def test_zeta_values_reach_past_the_prec_cap():
+    values = zeta_values(12, working_dps(120))
+    assert_zeta_values_cover(values, working_dps(120))
+
+
+@pytest.mark.parametrize("top,wd", [(1, 30), (2.0, 30), (5, GUARD_DIGITS), (5, 30.5)])
+def test_zeta_values_validate_arguments(top, wd):
+    with pytest.raises(DomainError):
+        zeta_values(top, wd)
+
+
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin summation
 # ---------------------------------------------------------------------------
@@ -448,6 +542,7 @@ def bits_in_fresh_interpreter(calls: list[str]) -> str:
     # has at prec 21.
     ("phi(Fraction(5, 2), 21)", "phi(Fraction(5, 2), 15)"),
     ("gamma_const(21, 'ZETA_SERIES')", "gamma_const(15, 'ZETA_SERIES')"),
+    ("gamma_const(50, 'ZETA_SERIES')", "gamma_const(100, 'ZETA_SERIES')"),
     # Both precisions use the Bernoulli ratios for j = 1..6.
     ("zeta(Fraction(7, 3), 15)", "zeta(Fraction(7, 3), 21)"),
 ])

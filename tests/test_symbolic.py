@@ -345,7 +345,14 @@ def test_period_map_kernel_combination_vanishes():
 
 
 def test_period_map_twopi_squared_against_zeta2():
-    x = period_map(parse_expr("24*zeta_m(2) - twopi_i*twopi_i"), 15)
+    # (2*pi*i)**2 = -4*pi**2 = -24*zeta(2).
+    x = period_map(parse_expr("24*zeta_m(2) + twopi_i*twopi_i"), 15)
+    assert abs(float(x.value)) <= 1e-12
+
+
+def test_period_map_twopi_fourth_power_against_zeta4():
+    # (2*pi*i)**4 = 16*pi**4 = 1440*zeta(4): the sign is (-1)**k for power 2k.
+    x = period_map(parse_expr("twopi_i*twopi_i*twopi_i*twopi_i - 1440*zeta_m(4)"), 15)
     assert abs(float(x.value)) <= 1e-12
 
 
