@@ -45,7 +45,6 @@ _EXPORTS = {
     ),
     "numkernel": (
         "BigReal",
-        "SeriesSpec",
         "accel_alt_sum",
         "bernoulli",
         "em_sum",

@@ -21,7 +21,6 @@ from .errors import DomainError, PrecisionNotMet, TooLarge
 from .numkernel import (
     BigReal,
     ScalarLike,
-    SeriesSpec,
     accel_alt_sum,
     accel_alt_terms,
     alt_terms_needed,
@@ -31,6 +30,7 @@ from .numkernel import (
     em_sum_certified,
     working_dps,
     zeta_values,
+    _round_cushion,
 )
 
 #: Largest prime bound accepted by the Euler-product residual check.
@@ -52,8 +52,7 @@ def zeta(s: ScalarLike, prec: int) -> BigReal:
             raise DomainError(
                 f"zeta requires s > 1, got s = {mpmath.nstr(sv, 8)}; "
                 "the series diverges there (at s = 1 it is the harmonic series)")
-        spec = SeriesSpec(term=lambda k: mpf(k) ** (-sv), power_decay=sv)
-        return em_sum_certified(spec, prec)
+        return em_sum_certified(sv, prec)
 
 
 def zeta_even_closed(n: int) -> Fraction:
@@ -81,9 +80,7 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
         sv = as_mpf(s)
         if not sv > 0:
             raise DomainError(f"phi requires s > 0, got s = {mpmath.nstr(sv, 8)}")
-        spec = SeriesSpec(term=lambda k: mpf(-1) ** (k - 1) * mpf(k) ** (-sv),
-                          alternating=True)
-        return accel_alt_sum(spec, prec)
+        return accel_alt_sum(lambda k: mpf(-1) ** (k - 1) * mpf(k) ** (-sv), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +103,7 @@ def _li_direct(n: int, z: mpf, wd: int) -> tuple[mpf, mpf]:
         value += p / mpf(k) ** n
         tail = abs(p) * az / ((1 - az) * mpf(k + 1) ** n)
         if tail < target:
-            return value, tail + (1 + abs(value)) * target * k
+            return value, tail + _round_cushion(value, wd) * k
         if k > 200 * wd:
             raise PrecisionNotMet("polylog series did not reach the target tail bound")
 
@@ -135,15 +132,14 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
             return zeta(n, prec)
         if n == 1:
             v = -mpmath.log(1 - zv)
-            return BigReal(v, (1 + abs(v)) * mpf(10) ** (-(wd - 2)), prec).demand("polylog")
+            return BigReal(v, _round_cushion(v, wd), prec).demand("polylog")
         if zv == -1:
             return -phi(n, prec)
         if abs(zv) <= mpf(1) / 2:
             v, bound = _li_direct(n, zv, wd)
             return BigReal(v, bound, prec).demand("polylog")
         if zv < 0:
-            spec = SeriesSpec(term=lambda k: zv ** k / mpf(k) ** n, alternating=True)
-            return accel_alt_sum(spec, prec)
+            return accel_alt_sum(lambda k: zv ** k / mpf(k) ** n, prec)
         if n == 2:
             # Li_2(z) + Li_2(1-z) + log(z) log(1-z) = zeta(2), with 1-z in (0, 1/2).
             inner = prec + 4
@@ -152,7 +148,7 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
                 w = 1 - as_mpf(z)
                 li_w, bound_w = _li_direct(2, w, wd2)
                 v = mpmath.pi ** 2 / 6 - mpmath.log(1 - w) * mpmath.log(w) - li_w
-                bound = bound_w + (1 + abs(v)) * mpf(10) ** (-(wd2 - 3))
+                bound = bound_w + _round_cushion(v, wd2 - 1)
             return BigReal(v, bound, prec).demand("polylog")
         raise DomainError(
             f"Li_{n} is only evaluated on [-1, 1/2] and the endpoint 1; got z = {mpmath.nstr(zv, 8)}")
@@ -185,8 +181,7 @@ def gamma_const(prec: int, method: str = "EM") -> BigReal:
     """
     check_prec(prec)
     if method == "EM":
-        spec = SeriesSpec(term=lambda k: mpf(1) / k, power_decay=1)
-        return em_sum_certified(spec, prec)
+        return em_sum_certified(1, prec)
     if method == "ZETA_SERIES":
         count = alt_terms_needed(prec)
         zetas = zeta_values(count + 1, working_dps(prec) + 6)
@@ -258,7 +253,7 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
             li_x, b1 = _li_direct(2, x, wd)
             li_1mx, b2 = _li_direct(2, 1 - x, wd)
             resid = abs(li_x + li_1mx + mpmath.log(x) * mpmath.log(1 - x) - mpmath.pi ** 2 / 6)
-            err = b1 + b2 + (1 + resid) * mpf(10) ** (-(wd - 3))
+            err = b1 + b2 + _round_cushion(resid, wd - 1)
             return BigReal(resid, err, prec)
 
     if kind is IdentityKind.COTANGENT:
@@ -273,7 +268,7 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
             acc = mpf(0)
             for m in range(1, terms + 1):
                 r = zeta_even_closed(m)
-                acc += mpf(r.numerator) / r.denominator * x ** (2 * m)
+                acc += as_mpf(r) * x ** (2 * m)
             resid = abs(x * mpmath.cot(x) - 1 + 2 * acc)
             err = (1 + resid + 2 * acc) * mpf(10) ** (-(wd - 3)) * terms
             return BigReal(resid, err, prec)
@@ -295,7 +290,7 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
             for p in primes:
                 prod *= 1 - mpf(p) ** (-s)
             resid = abs(prod * z.value - 1)
-            err = prod * z.err + (1 + resid) * mpf(10) ** (-(wd - 3)) * max(1, len(primes) // 100)
+            err = prod * z.err + _round_cushion(resid, wd - 1) * max(1, len(primes) // 100)
             return BigReal(resid, err, prec)
 
     if kind is IdentityKind.PHI_FUNCEQ:
@@ -310,7 +305,7 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
             ratio = lhs_num.value / (lhs_den.value * rhs)
             resid = abs(ratio - 1)
             rel = (lhs_num.err / abs(lhs_num.value) + lhs_den.err / abs(lhs_den.value))
-            err = abs(ratio) * rel + (1 + resid) * mpf(10) ** (-(wd - 3))
+            err = abs(ratio) * rel + _round_cushion(resid, wd - 1)
             return BigReal(resid, err, prec)
 
     raise AssertionError("unreachable")

@@ -37,7 +37,7 @@ from mpmath import mpf
 from .errors import DomainError, InputError, NoConvergence, SchemaError
 from .eulerfun import phi
 from .mzv import multiphi
-from .numkernel import MAX_PREC, BigReal, as_mpf, check_prec, working_dps
+from .numkernel import MAX_PREC, BigReal, as_mpf, check_prec, pi_times, working_dps
 
 MAX_ORDER = 4
 
@@ -263,14 +263,8 @@ def _inner_prec(prec: int) -> int:
     return min(prec + 6, MAX_PREC)
 
 
-def _pi_big(prec: int) -> BigReal:
-    with mpmath.workdps(working_dps(prec)):
-        v = +mpmath.pi
-        return BigReal(v, (1 + abs(v)) * mpf(10) ** -(working_dps(prec) - 2), prec)
-
-
 def _alpha_ratio(alpha_inv: BigReal, prec: int) -> BigReal:
-    return 1 / (alpha_inv * _pi_big(prec))
+    return 1 / (alpha_inv * pi_times(1, prec))
 
 
 def coeff_a2(prec: int, mode: CoeffMode | str = CoeffMode.EXACT_BRACKET,

@@ -32,17 +32,17 @@ from typing import Sequence
 import mpmath
 from mpmath import mpf
 
-from .errors import DivergentIndex, DomainError, PrecisionNotMet, TooLarge
-from .eulerfun import phi, zeta
+from .errors import DivergentIndex, DomainError, TooLarge
+from .eulerfun import zeta
 from .numkernel import (
     BigReal,
-    GUARD_DIGITS,
-    SeriesSpec,
     accel_alt_sum,
+    as_mpf,
     bernoulli,
     check_prec,
     euler_at_zero,
     working_dps,
+    _round_cushion,
 )
 
 #: Maximum supported depth of an index.
@@ -134,7 +134,7 @@ def _series_eval(s: _TailSeries, m: int, qmax: int) -> tuple[mpf, mpf]:
     top = mpf(0)
     for q in sorted(s.coeffs):
         c = s.coeffs[q]
-        t = (mpf(c.numerator) / c.denominator) * mv ** (-q)
+        t = as_mpf(c) * mv ** (-q)
         value += t
         if q >= qmax - 2:
             top = max(top, abs(t))
@@ -170,7 +170,7 @@ def _mzv_once(idx: MzvIndex, prec: int, scale: int) -> BigReal:
                 inner = y[j + 1] if j < d else mpf(1)
                 y[j] = y[j] + base ** (-idx[j - 1]) * inner
         value = y[1]
-        err += (1 + abs(value)) * mpf(10) ** (-(wd - 2)) * cutoff * d
+        err += _round_cushion(value, wd) * cutoff * d
         return BigReal(value, err, prec)
 
 
@@ -236,7 +236,7 @@ def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
                 h += mpf(m) ** (-a)
             r = (1 if a == 1 else 0) + (1 if b == 1 else 0)
             tail = _log_poly_tail(cutoff, c, r) * _inner_cap([a, b])
-        err = tail + (1 + abs(total)) * mpf(10) ** (-(wd - 2)) * cutoff
+        err = tail + _round_cushion(total, wd) * cutoff
         return BigReal(total, err, prec)
 
 
@@ -330,10 +330,7 @@ def multiphi(idx: Sequence[int], prec: int, cutoff: int | None = None) -> BigRea
 
     seed_prec = min(prec + 6, 100)
     with mpmath.workdps(wd):
-        seed = accel_alt_sum(
-            SeriesSpec(term=lambda j: mpf(-1) ** (j - 1) * mpf(L + j) ** (-n),
-                       alternating=True),
-            seed_prec)
+        seed = accel_alt_sum(lambda j: mpf(-1) ** (j - 1) * mpf(L + j) ** (-n), seed_prec)
         series = _series_tail(_beta_series(n, qmax).shifted(m), qmax)
         tail, tail_err = _series_eval(series, L, qmax)
 
@@ -343,8 +340,7 @@ def multiphi(idx: Sequence[int], prec: int, cutoff: int | None = None) -> BigRea
             head += mpf(k) ** (-m) * beta
             beta = mpf(k) ** (-n) - beta
         harmonic_cap = 1 + mpmath.log(L) if m == 1 else _inner_cap([m])
-        err = (tail_err + seed.err * (1 + harmonic_cap)
-               + (1 + abs(head)) * mpf(10) ** (-(wd - 2)) * L)
+        err = tail_err + seed.err * (1 + harmonic_cap) + _round_cushion(head, wd) * L
         value = -(head + tail)
         out = BigReal(value, err, prec)
         if cutoff is None:

@@ -6,11 +6,13 @@ Everything numerical in this package funnels through this module:
   convention) from the defining recurrence.
 * :class:`BigReal` is an arbitrary-precision real paired with an explicit
   absolute error bound and the precision that was requested for it.
-* :func:`em_sum` evaluates slowly convergent monotone series by partial sum
-  plus integral tail plus Bernoulli correction terms.
-* :func:`accel_alt_sum` evaluates alternating series by Chebyshev-weighted
-  acceleration, needing O(digits) terms instead of exponentially many;
-  :func:`accel_alt_terms` does the same from given terms with error bounds.
+* :func:`em_sum` evaluates ``sum(k**-s)`` for real ``s >= 1``, given the
+  exponent itself, by partial sum plus integral tail plus Bernoulli
+  correction terms (at ``s = 1`` the harmonic sum less ``log n``).
+* :func:`accel_alt_sum` evaluates an alternating series, given its term
+  function, by Chebyshev-weighted acceleration, needing O(digits) terms
+  instead of exponentially many; :func:`accel_alt_terms` does the same from
+  given terms with error bounds.
 * :func:`zeta_values` evaluates ``zeta(2), ..., zeta(top)`` by
   Euler-Maclaurin summation in one pass over a shared table of powers.
 
@@ -20,8 +22,10 @@ plan of splits.
 
 Error bounds are certified heuristically: the declared bound is the first
 omitted correction term (plus a rounding cushion), not an interval
-enclosure.  Each engine is exercised against independent references in the
-test suite.  Internally all work is done in ``mpmath`` at the requested
+enclosure.  The rounding cushion is :func:`_round_cushion`, here and in the
+layers above it, and :func:`pi_times` gives ``k * pi`` with that cushion.
+Each engine is exercised against independent references in the test
+suite.  Internally all work is done in ``mpmath`` at the requested
 precision plus :data:`GUARD_DIGITS` decimal guard digits; identical inputs
 produce bit-identical outputs.
 """
@@ -103,10 +107,6 @@ def euler_at_zero(i: int) -> Fraction:
     if not isinstance(i, int) or i < 0:
         raise DomainError(f"index must be a non-negative integer, got {i!r}")
     return Fraction(-2) * (2 ** (i + 1) - 1) * bernoulli(i + 1) / (i + 1)
-
-
-def _mpf_fraction(q: Fraction) -> mpf:
-    return mpf(q.numerator) / q.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -249,30 +249,20 @@ class BigReal:
 
 
 def _round_cushion(v: mpf, wd: int) -> mpf:
+    """Rounding allowance ``(1 + |v|) * 10**-(wd - 2)`` for ``v`` made at ``wd`` digits.
+
+    A site that rounds more than once scales it by its operation count; a
+    site that allows ``10**-(wd - 3)`` passes ``wd - 1``.
+    """
     return (1 + abs(v)) * mpf(10) ** (-(wd - 2))
 
 
-# ---------------------------------------------------------------------------
-# Series specifications
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    """Description of a series ``sum(term(k) for k >= 1)``.
-
-    ``term`` must be pure: the same ``k`` evaluated at the same ambient
-    precision must give the same value.  ``alternating`` marks series whose
-    terms strictly alternate in sign with decreasing magnitude.
-    ``power_decay`` is the tail descriptor consumed by :func:`em_sum`: it
-    asserts ``term(k) == k**(-power_decay)`` for every ``k`` past the split
-    point, which is what makes the integral and derivative corrections
-    computable.
-    """
-
-    term: Callable[[int], mpf]
-    alternating: bool = False
-    power_decay: ScalarLike | None = None
+def pi_times(k: int, prec: int) -> BigReal:
+    """``k * pi`` at the working precision of ``prec``, with the rounding cushion."""
+    wd = working_dps(prec)
+    with mpmath.workdps(wd):
+        v = k * mpmath.pi
+        return BigReal(v, _round_cushion(v, wd), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -318,20 +308,22 @@ def alt_terms_needed(prec: int) -> int:
     return _cvz_lengths(working_dps(check_prec(prec)))[1]
 
 
-def accel_alt_sum(spec: SeriesSpec, prec: int) -> BigReal:
-    """Evaluate an alternating series to ``prec`` certified digits.
+def accel_alt_sum(term: Callable[[int], mpf], prec: int) -> BigReal:
+    """Evaluate ``sum(term(k) for k >= 1)`` to ``prec`` certified digits.
 
-    Evaluates the first :func:`alt_terms_needed` terms of ``spec`` at the
-    working precision and sums them with :func:`accel_alt_terms`, treating
-    each term as exact.
+    ``term`` must be pure, giving the same value for the same ``k`` at the
+    same ambient precision, and its values must alternate in sign with
+    decreasing magnitude.  Evaluates the first :func:`alt_terms_needed`
+    terms at the working precision and sums them with
+    :func:`accel_alt_terms`, treating each term as exact; its sign check,
+    the only alternation guard, raises :class:`DomainError` when the first
+    ten terms do not alternate.
 
     Raises :class:`PrecisionNotMet` when the bound cannot be certified.
     """
     check_prec(prec)
-    if not spec.alternating:
-        raise DomainError("accel_alt_sum requires an alternating SeriesSpec")
     with mpmath.workdps(working_dps(prec)):
-        terms = [spec.term(k) for k in range(1, alt_terms_needed(prec) + 1)]
+        terms = [term(k) for k in range(1, alt_terms_needed(prec) + 1)]
     return accel_alt_terms(terms, prec)
 
 
@@ -397,7 +389,7 @@ def accel_alt_terms(terms: Sequence[mpf], prec: int,
 def _bernoulli_ratio(j: int, wd: int) -> mpf:
     """``B_2j / (2j)!`` rounded at ``wd`` digits."""
     with mpmath.workdps(wd):
-        return _mpf_fraction(_bernoulli_ratio_exact(j))
+        return as_mpf(_bernoulli_ratio_exact(j))
 
 
 @lru_cache(maxsize=None)
@@ -406,10 +398,14 @@ def _bernoulli_ratio_exact(j: int) -> Fraction:
     return bernoulli(2 * j) / math.factorial(2 * j)
 
 
-def em_sum(spec: SeriesSpec, n_split: int, bernoulli_terms: int, prec: int) -> BigReal:
-    """Partial sum to ``n_split``, plus integral tail, plus Bernoulli terms.
+def em_sum(s: ScalarLike, n_split: int, bernoulli_terms: int, prec: int) -> BigReal:
+    """Euler-Maclaurin sum of ``k**-s`` for real ``s >= 1``.
 
-    For ``f(k) = k**-s`` (``s`` from ``spec.power_decay``) this computes::
+    ``s`` is converted at the working precision and every term
+    ``mpf(k) ** -s`` is computed here, so no caller can pair a bound with a
+    series it does not describe.  With ``f(k) = k**-s`` this computes the
+    partial sum to ``n = n_split``, the integral tail and ``J =
+    bernoulli_terms`` Bernoulli corrections::
 
         sum(f(k), k=1..n) + I(n) - f(n)/2
             + sum(B_2j/(2j)! * poch(s, 2j-1) * n**(1-s-2j), j=1..J)
@@ -431,10 +427,6 @@ def em_sum(spec: SeriesSpec, n_split: int, bernoulli_terms: int, prec: int) -> B
     Raises :class:`PrecisionNotMet` when that bound exceeds ``10**-prec``.
     """
     check_prec(prec)
-    if spec.power_decay is None:
-        raise DomainError("em_sum requires a SeriesSpec with a power_decay descriptor")
-    if spec.alternating:
-        raise DomainError("em_sum handles monotone series; use accel_alt_sum")
     if not isinstance(n_split, int) or n_split < 1:
         raise DomainError(f"n_split must be a positive integer, got {n_split!r}")
     if not isinstance(bernoulli_terms, int) or bernoulli_terms < 0:
@@ -442,11 +434,11 @@ def em_sum(spec: SeriesSpec, n_split: int, bernoulli_terms: int, prec: int) -> B
 
     wd = working_dps(prec)
     with mpmath.workdps(wd):
-        s = as_mpf(spec.power_decay)
+        s = as_mpf(s)
         if s < 1:
-            raise DomainError("power_decay < 1 does not define a convergent tail")
+            raise DomainError("em_sum needs s >= 1; a smaller s does not define a convergent tail")
         n = mpf(n_split)
-        partial = mpmath.fsum(spec.term(k) for k in range(1, n_split + 1))
+        partial = mpmath.fsum(mpf(k) ** (-s) for k in range(1, n_split + 1))
         if s == 1:
             integral = -mpmath.log(n)
         else:
@@ -477,7 +469,7 @@ def _doubling_retries(evaluate: Callable[[int], _T], n_split: int) -> _T:
     raise AssertionError("unreachable")
 
 
-def em_sum_certified(spec: SeriesSpec, prec: int) -> BigReal:
+def em_sum_certified(s: ScalarLike, prec: int) -> BigReal:
     """:func:`em_sum` at :func:`em_parameters`, doubling ``n_split`` on a miss.
 
     Up to three doublings; the first split that certifies gives the
@@ -485,7 +477,7 @@ def em_sum_certified(spec: SeriesSpec, prec: int) -> BigReal:
     a single :func:`em_sum` call.
     """
     n_split, terms = em_parameters(prec)
-    return _doubling_retries(lambda n: em_sum(spec, n, terms, prec), n_split)
+    return _doubling_retries(lambda n: em_sum(s, n, terms, prec), n_split)
 
 
 def em_parameters(prec: int) -> tuple[int, int]:

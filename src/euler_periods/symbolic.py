@@ -27,11 +27,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import DomainError, InputError, ParseError
 from .eulerfun import polylog, zeta
-from .numkernel import MAX_PREC, BigReal, check_prec, working_dps, _round_cushion
+from .numkernel import MAX_PREC, BigReal, check_prec, pi_times
 
 __all__ = [
     "MotivicExpr",
@@ -853,13 +851,6 @@ def parse_expr(text: str) -> MotivicExpr:
 # ---------------------------------------------------------------------------
 
 
-def _two_pi(prec: int) -> BigReal:
-    wd = working_dps(prec)
-    with mpmath.workdps(wd):
-        v = 2 * mpmath.pi
-        return BigReal(v, _round_cushion(v, wd), prec)
-
-
 def period_map(e: MotivicExpr, prec: int = 15) -> BigReal:
     """Evaluate an expression numerically.
 
@@ -892,7 +883,7 @@ def period_map(e: MotivicExpr, prec: int = 15) -> BigReal:
             if atom[0] == "zm":
                 cache[atom] = zeta(atom[1], inner)
             elif atom[0] == "tpim":
-                cache[atom] = _two_pi(inner)
+                cache[atom] = pi_times(2, inner)
             else:
                 n, pt = atom[1], atom[2]
                 if pt[0] != "rat":

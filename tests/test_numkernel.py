@@ -14,11 +14,10 @@ from mpmath import mpf
 
 from euler_periods import numkernel
 from euler_periods.errors import DomainError, PrecisionNotMet
-from euler_periods.eulerfun import zeta_even_closed
+from euler_periods.eulerfun import zeta, zeta_even_closed
 from euler_periods.numkernel import (
     GUARD_DIGITS,
     BigReal,
-    SeriesSpec,
     accel_alt_sum,
     accel_alt_terms,
     alt_terms_needed,
@@ -28,6 +27,7 @@ from euler_periods.numkernel import (
     em_parameters,
     em_sum,
     euler_at_zero,
+    pi_times,
     working_dps,
     zeta_values,
 )
@@ -266,18 +266,16 @@ def test_random_walk_error_bound_is_honest():
 
 
 def test_accel_alt_ln2():
-    spec = SeriesSpec(term=lambda k: mpf(-1) ** (k - 1) / k, alternating=True)
     prec = 30
-    x = accel_alt_sum(spec, prec)
+    x = accel_alt_sum(lambda k: mpf(-1) ** (k - 1) / k, prec)
     with mpmath.workdps(working_dps(prec)):
         assert abs(x.value - mpmath.log(2)) <= mpf(10) ** (-prec)
     assert x.certified()
 
 
 def test_accel_alt_pi_over_4():
-    spec = SeriesSpec(term=lambda k: mpf(-1) ** (k - 1) / (2 * k - 1), alternating=True)
     prec = 25
-    x = accel_alt_sum(spec, prec)
+    x = accel_alt_sum(lambda k: mpf(-1) ** (k - 1) / (2 * k - 1), prec)
     with mpmath.workdps(working_dps(prec)):
         assert abs(x.value - mpmath.pi / 4) <= mpf(10) ** (-prec)
 
@@ -287,27 +285,22 @@ def test_accel_alt_finite_series_short_circuit():
     def term(k):
         return {1: mpf(1), 2: mpf("-0.5")}.get(k, mpf(0))
 
-    x = accel_alt_sum(SeriesSpec(term=term, alternating=True), 20)
+    x = accel_alt_sum(term, 20)
     assert x.value == mpf("0.5")
     assert x.certified()
 
 
-def test_accel_alt_requires_alternating_flag():
-    spec = SeriesSpec(term=lambda k: mpf(-1) ** (k - 1) / k, alternating=False)
-    with pytest.raises(DomainError):
-        accel_alt_sum(spec, 15)
-
-
 def test_accel_alt_detects_non_alternating_terms():
-    spec = SeriesSpec(term=lambda k: mpf(1) / k ** 2, alternating=True)
     with pytest.raises(DomainError):
-        accel_alt_sum(spec, 15)
+        accel_alt_sum(lambda k: mpf(1) / k ** 2, 15)
 
 
 def test_accel_alt_bit_identical_reruns():
-    spec = SeriesSpec(term=lambda k: mpf(-1) ** (k - 1) / k, alternating=True)
-    a = accel_alt_sum(spec, 40)
-    b = accel_alt_sum(spec, 40)
+    def term(k):
+        return mpf(-1) ** (k - 1) / k
+
+    a = accel_alt_sum(term, 40)
+    b = accel_alt_sum(term, 40)
     assert repr(a) == repr(b)
 
 
@@ -318,8 +311,7 @@ def eta2_terms(prec: int) -> list:
 
 @pytest.mark.parametrize("prec", [1, 15, 100])
 def test_accel_alt_terms_without_bounds_is_accel_alt_sum(prec):
-    spec = SeriesSpec(term=lambda k: mpf(-1) ** (k - 1) / mpf(k) ** 2, alternating=True)
-    a = accel_alt_sum(spec, prec)
+    a = accel_alt_sum(lambda k: mpf(-1) ** (k - 1) / mpf(k) ** 2, prec)
     b = accel_alt_terms(eta2_terms(prec), prec)
     assert (a.value._mpf_, a.err._mpf_) == (b.value._mpf_, b.err._mpf_)
 
@@ -406,53 +398,36 @@ def test_zeta_values_validate_arguments(top, wd):
 
 def test_em_sum_zeta3_matches_reference():
     prec = 30
-    spec = SeriesSpec(term=lambda k: mpf(k) ** -3, power_decay=3)
     n_split, terms = em_parameters(prec)
-    x = em_sum(spec, n_split, terms, prec)
+    x = em_sum(3, n_split, terms, prec)
     with mpmath.workdps(working_dps(prec)):
         assert abs(x.value - mpmath.zeta(3)) <= mpf(10) ** (-prec)
 
 
 def test_em_sum_regularized_harmonic_gives_eulers_constant():
-    """power_decay == 1 subtracts log(n); the limit is Euler's constant."""
+    """s == 1 subtracts log(n); the limit is Euler's constant."""
     prec = 25
-    spec = SeriesSpec(term=lambda k: mpf(1) / k, power_decay=1)
     n_split, terms = em_parameters(prec)
-    x = em_sum(spec, n_split, terms, prec)
+    x = em_sum(1, n_split, terms, prec)
     with mpmath.workdps(working_dps(prec)):
         assert abs(x.value - mpmath.euler) <= mpf(10) ** (-prec)
 
 
-def test_em_sum_requires_power_decay():
-    with pytest.raises(DomainError):
-        em_sum(SeriesSpec(term=lambda k: mpf(k) ** -2), 20, 4, 15)
-
-
-def test_em_sum_rejects_alternating_spec():
-    spec = SeriesSpec(term=lambda k: mpf(-1) ** k / k ** 2,
-                      alternating=True, power_decay=2)
-    with pytest.raises(DomainError):
-        em_sum(spec, 20, 4, 15)
-
-
 def test_em_sum_rejects_divergent_tail():
-    spec = SeriesSpec(term=lambda k: mpf(k) ** mpf("-0.5"), power_decay="0.5")
     with pytest.raises(DomainError):
-        em_sum(spec, 20, 4, 15)
+        em_sum("0.5", 20, 4, 15)
 
 
 @pytest.mark.parametrize("n_split,terms", [(0, 3), (-4, 3), (5, -1), (2.0, 3)])
 def test_em_sum_validates_split_parameters(n_split, terms):
-    spec = SeriesSpec(term=lambda k: mpf(k) ** -2, power_decay=2)
     with pytest.raises(DomainError):
-        em_sum(spec, n_split, terms, 15)
+        em_sum(2, n_split, terms, 15)
 
 
 def test_em_sum_insufficient_split_raises_precision_not_met():
     # Two terms at split 3 cannot certify thirty digits.
-    spec = SeriesSpec(term=lambda k: mpf(k) ** -2, power_decay=2)
     with pytest.raises(PrecisionNotMet):
-        em_sum(spec, 3, 2, 30)
+        em_sum(2, 3, 2, 30)
 
 
 def test_em_parameters_scale_with_prec():
@@ -460,8 +435,7 @@ def test_em_parameters_scale_with_prec():
     n2, t2 = em_parameters(60)
     assert n2 > n1
     assert t2 >= t1
-    spec = SeriesSpec(term=lambda k: mpf(k) ** -2, power_decay=2)
-    assert em_sum(spec, n2, t2, 60).certified()
+    assert em_sum(2, n2, t2, 60).certified()
 
 
 def em_sum_reference(s, n_split: int, bernoulli_terms: int, prec: int) -> tuple[mpf, mpf]:
@@ -492,13 +466,6 @@ def em_sum_reference(s, n_split: int, bernoulli_terms: int, prec: int) -> tuple[
         return value, err
 
 
-def power_spec(s, prec: int) -> SeriesSpec:
-    """``k**-s`` with ``s`` read at the working precision, as ``zeta`` builds it."""
-    with mpmath.workdps(working_dps(prec)):
-        sv = as_mpf(s)
-    return SeriesSpec(term=lambda k: mpf(k) ** (-sv), power_decay=s)
-
-
 @pytest.mark.parametrize("prec", [1, 15, 50, 100])
 @pytest.mark.parametrize("s", [1, 2, Fraction(5, 2), Fraction(7, 3), 3, 40, 163], ids=str)
 def test_em_sum_bits_match_textbook_tail(s, prec):
@@ -507,16 +474,36 @@ def test_em_sum_bits_match_textbook_tail(s, prec):
     while err > mpf(10) ** -prec:  # the split doubling that zeta retries with
         n_split *= 2
         value, err = em_sum_reference(s, n_split, terms, prec)
-    x = em_sum(power_spec(s, prec), n_split, terms, prec)
+    x = em_sum(s, n_split, terms, prec)
     assert x.value._mpf_ == value._mpf_
     assert x.err._mpf_ == err._mpf_
 
 
 @pytest.mark.parametrize("terms", [0, 1, 2])
 def test_em_sum_bits_match_textbook_tail_with_few_terms(terms):
-    x = em_sum(power_spec(40, 15), 20, terms, 15)
+    x = em_sum(40, 20, terms, 15)
     value, err = em_sum_reference(40, 20, terms, 15)
     assert (x.value._mpf_, x.err._mpf_) == (value._mpf_, err._mpf_)
+
+
+@pytest.mark.parametrize("prec", [1, 15, 100])
+@pytest.mark.parametrize("s", [3, Fraction(5, 2), "2.5", mpf("2.5"), Fraction(7, 3), "1.7"],
+                         ids=repr)
+def test_em_sum_takes_any_scalar_exponent_with_zeta_bits(s, prec):
+    z = zeta(s, prec)
+    n_split, terms = em_parameters(prec)
+    # zeta doubles the split up to three times until em_sum certifies.
+    x = numkernel._doubling_retries(lambda n: em_sum(s, n, terms, prec), n_split)
+    assert (x.value._mpf_, x.err._mpf_) == (z.value._mpf_, z.err._mpf_)
+
+
+@pytest.mark.parametrize("prec", [1, 15, 100])
+@pytest.mark.parametrize("k", [1, 2, -3])
+def test_pi_times_covers_k_pi(k, prec):
+    x = pi_times(k, prec)
+    assert x.prec == prec and x.certified()
+    with mpmath.workdps(working_dps(prec) + 20):
+        assert abs(x.value - k * mpmath.pi) <= x.err
 
 
 # ---------------------------------------------------------------------------
