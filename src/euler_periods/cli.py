@@ -237,9 +237,9 @@ def _coefficients(args) -> g2.CoefficientSet:
     from . import g2
     kw = {}
     if getattr(args, "a2_mode", None):
-        kw["a2_mode"] = g2.CoeffMode[args.a2_mode.upper().replace("-", "_")]
+        kw["a2_mode"] = g2._as_mode(args.a2_mode)
     if getattr(args, "a3_mode", None):
-        kw["a3_mode"] = g2.CoeffMode[args.a3_mode.upper().replace("-", "_")]
+        kw["a3_mode"] = g2._as_mode(args.a3_mode)
     return g2.CoefficientSet(**kw)
 
 

@@ -162,8 +162,8 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
 def gamma_const(prec: int, method: str = "EM") -> BigReal:
     """Euler's constant by either of two independent routes.
 
-    ``"EM"`` runs Euler-Maclaurin on the harmonic series against ``log n``,
-    doubling the split up to three times until it certifies.
+    ``"EM"`` runs Euler-Maclaurin on the harmonic series against ``log n``
+    once, at a split and term count planned a priori.
     ``"ZETA_SERIES"`` sums ``sum((-1)**n * zeta(n)/n, n >= 2)`` by
     alternating acceleration.  The two must agree within their combined
     bounds, which the test suite enforces.
@@ -172,9 +172,9 @@ def gamma_const(prec: int, method: str = "EM") -> BigReal:
     :func:`~euler_periods.numkernel.zeta_values` batch at
     ``working_dps(prec) + 6`` digits, each with its own bound, and the
     declared bound includes their propagated uncertainty.  Cost: at prec
-    15 / 50 / 100 the batch is ``zeta(2)..zeta(n)`` for n = 48 / 96 / 163,
-    followed by the Chebyshev sums over those n - 1 terms; a warm call
-    takes about 2 / 4 / 9 ms on a 2-core x86-64 VM.  What is cached
+    15 / 50 / 100 the batch is ``zeta(2)..zeta(n)`` for n = 33 / 79 / 144,
+    followed by one Chebyshev sum over those n - 1 terms; a warm call
+    takes about 2 / 5 / 12 ms on a 2-core x86-64 VM.  What is cached
     depends on the precision only: the batch's plan of splits per
     ``(n, wd)``, the Chebyshev weights per ``(term count, wd)`` and the
     Bernoulli fractions per index.  No zeta or gamma value is cached.

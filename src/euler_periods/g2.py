@@ -243,7 +243,7 @@ class CoeffMode(str, enum.Enum):
     EXACT_BRACKET = "EXACT_BRACKET"
     AS_PRINTED = "AS_PRINTED"
     REGISTRY = "REGISTRY"
-    CONSISTENT = "CONSISTENT"
+    CONSISTENT = "REGISTRY"
 
 
 def _as_mode(mode: CoeffMode | str) -> CoeffMode:
@@ -255,7 +255,7 @@ def _as_mode(mode: CoeffMode | str) -> CoeffMode:
             return CoeffMode[name]
         except KeyError:
             pass
-    choices = ", ".join(m.name for m in CoeffMode)
+    choices = ", ".join(CoeffMode.__members__)
     raise InputError(f"unknown coefficient mode {mode!r} (choose from {choices})")
 
 
@@ -280,7 +280,7 @@ def coeff_a2(prec: int, mode: CoeffMode | str = CoeffMode.EXACT_BRACKET,
     check_prec(prec)
     mode = _as_mode(mode)
     inner = _inner_prec(prec)
-    if mode in (CoeffMode.REGISTRY, CoeffMode.CONSISTENT):
+    if mode is CoeffMode.REGISTRY:
         ae = lookup(registry, "th:1957").as_bigreal(inner)
         ainv = lookup(registry, "alpha:rb:2011").as_bigreal(inner)
         r = _alpha_ratio(ainv, inner)
@@ -308,7 +308,7 @@ def coeff_a3(mode: CoeffMode | str = CoeffMode.CONSISTENT, prec: int = 15,
     check_prec(prec)
     mode = _as_mode(mode)
     inner = _inner_prec(prec)
-    if mode in (CoeffMode.CONSISTENT, CoeffMode.REGISTRY):
+    if mode is CoeffMode.REGISTRY:
         ae = lookup(registry, "th:2017").as_bigreal(inner)
         ainv = lookup(registry, "alpha:rb:2011").as_bigreal(inner)
         a4 = lookup(registry, "a4:laporta:2017").as_bigreal(inner)

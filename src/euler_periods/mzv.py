@@ -367,7 +367,8 @@ def stuffle_residual(m: int, n: int, prec: int) -> BigReal:
     inner = min(prec + 2, 100)
     lhs = zeta(m, inner) * zeta(n, inner)
     rhs = mzv((m, n), inner) + mzv((n, m), inner) + zeta(m + n, inner)
-    return abs(lhs - rhs)
+    resid = abs(lhs - rhs)
+    return BigReal(resid.value, resid.err, prec)
 
 
 def p35_combination(prec: int) -> BigReal:
@@ -379,4 +380,4 @@ def p35_combination(prec: int) -> BigReal:
     z5 = zeta(5, inner)
     z3 = zeta(3, inner)
     out = Fraction(2, 5) * (29 * z8 - 12 * z35) - 9 * (z5 * z3)
-    return out.demand("p35_combination")
+    return BigReal(out.value, out.err, prec).demand("p35_combination")

@@ -16,14 +16,19 @@ Everything numerical in this package funnels through this module:
 * :func:`zeta_values` evaluates ``zeta(2), ..., zeta(top)`` by
   Euler-Maclaurin summation in one pass over a shared table of powers.
 
-The engines cache what depends only on the working precision, never on
-the series: the Bernoulli ratios, the Chebyshev weights and the batch's
-plan of splits.
+Every engine sizes itself a priori and runs once; a plan that misses
+raises :class:`PrecisionNotMet`.  Euler-Maclaurin takes the cheapest split
+and term count whose closed-form first omitted term meets its target
+(:func:`_em_plan`).  Chebyshev takes ``n = ceil((wd - 1 + log10 2) /
+log10(3 + sqrt(8)))`` terms and the Cohen-Rodriguez Villegas-Zagier bound
+``2 |S| / (3 + sqrt(8))**n``, a theorem for the moment sequences every
+caller sums.  The engines cache what depends only on the working
+precision: the Bernoulli ratios, the Chebyshev weights and the batch plans.
 
-Error bounds are certified heuristically: the declared bound is the first
-omitted correction term (plus a rounding cushion), not an interval
-enclosure.  The rounding cushion is :func:`_round_cushion`, here and in the
-layers above it, and :func:`pi_times` gives ``k * pi`` with that cushion.
+The declared bound is that truncation bound plus a rounding cushion, not
+an interval enclosure.  The rounding cushion is :func:`_round_cushion`, a
+heuristic, here and in the layers above it, and :func:`pi_times` gives
+``k * pi`` with that cushion.
 Each engine is exercised against independent references in the test
 suite.  Internally all work is done in ``mpmath`` at the requested
 precision plus :data:`GUARD_DIGITS` decimal guard digits; identical inputs
@@ -36,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence, TypeVar, Union
+from typing import Callable, Sequence, Union
 
 import mpmath
 from mpmath import mpf
@@ -51,7 +56,6 @@ MIN_PREC = 1
 MAX_PREC = 100
 
 ScalarLike = Union[int, Fraction, str, mpf, float]
-_T = TypeVar("_T")
 
 
 def working_dps(prec: int) -> int:
@@ -297,27 +301,22 @@ def _cvz(mags: Sequence[mpf], n: int, wd: int) -> mpf:
     return s / d
 
 
-def _cvz_lengths(wd: int) -> tuple[int, int]:
-    # Term counts of the two Chebyshev estimates made at ``wd`` digits.
-    n = int(1.35 * wd) + 6
-    return n, n + 8
-
-
 def alt_terms_needed(prec: int) -> int:
-    """How many leading terms :func:`accel_alt_terms` reads at ``prec``."""
-    return _cvz_lengths(working_dps(check_prec(prec)))[1]
+    """Leading terms :func:`accel_alt_terms` reads at ``prec``: 32 / 78 / 143 at 15 / 50 / 100."""
+    wd = working_dps(check_prec(prec))
+    return math.ceil((wd - 1 + math.log10(2)) / math.log10(3 + math.sqrt(8)))
 
 
 def accel_alt_sum(term: Callable[[int], mpf], prec: int) -> BigReal:
     """Evaluate ``sum(term(k) for k >= 1)`` to ``prec`` certified digits.
 
     ``term`` must be pure, giving the same value for the same ``k`` at the
-    same ambient precision, and its values must alternate in sign with
-    decreasing magnitude.  Evaluates the first :func:`alt_terms_needed`
-    terms at the working precision and sums them with
-    :func:`accel_alt_terms`, treating each term as exact; its sign check,
-    the only alternation guard, raises :class:`DomainError` when the first
-    ten terms do not alternate.
+    same ambient precision, and ``|term(k)|`` must be a moment sequence as
+    :func:`accel_alt_terms` requires.  Evaluates the first
+    :func:`alt_terms_needed` terms at the working precision and sums them
+    with :func:`accel_alt_terms`, treating each term as exact; its sign
+    check, the only alternation guard, raises :class:`DomainError` when the
+    first ten terms do not alternate.
 
     Raises :class:`PrecisionNotMet` when the bound cannot be certified.
     """
@@ -331,30 +330,32 @@ def accel_alt_terms(terms: Sequence[mpf], prec: int,
                     bounds: Sequence[mpf] | None = None) -> BigReal:
     """Chebyshev-accelerated sum of an alternating series from its terms.
 
-    ``terms`` holds the first :func:`alt_terms_needed` terms ``a_1, a_2,
-    ...``, and ``bounds``, if given, a bound ``|a_k - true a_k| <= delta_k``
-    for each.  The estimate is computed twice with different term counts;
-    the declared bound is a multiple of the discrepancy, plus rounding,
-    plus the propagated input uncertainty ``sum(|c_k| * delta_k) / d``
-    taken with the Chebyshev weights ``c_k`` and normaliser ``d`` of the
-    estimate returned.  Series whose terms become identically zero are
-    summed directly (a finite sum is its own best acceleration).
+    ``terms`` holds the first ``n = alt_terms_needed(prec)`` terms ``a_1,
+    a_2, ...``, and ``bounds``, if given, a bound ``|a_k - true a_k| <=
+    delta_k`` for each.  Precondition: the ``|a_k|`` are moments
+    ``integral(t**k dmu(t), 0..1)`` of a positive measure, as ``k**-s``,
+    ``|z|**k k**-n``, ``(L+j)**-n`` and ``zeta(k+1)/(k+1)`` are.  Then one
+    Chebyshev pass errs by at most ``2 |S| / (3 + sqrt(8))**n`` (Cohen,
+    Rodriguez Villegas and Zagier, Experiment. Math. 9 (2000)), so the
+    declared bound is ``2 (|a_1| + delta_1) / (3 + sqrt(8))**n``, at most
+    ``(|a_1| + delta_1) * 10**-(wd - 1)``, plus rounding, plus the input
+    uncertainty ``sum(|c_k| * delta_k) / d`` with the Chebyshev weights
+    ``c_k`` and normaliser ``d``.  Series whose terms become identically
+    zero are summed directly (a finite sum is its own best acceleration).
 
-    Cost: two dot products of about ``n`` mpf multiplications, with
-    ``n = int(1.35 * wd) + 6`` and ``wd = working_dps(prec)``, plus one
-    more for the input uncertainty.  The Chebyshev weights depend only on
-    ``(n, wd)`` and are computed once per process and cached under that
-    key.  Each ``wd`` uses two keys (``n`` and ``n + 8``), so the cache
-    holds at most 200 entries, about 4 MB once every ``prec`` from 1 to
-    100 has been used.
+    Cost: one dot product of ``n = ceil((wd - 1 + log10 2) / log10(3 +
+    sqrt(8)))`` mpf multiplications, ``wd = working_dps(prec)``, plus one
+    more for the input uncertainty.  The weights depend only on ``(n,
+    wd)`` and are cached under that key: at most 100 entries, about 2 MB
+    once every ``prec`` from 1 to 100 has been used.
 
     Raises :class:`PrecisionNotMet` when the bound cannot be certified.
     """
     check_prec(prec)
     wd = working_dps(prec)
-    n, n2 = _cvz_lengths(wd)
-    if len(terms) != n2 or (bounds is not None and len(bounds) != n2):
-        raise DomainError(f"accel_alt_terms at prec {prec} takes exactly {n2} terms and bounds")
+    n = alt_terms_needed(prec)
+    if len(terms) != n or (bounds is not None and len(bounds) != n):
+        raise DomainError(f"accel_alt_terms at prec {prec} takes exactly {n} terms and bounds")
     with mpmath.workdps(wd):
         # Finite series short-circuit: two consecutive zero terms are read
         # as "the tail is identically zero".
@@ -370,14 +371,13 @@ def accel_alt_terms(terms: Sequence[mpf], prec: int,
         for j in range(min(10, n) - 1):
             if terms[j] * terms[j + 1] > 0:
                 raise DomainError("series terms do not alternate in sign")
-        mags = [abs(t) for t in terms]
-        s1 = sign * _cvz(mags, n, wd)
-        s2 = sign * _cvz(mags, n2, wd)
-        err = 4 * abs(s1 - s2) + _round_cushion(s2, wd) * n2
+        weights, d = _cvz_weights(n, wd)
+        s = sign * _cvz([abs(t) for t in terms], n, wd)
+        first = abs(terms[0]) if bounds is None else abs(terms[0]) + bounds[0]
+        err = 2 * first / (3 + mpmath.sqrt(8)) ** n + _round_cushion(s, wd) * n
         if bounds is not None:
-            weights, d = _cvz_weights(n2, wd)
             err += mpmath.fsum(abs(c) * b for c, b in zip(weights, bounds)) / d
-        return BigReal(s2, err, prec).demand("accel_alt_sum")
+        return BigReal(s, err, prec).demand("accel_alt_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +419,10 @@ def em_sum(s: ScalarLike, n_split: int, bernoulli_terms: int, prec: int) -> BigR
     ``J = bernoulli_terms`` corrections: one running Pochhammer product
     gains two factors per term, and the first omitted term extends it once
     more.  The ratios ``B_2j/(2j)!`` depend only on ``(j, wd)``, with
-    ``wd = working_dps(prec)``, and are cached under that key.  With
-    :func:`em_parameters` (``J <= 28``) the cache holds at most 29 entries
-    per ``wd``, 2900 in all and about 1 MB; a caller passing a larger
-    ``bernoulli_terms`` adds its own ``j``.
+    ``wd = working_dps(prec)``, and are cached under that key.  With the
+    plans of :func:`em_sum_certified` (``J <= 50``) the cache holds at most
+    51 entries per ``wd``, 5100 in all and about 1.7 MB; a caller passing a
+    larger ``bernoulli_terms`` adds its own ``j``.
 
     Raises :class:`PrecisionNotMet` when that bound exceeds ``10**-prec``.
     """
@@ -454,60 +454,21 @@ def em_sum(s: ScalarLike, n_split: int, bernoulli_terms: int, prec: int) -> BigR
         jn = bernoulli_terms + 1
         first_omitted = abs(_bernoulli_ratio(jn, wd) * poch * n ** (1 - s - 2 * jn))
         err = first_omitted + _round_cushion(value, wd) * (n_split + bernoulli_terms)
-        return BigReal(value, err, prec).demand("em_sum")
+        return BigReal(value, err, prec).demand(
+            f"em_sum at split {n_split} with {bernoulli_terms} Bernoulli terms")
 
-
-def _doubling_retries(evaluate: Callable[[int], _T], n_split: int) -> _T:
-    # ``evaluate(n)`` for n = n_split, 2 n_split, 4 n_split, 8 n_split: the
-    # first result that does not raise PrecisionNotMet, else the last error.
-    for attempt in range(4):
-        try:
-            return evaluate(n_split * 2 ** attempt)
-        except PrecisionNotMet:
-            if attempt == 3:
-                raise
-    raise AssertionError("unreachable")
-
-
-def em_sum_certified(s: ScalarLike, prec: int) -> BigReal:
-    """:func:`em_sum` at :func:`em_parameters`, doubling ``n_split`` on a miss.
-
-    Up to three doublings; the first split that certifies gives the
-    result, so whenever the a-priori split suffices the result is that of
-    a single :func:`em_sum` call.
-    """
-    n_split, terms = em_parameters(prec)
-    return _doubling_retries(lambda n: em_sum(s, n, terms, prec), n_split)
-
-
-def em_parameters(prec: int) -> tuple[int, int]:
-    """A (n_split, bernoulli_terms) pair adequate for ``prec`` digits.
-
-    The split point grows linearly with the digit count and the number of
-    correction terms follows from ``n_split**-2J ~ 10**-digits``; both stay
-    small enough that cost is dominated by the ``n_split`` term evaluations.
-    """
-    check_prec(prec)
-    wd = working_dps(prec)
-    n_split = max(12, wd)
-    terms = int(wd * math.log(10) / (2 * math.log(n_split))) + 2
-    return n_split, terms
-
-
-# ---------------------------------------------------------------------------
-# Zeta at the integers, in one batch
-# ---------------------------------------------------------------------------
 
 # |B_2m|/(2m)! = 2 zeta(2m) / (2 pi)^(2m) <= (pi^2/3) / (2 pi)^(2m) for m >= 1.
 _LOG10_BERNOULLI_RATIO_BOUND = math.log10(math.pi ** 2 / 3)
 _LOG10_2PI = math.log10(2 * math.pi)
 
-# Cost of one Bernoulli correction term of zeta_values, counted in
-# power-table rows (one row is one small integer division and one addition).
+# Cost of one Bernoulli term in partial-sum terms (measured): in zeta_values
+# against one integer division, in em_sum against one mpf power.
 _BERNOULLI_TERM_COST = 6
+_EM_BERNOULLI_TERM_COST = 3
 
 
-def _first_omitted_log10(s: int, n: int, terms: int) -> float:
+def _first_omitted_log10(s: float, n: int, terms: int) -> float:
     # Upper estimate of log10 of the first omitted Euler-Maclaurin term of
     # sum(k**-s) split at n after ``terms`` corrections:
     # |B_2m|/(2m)! * s(s+1)...(s+2m-2) * n**(1-s-2m) with m = terms + 1.
@@ -517,48 +478,81 @@ def _first_omitted_log10(s: int, n: int, terms: int) -> float:
             - (s + 2 * m - 1) * math.log10(n))
 
 
+def _em_plan(s: ScalarLike, digits: int, term_cost: int, n_start: int = 2) -> tuple[int, int]:
+    """The cheapest ``(n_split, bernoulli_terms)`` for ``sum(k**-s)``, ``s >= 1``.
+
+    Cheapest at ``n_split + term_cost * bernoulli_terms`` among splits from
+    ``n_start`` on, with the estimated first omitted term at most
+    ``10**-digits``.
+    """
+    # Past s = 10 * digits every split certifies with no Bernoulli term,
+    # and the first omitted term, s * n**(-s-1) / 12, only falls as s
+    # grows; so a larger exponent plans as 10 * digits does, and float(s)
+    # stays finite.
+    s = float(min(s, 10 * digits))
+    best_cost, best = math.inf, None
+    terms = None
+    n = n_start
+    # The cost is about convex in n: once a split term_cost rows past the
+    # best saves no term, a larger one saves none either.
+    while best is None or n - best[0] <= term_cost:
+        if terms is None:
+            # Past about pi*n - s/2 terms the corrections grow again, so
+            # below that the estimate falls with every term.
+            hi = max(0, int(math.pi * n - s / 2))
+            if _first_omitted_log10(s, n, hi) <= -digits:
+                lo = 0
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if _first_omitted_log10(s, n, mid) <= -digits:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                terms = hi
+        else:
+            while terms and _first_omitted_log10(s, n, terms - 1) <= -digits:
+                terms -= 1
+        if terms is not None:
+            if n + term_cost * terms < best_cost:
+                best_cost, best = n + term_cost * terms, (n, terms)
+            if not terms:
+                break
+        n += 1
+    return best
+
+
+def em_sum_certified(s: ScalarLike, prec: int) -> BigReal:
+    """:func:`em_sum` at the split and term count :func:`_em_plan` picks.
+
+    The plan aims the first omitted term at ``10**-(wd - 1)``, a tenth of
+    the rounding cushion's unit, so the declared bound is mostly rounding.
+    One :func:`em_sum` call; a plan that misses raises its
+    :class:`PrecisionNotMet`, and nothing is retried.
+    """
+    wd = working_dps(check_prec(prec))
+    with mpmath.workdps(wd):
+        s = as_mpf(s)
+    return em_sum(s, *_em_plan(s, wd - 1, _EM_BERNOULLI_TERM_COST), prec)
+
+
+# ---------------------------------------------------------------------------
+# Zeta at the integers, in one batch
+# ---------------------------------------------------------------------------
+
+
 @lru_cache(maxsize=None)
 def _zeta_plan(top: int, wd: int) -> tuple[tuple[int, int], ...]:
     """``(n_split, bernoulli_terms)`` for each ``s = 2..top`` at ``wd`` digits.
 
-    Each pair is the cheapest, at ``_BERNOULLI_TERM_COST``, whose
-    estimated first omitted term is at most ``10**-(wd - GUARD_DIGITS + 1)``,
-    a tenth of the bound :func:`zeta_values` promises; ``n_split`` never
-    grows with ``s``, so the power table only ever loses rows.
+    Each pair is :func:`_em_plan`'s, aimed at ``10**-(wd - GUARD_DIGITS +
+    1)``, a tenth of the bound :func:`zeta_values` promises; each ``s``
+    starts its search at the split of ``s + 1``, so ``n_split`` never
+    grows with ``s`` and the power table only ever loses rows.
     """
-    digits = wd - GUARD_DIGITS + 1
-    plan = []
-    n = 2
+    plan, n = [], 2
     for s in range(top, 1, -1):
-        best_cost, best = math.inf, None
-        terms = None
-        # The cost is about convex in n: once a split _BERNOULLI_TERM_COST
-        # rows past the best saves no term, a larger one saves none either.
-        while best is None or n - best[0] <= _BERNOULLI_TERM_COST:
-            if terms is None:
-                # Past about pi*n - s/2 terms the corrections grow again, so
-                # below that the estimate falls with every term.
-                hi = max(0, int(math.pi * n - s / 2))
-                if _first_omitted_log10(s, n, hi) <= -digits:
-                    lo = 0
-                    while lo < hi:
-                        mid = (lo + hi) // 2
-                        if _first_omitted_log10(s, n, mid) <= -digits:
-                            hi = mid
-                        else:
-                            lo = mid + 1
-                    terms = hi
-            else:
-                while terms and _first_omitted_log10(s, n, terms - 1) <= -digits:
-                    terms -= 1
-            if terms is not None:
-                if n + _BERNOULLI_TERM_COST * terms < best_cost:
-                    best_cost, best = n + _BERNOULLI_TERM_COST * terms, (n, terms)
-                if not terms:
-                    break
-            n += 1
-        plan.append(best)
-        n = best[0]
+        plan.append(_em_plan(s, wd - GUARD_DIGITS + 1, _BERNOULLI_TERM_COST, n))
+        n = plan[-1][0]
     return tuple(reversed(plan))
 
 
@@ -601,9 +595,9 @@ def zeta_values(top: int, wd: int) -> list[tuple[mpf, mpf]]:
     ``s`` splits beyond it.  The split and the number of Bernoulli terms
     for each ``s`` come a priori from a closed-form estimate of the first
     omitted term (:func:`_zeta_plan`); large ``s`` needs no Bernoulli term
-    and a handful of rows.  If the bound still misses, that ``zeta(s)`` is
-    recomputed with the split doubled, up to three times, before
-    :class:`PrecisionNotMet` is raised.
+    and a handful of rows.  If a bound still misses, the plan was wrong:
+    :class:`PrecisionNotMet` is raised with its split and term count, and
+    nothing is retried.
 
     Cost: ``sum(n_s)`` small integer divisions and ``sum(J_s)`` Bernoulli
     terms of a few exact integer products each.  The plan depends only on
@@ -621,15 +615,10 @@ def zeta_values(top: int, wd: int) -> list[tuple[mpf, mpf]]:
         out = []
         for s, (n_split, terms) in enumerate(plan, start=2):
             rows = [r // m for r, m in zip(rows, range(1, n_split + 1))]
-
-            def evaluate(n: int) -> tuple[mpf, mpf]:
-                extra = [(1 << bits) // m ** s for m in range(len(rows) + 1, n + 1)]
-                value, err = _em_power_sum(s, rows + extra, terms, bits, wd)
-                if err > limit:
-                    raise PrecisionNotMet(
-                        f"zeta_values: zeta({s}) bound {mpmath.nstr(err, 3)} exceeds "
-                        f"1e-{wd - GUARD_DIGITS} at split {n}")
-                return value, err
-
-            out.append(_doubling_retries(evaluate, n_split))
+            value, err = _em_power_sum(s, rows, terms, bits, wd)
+            if err > limit:
+                raise PrecisionNotMet(
+                    f"zeta_values: zeta({s}) bound {mpmath.nstr(err, 3)} exceeds "
+                    f"1e-{wd - GUARD_DIGITS} at split {n_split} with {terms} Bernoulli terms")
+            out.append((value, err))
         return out

@@ -26,6 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import DomainError, InputError, ParseError
 from .eulerfun import polylog, zeta
@@ -485,6 +486,17 @@ def _pair_product(d1: dict, d2: dict) -> dict:
     return out
 
 
+def _li_tower(n: int, pt, right: str) -> dict:
+    # Li(n; z) -> sum(ln_u(z)^k/k! (x) Li_<right>(n-k; z), k=0..n-1)
+    #             + Li_u(n; z) (x) 1.
+    lnu = ("lnu", pt)
+    out: dict[tuple, Fraction] = {}
+    for k in range(n):
+        out[(tuple([lnu] * k), ((right, n - k, pt),))] = Fraction(1, math.factorial(k))
+    out[((("liu", n, pt),), ())] = _F1
+    return out
+
+
 def _coact_atom(atom: tuple) -> dict:
     one = ()
     kind = atom[0]
@@ -497,22 +509,29 @@ def _coact_atom(atom: tuple) -> dict:
             # coaction is forced to be trivial like twopi_i's.
             return {(one, (atom,)): _F1}
         return {(one, (atom,)): _F1, ((("zu", n),), one): _F1}
-    # lim: binomial tower of ln_u powers against lower-weight Li_m, plus
-    # the fully unipotent Li_u term.
-    n, pt = atom[1], atom[2]
-    out: dict[tuple, Fraction] = {}
-    lnu = ("lnu", pt)
-    for k in range(n):
-        out[(tuple([lnu] * k), (("lim", n - k, pt),))] = Fraction(1, math.factorial(k))
-    out[((("liu", n, pt),), one)] = _F1
-    return out
+    return _li_tower(atom[1], atom[2], "lim")
 
 
-def _coact_mono(mono: tuple) -> dict:
+def _hopf_atom(atom: tuple) -> dict:
+    if atom[0] in ("zu", "lnu"):
+        return {((atom,), ()): _F1, ((), (atom,)): _F1}
+    return _li_tower(atom[1], atom[2], "liu")
+
+
+def _mono_image(mono: tuple, atom_rule: Callable[[tuple], dict]) -> dict:
+    # The image of a monomial under a multiplicative map given per atom.
     acc = {((), ()): _F1}
     for atom in mono:
-        acc = _pair_product(acc, _coact_atom(atom))
+        acc = _pair_product(acc, atom_rule(atom))
     return acc
+
+
+def _linear_image(terms: dict, atom_rule: Callable[[tuple], dict]) -> dict:
+    total: dict[tuple, Fraction] = {}
+    for mono, c in terms.items():
+        for key, v in _mono_image(mono, atom_rule).items():
+            _add_into(total, key, c * v)
+    return total
 
 
 def coact(e: MotivicExpr) -> TensorSum:
@@ -525,32 +544,7 @@ def coact(e: MotivicExpr) -> TensorSum:
     """
     if not isinstance(e, MotivicExpr):
         raise DomainError("coact expects a MotivicExpr")
-    total: dict[tuple, Fraction] = {}
-    for mono, c in e.terms.items():
-        for key, v in _coact_mono(mono).items():
-            _add_into(total, key, c * v)
-    return TensorSum(total)
-
-
-def _hopf_atom(atom: tuple) -> dict:
-    one = ()
-    kind = atom[0]
-    if kind in ("zu", "lnu"):
-        return {((atom,), one): _F1, (one, (atom,)): _F1}
-    n, pt = atom[1], atom[2]
-    out: dict[tuple, Fraction] = {}
-    lnu = ("lnu", pt)
-    for k in range(n):
-        out[(tuple([lnu] * k), (("liu", n - k, pt),))] = Fraction(1, math.factorial(k))
-    out[((("liu", n, pt),), one)] = _F1
-    return out
-
-
-def _hopf_mono(mono: tuple) -> dict:
-    acc = {((), ()): _F1}
-    for atom in mono:
-        acc = _pair_product(acc, _hopf_atom(atom))
-    return acc
+    return TensorSum(_linear_image(e.terms, _coact_atom))
 
 
 def hopf_coproduct(e: UnipotentExpr) -> UTensorSum:
@@ -562,11 +556,7 @@ def hopf_coproduct(e: UnipotentExpr) -> UTensorSum:
     """
     if not isinstance(e, UnipotentExpr):
         raise DomainError("hopf_coproduct expects a UnipotentExpr")
-    total: dict[tuple, Fraction] = {}
-    for mono, c in e.terms.items():
-        for key, v in _hopf_mono(mono).items():
-            _add_into(total, key, c * v)
-    return UTensorSum(total)
+    return UTensorSum(_linear_image(e.terms, _hopf_atom))
 
 
 def coassoc_residual(e: MotivicExpr) -> bool:
@@ -579,9 +569,9 @@ def coassoc_residual(e: MotivicExpr) -> bool:
     lhs: dict[tuple, Fraction] = {}
     rhs: dict[tuple, Fraction] = {}
     for (u, m), c in d.terms.items():
-        for (u1, u2), c2 in _hopf_mono(u).items():
+        for (u1, u2), c2 in _mono_image(u, _hopf_atom).items():
             _add_into(lhs, (u1, u2, m), c * c2)
-        for (u2, m2), c2 in _coact_mono(m).items():
+        for (u2, m2), c2 in _mono_image(m, _coact_atom).items():
             _add_into(rhs, (u, u2, m2), c * c2)
     return lhs == rhs
 

@@ -175,6 +175,13 @@ def test_g2_assemble_default_alpha(capsys):
     assert out == "0.001159652181664 ± 2.3e-12\n"
 
 
+@pytest.mark.parametrize("mode", ["exact-bracket", "as-printed", "registry", "consistent"])
+def test_g2_assemble_accepts_every_a3_mode_spelling(capsys, mode):
+    code, out, _ = run(capsys, "g2-assemble", "--a3-mode", mode, "--prec", "5")
+    assert code == 0
+    assert out.startswith("0.00115")
+
+
 def test_g2_invert_alpha_output(capsys):
     code, out, _ = run(capsys, "g2-invert-alpha", "exp:2008")
     assert code == 0

@@ -12,7 +12,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from euler_periods import eulerfun
+from euler_periods import eulerfun, numkernel
 from euler_periods.errors import DomainError, TooLarge
 from euler_periods.eulerfun import (
     IdentityKind,
@@ -24,7 +24,7 @@ from euler_periods.eulerfun import (
     zeta,
     zeta_even_closed,
 )
-from euler_periods.numkernel import working_dps, zeta_values
+from euler_periods.numkernel import MAX_PREC, MIN_PREC, working_dps, zeta_values
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,8 @@ def test_gamma_zeta_series_matches_mpmath():
 
 @pytest.mark.parametrize("prec", [60, 65, 68, 69, 70, 80, 90, 100])
 def test_gamma_em_certifies_at_high_prec(prec):
-    # The a-priori split falls short from prec 65 on; doubling it certifies.
+    # A split linear in the digit count falls short from prec 65 on; the
+    # planned split certifies at once.
     g = gamma_const(prec, method="EM")
     assert g.certified()
     with mpmath.workdps(130):
@@ -268,9 +269,9 @@ def test_gamma_zeta_series_sweep_covers_gamma(prec):
 
 
 def test_gamma_zeta_series_bound_carries_zeta_input_uncertainty(monkeypatch):
-    # Every zeta(n) high by 1e-18, with a bound that says so.  The shift of
-    # the terms is smooth, so the two Chebyshev estimates agree on it and
-    # only the propagated input bound can cover it.
+    # Every zeta(n) high by 1e-18, with a bound that says so.  The shift
+    # moves the sum by about 1e-19, far past the truncation and rounding
+    # parts of the bound, so only the propagated input bound can cover it.
     delta = mpf("1e-18")
 
     def coarse_zeta_values(top, wd):
@@ -379,3 +380,90 @@ def test_phi_funceq_domain(s):
 def test_unknown_identity_kind_rejected():
     with pytest.raises(ValueError):
         identity_residual("ZETA_REFLECTION", {"s": "0.5"}, 15)
+
+
+# ---------------------------------------------------------------------------
+# Every prec the interface accepts
+# ---------------------------------------------------------------------------
+
+ALL_PRECS = range(MIN_PREC, MAX_PREC + 1)
+
+
+def exact(x) -> mpf:
+    """A rational as an mpf at the ambient precision."""
+    x = Fraction(x)
+    return mpf(x.numerator) / x.denominator
+
+
+def assert_covers(x, reference, prec: int) -> None:
+    assert x.prec == prec and x.certified(), prec
+    with mpmath.workdps(working_dps(prec) + 20):
+        assert abs(x.value - reference()) <= x.err, prec
+
+
+def counted(monkeypatch, name: str) -> list:
+    """Replace ``numkernel.<name>`` by a wrapper that logs each call."""
+    calls = []
+    inner = getattr(numkernel, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(numkernel, name, wrapper)
+    return calls
+
+
+ZETA_EXPONENTS = [Fraction(101, 100), Fraction(6, 5), Fraction(3, 2), 2, Fraction(7, 3), 3, 5, 8, 10]
+
+
+@pytest.mark.parametrize("s", ZETA_EXPONENTS, ids=str)
+def test_zeta_runs_one_planned_em_sum_at_every_prec(s, monkeypatch):
+    calls = counted(monkeypatch, "em_sum")
+    for prec in ALL_PRECS:
+        calls.clear()
+        z = zeta(s, prec)
+        assert len(calls) == 1, prec
+        assert_covers(z, lambda: mpmath.zeta(exact(s)), prec)
+
+
+def test_gamma_em_runs_one_planned_em_sum_at_every_prec(monkeypatch):
+    calls = counted(monkeypatch, "em_sum")
+    for prec in ALL_PRECS:
+        calls.clear()
+        g = gamma_const(prec, method="EM")
+        assert len(calls) == 1, prec
+        assert_covers(g, lambda: +mpmath.euler, prec)
+
+
+def test_zeta_of_a_huge_exponent_is_one():
+    # The planner must not turn s into a float that overflows.
+    z = zeta(10 ** 400, 15)
+    assert z.certified()
+    with mpmath.workdps(40):
+        assert abs(z.value - 1) <= z.err
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), 1, Fraction(5, 2)], ids=str)
+def test_phi_runs_one_chebyshev_pass_at_every_prec(s, monkeypatch):
+    calls = counted(monkeypatch, "_cvz")
+    for prec in ALL_PRECS:
+        calls.clear()
+        x = phi(s, prec)
+        assert len(calls) == 1, prec
+        assert_covers(x, lambda: mpmath.altzeta(exact(s)), prec)
+
+
+@pytest.mark.parametrize("n,z", [(2, Fraction(-9, 10)), (3, Fraction(-3, 4))], ids=str)
+def test_polylog_alternating_route_covers_at_every_prec(n, z):
+    for prec in ALL_PRECS:
+        assert_covers(polylog(n, z, prec), lambda: mpmath.polylog(n, exact(z)), prec)
+
+
+def test_gamma_zeta_series_covers_at_every_prec(monkeypatch):
+    calls = counted(monkeypatch, "_cvz")
+    for prec in ALL_PRECS:
+        calls.clear()
+        g = gamma_const(prec, method="ZETA_SERIES")
+        assert len(calls) == 1, prec
+        assert_covers(g, lambda: +mpmath.euler, prec)

@@ -276,8 +276,9 @@ def test_mode_aliases_and_validation():
     a = coeff_a2(15, "as-printed")
     b = coeff_a2(15, CoeffMode.AS_PRINTED)
     assert repr(a) == repr(b)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="EXACT_BRACKET, AS_PRINTED, REGISTRY, CONSISTENT"):
         coeff_a2(15, "folklore")
+    assert repr(coeff_a3("consistent", 15)) == repr(coeff_a3(CoeffMode.REGISTRY, 15))
 
 
 def test_coefficient_set_defaults():

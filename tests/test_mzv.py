@@ -222,6 +222,13 @@ def test_multiphi_cutoff_validation(cutoff):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("prec", [1, 14, 50, 80])
+def test_derived_combinations_report_the_callers_prec(prec):
+    # Both work at a few digits more inside, and must not hand that back.
+    assert p35_combination(prec).prec == prec
+    assert stuffle_residual(2, 3, prec).prec == prec
+
+
 def test_p35_combination_value():
     x = p35_combination(14)
     with mpmath.workdps(40):

@@ -24,7 +24,6 @@ from euler_periods.numkernel import (
     as_mpf,
     bernoulli,
     check_prec,
-    em_parameters,
     em_sum,
     euler_at_zero,
     pi_times,
@@ -367,13 +366,6 @@ def test_zeta_values_match_mpmath_and_even_closed_forms(prec):
     assert_zeta_values_cover(values, wd)
 
 
-def test_zeta_values_retry_a_short_split(monkeypatch):
-    plan = numkernel._zeta_plan(60, 40)
-    monkeypatch.setattr(numkernel, "_zeta_plan",
-                        lambda top, wd: tuple((max(2, n // 3), j) for n, j in plan))
-    assert_zeta_values_cover(zeta_values(60, 40), 40)
-
-
 def test_zeta_values_raise_when_doubling_cannot_certify(monkeypatch):
     monkeypatch.setattr(numkernel, "_zeta_plan", lambda top, wd: ((2, 0),) * (top - 1))
     with pytest.raises(PrecisionNotMet, match="zeta\\(2\\)"):
@@ -396,10 +388,16 @@ def test_zeta_values_validate_arguments(top, wd):
 # ---------------------------------------------------------------------------
 
 
+def planned(s, prec: int) -> tuple[int, int]:
+    """The ``(n_split, bernoulli_terms)`` that ``em_sum_certified(s, prec)`` runs."""
+    wd = working_dps(prec)
+    with mpmath.workdps(wd):
+        return numkernel._em_plan(as_mpf(s), wd - 1, numkernel._EM_BERNOULLI_TERM_COST)
+
+
 def test_em_sum_zeta3_matches_reference():
     prec = 30
-    n_split, terms = em_parameters(prec)
-    x = em_sum(3, n_split, terms, prec)
+    x = em_sum(3, *planned(3, prec), prec)
     with mpmath.workdps(working_dps(prec)):
         assert abs(x.value - mpmath.zeta(3)) <= mpf(10) ** (-prec)
 
@@ -407,8 +405,7 @@ def test_em_sum_zeta3_matches_reference():
 def test_em_sum_regularized_harmonic_gives_eulers_constant():
     """s == 1 subtracts log(n); the limit is Euler's constant."""
     prec = 25
-    n_split, terms = em_parameters(prec)
-    x = em_sum(1, n_split, terms, prec)
+    x = em_sum(1, *planned(1, prec), prec)
     with mpmath.workdps(working_dps(prec)):
         assert abs(x.value - mpmath.euler) <= mpf(10) ** (-prec)
 
@@ -428,14 +425,6 @@ def test_em_sum_insufficient_split_raises_precision_not_met():
     # Two terms at split 3 cannot certify thirty digits.
     with pytest.raises(PrecisionNotMet):
         em_sum(2, 3, 2, 30)
-
-
-def test_em_parameters_scale_with_prec():
-    n1, t1 = em_parameters(10)
-    n2, t2 = em_parameters(60)
-    assert n2 > n1
-    assert t2 >= t1
-    assert em_sum(2, n2, t2, 60).certified()
 
 
 def em_sum_reference(s, n_split: int, bernoulli_terms: int, prec: int) -> tuple[mpf, mpf]:
@@ -469,11 +458,9 @@ def em_sum_reference(s, n_split: int, bernoulli_terms: int, prec: int) -> tuple[
 @pytest.mark.parametrize("prec", [1, 15, 50, 100])
 @pytest.mark.parametrize("s", [1, 2, Fraction(5, 2), Fraction(7, 3), 3, 40, 163], ids=str)
 def test_em_sum_bits_match_textbook_tail(s, prec):
-    n_split, terms = em_parameters(prec)
+    n_split, terms = planned(s, prec)
     value, err = em_sum_reference(s, n_split, terms, prec)
-    while err > mpf(10) ** -prec:  # the split doubling that zeta retries with
-        n_split *= 2
-        value, err = em_sum_reference(s, n_split, terms, prec)
+    assert err <= mpf(10) ** -prec
     x = em_sum(s, n_split, terms, prec)
     assert x.value._mpf_ == value._mpf_
     assert x.err._mpf_ == err._mpf_
@@ -491,9 +478,7 @@ def test_em_sum_bits_match_textbook_tail_with_few_terms(terms):
                          ids=repr)
 def test_em_sum_takes_any_scalar_exponent_with_zeta_bits(s, prec):
     z = zeta(s, prec)
-    n_split, terms = em_parameters(prec)
-    # zeta doubles the split up to three times until em_sum certifies.
-    x = numkernel._doubling_retries(lambda n: em_sum(s, n, terms, prec), n_split)
+    x = em_sum(s, *planned(s, prec), prec)
     assert (x.value._mpf_, x.err._mpf_) == (z.value._mpf_, z.err._mpf_)
 
 
@@ -525,8 +510,7 @@ def bits_in_fresh_interpreter(calls: list[str]) -> str:
 
 
 @pytest.mark.parametrize("warm,call", [
-    # At prec 15 the second CVZ pass has n = 47 terms, as the first pass
-    # has at prec 21.
+    # Each precision has its own Chebyshev weights and Bernoulli ratios.
     ("phi(Fraction(5, 2), 21)", "phi(Fraction(5, 2), 15)"),
     ("gamma_const(21, 'ZETA_SERIES')", "gamma_const(15, 'ZETA_SERIES')"),
     ("gamma_const(50, 'ZETA_SERIES')", "gamma_const(100, 'ZETA_SERIES')"),
