@@ -371,10 +371,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("mzv", "Multiple zeta value zeta(n1, ..., nd), depth <= 3.")
     p.add_argument("parts", type=int, nargs="+", help="index parts, last must be >= 2")
 
-    p = add("multiphi", "Alternating multiple sum phi(n1, ..., nd).")
-    p.add_argument("parts", type=int, nargs="+", help="index parts")
+    p = add("multiphi", "Alternating double sum phi(m, n) = sum (-1)^(k+l) k^-m l^-n over 0 < k < l.")
+    p.add_argument("parts", type=int, nargs="+", help="the two index parts m n, each >= 1")
     p.add_argument("--cutoff", type=int, default=None, metavar="N",
-                   help="override the internal summation cutoff")
+                   help="series terms on each side of the split at 1/2, in place of the "
+                        "planned count (4 to 1000)")
 
     p = add("stuffle-check", "Verify zeta(m) zeta(n) = zeta(m,n) + zeta(n,m) + zeta(m+n).")
     p.add_argument("m", type=int)

@@ -1,32 +1,71 @@
-"""Multiple zeta values and alternating double series.
+"""Multiple zeta values and alternating double series, as iterated integrals.
 
-``mzv`` evaluates nested sums
+Both ``mzv`` and ``multiphi`` are values at 1 of iterated integrals over the
+letters ``{0, 1, -1}``.  A *word* is a list of letters, outermost first;
+letter 0 stands for ``dt/t`` and a letter ``a != 0`` for ``dt/(a - t)``, and
 
-    zeta(n_1, ..., n_d) = sum over 0 < k_1 < ... < k_d of prod k_i**(-n_i)
+    I_y(w_1 ... w_n) = integral over y > t_1 > ... > t_n > 0 of
+                       omega_(w_1)(t_1) ... omega_(w_n)(t_n).
 
-for depth up to three.  The algorithm works from the innermost remainder
-outwards: each level's remainder function ``Y_j(m) = sum(l**-n_j * Y_(j+1)(l),
-l > m)`` is given an asymptotic expansion in powers of ``1/m`` with exact
-rational coefficients (Euler-Maclaurin term by term), the expansions seed
-the values at a cutoff ``L``, and a single backward recurrence fills in the
-finite part.  No cancellation occurs anywhere; declared bounds follow the
-first-omitted-term heuristic and are validated against
-:func:`mzv_bruteforce`, an independent truncated nested sum with an
-elementary integral tail bound.
+``zeta(n_1, ..., n_d)`` (inner-first) is ``I_1`` of the word
+``0**(n_d-1) 1 ... 0**(n_1-1) 1``, and ``multiphi((m, n))`` is ``I_1`` of
+``0**(n-1) -1 0**(m-1) 1``.  The word length is the weight.
 
-``multiphi`` handles the alternating analogue ``sum((-1)**(k+l) k**-m l**-n,
-0 < k < l)``: the outer alternating sum is folded into the positive kernel
-``beta_n(k) = sum((-1)**(j-1) (k+j)**-n, j >= 1)``, whose seed at the
-cutoff is computed by accelerated alternating summation and whose tail
-expansion comes from Boole summation (Euler polynomial weights).  The
-representation makes the negativity of every ``multiphi`` value manifest.
+The engine is the Hoelder convolution of Borwein, Bradley, Broadhurst and
+Lisonek, "Special values of multiple polylogarithms" (arXiv:math/9910045).
+The substitution ``t -> 1 - t`` maps letter ``a`` to ``1 - a`` and, for
+``a = -1`` only, flips the sign, so splitting the simplex at 1/2 gives
+
+    I_1(w) = sum(sigma_j * I_(1/2)(phi(w_j) ... phi(w_1))
+                 * I_(1/2)(w_(j+1) ... w_n), j = 0..n)
+
+with ``phi: 0 -> 1, 1 -> 0, -1 -> 2`` and ``sigma_j = (-1)**(number of -1
+among w_1 .. w_j)``.  :func:`_suffix_integrals` gives ``I_(1/2)`` of every
+suffix of a word in one pass over the power series ``I_t(suffix) =
+sum(c_k t**k)``: letter 0 divides ``c_k`` by ``k``, and letter ``a`` runs
+``D_k = (D_(k-1) + c_k)/a``, ``c'_(k+1) = D_k/(k+1)``.  It keeps ``e_k =
+c_k 2**-k`` in Python-integer fixed point with ``b`` fraction bits, so the
+update reads ``E_k = (E_(k-1) + e_k) // (2a)``, ``e'_(k+1) = E_k // (k+1)``.
+
+The declared bound is a proof, in four steps.
+
+1. Every nonzero letter has ``|a| >= 1``, so every ``|c_k| <= 1``: letter 0
+   divides by ``k >= 1``, and letter ``a`` gives ``|D_k| <= k + 1``.  Hence
+   a series summed over ``k <= N`` misses at most ``2**-N``, and every
+   factor ``|I_(1/2)| <= sum(2**-k, k >= 1) = 1`` (``c_0 = 0`` for a
+   nonempty word).
+2. Each floor costs at most one unit of ``2**-b``.  If the coefficients
+   entering a letter are off by ``u`` units, a letter 0 leaves them off by
+   ``u + 1``; for a letter ``a`` the average ``E`` stays within ``u + 2``,
+   since ``|2a| >= 2`` does not amplify, and ``e'`` within ``u + 3``.  So
+   with ``U`` the sum of 1 per letter 0 and 3 per other letter, every
+   factor is off by at most ``alpha = 2**-N + (N + 1) U 2**-b``.
+3. The products are summed exactly in units of ``2**-2b``; each is off by
+   at most ``alpha (2 + alpha)``, the sum by ``(n + 1)`` times that.
+4. Converting the integer sum to an mpf at the working precision ``p``
+   bits adds at most ``|value| 2**-p``.
+
+The bound is that count of units, rounded up to an mpf.  The plan comes
+a priori from ``prec`` and ``n``, before any term is summed: with ``wd =
+working_dps(prec)``, ``T = ceil(wd log2 10) + bitlen(n + 1) + 3``, ``N =
+T`` unless a cutoff sets it, and ``b = T + bitlen((N + 1) U)``.  Then
+``alpha <= 2**(1-T)``, step 3 stays below ``10**-wd / 2`` and step 4,
+for values of modulus below 2, as well.  So the bound sits under the
+guard digits like the other evaluators', and callers that scale a value
+(``coeff_a3`` takes ``50/3`` of ``multiphi((1, 3))``) keep their margin.
+Nothing is retried.  Cost: ``2n`` passes of ``N + 1`` big-integer steps,
+linear in the weight.  :data:`WEIGHT_CAP` and :data:`CUTOFF_CAP` bound it.
+
+:func:`mzv_bruteforce` is an independent oracle: a truncated nested sum
+with an elementary integral tail bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 import mpmath
@@ -34,21 +73,23 @@ from mpmath import mpf
 
 from .errors import DivergentIndex, DomainError, TooLarge
 from .eulerfun import zeta
-from .numkernel import (
-    BigReal,
-    accel_alt_sum,
-    as_mpf,
-    bernoulli,
-    check_prec,
-    euler_at_zero,
-    working_dps,
-    _round_cushion,
-)
+from .numkernel import BigReal, check_prec, working_dps, _round_cushion
 
 #: Maximum supported depth of an index.
 DEPTH_CAP = 3
 
+#: Maximum weight (sum of the parts) the iterated-integral engine runs on;
+#: cost is linear in it, about 70 ms at the cap and prec 100.
+WEIGHT_CAP = 1000
+
+#: Maximum explicit ``multiphi`` cutoff: ``2**-1000`` is far below any
+#: ``10**-prec`` the interface accepts.
+CUTOFF_CAP = 1000
+
 MzvIndex = tuple[int, ...]
+
+#: Letter ``a`` under ``t -> 1 - t``: the letter ``1 - a`` and the sign.
+_REFLECT = {0: (1, 1), 1: (0, 1), -1: (2, -1)}
 
 
 def _check_index(idx: Sequence[int]) -> MzvIndex:
@@ -67,111 +108,65 @@ def _check_index(idx: Sequence[int]) -> MzvIndex:
 
 
 # ---------------------------------------------------------------------------
-# Rational asymptotic series in powers of 1/m
+# Iterated integrals at 1/2
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _TailSeries:
-    """Truncated expansion ``sum(c_q * m**-q)`` plus a dropped-mass gauge."""
-
-    coeffs: dict[int, Fraction]
-    drop: float
-
-    def shifted(self, a: int) -> "_TailSeries":
-        return _TailSeries({q + a: c for q, c in self.coeffs.items()}, self.drop)
+def _word(parts: Sequence[int], letters: Sequence[int]) -> list[int]:
+    """``0**(s-1) a`` for each part ``s`` and letter ``a``, outermost first."""
+    if sum(parts) > WEIGHT_CAP:
+        raise TooLarge(f"weight {sum(parts)} exceeds the supported cap {WEIGHT_CAP}")
+    return [x for s, a in zip(parts, letters) for x in [0] * (s - 1) + [a]]
 
 
-def _poch_int(q: int, m: int) -> int:
-    out = 1
-    for i in range(m):
-        out *= q + i
-    return out
+def _suffix_integrals(word: Sequence[int], terms: int, bits: int) -> list[int]:
+    """``I_(1/2)`` of ``word[j:]`` for ``j = 0..len(word)``, in units of ``2**-bits``.
+
+    Each is the sum of the series coefficients ``e_0 .. e_terms``; the
+    last entry is the empty word, exactly 1.
+    """
+    e = [1 << bits] + [0] * terms
+    out = [e[0]]
+    for a in reversed(word):
+        if a == 0:
+            e = [0] + [x // k for k, x in enumerate(e[1:], 1)]
+        else:
+            avg, e_next = 0, [0]
+            for k in range(terms):
+                avg = (avg + e[k]) // (2 * a)
+                e_next.append(avg // (k + 1))
+            e = e_next
+        out.append(sum(e))
+    return out[::-1]
 
 
-def _power_tail(q: int, qmax: int) -> _TailSeries:
-    """Expansion of ``sum(l**-q, l > m)`` for integer ``q >= 2``."""
-    if q < 2:
-        raise DomainError(f"tail of l**-{q} diverges")
-    coeffs: dict[int, Fraction] = {}
-    drop = 0.0
-    if q - 1 <= qmax:
-        coeffs[q - 1] = Fraction(1, q - 1)
-    else:
-        drop = max(drop, 1.0 / (q - 1))
-    if q <= qmax:
-        coeffs[q] = Fraction(-1, 2)
-    else:
-        drop = max(drop, 0.5)
-    j = 1
-    while True:
-        p = q + 2 * j - 1
-        c = bernoulli(2 * j) / math.factorial(2 * j) * _poch_int(q, 2 * j - 1)
-        if p > qmax:
-            drop = max(drop, abs(float(c)))
-            break
-        coeffs[p] = coeffs.get(p, Fraction(0)) + c
-        j += 1
-    return _TailSeries(coeffs, drop)
+def _at_one(word: Sequence[int], prec: int, terms: int | None = None) -> BigReal:
+    """``I_1(word)`` by the Hoelder split at 1/2, with the bound of the module docstring.
 
-
-def _series_tail(s: _TailSeries, qmax: int) -> _TailSeries:
-    """Expansion of ``sum(S(l), l > m)`` given the expansion ``S``."""
-    out: dict[int, Fraction] = {}
-    drop = s.drop
-    for q, c in s.coeffs.items():
-        part = _power_tail(q, qmax)
-        for p, d in part.coeffs.items():
-            out[p] = out.get(p, Fraction(0)) + c * d
-        drop = max(drop, abs(float(c)) * part.drop)
-    return _TailSeries(out, drop)
-
-
-def _series_eval(s: _TailSeries, m: int, qmax: int) -> tuple[mpf, mpf]:
-    """Value at ``m`` and a heuristic bound for the truncated part."""
-    mv = mpf(m)
-    value = mpf(0)
-    top = mpf(0)
-    for q in sorted(s.coeffs):
-        c = s.coeffs[q]
-        t = as_mpf(c) * mv ** (-q)
-        value += t
-        if q >= qmax - 2:
-            top = max(top, abs(t))
-    dropped = mpf(s.drop) * mv ** (-(qmax + 1)) * m
-    return value, 10 * (top + dropped)
+    ``terms`` is ``N``, the series terms on each side of the split; by
+    default the plan that meets ``10**-working_dps(prec)``.
+    """
+    n = len(word)
+    units = sum(3 if a else 1 for a in word)
+    planned = math.ceil(working_dps(prec) * math.log2(10)) + (n + 1).bit_length() + 3
+    terms = planned if terms is None else terms
+    bits = planned + ((terms + 1) * units).bit_length()
+    ahead = _suffix_integrals(word, terms, bits)
+    behind = _suffix_integrals([_REFLECT[a][0] for a in reversed(word)], terms, bits)[::-1]
+    signs = accumulate((_REFLECT[a][1] for a in word), mul, initial=1)
+    total = sum(s * x * y for s, x, y in zip(signs, behind, ahead))
+    alpha = (1 << max(bits - terms, 0)) + (terms + 1) * units
+    err = (n + 1) * alpha * ((2 << bits) + alpha)
+    with mpmath.workdps(working_dps(prec)):
+        err += (abs(total) >> mpmath.mp.prec) + 1
+        shift = max(err.bit_length() - 32, 0)  # 32-bit mantissa, exact as an mpf
+        err = mpf((-(-err >> shift), shift - 2 * bits))
+        return BigReal(mpf((total, -2 * bits)), err, prec)
 
 
 # ---------------------------------------------------------------------------
 # mzv proper
 # ---------------------------------------------------------------------------
-
-
-def _mzv_once(idx: MzvIndex, prec: int, scale: int) -> BigReal:
-    d = len(idx)
-    wd = working_dps(prec)
-    cutoff = max(40, int(1.3 * wd)) * scale
-    qmax = int(wd * math.log(10) / math.log(cutoff)) + 6
-
-    expansions: list[_TailSeries | None] = [None] * (d + 1)
-    expansions[d] = _power_tail(idx[-1], qmax)
-    for j in range(d - 1, 0, -1):
-        expansions[j] = _series_tail(expansions[j + 1].shifted(idx[j - 1]), qmax)
-
-    with mpmath.workdps(wd):
-        y: list[mpf] = [mpf(0)] * (d + 1)
-        err = mpf(0)
-        for j in range(1, d + 1):
-            y[j], e = _series_eval(expansions[j], cutoff, qmax)
-            err += e
-        for m in range(cutoff - 1, -1, -1):
-            base = mpf(m + 1)
-            for j in range(1, d + 1):
-                inner = y[j + 1] if j < d else mpf(1)
-                y[j] = y[j] + base ** (-idx[j - 1]) * inner
-        value = y[1]
-        err += _round_cushion(value, wd) * cutoff * d
-        return BigReal(value, err, prec)
 
 
 def mzv(idx: Sequence[int], prec: int) -> BigReal:
@@ -180,18 +175,16 @@ def mzv(idx: Sequence[int], prec: int) -> BigReal:
     The index is written inner-first: ``(n_1, ..., n_d)`` weights the
     smallest summation variable by ``n_1`` and the largest by ``n_d``, and
     admissibility means ``n_d >= 2``.  Inadmissible indices raise
-    :class:`DivergentIndex`.
+    :class:`DivergentIndex`.  Depth 1 is :func:`zeta`; deeper indices are
+    ``I_1`` of the word ``0**(n_d-1) 1 ... 0**(n_1-1) 1`` by the Hoelder
+    split of the module docstring, whose bound is proved there.  A weight
+    above :data:`WEIGHT_CAP` raises :class:`TooLarge`.
     """
     idx = _check_index(idx)
     check_prec(prec)
     if len(idx) == 1:
         return zeta(idx[0], prec)
-    last = None
-    for scale in (1, 2, 4):
-        last = _mzv_once(idx, prec, scale)
-        if last.certified():
-            return last
-    return last.demand("mzv")
+    return _at_one(_word(idx[::-1], [1] * len(idx)), prec).demand("mzv")
 
 
 def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
@@ -273,46 +266,19 @@ def _log_poly_tail(cutoff: int, q: int, r: int) -> mpf:
 # ---------------------------------------------------------------------------
 
 
-def _beta_series(n: int, qmax: int) -> _TailSeries:
-    """Boole expansion of ``beta_n(k)`` in powers of ``1/k``.
-
-    ``beta_n(k) = (1/2) sum(E_i(0)/i! * (-1)**i * poch(n, i) * (k+1)**-(n+i))``
-    with each ``(k+1)**-q`` re-expanded binomially around ``1/k``.
-    """
-    coeffs: dict[int, Fraction] = {}
-    drop = 0.0
-    i = 0
-    while n + i <= qmax:
-        e = euler_at_zero(i)
-        if e:
-            c = Fraction(1, 2) * e / math.factorial(i) * ((-1) ** i) * _poch_int(n, i)
-            q = n + i
-            # (k+1)**-q = sum((-1)**t * C(q+t-1, t) * k**-(q+t))
-            t = 0
-            while q + t <= qmax:
-                coeffs[q + t] = (coeffs.get(q + t, Fraction(0))
-                                 + c * (-1) ** t * math.comb(q + t - 1, t))
-                t += 1
-            drop = max(drop, abs(float(c)) * math.comb(q + t - 1, t))
-        i += 1
-    drop = max(drop, 1.0)
-    return _TailSeries(coeffs, drop)
-
-
 def multiphi(idx: Sequence[int], prec: int, cutoff: int | None = None) -> BigReal:
     """Alternating double series ``sum((-1)**(k+l) k**-m l**-n, 0 < k < l)``.
 
-    Swapping summation order gives ``-sum(k**-m * beta_n(k))`` with the
-    strictly positive kernel ``beta_n``, so every value is negative.  The
-    outer (``l``) variable is handled by alternating machinery: a
-    Chebyshev-accelerated seed for ``beta_n`` at the cutoff, an exact
-    backward recurrence ``beta(k-1) = k**-n - beta(k)`` below it, and a
-    Boole-summation tail expansion above it.
+    The series is ``I_1`` of the word ``0**(n-1) -1 0**(m-1) 1``, evaluated
+    by the same Hoelder split at 1/2 as :func:`mzv`, with the bound proved
+    in the module docstring.  Only depth 2 is taken.  A weight ``m + n``
+    above :data:`WEIGHT_CAP` raises :class:`TooLarge`.
 
-    ``cutoff`` overrides the automatic split point (used by stability
-    checks).  With an explicit cutoff the result is returned with its
-    honest bound even when that bound exceeds ``10**-prec``; without one
-    the usual certification applies.
+    ``cutoff`` sets ``N``, the number of series terms on each side of the
+    split, in place of the plan for ``prec`` (used by stability checks).
+    It must be an integer in ``[4, CUTOFF_CAP]``.  With an explicit cutoff
+    the result is returned with its honest bound even when that bound
+    exceeds ``10**-prec``; without one the usual certification applies.
     """
     idx = tuple(idx)
     if len(idx) != 2:
@@ -322,30 +288,13 @@ def multiphi(idx: Sequence[int], prec: int, cutoff: int | None = None) -> BigRea
         if not isinstance(part, int) or part < 1:
             raise DomainError(f"index parts must be integers >= 1, got {idx!r}")
     check_prec(prec)
-    wd = working_dps(prec) + 4
-    L = cutoff if cutoff is not None else max(40, int(1.4 * wd))
-    if not isinstance(L, int) or L < 4:
-        raise DomainError(f"cutoff must be an integer >= 4, got {cutoff!r}")
-    qmax = int(wd * math.log(10) / math.log(L)) + 6
-
-    seed_prec = min(prec + 6, 100)
-    with mpmath.workdps(wd):
-        seed = accel_alt_sum(lambda j: mpf(-1) ** (j - 1) * mpf(L + j) ** (-n), seed_prec)
-        series = _series_tail(_beta_series(n, qmax).shifted(m), qmax)
-        tail, tail_err = _series_eval(series, L, qmax)
-
-        beta = seed.value
-        head = mpf(0)
-        for k in range(L, 0, -1):
-            head += mpf(k) ** (-m) * beta
-            beta = mpf(k) ** (-n) - beta
-        harmonic_cap = 1 + mpmath.log(L) if m == 1 else _inner_cap([m])
-        err = tail_err + seed.err * (1 + harmonic_cap) + _round_cushion(head, wd) * L
-        value = -(head + tail)
-        out = BigReal(value, err, prec)
-        if cutoff is None:
-            return out.demand("multiphi")
-        return out
+    if cutoff is not None:
+        if not isinstance(cutoff, int) or cutoff < 4:
+            raise DomainError(f"cutoff must be an integer >= 4, got {cutoff!r}")
+        if cutoff > CUTOFF_CAP:
+            raise TooLarge(f"cutoff {cutoff} exceeds the supported cap {CUTOFF_CAP}")
+    out = _at_one(_word((n, m), (-1, 1)), prec, cutoff)
+    return out.demand("multiphi") if cutoff is None else out
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,20 @@ def test_g2_assemble_accepts_every_a3_mode_spelling(capsys, mode):
     assert out.startswith("0.00115")
 
 
+@pytest.mark.parametrize("argv", [
+    ("g2-assemble", "--a3-mode", "as-printed", "--prec", "28"),
+    ("g2-assemble", "--a3-mode", "exact-bracket", "--prec", "28"),
+    ("g2-assemble", "--a3-mode", "as-printed", "--prec", "100"),
+    ("g2-assemble", "--a3-mode", "exact-bracket", "--prec", "100"),
+    ("multiphi", "1", "3", "--prec", "100"),
+], ids=lambda a: " ".join(a))
+def test_multiphi_certifies_at_high_prec(capsys, argv):
+    # a3 in these modes needs multiphi(1,3) six digits above --prec.
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert err == ""
+
+
 def test_g2_invert_alpha_output(capsys):
     code, out, _ = run(capsys, "g2-invert-alpha", "exp:2008")
     assert code == 0
@@ -293,6 +307,9 @@ def test_exit_one_uncertifiable_cutoff(capsys):
     ("polylog", "2", "7/5"),
     ("mzv", "2", "1"),
     ("mzv", "2", "2", "2", "2"),
+    ("mzv", "2", "100000000"),
+    ("multiphi", "1", "1000"),
+    ("multiphi", "1", "3", "--cutoff", "1001"),
     ("bernoulli", "-1"),
     ("stuffle-check", "1", "2"),
     ("period", "triangle"),

@@ -3,17 +3,27 @@
 Closed forms used as oracles: zeta(1,2) = zeta(3) and zeta(1,1,2) = zeta(4)
 (the classical telescoping identities), zeta(2,2) = pi^4/120 and
 zeta(2,2,2) = pi^6/5040 (elementary symmetric functions of 1/k^2), and
-zeta(1,3) = pi^4/360.  The alternating double series is cross-checked with
-mpmath's Lerch transcendent.  Indices are written inner-first: the last
-part weights the largest summation variable.
+zeta(1,3) = pi^4/360.  At every prec from 1 to 100 the evaluators must
+also certify and cover zeta(1,1,3) = 2 zeta(5) - zeta(2) zeta(3),
+zeta({4}^3) = 2^7 pi^12/14! and the weight-2 and weight-4 alternating
+closed forms, computed by mpmath at 130 digits.  The alternating double
+series is cross-checked with mpmath's Lerch transcendent, and multiphi(1,3)
+with the package's own polylog(4, 1/2) route.  Indices are written
+inner-first: the last part weights the largest summation variable.
 """
+
+from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mpf
 
 from euler_periods.errors import DivergentIndex, DomainError, TooLarge
+from euler_periods.eulerfun import polylog, zeta
 from euler_periods.mzv import (
+    CUTOFF_CAP,
+    WEIGHT_CAP,
+    _at_one,
     mzv,
     mzv_bruteforce,
     multiphi,
@@ -215,6 +225,78 @@ def test_multiphi_index_validation(idx):
 def test_multiphi_cutoff_validation(cutoff):
     with pytest.raises(DomainError):
         multiphi((1, 2), 15, cutoff=cutoff)
+
+
+def test_multiphi_cutoff_cap():
+    assert multiphi((1, 3), 15, cutoff=CUTOFF_CAP).certified()
+    with pytest.raises(TooLarge):
+        multiphi((1, 3), 15, cutoff=CUTOFF_CAP + 1)
+
+
+def test_weight_cap():
+    assert mzv((2, WEIGHT_CAP - 2), 15).certified()
+    for idx in [(2, WEIGHT_CAP - 1), (2, 10 ** 8), (1, 1, WEIGHT_CAP)]:
+        with pytest.raises(TooLarge):
+            mzv(idx, 15)
+    with pytest.raises(TooLarge):
+        multiphi((1, WEIGHT_CAP), 15)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms at every precision
+# ---------------------------------------------------------------------------
+
+
+def _closed_forms():
+    with mpmath.workdps(130):
+        z, pi, ln2 = mpmath.zeta, mpmath.pi, mpmath.log(2)
+        return [
+            (mzv, (1, 2), z(3)),
+            (mzv, (2, 2), (z(2) ** 2 - z(4)) / 2),
+            (mzv, (1, 1, 3), 2 * z(5) - z(2) * z(3)),
+            (mzv, (2, 2, 2), pi ** 6 / 5040),
+            (mzv, (4, 4, 4), 2 ** 7 * pi ** 12 / mpmath.factorial(14)),
+            (multiphi, (1, 1), (ln2 ** 2 - z(2)) / 2),
+            (multiphi, (1, 3), (-2 * mpmath.polylog(4, mpf(1) / 2) - ln2 ** 4 / 12
+                                + pi ** 2 * ln2 ** 2 / 12 + pi ** 4 / 180)),
+        ]
+
+
+CLOSED_FORMS = _closed_forms()
+
+
+@pytest.mark.parametrize("f,idx,ref", CLOSED_FORMS,
+                         ids=[f"{f.__name__}{idx}" for f, idx, _ in CLOSED_FORMS])
+def test_closed_forms_certify_and_cover_at_every_prec(f, idx, ref):
+    for prec in range(1, 101):
+        x = f(idx, prec)
+        assert x.certified(), prec
+        with mpmath.workdps(130):
+            assert abs(x.value - ref) <= x.err, prec
+
+
+@pytest.mark.parametrize("prec", [15, 50, 100])
+def test_multiphi_one_three_matches_the_polylog_route(prec):
+    # -2 Li4(1/2) - ln^4 2/12 + pi^2 ln^2 2/12 + pi^4/180, with
+    # ln 2 = Li1(1/2), pi^2 = 6 zeta(2) and pi^4 = 90 zeta(4).
+    half = Fraction(1, 2)
+    ln2 = polylog(1, half, prec)
+    ref = (polylog(4, half, prec) * -2 - ln2 ** 4 / 12
+           + zeta(2, prec) * ln2 ** 2 / 2 + zeta(4, prec) / 2)
+    x = multiphi((1, 3), prec)
+    with mpmath.workdps(working_dps(prec) + 10):
+        assert abs(x.value - ref.value) <= x.err + ref.err
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_engine_depth_one_agrees_with_zeta(n):
+    # The Hoelder split of the word 0**(n-1) 1 against the Euler-Maclaurin route.
+    for prec in range(1, 101, 9):
+        x = _at_one([0] * (n - 1) + [1], prec)
+        ref = zeta(n, prec)
+        with mpmath.workdps(working_dps(prec) + 10):
+            assert abs(x.value - ref.value) <= x.err + ref.err
+        assert x.certified()
 
 
 # ---------------------------------------------------------------------------
