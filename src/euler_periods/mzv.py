@@ -73,7 +73,7 @@ from mpmath import mpf
 
 from .errors import DivergentIndex, DomainError, TooLarge
 from .eulerfun import zeta
-from .numkernel import BigReal, check_prec, working_dps, _round_cushion
+from .numkernel import MAX_PREC, BigReal, check_prec, working_dps, _round_cushion
 
 #: Maximum supported depth of an index.
 DEPTH_CAP = 3
@@ -313,7 +313,7 @@ def stuffle_residual(m: int, n: int, prec: int) -> BigReal:
         if not isinstance(part, int) or part < 2:
             raise DomainError(f"stuffle check requires parts >= 2, got ({m!r}, {n!r})")
     check_prec(prec)
-    inner = min(prec + 2, 100)
+    inner = min(prec + 2, MAX_PREC)
     lhs = zeta(m, inner) * zeta(n, inner)
     rhs = mzv((m, n), inner) + mzv((n, m), inner) + zeta(m + n, inner)
     resid = abs(lhs - rhs)
@@ -323,7 +323,7 @@ def stuffle_residual(m: int, n: int, prec: int) -> BigReal:
 def p35_combination(prec: int) -> BigReal:
     """The weight-8 combination ``(2/5)(29 zeta(8) - 12 zeta(3,5)) - 9 zeta(5) zeta(3)``."""
     check_prec(prec)
-    inner = min(prec + 4, 100)
+    inner = min(prec + 4, MAX_PREC)
     z8 = zeta(8, inner)
     z35 = mzv((3, 5), inner)
     z5 = zeta(5, inner)

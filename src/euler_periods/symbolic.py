@@ -7,13 +7,21 @@ three formal generator families:
 * ``Li_m(n; z)`` for ``n >= 1`` at a rational or named point, weight ``n``;
 * ``twopi_i``, weight 1.
 
-A parallel algebra of ``zeta_u(2n+1)`` / ``ln_u(z)`` / ``Li_u(n; z)``
+A second family of ``zeta_u(2n+1)`` / ``ln_u(z)`` / ``Li_u(n; z)``
 generators receives the left tensor factors of the coaction, which sends a
 :class:`MotivicExpr` into :class:`TensorSum` with unipotent factors on the
-left.  The distinct right factors of the coaction are the conjugates of an
+left.  One class, ``_Combination``, holds all of this algebra: a rational
+combination keyed by one monomial per tensor factor, each factor motivic or
+unipotent.  :class:`MotivicExpr`, :class:`UnipotentExpr`, :class:`TensorSum`
+and :class:`UTensorSum` only declare their factors; the coaction, the Hopf
+coproduct and the coassociativity check are its products and tensor
+products.
+
+The distinct right factors of the coaction are the conjugates of an
 expression; a family is stable when every conjugate of every member stays
-inside the family's rational span.  :func:`period_map` sends symbols to
-numbers through :mod:`.eulerfun`.
+inside the family's rational span.  A span is an echelon basis of
+combinations, so a conjugate lies in it when it reduces to zero.
+:func:`period_map` sends symbols to numbers through :mod:`.eulerfun`.
 
 All coefficients are exact :class:`fractions.Fraction` values, so the
 structural identities checked here (grading, counit, multiplicativity,
@@ -26,7 +34,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, InputError, ParseError
 from .eulerfun import polylog, zeta
@@ -114,11 +122,47 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
 
 
 def _add_into(d: dict, key, c: Fraction) -> None:
-    nc = d.get(key, _F0) + c
+    # ``c`` is non-zero, so a new key takes it as it is.
+    nc = d.get(key)
+    nc = c if nc is None else nc + c
     if nc:
         d[key] = nc
     else:
-        d.pop(key, None)
+        del d[key]
+
+
+def _check_motivic_atom(atom: tuple) -> None:
+    if atom[0] == "zm":
+        if len(atom) != 2 or not isinstance(atom[1], int) or atom[1] < 2:
+            raise DomainError(
+                f"zeta_m takes an integer argument >= 2, got {atom!r} "
+                "(the weight-1 symbol diverges)")
+    elif atom[0] == "tpim":
+        if len(atom) != 1:
+            raise DomainError(f"malformed twopi_i atom {atom!r}")
+    elif atom[0] == "lim":
+        if len(atom) != 3 or not isinstance(atom[1], int) or atom[1] < 1:
+            raise DomainError(f"Li_m takes an integer weight >= 1, got {atom!r}")
+        as_point(atom[2])
+    else:
+        raise DomainError(f"not a motivic generator: {atom!r}")
+
+
+def _check_unipotent_atom(atom: tuple) -> None:
+    if atom[0] == "zu":
+        if (len(atom) != 2 or not isinstance(atom[1], int)
+                or atom[1] < 3 or atom[1] % 2 == 0):
+            raise DomainError(f"zeta_u takes an odd integer >= 3, got {atom!r}")
+    elif atom[0] == "lnu":
+        if len(atom) != 2:
+            raise DomainError(f"malformed ln_u atom {atom!r}")
+        as_point(atom[1])
+    elif atom[0] == "liu":
+        if len(atom) != 3 or not isinstance(atom[1], int) or atom[1] < 1:
+            raise DomainError(f"Li_u takes an integer weight >= 1, got {atom!r}")
+        as_point(atom[2])
+    else:
+        raise DomainError(f"not a unipotent generator: {atom!r}")
 
 
 def _fmt_point(pt: tuple) -> str:
@@ -141,6 +185,17 @@ def _fmt_unipotent_atom(a: tuple) -> str:
     if a[0] == "lnu":
         return f"ln_u({_fmt_point(a[1])})"
     return f"Li_u({a[1]}; {_fmt_point(a[2])})"
+
+
+class _AtomKind(NamedTuple):
+    """What one tensor factor admits: its atom check and its printed form."""
+
+    check: Callable[[tuple], None]
+    fmt: Callable[[tuple], str]
+
+
+_MOTIVIC = _AtomKind(_check_motivic_atom, _fmt_motivic_atom)
+_UNIPOTENT = _AtomKind(_check_unipotent_atom, _fmt_unipotent_atom)
 
 
 def _fmt_product(coeff: Fraction, factors: list[str]) -> str:
@@ -167,50 +222,85 @@ def _join_signed(rendered: list[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Expression algebras
+# The combination algebra
 # ---------------------------------------------------------------------------
+
+#: Each combination class by its tuple of factor kinds; :meth:`tensor` finds
+#: the class of a product here.
+_BY_FACTORS: dict[tuple, type] = {}
 
 
 class _Combination:
-    """Rational-linear combination of sorted atom tuples (monomials)."""
+    """Rational combination of keys that hold one monomial per tensor factor.
+
+    A subclass declares ``_factors``, one :class:`_AtomKind` per factor.  With
+    one factor a key is the monomial itself; with several it is the tuple of
+    monomials, e.g. ``(left, right)``.  Every coefficient is a non-zero
+    :class:`Fraction` and every monomial a sorted tuple of atoms.  Products
+    multiply factor by factor; :meth:`tensor` concatenates the factors.
+    """
 
     __slots__ = ("terms",)
+    _factors: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _BY_FACTORS[cls._factors] = cls
 
     def __init__(self, terms=None):
         clean: dict[tuple, Fraction] = {}
         if terms:
-            for mono, c in terms.items():
+            kinds = self._factors
+            for key, c in terms.items():
                 c = Fraction(c)
                 if not c:
                     continue
-                mono = tuple(sorted(mono))
-                for atom in mono:
-                    self._check_atom(atom)
-                _add_into(clean, mono, c)
+                monos = self._monos(key)
+                if len(monos) != len(kinds):
+                    raise DomainError(f"expected one monomial per tensor factor, got {key!r}")
+                monos = tuple(tuple(sorted(m)) for m in monos)
+                for kind, mono in zip(kinds, monos):
+                    for atom in mono:
+                        kind.check(atom)
+                _add_into(clean, self._key(monos), c)
         self.terms = clean
 
     @classmethod
-    def _check_atom(cls, atom: tuple) -> None:
-        raise NotImplementedError
+    def _raw(cls, terms: dict):
+        # ``terms`` is already clean, as a product or sum of clean terms is.
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
+    def _monos(cls, key) -> tuple:
+        return key if len(cls._factors) > 1 else (key,)
+
+    @classmethod
+    def _key(cls, monos: tuple):
+        return monos if len(cls._factors) > 1 else monos[0]
 
     @classmethod
     def zero(cls):
-        return cls({})
+        return cls._raw({})
 
     @classmethod
     def one(cls):
-        return cls({(): _F1})
+        return cls.from_rational(1)
 
     @classmethod
     def from_rational(cls, q):
-        return cls({(): Fraction(q)})
+        return cls({cls._key(((),) * len(cls._factors)): q})
 
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _weight(self, key) -> int:
+        return sum(_mono_weight(m) for m in self._monos(key))
+
     def weights(self) -> list[int]:
-        """Sorted distinct weights of the monomials present."""
-        return sorted({_mono_weight(m) for m in self.terms})
+        """Sorted distinct weights of the terms present."""
+        return sorted({self._weight(k) for k in self.terms})
 
     def weight(self) -> int:
         ws = self.weights()
@@ -220,28 +310,31 @@ class _Combination:
 
     def graded_parts(self) -> dict:
         parts: dict[int, dict] = {}
-        for mono, c in self.terms.items():
-            parts.setdefault(_mono_weight(mono), {})[mono] = c
-        return {w: type(self)(d) for w, d in sorted(parts.items())}
+        for key, c in self.terms.items():
+            parts.setdefault(self._weight(key), {})[key] = c
+        return {w: self._raw(d) for w, d in sorted(parts.items())}
 
-    def _key(self) -> tuple:
-        return tuple(sorted(self.terms.items()))
+    def pairs(self) -> list[tuple]:
+        """Deterministic list of (coefficient, one monomial per factor)."""
+        ordered = sorted(((self._monos(k), c) for k, c in self.terms.items()),
+                         key=lambda mc: (_mono_weight(mc[0][0]), mc[0]))
+        return [(c, *monos) for monos, c in ordered]
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key()))
+        return hash((type(self).__name__, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = type(self).from_rational(other)
+            other = self.from_rational(other)
         if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
-        for mono, c in other.terms.items():
-            _add_into(out, mono, c)
-        return type(self)(out)
+        for key, c in other.terms.items():
+            _add_into(out, key, c)
+        return self._raw(out)
 
     __radd__ = __add__
 
@@ -252,37 +345,55 @@ class _Combination:
         return (-self) + other
 
     def __neg__(self):
-        return type(self)({m: -c for m, c in self.terms.items()})
+        return self._raw({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return type(self)({m: c * q for m, c in self.terms.items()})
+            return self._raw({k: c * q for k, c in self.terms.items()} if q else {})
         if type(other) is not type(self):
             return NotImplemented
+        if len(self._factors) == 1:
+            key_mul = _mono_mul
+        else:
+            def key_mul(a, b):
+                return tuple(map(_mono_mul, a, b))
         out: dict[tuple, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _add_into(out, _mono_mul(m1, m2), c1 * c2)
-        return type(self)(out)
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                _add_into(out, key_mul(k1, k2), c1 * c2)
+        return self._raw(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise DomainError("powers must be non-negative integers")
-        out = type(self).one()
+        out = self.one()
         for _ in range(k):
             out = out * self
         return out
 
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (_mono_weight(kv[0]), kv[0]))
+    def tensor(self, other):
+        """Tensor product: the factors of ``self`` followed by those of ``other``.
+
+        Defined where a combination class with those factors exists.
+        """
+        out = {}
+        for k1, c1 in self.terms.items():
+            m1 = self._monos(k1)
+            for k2, c2 in other.terms.items():
+                out[m1 + other._monos(k2)] = c1 * c2
+        return _BY_FACTORS[self._factors + other._factors]._raw(out)
 
     def __str__(self) -> str:
-        fmt = self._atom_fmt
-        return _join_signed(
-            [_fmt_product(c, [fmt(a) for a in m]) for m, c in self._sorted_terms()])
+        first, *rest = self._factors
+        rendered = []
+        for c, mono, *others in self.pairs():
+            parts = [_fmt_product(c, [first.fmt(a) for a in mono])]
+            parts += ["*".join(map(kind.fmt, m)) or "1" for kind, m in zip(rest, others)]
+            rendered.append(" (x) ".join(parts))
+        return _join_signed(rendered)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
@@ -296,24 +407,7 @@ class MotivicExpr(_Combination):
     parses back to an equal expression.
     """
 
-    _atom_fmt = staticmethod(_fmt_motivic_atom)
-
-    @classmethod
-    def _check_atom(cls, atom: tuple) -> None:
-        if atom[0] == "zm":
-            if len(atom) != 2 or not isinstance(atom[1], int) or atom[1] < 2:
-                raise DomainError(
-                    f"zeta_m takes an integer argument >= 2, got {atom!r} "
-                    "(the weight-1 symbol diverges)")
-        elif atom[0] == "tpim":
-            if len(atom) != 1:
-                raise DomainError(f"malformed twopi_i atom {atom!r}")
-        elif atom[0] == "lim":
-            if len(atom) != 3 or not isinstance(atom[1], int) or atom[1] < 1:
-                raise DomainError(f"Li_m takes an integer weight >= 1, got {atom!r}")
-            as_point(atom[2])
-        else:
-            raise DomainError(f"not a motivic generator: {atom!r}")
+    _factors = (_MOTIVIC,)
 
     @classmethod
     def zm(cls, n: int) -> "MotivicExpr":
@@ -336,24 +430,7 @@ class UnipotentExpr(_Combination):
     primitive for it.
     """
 
-    _atom_fmt = staticmethod(_fmt_unipotent_atom)
-
-    @classmethod
-    def _check_atom(cls, atom: tuple) -> None:
-        if atom[0] == "zu":
-            if (len(atom) != 2 or not isinstance(atom[1], int)
-                    or atom[1] < 3 or atom[1] % 2 == 0):
-                raise DomainError(f"zeta_u takes an odd integer >= 3, got {atom!r}")
-        elif atom[0] == "lnu":
-            if len(atom) != 2:
-                raise DomainError(f"malformed ln_u atom {atom!r}")
-            as_point(atom[1])
-        elif atom[0] == "liu":
-            if len(atom) != 3 or not isinstance(atom[1], int) or atom[1] < 1:
-                raise DomainError(f"Li_u takes an integer weight >= 1, got {atom!r}")
-            as_point(atom[2])
-        else:
-            raise DomainError(f"not a unipotent generator: {atom!r}")
+    _factors = (_UNIPOTENT,)
 
     @classmethod
     def zu(cls, n: int) -> "UnipotentExpr":
@@ -368,109 +445,29 @@ class UnipotentExpr(_Combination):
         return cls({(("liu", n, as_point(z)),): _F1})
 
 
-# ---------------------------------------------------------------------------
-# Tensor sums
-# ---------------------------------------------------------------------------
-
-
-class _BilinearSum:
-    """Rational combination of (left monomial, right monomial) pairs."""
-
-    __slots__ = ("terms",)
-    _left_cls: type = UnipotentExpr
-    _right_cls: type = MotivicExpr
-    _left_fmt = staticmethod(_fmt_unipotent_atom)
-    _right_fmt = staticmethod(_fmt_motivic_atom)
-
-    def __init__(self, terms=None):
-        clean: dict[tuple, Fraction] = {}
-        if terms:
-            for (left, right), c in terms.items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                left = tuple(sorted(left))
-                right = tuple(sorted(right))
-                for atom in left:
-                    self._left_cls._check_atom(atom)
-                for atom in right:
-                    self._right_cls._check_atom(atom)
-                _add_into(clean, (left, right), c)
-        self.terms = clean
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def pairs(self) -> list[tuple[Fraction, tuple, tuple]]:
-        """Deterministic list of (coefficient, left monomial, right monomial)."""
-        ordered = sorted(self.terms.items(),
-                         key=lambda kv: (_mono_weight(kv[0][0]), kv[0][0], kv[0][1]))
-        return [(c, left, right) for (left, right), c in ordered]
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_into(out, key, c)
-        return type(self)(out)
-
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return type(self)({k: c * q for k, c in self.terms.items()})
-        if type(other) is not type(self):
-            return NotImplemented
-        out: dict[tuple, Fraction] = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                _add_into(out, (_mono_mul(l1, l2), _mono_mul(r1, r2)), c1 * c2)
-        return type(self)(out)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        rendered = []
-        for c, left, right in self.pairs():
-            lhs = _fmt_product(c, [self._left_fmt(a) for a in left])
-            rhs = "*".join(self._right_fmt(a) for a in right) or "1"
-            rendered.append(f"{lhs} (x) {rhs}")
-        return _join_signed(rendered)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({str(self)!r})"
-
-
-class TensorSum(_BilinearSum):
+class TensorSum(_Combination):
     """Coaction target: unipotent left factors, motivic right factors."""
+
+    _factors = (_UNIPOTENT, _MOTIVIC)
 
     def group_by_left(self) -> dict[tuple, MotivicExpr]:
         """Collect the right factors attached to each left monomial."""
         groups: dict[tuple, dict] = {}
         for (left, right), c in self.terms.items():
-            _add_into(groups.setdefault(left, {}), right, c)
-        return {left: MotivicExpr(d) for left, d in groups.items()}
+            groups.setdefault(left, {})[right] = c
+        return {left: MotivicExpr._raw(d) for left, d in groups.items()}
 
 
-class UTensorSum(_BilinearSum):
+class UTensorSum(_Combination):
     """Hopf coproduct target: unipotent factors on both sides."""
 
-    _right_cls = UnipotentExpr
-    _right_fmt = staticmethod(_fmt_unipotent_atom)
+    _factors = (_UNIPOTENT, _UNIPOTENT)
+
+
+class _TripleSum(_Combination):
+    """Target of the two double coactions that :func:`coassoc_residual` compares."""
+
+    _factors = (_UNIPOTENT, _UNIPOTENT, _MOTIVIC)
 
 
 # ---------------------------------------------------------------------------
@@ -478,59 +475,42 @@ class UTensorSum(_BilinearSum):
 # ---------------------------------------------------------------------------
 
 
-def _pair_product(d1: dict, d2: dict) -> dict:
-    out: dict[tuple, Fraction] = {}
-    for (l1, r1), c1 in d1.items():
-        for (l2, r2), c2 in d2.items():
-            _add_into(out, (_mono_mul(l1, l2), _mono_mul(r1, r2)), c1 * c2)
-    return out
-
-
-def _li_tower(n: int, pt, right: str) -> dict:
+def _li_tower(n: int, pt, right: str, target: type) -> _Combination:
     # Li(n; z) -> sum(ln_u(z)^k/k! (x) Li_<right>(n-k; z), k=0..n-1)
     #             + Li_u(n; z) (x) 1.
     lnu = ("lnu", pt)
-    out: dict[tuple, Fraction] = {}
-    for k in range(n):
-        out[(tuple([lnu] * k), ((right, n - k, pt),))] = Fraction(1, math.factorial(k))
+    out = {(tuple([lnu] * k), ((right, n - k, pt),)): Fraction(1, math.factorial(k))
+           for k in range(n)}
     out[((("liu", n, pt),), ())] = _F1
-    return out
+    return target._raw(out)
 
 
-def _coact_atom(atom: tuple) -> dict:
-    one = ()
+def _coact_atom(atom: tuple) -> TensorSum:
     kind = atom[0]
-    if kind == "tpim":
-        return {(one, (atom,)): _F1}
+    if kind == "tpim" or (kind == "zm" and atom[1] % 2 == 0):
+        # zeta_m(2k) is a rational multiple of twopi_i^(2k), so its
+        # coaction is forced to be trivial like twopi_i's.
+        return TensorSum._raw({((), (atom,)): _F1})
     if kind == "zm":
-        n = atom[1]
-        if n % 2 == 0:
-            # zeta_m(2k) is a rational multiple of twopi_i^(2k), so its
-            # coaction is forced to be trivial like twopi_i's.
-            return {(one, (atom,)): _F1}
-        return {(one, (atom,)): _F1, ((("zu", n),), one): _F1}
-    return _li_tower(atom[1], atom[2], "lim")
+        return TensorSum._raw({((), (atom,)): _F1, ((("zu", atom[1]),), ()): _F1})
+    return _li_tower(atom[1], atom[2], "lim", TensorSum)
 
 
-def _hopf_atom(atom: tuple) -> dict:
+def _hopf_atom(atom: tuple) -> UTensorSum:
     if atom[0] in ("zu", "lnu"):
-        return {((atom,), ()): _F1, ((), (atom,)): _F1}
-    return _li_tower(atom[1], atom[2], "liu")
+        return UTensorSum._raw({((atom,), ()): _F1, ((), (atom,)): _F1})
+    return _li_tower(atom[1], atom[2], "liu", UTensorSum)
 
 
-def _mono_image(mono: tuple, atom_rule: Callable[[tuple], dict]) -> dict:
-    # The image of a monomial under a multiplicative map given per atom.
-    acc = {((), ()): _F1}
-    for atom in mono:
-        acc = _pair_product(acc, atom_rule(atom))
-    return acc
-
-
-def _linear_image(terms: dict, atom_rule: Callable[[tuple], dict]) -> dict:
-    total: dict[tuple, Fraction] = {}
-    for mono, c in terms.items():
-        for key, v in _mono_image(mono, atom_rule).items():
-            _add_into(total, key, c * v)
+def _linear_image(e: _Combination, atom_rule: Callable[[tuple], _Combination],
+                  target: type) -> _Combination:
+    # The linear map that is multiplicative on monomials, given per atom.
+    total = target.zero()
+    for mono, c in e.terms.items():
+        image = target.from_rational(c)
+        for atom in mono:
+            image = image * atom_rule(atom)
+        total = total + image
     return total
 
 
@@ -544,7 +524,7 @@ def coact(e: MotivicExpr) -> TensorSum:
     """
     if not isinstance(e, MotivicExpr):
         raise DomainError("coact expects a MotivicExpr")
-    return TensorSum(_linear_image(e.terms, _coact_atom))
+    return _linear_image(e, _coact_atom, TensorSum)
 
 
 def hopf_coproduct(e: UnipotentExpr) -> UTensorSum:
@@ -556,7 +536,7 @@ def hopf_coproduct(e: UnipotentExpr) -> UTensorSum:
     """
     if not isinstance(e, UnipotentExpr):
         raise DomainError("hopf_coproduct expects a UnipotentExpr")
-    return UTensorSum(_linear_image(e.terms, _hopf_atom))
+    return _linear_image(e, _hopf_atom, UTensorSum)
 
 
 def coassoc_residual(e: MotivicExpr) -> bool:
@@ -565,55 +545,47 @@ def coassoc_residual(e: MotivicExpr) -> bool:
     Compares ``(hopf (x) id)`` after :func:`coact` against ``(id (x)
     coact)`` after :func:`coact`, as triple tensors in normal form.
     """
-    d = coact(e)
-    lhs: dict[tuple, Fraction] = {}
-    rhs: dict[tuple, Fraction] = {}
-    for (u, m), c in d.terms.items():
-        for (u1, u2), c2 in _mono_image(u, _hopf_atom).items():
-            _add_into(lhs, (u1, u2, m), c * c2)
-        for (u2, m2), c2 in _mono_image(m, _coact_atom).items():
-            _add_into(rhs, (u, u2, m2), c * c2)
+    lhs = rhs = _TripleSum.zero()
+    for left, right in coact(e).group_by_left().items():
+        u = UnipotentExpr._raw({left: _F1})
+        lhs = lhs + hopf_coproduct(u).tensor(right)
+        rhs = rhs + u.tensor(coact(right))
     return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
-# Conjugates, span arithmetic, stability
+# Conjugates, spans, stability
+#
+# A span is kept as an echelon basis: a dict from pivot to row, where each
+# row is a combination whose largest monomial, its pivot, has coefficient 1
+# and is the pivot of no other row.  Reducing by the rows in descending pivot
+# order clears every pivot, since a row only touches monomials at or below
+# its own pivot; a combination lies in the span when it reduces to zero.
 # ---------------------------------------------------------------------------
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def _reduce(rows: dict, e: _Combination) -> _Combination:
+    for pivot in sorted(rows, reverse=True):
+        c = e.terms.get(pivot)
+        if c:
+            e = e + (-c) * rows[pivot]
+    return e
 
 
-def _vectors(exprs: list[MotivicExpr]) -> list[list[Fraction]]:
-    monos = sorted({m for e in exprs for m in e.terms})
-    return [[e.terms.get(m, _F0) for m in monos] for e in exprs]
+def _echelon(exprs) -> dict:
+    rows: dict = {}
+    for e in exprs:
+        r = _reduce(rows, e)
+        if not r.is_zero():
+            pivot = max(r.terms)
+            rows[pivot] = r * (1 / r.terms[pivot])
+    return rows
 
 
-def _span_dimension(exprs: list[MotivicExpr]) -> int:
-    return _rank(_vectors(exprs))
-
-
-def _span_contains(family: list[MotivicExpr], target: MotivicExpr) -> bool:
-    vecs = _vectors(list(family) + [target])
-    return _rank(vecs[:-1]) == _rank(vecs)
+def _conjugates(e: MotivicExpr) -> list[MotivicExpr]:
+    groups = coact(e).group_by_left()
+    ordered = sorted(groups, key=lambda m: (_mono_weight(m), m))
+    return list(dict.fromkeys(groups[left] for left in ordered))
 
 
 def galois_conjugates(e: MotivicExpr) -> tuple[list[MotivicExpr], int]:
@@ -623,16 +595,8 @@ def galois_conjugates(e: MotivicExpr) -> tuple[list[MotivicExpr], int]:
     accumulated right factor is one conjugate.  The group with left factor
     1 recovers ``e`` itself and is listed first.
     """
-    groups = coact(e).group_by_left()
-    conjugates: list[MotivicExpr] = []
-    seen = set()
-    for left in sorted(groups, key=lambda m: (_mono_weight(m), m)):
-        expr = groups[left]
-        key = expr._key()
-        if key not in seen and not expr.is_zero():
-            seen.add(key)
-            conjugates.append(expr)
-    return conjugates, _span_dimension(conjugates)
+    conjugates = _conjugates(e)
+    return conjugates, len(_echelon(conjugates))
 
 
 @dataclass
@@ -666,11 +630,9 @@ def stability_report(family: list[MotivicExpr]) -> StabilityReport:
     for f in members:
         if not isinstance(f, MotivicExpr):
             raise DomainError("stability_report expects MotivicExpr members")
-    outside = []
-    for f in members:
-        conjugates, _ = galois_conjugates(f)
-        missing = [c for c in conjugates if not _span_contains(members, c)]
-        outside.append((f, missing))
+    span = _echelon(members)
+    outside = [(f, [c for c in _conjugates(f) if not _reduce(span, c).is_zero()])
+               for f in members]
     return StabilityReport(stable=all(not m for _, m in outside), outside=outside)
 
 
@@ -859,12 +821,15 @@ def period_map(e: MotivicExpr, prec: int = 15) -> BigReal:
     if not isinstance(e, MotivicExpr):
         raise DomainError("period_map expects a MotivicExpr")
     check_prec(prec)
-    for mono, _ in e._sorted_terms():
-        degree = sum(1 for atom in mono if atom[0] == "tpim")
+    signed = []
+    for c, mono in e.pairs():
+        degree = mono.count(("tpim",))
         if degree % 2:
             raise DomainError(
                 f"the monomial {'*'.join(map(_fmt_motivic_atom, mono))} has odd twopi_i "
                 f"degree {degree}, so its period is imaginary; the period map is real-valued")
+        # i**(2k) = (-1)**k, the sign the real factors (2*pi)**(2k) leave out.
+        signed.append((-c if degree % 4 else c, mono))
     inner = min(prec + 6, MAX_PREC)
     cache: dict[tuple, BigReal] = {}
 
@@ -884,10 +849,7 @@ def period_map(e: MotivicExpr, prec: int = 15) -> BigReal:
         return cache[atom]
 
     total = BigReal.exact(0, inner)
-    for mono, c in e._sorted_terms():
-        # i**(2k) = (-1)**k, the sign the real factors (2*pi)**(2k) leave out.
-        if sum(1 for atom in mono if atom[0] == "tpim") % 4:
-            c = -c
+    for c, mono in signed:
         term = BigReal.exact(c, inner)
         for atom in mono:
             term = term * atom_value(atom)

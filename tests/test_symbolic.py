@@ -257,6 +257,89 @@ def test_stability_span_is_rational_not_syntactic():
     assert stability_report(family).stable
 
 
+# The dense Fraction elimination that spans used before the echelon basis,
+# kept as the reference the echelon results must agree with.
+def dense_rank(rows):
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def oracle_dimension(exprs):
+    monos = sorted({m for e in exprs for m in e.terms})
+    return dense_rank([[e.terms.get(m, Fraction(0)) for m in monos] for e in exprs])
+
+
+def oracle_outside(family):
+    """For each member, its conjugates outside the span, by dense rank."""
+    dim = oracle_dimension(family)
+    return [(f, [c for c in galois_conjugates(f)[0] if oracle_dimension(family + [c]) > dim])
+            for f in family]
+
+
+def dependent_family(rng, members):
+    """``members`` plus scaled copies, sums of members and a member that cancels to zero."""
+    family = list(members)
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.choice(family), rng.choice(family)
+        family.append(a * Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)))
+        family.append(a + Fraction(rng.randint(1, 3)) * b)
+    a, b = rng.choice(family), rng.choice(family)
+    family.append(a + b - b - a)
+    rng.shuffle(family)
+    return family
+
+
+def test_conjugate_dimension_matches_dense_rank_oracle():
+    rng = random.Random(47)
+    dependent = 0
+    for _ in range(40):
+        e = random_expr(rng) + rng.randint(1, 3) * random_expr(rng)
+        conj, dim = galois_conjugates(e)
+        assert dim == oracle_dimension(conj)
+        dependent += dim < len(conj)
+    assert dependent
+
+
+def test_stability_containment_matches_dense_rank_oracle():
+    rng = random.Random(48)
+    verdicts = set()
+    for _ in range(12):
+        closed = dependent_family(rng, galois_conjugates(random_expr(rng))[0])
+        loose = dependent_family(rng, [random_expr(rng) for _ in range(rng.randint(1, 3))])
+        for family in (closed, loose):
+            report = stability_report(family)
+            assert report.outside == oracle_outside(family)
+            assert report.stable == all(not m for _, m in report.outside)
+            verdicts.add(report.stable)
+    assert verdicts == {True, False}
+
+
+def test_stability_missing_conjugate_differs_from_member_by_a_coefficient():
+    # zeta_m(2) + 2*zeta_m(4) shares its monomials with a member, but not its line.
+    f = ZM(3) * (ZM(2) + 2 * ZM(4))
+    family = [f, ZM(2) + ZM(4), ONE()]
+    report = stability_report(family)
+    assert not report.stable
+    assert report.outside == oracle_outside(family)
+    assert report.outside[0] == (f, [ZM(2) + 2 * ZM(4)])
+
+
 def test_stability_empty_family_rejected():
     with pytest.raises(InputError):
         stability_report([])
