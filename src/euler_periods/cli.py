@@ -359,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("polylog", "Polylogarithm Li_n(z) on the real interval [-1, 1].")
     p.add_argument("n", type=int, help="integer order n >= 1")
-    p.add_argument("z", help="argument, a rational in [-1, 1]")
+    p.add_argument("z", help="argument, a rational in [-1, 1]; put -- before a negative one")
 
     p = add("gamma", "Euler's constant.")
     p.add_argument("--method", choices=("EM", "ZETA_SERIES"), default="EM",

@@ -19,18 +19,22 @@ from mpmath import mpf
 
 from .errors import DomainError, PrecisionNotMet, TooLarge
 from .numkernel import (
+    MAX_PREC,
     BigReal,
     ScalarLike,
     accel_alt_sum,
     accel_alt_terms,
     alt_terms_needed,
+    as_fraction,
     as_mpf,
     bernoulli,
     check_prec,
     em_sum_certified,
     working_dps,
     zeta_values,
+    _at_one,
     _round_cushion,
+    _word,
 )
 
 #: Largest prime bound accepted by the Euler-product residual check.
@@ -89,10 +93,8 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
 
 
 def _li_direct(n: int, z: mpf, wd: int) -> tuple[mpf, mpf]:
-    """Direct power series for Li_n(z), |z| < 1.  Returns (value, bound)."""
+    """Li_n(z), |z| < 1, by its power series: (value, bound), for DILOG_REFLECTION."""
     az = abs(z)
-    if az == 0:
-        return mpf(0), mpf(0)
     target = mpf(10) ** (-(wd - 2))
     value = mpf(0)
     p = mpf(1)
@@ -111,47 +113,42 @@ def _li_direct(n: int, z: mpf, wd: int) -> tuple[mpf, mpf]:
 def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
     """Real polylogarithm ``Li_n(z)`` for integer ``n >= 1``, ``z in [-1, 1]``.
 
-    Routes: the defining series for ``|z| <= 1/2``; accelerated alternating
-    summation for ``z in [-1, -1/2)``; ``-log(1 - z)`` for ``n = 1``; the
-    endpoint values ``Li_n(1) = zeta(n)`` and ``Li_n(-1) = -phi(n)``; and
-    for ``n = 2`` on ``(1/2, 1)`` the reflection through ``Li_2(1 - z)``.
-    Other arguments in ``(1/2, 1)`` with ``n >= 3`` are not supported and
-    raise :class:`DomainError`, as do ``|z| > 1`` and ``(n, z) = (1, 1)``.
+    ``z`` is the exact rational it denotes: a decimal string as written, a
+    float or mpf as its binary value.  For ``n >= 2`` and ``z`` in ``[-1,
+    1/2]`` or ``z = 1`` the value is one call of the iterated-integral
+    engine of :mod:`.numkernel` on the word ``0**(n-1) (1/z)``; for ``n =
+    2`` on ``(1/2, 1)`` the reflection ``Li_2(z) = zeta(2) - log(z) log(1-z)
+    - Li_2(1-z)`` takes ``Li_2(1-z)`` from it.  ``n = 1`` is ``-log(1 -
+    z)`` and ``z = 0`` an exact 0.  Other ``z`` in ``(1/2, 1)`` raise
+    :class:`DomainError`, as do ``|z| > 1`` and ``(n, z) = (1, 1)``; a
+    weight ``n`` above ``numkernel.WEIGHT_CAP`` raises :class:`TooLarge`.
     """
     check_prec(prec)
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"polylog order must be an integer >= 1, got {n!r}")
+    q = as_fraction(z)
     wd = working_dps(prec)
     with mpmath.workdps(wd):
-        zv = as_mpf(z)
-        if abs(zv) > 1:
+        zv = as_mpf(q)
+        if abs(q) > 1:
             raise DomainError(f"polylog requires |z| <= 1, got z = {mpmath.nstr(zv, 8)}")
-        if zv == 1:
-            if n == 1:
-                raise DomainError("Li_1(1) is the harmonic series; no value to report")
-            return zeta(n, prec)
         if n == 1:
+            if q == 1:
+                raise DomainError("Li_1(1) is the harmonic series; no value to report")
             v = -mpmath.log(1 - zv)
             return BigReal(v, _round_cushion(v, wd), prec).demand("polylog")
-        if zv == -1:
-            return -phi(n, prec)
-        if abs(zv) <= mpf(1) / 2:
-            v, bound = _li_direct(n, zv, wd)
-            return BigReal(v, bound, prec).demand("polylog")
-        if zv < 0:
-            return accel_alt_sum(lambda k: zv ** k / mpf(k) ** n, prec)
-        if n == 2:
-            # Li_2(z) + Li_2(1-z) + log(z) log(1-z) = zeta(2), with 1-z in (0, 1/2).
-            inner = prec + 4
-            wd2 = working_dps(inner)
-            with mpmath.workdps(wd2):
-                w = 1 - as_mpf(z)
-                li_w, bound_w = _li_direct(2, w, wd2)
-                v = mpmath.pi ** 2 / 6 - mpmath.log(1 - w) * mpmath.log(w) - li_w
-                bound = bound_w + _round_cushion(v, wd2 - 1)
-            return BigReal(v, bound, prec).demand("polylog")
-        raise DomainError(
-            f"Li_{n} is only evaluated on [-1, 1/2] and the endpoint 1; got z = {mpmath.nstr(zv, 8)}")
+    if q == 0:
+        return BigReal(mpf(0), mpf(0), prec)
+    if q <= Fraction(1, 2) or q == 1:
+        return _at_one(_word((n,), (1 / q,)), prec).demand("polylog")
+    if n == 2:
+        # Li_2(z) + Li_2(1-z) + log(z) log(1-z) = zeta(2), with 1-z in (0, 1/2).
+        li_w = _at_one(_word((2,), (1 / (1 - q),)), prec + 4)
+        with mpmath.workdps(working_dps(prec + 4)):
+            v = mpmath.pi ** 2 / 6 - mpmath.log(as_mpf(q)) * mpmath.log(as_mpf(1 - q)) - li_w.value
+            return BigReal(v, li_w.err + _round_cushion(v, mpmath.mp.dps - 1), prec).demand("polylog")
+    raise DomainError(
+        f"Li_{n} is only evaluated on [-1, 1/2] and the endpoint 1; got z = {mpmath.nstr(zv, 8)}")
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +295,9 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
             s = as_mpf(_param(params, "s"))
             if not (0 < s < 1):
                 raise DomainError(f"functional equation checked on s in (0, 1), got {mpmath.nstr(s, 8)}")
-            lhs_num = phi(1 - s, prec + 2)
-            lhs_den = phi(s, prec + 2)
+            inner = min(prec + 2, MAX_PREC)
+            lhs_num = phi(1 - s, inner)
+            lhs_den = phi(s, inner)
             rhs = (-mpmath.gamma(s) * (2 ** s - 1) * mpmath.cos(mpmath.pi * s / 2)
                    / ((2 ** (s - 1) - 1) * mpmath.pi ** s))
             ratio = lhs_num.value / (lhs_den.value * rhs)

@@ -1,71 +1,15 @@
 """Multiple zeta values and alternating double series, as iterated integrals.
 
-Both ``mzv`` and ``multiphi`` are values at 1 of iterated integrals over the
-letters ``{0, 1, -1}``.  A *word* is a list of letters, outermost first;
-letter 0 stands for ``dt/t`` and a letter ``a != 0`` for ``dt/(a - t)``, and
-
-    I_y(w_1 ... w_n) = integral over y > t_1 > ... > t_n > 0 of
-                       omega_(w_1)(t_1) ... omega_(w_n)(t_n).
-
-``zeta(n_1, ..., n_d)`` (inner-first) is ``I_1`` of the word
-``0**(n_d-1) 1 ... 0**(n_1-1) 1``, and ``multiphi((m, n))`` is ``I_1`` of
-``0**(n-1) -1 0**(m-1) 1``.  The word length is the weight.
-
-The engine is the Hoelder convolution of Borwein, Bradley, Broadhurst and
-Lisonek, "Special values of multiple polylogarithms" (arXiv:math/9910045).
-The substitution ``t -> 1 - t`` maps letter ``a`` to ``1 - a`` and, for
-``a = -1`` only, flips the sign, so splitting the simplex at 1/2 gives
-
-    I_1(w) = sum(sigma_j * I_(1/2)(phi(w_j) ... phi(w_1))
-                 * I_(1/2)(w_(j+1) ... w_n), j = 0..n)
-
-with ``phi: 0 -> 1, 1 -> 0, -1 -> 2`` and ``sigma_j = (-1)**(number of -1
-among w_1 .. w_j)``.  :func:`_suffix_integrals` gives ``I_(1/2)`` of every
-suffix of a word in one pass over the power series ``I_t(suffix) =
-sum(c_k t**k)``: letter 0 divides ``c_k`` by ``k``, and letter ``a`` runs
-``D_k = (D_(k-1) + c_k)/a``, ``c'_(k+1) = D_k/(k+1)``.  It keeps ``e_k =
-c_k 2**-k`` in Python-integer fixed point with ``b`` fraction bits, so the
-update reads ``E_k = (E_(k-1) + e_k) // (2a)``, ``e'_(k+1) = E_k // (k+1)``.
-
-The declared bound is a proof, in four steps.
-
-1. Every nonzero letter has ``|a| >= 1``, so every ``|c_k| <= 1``: letter 0
-   divides by ``k >= 1``, and letter ``a`` gives ``|D_k| <= k + 1``.  Hence
-   a series summed over ``k <= N`` misses at most ``2**-N``, and every
-   factor ``|I_(1/2)| <= sum(2**-k, k >= 1) = 1`` (``c_0 = 0`` for a
-   nonempty word).
-2. Each floor costs at most one unit of ``2**-b``.  If the coefficients
-   entering a letter are off by ``u`` units, a letter 0 leaves them off by
-   ``u + 1``; for a letter ``a`` the average ``E`` stays within ``u + 2``,
-   since ``|2a| >= 2`` does not amplify, and ``e'`` within ``u + 3``.  So
-   with ``U`` the sum of 1 per letter 0 and 3 per other letter, every
-   factor is off by at most ``alpha = 2**-N + (N + 1) U 2**-b``.
-3. The products are summed exactly in units of ``2**-2b``; each is off by
-   at most ``alpha (2 + alpha)``, the sum by ``(n + 1)`` times that.
-4. Converting the integer sum to an mpf at the working precision ``p``
-   bits adds at most ``|value| 2**-p``.
-
-The bound is that count of units, rounded up to an mpf.  The plan comes
-a priori from ``prec`` and ``n``, before any term is summed: with ``wd =
-working_dps(prec)``, ``T = ceil(wd log2 10) + bitlen(n + 1) + 3``, ``N =
-T`` unless a cutoff sets it, and ``b = T + bitlen((N + 1) U)``.  Then
-``alpha <= 2**(1-T)``, step 3 stays below ``10**-wd / 2`` and step 4,
-for values of modulus below 2, as well.  So the bound sits under the
-guard digits like the other evaluators', and callers that scale a value
-(``coeff_a3`` takes ``50/3`` of ``multiphi((1, 3))``) keep their margin.
-Nothing is retried.  Cost: ``2n`` passes of ``N + 1`` big-integer steps,
-linear in the weight.  :data:`WEIGHT_CAP` and :data:`CUTOFF_CAP` bound it.
-
-:func:`mzv_bruteforce` is an independent oracle: a truncated nested sum
-with an elementary integral tail bound.
+``mzv`` and ``multiphi`` are words over the letters ``{0, 1, -1}`` of the
+iterated-integral engine of :mod:`.numkernel`, whose bound is proved in
+that module's docstring.  :func:`mzv_bruteforce` is an independent oracle:
+a truncated nested sum with an elementary integral tail bound.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
 from typing import Sequence
 
 import mpmath
@@ -73,26 +17,16 @@ from mpmath import mpf
 
 from .errors import DivergentIndex, DomainError, TooLarge
 from .eulerfun import zeta
-from .numkernel import MAX_PREC, BigReal, check_prec, working_dps, _round_cushion
+from .numkernel import MAX_PREC, BigReal, check_prec, working_dps, _at_one, _round_cushion, _word
 
 #: Maximum supported depth of an index.
 DEPTH_CAP = 3
-
-#: Maximum weight (sum of the parts) the iterated-integral engine runs on;
-#: cost is linear in it, about 70 ms at the cap and prec 100.
-WEIGHT_CAP = 1000
 
 #: Maximum explicit ``multiphi`` cutoff: ``2**-1000`` is far below any
 #: ``10**-prec`` the interface accepts.
 CUTOFF_CAP = 1000
 
-MzvIndex = tuple[int, ...]
-
-#: Letter ``a`` under ``t -> 1 - t``: the letter ``1 - a`` and the sign.
-_REFLECT = {0: (1, 1), 1: (0, 1), -1: (2, -1)}
-
-
-def _check_index(idx: Sequence[int]) -> MzvIndex:
+def _check_index(idx: Sequence[int]) -> tuple[int, ...]:
     idx = tuple(idx)
     if not idx:
         raise DomainError("empty index")
@@ -107,83 +41,18 @@ def _check_index(idx: Sequence[int]) -> MzvIndex:
     return idx
 
 
-# ---------------------------------------------------------------------------
-# Iterated integrals at 1/2
-# ---------------------------------------------------------------------------
-
-
-def _word(parts: Sequence[int], letters: Sequence[int]) -> list[int]:
-    """``0**(s-1) a`` for each part ``s`` and letter ``a``, outermost first."""
-    if sum(parts) > WEIGHT_CAP:
-        raise TooLarge(f"weight {sum(parts)} exceeds the supported cap {WEIGHT_CAP}")
-    return [x for s, a in zip(parts, letters) for x in [0] * (s - 1) + [a]]
-
-
-def _suffix_integrals(word: Sequence[int], terms: int, bits: int) -> list[int]:
-    """``I_(1/2)`` of ``word[j:]`` for ``j = 0..len(word)``, in units of ``2**-bits``.
-
-    Each is the sum of the series coefficients ``e_0 .. e_terms``; the
-    last entry is the empty word, exactly 1.
-    """
-    e = [1 << bits] + [0] * terms
-    out = [e[0]]
-    for a in reversed(word):
-        if a == 0:
-            e = [0] + [x // k for k, x in enumerate(e[1:], 1)]
-        else:
-            avg, e_next = 0, [0]
-            for k in range(terms):
-                avg = (avg + e[k]) // (2 * a)
-                e_next.append(avg // (k + 1))
-            e = e_next
-        out.append(sum(e))
-    return out[::-1]
-
-
-def _at_one(word: Sequence[int], prec: int, terms: int | None = None) -> BigReal:
-    """``I_1(word)`` by the Hoelder split at 1/2, with the bound of the module docstring.
-
-    ``terms`` is ``N``, the series terms on each side of the split; by
-    default the plan that meets ``10**-working_dps(prec)``.
-    """
-    n = len(word)
-    units = sum(3 if a else 1 for a in word)
-    planned = math.ceil(working_dps(prec) * math.log2(10)) + (n + 1).bit_length() + 3
-    terms = planned if terms is None else terms
-    bits = planned + ((terms + 1) * units).bit_length()
-    ahead = _suffix_integrals(word, terms, bits)
-    behind = _suffix_integrals([_REFLECT[a][0] for a in reversed(word)], terms, bits)[::-1]
-    signs = accumulate((_REFLECT[a][1] for a in word), mul, initial=1)
-    total = sum(s * x * y for s, x, y in zip(signs, behind, ahead))
-    alpha = (1 << max(bits - terms, 0)) + (terms + 1) * units
-    err = (n + 1) * alpha * ((2 << bits) + alpha)
-    with mpmath.workdps(working_dps(prec)):
-        err += (abs(total) >> mpmath.mp.prec) + 1
-        shift = max(err.bit_length() - 32, 0)  # 32-bit mantissa, exact as an mpf
-        err = mpf((-(-err >> shift), shift - 2 * bits))
-        return BigReal(mpf((total, -2 * bits)), err, prec)
-
-
-# ---------------------------------------------------------------------------
-# mzv proper
-# ---------------------------------------------------------------------------
-
-
 def mzv(idx: Sequence[int], prec: int) -> BigReal:
     """Multiple zeta value for an admissible index of depth <= 3.
 
     The index is written inner-first: ``(n_1, ..., n_d)`` weights the
     smallest summation variable by ``n_1`` and the largest by ``n_d``, and
     admissibility means ``n_d >= 2``.  Inadmissible indices raise
-    :class:`DivergentIndex`.  Depth 1 is :func:`zeta`; deeper indices are
-    ``I_1`` of the word ``0**(n_d-1) 1 ... 0**(n_1-1) 1`` by the Hoelder
-    split of the module docstring, whose bound is proved there.  A weight
-    above :data:`WEIGHT_CAP` raises :class:`TooLarge`.
+    :class:`DivergentIndex`.  Every depth, 1 included, is one engine call on
+    the word ``0**(n_d-1) 1 ... 0**(n_1-1) 1``.  A weight above
+    ``numkernel.WEIGHT_CAP`` raises :class:`TooLarge`.
     """
     idx = _check_index(idx)
     check_prec(prec)
-    if len(idx) == 1:
-        return zeta(idx[0], prec)
     return _at_one(_word(idx[::-1], [1] * len(idx)), prec).demand("mzv")
 
 
@@ -270,15 +139,14 @@ def multiphi(idx: Sequence[int], prec: int, cutoff: int | None = None) -> BigRea
     """Alternating double series ``sum((-1)**(k+l) k**-m l**-n, 0 < k < l)``.
 
     The series is ``I_1`` of the word ``0**(n-1) -1 0**(m-1) 1``, evaluated
-    by the same Hoelder split at 1/2 as :func:`mzv`, with the bound proved
-    in the module docstring.  Only depth 2 is taken.  A weight ``m + n``
-    above :data:`WEIGHT_CAP` raises :class:`TooLarge`.
+    by the same engine as :func:`mzv`.  Only depth 2 is taken.  A weight
+    ``m + n`` above ``numkernel.WEIGHT_CAP`` raises :class:`TooLarge`.
 
     ``cutoff`` sets ``N``, the number of series terms on each side of the
-    split, in place of the plan for ``prec`` (used by stability checks).
-    It must be an integer in ``[4, CUTOFF_CAP]``.  With an explicit cutoff
-    the result is returned with its honest bound even when that bound
-    exceeds ``10**-prec``; without one the usual certification applies.
+    split, in place of the plan for ``prec``; it must be an integer in ``[4,
+    CUTOFF_CAP]``.  With an explicit cutoff the result is returned with its
+    honest bound even when that bound exceeds ``10**-prec``; without one
+    the usual certification applies.
     """
     idx = tuple(idx)
     if len(idx) != 2:

@@ -15,6 +15,8 @@ Everything numerical in this package funnels through this module:
   given terms with error bounds.
 * :func:`zeta_values` evaluates ``zeta(2), ..., zeta(top)`` by
   Euler-Maclaurin summation in one pass over a shared table of powers.
+* :func:`_at_one` evaluates the iterated integrals from 0 to 1 whose
+  words give multiple zeta values, alternating sums and polylogarithms.
 
 Every engine sizes itself a priori and runs once; a plan that misses
 raises :class:`PrecisionNotMet`.  Euler-Maclaurin takes the cheapest split
@@ -28,11 +30,61 @@ precision: the Bernoulli ratios, the Chebyshev weights and the batch plans.
 The declared bound is that truncation bound plus a rounding cushion, not
 an interval enclosure.  The rounding cushion is :func:`_round_cushion`, a
 heuristic, here and in the layers above it, and :func:`pi_times` gives
-``k * pi`` with that cushion.
-Each engine is exercised against independent references in the test
-suite.  Internally all work is done in ``mpmath`` at the requested
-precision plus :data:`GUARD_DIGITS` decimal guard digits; identical inputs
-produce bit-identical outputs.
+``k * pi`` with that cushion.  The iterated-integral engine needs no
+cushion: its bound, rounding included, is proved below.  Each engine is
+exercised against independent references in the test suite.  Internally
+all work is done in ``mpmath`` at the requested precision plus
+:data:`GUARD_DIGITS` decimal guard digits; identical inputs produce
+bit-identical outputs.
+
+Iterated integrals at 1/2
+-------------------------
+
+A word ``w_1 ... w_n`` (outermost first, its length the weight) has letters
+0, for ``dt/t``, and rationals ``a`` with ``|a| >= 1``, for ``dt/(a - t)``;
+``I_y(w)`` integrates their product over ``y > t_1 > ... > t_n > 0``.
+``zeta(n_1, ..., n_d)`` (inner-first) is ``I_1(0**(n_d-1) 1 ... 0**(n_1-1)
+1)``, ``multiphi((m, n))`` is ``I_1(0**(n-1) -1 0**(m-1) 1)`` and ``Li_n(z)``
+is ``I_1(0**(n-1) (1/z))``.  The engine is the Hoelder convolution of
+Borwein, Bradley, Broadhurst and Lisonek (arXiv:math/9910045).  The
+substitution ``t -> 1 - t`` maps letter ``a`` to ``phi(a) = 1 - a`` and
+flips the sign unless ``a`` is 0 or 1, so, with ``sigma_j`` the product of
+the signs of ``w_1 .. w_j``,
+
+    I_1(w) = sum(sigma_j I_(1/2)(phi(w_j)..phi(w_1)) I_(1/2)(w_(j+1)..w_n), j = 0..n).
+
+Each ``phi(a)`` must be 0 or a letter too, ``|1 - a| >= 1``; for ``Li_n(z)``
+that means ``z`` in ``[-1, 1/2]`` or ``z = 1``.  :func:`_suffix_integrals`
+gives ``I_(1/2)`` of every suffix in one pass over the power series ``I_t =
+sum(c_k t**k)``: letter 0 divides ``c_k`` by ``k``, and letter ``a`` runs
+``D_k = (D_(k-1) + c_k)/a``, ``c'_(k+1) = D_k/(k+1)``.  In integer fixed
+point with ``b`` fraction bits and ``e_k = c_k 2**-k`` that is ``E_k =
+(E_(k-1) + e_k) // (2a)`` (for ``a = p/q`` one floor of ``(E_(k-1) + e_k)
+q / (2p)``) and ``e'_(k+1) = E_k // (k+1)``.  The declared bound is a proof:
+
+1. Every ``|c_k| <= 1``: letter 0 divides by ``k >= 1``, and a letter with
+   ``|a| >= 1`` gives ``|D_k| <= k + 1``.  So a series summed over ``k <=
+   N`` misses at most ``2**-N``, and every ``|I_(1/2)| <= sum(2**-k, k >=
+   1) = 1`` (``c_0 = 0`` for a nonempty word).
+2. Each floor costs at most one unit of ``2**-b``.  If the coefficients
+   entering a letter are off by ``u`` units, a letter 0 leaves them off by
+   ``u + 1``; for a letter ``a`` the average ``E`` stays within ``u + 2``,
+   since ``|2a| >= 2`` does not amplify, and ``e'`` within ``u + 3``.  So
+   with ``U`` the sum of 1 per letter 0 and 3 per other letter, every
+   factor is off by at most ``alpha = 2**-N + (N + 1) U 2**-b``.
+3. The products are summed exactly in units of ``2**-2b``; each is off by
+   at most ``alpha (2 + alpha)``, the sum by ``(n + 1)`` times that.
+4. Converting the integer sum to an mpf at the working precision ``p``
+   bits adds at most ``|value| 2**-p``.
+
+The bound is that count of units, rounded up to an mpf.  The plan comes a
+priori: with ``wd = working_dps(prec)``, ``T = ceil(wd log2 10) + bitlen(n
++ 1) + 3``, ``N = T`` unless the caller sets it, and ``b = T + bitlen((N +
+1) U)``.  Then ``alpha <= 2**(1-T)``, and steps 3 and 4 (for values of
+modulus below 2) stay below ``10**-wd / 2``, so a caller that scales a
+value (``coeff_a3`` takes ``50/3`` of ``multiphi((1, 3))``) keeps its
+margin.  Cost: ``2n`` passes of ``N + 1`` big-integer steps, linear in the
+weight, which :data:`WEIGHT_CAP` bounds.
 """
 
 from __future__ import annotations
@@ -41,12 +93,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Sequence, Union
 
 import mpmath
 from mpmath import mpf
 
-from .errors import DomainError, PrecisionNotMet
+from .errors import DomainError, PrecisionNotMet, TooLarge
 
 #: Decimal digits carried internally beyond the requested precision.
 GUARD_DIGITS = 10
@@ -74,6 +128,16 @@ def as_mpf(x: ScalarLike) -> mpf:
     if isinstance(x, Fraction):
         return mpf(x.numerator) / x.denominator
     return mpf(x)
+
+
+def as_fraction(x: ScalarLike) -> Fraction:
+    """The exact rational value of ``x``: strings are decimal, floats and mpf binary."""
+    if isinstance(x, mpf) and mpmath.isfinite(x):
+        return Fraction(*mpmath.libmp.to_rational(x._mpf_))
+    try:
+        return Fraction(x)
+    except (ValueError, OverflowError, TypeError):
+        raise DomainError(f"expected a finite rational number, got {x!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +398,7 @@ def accel_alt_terms(terms: Sequence[mpf], prec: int,
     a_2, ...``, and ``bounds``, if given, a bound ``|a_k - true a_k| <=
     delta_k`` for each.  Precondition: the ``|a_k|`` are moments
     ``integral(t**k dmu(t), 0..1)`` of a positive measure, as ``k**-s``,
-    ``|z|**k k**-n``, ``(L+j)**-n`` and ``zeta(k+1)/(k+1)`` are.  Then one
+    ``(L+j)**-n`` and ``zeta(k+1)/(k+1)`` are.  Then one
     Chebyshev pass errs by at most ``2 |S| / (3 + sqrt(8))**n`` (Cohen,
     Rodriguez Villegas and Zagier, Experiment. Math. 9 (2000)), so the
     declared bound is ``2 (|a_1| + delta_1) / (3 + sqrt(8))**n``, at most
@@ -622,3 +686,66 @@ def zeta_values(top: int, wd: int) -> list[tuple[mpf, mpf]]:
                     f"1e-{wd - GUARD_DIGITS} at split {n_split} with {terms} Bernoulli terms")
             out.append((value, err))
         return out
+
+
+# ---------------------------------------------------------------------------
+# Iterated integrals at 1/2
+# ---------------------------------------------------------------------------
+
+#: Maximum weight (word length) the iterated-integral engine runs on; cost
+#: is linear in it, about 70 ms at the cap and prec 100.
+WEIGHT_CAP = 1000
+
+
+def _word(parts: Sequence[int], letters: Sequence[int | Fraction]) -> list[int | Fraction]:
+    """``0**(s-1) a`` for each part ``s`` and letter ``a``, outermost first."""
+    if sum(parts) > WEIGHT_CAP:
+        raise TooLarge(f"weight {sum(parts)} exceeds the supported cap {WEIGHT_CAP}")
+    return [x for s, a in zip(parts, letters) for x in [0] * (s - 1) + [a]]
+
+
+def _suffix_integrals(word: Sequence[int | Fraction], terms: int, bits: int) -> list[int]:
+    """``I_(1/2)`` of ``word[j:]`` for ``j = 0..len(word)``, in units of ``2**-bits``.
+
+    Each is the sum of the series coefficients ``e_0 .. e_terms``; the
+    last entry is the empty word, exactly 1.
+    """
+    e = [1 << bits] + [0] * terms
+    out = [e[0]]
+    for a in reversed(word):
+        if a == 0:
+            e = [0] + [x // k for k, x in enumerate(e[1:], 1)]
+        else:
+            q, p2 = a.denominator, 2 * a.numerator
+            avg, e_next = 0, [0]
+            for k in range(terms):
+                avg = (avg + e[k]) * q // p2
+                e_next.append(avg // (k + 1))
+            e = e_next
+        out.append(sum(e))
+    return out[::-1]
+
+
+def _at_one(word: Sequence[int | Fraction], prec: int, terms: int | None = None) -> BigReal:
+    """``I_1(word)`` by the Hoelder split at 1/2, with the bound of the module docstring.
+
+    ``terms`` is ``N``, the series terms on each side of the split; by
+    default the plan that meets ``10**-working_dps(prec)``.
+    """
+    n = len(word)
+    units = sum(3 if a else 1 for a in word)
+    planned = math.ceil(working_dps(prec) * math.log2(10)) + (n + 1).bit_length() + 3
+    terms = planned if terms is None else terms
+    bits = planned + ((terms + 1) * units).bit_length()
+    ahead = _suffix_integrals(word, terms, bits)
+    # Under t -> 1 - t letter a becomes 1 - a, and the sign flips unless a is 0 or 1.
+    behind = _suffix_integrals([1 - a for a in reversed(word)], terms, bits)[::-1]
+    signs = accumulate((1 if a in (0, 1) else -1 for a in word), mul, initial=1)
+    total = sum(s * x * y for s, x, y in zip(signs, behind, ahead))
+    alpha = (1 << max(bits - terms, 0)) + (terms + 1) * units
+    err = (n + 1) * alpha * ((2 << bits) + alpha)
+    with mpmath.workdps(working_dps(prec)):
+        err += (abs(total) >> mpmath.mp.prec) + 1
+        shift = max(err.bit_length() - 32, 0)  # 32-bit mantissa, exact as an mpf
+        err = mpf((-(-err >> shift), shift - 2 * bits))
+        return BigReal(mpf((total, -2 * bits)), err, prec)

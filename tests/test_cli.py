@@ -292,6 +292,52 @@ def test_reruns_are_byte_identical(capsys, argv):
 # ---------------------------------------------------------------------------
 
 
+# Every subcommand that prints a number, at both ends of the prec range.
+PREC_RANGE = [
+    ("zeta", "3"),
+    ("phi", "1/2"),
+    ("polylog", "3", "1/3"),
+    ("gamma",),
+    ("gamma", "--method", "ZETA_SERIES"),
+    ("mzv", "2", "3"),
+    ("multiphi", "1", "3"),
+    ("stuffle-check", "2", "3"),
+    ("identity-check", "dilog-reflection", "--x", "1/3"),
+    ("identity-check", "cotangent", "--x", "1/2", "--terms", "30"),
+    ("identity-check", "euler-product", "--s", "2", "--prime-bound", "1000"),
+    ("identity-check", "phi-funceq", "--s", "1/3"),
+    ("per", "Li_m(2; 1/2)*zeta_m(3)"),
+    ("g2-assemble",),
+    ("g2-invert-alpha", "exp:2008"),
+]
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["plain", "json"])
+@pytest.mark.parametrize("prec", ["1", "100"])
+@pytest.mark.parametrize("argv", PREC_RANGE, ids=lambda a: " ".join(a))
+def test_numeric_subcommands_run_at_both_ends_of_the_prec_range(capsys, argv, prec, mode):
+    code, out, err = run(capsys, *argv, "--prec", prec, *mode)
+    assert code == 0, err
+    assert out.strip()
+    assert err == ""
+
+
+@pytest.mark.parametrize("prec", ["99", "100"])
+def test_phi_funceq_at_the_top_precisions(capsys, prec):
+    code, out, err = run(capsys, "identity-check", "phi-funceq", "--s", "1/3", "--prec", prec)
+    assert code == 0, err
+    assert out.startswith("residual ")
+
+
+def test_negative_rational_follows_a_double_dash(capsys):
+    code, out, err = run(capsys, "polylog", "3", "-3/4")
+    assert code == 2
+    assert "the following arguments are required: z" in err
+    code, out, err = run(capsys, "polylog", "3", "--", "-3/4")
+    assert code == 0, err
+    assert out.startswith("-0.691703603690459 ± 1e-15")
+
+
 def test_exit_one_uncertifiable_cutoff(capsys):
     code, out, err = run(capsys, "multiphi", "1", "3", "--cutoff", "12")
     assert code == 1
@@ -305,6 +351,7 @@ def test_exit_one_uncertifiable_cutoff(capsys):
     ("zeta", "2", "--prec", "101"),
     ("polylog", "3", "3/4"),
     ("polylog", "2", "7/5"),
+    ("polylog", "1001", "1/2"),
     ("mzv", "2", "1"),
     ("mzv", "2", "2", "2", "2"),
     ("mzv", "2", "100000000"),

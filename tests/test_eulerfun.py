@@ -24,7 +24,7 @@ from euler_periods.eulerfun import (
     zeta,
     zeta_even_closed,
 )
-from euler_periods.numkernel import MAX_PREC, MIN_PREC, working_dps, zeta_values
+from euler_periods.numkernel import MAX_PREC, MIN_PREC, WEIGHT_CAP, working_dps, zeta_values
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +371,14 @@ def test_phi_funceq_residual_small(s):
     assert float(r.value) <= 1e-12
 
 
+@pytest.mark.parametrize("prec", [99, 100])
+def test_phi_funceq_at_the_top_precisions(prec):
+    # Both phi values are taken two digits higher inside, capped at MAX_PREC.
+    r = identity_residual(IdentityKind.PHI_FUNCEQ, {"s": Fraction(1, 3)}, prec)
+    assert r.prec == prec
+    assert abs(r.value) <= r.err
+
+
 @pytest.mark.parametrize("s", [0, 1, "1.5", "-0.2"])
 def test_phi_funceq_domain(s):
     with pytest.raises(DomainError):
@@ -401,16 +409,16 @@ def assert_covers(x, reference, prec: int) -> None:
         assert abs(x.value - reference()) <= x.err, prec
 
 
-def counted(monkeypatch, name: str) -> list:
-    """Replace ``numkernel.<name>`` by a wrapper that logs each call."""
+def counted(monkeypatch, name: str, module=numkernel) -> list:
+    """Replace ``<module>.<name>`` by a wrapper that logs each call."""
     calls = []
-    inner = getattr(numkernel, name)
+    inner = getattr(module, name)
 
     def wrapper(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(numkernel, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -467,3 +475,73 @@ def test_gamma_zeta_series_covers_at_every_prec(monkeypatch):
         g = gamma_const(prec, method="ZETA_SERIES")
         assert len(calls) == 1, prec
         assert_covers(g, lambda: +mpmath.euler, prec)
+
+
+# ---------------------------------------------------------------------------
+# polylog on the iterated-integral engine
+# ---------------------------------------------------------------------------
+
+POLYLOG_POINTS = [Fraction(z) for z in
+                  ("-1", "-39/40", "-3/4", "-1/2", "-1/3", "-1/40", "1/40", "1/3", "2/5", "1/2", "1")]
+REFLECTION_POINTS = [Fraction(z) for z in ("51/100", "3/5", "3/4", "9/10", "39/40", "99/100")]
+
+
+def assert_certifies_and_covers(n, z):
+    with mpmath.workdps(130):
+        ref = mpmath.polylog(n, exact(z))
+    for prec in ALL_PRECS:
+        x = polylog(n, z, prec)
+        assert x.prec == prec and x.certified(), prec
+        with mpmath.workdps(130):
+            assert abs(x.value - ref) <= x.err, prec
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("z", POLYLOG_POINTS, ids=str)
+def test_polylog_certifies_and_covers_at_every_prec(n, z):
+    assert_certifies_and_covers(n, z)
+
+
+@pytest.mark.parametrize("z", REFLECTION_POINTS, ids=str)
+def test_dilog_reflection_window_certifies_and_covers_at_every_prec(z):
+    assert_certifies_and_covers(2, z)
+
+
+def test_polylog_makes_one_engine_call(monkeypatch):
+    engine = counted(monkeypatch, "_at_one", eulerfun)
+    others = [counted(monkeypatch, "_li_direct", eulerfun),
+              counted(monkeypatch, "_cvz"), counted(monkeypatch, "em_sum")]
+    cases = [(n, z) for n in (2, 3, 5) for z in POLYLOG_POINTS]
+    cases += [(2, z) for z in REFLECTION_POINTS]
+    for prec in (1, 15, 50, 100):
+        for n, z in cases:
+            engine.clear()
+            polylog(n, z, prec)
+            assert len(engine) == 1, (n, z, prec)
+    assert not any(others)
+
+
+def bits(x):
+    return x.value._mpf_, x.err._mpf_
+
+
+@pytest.mark.parametrize("prec", [1, 15, 100])
+def test_polylog_takes_the_exact_rational_of_its_argument(prec):
+    # A decimal string is the rational it spells; a float or an mpf is its binary value.
+    assert bits(polylog(2, "0.3", prec)) == bits(polylog(2, Fraction(3, 10), prec))
+    assert bits(polylog(3, 0.3, prec)) == bits(polylog(3, Fraction(0.3), prec))
+    assert bits(polylog(3, mpf("-0.75"), prec)) == bits(polylog(3, Fraction(-3, 4), prec))
+
+
+@pytest.mark.parametrize("z", ["inf", "nan", "abc", float("inf"), mpmath.nan])
+def test_polylog_rejects_what_is_not_a_finite_rational(z):
+    with pytest.raises(DomainError):
+        polylog(2, z, 15)
+
+
+def test_polylog_weight_cap():
+    assert polylog(WEIGHT_CAP, Fraction(1, 2), 15).certified()
+    with pytest.raises(TooLarge):
+        polylog(WEIGHT_CAP + 1, Fraction(1, 2), 15)
+    with pytest.raises(TooLarge):
+        polylog(10 ** 9, Fraction(-1, 3), 15)

@@ -7,9 +7,12 @@ zeta(1,3) = pi^4/360.  At every prec from 1 to 100 the evaluators must
 also certify and cover zeta(1,1,3) = 2 zeta(5) - zeta(2) zeta(3),
 zeta({4}^3) = 2^7 pi^12/14! and the weight-2 and weight-4 alternating
 closed forms, computed by mpmath at 130 digits.  The alternating double
-series is cross-checked with mpmath's Lerch transcendent, and multiphi(1,3)
-with the package's own polylog(4, 1/2) route.  Indices are written
-inner-first: the last part weights the largest summation variable.
+series is cross-checked with mpmath's Lerch transcendent.  The package's
+polylog(4, 1/2) is a word of the same iterated-integral engine as multiphi,
+so for multiphi(1,3) the independent route is the closed form above, with
+Li4(1/2) from mpmath; the check against the package's polylog is one of
+consistency.  Indices are written inner-first: the last part weights the
+largest summation variable.
 """
 
 from fractions import Fraction
@@ -22,15 +25,13 @@ from euler_periods.errors import DivergentIndex, DomainError, TooLarge
 from euler_periods.eulerfun import polylog, zeta
 from euler_periods.mzv import (
     CUTOFF_CAP,
-    WEIGHT_CAP,
-    _at_one,
     mzv,
     mzv_bruteforce,
     multiphi,
     p35_combination,
     stuffle_residual,
 )
-from euler_periods.numkernel import working_dps
+from euler_periods.numkernel import WEIGHT_CAP, _at_one, working_dps
 
 
 def assert_close(x, ref, prec, slack=1):
