@@ -17,7 +17,7 @@ from typing import Mapping
 import mpmath
 from mpmath import mpf
 
-from .errors import DomainError, PrecisionNotMet, TooLarge
+from .errors import DomainError, TooLarge
 from .numkernel import (
     MAX_PREC,
     BigReal,
@@ -44,19 +44,18 @@ MAX_PRIME_BOUND = 10_000_000
 def zeta(s: ScalarLike, prec: int) -> BigReal:
     """Riemann zeta on the real ray ``s > 1``.
 
+    ``s`` is the exact rational it denotes, as in :func:`polylog`.
     Evaluated by Euler-Maclaurin summation (partial sum, integral tail,
     Bernoulli corrections).  Raises :class:`DomainError` for ``s <= 1``;
     the ``s = 1`` series is harmonic and has no value to report.
     """
     check_prec(prec)
-    wd = working_dps(prec)
-    with mpmath.workdps(wd):
-        sv = as_mpf(s)
-        if not sv > 1:
-            raise DomainError(
-                f"zeta requires s > 1, got s = {mpmath.nstr(sv, 8)}; "
-                "the series diverges there (at s = 1 it is the harmonic series)")
-        return em_sum_certified(sv, prec)
+    q = as_fraction(s)
+    if not q > 1:
+        raise DomainError(
+            f"zeta requires s > 1, got s = {mpmath.nstr(as_mpf(q), 8)}; "
+            "the series diverges there (at s = 1 it is the harmonic series)")
+    return em_sum_certified(q, prec)
 
 
 def zeta_even_closed(n: int) -> Fraction:
@@ -92,22 +91,37 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
 # ---------------------------------------------------------------------------
 
 
+#: Most series terms DILOG_REFLECTION sums: about 1 s on a 2-core x86-64 VM.
+LI_DIRECT_TERM_CAP = 100_000
+
+
 def _li_direct(n: int, z: mpf, wd: int) -> tuple[mpf, mpf]:
-    """Li_n(z), |z| < 1, by its power series: (value, bound), for DILOG_REFLECTION."""
+    """Li_n(z), 0 < |z| < 1, by its power series: (value, bound), for DILOG_REFLECTION.
+
+    Sums the fewest terms ``N`` whose tail bound ``|z|**(N+1) / ((1 - |z|)
+    (N+1)**n)`` meets ``10**-(wd - 2)``; past :data:`LI_DIRECT_TERM_CAP`
+    terms it raises :class:`TooLarge`.
+    """
     az = abs(z)
-    target = mpf(10) ** (-(wd - 2))
-    value = mpf(0)
-    p = mpf(1)
-    k = 0
-    while True:
-        k += 1
+    decay, need = -mpmath.log(az), (wd - 2) * mpmath.log(10) - mpmath.log(1 - az)
+    if not decay:
+        raise TooLarge(f"the Li_{n} series needs unboundedly many terms at |z| within 1e-{wd} of 1")
+    lo, hi = 1, int(mpmath.ceil(need / decay))  # hi meets the bound without the (N+1)**n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mid + 1) * decay + n * mpmath.log(mid + 1) >= need:
+            hi = mid
+        else:
+            lo = mid + 1
+    if hi > LI_DIRECT_TERM_CAP:
+        raise TooLarge(f"the Li_{n} series at |z| = {mpmath.nstr(az, 8)} needs {hi} terms, "
+                       f"past the cap {LI_DIRECT_TERM_CAP}")
+    value, p = mpf(0), mpf(1)
+    for k in range(1, hi + 1):
         p *= z
         value += p / mpf(k) ** n
-        tail = abs(p) * az / ((1 - az) * mpf(k + 1) ** n)
-        if tail < target:
-            return value, tail + _round_cushion(value, wd) * k
-        if k > 200 * wd:
-            raise PrecisionNotMet("polylog series did not reach the target tail bound")
+    tail = abs(p) * az / ((1 - az) * mpf(hi + 1) ** n)
+    return value, tail + _round_cushion(value, wd) * hi
 
 
 def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
@@ -171,10 +185,8 @@ def gamma_const(prec: int, method: str = "EM") -> BigReal:
     declared bound includes their propagated uncertainty.  Cost: at prec
     15 / 50 / 100 the batch is ``zeta(2)..zeta(n)`` for n = 33 / 79 / 144,
     followed by one Chebyshev sum over those n - 1 terms; a warm call
-    takes about 2 / 5 / 12 ms on a 2-core x86-64 VM.  What is cached
-    depends on the precision only: the batch's plan of splits per
-    ``(n, wd)``, the Chebyshev weights per ``(term count, wd)`` and the
-    Bernoulli fractions per index.  No zeta or gamma value is cached.
+    takes about 1 / 5 / 11 ms on a 2-core x86-64 VM.  Only plans and exact
+    integers and fractions are cached, no zeta or gamma value.
     """
     check_prec(prec)
     if method == "EM":
@@ -228,7 +240,8 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
 
     * ``DILOG_REFLECTION``: ``x`` in (0, 1).  Checks
       ``Li2(x) + Li2(1-x) + log x log(1-x) = pi**2/6`` with both
-      dilogarithms from the defining series.
+      dilogarithms from the defining series (:class:`TooLarge` for an
+      ``x`` so near 0 or 1 that a series passes its term cap).
     * ``COTANGENT``: ``x`` in (0, pi), ``terms`` >= 1.  Checks
       ``x cot x = 1 - 2 sum(zeta(2n) (x/pi)**2n)`` with the even zetas
       taken from their exact rational closed forms.
@@ -276,12 +289,12 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
             raise DomainError(f"prime_bound must be an integer >= 2, got {bound!r}")
         if bound > MAX_PRIME_BOUND:
             raise TooLarge(f"prime_bound {bound} exceeds the cap {MAX_PRIME_BOUND}")
-        z = None
+        s = _param(params, "s")
+        if not as_fraction(s) > 1:
+            raise DomainError("Euler product requires s > 1")
+        z = zeta(s, prec)
         with mpmath.workdps(wd):
-            s = as_mpf(_param(params, "s"))
-            if not s > 1:
-                raise DomainError("Euler product requires s > 1")
-            z = zeta(s, prec)
+            s = as_mpf(s)
             prod = mpf(1)
             primes = _primes_upto(bound)
             for p in primes:

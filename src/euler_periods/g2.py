@@ -37,7 +37,7 @@ from mpmath import mpf
 from .errors import DomainError, InputError, NoConvergence, SchemaError
 from .eulerfun import phi
 from .mzv import multiphi
-from .numkernel import MAX_PREC, BigReal, as_mpf, check_prec, pi_times, working_dps
+from .numkernel import MAX_PREC, BigReal, check_prec, pi_times, working_dps
 
 MAX_ORDER = 4
 
@@ -365,21 +365,25 @@ class CoefficientSet:
 # ---------------------------------------------------------------------------
 
 
-def _coerce_alpha_inv(alpha_inv: object, prec: int) -> BigReal:
-    if isinstance(alpha_inv, BigReal):
-        out = BigReal(alpha_inv.value, alpha_inv.err, prec)
-    elif isinstance(alpha_inv, str):
+def _as_input(x: object, name: str, prec: int | None = None) -> BigReal:
+    """``x`` as a BigReal at ``prec``, by default its own or else 15.
+
+    ``x`` is a Measurement (its uncertainty folded in), a BigReal, a decimal
+    string or a number; anything else raises :class:`InputError`.
+    """
+    if isinstance(x, Measurement):
+        x = x.as_bigreal(x.value.prec)
+    if isinstance(x, BigReal):
+        return x if prec is None else BigReal(x.value, x.err, check_prec(prec))
+    prec = 15 if prec is None else prec
+    if isinstance(x, str):
         try:
-            out = BigReal.from_decimal(alpha_inv, prec)
+            return BigReal.from_decimal(x, prec)
         except ValueError:
-            raise InputError(f"alpha_inv {alpha_inv!r} is not a decimal number") from None
-    elif isinstance(alpha_inv, bool) or not isinstance(alpha_inv, (int, float, Fraction, mpf)):
-        raise InputError(f"alpha_inv must be a number, got {alpha_inv!r}")
-    else:
-        out = BigReal.exact(alpha_inv, prec)
-    if not out.value > 0:
-        raise DomainError(f"alpha_inv must be positive, got {alpha_inv!r}")
-    return out
+            raise InputError(f"{name} {x!r} is not a decimal number") from None
+    if isinstance(x, bool) or not isinstance(x, (int, float, Fraction, mpf)):
+        raise InputError(f"{name} must be a number, got {x!r}")
+    return BigReal.exact(x, prec)
 
 
 def _check_order(order: object) -> int:
@@ -402,7 +406,9 @@ def assemble(alpha_inv: object, coeffs: CoefficientSet | None = None, order: int
     if coeffs is None:
         coeffs = CoefficientSet()
     inner = _inner_prec(prec)
-    ainv = _coerce_alpha_inv(alpha_inv, inner)
+    ainv = _as_input(alpha_inv, "alpha_inv", inner)
+    if not ainv.value > 0:
+        raise DomainError(f"alpha_inv must be positive, got {alpha_inv!r}")
     r = _alpha_ratio(ainv, inner)
     total = None
     for n in range(1, order + 1):
@@ -412,14 +418,8 @@ def assemble(alpha_inv: object, coeffs: CoefficientSet | None = None, order: int
 
 
 def g_factor(a_e: object, prec: int | None = None) -> BigReal:
-    """Gyromagnetic ratio ``g = 2 (1 + a_e)``."""
-    if isinstance(a_e, Measurement):
-        a_e = a_e.as_bigreal(a_e.value.prec)
-    if isinstance(a_e, BigReal):
-        big = a_e if prec is None else BigReal(a_e.value, a_e.err, check_prec(prec))
-    else:
-        big = BigReal.exact(a_e, 15 if prec is None else prec)
-    return (big + 1) * 2
+    """Gyromagnetic ratio ``g = 2 (1 + a_e)``; ``prec`` defaults to that of ``a_e``, else 15."""
+    return (_as_input(a_e, "a_e", prec) + 1) * 2
 
 
 def invert_alpha(target_ae: object, coeffs: CoefficientSet | None = None, order: int = MAX_ORDER,
@@ -441,24 +441,14 @@ def invert_alpha(target_ae: object, coeffs: CoefficientSet | None = None, order:
     order = _check_order(order)
     if coeffs is None:
         coeffs = CoefficientSet()
-    if isinstance(target_ae, Measurement):
-        target_ae = target_ae.as_bigreal(target_ae.value.prec)
-    elif isinstance(target_ae, str):
-        try:
-            target_ae = BigReal.from_decimal(target_ae, prec)
-        except ValueError:
-            raise InputError(f"target_ae {target_ae!r} is not a decimal number") from None
+    target = _as_input(target_ae, "target_ae", prec)
     inner = _inner_prec(prec)
     wd = working_dps(inner)
     with mpmath.workdps(wd):
-        if isinstance(target_ae, BigReal):
-            t, t_err = target_ae.value, target_ae.err
-        elif isinstance(target_ae, bool) or not isinstance(target_ae, (int, float, Fraction, mpf)):
-            raise InputError(f"target_ae must be a number, got {target_ae!r}")
-        else:
-            t, t_err = as_mpf(target_ae), mpf(0)
+        t, t_err = target.value, target.err
         if not 0 < t < mpf("2e-3"):
-            raise DomainError(f"target_ae must lie in (0, 2e-3), got {target_ae!r}")
+            shown = target if isinstance(target_ae, (str, Measurement)) else target_ae
+            raise DomainError(f"target_ae must lie in (0, 2e-3), got {shown!r}")
         cs = [coeffs.coefficient(n, inner, registry) for n in range(1, order + 1)]
         cvals = [c.value for c in cs]
         pi = +mpmath.pi

@@ -6,15 +6,15 @@ Everything numerical in this package funnels through this module:
   convention) from the defining recurrence.
 * :class:`BigReal` is an arbitrary-precision real paired with an explicit
   absolute error bound and the precision that was requested for it.
-* :func:`em_sum` evaluates ``sum(k**-s)`` for real ``s >= 1``, given the
-  exponent itself, by partial sum plus integral tail plus Bernoulli
-  correction terms (at ``s = 1`` the harmonic sum less ``log n``).
+* :func:`em_sum` evaluates ``sum(k**-s)`` for rational ``s >= 1``, the
+  exact rational the exponent denotes, by partial sum plus integral tail
+  plus Bernoulli correction terms (at ``s = 1`` the harmonic sum less ``log
+  n``); :func:`zeta_values` evaluates ``zeta(2), ..., zeta(top)`` the same
+  way in one pass over a shared table of powers.
 * :func:`accel_alt_sum` evaluates an alternating series, given its term
   function, by Chebyshev-weighted acceleration, needing O(digits) terms
   instead of exponentially many; :func:`accel_alt_terms` does the same from
   given terms with error bounds.
-* :func:`zeta_values` evaluates ``zeta(2), ..., zeta(top)`` by
-  Euler-Maclaurin summation in one pass over a shared table of powers.
 * :func:`_at_one` evaluates the iterated integrals from 0 to 1 whose
   words give multiple zeta values, alternating sums and polylogarithms.
 
@@ -24,18 +24,20 @@ and term count whose closed-form first omitted term meets its target
 (:func:`_em_plan`).  Chebyshev takes ``n = ceil((wd - 1 + log10 2) /
 log10(3 + sqrt(8)))`` terms and the Cohen-Rodriguez Villegas-Zagier bound
 ``2 |S| / (3 + sqrt(8))**n``, a theorem for the moment sequences every
-caller sums.  The engines cache what depends only on the working
-precision: the Bernoulli ratios, the Chebyshev weights and the batch plans.
+caller sums.  No engine caches an mpf: the Bernoulli fractions are cached
+per index, the integer Chebyshev weights per term count, the batch plans
+per ``(top, wd)``.
 
-The declared bound is that truncation bound plus a rounding cushion, not
-an interval enclosure.  The rounding cushion is :func:`_round_cushion`, a
-heuristic, here and in the layers above it, and :func:`pi_times` gives
-``k * pi`` with that cushion.  The iterated-integral engine needs no
-cushion: its bound, rounding included, is proved below.  Each engine is
-exercised against independent references in the test suite.  Internally
-all work is done in ``mpmath`` at the requested precision plus
-:data:`GUARD_DIGITS` decimal guard digits; identical inputs produce
-bit-identical outputs.
+Every engine sums in Python-integer fixed point at the binary precision of
+``prec`` plus :data:`GUARD_DIGITS` decimal digits: the Euler-Maclaurin body
+:func:`_em_power_sum`, the Chebyshev dot product :func:`_cvz` and the
+iterated integrals.  Identical inputs produce bit-identical outputs.  The
+declared bound is the truncation bound plus a rounding cushion, not an
+interval enclosure.  The rounding cushion is :func:`_round_cushion`, a
+heuristic, here and in the layers above it, and :func:`pi_times` gives ``k
+* pi`` with that cushion.  The iterated-integral engine needs no cushion:
+its bound, rounding included, is proved below.  Each engine is exercised
+against independent references in the test suite.
 
 Iterated integrals at 1/2
 -------------------------
@@ -339,30 +341,35 @@ def pi_times(k: int, prec: int) -> BigReal:
 
 
 @lru_cache(maxsize=None)
-def _cvz_weights(n: int, wd: int) -> tuple[tuple[mpf, ...], mpf]:
-    # Chebyshev weights c_0..c_(n-1) and normaliser d at ``wd`` digits; they
-    # depend on neither the series nor its terms.  The estimate converges
-    # like (3 + sqrt(8))^-n for totally monotone magnitudes.
-    with mpmath.workdps(wd):
-        d = (3 + 2 * mpmath.sqrt(2)) ** n
-        d = (d + 1 / d) / 2
-        b = mpf(-1)
-        c = -d
-        weights = []
-        for k in range(n):
-            c = b - c
-            weights.append(c)
-            b = b * ((k + n) * (k - n)) / (mpf(2 * k + 1) / 2 * (k + 1))
-        return tuple(weights), d
+def _cvz_weights(n: int) -> tuple[tuple[int, ...], int]:
+    # Chebyshev weights c_0..c_(n-1) and normaliser d = ((3 + sqrt 8)^n +
+    # (3 - sqrt 8)^n) / 2, all integers: d by the Pell recurrence, and every
+    # division of the b_k recurrence is exact.  |c_k| <= d, and the c_k
+    # alternate in sign like the terms they weigh.
+    d, d_next = 1, 3
+    for _ in range(n):
+        d, d_next = d_next, 6 * d_next - d
+    b, c = -1, -d
+    weights = []
+    for k in range(n):
+        c = b - c
+        weights.append(c)
+        b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+    return tuple(weights), d
 
 
-def _cvz(mags: Sequence[mpf], n: int, wd: int) -> mpf:
-    # Chebyshev-weighted estimate of sum((-1)^k * mags[k]).
-    weights, d = _cvz_weights(n, wd)
-    s = mpf(0)
-    for c, m in zip(weights, mags):
-        s += c * m
-    return s / d
+def _fixed(x: mpf, bits: int) -> int:
+    """``floor(|x| * 2**bits)`` for a finite mpf ``x``."""
+    _, man, exp, _ = x._mpf_
+    return man << (exp + bits) if exp + bits >= 0 else man >> -(exp + bits)
+
+
+def _cvz(terms: Sequence[mpf], n: int) -> mpf:
+    # Chebyshev estimate of sum((-1)^k |terms[k]|) at the ambient precision:
+    # one integer dot product over the floored |terms[k]|, one division.
+    weights, d = _cvz_weights(n)
+    bits = mpmath.mp.prec
+    return mpf((sum(c * _fixed(a, bits) for c, a in zip(weights, terms)) // d, -bits))
 
 
 def alt_terms_needed(prec: int) -> int:
@@ -407,11 +414,11 @@ def accel_alt_terms(terms: Sequence[mpf], prec: int,
     ``c_k`` and normaliser ``d``.  Series whose terms become identically
     zero are summed directly (a finite sum is its own best acceleration).
 
-    Cost: one dot product of ``n = ceil((wd - 1 + log10 2) / log10(3 +
-    sqrt(8)))`` mpf multiplications, ``wd = working_dps(prec)``, plus one
-    more for the input uncertainty.  The weights depend only on ``(n,
-    wd)`` and are cached under that key: at most 100 entries, about 2 MB
-    once every ``prec`` from 1 to 100 has been used.
+    Cost: ``n = ceil((wd - 1 + log10 2) / log10(3 + sqrt(8)))`` terms, ``wd
+    = working_dps(prec)``, floored to integers at the binary precision of
+    ``wd``, one integer dot product and one division, plus an mpf sum for
+    the input uncertainty.  The integer weights depend only on ``n`` and are
+    cached under it: at most 100 entries, about 0.5 MB for all ``prec``.
 
     Raises :class:`PrecisionNotMet` when the bound cannot be certified.
     """
@@ -421,6 +428,8 @@ def accel_alt_terms(terms: Sequence[mpf], prec: int,
     if len(terms) != n or (bounds is not None and len(bounds) != n):
         raise DomainError(f"accel_alt_terms at prec {prec} takes exactly {n} terms and bounds")
     with mpmath.workdps(wd):
+        if not all(mpmath.isfinite(t) for t in terms):
+            raise DomainError("series terms must be finite")
         # Finite series short-circuit: two consecutive zero terms are read
         # as "the tail is identically zero".
         for j in range(len(terms) - 1):
@@ -435,11 +444,11 @@ def accel_alt_terms(terms: Sequence[mpf], prec: int,
         for j in range(min(10, n) - 1):
             if terms[j] * terms[j + 1] > 0:
                 raise DomainError("series terms do not alternate in sign")
-        weights, d = _cvz_weights(n, wd)
-        s = sign * _cvz([abs(t) for t in terms], n, wd)
+        s = sign * _cvz(terms, n)
         first = abs(terms[0]) if bounds is None else abs(terms[0]) + bounds[0]
         err = 2 * first / (3 + mpmath.sqrt(8)) ** n + _round_cushion(s, wd) * n
         if bounds is not None:
+            weights, d = _cvz_weights(n)
             err += mpmath.fsum(abs(c) * b for c, b in zip(weights, bounds)) / d
         return BigReal(s, err, prec).demand("accel_alt_sum")
 
@@ -450,43 +459,34 @@ def accel_alt_terms(terms: Sequence[mpf], prec: int,
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_ratio(j: int, wd: int) -> mpf:
-    """``B_2j / (2j)!`` rounded at ``wd`` digits."""
-    with mpmath.workdps(wd):
-        return as_mpf(_bernoulli_ratio_exact(j))
-
-
-@lru_cache(maxsize=None)
 def _bernoulli_ratio_exact(j: int) -> Fraction:
     """``B_2j / (2j)!`` as an exact fraction."""
     return bernoulli(2 * j) / math.factorial(2 * j)
 
 
 def em_sum(s: ScalarLike, n_split: int, bernoulli_terms: int, prec: int) -> BigReal:
-    """Euler-Maclaurin sum of ``k**-s`` for real ``s >= 1``.
+    """Euler-Maclaurin sum of ``k**-s`` for rational ``s >= 1``.
 
-    ``s`` is converted at the working precision and every term
-    ``mpf(k) ** -s`` is computed here, so no caller can pair a bound with a
-    series it does not describe.  With ``f(k) = k**-s`` this computes the
-    partial sum to ``n = n_split``, the integral tail and ``J =
-    bernoulli_terms`` Bernoulli corrections::
+    ``s`` is the exact rational it denotes (:func:`as_fraction`), and the
+    rows ``floor(2**bits * k**-s)``, within 2 units at the binary precision
+    ``bits`` of ``wd = working_dps(prec)``, are computed here from ``mpf(k)
+    ** -s``; so no caller can pair a bound with a series it does not
+    describe.  With ``f(k) = k**-s`` this sums, in the integer fixed point
+    of :func:`_em_power_sum`, the body :func:`zeta_values` runs on::
 
         sum(f(k), k=1..n) + I(n) - f(n)/2
             + sum(B_2j/(2j)! * poch(s, 2j-1) * n**(1-s-2j), j=1..J)
 
-    where ``I(n)`` is ``n**(1-s)/(s-1)`` for ``s > 1`` and ``-log(n)`` for
-    ``s == 1`` (the regularized companion, whose limit is the constant the
-    ``s == 1`` series defines).  The declared bound is the magnitude of the
-    first omitted Bernoulli term plus rounding.
+    with ``n = n_split``, ``J = bernoulli_terms`` and ``I(n)`` the integral
+    tail ``n**(1-s)/(s-1)``, or ``-log(n)`` at ``s == 1`` (the regularized
+    companion, whose limit is the constant the ``s == 1`` series defines).
+    The declared bound is the first omitted Bernoulli term, one unit more
+    for its floor, plus the rounding cushion once per row and per term.
 
-    Cost: ``n_split`` term evaluations plus O(J) mpf operations for the
-    ``J = bernoulli_terms`` corrections: one running Pochhammer product
-    gains two factors per term, and the first omitted term extends it once
-    more.  The ratios ``B_2j/(2j)!`` depend only on ``(j, wd)``, with
-    ``wd = working_dps(prec)``, and are cached under that key.  With the
-    plans of :func:`em_sum_certified` (``J <= 50``) the cache holds at most
-    51 entries per ``wd``, 5100 in all and about 1.7 MB; a caller passing a
-    larger ``bernoulli_terms`` adds its own ``j``.
+    Cost: ``n_split`` mpf powers, then integer sums and ``J + 1`` Bernoulli
+    terms of a few exact integer products each.  Only the exact
+    ``B_2j/(2j)!`` are cached, per ``j``: at most 51 entries with the plans
+    of :func:`em_sum_certified` (``J <= 50``).
 
     Raises :class:`PrecisionNotMet` when that bound exceeds ``10**-prec``.
     """
@@ -495,39 +495,28 @@ def em_sum(s: ScalarLike, n_split: int, bernoulli_terms: int, prec: int) -> BigR
         raise DomainError(f"n_split must be a positive integer, got {n_split!r}")
     if not isinstance(bernoulli_terms, int) or bernoulli_terms < 0:
         raise DomainError(f"bernoulli_terms must be >= 0, got {bernoulli_terms!r}")
-
+    s = as_fraction(s)
+    if s < 1:
+        raise DomainError("em_sum needs s >= 1; a smaller s does not define a convergent tail")
     wd = working_dps(prec)
     with mpmath.workdps(wd):
-        s = as_mpf(s)
-        if s < 1:
-            raise DomainError("em_sum needs s >= 1; a smaller s does not define a convergent tail")
-        n = mpf(n_split)
-        partial = mpmath.fsum(mpf(k) ** (-s) for k in range(1, n_split + 1))
-        if s == 1:
-            integral = -mpmath.log(n)
-        else:
-            integral = n ** (1 - s) / (s - 1)
-        value = partial + integral - n ** (-s) / 2
-        # poch is s(s+1)...(s+2j-2).  Each step multiplies in its two new
-        # factors one at a time, each factor being s plus an integer rounded
-        # once, so every rounding is that of building the product afresh.
-        poch = s
-        for j in range(1, bernoulli_terms + 1):
-            value += _bernoulli_ratio(j, wd) * poch * n ** (1 - s - 2 * j)
-            poch = poch * (s + (2 * j - 1)) * (s + 2 * j)
-        jn = bernoulli_terms + 1
-        first_omitted = abs(_bernoulli_ratio(jn, wd) * poch * n ** (1 - s - 2 * jn))
-        err = first_omitted + _round_cushion(value, wd) * (n_split + bernoulli_terms)
-        return BigReal(value, err, prec).demand(
-            f"em_sum at split {n_split} with {bernoulli_terms} Bernoulli terms")
+        bits = mpmath.mp.prec
+        with mpmath.workprec(bits + 4):
+            sv = as_mpf(s)
+            rows = [_fixed(mpf(k) ** -sv, bits) for k in range(1, n_split + 1)]
+        value, err = _em_power_sum(s, rows, bernoulli_terms, bits, wd)
+    return BigReal(value, err, prec).demand(
+        f"em_sum at split {n_split} with {bernoulli_terms} Bernoulli terms")
 
 
 # |B_2m|/(2m)! = 2 zeta(2m) / (2 pi)^(2m) <= (pi^2/3) / (2 pi)^(2m) for m >= 1.
 _LOG10_BERNOULLI_RATIO_BOUND = math.log10(math.pi ** 2 / 3)
 _LOG10_2PI = math.log10(2 * math.pi)
 
-# Cost of one Bernoulli term in partial-sum terms (measured): in zeta_values
-# against one integer division, in em_sum against one mpf power.
+# Cost of one Bernoulli term in partial-sum terms: in zeta_values against one
+# integer division (measured).  em_sum's 3 was measured against the mpf power
+# of its rows when it summed in mpf; it is kept so that its plans, and so its
+# bounds, stay comparable.
 _BERNOULLI_TERM_COST = 6
 _EM_BERNOULLI_TERM_COST = 3
 
@@ -594,8 +583,7 @@ def em_sum_certified(s: ScalarLike, prec: int) -> BigReal:
     :class:`PrecisionNotMet`, and nothing is retried.
     """
     wd = working_dps(check_prec(prec))
-    with mpmath.workdps(wd):
-        s = as_mpf(s)
+    s = as_fraction(s)
     return em_sum(s, *_em_plan(s, wd - 1, _EM_BERNOULLI_TERM_COST), prec)
 
 
@@ -620,26 +608,34 @@ def _zeta_plan(top: int, wd: int) -> tuple[tuple[int, int], ...]:
     return tuple(reversed(plan))
 
 
-def _em_power_sum(s: int, rows: Sequence[int], terms: int, bits: int, wd: int) -> tuple[mpf, mpf]:
-    # em_sum for k**-s, split at n = len(rows), in fixed point with ``bits``
-    # fraction bits: rows[k-1] is 2**bits * k**-s, at most 2 units low.
-    # Every division below rounds down once, so the integer total is off by
-    # a few units per row and per term, where the rounding cushion allows
-    # about 10**3 units per row and per term.
+def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int, bits: int,
+                  wd: int) -> tuple[mpf, mpf]:
+    # The Euler-Maclaurin body of em_sum and zeta_values: sum(k**-s), s = p/q
+    # >= 1, split at n = len(rows), in fixed point with ``bits`` fraction
+    # bits; rows[k-1] is 2**bits * k**-s within 2 units.  Every division and
+    # the -log n of s = 1 round down once, so the integer total is off by a
+    # few units per row and per term, where the rounding cushion allows about
+    # 10**3 units per row and per term.  For an integer s, q = 1.
     n = len(rows)
-    tail = rows[-1] * n  # n**(1-s)
-    total = sum(rows) + tail // (s - 1) - rows[-1] // 2
-    poch = s  # s(s+1)...(s+2j-2)
-    npow = 1  # n**(2j)
+    p, q = s.as_integer_ratio()
+    tail = rows[-1] * n * q  # q n**(1-s)
+    if p == q:
+        with mpmath.workprec(bits + 16):
+            integral = int(mpmath.floor(-mpmath.ldexp(mpmath.log(n), bits)))
+    else:
+        integral = tail // (p - q)
+    total = sum(rows) + integral - rows[-1] // 2
+    poch = p  # q**(2j-1) s(s+1)...(s+2j-2), exact
+    npow = 1  # (q n)**(2j)
     for j in range(1, terms + 2):
-        npow *= n * n
+        npow *= (q * n) ** 2
         ratio = _bernoulli_ratio_exact(j)
         correction = tail * poch * ratio.numerator // (ratio.denominator * npow)
         if j > terms:
             first_omitted = mpf((abs(correction) + 1, -bits))
             break
         total += correction
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
+        poch *= (p + (2 * j - 1) * q) * (p + 2 * j * q)
     value = mpf((total, -bits))
     return value, first_omitted + _round_cushion(value, wd) * (n + terms)
 
@@ -648,14 +644,13 @@ def zeta_values(top: int, wd: int) -> list[tuple[mpf, mpf]]:
     """``(zeta(s), bound)`` for ``s = 2..top``, computed at ``wd`` digits.
 
     Every bound is at most ``10**-(wd - GUARD_DIGITS)``.  Each ``zeta(s)``
-    is Euler-Maclaurin summation as in :func:`em_sum`, and its bound is the
-    same: the first omitted Bernoulli term plus the rounding cushion.
+    runs on :func:`em_sum`'s body, :func:`_em_power_sum`, with its bound.
     ``wd`` is a working precision, not a ``prec``, and has no upper cap.
 
     Shared work: one fixed-point table of ``1/m`` with as many fraction
     bits as ``wd`` digits carry, and each ``m**-s`` is ``m**-(s-1)``
-    divided by ``m``, one small integer division that keeps every row
-    within 2 units of the true power.  A row is dropped once no larger
+    floor-divided by ``m``, which is the floor of the true power and so
+    within 2 units of it.  A row is dropped once no larger
     ``s`` splits beyond it.  The split and the number of Bernoulli terms
     for each ``s`` come a priori from a closed-form estimate of the first
     omitted term (:func:`_zeta_plan`); large ``s`` needs no Bernoulli term

@@ -11,7 +11,8 @@ also records stdout and the exit code of a fixed set of CLI commands, in
 plain and ``--json`` mode.  ``test_bits.py`` recomputes every cell and
 compares the file byte for byte.  A change that alters bits on purpose
 reruns this script and commits the rewrite; the diff of the file is the
-list of changed cells.
+list of changed cells.  The file was made with mpmath 1.3.0, the version
+the CI installs; mpmath's elementary functions set the bits of most cells.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from pathlib import Path
 from euler_periods import eulerfun, g2, symbolic
 from euler_periods.cli import dispatch
 from euler_periods.mzv import multiphi, mzv, mzv_bruteforce, p35_combination, stuffle_residual
+from euler_periods.numkernel import zeta_values
 
 BITS = Path(__file__).resolve().parent / "data" / "bits.json"
 PRECS = (1, 2, 5, 15, 30, 50, 70, 100)
@@ -63,6 +65,8 @@ PERIOD_EXPRS = [
     "Li_m(2; 3/4)*zeta_m(3) - Li_m(4; 1)",
 ]
 MODES = ("EXACT_BRACKET", "AS_PRINTED", "REGISTRY")
+#: ``(top, wd)`` of the ``zeta_values`` batches pinned whole, one cell each.
+ZETA_BATCHES = [(33, 27), (79, 66), (144, 116)]
 
 
 def _cells():
@@ -116,12 +120,16 @@ def _commands():
     ]
 
 
+def _pair(value, err) -> list:
+    return [[int(v) for v in value._mpf_], [int(v) for v in err._mpf_]]
+
+
 def _bits(call, prec: int):
     try:
         x = call(prec)
     except Exception as exc:  # the cell records what was raised
         return {"raises": [type(exc).__name__, str(exc)]}
-    return [[int(v) for v in x.value._mpf_], [int(v) for v in x.err._mpf_]]
+    return _pair(x.value, x.err)
 
 
 def _cli(argv: list[str]) -> dict:
@@ -133,6 +141,8 @@ def _cli(argv: list[str]) -> dict:
 
 def build() -> dict:
     values = {f"{key} @{p}": _bits(call, p) for key, call in _cells() for p in PRECS}
+    for top, wd in ZETA_BATCHES:
+        values[f"zeta_values({top}, {wd})"] = [_pair(*z) for z in zeta_values(top, wd)]
     cli = {}
     for argv in _commands():
         for p in CLI_PRECS:

@@ -401,6 +401,12 @@ def test_identity_tolerance_pass_keeps_zero(capsys):
     assert "pass" in out
 
 
+def test_dilog_reflection_past_the_term_cap_exits_two(capsys):
+    code, _, err = run(capsys, "identity-check", "dilog-reflection", "--x", "1/1000000")
+    assert code == 2
+    assert "past the cap" in err
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

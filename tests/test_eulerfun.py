@@ -323,6 +323,24 @@ def test_dilog_reflection_domain(x):
         identity_residual(IdentityKind.DILOG_REFLECTION, {"x": x}, 15)
 
 
+@pytest.mark.parametrize("x,prec", [(Fraction(1, 1000), 15), (Fraction(1, 100), 100),
+                                    (Fraction(99, 100), 100)], ids=str)
+def test_dilog_reflection_near_the_ends_plans_its_terms(x, prec):
+    # Tens of thousands of terms of Li_2(1 - x), planned from |z| and prec.
+    r = identity_residual(IdentityKind.DILOG_REFLECTION, {"x": x}, prec)
+    assert r.certified() and r.value <= r.err
+
+
+@pytest.mark.parametrize("x,message", [
+    (Fraction(1, 10 ** 6), r"needs 32199997 terms, past the cap 100000"),
+    # 1 - x rounds to 1 at the working precision.
+    (Fraction(1, 10 ** 30), r"needs unboundedly many terms"),
+], ids=["1e-6", "1e-30"])
+def test_dilog_reflection_past_the_term_cap_is_too_large(x, message):
+    with pytest.raises(TooLarge, match=message):
+        identity_residual(IdentityKind.DILOG_REFLECTION, {"x": x}, 15)
+
+
 def test_cotangent_residual_shrinks_with_terms():
     r_few = identity_residual(IdentityKind.COTANGENT, {"x": "1.0", "terms": 5}, 15)
     r_many = identity_residual(IdentityKind.COTANGENT, {"x": "1.0", "terms": 30}, 15)

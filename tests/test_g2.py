@@ -357,6 +357,35 @@ def test_g_factor_relation():
     assert direct.value == 3
 
 
+@pytest.mark.parametrize("a_e", [True, "abc", None, object()], ids=["True", "abc", "None", "object"])
+def test_g_factor_rejects_what_assemble_rejects(a_e):
+    with pytest.raises(InputError):
+        g_factor(a_e)
+    with pytest.raises(InputError):
+        assemble(a_e)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: assemble("abc"), "alpha_inv 'abc' is not a decimal number"),
+    (lambda: assemble(None), "alpha_inv must be a number, got None"),
+    (lambda: invert_alpha("abc"), "target_ae 'abc' is not a decimal number"),
+    (lambda: invert_alpha(True), "target_ae must be a number, got True"),
+    (lambda: g_factor("abc"), "a_e 'abc' is not a decimal number"),
+    (lambda: g_factor(None), "a_e must be a number, got None"),
+])
+def test_input_errors_name_the_argument(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_domain_errors_show_the_input():
+    with pytest.raises(DomainError, match=r"^alpha_inv must be positive, got '-137.0'$"):
+        assemble("-137.0")
+    with pytest.raises(DomainError, match=r"^target_ae must lie in \(0, 2e-3\), got 0.0025$"):
+        invert_alpha(0.0025)
+
+
 # ---------------------------------------------------------------------------
 # Inversion
 # ---------------------------------------------------------------------------

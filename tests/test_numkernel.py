@@ -294,6 +294,13 @@ def test_accel_alt_detects_non_alternating_terms():
         accel_alt_sum(lambda k: mpf(1) / k ** 2, 15)
 
 
+@pytest.mark.parametrize("bad", [mpmath.inf, mpmath.nan], ids=str)
+def test_accel_alt_rejects_a_term_that_is_no_number(bad):
+    # The terms are floored to integers, where an inf or nan would vanish.
+    with pytest.raises(DomainError):
+        accel_alt_sum(lambda k: bad if k == 5 else mpf(-1) ** (k - 1) / k, 15)
+
+
 def test_accel_alt_bit_identical_reruns():
     def term(k):
         return mpf(-1) ** (k - 1) / k
@@ -332,6 +339,21 @@ def test_accel_alt_terms_bound_covers_worst_case_input_error():
         assert abs(aware.value - true) <= aware.err
         assert abs(blind.value - true) > blind.err
     assert aware.certified()
+
+
+def test_chebyshev_weights_are_the_exact_recurrence():
+    # d = ((3 + sqrt 8)^n + (3 - sqrt 8)^n) / 2 by the binomial theorem, and
+    # the b_k and c_k of Cohen, Rodriguez Villegas and Zagier in Fractions:
+    # every division exact, every weight the cached integer.
+    for n in sorted({alt_terms_needed(p) for p in range(1, 101)}):
+        weights, d = numkernel._cvz_weights(n)
+        assert d == sum(math.comb(n, k) * 3 ** (n - k) * 8 ** (k // 2) for k in range(0, n + 1, 2))
+        b, c = Fraction(-1), Fraction(-d)
+        for k in range(n):
+            c = b - c
+            assert c == weights[k], (n, k)
+            b = b * (k + n) * (k - n) / (Fraction(2 * k + 1, 2) * (k + 1))
+            assert b.denominator == 1, (n, k)
 
 
 @pytest.mark.parametrize("cut,bounds", [(1, None), (0, []), (0, [mpf(0)])])
@@ -410,6 +432,14 @@ def test_em_sum_regularized_harmonic_gives_eulers_constant():
         assert abs(x.value - mpmath.euler) <= mpf(10) ** (-prec)
 
 
+@pytest.mark.parametrize("s", [float("inf"), float("nan"), mpmath.inf, "abc", None], ids=repr)
+def test_zeta_and_em_sum_reject_an_exponent_that_is_no_number(s):
+    with pytest.raises(DomainError):
+        zeta(s, 15)
+    with pytest.raises(DomainError):
+        em_sum(s, 10, 2, 15)
+
+
 def test_em_sum_rejects_divergent_tail():
     with pytest.raises(DomainError):
         em_sum("0.5", 20, 4, 15)
@@ -455,22 +485,28 @@ def em_sum_reference(s, n_split: int, bernoulli_terms: int, prec: int) -> tuple[
         return value, err
 
 
+def assert_agrees_with_textbook_tail(s, n_split: int, terms: int, prec: int) -> None:
+    # Both routes certify, agree within the sum of their bounds, and the
+    # fixed-point one covers mpmath at 130 digits.
+    value, err = em_sum_reference(s, n_split, terms, prec)
+    x = em_sum(s, n_split, terms, prec)
+    assert err <= mpf(10) ** -prec and x.certified()
+    with mpmath.workdps(130):
+        assert abs(x.value - value) <= x.err + err
+        q = Fraction(s)
+        true = mpmath.euler if q == 1 else mpmath.zeta(mpf(q.numerator) / q.denominator)
+        assert abs(x.value - true) <= x.err
+
+
 @pytest.mark.parametrize("prec", [1, 15, 50, 100])
 @pytest.mark.parametrize("s", [1, 2, Fraction(5, 2), Fraction(7, 3), 3, 40, 163], ids=str)
-def test_em_sum_bits_match_textbook_tail(s, prec):
-    n_split, terms = planned(s, prec)
-    value, err = em_sum_reference(s, n_split, terms, prec)
-    assert err <= mpf(10) ** -prec
-    x = em_sum(s, n_split, terms, prec)
-    assert x.value._mpf_ == value._mpf_
-    assert x.err._mpf_ == err._mpf_
+def test_em_sum_agrees_with_textbook_tail(s, prec):
+    assert_agrees_with_textbook_tail(s, *planned(s, prec), prec)
 
 
 @pytest.mark.parametrize("terms", [0, 1, 2])
-def test_em_sum_bits_match_textbook_tail_with_few_terms(terms):
-    x = em_sum(40, 20, terms, 15)
-    value, err = em_sum_reference(40, 20, terms, 15)
-    assert (x.value._mpf_, x.err._mpf_) == (value._mpf_, err._mpf_)
+def test_em_sum_agrees_with_textbook_tail_with_few_terms(terms):
+    assert_agrees_with_textbook_tail(40, 20, terms, 15)
 
 
 @pytest.mark.parametrize("prec", [1, 15, 100])
@@ -492,7 +528,7 @@ def test_pi_times_covers_k_pi(k, prec):
 
 
 # ---------------------------------------------------------------------------
-# Caches keyed on working precision
+# Caches hold exact integers and fractions, which no precision can change
 # ---------------------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -510,11 +546,11 @@ def bits_in_fresh_interpreter(calls: list[str]) -> str:
 
 
 @pytest.mark.parametrize("warm,call", [
-    # Each precision has its own Chebyshev weights and Bernoulli ratios.
+    # The Chebyshev weights are cached per term count, 40 and 32 here.
     ("phi(Fraction(5, 2), 21)", "phi(Fraction(5, 2), 15)"),
     ("gamma_const(21, 'ZETA_SERIES')", "gamma_const(15, 'ZETA_SERIES')"),
     ("gamma_const(50, 'ZETA_SERIES')", "gamma_const(100, 'ZETA_SERIES')"),
-    # Both precisions use the Bernoulli ratios for j = 1..6.
+    # Both precisions use the exact B_2j/(2j)! for j = 1..6.
     ("zeta(Fraction(7, 3), 15)", "zeta(Fraction(7, 3), 21)"),
 ])
 def test_cached_weights_do_not_leak_across_precisions(warm, call):
