@@ -61,10 +61,15 @@ class RunConfig:
 
 
 def _certified_line(x: BigReal) -> tuple[list[str], dict]:
-    """Render a fully certified value as ``value ± 1e-prec``."""
+    """Render a fully certified value as ``value ± 1e-prec``.
+
+    A value whose bound admits 0, and puts it within ``1e-prec`` of 0,
+    prints as 0: its digits are rounding noise.
+    """
     x.demand()
     with mpmath.workdps(working_dps(x.prec)):
-        value = mpmath.nstr(x.value, x.prec)
+        zero = abs(x.value) <= x.err and abs(x.value) + x.err <= mpmath.mpf(10) ** -x.prec
+        value = mpmath.nstr(0 if zero else x.value, x.prec)
     bound = f"1e-{x.prec}"
     return [f"{value} ± {bound}"], {"value": value, "bound": bound}
 
@@ -368,11 +373,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("bernoulli", "Exact Bernoulli number B_n (B_1 = -1/2).")
     p.add_argument("n", type=int, help="index n >= 0")
 
-    p = add("mzv", "Multiple zeta value zeta(n1, ..., nd), depth <= 3.")
+    p = add("mzv", "Multiple zeta value zeta(n1, ..., nd): sum k1^-n1 ... kd^-nd over 0 < k1 < ... < kd.")
     p.add_argument("parts", type=int, nargs="+", help="index parts, last must be >= 2")
 
-    p = add("multiphi", "Alternating double sum phi(m, n) = sum (-1)^(k+l) k^-m l^-n over 0 < k < l.")
-    p.add_argument("parts", type=int, nargs="+", help="the two index parts m n, each >= 1")
+    p = add("multiphi", "Alternating sum of (-1)^(k1+...+kd) k1^-n1 ... kd^-nd over 0 < k1 < ... < kd.")
+    p.add_argument("parts", type=int, nargs="+", help="index parts n1 ... nd, each >= 1")
     p.add_argument("--cutoff", type=int, default=None, metavar="N",
                    help="series terms on each side of the split at 1/2, in place of the "
                         "planned count (4 to 1000)")

@@ -75,12 +75,14 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
 
     Related to zeta by ``phi(s) = (1 - 2**(1-s)) * zeta(s)`` for ``s > 1``
     and continues it below: ``phi(1) = log 2``.  Evaluated by accelerated
-    alternating summation.
+    alternating summation.  ``s`` must be a finite rational, as for
+    :func:`zeta`.
     """
     check_prec(prec)
+    q = as_fraction(s)
     wd = working_dps(prec)
     with mpmath.workdps(wd):
-        sv = as_mpf(s)
+        sv = as_mpf(q)
         if not sv > 0:
             raise DomainError(f"phi requires s > 0, got s = {mpmath.nstr(sv, 8)}")
         return accel_alt_sum(lambda k: mpf(-1) ** (k - 1) * mpf(k) ** (-sv), prec)

@@ -1,9 +1,10 @@
-"""Multiple zeta values and alternating double series, as iterated integrals.
+"""Multiple zeta values and alternating sums of any depth, as iterated integrals.
 
 ``mzv`` and ``multiphi`` are words over the letters ``{0, 1, -1}`` of the
 iterated-integral engine of :mod:`.numkernel`, whose bound is proved in
-that module's docstring.  :func:`mzv_bruteforce` is an independent oracle:
-a truncated nested sum with an elementary integral tail bound.
+that module's docstring; the index to word map is the one place depth
+enters.  :func:`mzv_bruteforce` is an independent oracle: a truncated
+nested sum with an elementary integral tail bound.
 """
 
 from __future__ import annotations
@@ -19,22 +20,23 @@ from .errors import DivergentIndex, DomainError, TooLarge
 from .eulerfun import zeta
 from .numkernel import MAX_PREC, BigReal, check_prec, working_dps, _at_one, _round_cushion, _word
 
-#: Maximum supported depth of an index.
-DEPTH_CAP = 3
-
 #: Maximum explicit ``multiphi`` cutoff: ``2**-1000`` is far below any
 #: ``10**-prec`` the interface accepts.
 CUTOFF_CAP = 1000
 
-def _check_index(idx: Sequence[int]) -> tuple[int, ...]:
+
+def _parts(idx: Sequence[int]) -> tuple[int, ...]:
     idx = tuple(idx)
     if not idx:
         raise DomainError("empty index")
     for n in idx:
         if not isinstance(n, int) or n < 1:
             raise DomainError(f"index parts must be integers >= 1, got {idx!r}")
-    if len(idx) > DEPTH_CAP:
-        raise TooLarge(f"depth {len(idx)} exceeds the supported cap {DEPTH_CAP}")
+    return idx
+
+
+def _admissible(idx: Sequence[int]) -> tuple[int, ...]:
+    idx = _parts(idx)
     if idx[-1] < 2:
         raise DivergentIndex(
             f"index {idx!r} has last part 1; the nested sum diverges")
@@ -42,16 +44,16 @@ def _check_index(idx: Sequence[int]) -> tuple[int, ...]:
 
 
 def mzv(idx: Sequence[int], prec: int) -> BigReal:
-    """Multiple zeta value for an admissible index of depth <= 3.
+    """Multiple zeta value for an admissible index of any depth.
 
     The index is written inner-first: ``(n_1, ..., n_d)`` weights the
     smallest summation variable by ``n_1`` and the largest by ``n_d``, and
     admissibility means ``n_d >= 2``.  Inadmissible indices raise
-    :class:`DivergentIndex`.  Every depth, 1 included, is one engine call on
-    the word ``0**(n_d-1) 1 ... 0**(n_1-1) 1``.  A weight above
+    :class:`DivergentIndex`.  Every depth is one engine call on the word
+    ``0**(n_d-1) 1 ... 0**(n_1-1) 1``.  A weight above
     ``numkernel.WEIGHT_CAP`` raises :class:`TooLarge`.
     """
-    idx = _check_index(idx)
+    idx = _admissible(idx)
     check_prec(prec)
     return _at_one(_word(idx[::-1], [1] * len(idx)), prec).demand("mzv")
 
@@ -60,46 +62,30 @@ def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
     """Truncated nested sum with an explicit elementary tail bound.
 
     Independent oracle for :func:`mzv`: the nested sum is accumulated
-    directly up to ``cutoff`` and the discarded tail is bounded by integral
-    comparison, using ``zeta(s) <= 1 + 1/(s-1)`` for inner partial sums
-    (or ``1 + log m`` for parts equal to 1).  The returned ``err`` is that
-    bound plus rounding, so the value is certified without reference to any
-    expansion used by :func:`mzv`.
+    directly up to ``cutoff`` as running sums ``S_j(m)`` of the innermost
+    ``j`` parts, and the discarded tail is bounded by integral comparison,
+    with each inner partial sum capped by ``zeta(s) <= 1 + 1/(s-1)`` (or
+    ``1 + log m`` for parts equal to 1); a nested sum of positive terms is
+    at most the product of its unnested partial sums.  The returned ``err``
+    is that bound plus rounding, so the value is certified without
+    reference to any expansion used by :func:`mzv`.  The weight cap of
+    :func:`mzv` applies.
     """
-    idx = _check_index(idx)
-    check_prec(prec)
-    if not isinstance(cutoff, int) or cutoff < len(idx) + 1:
-        raise DomainError(f"cutoff must be an integer > depth, got {cutoff!r}")
+    idx = _admissible(idx)
     d = len(idx)
+    _word(idx, [1] * d)  # raises TooLarge past numkernel.WEIGHT_CAP
+    check_prec(prec)
+    if not isinstance(cutoff, int) or cutoff <= d:
+        raise DomainError(f"cutoff must be an integer > depth, got {cutoff!r}")
     wd = working_dps(prec)
     with mpmath.workdps(wd):
-        if d == 1:
-            s = idx[0]
-            total = mpmath.fsum(mpf(k) ** (-s) for k in range(1, cutoff + 1))
-            tail = mpf(cutoff) ** (1 - s) / (s - 1)
-        elif d == 2:
-            a, b = idx
-            h = mpf(0)
-            total = mpf(0)
-            for l in range(2, cutoff + 1):
-                h += mpf(l - 1) ** (-a)
-                total += mpf(l) ** (-b) * h
-            tail = _log_poly_tail(cutoff, b, 1 if a == 1 else 0) * _inner_cap([a])
-        else:
-            a, b, c = idx
-            # Invariant entering iteration m: h = H_a(m-1), z2 = Z2(a,b; m-1)
-            # where Z2(a,b; M) = sum(k**-a l**-b, 0 < k < l <= M).
-            h = mpf(1)
-            z2 = mpf(0)
-            total = mpf(0)
-            for m in range(2, cutoff + 1):
-                total += mpf(m) ** (-c) * z2
-                z2 += mpf(m) ** (-b) * h
-                h += mpf(m) ** (-a)
-            r = (1 if a == 1 else 0) + (1 if b == 1 else 0)
-            tail = _log_poly_tail(cutoff, c, r) * _inner_cap([a, b])
-        err = tail + _round_cushion(total, wd) * cutoff
-        return BigReal(total, err, prec)
+        s = [mpf(1)] + [mpf(0)] * d
+        for m in range(1, cutoff + 1):
+            for j in range(d, 0, -1):
+                s[j] += mpf(m) ** -idx[j - 1] * s[j - 1]
+        tail = _log_poly_tail(cutoff, idx[-1], idx[:-1].count(1)) * _inner_cap(idx[:-1])
+        err = tail + _round_cushion(s[d], wd) * cutoff
+        return BigReal(s[d], err, prec)
 
 
 def _inner_cap(parts: Sequence[int]) -> mpf:
@@ -116,10 +102,14 @@ def _log_poly_tail(cutoff: int, q: int, r: int) -> mpf:
 
     Uses ``int x**-q (log x)**j dx = j!/(q-1)**(j+1) * x**(1-q) *
     sum(((q-1) log x)**i / i!, i <= j)`` evaluated at the cutoff; ``r`` is
-    the number of inner parts equal to 1 (0, 1 or 2).
+    the number of inner parts equal to 1 and ``q >= 2``.  For ``r <= 2``
+    the summand decreases for ``x >= 1``, so the integral bounds the sum.
+    For ``r >= 3`` it may first rise, up to ``x = e**(r/q - 1)``; the sum
+    then exceeds the integral by at most its largest term, which is at most
+    ``e`` times the integral.  :func:`mzv_bruteforce` stays covered,
+    because ``(1 + log l)**r`` overstates the nested sum of its ``r`` parts
+    equal to 1 by ``r! >= 6 > 1 + e``.
     """
-    if q < 2:
-        raise DomainError("tail bound requires outer part >= 2")
     k = mpf(cutoff)
     lk = mpmath.log(k)
     total = mpf(0)
@@ -131,16 +121,19 @@ def _log_poly_tail(cutoff: int, q: int, r: int) -> mpf:
 
 
 # ---------------------------------------------------------------------------
-# Alternating double series
+# Alternating sums
 # ---------------------------------------------------------------------------
 
 
 def multiphi(idx: Sequence[int], prec: int, cutoff: int | None = None) -> BigReal:
-    """Alternating double series ``sum((-1)**(k+l) k**-m l**-n, 0 < k < l)``.
+    """All-alternating sum ``sum(prod((-1)**k_i k_i**-n_i), 0 < k_1 < ... < k_d)``.
 
-    The series is ``I_1`` of the word ``0**(n-1) -1 0**(m-1) 1``, evaluated
-    by the same engine as :func:`mzv`.  Only depth 2 is taken.  A weight
-    ``m + n`` above ``numkernel.WEIGHT_CAP`` raises :class:`TooLarge`.
+    The index is inner-first, as for :func:`mzv`, and every part ``>= 1``
+    converges.  Depth 2 is ``sum((-1)**(k+l) k**-m l**-n, 0 < k < l)``,
+    and depth 1 is ``-phi(n)``.  The sum is ``I_1`` of the word ``0**(n_d-1)
+    -1 0**(n_(d-1)-1) 1 0**(n_(d-2)-1) -1 ...``, whose letters alternate
+    from -1 outermost, evaluated by the same engine as :func:`mzv`.  A
+    weight above ``numkernel.WEIGHT_CAP`` raises :class:`TooLarge`.
 
     ``cutoff`` sets ``N``, the number of series terms on each side of the
     split, in place of the plan for ``prec``; it must be an integer in ``[4,
@@ -148,20 +141,14 @@ def multiphi(idx: Sequence[int], prec: int, cutoff: int | None = None) -> BigRea
     honest bound even when that bound exceeds ``10**-prec``; without one
     the usual certification applies.
     """
-    idx = tuple(idx)
-    if len(idx) != 2:
-        raise DomainError(f"multiphi takes a depth-2 index, got {idx!r}")
-    m, n = idx
-    for part in (m, n):
-        if not isinstance(part, int) or part < 1:
-            raise DomainError(f"index parts must be integers >= 1, got {idx!r}")
+    idx = _parts(idx)
     check_prec(prec)
     if cutoff is not None:
         if not isinstance(cutoff, int) or cutoff < 4:
             raise DomainError(f"cutoff must be an integer >= 4, got {cutoff!r}")
         if cutoff > CUTOFF_CAP:
             raise TooLarge(f"cutoff {cutoff} exceeds the supported cap {CUTOFF_CAP}")
-    out = _at_one(_word((n, m), (-1, 1)), prec, cutoff)
+    out = _at_one(_word(idx[::-1], (-1, 1) * len(idx)), prec, cutoff)
     return out.demand("multiphi") if cutoff is None else out
 
 

@@ -46,8 +46,8 @@ POLYLOG_ARGS = [
     (4, Q(1, 2)), (5, Q(-39, 40)), (7, Q(1, 40)), (1001, Q(1, 2)),
     (2, Q(3, 2)), (1, 1),
 ]
-MZV_ARGS = [(2,), (3,), (7,), (1, 2), (2, 3), (3, 5), (2, 2, 3), (1, 1, 3)]
-MULTIPHI_ARGS = [(1, 1), (1, 3), (2, 2)]
+MZV_ARGS = [(2,), (3,), (7,), (1, 2), (2, 3), (3, 5), (2, 2, 3), (1, 1, 3), (2, 2, 2, 3), (1, 3, 1, 3)]
+MULTIPHI_ARGS = [(1, 1), (1, 3), (2, 2), (1, 1, 1), (1, 2, 3)]
 IDENTITY_ARGS = [
     ("DILOG_REFLECTION", {"x": Q(1, 2)}),
     ("DILOG_REFLECTION", {"x": Q(1, 3)}),
@@ -109,7 +109,8 @@ def _commands():
         ["polylog", "1", "1/3"], ["polylog", "2", "1/2"], ["polylog", "3", "--", "-3/4"],
         ["polylog", "2", "3/4"], ["polylog", "2", "1"], ["polylog", "3", "3/4"],
         ["polylog", "3", "-3/4"], ["polylog", "1001", "1/2"],
-        ["mzv", "2"], ["mzv", "2", "3"], ["mzv", "2", "2", "3"], ["multiphi", "1", "3"],
+        ["mzv", "2"], ["mzv", "2", "3"], ["mzv", "2", "2", "3"], ["mzv", "2", "2", "2", "3"],
+        ["multiphi", "1", "3"], ["multiphi", "1", "1", "1"],
         ["stuffle-check", "2", "3"],
         ["identity-check", "dilog-reflection", "--x", "1/3"],
         ["identity-check", "cotangent", "--x", "1/2", "--terms", "30"],

@@ -12,10 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import euler_periods
-from euler_periods.cli import dispatch
+from euler_periods.cli import _certified_line, dispatch
+from euler_periods.numkernel import BigReal
+from test_mzv import NEWTON, zagier
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -126,6 +129,30 @@ def test_mzv_output(capsys):
     code, out, _ = run(capsys, "mzv", "3", "5")
     assert code == 0
     assert out == "0.0377076729848475 ± 1e-15\n"
+
+
+@pytest.mark.parametrize("argv,ref", [
+    (("mzv", "2", "2", "2", "3"), zagier(3, 0)),
+    (("multiphi", "1", "1", "1"), NEWTON[3]),
+], ids=["mzv 2 2 2 3", "multiphi 1 1 1"])
+@pytest.mark.parametrize("prec", [1, 15, 100])
+def test_depth_above_two_certifies_and_covers(capsys, argv, ref, prec):
+    code, out, err = run(capsys, *argv, "--prec", str(prec))
+    assert code == 0, err
+    value, bound = out.rstrip().split(" ± ")
+    assert bound == f"1e-{prec}"
+    with mpmath.workdps(130):
+        assert abs(mpmath.mpf(value) - ref) <= mpmath.mpf(10) ** -prec
+
+
+def test_certified_line_prints_zero_only_within_the_bound():
+    mpf = mpmath.mpf
+    # |value| <= err and |value| + err <= 1e-15: 0 is possible and within 1e-15.
+    assert _certified_line(BigReal(mpf("4e-16"), mpf("5e-16"), 15))[0] == ["0 ± 1e-15"]
+    # |value| <= err, but the true value may lie up to 1.8e-15 from 0.
+    assert _certified_line(BigReal(mpf("9e-16"), mpf("9e-16"), 15))[0][0].startswith("9.0e-16 ")
+    # Within 1e-15 of 0, but certainly not 0: the digits are the value's.
+    assert _certified_line(BigReal(mpf("5e-16"), mpf("4e-16"), 15))[0][0].startswith("5.0e-16 ")
 
 
 def test_multiphi_output(capsys):
@@ -353,7 +380,6 @@ def test_exit_one_uncertifiable_cutoff(capsys):
     ("polylog", "2", "7/5"),
     ("polylog", "1001", "1/2"),
     ("mzv", "2", "1"),
-    ("mzv", "2", "2", "2", "2"),
     ("mzv", "2", "100000000"),
     ("multiphi", "1", "1000"),
     ("multiphi", "1", "3", "--cutoff", "1001"),

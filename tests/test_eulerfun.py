@@ -128,7 +128,7 @@ def test_phi_matches_mpmath_altzeta(s):
         assert abs(p.value - mpmath.altzeta(mpf(s))) <= mpf(10) ** (-prec)
 
 
-@pytest.mark.parametrize("s", [0, "-0.5", -3])
+@pytest.mark.parametrize("s", [0, "-0.5", -3, "abc", None, float("inf"), float("nan")])
 def test_phi_needs_positive_s(s):
     with pytest.raises(DomainError):
         phi(s, 15)
