@@ -33,6 +33,7 @@ from .numkernel import (
     working_dps,
     zeta_values,
     _at_one,
+    _planned_bits,
     _round_cushion,
     _word,
 )
@@ -138,11 +139,22 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
     z)`` and ``z = 0`` an exact 0.  Other ``z`` in ``(1/2, 1)`` raise
     :class:`DomainError`, as do ``|z| > 1`` and ``(n, z) = (1, 1)``; a
     weight ``n`` above ``numkernel.WEIGHT_CAP`` raises :class:`TooLarge`.
+
+    A ``z`` in ``[-1, 1/2]`` of more than ``2 T`` bits, ``T`` the engine's
+    planned bit count, is first cut toward 0 to ``T`` fraction bits; there
+    ``|Li_n'| <= 2`` (``1/(1 - z)``, or ``|Li_(n-1)(z)/z| <= 2 log 2``), so
+    the bound grows by ``2 |z - z'| < 2**(1 - T)``.
     """
     check_prec(prec)
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"polylog order must be an integer >= 1, got {n!r}")
     q = as_fraction(z)
+    t = _planned_bits(n, prec)
+    if -1 <= q <= Fraction(1, 2) and max(q.numerator.bit_length(), q.denominator.bit_length()) > 2 * t:
+        cut = (abs(q.numerator) << t) // q.denominator
+        near = polylog(n, Fraction(cut if q > 0 else -cut, 1 << t), prec)
+        with mpmath.workdps(working_dps(prec)):
+            return BigReal(near.value, near.err + mpf(2) ** (1 - t), prec).demand("polylog")
     wd = working_dps(prec)
     with mpmath.workdps(wd):
         zv = as_mpf(q)

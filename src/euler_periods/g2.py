@@ -10,10 +10,10 @@ with their quoted uncertainty components.
 Coefficients ``a_2`` and ``a_3`` can be produced in several modes because
 the published closed forms do not all agree with the published totals:
 the 1957 second-order bracket omits a ``phi(2)`` term that the 1996 print
-restores, and evaluating the 1996 third-order bracket literally gives a
-value near -398 while the totals require a coefficient near 1.181.  The
-default modes follow the totals; the AS_PRINTED modes reproduce the
-historical text so the discrepancies stay observable.
+restores, and the 1996 third-order bracket as printed gives about -397.
+EXACT_BRACKET and AS_PRINTED are motivic expressions sent through the
+period map of :mod:`.symbolic`; the default a3 follows the totals, which
+hold more than the four-order series (see CoeffMode).
 
 Orders above four are not represented by series coefficients here; their
 effect enters only through the quoted uncertainty components of the
@@ -35,8 +35,6 @@ import mpmath
 from mpmath import mpf
 
 from .errors import DomainError, InputError, NoConvergence, SchemaError
-from .eulerfun import phi
-from .mzv import multiphi
 from .numkernel import MAX_PREC, BigReal, check_prec, pi_times, working_dps
 
 MAX_ORDER = 4
@@ -81,14 +79,7 @@ def format_difference(difference: float, uncertainty: float) -> str:
     carry two decimals, so 1.05e-12 with uncertainty 8.2e-13 prints as
     ``-1.05e-12 ± 0.82e-12``.
     """
-    if difference == 0 and uncertainty == 0:
-        exponent = 0
-    elif difference == 0:
-        exponent = _decade(uncertainty)
-    elif uncertainty == 0:
-        exponent = _decade(difference)
-    else:
-        exponent = max(_decade(difference), _decade(uncertainty))
+    exponent = max((_decade(x) for x in (difference, uncertainty) if x != 0), default=0)
     scale = 10.0 ** exponent
     return f"{difference / scale:.2f}e{exponent} ± {uncertainty / scale:.2f}e{exponent}"
 
@@ -184,14 +175,12 @@ def load_registry(path: str | None = None, prec: int = 30) -> list[Measurement]:
     source_eq; labels must be unique.  Violations raise SchemaError.
     """
     check_prec(prec)
-    if path is None:
-        text = (resources.files(__package__) / "data" / "registry.json").read_text("utf-8")
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise SchemaError(f"cannot read registry {path!r}: {exc}") from None
+    path = default_registry_path() if path is None else path
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read registry {path!r}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -235,9 +224,9 @@ class CoeffMode(str, enum.Enum):
     EXACT_BRACKET evaluates the corrected closed form, AS_PRINTED evaluates
     the historical text literally, and REGISTRY (alias CONSISTENT) solves
     for the coefficient from the registry totals.  For ``a_2`` the first
-    two differ by the dropped ``phi(2)`` term; for ``a_3`` no corrected
-    closed form is available, so EXACT_BRACKET falls back to the printed
-    bracket and the consistent value is always registry-derived.
+    two differ by the dropped ``phi(2)`` term.  For ``a_3`` CONSISTENT,
+    1.18164 +- 1.2e-4, exceeds the closed form by about 5e-12 in ``a_e``:
+    the mass-dependent, hadronic, electroweak and fifth-order terms.
     """
 
     EXACT_BRACKET = "EXACT_BRACKET"
@@ -267,6 +256,26 @@ def _alpha_ratio(alpha_inv: BigReal, prec: int) -> BigReal:
     return 1 / (alpha_inv * pi_times(1, prec))
 
 
+#: The closed-form brackets by order and mode: ln 2 = Li_m(1; 1/2), phi(n) = (1 - 2**(1-n)) zeta(n),
+#: pi**2 = 6 zeta(2), pi**4 = 90 zeta(4), and multiphi(1, 3) reduced at weight 4 (the MZV data mine,
+#: arXiv:0907.2557).  The corrected a3 is Laporta and Remiddi's (arXiv:hep-ph/9602417).
+_LN2 = "Li_m(1; 1/2)"
+_MULTIPHI_13 = (f"-2*Li_m(4; 1/2) - 1/12*{_LN2}*{_LN2}*{_LN2}*{_LN2}"
+                f" + 1/2*zeta_m(2)*{_LN2}*{_LN2} + 1/2*zeta_m(4)")
+_BRACKETS = {
+    (2, CoeffMode.EXACT_BRACKET): f"197/144 + 1/2*zeta_m(2) - 3*zeta_m(2)*{_LN2} + 3/4*zeta_m(3)",
+    (2, CoeffMode.AS_PRINTED): f"197/144 - 3*zeta_m(2)*{_LN2} + 3/4*zeta_m(3)",
+    (3, CoeffMode.EXACT_BRACKET):
+        f"28259/5184 + 17101/135*zeta_m(2) - 596/3*zeta_m(2)*{_LN2} + 139/18*zeta_m(3)"
+        f" + 100/3*Li_m(4; 1/2) + 25/18*{_LN2}*{_LN2}*{_LN2}*{_LN2} - 25/3*zeta_m(2)*{_LN2}*{_LN2}"
+        f" - 239/24*zeta_m(4) + 83/12*zeta_m(2)*zeta_m(3) - 215/24*zeta_m(5)",
+    (3, CoeffMode.AS_PRINTED):
+        f"28259/2592 + 17101/135*zeta_m(2) - 556*zeta_m(2)*{_LN2} + 139/18*zeta_m(3)"
+        f" + 13/20*zeta_m(2)*zeta_m(2) + 83/12*zeta_m(2)*zeta_m(3) - 215/24*zeta_m(5)"
+        f" - 50/3*({_MULTIPHI_13})",
+}
+
+
 def coeff_a2(prec: int, mode: CoeffMode | str = CoeffMode.EXACT_BRACKET,
              registry: Sequence[Measurement] | None = None) -> BigReal:
     """Second-order coefficient ``a_2``.
@@ -286,24 +295,19 @@ def coeff_a2(prec: int, mode: CoeffMode | str = CoeffMode.EXACT_BRACKET,
         r = _alpha_ratio(ainv, inner)
         a2 = (ae - r / 2) / r ** 2
         return BigReal(a2.value, a2.err, prec)
-    p1 = phi(1, inner)
-    p2 = phi(2, inner)
-    p3 = phi(3, inner)
-    bracket = p3 - p1 * p2 * 6 + Fraction(197, 144)
-    if mode is CoeffMode.EXACT_BRACKET:
-        bracket = bracket + p2
-    return BigReal(bracket.value, bracket.err, prec).demand("coeff_a2")
+    from .symbolic import parse_expr, period_map  # only the bracket modes load the symbol layer
+    return period_map(parse_expr(_BRACKETS[2, mode]), prec)
 
 
 def coeff_a3(mode: CoeffMode | str = CoeffMode.CONSISTENT, prec: int = 15,
              registry: Sequence[Measurement] | None = None) -> BigReal:
     """Third-order coefficient ``a_3``.
 
-    AS_PRINTED evaluates the 1996 bracket exactly as printed, which lands
-    near -398 and cannot reproduce the printed total.  CONSISTENT solves
-    ``a_e(th:2017) = sum(a_n * r**n, n <= 4)`` linearly for ``a_3`` using
-    the rubidium alpha and the 51-digit ``a_4``, giving about 1.181 with
-    an uncertainty dominated by the measured inputs.
+    EXACT_BRACKET is the Laporta-Remiddi closed form (about 1.1812415) and
+    AS_PRINTED the 1996 bracket as printed (near -397).  CONSISTENT solves
+    ``a_e(th:2017) = sum(a_n * r**n, n <= 4)`` for ``a_3`` with the rubidium
+    alpha and the 51-digit ``a_4``: about 1.18164 +- 1.2e-4, above the closed
+    form by the mass-dependent, hadronic, electroweak and fifth-order terms.
     """
     check_prec(prec)
     mode = _as_mode(mode)
@@ -317,18 +321,8 @@ def coeff_a3(mode: CoeffMode | str = CoeffMode.CONSISTENT, prec: int = 15,
         num = ae - r / 2 - a2 * r ** 2 - a4 * r ** 4
         a3 = num / r ** 3
         return BigReal(a3.value, a3.err, prec)
-    p1 = phi(1, inner)
-    p2 = phi(2, inner)
-    p3 = phi(3, inner)
-    p5 = phi(5, inner)
-    p13 = multiphi((1, 3), inner)
-    bracket = ((p2 * p3 * 83 - p5 * 43) * Fraction(2, 9)
-               - p13 * Fraction(50, 3)
-               + p2 ** 2 * Fraction(13, 5)
-               + (p3 * Fraction(1, 9) - p1 * p2 * 12) * Fraction(278, 3)
-               + p2 * Fraction(34202, 135)
-               + Fraction(28259, 2592))
-    return BigReal(bracket.value, bracket.err, prec).demand("coeff_a3")
+    from .symbolic import parse_expr, period_map
+    return period_map(parse_expr(_BRACKETS[3, mode]), prec)
 
 
 @dataclass(frozen=True)
@@ -346,8 +340,7 @@ class CoefficientSet:
     def coefficient(self, n: int, prec: int,
                     registry: Sequence[Measurement] | None = None) -> BigReal:
         check_prec(prec)
-        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_ORDER:
-            raise InputError(f"coefficient order must be an integer in [1, {MAX_ORDER}], got {n!r}")
+        _check_order(n)
         if n == 1:
             return BigReal.exact(Fraction(1, 2), prec)
         if n == 2:

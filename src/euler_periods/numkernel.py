@@ -721,6 +721,11 @@ def _suffix_integrals(word: Sequence[int | Fraction], terms: int, bits: int) -> 
     return out[::-1]
 
 
+def _planned_bits(n: int, prec: int) -> int:
+    """``T``, the fraction bits :func:`_at_one` plans for a word of ``n`` letters."""
+    return math.ceil(working_dps(prec) * math.log2(10)) + (n + 1).bit_length() + 3
+
+
 def _at_one(word: Sequence[int | Fraction], prec: int, terms: int | None = None) -> BigReal:
     """``I_1(word)`` by the Hoelder split at 1/2, with the bound of the module docstring.
 
@@ -729,7 +734,7 @@ def _at_one(word: Sequence[int | Fraction], prec: int, terms: int | None = None)
     """
     n = len(word)
     units = sum(3 if a else 1 for a in word)
-    planned = math.ceil(working_dps(prec) * math.log2(10)) + (n + 1).bit_length() + 3
+    planned = _planned_bits(n, prec)
     terms = planned if terms is None else terms
     bits = planned + ((terms + 1) * units).bit_length()
     ahead = _suffix_integrals(word, terms, bits)

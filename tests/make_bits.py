@@ -11,14 +11,17 @@ also records stdout and the exit code of a fixed set of CLI commands, in
 plain and ``--json`` mode.  ``test_bits.py`` recomputes every cell and
 compares the file byte for byte.  A change that alters bits on purpose
 reruns this script and commits the rewrite; the diff of the file is the
-list of changed cells.  The file was made with mpmath 1.3.0, the version
-the CI installs; mpmath's elementary functions set the bits of most cells.
+list of changed cells, and the script prints each changed cell with its old
+and new declared bound, marking a bound that grew.  The file was made with
+mpmath 1.3.0, the version the CI installs; mpmath's elementary functions
+set the bits of most cells.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -118,6 +121,8 @@ def _commands():
         ["identity-check", "phi-funceq", "--s", "1/3"],
         ["per", "Li_m(2; 1/2)*zeta_m(3)"], ["per", "5*zeta_m(4) - 2*zeta_m(2)*zeta_m(2)"],
         ["g2-assemble"], ["g2-invert-alpha", "exp:2008"],
+        ["g2-assemble", "--order", "3", "--a3-mode", "as-printed"],
+        ["g2-assemble", "--order", "3", "--a3-mode", "exact-bracket"],
     ]
 
 
@@ -162,6 +167,35 @@ def dump(doc: dict) -> str:
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
+def _err(cell):
+    """The declared bound of a cell, exactly; the largest of a batch; None if it has none."""
+    if cell is None or "raises" in cell:
+        return None
+    if "stdout" in cell:
+        m = re.search(r"± ([-+.0-9e]+)", cell["stdout"])
+        return Fraction(m.group(1)) if m else None
+    if isinstance(cell[0][0], int):
+        sign, man, exp, _ = cell[1]
+        return (-1) ** sign * man * Fraction(2) ** exp
+    return max(_err(pair) for pair in cell)
+
+
+def report(old: dict, new: dict) -> None:
+    """Print every cell that a rewrite adds, removes or changes, with its bound."""
+    for section in new:
+        before, after = old.get(section, {}), new[section]
+        for key in [*after, *(k for k in before if k not in after)]:
+            if before.get(key) == after.get(key):
+                continue
+            e0, e1 = _err(before.get(key)), _err(after.get(key))
+            grew = "  GREW" if e0 is not None and e1 is not None and e1 > e0 else ""
+            shown = ["-" if e is None else f"{float(e):.3g}" for e in (e0, e1)]
+            print(f"{section}: {key}: err {shown[0]} -> {shown[1]}{grew}")
+
+
 if __name__ == "__main__":
+    previous = json.loads(BITS.read_text(encoding="utf-8")) if BITS.exists() else {}
+    fresh = build()
+    report(previous, fresh)
     BITS.parent.mkdir(exist_ok=True)
-    BITS.write_text(dump(build()), encoding="utf-8")
+    BITS.write_text(dump(fresh), encoding="utf-8")

@@ -217,7 +217,7 @@ def test_g2_assemble_accepts_every_a3_mode_spelling(capsys, mode):
     ("multiphi", "1", "3", "--prec", "100"),
 ], ids=lambda a: " ".join(a))
 def test_multiphi_certifies_at_high_prec(capsys, argv):
-    # a3 in these modes needs multiphi(1,3) six digits above --prec.
+    # The a3 brackets evaluate Li_4(1/2), ln 2 and zeta values through the period map.
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert err == ""

@@ -6,6 +6,7 @@ them share code with the evaluators under test.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -563,3 +564,20 @@ def test_polylog_weight_cap():
         polylog(WEIGHT_CAP + 1, Fraction(1, 2), 15)
     with pytest.raises(TooLarge):
         polylog(10 ** 9, Fraction(-1, 3), 15)
+
+
+def test_polylog_of_a_huge_decimal_certifies_quickly():
+    # z is cut to the engine's bit count before any mpf conversion.
+    start = time.perf_counter()
+    x = polylog(2, "1e-1000000", 15)
+    assert time.perf_counter() - start < 1
+    assert x.certified()
+    with mpmath.workdps(30):
+        assert abs(x.value - mpmath.polylog(2, mpf("1e-1000000"))) <= x.err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("z", [Fraction(1, 3) + Fraction(1, 10 ** 2000),
+                               -Fraction(1, 2) - Fraction(1, 7 ** 900)], ids=["1/3+", "-1/2-"])
+def test_polylog_cut_point_covers_at_every_prec(n, z):
+    assert_certifies_and_covers(n, z)

@@ -3,13 +3,17 @@
 import json
 import math
 import os
+from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mpf
 
 from euler_periods.errors import DomainError, InputError, SchemaError
+from euler_periods.eulerfun import phi
 from euler_periods.g2 import (
+    _BRACKETS,
+    _MULTIPHI_13,
     A4_DIGITS,
     CoeffMode,
     CoefficientSet,
@@ -26,7 +30,9 @@ from euler_periods.g2 import (
     load_registry,
     lookup,
 )
-from euler_periods.numkernel import BigReal, working_dps
+from euler_periods.mzv import multiphi
+from euler_periods.numkernel import MAX_PREC, MIN_PREC, BigReal, working_dps
+from euler_periods.symbolic import coassoc_residual, parse_expr, period_map
 
 GOOD_ROW = {
     "label": "x:2000",
@@ -270,6 +276,78 @@ def test_a3_as_printed_is_wildly_off():
     c = coeff_a3(CoeffMode.AS_PRINTED, 15)
     with mpmath.workdps(40):
         assert abs(c.value - mpf("-397.27483611591")) < mpf("1e-9")
+
+
+def laporta_remiddi() -> mpf:
+    """a3 as Laporta and Remiddi print it (arXiv:hep-ph/9602417), at 130 digits."""
+    with mpmath.workdps(130):
+        pi2, ln2, z = mpmath.pi ** 2, mpmath.log(2), mpmath.zeta
+        li4 = mpmath.polylog(4, mpf(1) / 2)
+        return (mpf(28259) / 5184 + mpf(17101) / 810 * pi2 - mpf(298) / 9 * pi2 * ln2
+                + mpf(139) / 18 * z(3) + mpf(100) / 3 * (li4 + ln2 ** 4 / 24 - pi2 * ln2 ** 2 / 24)
+                - mpf(239) / 2160 * pi2 ** 2 + mpf(83) / 72 * pi2 * z(3) - mpf(215) / 24 * z(5))
+
+
+def test_a3_exact_bracket_is_laporta_remiddi_at_every_prec():
+    ref = laporta_remiddi()
+    for prec in range(MIN_PREC, MAX_PREC + 1):
+        c = coeff_a3(CoeffMode.EXACT_BRACKET, prec)
+        assert c.certified(), prec
+        with mpmath.workdps(130):
+            assert abs(c.value - ref) <= c.err, prec
+    assert mpmath.nstr(ref, 21) == "1.18124145658720000627"
+
+
+def test_a3_consistent_exceeds_the_closed_form_by_what_the_series_leaves_out():
+    # About 5e-12 in a_e: mass-dependent, hadronic, electroweak and fifth-order terms.
+    exact = coeff_a3(CoeffMode.EXACT_BRACKET, 15)
+    consistent = coeff_a3(CoeffMode.CONSISTENT, 15)
+    r3 = float(1 / (mpf("137.035999") * mpmath.pi)) ** 3
+    assert 4e-12 < float(consistent.value - exact.value) * r3 < 6e-12
+
+
+def phi_form(order: int, mode: CoeffMode, prec: int) -> BigReal:
+    """The brackets as the 1957 and 1996 texts write them, in phi and multiphi((1, 3))."""
+    p1, p2, p3, p5 = (phi(n, prec) for n in (1, 2, 3, 5))
+    if order == 2:
+        printed = p3 - p1 * p2 * 6 + Fraction(197, 144)
+        return printed + p2 if mode is CoeffMode.EXACT_BRACKET else printed
+    p13 = multiphi((1, 3), prec)
+    printed = ((p2 * p3 * 83 - p5 * 43) * Fraction(2, 9)
+               - p13 * Fraction(50, 3)
+               + p2 ** 2 * Fraction(13, 5)
+               + (p3 * Fraction(1, 9) - p1 * p2 * 12) * Fraction(278, 3)
+               + p2 * Fraction(34202, 135)
+               + Fraction(28259, 2592))
+    if mode is CoeffMode.AS_PRINTED:
+        return printed
+    # Three coefficients change: phi(2)**2 13/5 -> -13/5, phi(1) phi(2) -1112 -> -1192/3,
+    # and the constant 28259/2592 -> 28259/5184.
+    return printed - p2 ** 2 * Fraction(26, 5) + p1 * p2 * Fraction(2144, 3) - Fraction(28259, 5184)
+
+
+@pytest.mark.parametrize("order,mode", list(_BRACKETS), ids=lambda k: str(getattr(k, "name", k)))
+@pytest.mark.parametrize("prec", [1, 15, 50, 100])
+def test_bracket_matches_its_phi_form(order, mode, prec):
+    new = coeff_a2(prec, mode) if order == 2 else coeff_a3(mode, prec)
+    old = phi_form(order, mode, min(prec + 6, MAX_PREC))
+    assert new.certified()
+    with mpmath.workdps(working_dps(MAX_PREC) + 20):
+        assert abs(new.value - old.value) <= new.err + old.err
+
+
+def test_multiphi_13_reduction_at_every_prec():
+    m13 = parse_expr(_MULTIPHI_13)
+    for prec in range(MIN_PREC, MAX_PREC + 1):
+        via_symbols, direct = period_map(m13, prec), multiphi((1, 3), prec)
+        assert via_symbols.certified(), prec
+        with mpmath.workdps(working_dps(prec) + 20):
+            assert abs(via_symbols.value - direct.value) <= via_symbols.err + direct.err, prec
+
+
+@pytest.mark.parametrize("key", list(_BRACKETS), ids=lambda k: f"a{k[0]}-{k[1].name}")
+def test_bracket_expressions_coact_coassociatively(key):
+    assert coassoc_residual(parse_expr(_BRACKETS[key]))
 
 
 def test_mode_aliases_and_validation():
