@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -43,16 +42,6 @@ if TYPE_CHECKING:
 _GRAPH_NAMES = ("bubble", "triangle", "k4", "w4")
 _IDENTITY_KINDS = ("dilog-reflection", "cotangent", "euler-product", "phi-funceq")
 _COEFF_MODES = ("exact-bracket", "as-printed", "registry", "consistent")
-
-
-@dataclass
-class RunConfig:
-    """Settings shared by all subcommands."""
-
-    prec: int = 15
-    registry_path: str | None = None
-    seed: int = 42
-    output_format: str = "PLAIN"
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +78,9 @@ def _rational(text: str, what: str) -> Fraction:
         raise InputError(f"{what} must be a rational number (like 3, 0.25 or 1/3), got {text!r}") from None
 
 
-def _registry_rows(config: RunConfig):
+def _registry_rows(args):
     from . import g2
-    path = config.registry_path or os.environ.get("EULER_PERIODS_REGISTRY")
-    if path:
-        return g2.load_registry(path)
-    return list(g2.load_registry())
+    return g2.load_registry(args.registry or os.environ.get("EULER_PERIODS_REGISTRY") or None)
 
 
 # ---------------------------------------------------------------------------
@@ -102,46 +88,46 @@ def _registry_rows(config: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_zeta(args, config):
+def _cmd_zeta(args):
     from . import eulerfun
-    return *_certified_line(eulerfun.zeta(_rational(args.s, "s"), config.prec)), 0
+    return *_certified_line(eulerfun.zeta(_rational(args.s, "s"), args.prec)), 0
 
 
-def _cmd_phi(args, config):
+def _cmd_phi(args):
     from . import eulerfun
-    return *_certified_line(eulerfun.phi(_rational(args.s, "s"), config.prec)), 0
+    return *_certified_line(eulerfun.phi(_rational(args.s, "s"), args.prec)), 0
 
 
-def _cmd_polylog(args, config):
+def _cmd_polylog(args):
     from . import eulerfun
     z = _rational(args.z, "z")
-    return *_certified_line(eulerfun.polylog(args.n, z, config.prec)), 0
+    return *_certified_line(eulerfun.polylog(args.n, z, args.prec)), 0
 
 
-def _cmd_gamma(args, config):
+def _cmd_gamma(args):
     from . import eulerfun
-    return *_certified_line(eulerfun.gamma_const(config.prec, args.method)), 0
+    return *_certified_line(eulerfun.gamma_const(args.prec, args.method)), 0
 
 
-def _cmd_bernoulli(args, config):
+def _cmd_bernoulli(args):
     value = str(bernoulli(args.n))
     return [value], {"value": value, "exact": True}, 0
 
 
-def _cmd_mzv(args, config):
+def _cmd_mzv(args):
     from .mzv import mzv
-    return *_certified_line(mzv(tuple(args.parts), config.prec)), 0
+    return *_certified_line(mzv(tuple(args.parts), args.prec)), 0
 
 
-def _cmd_multiphi(args, config):
+def _cmd_multiphi(args):
     from .mzv import multiphi
-    value = multiphi(tuple(args.parts), config.prec, cutoff=args.cutoff)
+    value = multiphi(tuple(args.parts), args.prec, cutoff=args.cutoff)
     return *_certified_line(value), 0
 
 
-def _cmd_stuffle_check(args, config):
+def _cmd_stuffle_check(args):
     from .mzv import stuffle_residual
-    r = stuffle_residual(args.m, args.n, config.prec)
+    r = stuffle_residual(args.m, args.n, args.prec)
     with mpmath.workdps(working_dps(r.prec)):
         resid = abs(r.value)
         ok = bool(resid <= r.err)
@@ -153,7 +139,7 @@ def _cmd_stuffle_check(args, config):
     return [line], payload, 0 if ok else 3
 
 
-def _cmd_identity_check(args, config):
+def _cmd_identity_check(args):
     from . import eulerfun
     kind = args.kind.upper().replace("-", "_")
     params: dict[str, object] = {}
@@ -165,7 +151,7 @@ def _cmd_identity_check(args, config):
         params["terms"] = args.terms
     if args.prime_bound is not None:
         params["prime_bound"] = args.prime_bound
-    r = eulerfun.identity_residual(kind, params, config.prec)
+    r = eulerfun.identity_residual(kind, params, args.prec)
     with mpmath.workdps(working_dps(r.prec)):
         magnitude = abs(r.value)
         resid = mpmath.nstr(magnitude, 3)
@@ -180,7 +166,7 @@ def _cmd_identity_check(args, config):
     return [f"residual {resid} ± {bound}"], payload, 0
 
 
-def _cmd_coact(args, config):
+def _cmd_coact(args):
     from . import symbolic
     expr = symbolic.parse_expr(args.expr)
     tensor = symbolic.coact(expr)
@@ -188,7 +174,7 @@ def _cmd_coact(args, config):
     return [text], {"expr": str(expr), "tensor": text}, 0
 
 
-def _cmd_conjugates(args, config):
+def _cmd_conjugates(args):
     from . import symbolic
     expr = symbolic.parse_expr(args.expr)
     conj, dim = symbolic.galois_conjugates(expr)
@@ -197,10 +183,10 @@ def _cmd_conjugates(args, config):
     return lines, {"expr": str(expr), "conjugates": [str(c) for c in conj], "dimension": dim}, 0
 
 
-def _cmd_per(args, config):
+def _cmd_per(args):
     from . import symbolic
     expr = symbolic.parse_expr(args.expr)
-    return *_certified_line(symbolic.period_map(expr, config.prec)), 0
+    return *_certified_line(symbolic.period_map(expr, args.prec)), 0
 
 
 def _graph_from_arg(text: str) -> feynper.MultiGraph:
@@ -215,19 +201,19 @@ def _graph_from_arg(text: str) -> feynper.MultiGraph:
         ) from None
 
 
-def _cmd_period(args, config):
+def _cmd_period(args):
     from . import feynper
     graph = _graph_from_arg(args.graph)
-    est = feynper.period_mc(graph, args.samples, seed=config.seed, prec_report=config.prec)
+    est = feynper.period_mc(graph, args.samples, seed=args.seed, prec_report=args.prec)
     text = str(est)
     value, bound = text.split(" ± ")
     payload = {"value": value, "bound": bound, "samples": est.samples, "seed": est.seed}
     return [text], payload, 0
 
 
-def _cmd_selftest(args, config):
+def _cmd_selftest(args):
     from . import feynper
-    report = feynper.integrator_selftest(args.samples, seed=config.seed)
+    report = feynper.integrator_selftest(args.samples, seed=args.seed)
     lines = str(report).split("\n")
     payload = {
         "passed": report.passed,
@@ -248,42 +234,42 @@ def _coefficients(args) -> g2.CoefficientSet:
     return g2.CoefficientSet(**kw)
 
 
-def _cmd_g2_assemble(args, config):
+def _cmd_g2_assemble(args):
     from . import g2
-    rows = _registry_rows(config)
+    rows = _registry_rows(args)
     if args.alpha_inv is None:
-        alpha = g2.lookup(rows, "alpha:rb:2011").as_bigreal(config.prec)
+        alpha = g2.lookup(rows, "alpha:rb:2011").as_bigreal(args.prec)
     else:
         alpha = args.alpha_inv
     value = g2.assemble(alpha, _coefficients(args), order=args.order,
-                        prec=config.prec, registry=rows)
+                        prec=args.prec, registry=rows)
     lines, payload = _measured_line(value)
     payload["order"] = args.order
     return lines, payload, 0
 
 
-def _cmd_g2_invert_alpha(args, config):
+def _cmd_g2_invert_alpha(args):
     from . import g2
-    rows = _registry_rows(config)
+    rows = _registry_rows(args)
     try:
         target = g2.lookup(rows, args.target)
     except InputError:
         try:
-            target = BigReal.from_decimal(args.target, config.prec)
+            target = BigReal.from_decimal(args.target, args.prec)
         except ValueError:
             raise InputError(
                 f"target {args.target!r} is neither a registry label nor a decimal number") from None
     trace: list[float] = []
     value = g2.invert_alpha(target, _coefficients(args), order=args.order,
-                            prec=config.prec, registry=rows, trace=trace)
+                            prec=args.prec, registry=rows, trace=trace)
     lines, payload = _measured_line(value)
     payload["iterations"] = len(trace)
     return lines, payload, 0
 
 
-def _cmd_g2_compare(args, config):
+def _cmd_g2_compare(args):
     from . import g2
-    rows = _registry_rows(config)
+    rows = _registry_rows(args)
     result = g2.compare(g2.lookup(rows, args.a), g2.lookup(rows, args.b))
     text = str(result)
     difference, uncertainty = text.split(" ± ")
@@ -295,8 +281,8 @@ def _cmd_g2_compare(args, config):
     return [text], payload, 0
 
 
-def _cmd_registry_list(args, config):
-    rows = _registry_rows(config)
+def _cmd_registry_list(args):
+    rows = _registry_rows(args)
     lines = []
     entries = []
     for m in rows:
@@ -445,15 +431,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    config = RunConfig(
-        prec=args.prec,
-        registry_path=getattr(args, "registry", None),
-        seed=getattr(args, "seed", 42),
-        output_format="JSON" if args.json else "PLAIN",
-    )
     try:
-        check_prec(config.prec)
-        lines, payload, code = _COMMANDS[args.command](args, config)
+        check_prec(args.prec)
+        lines, payload, code = _COMMANDS[args.command](args)
     except PrecisionNotMet as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
@@ -464,7 +444,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except (InternalCheckError, NoConvergence, NonFiniteSample) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 3
-    if config.output_format == "JSON":
+    if args.json:
         doc = {"command": args.command, **payload, "output": "\n".join(lines)}
         print(json.dumps(doc, ensure_ascii=False))
     else:

@@ -34,7 +34,7 @@ from .numkernel import (
     zeta_values,
     _at_one,
     _planned_bits,
-    _round_cushion,
+    _rounding,
     _word,
 )
 
@@ -77,7 +77,10 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
     Related to zeta by ``phi(s) = (1 - 2**(1-s)) * zeta(s)`` for ``s > 1``
     and continues it below: ``phi(1) = log 2``.  Evaluated by accelerated
     alternating summation.  ``s`` must be a finite rational, as for
-    :func:`zeta`.
+    :func:`zeta`.  Each term ``k**-s'``, ``s'`` the rounded ``s``, is within
+    the one count :func:`~euler_periods.numkernel.accel_alt_sum` allows a
+    term: the power rounds once, and ``s'`` (two roundings) moves it by at
+    most ``2 s log(k) k**-s 2**-prec <= 2**(1 - prec) / e``.
     """
     check_prec(prec)
     q = as_fraction(s)
@@ -99,7 +102,7 @@ LI_DIRECT_TERM_CAP = 100_000
 
 
 def _li_direct(n: int, z: mpf, wd: int) -> tuple[mpf, mpf]:
-    """Li_n(z), 0 < |z| < 1, by its power series: (value, bound), for DILOG_REFLECTION.
+    """Li_n(z), 0 < z < 1, by its power series: (value, bound), for DILOG_REFLECTION.
 
     Sums the fewest terms ``N`` whose tail bound ``|z|**(N+1) / ((1 - |z|)
     (N+1)**n)`` meets ``10**-(wd - 2)``; past :data:`LI_DIRECT_TERM_CAP`
@@ -124,7 +127,10 @@ def _li_direct(n: int, z: mpf, wd: int) -> tuple[mpf, mpf]:
         p *= z
         value += p / mpf(k) ** n
     tail = abs(p) * az / ((1 - az) * mpf(hi + 1) ** n)
-    return value, tail + _round_cushion(value, wd) * hi
+    # Term k is (k + 3) 2**-prec off (k products, a power, a quotient) and
+    # each sum 1 more, all on positive values below ``value``: at most
+    # (2 hi + 3) 2**-prec relative, hi + 2 counts.
+    return value, tail + _rounding(value, hi + 2)
 
 
 def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
@@ -163,8 +169,10 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
         if n == 1:
             if q == 1:
                 raise DomainError("Li_1(1) is the harmonic series; no value to report")
-            v = -mpmath.log(1 - zv)
-            return BigReal(v, _round_cushion(v, wd), prec).demand("polylog")
+            # 1 - z is exact before it rounds (twice, as a Fraction), which
+            # moves the log by 2 2**-prec; the log rounds once more.
+            v = -mpmath.log(as_mpf(1 - q))
+            return BigReal(v, _rounding(v, 2), prec).demand("polylog")
     if q == 0:
         return BigReal(mpf(0), mpf(0), prec)
     if q <= Fraction(1, 2) or q == 1:
@@ -173,8 +181,13 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
         # Li_2(z) + Li_2(1-z) + log(z) log(1-z) = zeta(2), with 1-z in (0, 1/2).
         li_w = _at_one(_word((2,), (1 / (1 - q),)), prec + 4)
         with mpmath.workdps(working_dps(prec + 4)):
-            v = mpmath.pi ** 2 / 6 - mpmath.log(as_mpf(q)) * mpmath.log(as_mpf(1 - q)) - li_w.value
-            return BigReal(v, li_w.err + _round_cushion(v, mpmath.mp.dps - 1), prec).demand("polylog")
+            log_w = mpmath.log(as_mpf(1 - q))
+            v = mpmath.pi ** 2 / 6 - mpmath.log(as_mpf(q)) * log_w - li_w.value
+            # pi**2/6 rounds 3 times on 1.65, log z (|log z| < log 2) is 2
+            # 2**-prec off from its Fraction and 1 count from the log, log(1 -
+            # z) as much on its size L, the product and two sums once each:
+            # under 12 + 5.5 L in 2**-prec, so 4 + 2 L counts as |v| > 0.58.
+            return BigReal(v, li_w.err + _rounding(v, 4 + 2 * abs(log_w)), prec).demand("polylog")
     raise DomainError(
         f"Li_{n} is only evaluated on [-1, 1/2] and the endpoint 1; got z = {mpmath.nstr(zv, 8)}")
 
@@ -277,7 +290,10 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
             li_x, b1 = _li_direct(2, x, wd)
             li_1mx, b2 = _li_direct(2, 1 - x, wd)
             resid = abs(li_x + li_1mx + mpmath.log(x) * mpmath.log(1 - x) - mpmath.pi ** 2 / 6)
-            err = b1 + b2 + _round_cushion(resid, wd - 1)
+            # Both sides take the same rounded 1 - x.  The two logs and their
+            # product (|product| <= log(2)**2), pi**2/6 (3 roundings), and the
+            # sums (below pi**2/6; the last is exact): under 12 2**-prec.
+            err = b1 + b2 + _rounding(resid, 7)
             return BigReal(resid, err, prec)
 
     if kind is IdentityKind.COTANGENT:
@@ -294,7 +310,11 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
                 r = zeta_even_closed(m)
                 acc += as_mpf(r) * x ** (2 * m)
             resid = abs(x * mpmath.cot(x) - 1 + 2 * acc)
-            err = (1 + resid + 2 * acc) * mpf(10) ** (-(wd - 3)) * terms
+            # Each positive term of acc is 5 2**-prec off (r_m as a Fraction 2,
+            # the power 2, the product 1) and each sum 1 more: (terms + 5)
+            # 2**-prec of acc.  x cot x is 3 2**-prec off on |x cot x| <= 1 +
+            # 2 acc + resid, and the two sums 1 each on sizes below that.
+            err = _rounding(resid + 2 * acc, terms + 5)
             return BigReal(resid, err, prec)
 
     if kind is IdentityKind.EULER_PRODUCT:
@@ -314,7 +334,12 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
             for p in primes:
                 prod *= 1 - mpf(p) ** (-s)
             resid = abs(prod * z.value - 1)
-            err = prod * z.err + _round_cushion(resid, wd - 1) * max(1, len(primes) // 100)
+            # Each factor 1 - p**-s (p**-s < 1/2) and its product cost 4
+            # 2**-prec of prod, 2 counts; the product with zeta(s) and the
+            # sum 1 more.  The rounded s moves log(prod) by 2**(1-prec) s
+            # sum(log p / (p**s - 1)) <= 4 (log(bound) + 1) 2**-prec, at
+            # most 2 len(primes) + 2 counts.
+            err = prod * z.err + _rounding(resid, 4 * len(primes) + 3)
             return BigReal(resid, err, prec)
 
     if kind is IdentityKind.PHI_FUNCEQ:
@@ -330,7 +355,12 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
             ratio = lhs_num.value / (lhs_den.value * rhs)
             resid = abs(ratio - 1)
             rel = (lhs_num.err / abs(lhs_num.value) + lhs_den.err / abs(lhs_den.value))
-            err = abs(ratio) * rel + _round_cushion(resid, wd - 1)
+            # Relative to ratio ~ 1, in 2**-prec: the rounded 1 - s 1, gamma
+            # 2, 2**s - 1 (exact difference) 2 2**s / (2**s - 1) <= 2 + 2.9 / s,
+            # cos(pi s / 2) 2 + 2 a tan(a) <= 2 + 2 / (1 - s) with a = pi s / 2
+            # off by 2, 2**(s-1) - 1 2.7 / (1 - 2**(s-1)) <= 5.4 / (1 - s),
+            # pi**s 3, and 6 products and quotients: 16 + 2.9 / s + 7.4 / (1 - s).
+            err = abs(ratio) * rel + _rounding(resid, 9 + 2 / s + 4 / (1 - s))
             return BigReal(resid, err, prec)
 
     raise AssertionError("unreachable")

@@ -35,7 +35,7 @@ import mpmath
 from mpmath import mpf
 
 from .errors import DomainError, InputError, NoConvergence, SchemaError
-from .numkernel import MAX_PREC, BigReal, check_prec, pi_times, working_dps
+from .numkernel import MAX_PREC, BigReal, check_prec, pi_times, working_dps, _rounding
 
 MAX_ORDER = 4
 
@@ -493,9 +493,12 @@ def invert_alpha(target_ae: object, coeffs: CoefficientSet | None = None, order:
         r = alpha / pi
         for n, c in enumerate(cs, start=1):
             coeff_err += c.err * abs(r) ** n
-        alpha_err = (resid + t_err + coeff_err) / slope + abs(alpha) * tiny
+        # f(alpha) rounds 2 order + 5 times (r = alpha / pi twice) on values of
+        # size t, and the slope is about t / alpha, so alpha is off by under
+        # (2 order + 5) |alpha| 2**-prec: one count, as |alpha| < 0.02.
+        alpha_err = (resid + t_err + coeff_err) / slope + _rounding(alpha, 1)
         inv = 1 / alpha
-        inv_err = alpha_err / (alpha * alpha) + abs(inv) * tiny
+        inv_err = alpha_err / (alpha * alpha) + _rounding(inv, 1)
         return BigReal(inv, inv_err, prec)
 
 

@@ -18,7 +18,7 @@ from mpmath import mpf
 
 from .errors import DivergentIndex, DomainError, TooLarge
 from .eulerfun import zeta
-from .numkernel import MAX_PREC, BigReal, check_prec, working_dps, _at_one, _round_cushion, _word
+from .numkernel import MAX_PREC, BigReal, check_prec, working_dps, _at_one, _rounding, _word
 
 #: Maximum explicit ``multiphi`` cutoff: ``2**-1000`` is far below any
 #: ``10**-prec`` the interface accepts.
@@ -84,7 +84,11 @@ def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
             for j in range(d, 0, -1):
                 s[j] += mpf(m) ** -idx[j - 1] * s[j - 1]
         tail = _log_poly_tail(cutoff, idx[-1], idx[:-1].count(1)) * _inner_cap(idx[:-1])
-        err = tail + _round_cushion(s[d], wd) * cutoff
+        # Every sum is positive.  A step of level j rounds its power and its
+        # product once each on top of level j - 1's relative error, and its
+        # running sum once, so over the cutoff each level adds (cutoff + 3)
+        # 2**-prec relative: d (cutoff + 3) / 2 counts.
+        err = tail + _rounding(s[d], d * (cutoff + 3) / 2)
         return BigReal(s[d], err, prec)
 
 

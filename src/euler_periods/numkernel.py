@@ -31,13 +31,34 @@ per ``(top, wd)``.
 Every engine sums in Python-integer fixed point at the binary precision of
 ``prec`` plus :data:`GUARD_DIGITS` decimal digits: the Euler-Maclaurin body
 :func:`_em_power_sum`, the Chebyshev dot product :func:`_cvz` and the
-iterated integrals.  Identical inputs produce bit-identical outputs.  The
-declared bound is the truncation bound plus a rounding cushion, not an
-interval enclosure.  The rounding cushion is :func:`_round_cushion`, a
-heuristic, here and in the layers above it, and :func:`pi_times` gives ``k
-* pi`` with that cushion.  The iterated-integral engine needs no cushion:
-its bound, rounding included, is proved below.  Each engine is exercised
-against independent references in the test suite.
+iterated integrals.  Identical inputs produce bit-identical outputs.  Each
+engine is exercised against independent references in the test suite.
+
+Rounding
+--------
+
+The declared bound is the truncation bound plus the rounding the code
+performs, counted, not an interval enclosure.  One rule counts it, in binary
+units of the ambient precision ``p = mp.prec`` (as Arb does, arXiv:1611.02831):
+:func:`_rounding` ``(v, count) = count (1 + |v|) 2**(1 - p)``, one count per
+rounding that makes ``v``.  The premises: mpmath's ``+ - * /`` and decimal
+parsing round correctly, within half a count, and each elementary or special
+function (``log``, ``cos``, ``cot``, ``gamma``, powers, ``pi``) is faithful,
+within one count, unless its site states more.  A floor to ``2**-b`` with
+``b = p`` errs by under one unit of ``2**-b``, less than the one count of
+``_rounding(0, 1)``.  The counts are first order; the square of a relative
+error of ``2**-p`` stays far below the slack of the counts.  The counted
+sites, each with its count and premises beside the call:
+
+* the :class:`BigReal` constructors and ``+ - * /``, and :func:`pi_times`;
+* the fixed-point bodies :func:`_em_power_sum` and :func:`accel_alt_terms`;
+* in :mod:`.eulerfun`, the ``Li_n`` series of DILOG_REFLECTION, ``polylog``
+  at ``n = 1`` and in the reflection window, and the four identity residuals;
+* :func:`~euler_periods.mzv.mzv_bruteforce`, whose count grows with the depth;
+* :func:`~euler_periods.g2.invert_alpha`.
+
+The iterated-integral engine counts its own units: its bound, rounding
+included, is proved below.
 
 Iterated integrals at 1/2
 -------------------------
@@ -192,7 +213,8 @@ class BigReal:
     ``prec`` records the decimal precision that was requested when the
     number was produced.  Successful library operations guarantee
     ``err <= 10**-prec``.  Arithmetic propagates bounds first-order and
-    adds a rounding cushion; it never tightens them.
+    adds one count of :func:`_rounding` for its one rounding; it never
+    tightens them.
     """
 
     value: mpf
@@ -211,10 +233,10 @@ class BigReal:
         check_prec(prec)
         with mpmath.workdps(working_dps(prec)):
             v = as_mpf(x)
-            cushion = _round_cushion(v, working_dps(prec))
-            if isinstance(x, int) or (isinstance(x, Fraction) and v == x):
-                cushion = mpf(0)
-            return cls(v, cushion, prec)
+            if not isinstance(x, str) and v == x:
+                return cls(v, mpf(0), prec)
+            # One rounding; a Fraction rounds its numerator, then the quotient.
+            return cls(v, _rounding(v, 2 if isinstance(x, Fraction) else 1), prec)
 
     @classmethod
     def from_decimal(cls, text: str, prec: int) -> "BigReal":
@@ -222,7 +244,7 @@ class BigReal:
         check_prec(prec)
         with mpmath.workdps(working_dps(prec)):
             v = mpf(text.strip())
-            return cls(v, _round_cushion(v, working_dps(prec)), prec)
+            return cls(v, _rounding(v, 1), prec)  # decimal parsing rounds once
 
     # -- arithmetic ---------------------------------------------------
 
@@ -234,11 +256,9 @@ class BigReal:
     def __add__(self, other: ScalarLike | "BigReal") -> "BigReal":
         o = self._coerce(other)
         p = min(self.prec, o.prec)
-        wd = working_dps(p)
-        with mpmath.workdps(wd):
+        with mpmath.workdps(working_dps(p)):
             v = self.value + o.value
-            e = self.err + o.err + _round_cushion(v, wd)
-            return BigReal(v, e, p)
+            return BigReal(v, self.err + o.err + _rounding(v, 1), p)
 
     __radd__ = __add__
 
@@ -251,11 +271,9 @@ class BigReal:
     def __sub__(self, other: ScalarLike | "BigReal") -> "BigReal":
         o = self._coerce(other)
         p = min(self.prec, o.prec)
-        wd = working_dps(p)
-        with mpmath.workdps(wd):
+        with mpmath.workdps(working_dps(p)):
             v = self.value - o.value
-            e = self.err + o.err + _round_cushion(v, wd)
-            return BigReal(v, e, p)
+            return BigReal(v, self.err + o.err + _rounding(v, 1), p)
 
     def __rsub__(self, other: ScalarLike) -> "BigReal":
         return self._coerce(other) - self
@@ -263,11 +281,10 @@ class BigReal:
     def __mul__(self, other: ScalarLike | "BigReal") -> "BigReal":
         o = self._coerce(other)
         p = min(self.prec, o.prec)
-        wd = working_dps(p)
-        with mpmath.workdps(wd):
+        with mpmath.workdps(working_dps(p)):
             v = self.value * o.value
             e = (abs(self.value) * o.err + abs(o.value) * self.err
-                 + self.err * o.err + _round_cushion(v, wd))
+                 + self.err * o.err + _rounding(v, 1))
             return BigReal(v, e, p)
 
     __rmul__ = __mul__
@@ -277,12 +294,10 @@ class BigReal:
         if o.value == 0:
             raise DomainError("division by zero")
         p = min(self.prec, o.prec)
-        wd = working_dps(p)
-        with mpmath.workdps(wd):
+        with mpmath.workdps(working_dps(p)):
             v = self.value / o.value
             denom = abs(o.value)
-            e = (self.err / denom + abs(v) * o.err / denom
-                 + _round_cushion(v, wd))
+            e = self.err / denom + abs(v) * o.err / denom + _rounding(v, 1)
             return BigReal(v, e, p)
 
     def __rtruediv__(self, other: ScalarLike) -> "BigReal":
@@ -318,21 +333,21 @@ class BigReal:
                 f"err<={mpmath.nstr(self.err, 3)}, prec={self.prec})")
 
 
-def _round_cushion(v: mpf, wd: int) -> mpf:
-    """Rounding allowance ``(1 + |v|) * 10**-(wd - 2)`` for ``v`` made at ``wd`` digits.
+def _rounding(v: mpf, count: float | mpf) -> mpf:
+    """``count (1 + |v|) 2**(1 - mp.prec)``: ``count`` roundings that make ``v``.
 
-    A site that rounds more than once scales it by its operation count; a
-    site that allows ``10**-(wd - 3)`` passes ``wd - 1``.
+    One count covers one faithful rounding of ``v`` at the ambient binary
+    precision, and one unit of ``2**-mp.prec`` absolute; the module
+    docstring gives the premises and the counted sites.
     """
-    return (1 + abs(v)) * mpf(10) ** (-(wd - 2))
+    return mpmath.ldexp(count * (1 + abs(v)), 1 - mpmath.mp.prec)
 
 
 def pi_times(k: int, prec: int) -> BigReal:
-    """``k * pi`` at the working precision of ``prec``, with the rounding cushion."""
-    wd = working_dps(prec)
-    with mpmath.workdps(wd):
+    """``k * pi`` at the working precision of ``prec``, with its two roundings."""
+    with mpmath.workdps(working_dps(prec)):
         v = k * mpmath.pi
-        return BigReal(v, _round_cushion(v, wd), prec)
+        return BigReal(v, _rounding(v, 2), prec)  # pi, then the product
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +397,11 @@ def accel_alt_sum(term: Callable[[int], mpf], prec: int) -> BigReal:
     """Evaluate ``sum(term(k) for k >= 1)`` to ``prec`` certified digits.
 
     ``term`` must be pure, giving the same value for the same ``k`` at the
-    same ambient precision, and ``|term(k)|`` must be a moment sequence as
-    :func:`accel_alt_terms` requires.  Evaluates the first
-    :func:`alt_terms_needed` terms at the working precision and sums them
-    with :func:`accel_alt_terms`, treating each term as exact; its sign
+    same ambient precision, within one rounding (one count of
+    :func:`_rounding`) of the series' term, and ``|term(k)|`` must be a
+    moment sequence as :func:`accel_alt_terms` requires.  Evaluates the
+    first :func:`alt_terms_needed` terms at the working precision and sums
+    them with :func:`accel_alt_terms`, which counts that rounding; its sign
     check, the only alternation guard, raises :class:`DomainError` when the
     first ten terms do not alternate.
 
@@ -414,6 +430,13 @@ def accel_alt_terms(terms: Sequence[mpf], prec: int,
     ``c_k`` and normaliser ``d``.  Series whose terms become identically
     zero are summed directly (a finite sum is its own best acceleration).
 
+    Rounding, in counts of :func:`_rounding` at ``|a_1|``, which is at
+    least every ``|a_k|`` and ``|S|``: each term is taken to be one rounding
+    off the series' term (``n`` counts, as ``sum(|c_k|) <= n d``), each
+    floored term is off by under one unit of ``2**-mp.prec`` (``n`` more),
+    and the division and the conversion to an mpf round once each: ``2 n +
+    2`` in all.  A finite sum of ``j`` terms costs ``j + 1``.
+
     Cost: ``n = ceil((wd - 1 + log10 2) / log10(3 + sqrt(8)))`` terms, ``wd
     = working_dps(prec)``, floored to integers at the binary precision of
     ``wd``, one integer dot product and one division, plus an mpf sum for
@@ -435,7 +458,7 @@ def accel_alt_terms(terms: Sequence[mpf], prec: int,
         for j in range(len(terms) - 1):
             if terms[j] == 0 and terms[j + 1] == 0:
                 v = mpmath.fsum(terms[:j])
-                err = _round_cushion(v, wd) * max(1, j)
+                err = _rounding(terms[0], j + 1)  # j terms, one rounded sum
                 if bounds is not None:
                     err += mpmath.fsum(bounds)
                 return BigReal(v, err, prec).demand("accel_alt_sum")
@@ -446,7 +469,7 @@ def accel_alt_terms(terms: Sequence[mpf], prec: int,
                 raise DomainError("series terms do not alternate in sign")
         s = sign * _cvz(terms, n)
         first = abs(terms[0]) if bounds is None else abs(terms[0]) + bounds[0]
-        err = 2 * first / (3 + mpmath.sqrt(8)) ** n + _round_cushion(s, wd) * n
+        err = 2 * first / (3 + mpmath.sqrt(8)) ** n + _rounding(first, 2 * n + 2)
         if bounds is not None:
             weights, d = _cvz_weights(n)
             err += mpmath.fsum(abs(c) * b for c, b in zip(weights, bounds)) / d
@@ -480,8 +503,13 @@ def em_sum(s: ScalarLike, n_split: int, bernoulli_terms: int, prec: int) -> BigR
     with ``n = n_split``, ``J = bernoulli_terms`` and ``I(n)`` the integral
     tail ``n**(1-s)/(s-1)``, or ``-log(n)`` at ``s == 1`` (the regularized
     companion, whose limit is the constant the ``s == 1`` series defines).
-    The declared bound is the first omitted Bernoulli term, one unit more
-    for its floor, plus the rounding cushion once per row and per term.
+    The declared bound is the first omitted Bernoulli term plus the units
+    of ``2**-bits`` that :func:`_em_power_sum` counts: 2 per row, 2 for
+    ``f(n)/2``, 2 for the ``-log n`` of ``s = 1``, and for the integral tail
+    and each Bernoulli term (the omitted one too) a floor and its share of
+    the last row's error, ``2 n q`` times the exact factor it scales ``q
+    n**(1-s)`` by (``s = p/q``); plus one count of ``|value|`` for the
+    conversion to an mpf.
 
     Cost: ``n_split`` mpf powers, then integer sums and ``J + 1`` Bernoulli
     terms of a few exact integer products each.  Only the exact
@@ -504,7 +532,7 @@ def em_sum(s: ScalarLike, n_split: int, bernoulli_terms: int, prec: int) -> BigR
         with mpmath.workprec(bits + 4):
             sv = as_mpf(s)
             rows = [_fixed(mpf(k) ** -sv, bits) for k in range(1, n_split + 1)]
-        value, err = _em_power_sum(s, rows, bernoulli_terms, bits, wd)
+        value, err = _em_power_sum(s, rows, bernoulli_terms, bits)
     return BigReal(value, err, prec).demand(
         f"em_sum at split {n_split} with {bernoulli_terms} Bernoulli terms")
 
@@ -577,8 +605,8 @@ def _em_plan(s: ScalarLike, digits: int, term_cost: int, n_start: int = 2) -> tu
 def em_sum_certified(s: ScalarLike, prec: int) -> BigReal:
     """:func:`em_sum` at the split and term count :func:`_em_plan` picks.
 
-    The plan aims the first omitted term at ``10**-(wd - 1)``, a tenth of
-    the rounding cushion's unit, so the declared bound is mostly rounding.
+    The plan aims the first omitted term at ``10**-(wd - 1)``, which with
+    the counted rounding meets ``10**-prec`` with about nine digits to spare.
     One :func:`em_sum` call; a plan that misses raises its
     :class:`PrecisionNotMet`, and nothing is retried.
     """
@@ -608,36 +636,47 @@ def _zeta_plan(top: int, wd: int) -> tuple[tuple[int, int], ...]:
     return tuple(reversed(plan))
 
 
-def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int, bits: int,
-                  wd: int) -> tuple[mpf, mpf]:
+def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
+                  bits: int) -> tuple[mpf, mpf]:
     # The Euler-Maclaurin body of em_sum and zeta_values: sum(k**-s), s = p/q
-    # >= 1, split at n = len(rows), in fixed point with ``bits`` fraction
-    # bits; rows[k-1] is 2**bits * k**-s within 2 units.  Every division and
-    # the -log n of s = 1 round down once, so the integer total is off by a
-    # few units per row and per term, where the rounding cushion allows about
-    # 10**3 units per row and per term.  For an integer s, q = 1.
+    # >= 1, split at n = len(rows), in fixed point with bits == mp.prec
+    # fraction bits; rows[k-1] is 2**bits * k**-s within 2 units.  ``units``
+    # counts the integer total's error, each unit one count of _rounding(0,
+    # .): 2 per row; 2 for rows[-1] // 2 (a floor, half a row); 2 for the
+    # -log n of s = 1 (a floor, a log at 16 more bits); and for the integral
+    # and each Bernoulli term, the omitted one too, a floor and the share of
+    # the tail's error its exact factor carries.  The tail is n q times the
+    # last row, which is off by 2 units; once s >= bits + 2 floors that row
+    # to 0, by its true 2**bits n**-s <= 2**(1 - shift) (0 for n = 1).  For
+    # an integer s, q = 1.
     n = len(rows)
     p, q = s.as_integer_ratio()
     tail = rows[-1] * n * q  # q n**(1-s)
+    tail_err = 2 * n * q  # the tail's error, times 2**shift
+    shift = max(p // q - bits - 1, 0)
+    units = 2 * n + 4
     if p == q:
         with mpmath.workprec(bits + 16):
             integral = int(mpmath.floor(-mpmath.ldexp(mpmath.log(n), bits)))
     else:
         integral = tail // (p - q)
+        units += (tail_err >> shift) // (p - q)
     total = sum(rows) + integral - rows[-1] // 2
     poch = p  # q**(2j-1) s(s+1)...(s+2j-2), exact
     npow = 1  # (q n)**(2j)
     for j in range(1, terms + 2):
         npow *= (q * n) ** 2
         ratio = _bernoulli_ratio_exact(j)
-        correction = tail * poch * ratio.numerator // (ratio.denominator * npow)
+        scale, den = poch * ratio.numerator, ratio.denominator * npow
+        correction = tail * scale // den
+        units += (tail_err * abs(scale) >> shift) // den + 2
         if j > terms:
-            first_omitted = mpf((abs(correction) + 1, -bits))
             break
         total += correction
         poch *= (p + (2 * j - 1) * q) * (p + 2 * j * q)
     value = mpf((total, -bits))
-    return value, first_omitted + _round_cushion(value, wd) * (n + terms)
+    # The first omitted term, the counted units, and the conversion of the total.
+    return value, mpf((abs(correction), -bits)) + _rounding(0, units) + _rounding(value, 1)
 
 
 def zeta_values(top: int, wd: int) -> list[tuple[mpf, mpf]]:
@@ -674,7 +713,7 @@ def zeta_values(top: int, wd: int) -> list[tuple[mpf, mpf]]:
         out = []
         for s, (n_split, terms) in enumerate(plan, start=2):
             rows = [r // m for r, m in zip(rows, range(1, n_split + 1))]
-            value, err = _em_power_sum(s, rows, terms, bits, wd)
+            value, err = _em_power_sum(s, rows, terms, bits)
             if err > limit:
                 raise PrecisionNotMet(
                     f"zeta_values: zeta({s}) bound {mpmath.nstr(err, 3)} exceeds "

@@ -109,7 +109,8 @@ def _commands():
     """argv lists of the CLI cells; ``--prec`` and ``--json`` go after the command."""
     return [
         ["zeta", "3/2"], ["phi", "1/2"], ["gamma"], ["gamma", "--method", "ZETA_SERIES"],
-        ["polylog", "1", "1/3"], ["polylog", "2", "1/2"], ["polylog", "3", "--", "-3/4"],
+        ["polylog", "1", "1/3"], ["polylog", "1", "99999999999999999999999/100000000000000000000000"],
+        ["polylog", "2", "1/2"], ["polylog", "3", "--", "-3/4"],
         ["polylog", "2", "3/4"], ["polylog", "2", "1"], ["polylog", "3", "3/4"],
         ["polylog", "3", "-3/4"], ["polylog", "1001", "1/2"],
         ["mzv", "2"], ["mzv", "2", "3"], ["mzv", "2", "2", "3"], ["mzv", "2", "2", "2", "3"],

@@ -150,6 +150,16 @@ def test_li1_is_minus_log1p():
         assert abs(y.value + mpmath.log(2)) <= mpf(10) ** (-prec)
 
 
+@pytest.mark.parametrize("k", [5, 10, 20, 40])
+@pytest.mark.parametrize("prec", [15, 50, 100])
+def test_li1_near_one_covers_mpmath(k, prec):
+    # 1 - z is taken from the exact rational: rounding z first would cancel.
+    x = polylog(1, 1 - Fraction(1, 10 ** k), prec)
+    assert x.certified()
+    with mpmath.workdps(130):
+        assert abs(x.value - k * mpmath.log(10)) <= x.err
+
+
 def test_li2_half_closed_form():
     # Li_2(1/2) = pi^2/12 - log(2)^2/2.
     prec = 30

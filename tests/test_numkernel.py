@@ -21,6 +21,7 @@ from euler_periods.numkernel import (
     accel_alt_sum,
     accel_alt_terms,
     alt_terms_needed,
+    as_fraction,
     as_mpf,
     bernoulli,
     check_prec,
@@ -124,6 +125,15 @@ def test_exact_integer_has_zero_error():
     assert x.err == 0
     assert x.value == 7
     assert x.prec == 15
+
+
+@pytest.mark.parametrize("x", [10 ** 40 + 1, -(3 ** 100), Fraction(10 ** 40 + 1, 3), 0.1])
+def test_exact_bound_covers_what_rounds(x):
+    # An integer or float wider than the working precision rounds too.
+    b = BigReal.exact(x, 1)
+    exact = as_fraction(b.value)
+    assert abs(exact - Fraction(x)) <= as_fraction(b.err)
+    assert (b.err == 0) == (exact == Fraction(x))
 
 
 def test_exact_fraction_bound_covers_rounding():
