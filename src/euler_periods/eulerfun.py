@@ -34,6 +34,7 @@ from .numkernel import (
     zeta_values,
     _at_one,
     _planned_bits,
+    _power_rows,
     _rounding,
     _word,
 )
@@ -49,6 +50,16 @@ def zeta(s: ScalarLike, prec: int) -> BigReal:
     Evaluated by Euler-Maclaurin summation (partial sum, integral tail,
     Bernoulli corrections).  Raises :class:`DomainError` for ``s <= 1``;
     the ``s = 1`` series is harmonic and has no value to report.
+
+    Limit near the pole: the sum runs at ``working_dps(prec)`` digits
+    whatever ``s``, but its integral tail ``n**(1-s)/(s-1)`` carries the
+    last row's error times ``n/(s - 1)``, and the value itself is about
+    ``1/(s - 1)``, while the bound asked for is absolute, ``10**-prec``.  So
+    once ``1/(s - 1)`` eats the
+    :data:`~euler_periods.numkernel.GUARD_DIGITS` guard digits the counted
+    rounding misses it and :class:`PrecisionNotMet` is raised:
+    ``zeta(1 + 10**-9, 15)`` certifies, ``zeta(1 + 10**-9, 50)`` and
+    ``zeta(1 + 10**-12, 15)`` do not.
     """
     check_prec(prec)
     q = as_fraction(s)
@@ -77,19 +88,22 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
     Related to zeta by ``phi(s) = (1 - 2**(1-s)) * zeta(s)`` for ``s > 1``
     and continues it below: ``phi(1) = log 2``.  Evaluated by accelerated
     alternating summation.  ``s`` must be a finite rational, as for
-    :func:`zeta`.  Each term ``k**-s'``, ``s'`` the rounded ``s``, is within
+    :func:`zeta`.  Each term is the row ``floor(2**bits k**-s)`` of
+    :func:`~euler_periods.numkernel._power_rows` at the binary precision
+    ``bits`` of ``working_dps(prec)``, an mpf exactly: an exact floor, within
     the one count :func:`~euler_periods.numkernel.accel_alt_sum` allows a
-    term: the power rounds once, and ``s'`` (two roundings) moves it by at
-    most ``2 s log(k) k**-s 2**-prec <= 2**(1 - prec) / e``.
+    term, unless ``s`` has a denominator past the rows' root cap, where that
+    count rests on mpmath's power.  Rows that floor to 0 leave a tail below
+    one unit of ``2**-bits``, which the finite sum's counts cover.
     """
     check_prec(prec)
     q = as_fraction(s)
-    wd = working_dps(prec)
-    with mpmath.workdps(wd):
-        sv = as_mpf(q)
-        if not sv > 0:
-            raise DomainError(f"phi requires s > 0, got s = {mpmath.nstr(sv, 8)}")
-        return accel_alt_sum(lambda k: mpf(-1) ** (k - 1) * mpf(k) ** (-sv), prec)
+    with mpmath.workdps(working_dps(prec)):
+        if not q > 0:
+            raise DomainError(f"phi requires s > 0, got s = {mpmath.nstr(as_mpf(q), 8)}")
+        bits = mpmath.mp.prec
+    rows = _power_rows(q, alt_terms_needed(prec), bits)
+    return accel_alt_sum(lambda k: mpf((rows[k - 1] if k % 2 else -rows[k - 1], -bits)), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -146,50 +160,71 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
     :class:`DomainError`, as do ``|z| > 1`` and ``(n, z) = (1, 1)``; a
     weight ``n`` above ``numkernel.WEIGHT_CAP`` raises :class:`TooLarge`.
 
-    A ``z`` in ``[-1, 1/2]`` of more than ``2 T`` bits, ``T`` the engine's
-    planned bit count, is first cut toward 0 to ``T`` fraction bits; there
-    ``|Li_n'| <= 2`` (``1/(1 - z)``, or ``|Li_(n-1)(z)/z| <= 2 log 2``), so
-    the bound grows by ``2 |z - z'| < 2**(1 - T)``.
+    The domain is decided on the exact rational.  A ``z`` of more than ``2
+    T`` bits, ``T`` the engine's planned bit count, is never converted
+    whole.  For ``n = 1``, ``1 - z`` is cut toward 0 to ``T`` significant
+    bits, which moves the log by under ``2**(1 - T)``, within its counts.
+    For ``n >= 2``, ``z`` is cut toward 0 to ``T`` fraction bits, ``|z - z'|
+    < 2**-T``, and evaluated there; the bound grows by ``m 2**(1 - T)``,
+    where ``2 m`` bounds ``|Li_n'|`` on ``[z', z]``: ``m = 1`` on ``[-1,
+    1/2]``, where ``|Li_n'| <= 2`` (``1/(1 - z)``, or ``|Li_(n-1)(z)/z| <= 2
+    log 2``), and on ``(1/2, 1)``, where ``|Li_2'(t)| = |log(1 - t)|/t <= 2 m
+    log 2``, the ``m`` with ``1/(1 - z) < 2**m``.  Error messages show the
+    cut ``z``.
     """
     check_prec(prec)
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"polylog order must be an integer >= 1, got {n!r}")
     q = as_fraction(z)
     t = _planned_bits(n, prec)
-    if -1 <= q <= Fraction(1, 2) and max(q.numerator.bit_length(), q.denominator.bit_length()) > 2 * t:
+    huge = max(q.numerator.bit_length(), q.denominator.bit_length()) > 2 * t
+    if huge:  # z cut toward 0 to t fraction bits, in units of 2**-t
         cut = (abs(q.numerator) << t) // q.denominator
-        near = polylog(n, Fraction(cut if q > 0 else -cut, 1 << t), prec)
-        with mpmath.workdps(working_dps(prec)):
-            return BigReal(near.value, near.err + mpf(2) ** (1 - t), prec).demand("polylog")
+        cut = cut if q > 0 else -cut
     wd = working_dps(prec)
-    with mpmath.workdps(wd):
-        zv = as_mpf(q)
-        if abs(q) > 1:
-            raise DomainError(f"polylog requires |z| <= 1, got z = {mpmath.nstr(zv, 8)}")
-        if n == 1:
-            if q == 1:
-                raise DomainError("Li_1(1) is the harmonic series; no value to report")
-            # 1 - z is exact before it rounds (twice, as a Fraction), which
-            # moves the log by 2 2**-prec; the log rounds once more.
-            v = -mpmath.log(as_mpf(1 - q))
+
+    def shown() -> str:
+        with mpmath.workdps(wd):
+            return mpmath.nstr(mpf((cut, -t)) if huge else as_mpf(q), 8)
+
+    if abs(q) > 1:
+        raise DomainError(f"polylog requires |z| <= 1, got z = {shown()}")
+    w = 1 - q
+    if n == 1:
+        if q == 1:
+            raise DomainError("Li_1(1) is the harmonic series; no value to report")
+        with mpmath.workdps(wd):
+            if huge:
+                shift = t + w.denominator.bit_length() - w.numerator.bit_length()
+                wv = mpf(((w.numerator << shift) // w.denominator, -shift))
+            else:
+                wv = as_mpf(w)
+            # 1 - z is exact before it rounds (twice, as a Fraction, or a cut
+            # below 2**(1 - T) relative and one rounding), which moves the log
+            # by 2 2**-prec; the log rounds once more.
+            v = -mpmath.log(wv)
             return BigReal(v, _rounding(v, 2), prec).demand("polylog")
     if q == 0:
         return BigReal(mpf(0), mpf(0), prec)
+    if Fraction(1, 2) < q < 1 and n > 2:
+        raise DomainError(f"Li_{n} is only evaluated on [-1, 1/2] and the endpoint 1; got z = {shown()}")
+    if huge:
+        near = polylog(n, Fraction(cut, 1 << t), prec)
+        m = 1 if q <= Fraction(1, 2) else w.denominator.bit_length() - w.numerator.bit_length() + 1
+        with mpmath.workdps(wd):
+            return BigReal(near.value, near.err + m * mpf(2) ** (1 - t), prec).demand("polylog")
     if q <= Fraction(1, 2) or q == 1:
         return _at_one(_word((n,), (1 / q,)), prec).demand("polylog")
-    if n == 2:
-        # Li_2(z) + Li_2(1-z) + log(z) log(1-z) = zeta(2), with 1-z in (0, 1/2).
-        li_w = _at_one(_word((2,), (1 / (1 - q),)), prec + 4)
-        with mpmath.workdps(working_dps(prec + 4)):
-            log_w = mpmath.log(as_mpf(1 - q))
-            v = mpmath.pi ** 2 / 6 - mpmath.log(as_mpf(q)) * log_w - li_w.value
-            # pi**2/6 rounds 3 times on 1.65, log z (|log z| < log 2) is 2
-            # 2**-prec off from its Fraction and 1 count from the log, log(1 -
-            # z) as much on its size L, the product and two sums once each:
-            # under 12 + 5.5 L in 2**-prec, so 4 + 2 L counts as |v| > 0.58.
-            return BigReal(v, li_w.err + _rounding(v, 4 + 2 * abs(log_w)), prec).demand("polylog")
-    raise DomainError(
-        f"Li_{n} is only evaluated on [-1, 1/2] and the endpoint 1; got z = {mpmath.nstr(zv, 8)}")
+    # Li_2(z) + Li_2(1-z) + log(z) log(1-z) = zeta(2), with 1-z in (0, 1/2).
+    li_w = _at_one(_word((2,), (1 / w,)), prec + 4)
+    with mpmath.workdps(working_dps(prec + 4)):
+        log_w = mpmath.log(as_mpf(w))
+        v = mpmath.pi ** 2 / 6 - mpmath.log(as_mpf(q)) * log_w - li_w.value
+        # pi**2/6 rounds 3 times on 1.65, log z (|log z| < log 2) is 2
+        # 2**-prec off from its Fraction and 1 count from the log, log(1 -
+        # z) as much on its size L, the product and two sums once each:
+        # under 12 + 5.5 L in 2**-prec, so 4 + 2 L counts as |v| > 0.58.
+        return BigReal(v, li_w.err + _rounding(v, 4 + 2 * abs(log_w)), prec).demand("polylog")
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,13 @@ _BRACKETS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _bracket(order: int, mode: CoeffMode):
+    """The parsed expression of a constant bracket, parsed once per process."""
+    from .symbolic import parse_expr
+    return parse_expr(_BRACKETS[order, mode])
+
+
 def coeff_a2(prec: int, mode: CoeffMode | str = CoeffMode.EXACT_BRACKET,
              registry: Sequence[Measurement] | None = None) -> BigReal:
     """Second-order coefficient ``a_2``.
@@ -295,8 +302,8 @@ def coeff_a2(prec: int, mode: CoeffMode | str = CoeffMode.EXACT_BRACKET,
         r = _alpha_ratio(ainv, inner)
         a2 = (ae - r / 2) / r ** 2
         return BigReal(a2.value, a2.err, prec)
-    from .symbolic import parse_expr, period_map  # only the bracket modes load the symbol layer
-    return period_map(parse_expr(_BRACKETS[2, mode]), prec)
+    from .symbolic import period_map  # only the bracket modes load the symbol layer
+    return period_map(_bracket(2, mode), prec)
 
 
 def coeff_a3(mode: CoeffMode | str = CoeffMode.CONSISTENT, prec: int = 15,
@@ -321,8 +328,8 @@ def coeff_a3(mode: CoeffMode | str = CoeffMode.CONSISTENT, prec: int = 15,
         num = ae - r / 2 - a2 * r ** 2 - a4 * r ** 4
         a3 = num / r ** 3
         return BigReal(a3.value, a3.err, prec)
-    from .symbolic import parse_expr, period_map
-    return period_map(parse_expr(_BRACKETS[3, mode]), prec)
+    from .symbolic import period_map
+    return period_map(_bracket(3, mode), prec)
 
 
 @dataclass(frozen=True)

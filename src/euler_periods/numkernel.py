@@ -26,7 +26,8 @@ log10(3 + sqrt(8)))`` terms and the Cohen-Rodriguez Villegas-Zagier bound
 ``2 |S| / (3 + sqrt(8))**n``, a theorem for the moment sequences every
 caller sums.  No engine caches an mpf: the Bernoulli fractions are cached
 per index, the integer Chebyshev weights per term count, the batch plans
-per ``(top, wd)``.
+per ``(top, wd)``, and the last 1024 Euler-Maclaurin plans per exact
+argument tuple.
 
 Every engine sums in Python-integer fixed point at the binary precision of
 ``prec`` plus :data:`GUARD_DIGITS` decimal digits: the Euler-Maclaurin body
@@ -47,8 +48,16 @@ function (``log``, ``cos``, ``cot``, ``gamma``, powers, ``pi``) is faithful,
 within one count, unless its site states more.  A floor to ``2**-b`` with
 ``b = p`` errs by under one unit of ``2**-b``, less than the one count of
 ``_rounding(0, 1)``.  The counts are first order; the square of a relative
-error of ``2**-p`` stays far below the slack of the counts.  The counted
-sites, each with its count and premises beside the call:
+error of ``2**-p`` stays far below the slack of the counts.
+
+The rows ``floor(2**b k**-s)`` of the Euler-Maclaurin and Chebyshev bodies
+need no premise: :func:`_power_rows` computes them as exact integer floors
+(one division for an integer ``s``, an integer ``q``-th root for ``s =
+p/q``), so :func:`em_sum`, :func:`zeta_values` and ``phi`` count proved
+units there.  The one exception is an ``s`` whose denominator ``q`` has
+``q b`` past :data:`_ROOT_BITS_CAP` (a binary ``s`` such as PHI_FUNCEQ's, or
+``1 + 10**-9``): its rows come from mpmath's power, on the premise above.
+The counted sites, each with its count and premises beside the call:
 
 * the :class:`BigReal` constructors and ``+ - * /``, and :func:`pi_times`;
 * the fixed-point bodies :func:`_em_power_sum` and :func:`accel_alt_terms`;
@@ -379,6 +388,60 @@ def _fixed(x: mpf, bits: int) -> int:
     return man << (exp + bits) if exp + bits >= 0 else man >> -(exp + bits)
 
 
+def _iroot(x: int, q: int) -> int:
+    """``floor(x**(1/q))`` for integers ``x >= 0`` and ``1 <= q < 2**17``, exactly."""
+    if q == 1:
+        return x
+    if q == 2:
+        return math.isqrt(x)
+    r = x.bit_length() // q  # about the root's bit length
+    if r <= 40:
+        # A float guess within a few units, then corrected on exact powers.
+        y = int(2 ** (math.log2(x) / q)) if x else 0
+        while y ** q > x:
+            y -= 1
+        while (y + 1) ** q <= x:
+            y += 1
+        return y
+    # The root of the top bits, plus one, shifted back lies above the root by
+    # a relative 2**(h + 1 - r) at most; one Newton step from above keeps it
+    # at or above the floor (AM-GM) and squares that error to below one unit.
+    h = r // 2 - q.bit_length() - 2
+    y = (_iroot(x >> q * h, q) + 1) << h
+    y = ((q - 1) * y + x // y ** (q - 1)) // q
+    return y - 1 if y ** q > x else y
+
+
+#: Largest ``q * bits`` for which :func:`_power_rows` takes ``k**-(p/q)`` as
+#: an exact integer root: the sweep's ``q <= 12`` at prec 100 is 4428; at the
+#: cap a row costs about twice an mpf power (2-core x86-64 VM, mpmath 1.3.0).
+_ROOT_BITS_CAP = 1 << 13
+
+
+def _power_rows(s: Fraction, n: int, bits: int) -> list[int]:
+    """``floor(2**bits * k**-s)`` for ``k = 1..n``, ``s = p/q > 0`` rational.
+
+    Exact floors, each within one unit of ``2**-bits``: as ``floor(y) =
+    floor(floor(y**q)**(1/q))``, a row is the integer ``q``-th root of ``(1
+    << bits q) // k**p`` (:func:`_iroot`), one division for an integer
+    ``s``.  Once ``s > bits`` every row past the first is 0 and no ``k**p``
+    is formed, so a huge ``s`` costs nothing.  Past :data:`_ROOT_BITS_CAP`
+    for ``q * bits`` row ``k`` is ``_fixed(mpf(k) ** -s, bits)`` at ``bits``
+    bits instead, within 2 units on the premise that mpmath's power is
+    faithful: its ``2**(1 - bits)`` relative is a unit once ``k >= 2``, and
+    the floor one more.
+    """
+    p, q = s.numerator, s.denominator
+    if p > bits * q:  # 2**bits k**-s <= 2**(bits - s) < 1 for k >= 2
+        return [1 << bits] + [0] * (n - 1)
+    if q * bits > _ROOT_BITS_CAP:
+        with mpmath.workprec(bits):
+            sv = as_mpf(s)
+            return [_fixed(mpf(k) ** -sv, bits) for k in range(1, n + 1)]
+    one = 1 << bits * q
+    return [_iroot(one // k ** p, q) for k in range(1, n + 1)]
+
+
 def _cvz(terms: Sequence[mpf], n: int) -> mpf:
     # Chebyshev estimate of sum((-1)^k |terms[k]|) at the ambient precision:
     # one integer dot product over the floored |terms[k]|, one division.
@@ -435,7 +498,9 @@ def accel_alt_terms(terms: Sequence[mpf], prec: int,
     off the series' term (``n`` counts, as ``sum(|c_k|) <= n d``), each
     floored term is off by under one unit of ``2**-mp.prec`` (``n`` more),
     and the division and the conversion to an mpf round once each: ``2 n +
-    2`` in all.  A finite sum of ``j`` terms costs ``j + 1``.
+    2`` in all.  A finite sum of ``j`` terms costs ``j + 1``.  ``phi``'s terms
+    are exact floors at ``2**-mp.prec`` (:func:`_power_rows`, below its root
+    cap), so there its first ``n`` counts are a proof and its floors exact.
 
     Cost: ``n = ceil((wd - 1 + log10 2) / log10(3 + sqrt(8)))`` terms, ``wd
     = working_dps(prec)``, floored to integers at the binary precision of
@@ -491,10 +556,14 @@ def em_sum(s: ScalarLike, n_split: int, bernoulli_terms: int, prec: int) -> BigR
     """Euler-Maclaurin sum of ``k**-s`` for rational ``s >= 1``.
 
     ``s`` is the exact rational it denotes (:func:`as_fraction`), and the
-    rows ``floor(2**bits * k**-s)``, within 2 units at the binary precision
-    ``bits`` of ``wd = working_dps(prec)``, are computed here from ``mpf(k)
-    ** -s``; so no caller can pair a bound with a series it does not
-    describe.  With ``f(k) = k**-s`` this sums, in the integer fixed point
+    rows ``floor(2**bits * k**-s)`` at the binary precision ``bits`` of ``wd
+    = working_dps(prec)`` are computed here by :func:`_power_rows`; so no
+    caller can pair a bound with a series it does not describe.  The rows are
+    exact floors, one unit off at most, so their 2 counted units are a proof,
+    for every ``s = p/q`` with ``q * bits`` within :data:`_ROOT_BITS_CAP`
+    (every integer ``s``, and every ``s > bits``); past the cap a row comes
+    from ``mpf(k) ** -s`` and its 2 units rest on mpmath's power being
+    faithful.  With ``f(k) = k**-s`` this sums, in the integer fixed point
     of :func:`_em_power_sum`, the body :func:`zeta_values` runs on::
 
         sum(f(k), k=1..n) + I(n) - f(n)/2
@@ -511,8 +580,9 @@ def em_sum(s: ScalarLike, n_split: int, bernoulli_terms: int, prec: int) -> BigR
     n**(1-s)`` by (``s = p/q``); plus one count of ``|value|`` for the
     conversion to an mpf.
 
-    Cost: ``n_split`` mpf powers, then integer sums and ``J + 1`` Bernoulli
-    terms of a few exact integer products each.  Only the exact
+    Cost: ``n_split`` rows, each one integer division for an integer ``s``
+    and an integer ``q``-th root otherwise, then integer sums and ``J + 1``
+    Bernoulli terms of a few exact integer products each.  Only the exact
     ``B_2j/(2j)!`` are cached, per ``j``: at most 51 entries with the plans
     of :func:`em_sum_certified` (``J <= 50``).
 
@@ -526,13 +596,9 @@ def em_sum(s: ScalarLike, n_split: int, bernoulli_terms: int, prec: int) -> BigR
     s = as_fraction(s)
     if s < 1:
         raise DomainError("em_sum needs s >= 1; a smaller s does not define a convergent tail")
-    wd = working_dps(prec)
-    with mpmath.workdps(wd):
+    with mpmath.workdps(working_dps(prec)):
         bits = mpmath.mp.prec
-        with mpmath.workprec(bits + 4):
-            sv = as_mpf(s)
-            rows = [_fixed(mpf(k) ** -sv, bits) for k in range(1, n_split + 1)]
-        value, err = _em_power_sum(s, rows, bernoulli_terms, bits)
+        value, err = _em_power_sum(s, _power_rows(s, n_split, bits), bernoulli_terms, bits)
     return BigReal(value, err, prec).demand(
         f"em_sum at split {n_split} with {bernoulli_terms} Bernoulli terms")
 
@@ -542,9 +608,11 @@ _LOG10_BERNOULLI_RATIO_BOUND = math.log10(math.pi ** 2 / 3)
 _LOG10_2PI = math.log10(2 * math.pi)
 
 # Cost of one Bernoulli term in partial-sum terms: in zeta_values against one
-# integer division (measured).  em_sum's 3 was measured against the mpf power
-# of its rows when it summed in mpf; it is kept so that its plans, and so its
-# bounds, stay comparable.
+# integer division (measured).  On em_sum's exact rows a term costs 4-20 rows
+# at an integer s and 0.5-1 at s = 7/3 or 29/12 (prec 15-100, 2-core x86-64
+# VM), so no one weight fits both; planning em_sum at 6 grew every declared
+# bound (more rows, more counted units) and slowed s = 29/12 by half, so its
+# plans keep 3.
 _BERNOULLI_TERM_COST = 6
 _EM_BERNOULLI_TERM_COST = 3
 
@@ -559,12 +627,14 @@ def _first_omitted_log10(s: float, n: int, terms: int) -> float:
             - (s + 2 * m - 1) * math.log10(n))
 
 
-def _em_plan(s: ScalarLike, digits: int, term_cost: int, n_start: int = 2) -> tuple[int, int]:
+@lru_cache(maxsize=1024)
+def _em_plan(s: int | Fraction, digits: int, term_cost: int, n_start: int = 2) -> tuple[int, int]:
     """The cheapest ``(n_split, bernoulli_terms)`` for ``sum(k**-s)``, ``s >= 1``.
 
     Cheapest at ``n_split + term_cost * bernoulli_terms`` among splits from
     ``n_start`` on, with the estimated first omitted term at most
-    ``10**-digits``.
+    ``10**-digits``.  The plan is a function of its exact arguments, so the
+    last 1024 are cached, keyed and valued by integers and fractions alone.
     """
     # Past s = 10 * digits every split certifies with no Bernoulli term,
     # and the first omitted term, s * n**(-s-1) / 12, only falls as s
@@ -640,12 +710,14 @@ def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
                   bits: int) -> tuple[mpf, mpf]:
     # The Euler-Maclaurin body of em_sum and zeta_values: sum(k**-s), s = p/q
     # >= 1, split at n = len(rows), in fixed point with bits == mp.prec
-    # fraction bits; rows[k-1] is 2**bits * k**-s within 2 units.  ``units``
-    # counts the integer total's error, each unit one count of _rounding(0,
-    # .): 2 per row; 2 for rows[-1] // 2 (a floor, half a row); 2 for the
-    # -log n of s = 1 (a floor, a log at 16 more bits); and for the integral
-    # and each Bernoulli term, the omitted one too, a floor and the share of
-    # the tail's error its exact factor carries.  The tail is n q times the
+    # fraction bits; rows[k-1] is 2**bits * k**-s within 2 units (1 for the
+    # exact floors of _power_rows and zeta_values, 2 past the root cap on
+    # mpmath's premise).  ``units`` counts the integer total's error, each
+    # unit one count of _rounding(0, .): 2 per row; 2 for rows[-1] // 2 (a
+    # floor, half a row); 2 for the -log n of s = 1 (a floor, a log at 16
+    # more bits); and for the integral and each Bernoulli term, the omitted
+    # one too, a floor and the share of the tail's error its exact factor
+    # carries.  The tail is n q times the
     # last row, which is off by 2 units; once s >= bits + 2 floors that row
     # to 0, by its true 2**bits n**-s <= 2**(1 - shift) (0 for n = 1).  For
     # an integer s, q = 1.
@@ -688,8 +760,9 @@ def zeta_values(top: int, wd: int) -> list[tuple[mpf, mpf]]:
 
     Shared work: one fixed-point table of ``1/m`` with as many fraction
     bits as ``wd`` digits carry, and each ``m**-s`` is ``m**-(s-1)``
-    floor-divided by ``m``, which is the floor of the true power and so
-    within 2 units of it.  A row is dropped once no larger
+    floor-divided by ``m``, which is the exact floor of the true power (the
+    row :func:`_power_rows` gives), so its 2 counted units are a proof.  A
+    row is dropped once no larger
     ``s`` splits beyond it.  The split and the number of Bernoulli terms
     for each ``s`` come a priori from a closed-form estimate of the first
     omitted term (:func:`_zeta_plan`); large ``s`` needs no Bernoulli term

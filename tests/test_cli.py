@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -354,6 +355,15 @@ def test_phi_funceq_at_the_top_precisions(capsys, prec):
     code, out, err = run(capsys, "identity-check", "phi-funceq", "--s", "1/3", "--prec", prec)
     assert code == 0, err
     assert out.startswith("residual ")
+
+
+@pytest.mark.parametrize("prec", ["15", "100"])
+def test_phi_funceq_at_a_large_denominator_stays_within_its_bound(capsys, prec):
+    # phi(5/7) and phi(2/7) take the binary mpf of 5/7, past the exact rows' root cap.
+    code, out, err = run(capsys, "identity-check", "phi-funceq", "--s", "5/7", "--prec", prec, "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert Fraction(doc["residual"]) <= Fraction(doc["bound"])
 
 
 def test_negative_rational_follows_a_double_dash(capsys):

@@ -14,7 +14,7 @@ import pytest
 from mpmath import mpf
 
 from euler_periods import eulerfun, numkernel
-from euler_periods.errors import DomainError, TooLarge
+from euler_periods.errors import DomainError, PrecisionNotMet, TooLarge
 from euler_periods.eulerfun import (
     IdentityKind,
     MAX_PRIME_BOUND,
@@ -401,9 +401,11 @@ def test_phi_funceq_residual_small(s):
 
 
 @pytest.mark.parametrize("prec", [99, 100])
-def test_phi_funceq_at_the_top_precisions(prec):
-    # Both phi values are taken two digits higher inside, capped at MAX_PREC.
-    r = identity_residual(IdentityKind.PHI_FUNCEQ, {"s": Fraction(1, 3)}, prec)
+@pytest.mark.parametrize("s", [Fraction(1, 3), Fraction(5, 7)], ids=str)
+def test_phi_funceq_at_the_top_precisions(s, prec):
+    # Both phi values are taken two digits higher inside, capped at MAX_PREC;
+    # their binary exponents pass the exact rows' root cap.
+    r = identity_residual(IdentityKind.PHI_FUNCEQ, {"s": s}, prec)
     assert r.prec == prec
     assert abs(r.value) <= r.err
 
@@ -473,12 +475,12 @@ def test_gamma_em_runs_one_planned_em_sum_at_every_prec(monkeypatch):
         assert_covers(g, lambda: +mpmath.euler, prec)
 
 
-def test_zeta_of_a_huge_exponent_is_one():
-    # The planner must not turn s into a float that overflows.
-    z = zeta(10 ** 400, 15)
-    assert z.certified()
-    with mpmath.workdps(40):
-        assert abs(z.value - 1) <= z.err
+@pytest.mark.parametrize("prec", [1, 15, 100])
+def test_zeta_and_phi_of_a_huge_exponent_are_one(prec):
+    # The planner must not turn s into a float that overflows, and the rows
+    # past the first are 0 without forming k**s.
+    assert_covers(zeta(10 ** 400, prec), lambda: mpf(1), prec)
+    assert_covers(phi(10 ** 400, prec), lambda: mpf(1), prec)
 
 
 @pytest.mark.parametrize("s", [Fraction(1, 2), 1, Fraction(5, 2)], ids=str)
@@ -591,3 +593,61 @@ def test_polylog_of_a_huge_decimal_certifies_quickly():
                                -Fraction(1, 2) - Fraction(1, 7 ** 900)], ids=["1/3+", "-1/2-"])
 def test_polylog_cut_point_covers_at_every_prec(n, z):
     assert_certifies_and_covers(n, z)
+
+
+# ---------------------------------------------------------------------------
+# Exponents whose denominators pass the exact rows' root cap
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("prec", [1, 15, 50, 100])
+def test_zeta_and_phi_at_large_denominators_certify_and_cover(prec):
+    # These rows come from mpmath's power: q * bits passes the root cap.
+    binary = Fraction(2 ** 70 + 3, 2 ** 71)
+    assert binary.denominator * 40 > numkernel._ROOT_BITS_CAP
+    assert_covers(phi(binary, prec), lambda: mpmath.altzeta(exact(binary)), prec)
+    if prec <= 15:
+        near_pole = 1 + Fraction(1, 10 ** 9)
+        assert_covers(zeta(near_pole, prec), lambda: mpmath.zeta(exact(near_pole)), prec)
+
+
+def test_zeta_near_its_pole_names_its_limit():
+    # The bound is absolute while the value is about 1/(s - 1): see zeta's docstring.
+    with pytest.raises(PrecisionNotMet):
+        zeta(1 + Fraction(1, 10 ** 9), 50)
+    with pytest.raises(PrecisionNotMet):
+        zeta(1 + Fraction(1, 10 ** 12), 15)
+
+
+# ---------------------------------------------------------------------------
+# polylog at points of huge height outside [-1, 1/2]
+# ---------------------------------------------------------------------------
+
+#: z = 3/4 + 10**-40 and 1 - 10**-30, each moved by 10**-100000: the cut keeps
+#: the visible digits, and mpmath at 130 digits sees the exact z.
+HUGE_POINTS = [Fraction(3, 4) + Fraction(1, 10 ** 40) + Fraction(1, 10 ** 100000),
+               1 - Fraction(1, 10 ** 30) + Fraction(1, 10 ** 100000)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("z", HUGE_POINTS, ids=["3/4+", "1-"])
+def test_polylog_cut_in_the_reflection_window_covers_the_exact_point(n, z):
+    with mpmath.workdps(130):
+        # Li_1 = -log(1 - z) takes 1 - z exactly: 130 digits of z near 1 hold 100 of 1 - z.
+        ref = -mpmath.log(exact(1 - z)) if n == 1 else mpmath.polylog(n, exact(z))
+    for prec in (1, 15, 50, 100):
+        start = time.perf_counter()
+        x = polylog(n, z, prec)
+        assert time.perf_counter() - start < 0.5, prec
+        assert x.certified(), prec
+        with mpmath.workdps(130):
+            assert abs(x.value - ref) <= x.err, prec
+
+
+def test_polylog_refuses_a_huge_point_quickly_and_shows_it_cut():
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"got z = 3\.3333333e\+99999"):
+        polylog(2, Fraction(10 ** 100000, 3), 15)
+    with pytest.raises(DomainError, match=r"Li_3 .* got z = 0\.75"):
+        polylog(3, HUGE_POINTS[0], 15)
+    assert time.perf_counter() - start < 0.5

@@ -422,9 +422,7 @@ def test_zeta_values_validate_arguments(top, wd):
 
 def planned(s, prec: int) -> tuple[int, int]:
     """The ``(n_split, bernoulli_terms)`` that ``em_sum_certified(s, prec)`` runs."""
-    wd = working_dps(prec)
-    with mpmath.workdps(wd):
-        return numkernel._em_plan(as_mpf(s), wd - 1, numkernel._EM_BERNOULLI_TERM_COST)
+    return numkernel._em_plan(as_fraction(s), working_dps(prec) - 1, numkernel._EM_BERNOULLI_TERM_COST)
 
 
 def test_em_sum_zeta3_matches_reference():
@@ -538,6 +536,79 @@ def test_pi_times_covers_k_pi(k, prec):
 
 
 # ---------------------------------------------------------------------------
+# Exact power rows
+# ---------------------------------------------------------------------------
+
+#: The binary precisions of prec 1, 15, 50 and 100.
+ROW_BITS = [40, 86, 203, 369]
+
+
+def scaled_powers(s: Fraction, n: int, bits: int) -> list[mpf]:
+    """``2**bits k**-s`` for ``k = 1..n`` from mpmath at ``2 bits + 200`` bits."""
+    with mpmath.workprec(2 * bits + 200):
+        sv = mpf(s.numerator) / s.denominator
+        return [mpmath.ldexp(mpf(k) ** -sv, bits) for k in range(1, n + 1)]
+
+
+def oracle_rows(s: Fraction, n: int, bits: int) -> list[int]:
+    """``floor(2**bits k**-s)`` from :func:`scaled_powers`.
+
+    A value within ``2**-100`` of an integer ``m`` (``8**-(4/3) = 2**-4``) is
+    an exact power or a near tie; there ``m**q k**p <= 2**(bits q)`` decides.
+    """
+    p, q = s.numerator, s.denominator
+    out = []
+    with mpmath.workprec(2 * bits + 200):
+        for k, v in enumerate(scaled_powers(s, n, bits), start=1):
+            m = int(mpmath.nint(v))
+            if abs(v - m) < mpf(2) ** -100:
+                out.append(m if m ** q * k ** p <= 1 << bits * q else m - 1)
+            else:
+                out.append(int(mpmath.floor(v)))
+    return out
+
+
+ROW_EXPONENTS = ([Fraction(s) for s in (1, 2, 3, 7, 40)]
+                 + [Fraction(p, q) for q in range(2, 13) for p in (1, q + 1, 3 * q - 1, 8 * q - 1)
+                    if math.gcd(p, q) == 1])
+
+
+@pytest.mark.parametrize("bits", ROW_BITS)
+def test_power_rows_are_exact_floors(bits):
+    # Integer s, s = 1 and every q <= 12: one division, isqrt or integer Newton.
+    for s in ROW_EXPONENTS:
+        assert numkernel._power_rows(s, 60, bits) == oracle_rows(s, 60, bits), s
+
+
+@pytest.mark.parametrize("bits", ROW_BITS)
+def test_power_rows_past_bits_are_zero_without_forming_the_power(bits):
+    for s in (Fraction(bits + 1), Fraction(2 * bits + 3, 2), Fraction(bits + 2), Fraction(10 ** 400)):
+        assert numkernel._power_rows(s, 20, bits) == [1 << bits] + [0] * 19, s
+    for s in (Fraction(bits), Fraction(2 * bits - 1, 2)):  # just below: row 2 is 1 or 0, exactly
+        assert numkernel._power_rows(s, 20, bits) == oracle_rows(s, 20, bits), s
+
+
+def test_power_rows_past_the_root_cap_keep_the_mpmath_premise():
+    # q * bits past the cap: rows from mpmath's power, within 2 units of the floor.
+    for s, bits in [(Fraction(2 ** 70 + 3, 2 ** 71), 86), (1 + Fraction(1, 10 ** 9), 369),
+                    (Fraction(45, 31), 369)]:
+        assert s.denominator * bits > numkernel._ROOT_BITS_CAP
+        rows = numkernel._power_rows(s, 40, bits)
+        with mpmath.workprec(2 * bits + 200):
+            assert all(abs(a - v) <= 2 for a, v in zip(rows, scaled_powers(s, 40, bits))), s
+
+
+def test_integer_root_is_exact():
+    rng = random.Random(14)
+    for _ in range(400):
+        q = rng.randint(1, 40)
+        x = rng.getrandbits(rng.randint(1, 3000))
+        for v in (x, x ** q, max(x ** q - 1, 0)):
+            y = numkernel._iroot(v, q)
+            assert y ** q <= v < (y + 1) ** q, (v, q)
+
+
+# ---------------------------------------------------------------------------
 # Caches hold exact integers and fractions, which no precision can change
 # ---------------------------------------------------------------------------
 
@@ -548,6 +619,7 @@ def bits_in_fresh_interpreter(calls: list[str]) -> str:
     """Bits of the last of ``calls``, each run in order in a new interpreter."""
     code = ("from fractions import Fraction\n"
             "from euler_periods.eulerfun import gamma_const, phi, zeta\n"
+            "from euler_periods.g2 import coeff_a3\n"
             + "".join(f"x = {call}\n" for call in calls)
             + "print((x.value._mpf_, x.err._mpf_))")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -562,6 +634,10 @@ def bits_in_fresh_interpreter(calls: list[str]) -> str:
     ("gamma_const(50, 'ZETA_SERIES')", "gamma_const(100, 'ZETA_SERIES')"),
     # Both precisions use the exact B_2j/(2j)! for j = 1..6.
     ("zeta(Fraction(7, 3), 15)", "zeta(Fraction(7, 3), 21)"),
+    # The Euler-Maclaurin plan is cached per exact argument tuple, the g-2
+    # bracket expressions once per process.
+    ("zeta(Fraction(7, 3), 15)", "zeta(Fraction(7, 3), 15)"),
+    ("coeff_a3('AS_PRINTED', 50)", "coeff_a3('AS_PRINTED', 15)"),
 ])
 def test_cached_weights_do_not_leak_across_precisions(warm, call):
     assert bits_in_fresh_interpreter([warm, call]) == bits_in_fresh_interpreter([call])
