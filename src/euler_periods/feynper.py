@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import mpmath
 
@@ -450,24 +450,35 @@ def _shard_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _shard_sizes(samples: int) -> list[int]:
-    sizes = []
-    left = samples
-    while left > 0:
-        take = min(_SHARD_SIZE, left)
-        sizes.append(take)
-        left -= take
-    return sizes
+def _sample_mean(f: Callable[[np.ndarray], np.ndarray], dim: int, samples: int, seed: int,
+                 *key: int) -> tuple[float, float]:
+    """Mean and standard error of ``f`` over ``samples`` points of the unit ``dim``-cube.
 
+    ``f`` maps a ``(size, dim)`` array of points to ``size`` values.  The
+    points come in shards of :data:`_SHARD_SIZE`, shard ``i`` from
+    ``_shard_rng(seed, *key, i)``, and the shard sums are combined by
+    exactly rounded summation, so the result is bit-identical for fixed
+    arguments whatever the shard order.  Raises :class:`NonFiniteSample` at
+    the first value that is not finite.
+    """
+    import numpy as np
 
-def _combine(shard_stats: list[tuple[float, float]], samples: int) -> tuple[float, float]:
-    total = math.fsum(s for s, _ in shard_stats)
-    total_sq = math.fsum(q for _, q in shard_stats)
-    mean = total / samples
-    variance = max(total_sq / samples - mean * mean, 0.0)
+    sums, squares = [], []
+    for shard, start in enumerate(range(0, samples, _SHARD_SIZE)):
+        x = _shard_rng(seed, *key, shard).random((min(_SHARD_SIZE, samples - start), dim))
+        vals = f(x)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            where = int(np.argmax(bad))
+            raise NonFiniteSample(
+                f"integrand overflow at shard {shard}, row {where} "
+                f"(x = {x[where].tolist()})", shard=shard)
+        sums.append(math.fsum(vals.tolist()))
+        squares.append(math.fsum((vals * vals).tolist()))
+    mean = math.fsum(sums) / samples
+    variance = max(math.fsum(squares) / samples - mean * mean, 0.0)
     floor = (_RELATIVE_VARIANCE_FLOOR * (1.0 + abs(mean))) ** 2
-    stderr = math.sqrt(max(variance, floor) / samples)
-    return mean, stderr
+    return mean, math.sqrt(max(variance, floor) / samples)
 
 
 def period_mc(g: MultiGraph, samples: int, seed: int = 42,
@@ -504,30 +515,20 @@ def period_mc(g: MultiGraph, samples: int, seed: int = 42,
         idxs = [i for i in range(d) if expo[i]]
         mono_vars.append(np.array(idxs, dtype=np.intp))
 
-    shard_stats: list[tuple[float, float]] = []
-    for shard, size in enumerate(_shard_sizes(samples)):
-        rng = _shard_rng(seed, shard)
-        x = rng.random((size, d))
+    def integrand(x):
         t = 1.0 - x
         ratio = x / t
         alpha = ratio ** _MAP_POWER
         jac = (_MAP_POWER * ratio ** (_MAP_POWER - 1.0) / (t * t)).prod(axis=1)
-        psi_vals = np.zeros(size)
+        psi_vals = np.zeros(len(x))
         for idxs in mono_vars:
             if idxs.size:
                 psi_vals += alpha[:, idxs].prod(axis=1)
             else:
                 psi_vals += 1.0
-        vals = jac / (psi_vals * psi_vals)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            where = int(np.argmax(bad))
-            raise NonFiniteSample(
-                f"integrand overflow at shard {shard}, row {where} "
-                f"(x = {x[where].tolist()})", shard=shard)
-        shard_stats.append((math.fsum(vals.tolist()),
-                            math.fsum((vals * vals).tolist())))
-    mean, stderr = _combine(shard_stats, samples)
+        return jac / (psi_vals * psi_vals)
+
+    mean, stderr = _sample_mean(integrand, d, samples, seed)
     return PeriodEstimate(estimate=mean, stderr=stderr, samples=samples,
                           seed=seed, prec_report=prec_report)
 
@@ -588,14 +589,8 @@ def integrator_selftest(samples: int, seed: int = 42) -> SelfTestReport:
     ]
     entries = []
     for case_index, (label, dim, scale, indicator, reference) in enumerate(cases):
-        shard_stats = []
-        for shard, size in enumerate(_shard_sizes(samples)):
-            rng = _shard_rng(seed, case_index, shard)
-            p = rng.random((size, dim))
-            vals = scale * indicator(p).astype(np.float64)
-            shard_stats.append((math.fsum(vals.tolist()),
-                                math.fsum((vals * vals).tolist())))
-        mean, stderr = _combine(shard_stats, samples)
+        mean, stderr = _sample_mean(lambda p: scale * indicator(p).astype(np.float64),
+                                    dim, samples, seed, case_index)
         sigmas = abs(mean - reference) / stderr
         entries.append(SelfTestEntry(label=label, estimate=mean, stderr=stderr,
                                      reference=reference, sigmas=sigmas))

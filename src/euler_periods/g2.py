@@ -44,6 +44,9 @@ A4_DIGITS = "-1.912245764926445574152647167439830054060873390658725"
 
 _REGISTRY_FIELDS = ("label", "value", "uncertainty_components", "year", "source_eq")
 
+#: Precision, in certified digits, at which registry values are parsed.
+_REGISTRY_PREC = 30
+
 
 # ---------------------------------------------------------------------------
 # Uncertainty arithmetic
@@ -121,7 +124,7 @@ def _entry_error(index: int, label: object, message: str, field_name: str | None
     return SchemaError(f"{where}: {message}", entry=index, field=field_name)
 
 
-def _parse_entry(index: int, raw: object, prec: int) -> Measurement:
+def _parse_entry(index: int, raw: object) -> Measurement:
     if not isinstance(raw, dict):
         raise _entry_error(index, None, f"expected an object, got {type(raw).__name__}")
     label = raw.get("label")
@@ -137,7 +140,7 @@ def _parse_entry(index: int, raw: object, prec: int) -> Measurement:
     if not isinstance(text, str):
         raise _entry_error(index, label, "value must be a decimal string", "value")
     try:
-        value = BigReal.from_decimal(text, prec)
+        value = BigReal.from_decimal(text, _REGISTRY_PREC)
     except ValueError:
         raise _entry_error(index, label, f"value {text!r} is not a decimal number", "value") from None
     comps = raw["uncertainty_components"]
@@ -166,15 +169,15 @@ def _parse_entry(index: int, raw: object, prec: int) -> Measurement:
     return Measurement(label, value, tuple(parsed), year, source)
 
 
-def load_registry(path: str | None = None, prec: int = 30) -> list[Measurement]:
+def load_registry(path: str | None = None) -> list[Measurement]:
     """Read a measurement registry from JSON.
 
     With ``path`` omitted the packaged registry is used.  The file must be
     an array of objects with exactly the fields label, value (a decimal
     string), uncertainty_components (an array of decimal strings), year and
-    source_eq; labels must be unique.  Violations raise SchemaError.
+    source_eq; labels must be unique.  Violations raise SchemaError.  Values
+    are parsed at :data:`_REGISTRY_PREC` digits.
     """
-    check_prec(prec)
     path = default_registry_path() if path is None else path
     try:
         with open(path, encoding="utf-8") as fh:
@@ -190,7 +193,7 @@ def load_registry(path: str | None = None, prec: int = 30) -> list[Measurement]:
     rows: list[Measurement] = []
     seen: set[str] = set()
     for index, raw in enumerate(data):
-        m = _parse_entry(index, raw, prec)
+        m = _parse_entry(index, raw)
         if m.label in seen:
             raise _entry_error(index, m.label, f"duplicate label {m.label!r}", "label")
         seen.add(m.label)
@@ -256,6 +259,22 @@ def _alpha_ratio(alpha_inv: BigReal, prec: int) -> BigReal:
     return 1 / (alpha_inv * pi_times(1, prec))
 
 
+def _backed_out(n: int, total: str, prec: int, registry: Sequence[Measurement] | None) -> BigReal:
+    """``a_n`` solved from the registry total ``total`` with the rubidium alpha.
+
+    ``(a_e - r/2 - a_2 r**2 - a_4 r**4) / r**n`` at the inner precision with
+    ``r = alpha / pi``, the ``a_2`` and ``a_4`` terms only for ``n = 3``.
+    """
+    inner = _inner_prec(prec)
+    r = _alpha_ratio(lookup(registry, "alpha:rb:2011").as_bigreal(inner), inner)
+    rest = lookup(registry, total).as_bigreal(inner) - r / 2
+    if n == 3:
+        a4 = lookup(registry, "a4:laporta:2017").as_bigreal(inner)
+        rest = rest - coeff_a2(inner) * r ** 2 - a4 * r ** 4
+    a = rest / r ** n
+    return BigReal(a.value, a.err, prec)
+
+
 #: The closed-form brackets by order and mode: ln 2 = Li_m(1; 1/2), phi(n) = (1 - 2**(1-n)) zeta(n),
 #: pi**2 = 6 zeta(2), pi**4 = 90 zeta(4), and multiphi(1, 3) reduced at weight 4 (the MZV data mine,
 #: arXiv:0907.2557).  The corrected a3 is Laporta and Remiddi's (arXiv:hep-ph/9602417).
@@ -295,13 +314,8 @@ def coeff_a2(prec: int, mode: CoeffMode | str = CoeffMode.EXACT_BRACKET,
     """
     check_prec(prec)
     mode = _as_mode(mode)
-    inner = _inner_prec(prec)
     if mode is CoeffMode.REGISTRY:
-        ae = lookup(registry, "th:1957").as_bigreal(inner)
-        ainv = lookup(registry, "alpha:rb:2011").as_bigreal(inner)
-        r = _alpha_ratio(ainv, inner)
-        a2 = (ae - r / 2) / r ** 2
-        return BigReal(a2.value, a2.err, prec)
+        return _backed_out(2, "th:1957", prec, registry)
     from .symbolic import period_map  # only the bracket modes load the symbol layer
     return period_map(_bracket(2, mode), prec)
 
@@ -318,16 +332,8 @@ def coeff_a3(mode: CoeffMode | str = CoeffMode.CONSISTENT, prec: int = 15,
     """
     check_prec(prec)
     mode = _as_mode(mode)
-    inner = _inner_prec(prec)
     if mode is CoeffMode.REGISTRY:
-        ae = lookup(registry, "th:2017").as_bigreal(inner)
-        ainv = lookup(registry, "alpha:rb:2011").as_bigreal(inner)
-        a4 = lookup(registry, "a4:laporta:2017").as_bigreal(inner)
-        r = _alpha_ratio(ainv, inner)
-        a2 = coeff_a2(inner)
-        num = ae - r / 2 - a2 * r ** 2 - a4 * r ** 4
-        a3 = num / r ** 3
-        return BigReal(a3.value, a3.err, prec)
+        return _backed_out(3, "th:2017", prec, registry)
     from .symbolic import period_map
     return period_map(_bracket(3, mode), prec)
 
@@ -336,13 +342,12 @@ def coeff_a3(mode: CoeffMode | str = CoeffMode.CONSISTENT, prec: int = 15,
 class CoefficientSet:
     """Choice of coefficient modes for assembling the series.
 
-    ``a_1 = 1/2`` always.  ``a_4`` is kept as a decimal string so its 51
-    digits survive to any working precision.
+    ``a_1 = 1/2`` always.  ``a_4`` is read from the decimal string
+    :data:`A4_DIGITS`, so its 51 digits survive to any working precision.
     """
 
     a2_mode: CoeffMode = CoeffMode.EXACT_BRACKET
     a3_mode: CoeffMode = CoeffMode.CONSISTENT
-    a4: str = A4_DIGITS
 
     def coefficient(self, n: int, prec: int,
                     registry: Sequence[Measurement] | None = None) -> BigReal:
@@ -354,10 +359,7 @@ class CoefficientSet:
             return coeff_a2(prec, self.a2_mode, registry)
         if n == 3:
             return coeff_a3(self.a3_mode, prec, registry)
-        try:
-            return BigReal.from_decimal(self.a4, prec)
-        except ValueError:
-            raise InputError(f"a4 must be a decimal string, got {self.a4!r}") from None
+        return BigReal.from_decimal(A4_DIGITS, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from mpmath import mpf
 
 from .errors import DivergentIndex, DomainError, TooLarge
 from .eulerfun import zeta
-from .numkernel import MAX_PREC, BigReal, check_prec, working_dps, _at_one, _rounding, _word
+from .numkernel import (BRUTEFORCE_STEP_CAP, MAX_PREC, BigReal, check_prec, working_dps, _at_one,
+                        _rounding, _word)
 
 #: Maximum explicit ``multiphi`` cutoff: ``2**-1000`` is far below any
 #: ``10**-prec`` the interface accepts.
@@ -69,7 +70,8 @@ def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
     at most the product of its unnested partial sums.  The returned ``err``
     is that bound plus rounding, so the value is certified without
     reference to any expansion used by :func:`mzv`.  The weight cap of
-    :func:`mzv` applies.
+    :func:`mzv` applies, and a ``cutoff * depth`` past
+    ``numkernel.BRUTEFORCE_STEP_CAP`` raises :class:`TooLarge`.
     """
     idx = _admissible(idx)
     d = len(idx)
@@ -77,6 +79,8 @@ def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
     check_prec(prec)
     if not isinstance(cutoff, int) or cutoff <= d:
         raise DomainError(f"cutoff must be an integer > depth, got {cutoff!r}")
+    if cutoff * d > BRUTEFORCE_STEP_CAP:
+        raise TooLarge(f"cutoff {cutoff} times depth {d} exceeds the supported cap {BRUTEFORCE_STEP_CAP}")
     wd = working_dps(prec)
     with mpmath.workdps(wd):
         s = [mpf(1)] + [mpf(0)] * d

@@ -12,9 +12,9 @@ Everything numerical in this package funnels through this module:
   n``); :func:`zeta_values` evaluates ``zeta(2), ..., zeta(top)`` the same
   way in one pass over a shared table of powers.
 * :func:`accel_alt_sum` evaluates an alternating series, given its term
-  function, by Chebyshev-weighted acceleration, needing O(digits) terms
-  instead of exponentially many; :func:`accel_alt_terms` does the same from
-  given terms with error bounds.
+  function and optionally a bound on each term's input error, by
+  Chebyshev-weighted acceleration, needing O(digits) terms instead of
+  exponentially many.
 * :func:`_at_one` evaluates the iterated integrals from 0 to 1 whose
   words give multiple zeta values, alternating sums and polylogarithms.
 
@@ -60,7 +60,7 @@ units there.  The one exception is an ``s`` whose denominator ``q`` has
 The counted sites, each with its count and premises beside the call:
 
 * the :class:`BigReal` constructors and ``+ - * /``, and :func:`pi_times`;
-* the fixed-point bodies :func:`_em_power_sum` and :func:`accel_alt_terms`;
+* the fixed-point bodies :func:`_em_power_sum` and :func:`accel_alt_sum`;
 * in :mod:`.eulerfun`, the ``Li_n`` series of DILOG_REFLECTION, ``polylog``
   at ``n = 1`` and in the reflection window, and the four identity residuals;
 * :func:`~euler_periods.mzv.mzv_bruteforce`, whose count grows with the depth;
@@ -451,56 +451,46 @@ def _cvz(terms: Sequence[mpf], n: int) -> mpf:
 
 
 def alt_terms_needed(prec: int) -> int:
-    """Leading terms :func:`accel_alt_terms` reads at ``prec``: 32 / 78 / 143 at 15 / 50 / 100."""
+    """Leading terms :func:`accel_alt_sum` reads at ``prec``: 32 / 78 / 143 at 15 / 50 / 100."""
     wd = working_dps(check_prec(prec))
     return math.ceil((wd - 1 + math.log10(2)) / math.log10(3 + math.sqrt(8)))
 
 
-def accel_alt_sum(term: Callable[[int], mpf], prec: int) -> BigReal:
+def accel_alt_sum(term: Callable[[int], mpf], prec: int,
+                  bound: Callable[[int], mpf] | None = None) -> BigReal:
     """Evaluate ``sum(term(k) for k >= 1)`` to ``prec`` certified digits.
 
-    ``term`` must be pure, giving the same value for the same ``k`` at the
-    same ambient precision, within one rounding (one count of
-    :func:`_rounding`) of the series' term, and ``|term(k)|`` must be a
-    moment sequence as :func:`accel_alt_terms` requires.  Evaluates the
-    first :func:`alt_terms_needed` terms at the working precision and sums
-    them with :func:`accel_alt_terms`, which counts that rounding; its sign
-    check, the only alternation guard, raises :class:`DomainError` when the
-    first ten terms do not alternate.
-
-    Raises :class:`PrecisionNotMet` when the bound cannot be certified.
-    """
-    check_prec(prec)
-    with mpmath.workdps(working_dps(prec)):
-        terms = [term(k) for k in range(1, alt_terms_needed(prec) + 1)]
-    return accel_alt_terms(terms, prec)
-
-
-def accel_alt_terms(terms: Sequence[mpf], prec: int,
-                    bounds: Sequence[mpf] | None = None) -> BigReal:
-    """Chebyshev-accelerated sum of an alternating series from its terms.
-
-    ``terms`` holds the first ``n = alt_terms_needed(prec)`` terms ``a_1,
-    a_2, ...``, and ``bounds``, if given, a bound ``|a_k - true a_k| <=
-    delta_k`` for each.  Precondition: the ``|a_k|`` are moments
-    ``integral(t**k dmu(t), 0..1)`` of a positive measure, as ``k**-s``,
-    ``(L+j)**-n`` and ``zeta(k+1)/(k+1)`` are.  Then one
-    Chebyshev pass errs by at most ``2 |S| / (3 + sqrt(8))**n`` (Cohen,
-    Rodriguez Villegas and Zagier, Experiment. Math. 9 (2000)), so the
-    declared bound is ``2 (|a_1| + delta_1) / (3 + sqrt(8))**n``, at most
-    ``(|a_1| + delta_1) * 10**-(wd - 1)``, plus rounding, plus the input
-    uncertainty ``sum(|c_k| * delta_k) / d`` with the Chebyshev weights
-    ``c_k`` and normaliser ``d``.  Series whose terms become identically
-    zero are summed directly (a finite sum is its own best acceleration).
+    Reads the first ``n = alt_terms_needed(prec)`` terms ``a_k = term(k)``
+    at the working precision, and, if ``bound`` is given, ``delta_k =
+    bound(k)`` with ``|a_k - true a_k| <= delta_k``.  ``term`` must be pure,
+    giving the same value for the same ``k`` at the same ambient precision,
+    within one rounding (one count of :func:`_rounding`) of the series'
+    term, or of a value within ``delta_k`` of it.
+    Precondition: the ``|a_k|`` are moments ``integral(t**k dmu(t), 0..1)``
+    of a positive measure, as ``k**-s``, ``(L+j)**-n`` and
+    ``zeta(k+1)/(k+1)`` are.  Then one Chebyshev pass errs by at most ``2
+    |S| / (3 + sqrt(8))**n`` (Cohen, Rodriguez Villegas and Zagier,
+    Experiment. Math. 9 (2000)), so the declared bound is ``2 (|a_1| +
+    delta_1) / (3 + sqrt(8))**n``, at most ``(|a_1| + delta_1) * 10**-(wd -
+    1)``, plus rounding, plus the input uncertainty ``sum(|c_k| * delta_k) /
+    d`` with the Chebyshev weights ``c_k`` and normaliser ``d``.  Series
+    whose terms become identically zero are summed directly (a finite sum
+    is its own best acceleration); the sign check, the only alternation
+    guard, raises :class:`DomainError` when the first ten terms do not
+    alternate.
 
     Rounding, in counts of :func:`_rounding` at ``|a_1|``, which is at
     least every ``|a_k|`` and ``|S|``: each term is taken to be one rounding
     off the series' term (``n`` counts, as ``sum(|c_k|) <= n d``), each
     floored term is off by under one unit of ``2**-mp.prec`` (``n`` more),
     and the division and the conversion to an mpf round once each: ``2 n +
-    2`` in all.  A finite sum of ``j`` terms costs ``j + 1``.  ``phi``'s terms
-    are exact floors at ``2**-mp.prec`` (:func:`_power_rows`, below its root
-    cap), so there its first ``n`` counts are a proof and its floors exact.
+    2`` in all.  A finite sum of ``j`` terms costs ``j + 1``.  Proofs: the
+    ``n`` floor counts and the integer division's, and the ``n`` term
+    counts for ``phi``, whose terms are exact floors at ``2**-mp.prec``
+    (:func:`_power_rows`) below :data:`_ROOT_BITS_CAP`.  Premises: phi's
+    rows past that cap (mpmath's power is faithful), ``gamma_const``'s mpf
+    terms ``+-zeta(k+1)/(k+1)`` (mpmath's ``/`` rounds correctly), and the
+    conversion of the integer sum to an mpf.
 
     Cost: ``n = ceil((wd - 1 + log10 2) / log10(3 + sqrt(8)))`` terms, ``wd
     = working_dps(prec)``, floored to integers at the binary precision of
@@ -511,11 +501,10 @@ def accel_alt_terms(terms: Sequence[mpf], prec: int,
     Raises :class:`PrecisionNotMet` when the bound cannot be certified.
     """
     check_prec(prec)
-    wd = working_dps(prec)
     n = alt_terms_needed(prec)
-    if len(terms) != n or (bounds is not None and len(bounds) != n):
-        raise DomainError(f"accel_alt_terms at prec {prec} takes exactly {n} terms and bounds")
-    with mpmath.workdps(wd):
+    with mpmath.workdps(working_dps(prec)):
+        terms = [term(k) for k in range(1, n + 1)]
+        bounds = None if bound is None else [bound(k) for k in range(1, n + 1)]
         if not all(mpmath.isfinite(t) for t in terms):
             raise DomainError("series terms must be finite")
         # Finite series short-circuit: two consecutive zero terms are read
@@ -802,6 +791,11 @@ def zeta_values(top: int, wd: int) -> list[tuple[mpf, mpf]]:
 #: Maximum weight (word length) the iterated-integral engine runs on; cost
 #: is linear in it, about 70 ms at the cap and prec 100.
 WEIGHT_CAP = 1000
+
+#: Largest ``cutoff * depth`` :func:`~euler_periods.mzv.mzv_bruteforce` sums;
+#: one step costs about 10 us, so about 2 s at the cap and prec 15 (2-core
+#: x86-64 VM, mpmath 1.3.0).
+BRUTEFORCE_STEP_CAP = 200_000
 
 
 def _word(parts: Sequence[int], letters: Sequence[int | Fraction]) -> list[int | Fraction]:

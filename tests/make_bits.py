@@ -124,6 +124,7 @@ def _commands():
         ["g2-assemble"], ["g2-invert-alpha", "exp:2008"],
         ["g2-assemble", "--order", "3", "--a3-mode", "as-printed"],
         ["g2-assemble", "--order", "3", "--a3-mode", "exact-bracket"],
+        ["period", "k4", "--samples", "140000", "--seed", "7"], ["selftest", "--samples", "140000"],
     ]
 
 

@@ -501,10 +501,12 @@ def test_polylog_alternating_route_covers_at_every_prec(n, z):
 
 def test_gamma_zeta_series_covers_at_every_prec(monkeypatch):
     calls = counted(monkeypatch, "_cvz")
+    entries = counted(monkeypatch, "accel_alt_sum", eulerfun)
     for prec in ALL_PRECS:
         calls.clear()
+        entries.clear()
         g = gamma_const(prec, method="ZETA_SERIES")
-        assert len(calls) == 1, prec
+        assert len(calls) == 1 and len(entries) == 1, prec
         assert_covers(g, lambda: +mpmath.euler, prec)
 
 

@@ -2,12 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from euler_periods import feynper
 from euler_periods.errors import (
     Disconnected,
     DomainError,
     InputError,
+    NonFiniteSample,
     NotPrimitive,
     SchemaError,
     TooLarge,
@@ -286,6 +289,19 @@ def test_period_stderr_scales_roughly_invsqrt():
     large = period_mc(bubble(), 10 ** 6, seed=42)
     ratio = small.stderr / large.stderr
     assert 5 < ratio < 20  # ideal sqrt(100) = 10
+
+
+def test_sample_mean_stops_at_the_first_non_finite_value():
+    # Finite on the full first shard, inf from row 2 of the second.
+    def f(x):
+        vals = np.ones(len(x))
+        if len(x) < feynper._SHARD_SIZE:
+            vals[2:] = np.inf
+        return vals
+
+    with pytest.raises(NonFiniteSample, match=r"shard 1, row 2 \(x = \[") as info:
+        feynper._sample_mean(f, 2, feynper._SHARD_SIZE + 5, 3)
+    assert info.value.shard == 1
 
 
 def test_period_rejects_non_primitive():

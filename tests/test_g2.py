@@ -363,7 +363,6 @@ def test_coefficient_set_defaults():
     cs = CoefficientSet()
     assert cs.a2_mode is CoeffMode.EXACT_BRACKET
     assert cs.a3_mode is CoeffMode.CONSISTENT
-    assert cs.a4 == A4_DIGITS
     c4 = cs.coefficient(4, 30)
     with mpmath.workdps(60):
         assert abs(c4.value - mpf(A4_DIGITS)) < mpf("1e-30")

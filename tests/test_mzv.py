@@ -27,6 +27,7 @@ the engine on both sides with different words, so they check its
 arithmetic and word convention.
 """
 
+import importlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -44,7 +45,7 @@ from euler_periods.mzv import (
     p35_combination,
     stuffle_residual,
 )
-from euler_periods.numkernel import WEIGHT_CAP, _at_one, working_dps
+from euler_periods.numkernel import BRUTEFORCE_STEP_CAP, WEIGHT_CAP, _at_one, working_dps
 
 
 def assert_close(x, ref, prec, slack=1):
@@ -152,6 +153,18 @@ def test_bruteforce_cutoff_validation():
         mzv_bruteforce((2, 3), 2, 15)
     with pytest.raises(DomainError):
         mzv_bruteforce((2, 3), "many", 15)
+
+
+def test_bruteforce_refuses_a_huge_cutoff_before_summing(monkeypatch):
+    # A step costs about 10 us: 10**9 steps would run for hours.
+    def no_mpf(*args):
+        raise AssertionError("summed before refusing")
+
+    monkeypatch.setattr(importlib.import_module("euler_periods.mzv"), "mpf", no_mpf)
+    for idx, cutoff in [((2, 3), 10 ** 9), ((2, 3), BRUTEFORCE_STEP_CAP // 2 + 1),
+                        ((1, 1, 1, 1, 2), BRUTEFORCE_STEP_CAP // 5 + 1)]:
+        with pytest.raises(TooLarge, match="cutoff"):
+            mzv_bruteforce(idx, cutoff, 15)
 
 
 # ---------------------------------------------------------------------------

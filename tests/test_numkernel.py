@@ -19,7 +19,6 @@ from euler_periods.numkernel import (
     GUARD_DIGITS,
     BigReal,
     accel_alt_sum,
-    accel_alt_terms,
     alt_terms_needed,
     as_fraction,
     as_mpf,
@@ -320,34 +319,71 @@ def test_accel_alt_bit_identical_reruns():
     assert repr(a) == repr(b)
 
 
-def eta2_terms(prec: int) -> list:
-    with mpmath.workdps(working_dps(prec)):
-        return [mpf(-1) ** (k - 1) / mpf(k) ** 2 for k in range(1, alt_terms_needed(prec) + 1)]
+def eta2(k: int) -> mpf:
+    return mpf(-1) ** (k - 1) / mpf(k) ** 2
 
 
 @pytest.mark.parametrize("prec", [1, 15, 100])
-def test_accel_alt_terms_without_bounds_is_accel_alt_sum(prec):
-    a = accel_alt_sum(lambda k: mpf(-1) ** (k - 1) / mpf(k) ** 2, prec)
-    b = accel_alt_terms(eta2_terms(prec), prec)
+def test_accel_alt_zero_bounds_keep_every_bit(prec):
+    # Bounds of zero add exactly nothing: the value and the error match the
+    # call without bounds bit for bit.
+    a = accel_alt_sum(eta2, prec)
+    b = accel_alt_sum(eta2, prec, lambda k: mpf(0))
     assert (a.value._mpf_, a.err._mpf_) == (b.value._mpf_, b.err._mpf_)
 
 
-def test_accel_alt_terms_bound_covers_worst_case_input_error():
+@pytest.mark.parametrize("prec", [1, 15, 100])
+def test_accel_alt_reads_each_term_and_bound_once_at_working_precision(prec):
+    read_terms, read_bounds = [], []
+
+    def term(k):
+        read_terms.append((k, mpmath.mp.dps))
+        return eta2(k)
+
+    def bound(k):
+        read_bounds.append((k, mpmath.mp.dps))
+        return mpf(0)
+
+    accel_alt_sum(term, prec, bound)
+    expected = [(k, working_dps(prec)) for k in range(1, alt_terms_needed(prec) + 1)]
+    assert read_terms == expected
+    assert read_bounds == expected
+
+
+def test_accel_alt_bound_covers_worst_case_input_error():
     # The Chebyshev weights alternate in sign like the terms, so one shift
     # of every term by +delta moves the estimate by sum(|c_k|) * delta / d,
     # the most terms within delta of the true ones can move it.
     prec, delta = 15, mpf("1e-18")
-    exact = accel_alt_terms(eta2_terms(prec), prec)
-    with mpmath.workdps(working_dps(prec)):
-        shifted = [t + delta for t in eta2_terms(prec)]
-        true = mpmath.pi ** 2 / 12
-    blind = accel_alt_terms(shifted, prec)
-    aware = accel_alt_terms(shifted, prec, [delta] * len(shifted))
+    exact = accel_alt_sum(eta2, prec)
+    blind = accel_alt_sum(lambda k: eta2(k) + delta, prec)
+    aware = accel_alt_sum(lambda k: eta2(k) + delta, prec, lambda k: delta)
     assert blind.value == aware.value
     with mpmath.workdps(working_dps(prec)):
+        true = mpmath.pi ** 2 / 12
         assert abs(exact.value - true) <= exact.err
         assert abs(aware.value - true) <= aware.err
         assert abs(blind.value - true) > blind.err
+    assert aware.certified()
+
+
+def test_accel_alt_finite_series_adds_every_bound():
+    # 1 - 1/2, each term read 1e-25 high and said to be off by that much at
+    # every k: the finite sum's bound adds all n bounds, not only the two
+    # nonzero terms'.
+    delta = mpf("1e-25")
+
+    def term(k):
+        return {1: 1 + delta, 2: delta - mpf("0.5")}.get(k, mpf(0))
+
+    prec = 20
+    blind = accel_alt_sum(term, prec)
+    aware = accel_alt_sum(term, prec, lambda k: delta)
+    assert blind.value == aware.value
+    with mpmath.workdps(working_dps(prec)):
+        assert abs(blind.value - mpf("0.5")) > blind.err
+        assert abs(aware.value - mpf("0.5")) <= aware.err
+        assert aware.err > blind.err + (alt_terms_needed(prec) - 1) * delta
     assert aware.certified()
 
 
@@ -364,13 +400,6 @@ def test_chebyshev_weights_are_the_exact_recurrence():
             assert c == weights[k], (n, k)
             b = b * (k + n) * (k - n) / (Fraction(2 * k + 1, 2) * (k + 1))
             assert b.denominator == 1, (n, k)
-
-
-@pytest.mark.parametrize("cut,bounds", [(1, None), (0, []), (0, [mpf(0)])])
-def test_accel_alt_terms_validates_lengths(cut, bounds):
-    terms = eta2_terms(15)
-    with pytest.raises(DomainError):
-        accel_alt_terms(terms[:len(terms) - cut], 15, bounds)
 
 
 # ---------------------------------------------------------------------------
