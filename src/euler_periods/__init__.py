@@ -48,7 +48,7 @@ _EXPORTS = {
         "accel_alt_sum",
         "bernoulli",
         "em_sum",
-        "euler_at_zero",
+        "working_bits",
         "working_dps",
     ),
     "eulerfun": (

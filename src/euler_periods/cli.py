@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
     TooLarge,
 )
-from .numkernel import BigReal, bernoulli, check_prec, working_dps
+from .numkernel import BigReal, bernoulli, check_digits, check_prec, working_dps
 
 if TYPE_CHECKING:
     from . import feynper, g2
@@ -73,7 +73,7 @@ def _measured_line(x: BigReal) -> tuple[list[str], dict]:
 
 def _rational(text: str, what: str) -> Fraction:
     try:
-        return Fraction(text)
+        return Fraction(check_digits(text, what))
     except (ValueError, ZeroDivisionError):
         raise InputError(f"{what} must be a rational number (like 3, 0.25 or 1/3), got {text!r}") from None
 

@@ -29,13 +29,16 @@ from .numkernel import (
     bernoulli,
     check_prec,
     em_sum_certified,
+    working_bits,
     working_dps,
     zeta_values,
     _at_one,
+    _fixed,
     _planned_bits,
     _power_rows,
     _rounding,
     _word,
+    _ROOT_BITS_CAP,
 )
 
 #: Largest prime bound accepted by the Euler-product residual check.
@@ -87,22 +90,22 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
     Related to zeta by ``phi(s) = (1 - 2**(1-s)) * zeta(s)`` for ``s > 1``
     and continues it below: ``phi(1) = log 2``.  Evaluated by accelerated
     alternating summation.  ``s`` must be a finite rational, as for
-    :func:`zeta`.  Each term is the row ``floor(2**bits k**-s)`` of
-    :func:`~euler_periods.numkernel._power_rows` at the binary precision
-    ``bits`` of ``working_dps(prec)``, an mpf exactly: an exact floor, within
-    the one count :func:`~euler_periods.numkernel.accel_alt_sum` allows a
-    term, unless ``s`` has a denominator past the rows' root cap, where that
-    count rests on mpmath's power.  Rows that floor to 0 leave a tail below
-    one unit of ``2**-bits``, which the finite sum's counts cover.
+    :func:`zeta`.  The rows ``floor(2**b k**-s)`` of
+    :func:`~euler_periods.numkernel._power_rows`, ``b = working_bits(prec)``,
+    go to :func:`~euler_periods.numkernel.accel_alt_sum` as they are: exact
+    floors, within the one unit the engine allows a row.  If ``s`` has a
+    denominator past the rows' root cap, a row comes from mpmath's power,
+    within 2 units on its premise, and each row is passed a bound of 1.
+    Rows that floor to 0 end the series as a finite sum, whose bound covers
+    the tail below one unit.
     """
     check_prec(prec)
     q = as_fraction(s)
-    with mpmath.workdps(working_dps(prec)):
-        if not q > 0:
-            raise DomainError(f"phi requires s > 0, got s = {mpmath.nstr(as_mpf(q), 8)}")
-        bits = mpmath.mp.prec
-    rows = _power_rows(q, alt_terms_needed(prec), bits)
-    return accel_alt_sum(lambda k: mpf((rows[k - 1] if k % 2 else -rows[k - 1], -bits)), prec)
+    if not q > 0:
+        raise DomainError(f"phi requires s > 0, got s = {mpmath.nstr(as_mpf(q), 8)}")
+    n, bits = alt_terms_needed(prec), working_bits(prec)
+    bounds = [1] * n if q.denominator * bits > _ROOT_BITS_CAP else None
+    return accel_alt_sum(_power_rows(q, n, bits), prec, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +246,25 @@ def gamma_const(prec: int, method: str = "EM") -> BigReal:
     ``"ZETA_SERIES"`` takes all of its ``zeta(n)`` from one
     :func:`~euler_periods.numkernel.zeta_values` batch at
     ``working_dps(prec) + 6`` digits, each with its own bound, and the
-    declared bound includes their propagated uncertainty.  Cost: at prec
-    15 / 50 / 100 the batch is ``zeta(2)..zeta(n)`` for n = 33 / 79 / 144,
-    followed by one :func:`~euler_periods.numkernel.accel_alt_sum` over
-    those n - 1 terms and their bounds; a warm call
-    takes about 1 / 5 / 11 ms on a 2-core x86-64 VM.  Only plans and exact
-    integers and fractions are cached, no zeta or gamma value.
+    declared bound includes their propagated uncertainty.  Row ``k`` of the
+    :func:`~euler_periods.numkernel.accel_alt_sum` pass is ``floor(2**b
+    zeta(k+1)) // (k+1)``, ``b = working_bits(prec)``, the exact floor of
+    the batch value over ``k + 1``; its bound is the batch bound over ``k +
+    1`` in units of ``2**-b``, rounded up.  Cost: at prec 15 / 50 / 100 the
+    batch is ``zeta(2)..zeta(n)`` for n = 33 / 79 / 144, followed by that
+    one pass over n - 1 rows; a warm call takes about 1 / 5 / 11 ms on a
+    2-core x86-64 VM.  Only plans and exact integers and fractions are
+    cached, no zeta or gamma value.
     """
     check_prec(prec)
     if method == "EM":
         return em_sum_certified(1, prec)
     if method == "ZETA_SERIES":
+        bits = working_bits(prec)
         zetas = zeta_values(alt_terms_needed(prec) + 1, working_dps(prec) + 6)
-        return accel_alt_sum(lambda k: mpf(-1) ** (k - 1) * zetas[k - 1][0] / (k + 1), prec,
-                             lambda k: zetas[k - 1][1] / (k + 1))
+        rows = [_fixed(z, bits) // (k + 1) for k, (z, _) in enumerate(zetas, 1)]
+        bounds = [(_fixed(e, bits) + k + 1) // (k + 1) for k, (_, e) in enumerate(zetas, 1)]
+        return accel_alt_sum(rows, prec, bounds)
     raise DomainError(f"unknown gamma_const method {method!r}; use 'EM' or 'ZETA_SERIES'")
 
 
@@ -301,9 +309,10 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
       ``Li2(x) + Li2(1-x) + log x log(1-x) = pi**2/6`` with both
       dilogarithms from the defining series (:class:`TooLarge` for an
       ``x`` so near 0 or 1 that a series passes its term cap).
-    * ``COTANGENT``: ``x`` in (0, pi), ``terms`` >= 1.  Checks
-      ``x cot x = 1 - 2 sum(zeta(2n) (x/pi)**2n)`` with the even zetas
-      taken from their exact rational closed forms.
+    * ``COTANGENT``: ``x`` in (0, pi), ``terms`` from 1 to
+      ``numkernel.BERNOULLI_CAP // 2`` (:class:`TooLarge` past it, before
+      any work).  Checks ``x cot x = 1 - 2 sum(zeta(2n) (x/pi)**2n)`` with
+      the even zetas taken from their exact rational closed forms.
     * ``EULER_PRODUCT``: ``s`` > 1, ``prime_bound`` >= 2.  Checks
       ``prod(1 - p**-s) * zeta(s) = 1`` over primes up to the bound.
     * ``PHI_FUNCEQ``: ``s`` in (0, 1).  Checks the reflection formula
@@ -332,6 +341,7 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
         terms = _param(params, "terms")
         if not isinstance(terms, int) or terms < 1:
             raise DomainError(f"cotangent check needs an integer terms >= 1, got {terms!r}")
+        bernoulli(2 * terms)  # term m takes B_2m: all built, or refused, before any work
         with mpmath.workdps(wd):
             x = as_mpf(_param(params, "x"))
             if not (0 < x < mpmath.pi):

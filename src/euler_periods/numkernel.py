@@ -11,10 +11,10 @@ Everything numerical in this package funnels through this module:
   plus Bernoulli correction terms (at ``s = 1`` the harmonic sum less ``log
   n``); :func:`zeta_values` evaluates ``zeta(2), ..., zeta(top)`` the same
   way in one pass over a shared table of powers.
-* :func:`accel_alt_sum` evaluates an alternating series, given its term
-  function and optionally a bound on each term's input error, by
-  Chebyshev-weighted acceleration, needing O(digits) terms instead of
-  exponentially many.
+* :func:`accel_alt_sum` evaluates an alternating series, given its leading
+  terms as integer rows in fixed point and optionally a bound on each row's
+  input error, by Chebyshev-weighted acceleration, needing O(digits) terms
+  instead of exponentially many.
 * :func:`_at_one` evaluates the iterated integrals from 0 to 1 whose
   words give multiple zeta values, alternating sums and polylogarithms.
 
@@ -29,11 +29,12 @@ per index, the integer Chebyshev weights per term count, the batch plans
 per ``(top, wd)``, and the last 1024 Euler-Maclaurin plans per exact
 argument tuple.
 
-Every engine sums in Python-integer fixed point at the binary precision of
-``prec`` plus :data:`GUARD_DIGITS` decimal digits: the Euler-Maclaurin body
-:func:`_em_power_sum`, the Chebyshev dot product :func:`_cvz` and the
-iterated integrals.  Identical inputs produce bit-identical outputs.  Each
-engine is exercised against independent references in the test suite.
+Every engine sums in Python-integer fixed point at the binary precision
+:func:`working_bits` of ``prec`` plus :data:`GUARD_DIGITS` decimal digits:
+the Euler-Maclaurin body :func:`_em_power_sum`, the Chebyshev dot product in
+:func:`accel_alt_sum` and the iterated integrals.  Identical inputs produce
+bit-identical outputs.  Each engine is exercised against independent
+references in the test suite.
 
 Rounding
 --------
@@ -60,14 +61,15 @@ units there.  The one exception is an ``s`` whose denominator ``q`` has
 The counted sites, each with its count and premises beside the call:
 
 * the :class:`BigReal` constructors and ``+ - * /``, and :func:`pi_times`;
-* the fixed-point bodies :func:`_em_power_sum` and :func:`accel_alt_sum`;
+* the fixed-point body :func:`_em_power_sum`;
 * in :mod:`.eulerfun`, the ``Li_n`` series of DILOG_REFLECTION, ``polylog``
   at ``n = 1`` and in the reflection window, and the four identity residuals;
 * :func:`~euler_periods.mzv.mzv_bruteforce`, whose count grows with the depth;
 * :func:`~euler_periods.g2.invert_alpha`.
 
-The iterated-integral engine counts its own units: its bound, rounding
-included, is proved below.
+The Chebyshev engine :func:`accel_alt_sum` and the iterated-integral engine
+count their own units in integers: their bounds, rounding included, are
+proved in :func:`accel_alt_sum`'s docstring and below.
 
 Iterated integrals at 1/2
 -------------------------
@@ -122,17 +124,18 @@ weight, which :data:`WEIGHT_CAP` bounds.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import mpmath
 from mpmath import mpf
 
-from .errors import DomainError, PrecisionNotMet, TooLarge
+from .errors import DomainError, InputError, PrecisionNotMet, TooLarge
 
 #: Decimal digits carried internally beyond the requested precision.
 GUARD_DIGITS = 10
@@ -147,6 +150,11 @@ ScalarLike = Union[int, Fraction, str, mpf, float]
 def working_dps(prec: int) -> int:
     """Internal decimal precision used for a request of ``prec`` digits."""
     return prec + GUARD_DIGITS
+
+
+def working_bits(prec: int) -> int:
+    """``b``, the binary precision mpmath carries at ``working_dps(prec)`` digits."""
+    return mpmath.libmp.dps_to_prec(working_dps(prec))
 
 
 def check_prec(prec: int) -> int:
@@ -172,6 +180,24 @@ def as_fraction(x: ScalarLike) -> Fraction:
         raise DomainError(f"expected a finite rational number, got {x!r}") from None
 
 
+def check_digits(text: str, what: str) -> str:
+    """``text``, if the number it writes has at most :data:`DIGIT_CAP` digits.
+
+    The size is the digits before a decimal exponent plus its value
+    (``1e5000`` is a 5001-digit integer), or every digit written if they
+    alone pass the cap.  So a literal that Python would refuse to convert,
+    or that would take long to build, raises :class:`InputError` before
+    any work.
+    """
+    size = sum(c.isdigit() for c in text)
+    if size <= DIGIT_CAP:
+        head, exponent = re.fullmatch(r"(.*?)(?:[eE][-+]?(\d+))?", text.strip(), re.S).groups()
+        size = sum(c.isdigit() for c in head) + int(exponent or 0)
+    if size > DIGIT_CAP:
+        raise InputError(f"{what} has {size} digits, past the cap {DIGIT_CAP}")
+    return text
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and friends
 # ---------------------------------------------------------------------------
@@ -183,10 +209,13 @@ def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number ``B_n`` with the convention ``B_1 = -1/2``.
 
     Computed by the recurrence ``sum(C(n+1, k) * B_k for k <= n) == 0``,
-    which forces ``B_1 = -1/2``; results are cached.
+    which forces ``B_1 = -1/2``; results are cached.  Past
+    :data:`BERNOULLI_CAP` raises :class:`TooLarge` before any work.
     """
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"bernoulli index must be a non-negative integer, got {n!r}")
+    if n > BERNOULLI_CAP:
+        raise TooLarge(f"bernoulli index {n} exceeds the supported cap {BERNOULLI_CAP}")
     cache = _BERNOULLI_CACHE
     while len(cache) <= n:
         m = len(cache)
@@ -196,17 +225,6 @@ def bernoulli(n: int) -> Fraction:
                 acc += math.comb(m + 1, k) * bk
         cache.append(-acc / (m + 1))
     return cache[n]
-
-
-def euler_at_zero(i: int) -> Fraction:
-    """Euler polynomial value ``E_i(0)``, the Boole summation weights.
-
-    ``E_i(0) = -2 (2^(i+1) - 1) B_(i+1) / (i+1)`` holds for every i >= 0
-    under the ``B_1 = -1/2`` convention (it gives ``E_0(0) = 1``).
-    """
-    if not isinstance(i, int) or i < 0:
-        raise DomainError(f"index must be a non-negative integer, got {i!r}")
-    return Fraction(-2) * (2 ** (i + 1) - 1) * bernoulli(i + 1) / (i + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -442,92 +460,81 @@ def _power_rows(s: Fraction, n: int, bits: int) -> list[int]:
     return [_iroot(one // k ** p, q) for k in range(1, n + 1)]
 
 
-def _cvz(terms: Sequence[mpf], n: int) -> mpf:
-    # Chebyshev estimate of sum((-1)^k |terms[k]|) at the ambient precision:
-    # one integer dot product over the floored |terms[k]|, one division.
-    weights, d = _cvz_weights(n)
-    bits = mpmath.mp.prec
-    return mpf((sum(c * _fixed(a, bits) for c, a in zip(weights, terms)) // d, -bits))
-
-
 def alt_terms_needed(prec: int) -> int:
     """Leading terms :func:`accel_alt_sum` reads at ``prec``: 32 / 78 / 143 at 15 / 50 / 100."""
     wd = working_dps(check_prec(prec))
     return math.ceil((wd - 1 + math.log10(2)) / math.log10(3 + math.sqrt(8)))
 
 
-def accel_alt_sum(term: Callable[[int], mpf], prec: int,
-                  bound: Callable[[int], mpf] | None = None) -> BigReal:
-    """Evaluate ``sum(term(k) for k >= 1)`` to ``prec`` certified digits.
+def _units_up(units: int, bits: int) -> mpf:
+    """``units * 2**-bits`` rounded up to a 32-bit mantissa: exact at 32 bits or more."""
+    shift = max(units.bit_length() - 32, 0)
+    return mpf((-(-units >> shift), shift - bits))
 
-    Reads the first ``n = alt_terms_needed(prec)`` terms ``a_k = term(k)``
-    at the working precision, and, if ``bound`` is given, ``delta_k =
-    bound(k)`` with ``|a_k - true a_k| <= delta_k``.  ``term`` must be pure,
-    giving the same value for the same ``k`` at the same ambient precision,
-    within one rounding (one count of :func:`_rounding`) of the series'
-    term, or of a value within ``delta_k`` of it.
-    Precondition: the ``|a_k|`` are moments ``integral(t**k dmu(t), 0..1)``
-    of a positive measure, as ``k**-s``, ``(L+j)**-n`` and
-    ``zeta(k+1)/(k+1)`` are.  Then one Chebyshev pass errs by at most ``2
-    |S| / (3 + sqrt(8))**n`` (Cohen, Rodriguez Villegas and Zagier,
-    Experiment. Math. 9 (2000)), so the declared bound is ``2 (|a_1| +
-    delta_1) / (3 + sqrt(8))**n``, at most ``(|a_1| + delta_1) * 10**-(wd -
-    1)``, plus rounding, plus the input uncertainty ``sum(|c_k| * delta_k) /
-    d`` with the Chebyshev weights ``c_k`` and normaliser ``d``.  Series
-    whose terms become identically zero are summed directly (a finite sum
-    is its own best acceleration); the sign check, the only alternation
-    guard, raises :class:`DomainError` when the first ten terms do not
-    alternate.
 
-    Rounding, in counts of :func:`_rounding` at ``|a_1|``, which is at
-    least every ``|a_k|`` and ``|S|``: each term is taken to be one rounding
-    off the series' term (``n`` counts, as ``sum(|c_k|) <= n d``), each
-    floored term is off by under one unit of ``2**-mp.prec`` (``n`` more),
-    and the division and the conversion to an mpf round once each: ``2 n +
-    2`` in all.  A finite sum of ``j`` terms costs ``j + 1``.  Proofs: the
-    ``n`` floor counts and the integer division's, and the ``n`` term
-    counts for ``phi``, whose terms are exact floors at ``2**-mp.prec``
-    (:func:`_power_rows`) below :data:`_ROOT_BITS_CAP`.  Premises: phi's
-    rows past that cap (mpmath's power is faithful), ``gamma_const``'s mpf
-    terms ``+-zeta(k+1)/(k+1)`` (mpmath's ``/`` rounds correctly), and the
-    conversion of the integer sum to an mpf.
+def accel_alt_sum(rows: Sequence[int], prec: int, bounds: Sequence[int] | None = None) -> BigReal:
+    """``sum((-1)**(k-1) * a_k, k >= 1)`` to ``prec`` certified digits, from integer rows.
 
-    Cost: ``n = ceil((wd - 1 + log10 2) / log10(3 + sqrt(8)))`` terms, ``wd
-    = working_dps(prec)``, floored to integers at the binary precision of
-    ``wd``, one integer dot product and one division, plus an mpf sum for
-    the input uncertainty.  The integer weights depend only on ``n`` and are
-    cached under it: at most 100 entries, about 0.5 MB for all ``prec``.
+    ``rows[k-1]`` is ``|a_k|`` as a non-negative integer in units of
+    ``2**-b``, ``b = working_bits(prec)``, for the first ``n =
+    alt_terms_needed(prec)`` terms; rows past ``n`` are not read.
+    ``bounds``, if given, holds a non-negative integer ``delta_k`` per row,
+    with ``|rows[k-1] - 2**b |a_k|| <= delta_k + 1``; without it every
+    ``delta_k`` is 0, as for exact floors.  Precondition: the ``|a_k|`` are
+    moments ``integral(t**k dmu(t), 0..1)`` of a positive measure, as
+    ``k**-s`` and ``zeta(k+1)/(k+1)`` are, so they decrease and the series
+    alternates.  A negative row or bound, or fewer than ``n`` of either,
+    raises :class:`DomainError`.
+
+    The estimate is the integer ``E = floor(sum(c_k rows[k]) / d)``, with
+    the Chebyshev weights ``c_k`` and normaliser ``d`` of Cohen, Rodriguez
+    Villegas and Zagier (Experiment. Math. 9 (2000)), converted to an mpf
+    once.  The declared bound is a proof, in units of ``2**-b``:
+
+    1. For moment sequences one Chebyshev pass over the true terms errs by
+       at most ``2 |S| / (3 + sqrt(8))**n``, where ``|S| <= |a_1| <=
+       rows[0] + delta_1 + 1`` and ``(3 + sqrt(8))**n >= 2 d - 1``.
+    2. Each row lies within its ``delta_k + 1``.  The weights alternate in
+       sign like the terms, so the estimate moves by at most ``sum(|c_k|
+       (delta_k + 1)) / d``, all of it when every term errs the same way.
+    3. The dot product is exact, and the floor division costs one unit.
+    4. Converting ``E`` to an mpf of ``b`` bits costs one count: a faithful
+       rounding errs by under ``|E| 2**(1 - b)``, at most ``(|E| >> (b -
+       1)) + 1`` units.
+
+    The sum of the units is rounded up to an mpf.  Two consecutive zero
+    rows end a finite series, summed exactly as its own best acceleration:
+    its ``j`` rows cost a unit each, the tail at most the first zero row's
+    ``|a_j| <= delta_j + 1``, and step 4 one count; every ``delta_k`` is
+    added, read or not.
+
+    Cost: ``n = ceil((wd - 1 + log10 2) / log10(3 + sqrt(8)))`` rows, ``wd =
+    working_dps(prec)``: one integer dot product and one division.  The
+    integer weights depend only on ``n`` and are cached under it: at most
+    100 entries, about 0.5 MB for all ``prec``.
 
     Raises :class:`PrecisionNotMet` when the bound cannot be certified.
     """
-    check_prec(prec)
-    n = alt_terms_needed(prec)
-    with mpmath.workdps(working_dps(prec)):
-        terms = [term(k) for k in range(1, n + 1)]
-        bounds = None if bound is None else [bound(k) for k in range(1, n + 1)]
-        if not all(mpmath.isfinite(t) for t in terms):
-            raise DomainError("series terms must be finite")
-        # Finite series short-circuit: two consecutive zero terms are read
-        # as "the tail is identically zero".
-        for j in range(len(terms) - 1):
-            if terms[j] == 0 and terms[j + 1] == 0:
-                v = mpmath.fsum(terms[:j])
-                err = _rounding(terms[0], j + 1)  # j terms, one rounded sum
-                if bounds is not None:
-                    err += mpmath.fsum(bounds)
-                return BigReal(v, err, prec).demand("accel_alt_sum")
-
-        sign = 1 if terms[0] >= 0 else -1
-        for j in range(min(10, n) - 1):
-            if terms[j] * terms[j + 1] > 0:
-                raise DomainError("series terms do not alternate in sign")
-        s = sign * _cvz(terms, n)
-        first = abs(terms[0]) if bounds is None else abs(terms[0]) + bounds[0]
-        err = 2 * first / (3 + mpmath.sqrt(8)) ** n + _rounding(first, 2 * n + 2)
-        if bounds is not None:
-            weights, d = _cvz_weights(n)
-            err += mpmath.fsum(abs(c) * b for c, b in zip(weights, bounds)) / d
-        return BigReal(s, err, prec).demand("accel_alt_sum")
+    n, bits = alt_terms_needed(prec), working_bits(prec)
+    rows = rows[:n]
+    bounds = [0] * n if bounds is None else bounds[:n]
+    if len(rows) < n or len(bounds) < n or min(*rows, *bounds) < 0:
+        raise DomainError(f"accel_alt_sum at prec {prec} reads {n} rows and bounds, "
+                          f"non-negative integers; got {len(rows)} and {len(bounds)}")
+    for j in range(n - 1):
+        if rows[j] == rows[j + 1] == 0:
+            estimate = sum(rows[0:j:2]) - sum(rows[1:j:2])
+            units = sum(bounds) + j + 1
+            break
+    else:
+        weights, d = _cvz_weights(n)
+        estimate = sum(map(mul, weights, rows)) // d
+        units = (-(-2 * (rows[0] + bounds[0] + 1) // (2 * d - 1))
+                 - (-sum(abs(c) * (e + 1) for c, e in zip(weights, bounds)) // d) + 1)
+    units += (abs(estimate) >> bits - 1) + 1
+    with mpmath.workprec(bits):
+        value, err = mpf((estimate, -bits)), _units_up(units, bits)
+    return BigReal(value, err, prec).demand("accel_alt_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +799,16 @@ def zeta_values(top: int, wd: int) -> list[tuple[mpf, mpf]]:
 #: is linear in it, about 70 ms at the cap and prec 100.
 WEIGHT_CAP = 1000
 
+#: Largest index :func:`bernoulli` computes.  The recurrence costs about
+#: ``n**3``: B_600 takes 1.4 s in a fresh process and B_1000 6.4 s (2-core
+#: x86-64 VM); past about n = 2600 the value has more digits than Python
+#: prints by default.
+BERNOULLI_CAP = 600
+
+#: Most digits an integer literal of the input may have (:func:`check_digits`),
+#: well below the 4300 digits past which Python refuses ``int(str)``.
+DIGIT_CAP = 1000
+
 #: Largest ``cutoff * depth`` :func:`~euler_periods.mzv.mzv_bruteforce` sums;
 #: one step costs about 10 us, so about 2 s at the cap and prec 15 (2-core
 #: x86-64 VM, mpmath 1.3.0).
@@ -852,6 +869,4 @@ def _at_one(word: Sequence[int | Fraction], prec: int, terms: int | None = None)
     err = (n + 1) * alpha * ((2 << bits) + alpha)
     with mpmath.workdps(working_dps(prec)):
         err += (abs(total) >> mpmath.mp.prec) + 1
-        shift = max(err.bit_length() - 32, 0)  # 32-bit mantissa, exact as an mpf
-        err = mpf((-(-err >> shift), shift - 2 * bits))
-        return BigReal(mpf((total, -2 * bits)), err, prec)
+        return BigReal(mpf((total, -2 * bits)), _units_up(err, 2 * bits), prec)

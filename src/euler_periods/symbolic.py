@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 
 from .errors import DomainError, InputError, ParseError
 from .eulerfun import polylog, zeta
-from .numkernel import MAX_PREC, BigReal, check_prec, pi_times
+from .numkernel import MAX_PREC, BigReal, check_digits, check_prec, pi_times
 
 __all__ = [
     "MotivicExpr",
@@ -744,19 +744,21 @@ class _Parser:
             return MotivicExpr.lim(n, pt)
         raise ParseError(f"unexpected {tok!r}", self._here())
 
-    def _rational(self) -> Fraction:
+    def _digits(self, what: str) -> tuple[int, int]:
+        """The next token as an integer literal, and its offset."""
         tok, at = self._next()
         if not tok.isdigit():
-            raise ParseError("expected an integer", at)
-        num = int(tok)
+            raise ParseError(f"expected {what}", at)
+        return int(check_digits(tok, f"the integer at position {at}")), at
+
+    def _rational(self) -> Fraction:
+        num, _ = self._digits("an integer")
         if self._peek() == "/":
             self._next()
-            tok2, at2 = self._next()
-            if not tok2.isdigit():
-                raise ParseError("expected an integer denominator", at2)
-            if int(tok2) == 0:
-                raise ParseError("zero denominator", at2)
-            return Fraction(num, int(tok2))
+            den, at = self._digits("an integer denominator")
+            if den == 0:
+                raise ParseError("zero denominator", at)
+            return Fraction(num, den)
         return Fraction(num)
 
     def _integer(self) -> int:
@@ -764,10 +766,7 @@ class _Parser:
         if self._peek() == "-":
             self._next()
             sign = -1
-        tok, at = self._next()
-        if not tok.isdigit():
-            raise ParseError("expected an integer", at)
-        return sign * int(tok)
+        return sign * self._digits("an integer")[0]
 
     def _point(self) -> tuple:
         tok = self._peek()
@@ -788,7 +787,9 @@ def parse_expr(text: str) -> MotivicExpr:
     Grammar: signed rational coefficients, ``zeta_m(n)``, ``Li_m(n; z)``
     with ``z`` a rational or an identifier, ``twopi_i``, ``*``, ``+``,
     ``-``, and parentheses.  Raises :class:`ParseError` with a character
-    position on bad syntax and :class:`DomainError` for ``zeta_m(1)``.
+    position on bad syntax, :class:`InputError` for an integer of more than
+    :data:`~euler_periods.numkernel.DIGIT_CAP` digits and
+    :class:`DomainError` for ``zeta_m(1)``.
     """
     if not isinstance(text, str):
         raise ParseError("input must be a string", 0)

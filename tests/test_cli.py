@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 
 import euler_periods
 from euler_periods.cli import _certified_line, dispatch
-from euler_periods.numkernel import BigReal
+from euler_periods.numkernel import BERNOULLI_CAP, DIGIT_CAP, BigReal
 from test_mzv import NEWTON, zagier
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -410,6 +411,29 @@ def test_exit_two_invalid_input(capsys, argv):
     assert code == 2
     if err:
         assert err.startswith("error:") or "usage" in err
+
+
+HUGE = "1" + "0" * 5000  # past Python's 4300-digit int(str) limit
+
+
+@pytest.mark.parametrize("argv", [
+    ("per", f"1/{HUGE}*zeta_m(2)"),
+    ("coact", f"1/{HUGE}*zeta_m(2)"),
+    ("conjugates", f"{HUGE}*zeta_m(3)"),
+    ("zeta", f"1/{HUGE}"),
+    ("phi", HUGE),
+    ("polylog", "2", f"1/{HUGE}"),
+    ("zeta", "1e10000000"),  # a 10**7-digit integer, written short
+    ("bernoulli", str(BERNOULLI_CAP + 1)),
+    ("identity-check", "cotangent", "--x", "1/2", "--terms", str(BERNOULLI_CAP // 2 + 1)),
+], ids=lambda a: " ".join(x if len(x) < 20 else f"<{len(x)} chars>" for x in a))
+def test_huge_input_exits_two_at_once_without_a_traceback(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert (f"digits, past the cap {DIGIT_CAP}" in err) == (argv[0] not in ("bernoulli", "identity-check"))
 
 
 def test_exit_two_no_command(capsys):

@@ -13,9 +13,11 @@ import pytest
 from mpmath import mpf
 
 from euler_periods import numkernel
-from euler_periods.errors import DomainError, PrecisionNotMet
+from euler_periods.errors import DomainError, InputError, PrecisionNotMet, TooLarge
 from euler_periods.eulerfun import zeta, zeta_even_closed
 from euler_periods.numkernel import (
+    BERNOULLI_CAP,
+    DIGIT_CAP,
     GUARD_DIGITS,
     BigReal,
     accel_alt_sum,
@@ -23,17 +25,18 @@ from euler_periods.numkernel import (
     as_fraction,
     as_mpf,
     bernoulli,
+    check_digits,
     check_prec,
     em_sum,
-    euler_at_zero,
     pi_times,
+    working_bits,
     working_dps,
     zeta_values,
 )
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and Euler polynomial values
+# Bernoulli numbers
 # ---------------------------------------------------------------------------
 
 BERNOULLI_TABLE = {
@@ -76,21 +79,21 @@ def test_bernoulli_rejects_bad_index(bad):
         bernoulli(bad)
 
 
-@pytest.mark.parametrize("i,expected", [
-    (0, Fraction(1)),
-    (1, Fraction(-1, 2)),
-    (2, Fraction(0)),
-    (3, Fraction(1, 4)),
-    (4, Fraction(0)),
-    (5, Fraction(-1, 2)),
-])
-def test_euler_at_zero_table(i, expected):
-    assert euler_at_zero(i) == expected
+def test_bernoulli_past_the_cap_is_refused_before_any_work(monkeypatch):
+    monkeypatch.setattr(numkernel, "_BERNOULLI_CACHE", [Fraction(1)])
+    with pytest.raises(TooLarge, match=f"cap {BERNOULLI_CAP}"):
+        bernoulli(BERNOULLI_CAP + 1)
+    assert numkernel._BERNOULLI_CACHE == [Fraction(1)]
 
 
-def test_euler_at_zero_rejects_negative():
-    with pytest.raises(DomainError):
-        euler_at_zero(-2)
+@pytest.mark.parametrize("text,size", [("1" * 1001, 1001), ("1/" + "0" * 999, 1000),
+                                       ("1e1000", 1001), ("-0.5E-999", 1001), ("1e" + "9" * 2000, 2001)])
+def test_check_digits_counts_digits_and_exponent(text, size):
+    if size > DIGIT_CAP:
+        with pytest.raises(InputError, match=f"has {size} digits"):
+            check_digits(text, "x")
+    else:
+        assert check_digits(text, "x") == text
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +276,21 @@ def test_random_walk_error_bound_is_honest():
 # ---------------------------------------------------------------------------
 
 
+def unit_rows(prec: int, magnitude) -> list[int]:
+    """``floor(2**b magnitude(k))`` for the rows accel_alt_sum reads at ``prec``."""
+    bits = working_bits(prec)
+    return [math.floor(magnitude(k) * 2 ** bits) for k in range(1, alt_terms_needed(prec) + 1)]
+
+
+def test_working_bits_is_the_precision_of_the_working_digits():
+    for prec in range(1, 101):
+        with mpmath.workdps(working_dps(prec)):
+            assert working_bits(prec) == mpmath.mp.prec, prec
+
+
 def test_accel_alt_ln2():
     prec = 30
-    x = accel_alt_sum(lambda k: mpf(-1) ** (k - 1) / k, prec)
+    x = accel_alt_sum(unit_rows(prec, lambda k: Fraction(1, k)), prec)
     with mpmath.workdps(working_dps(prec)):
         assert abs(x.value - mpmath.log(2)) <= mpf(10) ** (-prec)
     assert x.certified()
@@ -283,81 +298,70 @@ def test_accel_alt_ln2():
 
 def test_accel_alt_pi_over_4():
     prec = 25
-    x = accel_alt_sum(lambda k: mpf(-1) ** (k - 1) / (2 * k - 1), prec)
+    x = accel_alt_sum(unit_rows(prec, lambda k: Fraction(1, 2 * k - 1)), prec)
     with mpmath.workdps(working_dps(prec)):
         assert abs(x.value - mpmath.pi / 4) <= mpf(10) ** (-prec)
 
 
 def test_accel_alt_finite_series_short_circuit():
-    # Terms vanish identically after k = 2; the sum is exact.
-    def term(k):
-        return {1: mpf(1), 2: mpf("-0.5")}.get(k, mpf(0))
-
-    x = accel_alt_sum(term, 20)
+    # Rows vanish identically after k = 2; the sum is exact.
+    x = accel_alt_sum(unit_rows(20, lambda k: {1: 1, 2: Fraction(1, 2)}.get(k, 0)), 20)
     assert x.value == mpf("0.5")
     assert x.certified()
 
 
-def test_accel_alt_detects_non_alternating_terms():
+def test_accel_alt_rejects_a_negative_row_or_bound():
+    rows = unit_rows(15, lambda k: Fraction(1, k))
     with pytest.raises(DomainError):
-        accel_alt_sum(lambda k: mpf(1) / k ** 2, 15)
+        accel_alt_sum(rows[:4] + [-rows[4]] + rows[5:], 15)
+    with pytest.raises(DomainError):
+        accel_alt_sum(rows, 15, [0] * 4 + [-1] + [0] * (len(rows) - 5))
 
 
-@pytest.mark.parametrize("bad", [mpmath.inf, mpmath.nan], ids=str)
-def test_accel_alt_rejects_a_term_that_is_no_number(bad):
-    # The terms are floored to integers, where an inf or nan would vanish.
-    with pytest.raises(DomainError):
-        accel_alt_sum(lambda k: bad if k == 5 else mpf(-1) ** (k - 1) / k, 15)
+def test_accel_alt_rejects_too_few_rows_or_bounds():
+    rows = unit_rows(15, lambda k: Fraction(1, k))
+    with pytest.raises(DomainError, match="reads 32 rows"):
+        accel_alt_sum(rows[:-1], 15)
+    with pytest.raises(DomainError, match="reads 32 rows"):
+        accel_alt_sum(rows, 15, [0] * (len(rows) - 1))
+
+
+def test_accel_alt_reads_only_the_first_n_rows():
+    rows = unit_rows(15, lambda k: Fraction(1, k))
+    assert repr(accel_alt_sum(rows + [-1], 15, [0] * len(rows) + [-1])) == repr(accel_alt_sum(rows, 15))
 
 
 def test_accel_alt_bit_identical_reruns():
-    def term(k):
-        return mpf(-1) ** (k - 1) / k
-
-    a = accel_alt_sum(term, 40)
-    b = accel_alt_sum(term, 40)
+    rows = unit_rows(40, lambda k: Fraction(1, k))
+    a = accel_alt_sum(rows, 40)
+    b = accel_alt_sum(list(rows), 40)
     assert repr(a) == repr(b)
 
 
-def eta2(k: int) -> mpf:
-    return mpf(-1) ** (k - 1) / mpf(k) ** 2
+def eta2(k: int) -> Fraction:
+    return Fraction(1, k * k)
 
 
 @pytest.mark.parametrize("prec", [1, 15, 100])
 def test_accel_alt_zero_bounds_keep_every_bit(prec):
     # Bounds of zero add exactly nothing: the value and the error match the
     # call without bounds bit for bit.
-    a = accel_alt_sum(eta2, prec)
-    b = accel_alt_sum(eta2, prec, lambda k: mpf(0))
+    rows = unit_rows(prec, eta2)
+    a = accel_alt_sum(rows, prec)
+    b = accel_alt_sum(rows, prec, [0] * len(rows))
     assert (a.value._mpf_, a.err._mpf_) == (b.value._mpf_, b.err._mpf_)
-
-
-@pytest.mark.parametrize("prec", [1, 15, 100])
-def test_accel_alt_reads_each_term_and_bound_once_at_working_precision(prec):
-    read_terms, read_bounds = [], []
-
-    def term(k):
-        read_terms.append((k, mpmath.mp.dps))
-        return eta2(k)
-
-    def bound(k):
-        read_bounds.append((k, mpmath.mp.dps))
-        return mpf(0)
-
-    accel_alt_sum(term, prec, bound)
-    expected = [(k, working_dps(prec)) for k in range(1, alt_terms_needed(prec) + 1)]
-    assert read_terms == expected
-    assert read_bounds == expected
 
 
 def test_accel_alt_bound_covers_worst_case_input_error():
     # The Chebyshev weights alternate in sign like the terms, so one shift
-    # of every term by +delta moves the estimate by sum(|c_k|) * delta / d,
-    # the most terms within delta of the true ones can move it.
-    prec, delta = 15, mpf("1e-18")
-    exact = accel_alt_sum(eta2, prec)
-    blind = accel_alt_sum(lambda k: eta2(k) + delta, prec)
-    aware = accel_alt_sum(lambda k: eta2(k) + delta, prec, lambda k: delta)
+    # of every signed term by +delta units moves the estimate by sum(|c_k|)
+    # * delta / d, the most rows within delta of the true ones can move it.
+    prec, delta = 15, 100
+    exact = unit_rows(prec, eta2)
+    shifted = [r + delta if k % 2 == 0 else r - delta for k, r in enumerate(exact)]
+    blind = accel_alt_sum(shifted, prec)
+    aware = accel_alt_sum(shifted, prec, [delta] * len(exact))
+    exact = accel_alt_sum(exact, prec)
     assert blind.value == aware.value
     with mpmath.workdps(working_dps(prec)):
         true = mpmath.pi ** 2 / 12
@@ -368,22 +372,21 @@ def test_accel_alt_bound_covers_worst_case_input_error():
 
 
 def test_accel_alt_finite_series_adds_every_bound():
-    # 1 - 1/2, each term read 1e-25 high and said to be off by that much at
-    # every k: the finite sum's bound adds all n bounds, not only the two
-    # nonzero terms'.
-    delta = mpf("1e-25")
-
-    def term(k):
-        return {1: 1 + delta, 2: delta - mpf("0.5")}.get(k, mpf(0))
-
-    prec = 20
-    blind = accel_alt_sum(term, prec)
-    aware = accel_alt_sum(term, prec, lambda k: delta)
+    # 1 - 1/2, each row read delta units high in its term's sign and said to
+    # be off by that much at every k: the finite sum's bound adds all n
+    # bounds, not only the two nonzero rows'.
+    prec, delta = 20, 10
+    rows = unit_rows(prec, lambda k: {1: 1, 2: Fraction(1, 2)}.get(k, 0))
+    rows[0] += delta
+    rows[1] -= delta
+    blind = accel_alt_sum(rows, prec)
+    aware = accel_alt_sum(rows, prec, [delta] * len(rows))
     assert blind.value == aware.value
+    unit = mpf(2) ** -working_bits(prec)
     with mpmath.workdps(working_dps(prec)):
         assert abs(blind.value - mpf("0.5")) > blind.err
         assert abs(aware.value - mpf("0.5")) <= aware.err
-        assert aware.err > blind.err + (alt_terms_needed(prec) - 1) * delta
+        assert aware.err >= blind.err + len(rows) * delta * unit
     assert aware.certified()
 
 
