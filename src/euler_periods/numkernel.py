@@ -41,9 +41,11 @@ Rounding
 
 The declared bound is the truncation bound plus the rounding the code
 performs, counted, not an interval enclosure.  One rule counts it, in binary
-units of the ambient precision ``p = mp.prec`` (as Arb does, arXiv:1611.02831):
-:func:`_rounding` ``(v, count) = count (1 + |v|) 2**(1 - p)``, one count per
-rounding that makes ``v``.  The premises: mpmath's ``+ - * /`` and decimal
+units of the precision ``p`` the rounding happens at (as Arb does,
+arXiv:1611.02831): :func:`_rounding_at` ``(v, p, count) = count (1 + |v|)
+2**(1 - p)`` on raw mpf tuples, one count per rounding that makes ``v``;
+:func:`_rounding` ``(v, count)`` is the same rule at the ambient ``p =
+mp.prec``, for the sites that compute in an mpmath context.  The premises: mpmath's ``+ - * /`` and decimal
 parsing round correctly, within half a count, and each elementary or special
 function (``log``, ``cos``, ``cot``, ``gamma``, powers, ``pi``) is faithful,
 within one count, unless its site states more.  A floor to ``2**-b`` with
@@ -60,7 +62,11 @@ units there.  The one exception is an ``s`` whose denominator ``q`` has
 ``1 + 10**-9``): its rows come from mpmath's power, on the premise above.
 The counted sites, each with its count and premises beside the call:
 
-* the :class:`BigReal` constructors and ``+ - * /``, and :func:`pi_times`;
+* the :class:`BigReal` constructors and ``+ - * /``, and :func:`pi_times`:
+  each rounds once (a ``Fraction`` and ``pi`` times ``k`` twice) at the
+  explicit ``working_bits(p)`` of its result, through mpmath.libmp with no
+  context switch, and counts that with :func:`_rounding_at` at the same
+  ``p``: the same premise and the same count as in an mpmath context;
 * the fixed-point body :func:`_em_power_sum`;
 * in :mod:`.eulerfun`, the ``Li_n`` series of DILOG_REFLECTION, ``polylog``
   at ``n = 1`` and in the reflection window, and the four identity residuals;
@@ -125,7 +131,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -134,6 +139,10 @@ from typing import Sequence, Union
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, from_str, fzero, mpf_abs,
+                          mpf_add, mpf_div, mpf_eq, mpf_le, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
+                          mpf_pos, mpf_pow_int, mpf_shift, mpf_sub, round_down)
+from mpmath.libmp import round_nearest as RN
 
 from .errors import DomainError, InputError, PrecisionNotMet, TooLarge
 
@@ -152,9 +161,10 @@ def working_dps(prec: int) -> int:
     return prec + GUARD_DIGITS
 
 
+@lru_cache(maxsize=None)
 def working_bits(prec: int) -> int:
     """``b``, the binary precision mpmath carries at ``working_dps(prec)`` digits."""
-    return mpmath.libmp.dps_to_prec(working_dps(prec))
+    return dps_to_prec(working_dps(prec))
 
 
 def check_prec(prec: int) -> int:
@@ -232,7 +242,6 @@ def bernoulli(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BigReal:
     """An arbitrary-precision real with an absolute error bound.
 
@@ -240,38 +249,87 @@ class BigReal:
     ``prec`` records the decimal precision that was requested when the
     number was produced.  Successful library operations guarantee
     ``err <= 10**-prec``.  Arithmetic propagates bounds first-order and
-    adds one count of :func:`_rounding` for its one rounding; it never
+    adds one count of :func:`_rounding_at` for its one rounding; it never
     tightens them.
+
+    Instances are immutable and compare and hash by ``(value, err,
+    prec)``.  The constructors and ``+ - * / neg abs`` call mpmath.libmp on
+    the raw mpf tuples at the explicit binary precision ``b =
+    working_bits(p)`` of the result's ``prec = p``, rounding to nearest: the
+    ambient mpmath context is neither read nor changed.  Every step is the
+    one the mpf operators would take inside ``workdps(working_dps(p))``,
+    in the same order, so each value and bound keeps its bits.  Cost: a few
+    microseconds per op, nearly all of it in mpmath.libmp.
     """
+
+    __slots__ = ("value", "err", "prec")
 
     value: mpf
     err: mpf
     prec: int
 
-    def __post_init__(self) -> None:
-        if self.err < 0:
+    def __init__(self, value: mpf, err: mpf, prec: int) -> None:
+        if err < 0:
             raise DomainError("error bound must be non-negative")
+        _set_value(self, value)
+        _set_err(self, err)
+        _set_prec(self, prec)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.err, self.prec) == (other.value, other.err, other.prec)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.err, self.prec))
+
+    def __reduce__(self):
+        return BigReal, (self.value, self.err, self.prec)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def exact(cls, x: ScalarLike, prec: int) -> "BigReal":
-        """Wrap a value known exactly up to representation rounding."""
-        check_prec(prec)
-        with mpmath.workdps(working_dps(prec)):
-            v = as_mpf(x)
-            if not isinstance(x, str) and v == x:
-                return cls(v, mpf(0), prec)
+        """Wrap a value known exactly up to representation rounding.
+
+        A value that converts without change has a zero bound, as mpf's
+        ``==`` judges it.  For a ``Fraction`` that test compares with the
+        quotient rounded down at ``b`` bits, so one whose rounding down and
+        to nearest agree gets a zero bound though it rounded; the test is
+        kept as it was, so every bound keeps its bits.
+        """
+        b = working_bits(check_prec(prec))
+        if isinstance(x, Fraction):
             # One rounding; a Fraction rounds its numerator, then the quotient.
-            return cls(v, _rounding(v, 2 if isinstance(x, Fraction) else 1), prec)
+            num, den = from_int(x.numerator), from_int(x.denominator)
+            v = mpf_div(mpf_pos(num, b, RN), den, b, RN)
+            exact, count = mpf_eq(v, mpf_div(num, den, b, round_down)), _TWO
+        elif isinstance(x, str):
+            v = from_str(x, b, RN)
+            exact, count = False, fone  # decimal parsing rounds once
+        else:
+            if isinstance(x, int):
+                raw = from_int(x)
+            elif isinstance(x, float):
+                raw = from_float(x)
+            elif isinstance(x, mpf):
+                raw = x._mpf_
+            else:
+                raise TypeError(f"cannot create a BigReal from {x!r}")
+            v = mpf_pos(raw, b, RN)
+            exact, count = mpf_eq(v, raw), fone
+        return _wrap(v, fzero if exact else _rounding_at(v, b, count), prec)
 
     @classmethod
     def from_decimal(cls, text: str, prec: int) -> "BigReal":
         """Parse a decimal string; the bound covers conversion rounding."""
-        check_prec(prec)
-        with mpmath.workdps(working_dps(prec)):
-            v = mpf(text.strip())
-            return cls(v, _rounding(v, 1), prec)  # decimal parsing rounds once
+        return cls.exact(text.strip(), prec)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -283,24 +341,24 @@ class BigReal:
     def __add__(self, other: ScalarLike | "BigReal") -> "BigReal":
         o = self._coerce(other)
         p = min(self.prec, o.prec)
-        with mpmath.workdps(working_dps(p)):
-            v = self.value + o.value
-            return BigReal(v, self.err + o.err + _rounding(v, 1), p)
+        b = working_bits(p)
+        v = mpf_add(self.value._mpf_, o.value._mpf_, b, RN)
+        return _wrap(v, _sum(b, self.err._mpf_, o.err._mpf_, _rounding_at(v, b)), p)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BigReal":
-        # mpmath rounds even unary negation to the ambient precision, so
-        # this must run at the value's own working precision to stay exact.
-        with mpmath.workdps(working_dps(self.prec)):
-            return BigReal(-self.value, self.err, self.prec)
+        # Negation rounds the payload to the value's own working precision,
+        # as mpf's unary minus does there; the bound is unchanged.
+        return _wrap(mpf_neg(self.value._mpf_, working_bits(self.prec), RN),
+                     self.err._mpf_, self.prec)
 
     def __sub__(self, other: ScalarLike | "BigReal") -> "BigReal":
         o = self._coerce(other)
         p = min(self.prec, o.prec)
-        with mpmath.workdps(working_dps(p)):
-            v = self.value - o.value
-            return BigReal(v, self.err + o.err + _rounding(v, 1), p)
+        b = working_bits(p)
+        v = mpf_sub(self.value._mpf_, o.value._mpf_, b, RN)
+        return _wrap(v, _sum(b, self.err._mpf_, o.err._mpf_, _rounding_at(v, b)), p)
 
     def __rsub__(self, other: ScalarLike) -> "BigReal":
         return self._coerce(other) - self
@@ -308,24 +366,30 @@ class BigReal:
     def __mul__(self, other: ScalarLike | "BigReal") -> "BigReal":
         o = self._coerce(other)
         p = min(self.prec, o.prec)
-        with mpmath.workdps(working_dps(p)):
-            v = self.value * o.value
-            e = (abs(self.value) * o.err + abs(o.value) * self.err
-                 + self.err * o.err + _rounding(v, 1))
-            return BigReal(v, e, p)
+        b = working_bits(p)
+        x, ex, y, ey = self.value._mpf_, self.err._mpf_, o.value._mpf_, o.err._mpf_
+        v = mpf_mul(x, y, b, RN)
+        # |x| ey + |y| ex + ex ey + one count, each product and sum rounded.
+        e = _sum(b, mpf_mul(mpf_abs(x, b, RN), ey, b, RN), mpf_mul(mpf_abs(y, b, RN), ex, b, RN),
+                 mpf_mul(ex, ey, b, RN), _rounding_at(v, b))
+        return _wrap(v, e, p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike | "BigReal") -> "BigReal":
         o = self._coerce(other)
-        if o.value == 0:
+        y = o.value._mpf_
+        if y == fzero:
             raise DomainError("division by zero")
         p = min(self.prec, o.prec)
-        with mpmath.workdps(working_dps(p)):
-            v = self.value / o.value
-            denom = abs(o.value)
-            e = self.err / denom + abs(v) * o.err / denom + _rounding(v, 1)
-            return BigReal(v, e, p)
+        b = working_bits(p)
+        v = mpf_div(self.value._mpf_, y, b, RN)
+        denom = mpf_abs(y, b, RN)
+        # ex / |y| + (|v| ey) / |y| + one count, each step rounded.
+        e = _sum(b, mpf_div(self.err._mpf_, denom, b, RN),
+                 mpf_div(mpf_mul(mpf_abs(v, b, RN), o.err._mpf_, b, RN), denom, b, RN),
+                 _rounding_at(v, b))
+        return _wrap(v, e, p)
 
     def __rtruediv__(self, other: ScalarLike) -> "BigReal":
         return self._coerce(other) / self
@@ -339,15 +403,14 @@ class BigReal:
         return out
 
     def __abs__(self) -> "BigReal":
-        with mpmath.workdps(working_dps(self.prec)):
-            return BigReal(abs(self.value), self.err, self.prec)
+        return _wrap(mpf_abs(self.value._mpf_, working_bits(self.prec), RN),
+                     self.err._mpf_, self.prec)
 
     # -- queries ------------------------------------------------------
 
     def certified(self) -> bool:
         """True when the bound meets the requested precision."""
-        with mpmath.workdps(working_dps(self.prec)):
-            return bool(self.err <= mpf(10) ** (-self.prec))
+        return mpf_le(self.err._mpf_, _limit(self.prec))
 
     def demand(self, what: str = "result") -> "BigReal":
         if not self.certified():
@@ -360,21 +423,62 @@ class BigReal:
                 f"err<={mpmath.nstr(self.err, 3)}, prec={self.prec})")
 
 
-def _rounding(v: mpf, count: float | mpf) -> mpf:
+_set_value, _set_err, _set_prec = (BigReal.__dict__[name].__set__ for name in BigReal.__slots__)
+_new = object.__new__
+_make_mpf = mpmath.mp.make_mpf
+_TWO = from_int(2)
+
+
+def _wrap(value: tuple, err: tuple, prec: int) -> BigReal:
+    """A :class:`BigReal` from raw mpf tuples, with no conversion or check."""
+    out = _new(BigReal)
+    _set_value(out, _make_mpf(value))
+    _set_err(out, _make_mpf(err))
+    _set_prec(out, prec)
+    return out
+
+
+def _sum(bits: int, first: tuple, *rest: tuple) -> tuple:
+    """Raw mpfs added left to right, each sum rounded to nearest at ``bits``."""
+    for term in rest:
+        first = mpf_add(first, term, bits, RN)
+    return first
+
+
+@lru_cache(maxsize=None)
+def _limit(prec: int) -> tuple:
+    """Raw ``10**-prec`` at ``working_bits(prec)``, the bound :meth:`BigReal.certified` meets."""
+    return mpf_pow_int(from_int(10), -prec, working_bits(prec), RN)
+
+
+def _rounding_at(v: tuple, bits: int, count: tuple = fone) -> tuple:
+    """Raw ``count (1 + |v|) 2**(1 - bits)`` for a raw mpf ``v``: the one counted rule.
+
+    ``|v|``, the sum and the product round to nearest at ``bits``, as the
+    mpf operators do at that precision; ``count`` is a raw mpf.
+    """
+    t = mpf_add(mpf_abs(v, bits, RN), fone, bits, RN)
+    return mpf_shift(t if count == fone else mpf_mul(count, t, bits, RN), 1 - bits)
+
+
+def _rounding(v: mpf, count: int | float | Fraction | mpf) -> mpf:
     """``count (1 + |v|) 2**(1 - mp.prec)``: ``count`` roundings that make ``v``.
 
     One count covers one faithful rounding of ``v`` at the ambient binary
     precision, and one unit of ``2**-mp.prec`` absolute; the module
-    docstring gives the premises and the counted sites.
+    docstring gives the premises and the counted sites.  :func:`_rounding_at`
+    at ``mp.prec``, with ``v`` and ``count`` converted as mpf's operators
+    convert them.
     """
-    return mpmath.ldexp(count * (1 + abs(v)), 1 - mpmath.mp.prec)
+    convert = mpmath.mp.convert
+    return _make_mpf(_rounding_at(convert(v)._mpf_, mpmath.mp.prec, convert(count)._mpf_))
 
 
 def pi_times(k: int, prec: int) -> BigReal:
     """``k * pi`` at the working precision of ``prec``, with its two roundings."""
-    with mpmath.workdps(working_dps(prec)):
-        v = k * mpmath.pi
-        return BigReal(v, _rounding(v, 2), prec)  # pi, then the product
+    b = working_bits(prec)
+    v = mpf_mul_int(mpf_pi(b, RN), k, b, RN)
+    return _wrap(v, _rounding_at(v, b, _TWO), prec)  # pi, then the product
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +848,7 @@ def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
         poch *= (p + (2 * j - 1) * q) * (p + 2 * j * q)
     value = mpf((total, -bits))
     # The first omitted term, the counted units, and the conversion of the total.
-    return value, mpf((abs(correction), -bits)) + _rounding(0, units) + _rounding(value, 1)
+    return value, mpf((abs(correction), -bits)) + _rounding(mpf(0), units) + _rounding(value, 1)
 
 
 def zeta_values(top: int, wd: int) -> list[tuple[mpf, mpf]]:

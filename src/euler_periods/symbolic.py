@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, InputError, ParseError
+from .errors import DomainError, InputError, ParseError, TooLarge
 from .eulerfun import polylog, zeta
-from .numkernel import MAX_PREC, BigReal, check_digits, check_prec, pi_times
+from .numkernel import MAX_PREC, WEIGHT_CAP, BigReal, check_digits, check_prec, pi_times
 
 __all__ = [
     "MotivicExpr",
@@ -131,6 +131,13 @@ def _add_into(d: dict, key, c: Fraction) -> None:
         del d[key]
 
 
+def _check_weight(n: int) -> None:
+    # The coaction of Li(n; z) has n terms of up to n factors each; the
+    # engine that evaluates it refuses the same weights.
+    if n > WEIGHT_CAP:
+        raise TooLarge(f"weight {n} exceeds the supported cap {WEIGHT_CAP}")
+
+
 def _check_motivic_atom(atom: tuple) -> None:
     if atom[0] == "zm":
         if len(atom) != 2 or not isinstance(atom[1], int) or atom[1] < 2:
@@ -143,6 +150,7 @@ def _check_motivic_atom(atom: tuple) -> None:
     elif atom[0] == "lim":
         if len(atom) != 3 or not isinstance(atom[1], int) or atom[1] < 1:
             raise DomainError(f"Li_m takes an integer weight >= 1, got {atom!r}")
+        _check_weight(atom[1])
         as_point(atom[2])
     else:
         raise DomainError(f"not a motivic generator: {atom!r}")
@@ -160,9 +168,35 @@ def _check_unipotent_atom(atom: tuple) -> None:
     elif atom[0] == "liu":
         if len(atom) != 3 or not isinstance(atom[1], int) or atom[1] < 1:
             raise DomainError(f"Li_u takes an integer weight >= 1, got {atom!r}")
+        _check_weight(atom[1])
         as_point(atom[2])
     else:
         raise DomainError(f"not a unipotent generator: {atom!r}")
+
+
+_CHUNK = 10 ** 1000
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` for an integer of any size.
+
+    Python refuses ``str`` of an integer past 4300 digits; this converts
+    1000 digits at a time, so a coefficient built by products still prints.
+    """
+    if n < 0:
+        return "-" + _decimal(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(1000))
+    return str(n) + "".join(reversed(chunks))
+
+
+def _fmt_fraction(q: Fraction) -> str:
+    """``str(q)``, through :func:`_decimal`."""
+    if q.denominator == 1:
+        return _decimal(q.numerator)
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
 
 
 def _fmt_point(pt: tuple) -> str:
@@ -200,13 +234,13 @@ _UNIPOTENT = _AtomKind(_check_unipotent_atom, _fmt_unipotent_atom)
 
 def _fmt_product(coeff: Fraction, factors: list[str]) -> str:
     if not factors:
-        return str(coeff)
+        return _fmt_fraction(coeff)
     body = "*".join(factors)
     if coeff == 1:
         return body
     if coeff == -1:
         return "-" + body
-    return f"{coeff}*{body}"
+    return f"{_fmt_fraction(coeff)}*{body}"
 
 
 def _join_signed(rendered: list[str]) -> str:

@@ -19,7 +19,7 @@ import pytest
 
 import euler_periods
 from euler_periods.cli import _certified_line, dispatch
-from euler_periods.numkernel import BERNOULLI_CAP, DIGIT_CAP, BigReal
+from euler_periods.numkernel import BERNOULLI_CAP, DIGIT_CAP, WEIGHT_CAP, BigReal
 from test_mzv import NEWTON, zagier
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -436,6 +436,27 @@ def test_huge_input_exits_two_at_once_without_a_traceback(capsys, argv):
     assert (f"digits, past the cap {DIGIT_CAP}" in err) == (argv[0] not in ("bernoulli", "identity-check"))
 
 
+@pytest.mark.parametrize("command", ["coact", "conjugates", "per"])
+@pytest.mark.parametrize("expr", ["Li_m(9999999; 1/2)", f"zeta_m(3)*Li_m({WEIGHT_CAP + 1}; -1)"])
+def test_symbol_weight_past_the_cap_exits_two_at_once(capsys, command, expr):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, expr)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"exceeds the supported cap {WEIGHT_CAP}" in err
+
+
+def test_coefficient_past_the_str_digit_limit_prints_in_full(capsys):
+    # Five 1000-digit literals multiply to a 4996-digit coefficient, past the
+    # 4300 digits at which Python refuses str(int).
+    literal = "1" + "0" * (DIGIT_CAP - 1)
+    code, out, err = run(capsys, "coact", "*".join([literal] * 5) + "*zeta_m(3)")
+    assert code == 0 and err == ""
+    coeff = "1" + "0" * 4995
+    assert out == f"{coeff} (x) zeta_m(3) + {coeff}*zeta_u(3) (x) 1\n"
+
+
 def test_exit_two_no_command(capsys):
     code, out, err = run(capsys)
     assert code == 2
@@ -532,14 +553,16 @@ def loaded_after(code: str) -> set[str]:
 def test_importing_the_cli_loads_no_layer_and_no_numpy():
     loaded = loaded_after("import euler_periods.cli")
     for name in ("numpy", "euler_periods.eulerfun", "euler_periods.mzv",
-                 "euler_periods.symbolic", "euler_periods.feynper", "euler_periods.g2"):
+                 "euler_periods.symbolic", "euler_periods.feynper", "euler_periods.g2",
+                 "dataclasses", "inspect"):
         assert name not in loaded
 
 
 def test_zeta_call_loads_neither_numpy_nor_unrelated_layers():
     loaded = loaded_after("from euler_periods.cli import dispatch; dispatch(['zeta', '2'])")
     assert "euler_periods.eulerfun" in loaded
-    for name in ("numpy", "euler_periods.symbolic", "euler_periods.g2", "euler_periods.feynper"):
+    for name in ("numpy", "euler_periods.symbolic", "euler_periods.g2", "euler_periods.feynper",
+                 "dataclasses", "inspect"):
         assert name not in loaded
 
 

@@ -1,7 +1,10 @@
 """Kernel tests: exact rationals, BigReal propagation, the two summers."""
 
+import copy
+import dataclasses
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -19,6 +22,8 @@ from euler_periods.numkernel import (
     BERNOULLI_CAP,
     DIGIT_CAP,
     GUARD_DIGITS,
+    MAX_PREC,
+    MIN_PREC,
     BigReal,
     accel_alt_sum,
     alt_terms_needed,
@@ -269,6 +274,245 @@ def test_random_walk_error_bound_is_honest():
     with mpmath.workdps(working_dps(prec) + 20):
         true = mpf(shadow.numerator) / shadow.denominator
         assert abs(x.value - true) <= x.err
+
+
+def test_bigreal_is_immutable_and_compares_by_fields():
+    a = BigReal.exact(Fraction(1, 3), 20)
+    b = BigReal.exact(Fraction(1, 3), 20)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != BigReal.exact(Fraction(1, 3), 21)
+    assert a != BigReal(a.value, a.err + 1, 20)
+    assert a != (a.value, a.err, a.prec)
+    for name in ("value", "err", "prec", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+# ---------------------------------------------------------------------------
+# BigReal against the mpf-operator reference, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def ref_rounding(v, count):
+    return mpmath.ldexp(count * (1 + abs(v)), 1 - mpmath.mp.prec)
+
+
+@dataclasses.dataclass(frozen=True)
+class RefReal:
+    """BigReal on mpf operators, one ``workdps(working_dps(p))`` block per op."""
+
+    value: mpf
+    err: mpf
+    prec: int
+
+    def __post_init__(self):
+        if self.err < 0:
+            raise DomainError("error bound must be non-negative")
+
+    @classmethod
+    def exact(cls, x, prec):
+        check_prec(prec)
+        with mpmath.workdps(working_dps(prec)):
+            v = as_mpf(x)
+            if not isinstance(x, str) and v == x:
+                return cls(v, mpf(0), prec)
+            return cls(v, ref_rounding(v, 2 if isinstance(x, Fraction) else 1), prec)
+
+    @classmethod
+    def from_decimal(cls, text, prec):
+        check_prec(prec)
+        with mpmath.workdps(working_dps(prec)):
+            v = mpf(text.strip())
+            return cls(v, ref_rounding(v, 1), prec)
+
+    def _coerce(self, other):
+        return other if isinstance(other, RefReal) else RefReal.exact(other, self.prec)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        p = min(self.prec, o.prec)
+        with mpmath.workdps(working_dps(p)):
+            v = self.value + o.value
+            return RefReal(v, self.err + o.err + ref_rounding(v, 1), p)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        with mpmath.workdps(working_dps(self.prec)):
+            return RefReal(-self.value, self.err, self.prec)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        p = min(self.prec, o.prec)
+        with mpmath.workdps(working_dps(p)):
+            v = self.value - o.value
+            return RefReal(v, self.err + o.err + ref_rounding(v, 1), p)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        p = min(self.prec, o.prec)
+        with mpmath.workdps(working_dps(p)):
+            v = self.value * o.value
+            e = (abs(self.value) * o.err + abs(o.value) * self.err
+                 + self.err * o.err + ref_rounding(v, 1))
+            return RefReal(v, e, p)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o.value == 0:
+            raise DomainError("division by zero")
+        p = min(self.prec, o.prec)
+        with mpmath.workdps(working_dps(p)):
+            v = self.value / o.value
+            denom = abs(o.value)
+            e = self.err / denom + abs(v) * o.err / denom + ref_rounding(v, 1)
+            return RefReal(v, e, p)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __pow__(self, k):
+        out = RefReal.exact(1, self.prec)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __abs__(self):
+        with mpmath.workdps(working_dps(self.prec)):
+            return RefReal(abs(self.value), self.err, self.prec)
+
+    def certified(self):
+        with mpmath.workdps(working_dps(self.prec)):
+            return bool(self.err <= mpf(10) ** (-self.prec))
+
+
+def bits_of(x):
+    return x.value._mpf_, x.err._mpf_, x.prec
+
+
+def same(new, ref):
+    """Both raise the same error type, or give the same bits (or the same bool)."""
+    try:
+        want = ref()
+    except (DomainError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            new()
+        return
+    got = new()
+    if isinstance(want, RefReal):
+        assert bits_of(got) == bits_of(want)
+    else:
+        assert got == want
+
+
+def seeded_scalars(rng, n):
+    """Operands of every kind: wide ints, Fractions, decimals, floats, zero, wide mpfs."""
+    out = [0, 1, -1, 7, 0.0, 0.1, -2.5, Fraction(1, 3), Fraction(-22, 7), "0.1", "-1e-30"]
+    for _ in range(n):
+        kind = rng.randrange(6)
+        sign = rng.choice((1, -1))
+        if kind == 0:
+            out.append(sign * rng.getrandbits(rng.randint(1, 500)))
+        elif kind == 1:
+            out.append(Fraction(sign * rng.getrandbits(rng.randint(1, 400)),
+                                rng.getrandbits(rng.randint(1, 400)) + 1))
+        elif kind == 2:
+            digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 60)))
+            out.append(f"{'-' if sign < 0 else ''}{digits[:1]}.{digits[1:]}e{rng.randint(-50, 50)}")
+        elif kind == 3:
+            out.append(sign * rng.random() * 10.0 ** rng.randint(-30, 30))
+        elif kind == 4:
+            with mpmath.workprec(rng.randint(60, 800)):  # above the working precision
+                out.append(mpf(sign * rng.getrandbits(300)) / rng.getrandbits(200) + 1)
+        else:
+            out.append(sign * rng.randint(0, 1000))
+    return out
+
+
+def wide_pair(rng, x, prec):
+    """A BigReal and its reference with a value and a bound wider than ``prec`` carries."""
+    with mpmath.workprec(rng.randint(50, 800)):
+        value = as_mpf(x) if not isinstance(x, str) else mpf(x)
+        err = mpf(rng.getrandbits(200)) / 2 ** rng.randint(190, 560) if rng.random() < 0.8 else mpf(0)
+    return BigReal(value, err, prec), RefReal(value, err, prec)
+
+
+OPS = [
+    lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b,
+]
+SCALAR_OPS = [
+    lambda a, x: a + x, lambda a, x: x + a, lambda a, x: a - x, lambda a, x: x - a,
+    lambda a, x: a * x, lambda a, x: x * a, lambda a, x: a / x, lambda a, x: x / a,
+]
+
+
+def test_bigreal_constructors_match_the_mpf_reference_bit_for_bit():
+    rng = random.Random(2017)
+    scalars = seeded_scalars(rng, 300)
+    for prec in range(MIN_PREC, MAX_PREC + 1):
+        for x in scalars:
+            same(lambda: BigReal.exact(x, prec), lambda: RefReal.exact(x, prec))
+            if isinstance(x, str):
+                text = f"  {x}\n"
+                same(lambda: BigReal.from_decimal(text, prec), lambda: RefReal.from_decimal(text, prec))
+
+
+def test_bigreal_ops_match_the_mpf_reference_bit_for_bit():
+    rng = random.Random(1707)
+    scalars = seeded_scalars(rng, 200)
+    for _ in range(3000):
+        p, q = rng.randint(MIN_PREC, MAX_PREC), rng.randint(MIN_PREC, MAX_PREC)
+        x, y = rng.choice(scalars), rng.choice(scalars)
+        if rng.random() < 0.5:
+            a, ra = BigReal.exact(x, p), RefReal.exact(x, p)
+            b, rb = BigReal.exact(y, q), RefReal.exact(y, q)
+        else:
+            (a, ra), (b, rb) = wide_pair(rng, x, p), wide_pair(rng, y, q)
+        for op in OPS:
+            same(lambda: op(a, b), lambda: op(ra, rb))
+        z = rng.choice(scalars)
+        for op in SCALAR_OPS:
+            same(lambda: op(a, z), lambda: op(ra, z))
+        same(lambda: -a, lambda: -ra)
+        same(lambda: abs(b), lambda: abs(rb))
+        same(lambda: a ** 3, lambda: ra ** 3)
+        same(a.certified, ra.certified)
+
+
+def test_certified_matches_the_mpf_reference_at_the_limit():
+    for prec in range(MIN_PREC, MAX_PREC + 1):
+        with mpmath.workdps(working_dps(prec)):
+            limit = mpf(10) ** -prec
+        bits = working_bits(prec)
+        for k in range(-3, 4):
+            for err in (limit + mpmath.ldexp(k, mpmath.mag(limit) - bits), limit * (1 + k * 1e-3)):
+                err = abs(err)
+                assert BigReal(mpf(1), err, prec).certified() == RefReal(mpf(1), err, prec).certified()
+
+
+def test_rounding_and_pi_times_match_the_mpf_reference():
+    rng = random.Random(31)
+    values = [mpf(0), mpf(1), mpf(-3) / 7, mpf(2) ** -200]
+    counts = [1, 2, 7, 7.5, 2.0 / 3, Fraction(5, 3), mpf(1) / 3 + 4]
+    for prec in range(MIN_PREC, MAX_PREC + 1):
+        with mpmath.workdps(working_dps(prec)):
+            for v in values + [mpf(rng.getrandbits(400)) / 3]:
+                for count in counts:
+                    assert numkernel._rounding(v, count)._mpf_ == ref_rounding(v, count)._mpf_
+            k = rng.randint(-50, 50)
+            with mpmath.workdps(working_dps(prec)):
+                v = k * mpmath.pi
+                want = (v._mpf_, ref_rounding(v, 2)._mpf_, prec)
+        assert bits_of(pi_times(k, prec)) == want
 
 
 # ---------------------------------------------------------------------------

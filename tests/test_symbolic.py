@@ -7,8 +7,8 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from euler_periods.errors import DomainError, InputError, ParseError
-from euler_periods.numkernel import working_dps
+from euler_periods.errors import DomainError, InputError, ParseError, TooLarge
+from euler_periods.numkernel import WEIGHT_CAP, working_dps
 from euler_periods.symbolic import (
     MotivicExpr,
     TensorSum,
@@ -469,3 +469,33 @@ def test_period_map_rejects_symbolic_points():
 def test_period_map_rejects_wrong_type():
     with pytest.raises(DomainError):
         period_map("zeta_m(2)", 15)
+
+
+def test_polylog_weight_past_the_cap_is_refused_in_both_families():
+    assert str(LIM(WEIGHT_CAP, Fraction(1, 2))) == f"Li_m({WEIGHT_CAP}; 1/2)"
+    assert str(UnipotentExpr.liu(WEIGHT_CAP, -1)) == f"Li_u({WEIGHT_CAP}; -1)"
+    with pytest.raises(TooLarge, match=f"weight {WEIGHT_CAP + 1} exceeds"):
+        LIM(WEIGHT_CAP + 1, Fraction(1, 2))
+    with pytest.raises(TooLarge, match=f"weight {WEIGHT_CAP + 1} exceeds"):
+        UnipotentExpr.liu(WEIGHT_CAP + 1, Fraction(1, 2))
+    with pytest.raises(TooLarge):
+        parse_expr("zeta_m(3) + Li_m(9999999; 1/2)")
+
+
+def read_digits(text: str) -> int:
+    """``int(text)`` for a digit string of any length, 1000 digits at a time."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        value = value * 10 ** len(text[i:i + 1000]) + int(text[i:i + 1000])
+    return value
+
+
+@pytest.mark.parametrize("coeff", [Fraction(10 ** 4999 + 7, 3), Fraction(-(10 ** 6000), 10 ** 4500 + 1),
+                                   Fraction(-(10 ** 1000)), Fraction(10 ** 999 - 1), Fraction(-5, 7)])
+def test_coefficients_print_exactly_past_the_str_digit_limit(coeff):
+    number, star, atom = str(coeff * ZM(3)).rpartition("*")
+    assert star and atom == "zeta_m(3)"
+    sign = -1 if number.startswith("-") else 1
+    num, _, den = number.lstrip("-").partition("/")
+    assert num[0] != "0" and den[:1] != "0"
+    assert Fraction(sign * read_digits(num), read_digits(den or "1")) == coeff
