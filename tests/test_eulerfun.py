@@ -280,14 +280,14 @@ def test_gamma_zeta_series_sweep_covers_gamma(prec):
 
 
 def test_gamma_zeta_series_bound_carries_zeta_input_uncertainty(monkeypatch):
-    # Every zeta(n) high by 1e-18, with a bound that says so.  The shift
-    # moves the sum by about 1e-19, far past the truncation and rounding
-    # parts of the bound, so only the propagated input bound can cover it.
-    delta = mpf("1e-18")
-
+    # Every zeta(n) high by 1e-18, ceil(1e-18 2**B) units of 2**-B, with a
+    # bound that says so.  The shift moves the sum by about 1e-19, far past
+    # the truncation and rounding parts of the bound, so only the propagated
+    # input bound can cover it.
     def coarse_zeta_values(top, wd):
-        with mpmath.workdps(wd):
-            return [(z + delta, e + delta) for z, e in zeta_values(top, wd)]
+        bits, values = zeta_values(top, wd)
+        delta = -(-(1 << bits) // 10 ** 18)
+        return bits, [(total + delta, err + delta) for total, err in values]
 
     monkeypatch.setattr(eulerfun, "zeta_values", coarse_zeta_values)
     g = gamma_const(15, method="ZETA_SERIES")

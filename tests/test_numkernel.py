@@ -15,7 +15,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from euler_periods import numkernel
+from euler_periods import eulerfun, numkernel
 from euler_periods.errors import DomainError, InputError, PrecisionNotMet, TooLarge
 from euler_periods.eulerfun import zeta, zeta_even_closed
 from euler_periods.numkernel import (
@@ -148,6 +148,15 @@ def test_exact_fraction_bound_covers_rounding():
     with mpmath.workdps(working_dps(20)):
         assert abs(x.value - mpf(1) / 3) <= x.err
     assert x.certified()
+
+
+@pytest.mark.parametrize("prec", [1, 5, 15, 20, 30])
+def test_exact_reciprocal_bound_covers_it(prec):
+    # 1/d rounds for every odd d; the bound covers it, in exact rationals.
+    for d in range(3, 40, 2):
+        x = BigReal.exact(Fraction(1, d), prec)
+        assert abs(as_fraction(x.value) - Fraction(1, d)) <= as_fraction(x.err), d
+        assert x.err > 0, d
 
 
 def test_from_decimal_parses_and_bounds():
@@ -318,7 +327,9 @@ class RefReal:
         check_prec(prec)
         with mpmath.workdps(working_dps(prec)):
             v = as_mpf(x)
-            if not isinstance(x, str) and v == x:
+            # A Fraction is exact when its rounded value is, as rationals.
+            exact = as_fraction(v) == x if isinstance(x, Fraction) else not isinstance(x, str) and v == x
+            if exact:
                 return cls(v, mpf(0), prec)
             return cls(v, ref_rounding(v, 2 if isinstance(x, Fraction) else 1), prec)
 
@@ -654,35 +665,116 @@ def test_chebyshev_weights_are_the_exact_recurrence():
 # ---------------------------------------------------------------------------
 
 
-def assert_zeta_values_cover(values: list, wd: int) -> None:
-    with mpmath.workdps(wd + 30):
-        for s, (value, err) in enumerate(values, start=2):
-            assert err <= mpf(10) ** -(wd - GUARD_DIGITS), s
-            assert abs(value - mpmath.zeta(s)) <= err, s
+def assert_zeta_values_cover(batch: tuple, wd: int) -> None:
+    bits, values = batch
+    with mpmath.workdps(wd):
+        assert bits == mpmath.mp.prec
+    with mpmath.workdps(max(130, wd + 30)):
+        for s, (total, err) in enumerate(values, start=2):
+            assert type(total) is int and type(err) is int and err >= 0, s
+            assert err * 10 ** (wd - GUARD_DIGITS) <= 2 ** bits, s
+            assert abs(total - mpmath.ldexp(mpmath.zeta(s), bits)) <= err, s
             if s % 2 == 0:
                 r = zeta_even_closed(s // 2)
                 closed = mpf(r.numerator) / r.denominator * mpmath.pi ** s
-                assert abs(value - closed) <= err, s
+                assert abs(total - mpmath.ldexp(closed, bits)) <= err, s
 
 
 @pytest.mark.parametrize("prec", [1, 50, 100])
 def test_zeta_values_match_mpmath_and_even_closed_forms(prec):
     # The batch Euler's constant by the zeta series takes at this prec.
     top, wd = alt_terms_needed(prec) + 1, working_dps(prec) + 6
-    values = zeta_values(top, wd)
-    assert len(values) == top - 1
-    assert_zeta_values_cover(values, wd)
+    batch = zeta_values(top, wd)
+    assert len(batch[1]) == top - 1
+    assert_zeta_values_cover(batch, wd)
 
 
 def test_zeta_values_raise_when_doubling_cannot_certify(monkeypatch):
     monkeypatch.setattr(numkernel, "_zeta_plan", lambda top, wd: ((2, 0),) * (top - 1))
-    with pytest.raises(PrecisionNotMet, match="zeta\\(2\\)"):
+    with pytest.raises(PrecisionNotMet, match="zeta\\(2\\) .* at split 2 with 0 Bernoulli terms"):
         zeta_values(5, 40)
 
 
 def test_zeta_values_reach_past_the_prec_cap():
-    values = zeta_values(12, working_dps(120))
-    assert_zeta_values_cover(values, working_dps(120))
+    batch = zeta_values(12, working_dps(120))
+    assert_zeta_values_cover(batch, working_dps(120))
+
+
+def test_zeta_values_build_no_mpf(monkeypatch):
+    # The batch is integers end to end: it reaches neither mpmath nor mpf.
+    class Absent:
+        def __getattr__(self, name):
+            raise AssertionError(f"zeta_values used mpmath.{name}")
+
+        def __call__(self, *args):
+            raise AssertionError("zeta_values built an mpf")
+
+    monkeypatch.setattr(numkernel, "mpmath", Absent())
+    monkeypatch.setattr(numkernel, "mpf", Absent())
+    bits, values = zeta_values(40, 37)
+    assert all(type(total) is int and type(err) is int for total, err in values)
+
+
+def reference_zeta_batch(top: int, wd: int) -> list:
+    """The batch as mpf pairs, as it was finished before it handed over integers.
+
+    A copy of the shared Euler-Maclaurin body with ``Fraction`` ratios and
+    every unit division taken, and of the mpf finish: the total converted at
+    ``B`` bits, its bound the first omitted term plus ``_rounding(0, units)``
+    plus one count for the conversion.  Each entry also carries the integer
+    ``|correction| + 2 units`` of the body.
+    """
+    plan = numkernel._zeta_plan(top, wd)
+    out = []
+    with mpmath.workdps(wd):
+        bits = mpmath.mp.prec
+        rows = [(1 << bits) // m for m in range(1, plan[0][0] + 1)]
+        for s, (n, terms) in enumerate(plan, start=2):
+            rows = [r // m for r, m in zip(rows, range(1, n + 1))]
+            tail, tail_err = rows[-1] * n, 2 * n
+            shift = max(s - bits - 1, 0)
+            units = 2 * n + 4 + (tail_err >> shift) // (s - 1)
+            total = sum(rows) + tail // (s - 1) - rows[-1] // 2
+            poch, npow = s, 1
+            for j in range(1, terms + 2):
+                npow *= n * n
+                ratio = bernoulli(2 * j) / math.factorial(2 * j)
+                scale, den = poch * ratio.numerator, ratio.denominator * npow
+                correction = tail * scale // den
+                units += (tail_err * abs(scale) >> shift) // den + 2
+                if j > terms:
+                    break
+                total += correction
+                poch *= (s + 2 * j - 1) * (s + 2 * j)
+            value = mpf((total, -bits))
+            err = (mpf((abs(correction), -bits)) + numkernel._rounding(mpf(0), units)
+                   + numkernel._rounding(value, 1))
+            out.append((value, err, abs(correction) + 2 * units))
+    return out
+
+
+def test_zeta_batch_for_gamma_matches_the_mpf_reference(monkeypatch):
+    # At every prec, gamma's rows are the reference's floors bit for bit, so
+    # its value keeps its bits, and no unit bound is larger; each total,
+    # converted once at B bits, is the reference's mpf zeta value, and each
+    # integer bound is the reference body's.
+    seen = []
+    monkeypatch.setattr(eulerfun, "accel_alt_sum", lambda rows, prec, bounds: seen.append((rows, bounds)))
+    for prec in range(MIN_PREC, MAX_PREC + 1):
+        top, wd, bits = alt_terms_needed(prec) + 1, working_dps(prec) + 6, working_bits(prec)
+        reference = reference_zeta_batch(top, wd)
+        wide, values = zeta_values(top, wd)
+        with mpmath.workprec(wide):
+            for (total, err), (value, _, units) in zip(values, reference, strict=True):
+                assert mpf((total, -wide))._mpf_ == value._mpf_, prec
+                assert err == units, prec
+        seen.clear()
+        eulerfun.gamma_const(prec, "ZETA_SERIES")
+        (rows, bounds), = seen
+        # Row k is zeta(k + 1) / (k + 1): over s for zeta(s).
+        assert rows == [numkernel._fixed(z, bits) // s for s, (z, _, _) in enumerate(reference, 2)], prec
+        ref_bounds = [(numkernel._fixed(e, bits) + s) // s for s, (_, e, _) in enumerate(reference, 2)]
+        assert all(map(int.__le__, bounds, ref_bounds)), prec
 
 
 @pytest.mark.parametrize("top,wd", [(1, 30), (2.0, 30), (5, GUARD_DIGITS), (5, 30.5)])
