@@ -13,7 +13,8 @@ console script in :mod:`.cli` exposes all of it.
 time one of its names, or the layer itself, is looked up on the package
 (PEP 562), so ``euler_periods.zeta`` loads :mod:`.eulerfun` and what it
 needs, and nothing else.  numpy is loaded only by the Monte Carlo
-functions, :func:`period_mc` and :func:`integrator_selftest`.
+functions, :func:`period_mc` and :func:`integrator_selftest`, and by the
+primitivity test :func:`is_primitive_log_divergent`.
 
 ``euler_periods.mzv`` is the function :func:`mzv`, whichever layer was loaded
 first; the layer of that name is reached with ``from euler_periods.mzv
@@ -95,6 +96,7 @@ _EXPORTS = {
         "spanning_trees",
         "triangle",
         "wheel",
+        "zigzag",
     ),
     "g2": (
         "A4_DIGITS",

@@ -12,20 +12,28 @@ For a graph that passes :func:`is_primitive_log_divergent`, the period
            d(alpha_1) ... d(alpha_(n-1)) / Psi_G(alpha_1, .., alpha_(n-1), 1)^2
 
 (the last edge is pinned to 1) converges, and :func:`period_mc` estimates
-it by Monte Carlo on the unit cube under the map ``alpha = (x/(1-x))**4``.
-The fourth power matters: with the plain ``x/(1-x)`` map the integrand of
-graphs like K4 is integrable but not square-integrable (corners where all
-variables grow or shrink together carry Pareto tails with index below 2),
-so the sample mean converges at a rate far below ``N**-0.5`` and sits
-systematically low at any fixed budget.  Raising the map to the fourth
-power is an importance transformation of the same integral that makes the
-variance finite for every graph with at most 8 edges while leaving the
-estimator unbiased.  Sampling is sharded with per-shard derived seeds and
-combined by exactly rounded summation, so results are bit-identical for a
-fixed (graph, samples, seed) regardless of shard evaluation order.
+it by tropical Monte Carlo (Borinsky, arXiv:2008.12310).  Replacing Psi by
+its largest monomial at each point, Psi_tr, gives an integral whose value is
+the Hepp bound H(G) (Panzer, arXiv:1908.09820): a sum over the n! edge
+orders, or Hepp sectors, of products of 1/omega, where omega(gamma) =
+|gamma| - 2 h(gamma) for an edge subset gamma with loop number h.  One table
+of h and omega over the edge subsets serves the primitivity test and the
+sector weights J(gamma) = sum over e of J(gamma - e) / omega(gamma - e),
+with J(G) = H(G).  The sampler draws a point from the tropical measure sector
+by sector, one Walker alias table per subset, and weighs it by
+(Psi_tr / Psi)^2, so P(G) = H(G) times the mean weight.  The weight lies in
+[0, 1] for every primitive graph, so the variance is finite up to the edge
+cap.  The coordinates of a point span many orders of magnitude, so Psi is
+evaluated by a straight-line deletion-contraction program of + and * alone,
+which cannot cancel as a determinant would; it is checked once per graph at
+x = 1 against the matrix-tree count.  Sampling is sharded with per-shard
+derived seeds, and each shard is summed exactly in integers (equal to
+``math.fsum`` bit for bit), so results are bit-identical for a fixed
+(graph, samples, seed) regardless of shard evaluation order.
 
-numpy is imported by the Monte Carlo functions when they run, so the exact
-graph work, and a program that never samples, do without it.
+The sampler lives in :mod:`euler_periods._tropical`, imported with numpy on
+the first primitivity test or period estimate, so spanning trees, Kirchhoff
+polynomials, and a program that does neither, do without both.
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ __all__ = [
     "triangle",
     "k4",
     "wheel",
+    "zigzag",
 ]
 
 #: Edge-count cap for exhaustive spanning-tree enumeration.
@@ -74,14 +83,6 @@ SPANNING_TREE_EDGE_CAP = 24
 SUBGRAPH_EDGE_CAP = 16
 
 _SHARD_SIZE = 1 << 17
-
-# Exponent of the cube-to-orthant map alpha = (x/(1-x))**_MAP_POWER.
-# Corner power counting needs an exponent above (n-1)/2 for a
-# square-integrable estimator on an n-edge graph, so 4 covers periods up
-# to four loops (n = 2h <= 8); larger graphs still give unbiased but
-# heavier-tailed estimates.  Raising the exponent further widens the bulk
-# weight spread, so this is the smallest uniformly safe integer.
-_MAP_POWER = 4.0
 
 # Sample variance below this floor (squared, relative to the mean) is
 # reported as the floor: an integrand that is exactly constant in floating
@@ -390,9 +391,12 @@ def is_primitive_log_divergent(g: MultiGraph) -> bool:
     """Power-counting test for a convergent period integral.
 
     True iff the edge count equals twice the loop number and every proper
-    connected subgraph (as a nonempty edge subset) with at least one loop
-    has strictly more than twice as many edges as loops.  Exhaustive over
-    edge subsets, capped at :data:`SUBGRAPH_EDGE_CAP` edges.
+    nonempty edge subset gamma has ``omega(gamma) = |gamma| - 2 h(gamma) > 0``,
+    ``h`` its loop number.  As omega adds over connected components and is
+    positive on a forest, this asks the same of every proper connected
+    subgraph with a loop.  Reads the subset table that the period sampler
+    shares (:func:`euler_periods._tropical.subset_table`); capped at
+    :data:`SUBGRAPH_EDGE_CAP` edges.
     """
     g._require_connected()
     n = g.n_edges
@@ -403,22 +407,9 @@ def is_primitive_log_divergent(g: MultiGraph) -> bool:
         raise DomainError("a tree has no period integral; need at least one loop")
     if n != 2 * h:
         return False
-    edges = g.edges
-    for mask in range(1, (1 << n) - 1):
-        subset = [edges[i] for i in range(n) if mask >> i & 1]
-        touched = {w for e in subset for w in e}
-        index = {w: k for k, w in enumerate(touched)}
-        uf = _UnionFind(len(touched))
-        parts = len(touched)
-        for u, v in subset:
-            if u != v and uf.union(index[u], index[v]):
-                parts -= 1
-        if parts != 1:
-            continue
-        sub_h = len(subset) - len(touched) + 1
-        if sub_h >= 1 and len(subset) <= 2 * sub_h:
-            return False
-    return True
+    from ._tropical import subset_table
+    omega = subset_table(g)[1]
+    return bool((omega[1:-1] > 0).all())
 
 
 # ---------------------------------------------------------------------------
@@ -473,31 +464,56 @@ def _sample_mean(f: Callable[[np.ndarray], np.ndarray], dim: int, samples: int, 
             raise NonFiniteSample(
                 f"integrand overflow at shard {shard}, row {where} "
                 f"(x = {x[where].tolist()})", shard=shard)
-        sums.append(math.fsum(vals.tolist()))
-        squares.append(math.fsum((vals * vals).tolist()))
+        sums.append(_exact_sum(vals))
+        squares.append(_exact_sum(vals * vals))
     mean = math.fsum(sums) / samples
     variance = max(math.fsum(squares) / samples - mean * mean, 0.0)
     floor = (_RELATIVE_VARIANCE_FLOOR * (1.0 + abs(mean))) ** 2
     return mean, math.sqrt(max(variance, floor) / samples)
 
 
+def _exact_sum(vals: np.ndarray) -> float:
+    """``math.fsum`` of a finite float array, bit for bit, in integers.
+
+    ``np.frexp`` writes each value as ``m * 2**(e - 53)`` with an integer
+    mantissa ``|m| < 2**53``.  The mantissas split into a signed high and a
+    nonnegative low 26-bit half, and ``np.bincount`` sums each half per
+    exponent; its float partial sums are integers below ``2**27 * len(vals)``,
+    exact for up to ``2**25`` values.  The buckets are added as Python ints
+    and the total is rounded once, half to even, by an exact division.
+    """
+    import numpy as np
+
+    frac, expo = np.frexp(vals)
+    mant = (frac * 9007199254740992.0).astype(np.int64)      # 2**53, exact
+    low = int(expo.min())
+    slot = expo - low
+    high = np.bincount(slot, weights=mant >> 26).tolist()
+    rest = np.bincount(slot, weights=mant & 0x3FFFFFF).tolist()
+    total = 0
+    for k, (a, b) in enumerate(zip(high, rest)):
+        if a or b:
+            total += ((int(a) << 26) + int(b)) << k
+    shift = low - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+
 def period_mc(g: MultiGraph, samples: int, seed: int = 42,
               prec_report: int = 15) -> PeriodEstimate:
     """Estimate the period integral of a primitive log-divergent graph.
 
-    The last edge variable is pinned to 1 and the remaining ones are mapped
-    from the unit cube by ``alpha = (x/(1-x))**4`` (see the module notes on
-    why the plain map undershoots); the integrand is the inverse squared
-    graph polynomial times the Jacobian of the map.  Samples are drawn in
-    fixed-size shards whose generators derive from ``seed`` by spawn keys,
-    and shard sums are combined by exactly rounded summation, so the result
-    is reproducible bit-for-bit and independent of evaluation order.
+    Tropical Monte Carlo (see the module notes): each sample draws a point
+    from the tropical measure, Hepp sector by Hepp sector, and weighs it by
+    ``(Psi_tr / Psi)**2`` in ``[0, 1]``; the estimate and its standard
+    error are the Hepp bound times the mean and its standard error.
+    Samples are drawn in fixed-size shards whose generators derive from
+    ``seed`` by spawn keys, and shard sums are combined by exactly rounded
+    summation, so the result is reproducible bit-for-bit and independent
+    of evaluation order.
 
     Raises :class:`NotPrimitive` if the power-counting test fails and
-    :class:`NonFiniteSample` if any integrand evaluation overflows.
+    :class:`NonFiniteSample` if any integrand evaluation is not finite.
     """
-    import numpy as np
-
     if not isinstance(samples, int) or samples < 1:
         raise InputError(f"samples must be a positive integer, got {samples!r}")
     if not isinstance(seed, int):
@@ -506,30 +522,10 @@ def period_mc(g: MultiGraph, samples: int, seed: int = 42,
     if not is_primitive_log_divergent(g):
         raise NotPrimitive(
             "period integral converges only for primitive log-divergent graphs")
-    n = g.n_edges
-    d = n - 1
-    psi = kirchhoff_polynomial(g)
-    # Squarefree monomials; the pinned last variable contributes factor 1.
-    mono_vars = []
-    for expo in sorted(psi.terms):
-        idxs = [i for i in range(d) if expo[i]]
-        mono_vars.append(np.array(idxs, dtype=np.intp))
-
-    def integrand(x):
-        t = 1.0 - x
-        ratio = x / t
-        alpha = ratio ** _MAP_POWER
-        jac = (_MAP_POWER * ratio ** (_MAP_POWER - 1.0) / (t * t)).prod(axis=1)
-        psi_vals = np.zeros(len(x))
-        for idxs in mono_vars:
-            if idxs.size:
-                psi_vals += alpha[:, idxs].prod(axis=1)
-            else:
-                psi_vals += 1.0
-        return jac / (psi_vals * psi_vals)
-
-    mean, stderr = _sample_mean(integrand, d, samples, seed)
-    return PeriodEstimate(estimate=mean, stderr=stderr, samples=samples,
+    from ._tropical import plan
+    hepp, dim, integrand = plan(g)
+    mean, stderr = _sample_mean(integrand, dim, samples, seed)
+    return PeriodEstimate(estimate=hepp * mean, stderr=hepp * stderr, samples=samples,
                           seed=seed, prec_report=prec_report)
 
 
@@ -638,6 +634,16 @@ def wheel(spokes: int) -> MultiGraph:
     hub = spokes
     rim = [(i, (i + 1) % spokes) for i in range(spokes)]
     return MultiGraph(spokes + 1, rim + [(i, hub) for i in range(spokes)])
+
+
+def zigzag(n: int) -> MultiGraph:
+    """Zigzag graph on ``n + 1`` vertices: edges ``(i, i+1)``, ``(i, i+2)``
+    and ``(0, n)``, ``2n`` in all (``n`` loops); ``zigzag(3)`` is K4 and
+    ``zigzag(4)`` the wheel with four spokes."""
+    if not isinstance(n, int) or n < 3:
+        raise InputError(f"a zigzag needs n >= 3, got {n!r}")
+    return MultiGraph(n + 1, [(i, i + 1) for i in range(n)]
+                      + [(i, i + 2) for i in range(n - 1)] + [(0, n)])
 
 
 _NAMED_GRAPHS = {

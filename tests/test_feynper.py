@@ -1,15 +1,21 @@
 """Graph polynomials, primitivity power counting, Monte-Carlo periods."""
 
+import itertools
 import json
+import math
+import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from euler_periods import feynper
+from euler_periods import _tropical, feynper
 from euler_periods.errors import (
     Disconnected,
     DomainError,
     InputError,
+    InternalCheckError,
     NonFiniteSample,
     NotPrimitive,
     SchemaError,
@@ -33,6 +39,7 @@ from euler_periods.feynper import (
     spanning_trees,
     triangle,
     wheel,
+    zigzag,
 )
 
 
@@ -265,6 +272,41 @@ def test_primitivity_cap():
         is_primitive_log_divergent(wheel(9))
 
 
+def _primitive_by_connected_subgraphs(g):
+    """The power-counting test as stated on connected subgraphs, by brute force."""
+    n, edges = g.n_edges, g.edges
+    if n != 2 * loop_number(g):
+        return False
+    for mask in range(1, (1 << n) - 1):
+        subset = [edges[i] for i in range(n) if mask >> i & 1]
+        touched = sorted({w for e in subset for w in e})
+        sub = MultiGraph(len(touched), [(touched.index(u), touched.index(v)) for u, v in subset],
+                         allow_self_loops=True)
+        if sub.is_connected():
+            h = loop_number(sub)
+            if h >= 1 and len(subset) <= 2 * h:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("graph", [
+    bubble(), triangle(), k4(), wheel(4), zigzag(5),
+    MultiGraph(3, [(0, 1), (0, 1), (1, 2), (1, 2)]),
+    MultiGraph(4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)]),
+    MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 3), (0, 1)]),
+    MultiGraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (1, 3), (2, 4)]),
+    MultiGraph(2, [(0, 1), (0, 1), (0, 1), (0, 1)]),
+])
+def test_primitivity_matches_the_connected_subgraph_test(graph):
+    assert is_primitive_log_divergent(graph) == _primitive_by_connected_subgraphs(graph)
+
+
+def test_sixteen_edge_zigzag_is_primitive():
+    g = zigzag(8)
+    assert g.n_edges == feynper.SUBGRAPH_EDGE_CAP
+    assert is_primitive_log_divergent(g)
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo period estimates
 # ---------------------------------------------------------------------------
@@ -304,6 +346,114 @@ def test_sample_mean_stops_at_the_first_non_finite_value():
     assert info.value.shard == 1
 
 
+def _zeta(s):
+    return float(mpmath.zeta(s))
+
+
+@pytest.mark.parametrize("name,graph,closed_form", [
+    ("W5", wheel(5), lambda: 70 * _zeta(7)),
+    ("Z5", zigzag(5), lambda: 441 / 8 * _zeta(7)),
+    ("Z6", zigzag(6), lambda: 168 * _zeta(9)),
+])
+def test_period_matches_closed_forms_past_eight_edges(name, graph, closed_form):
+    est = period_mc(graph, 2 * 10 ** 5, seed=42)
+    assert abs(est.estimate - closed_form()) <= 3 * est.stderr
+    assert est.stderr < 0.01 * est.estimate
+
+
+def test_period_one_sigma_coverage_is_calibrated():
+    # Over 100 fixed seeds per graph at 1e4 samples, the pooled share of
+    # 1-sigma intervals that cover the closed form stays within three
+    # binomial standard deviations of the nominal 0.6827.
+    cases = [(k4(), 6 * _zeta(3)), (wheel(4), 20 * _zeta(5))]
+    seeds = range(100)
+    covered = sum(abs(est.estimate - ref) <= est.stderr
+                  for g, ref in cases
+                  for est in (period_mc(g, 10 ** 4, seed=s) for s in seeds))
+    trials = len(cases) * len(seeds)
+    nominal = math.erf(1 / math.sqrt(2))
+    assert abs(covered - nominal * trials) <= 3 * math.sqrt(trials * nominal * (1 - nominal))
+
+
+def _hepp_by_edge_orders(g):
+    """Sum over all edge orders of the product of 1/omega over the proper tails."""
+    def omega(subset):
+        uf = feynper._UnionFind(g.vertices)
+        rank = sum(uf.union(*g.edges[i]) for i in subset)
+        return 2 * rank - len(subset)
+
+    total = Fraction(0)
+    for order in itertools.permutations(range(g.n_edges)):
+        term = Fraction(1)
+        for k in range(1, g.n_edges):
+            term /= omega(order[k:])
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("graph,hepp", [(bubble(), 2), (k4(), 84), (wheel(4), 572)])
+def test_hepp_bound_matches_the_sum_over_edge_orders(graph, hepp):
+    assert _hepp_by_edge_orders(graph) == hepp
+    assert _tropical.plan(graph)[0] == pytest.approx(hepp, rel=1e-13)
+
+
+def test_hepp_bound_of_w5():
+    assert _tropical.plan(wheel(5))[0] == pytest.approx(13240 / 3, rel=1e-13)
+
+
+@pytest.mark.parametrize("graph", [k4(), wheel(4), wheel(5), wheel(6), zigzag(5), zigzag(6)])
+def test_psi_program_equals_the_kirchhoff_polynomial(graph):
+    program, root = _tropical.psi_program(graph)
+    psi = kirchhoff_polynomial(graph)
+    rng = random.Random(graph.n_edges)
+    for _ in range(5):
+        x = [rng.randint(1, 10 ** 6) for _ in range(graph.n_edges)]
+        exact = sum(c * math.prod(xi ** e for xi, e in zip(x, expo))
+                    for expo, c in psi.terms.items())
+        assert _tropical.run_program(program, root, x, 1) == exact
+
+
+def test_plan_refuses_a_program_that_miscounts_trees(monkeypatch):
+    _tropical.plan.cache_clear()
+    monkeypatch.setattr(_tropical, "matrix_tree_count", lambda g: 15)
+    try:
+        with pytest.raises(InternalCheckError):
+            _tropical.plan(k4())
+    finally:
+        _tropical.plan.cache_clear()
+
+
+def test_integrand_is_bounded_by_one():
+    _, dim, integrand = _tropical.plan(wheel(5))
+    u = np.random.default_rng(5).random((10 ** 4, dim))
+    u[:5, dim // 2:] = 1.0 - 2.0 ** -53      # xi at its smallest
+    vals = integrand(u)
+    assert np.all((vals > 0) & (vals <= 1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("vals", [
+    [1.0, -1.0, 0.0, -0.0, 2.5, 1e-300, -3e-320, 5e-324, 1e300, -1e300, 0.1, 0.2, 0.3],
+    [1.7e308, 1e-308, 2.0 ** -1074, -(2.0 ** -1073), 1.0, -1.7e308, 1e308],
+    [0.1] * 1000 + [-0.1] * 999,
+    [0.0, 0.0],
+])
+def test_exact_sum_equals_fsum_bit_for_bit(vals):
+    arr = np.array(vals)
+    assert feynper._exact_sum(arr).hex() == math.fsum(vals).hex()
+
+
+def test_exact_sum_equals_fsum_on_full_shards():
+    rng = np.random.default_rng(11)
+    size = feynper._SHARD_SIZE
+    shards = [
+        rng.random(size),
+        rng.standard_normal(size) * np.exp(rng.uniform(-700, 700, size)),
+        rng.random(size) ** 40,
+    ]
+    for vals in shards:
+        assert feynper._exact_sum(vals).hex() == math.fsum(vals.tolist()).hex()
+
+
 def test_period_rejects_non_primitive():
     with pytest.raises(NotPrimitive):
         period_mc(triangle(), 10 ** 4)
@@ -318,9 +468,10 @@ def test_period_input_validation():
 
 def test_period_str_format():
     est = period_mc(bubble(), 20000, seed=42)
-    text = str(est)
-    assert " ± " in text
-    assert text.split(" ± ")[0].startswith("1.0")
+    value, err = str(est).split(" ± ")
+    assert float(value) == pytest.approx(est.estimate, rel=1e-14)
+    assert float(err) == pytest.approx(est.stderr, rel=1e-2)
+    assert abs(float(value) - 1.0) <= 3 * float(err)
 
 
 def test_snap_to_multiple_bubble():
@@ -372,6 +523,25 @@ def test_named_graphs():
 def test_wheel_validation():
     with pytest.raises(InputError):
         wheel(2)
+
+
+def _isomorphic(g, h):
+    if g.vertices != h.vertices:
+        return False
+    target = sorted(tuple(sorted(e)) for e in h.edges)
+    return any(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges) == target
+               for p in itertools.permutations(range(g.vertices)))
+
+
+def test_zigzag_shapes():
+    assert _isomorphic(zigzag(3), k4())
+    assert _isomorphic(zigzag(4), wheel(4))
+    assert not _isomorphic(zigzag(5), wheel(5))
+    for n in (5, 6, 8):
+        g = zigzag(n)
+        assert (g.vertices, g.n_edges, loop_number(g)) == (n + 1, 2 * n, n)
+    with pytest.raises(InputError):
+        zigzag(2)
 
 
 def test_graph_from_dict_round_trip():
