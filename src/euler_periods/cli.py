@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
     TooLarge,
 )
-from .numkernel import BigReal, bernoulli, check_digits, check_prec, working_dps
+from .numkernel import BigReal, bernoulli, check_digits, check_prec, exact_str, working_dps
 
 if TYPE_CHECKING:
     from . import feynper, g2
@@ -110,7 +110,7 @@ def _cmd_gamma(args):
 
 
 def _cmd_bernoulli(args):
-    value = str(bernoulli(args.n))
+    value = exact_str(bernoulli(args.n))
     return [value], {"value": value, "exact": True}, 0
 
 

@@ -259,6 +259,14 @@ def _alpha_ratio(alpha_inv: BigReal, prec: int) -> BigReal:
     return 1 / (alpha_inv * pi_times(1, prec))
 
 
+def _powers(r: BigReal, top: int) -> list[BigReal]:
+    """``r ** n`` for ``n = 0..top`` as one running product, each power bit for bit ``r ** n``."""
+    out = [BigReal.exact(1, r.prec)]
+    for _ in range(top):
+        out.append(out[-1] * r)
+    return out
+
+
 def _backed_out(n: int, total: str, prec: int, registry: Sequence[Measurement] | None) -> BigReal:
     """``a_n`` solved from the registry total ``total`` with the rubidium alpha.
 
@@ -268,10 +276,11 @@ def _backed_out(n: int, total: str, prec: int, registry: Sequence[Measurement] |
     inner = _inner_prec(prec)
     r = _alpha_ratio(lookup(registry, "alpha:rb:2011").as_bigreal(inner), inner)
     rest = lookup(registry, total).as_bigreal(inner) - r / 2
+    powers = _powers(r, 4 if n == 3 else n)
     if n == 3:
         a4 = lookup(registry, "a4:laporta:2017").as_bigreal(inner)
-        rest = rest - coeff_a2(inner) * r ** 2 - a4 * r ** 4
-    a = rest / r ** n
+        rest = rest - coeff_a2(inner) * powers[2] - a4 * powers[4]
+    a = rest / powers[n]
     return BigReal(a.value, a.err, prec)
 
 
@@ -413,8 +422,8 @@ def assemble(alpha_inv: object, coeffs: CoefficientSet | None = None, order: int
         raise DomainError(f"alpha_inv must be positive, got {alpha_inv!r}")
     r = _alpha_ratio(ainv, inner)
     total = None
-    for n in range(1, order + 1):
-        term = coeffs.coefficient(n, inner, registry) * r ** n
+    for n, power in enumerate(_powers(r, order)[1:], start=1):
+        term = coeffs.coefficient(n, inner, registry) * power
         total = term if total is None else total + term
     return BigReal(total.value, total.err, prec)
 

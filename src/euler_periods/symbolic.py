@@ -38,7 +38,8 @@ from typing import Callable, NamedTuple
 
 from .errors import DomainError, InputError, ParseError, TooLarge
 from .eulerfun import polylog, zeta
-from .numkernel import MAX_PREC, WEIGHT_CAP, BigReal, check_digits, check_prec, pi_times
+from .numkernel import (COACTION_TERM_CAP, MAX_PREC, WEIGHT_CAP, BigReal, check_digits, check_prec,
+                        exact_str, pi_times)
 
 __all__ = [
     "MotivicExpr",
@@ -174,31 +175,6 @@ def _check_unipotent_atom(atom: tuple) -> None:
         raise DomainError(f"not a unipotent generator: {atom!r}")
 
 
-_CHUNK = 10 ** 1000
-
-
-def _decimal(n: int) -> str:
-    """``str(n)`` for an integer of any size.
-
-    Python refuses ``str`` of an integer past 4300 digits; this converts
-    1000 digits at a time, so a coefficient built by products still prints.
-    """
-    if n < 0:
-        return "-" + _decimal(-n)
-    chunks = []
-    while n >= _CHUNK:
-        n, low = divmod(n, _CHUNK)
-        chunks.append(str(low).zfill(1000))
-    return str(n) + "".join(reversed(chunks))
-
-
-def _fmt_fraction(q: Fraction) -> str:
-    """``str(q)``, through :func:`_decimal`."""
-    if q.denominator == 1:
-        return _decimal(q.numerator)
-    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
-
-
 def _fmt_point(pt: tuple) -> str:
     if pt[0] == "rat":
         return str(Fraction(pt[1], pt[2]))
@@ -234,13 +210,13 @@ _UNIPOTENT = _AtomKind(_check_unipotent_atom, _fmt_unipotent_atom)
 
 def _fmt_product(coeff: Fraction, factors: list[str]) -> str:
     if not factors:
-        return _fmt_fraction(coeff)
+        return exact_str(coeff)
     body = "*".join(factors)
     if coeff == 1:
         return body
     if coeff == -1:
         return "-" + body
-    return f"{_fmt_fraction(coeff)}*{body}"
+    return f"{exact_str(coeff)}*{body}"
 
 
 def _join_signed(rendered: list[str]) -> str:
@@ -536,6 +512,22 @@ def _hopf_atom(atom: tuple) -> UTensorSum:
     return _li_tower(atom[1], atom[2], "liu", UTensorSum)
 
 
+def _coaction_terms(atom: tuple) -> int:
+    if atom[0] == "lim":
+        return atom[1] + 1
+    return 2 if atom[0] == "zm" and atom[1] % 2 else 1
+
+
+def _check_coaction_size(e: MotivicExpr) -> None:
+    # Per monomial, the product of its atoms' term counts; checked before any work.
+    for mono in e.terms:
+        size = math.prod(map(_coaction_terms, mono))
+        if size > COACTION_TERM_CAP:
+            shown = "*".join(map(_fmt_motivic_atom, mono))
+            raise TooLarge(f"the coaction of {shown} has {size} terms, "
+                           f"past the cap {COACTION_TERM_CAP}")
+
+
 def _linear_image(e: _Combination, atom_rule: Callable[[tuple], _Combination],
                   target: type) -> _Combination:
     # The linear map that is multiplicative on monomials, given per atom.
@@ -554,10 +546,13 @@ def coact(e: MotivicExpr) -> TensorSum:
     Generator rules: ``twopi_i`` and even ``zeta_m`` pair only with 1 on
     the left; odd ``zeta_m(n)`` adds ``zeta_u(n) (x) 1``; ``Li_m(n; z)``
     produces ``sum(ln_u(z)^k/k! (x) Li_m(n-k; z), k=0..n-1)`` plus
-    ``Li_u(n; z) (x) 1``.
+    ``Li_u(n; z) (x) 1``.  A monomial whose coaction would have more than
+    ``numkernel.COACTION_TERM_CAP`` terms raises :class:`TooLarge` before
+    any work, here and in everything built on the coaction.
     """
     if not isinstance(e, MotivicExpr):
         raise DomainError("coact expects a MotivicExpr")
+    _check_coaction_size(e)
     return _linear_image(e, _coact_atom, TensorSum)
 
 
@@ -664,6 +659,7 @@ def stability_report(family: list[MotivicExpr]) -> StabilityReport:
     for f in members:
         if not isinstance(f, MotivicExpr):
             raise DomainError("stability_report expects MotivicExpr members")
+        _check_coaction_size(f)
     span = _echelon(members)
     outside = [(f, [c for c in _conjugates(f) if not _reduce(span, c).is_zero()])
                for f in members]

@@ -19,7 +19,8 @@ import pytest
 
 import euler_periods
 from euler_periods.cli import _certified_line, dispatch
-from euler_periods.numkernel import BERNOULLI_CAP, DIGIT_CAP, WEIGHT_CAP, BigReal
+from euler_periods.numkernel import (BERNOULLI_CAP, COACTION_TERM_CAP, DIGIT_CAP, WEIGHT_CAP, BigReal,
+                                     bernoulli)
 from test_mzv import NEWTON, zagier
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -125,6 +126,23 @@ def test_bernoulli_exact_fraction(capsys):
     code, out, _ = run(capsys, "bernoulli", "12")
     assert code == 0
     assert out == "-691/2730\n"
+
+
+def test_bernoulli_at_the_cap_prints_past_the_str_digit_limit(capsys):
+    code, out, err = run(capsys, "bernoulli", str(BERNOULLI_CAP))
+    assert code == 0 and err == ""
+    num, den = out.rstrip("\n").split("/")
+    assert len(num.lstrip("-")) > 4300
+    # The limit is raised here only, to read the printed digits back.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        printed = Fraction(int(num), int(den))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert printed == bernoulli(BERNOULLI_CAP)
 
 
 def test_mzv_output(capsys):
@@ -447,6 +465,23 @@ def test_symbol_weight_past_the_cap_exits_two_at_once(capsys, command, expr):
     assert f"exceeds the supported cap {WEIGHT_CAP}" in err
 
 
+@pytest.mark.parametrize("command", ["coact", "conjugates"])
+@pytest.mark.parametrize("expr", ["Li_m(100; 1/2)*Li_m(100; 1/3)", "zeta_m(3)*zeta_m(5)*Li_m(1000; 1/2)"])
+def test_coaction_past_the_term_cap_exits_two_at_once(capsys, command, expr):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, expr)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"terms, past the cap {COACTION_TERM_CAP}" in err
+
+
+def test_coaction_of_the_largest_polylog_is_allowed(capsys):
+    code, out, err = run(capsys, "conjugates", f"Li_m({WEIGHT_CAP}; 1/2)", "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["dimension"] == WEIGHT_CAP + 1
+
+
 def test_coefficient_past_the_str_digit_limit_prints_in_full(capsys):
     # Five 1000-digit literals multiply to a 4996-digit coefficient, past the
     # 4300 digits at which Python refuses str(int).
@@ -563,6 +598,13 @@ def test_zeta_call_loads_neither_numpy_nor_unrelated_layers():
     assert "euler_periods.eulerfun" in loaded
     for name in ("numpy", "euler_periods.symbolic", "euler_periods.g2", "euler_periods.feynper",
                  "dataclasses", "inspect"):
+        assert name not in loaded
+
+
+def test_bernoulli_call_loads_no_layer():
+    loaded = loaded_after("from euler_periods.cli import dispatch; dispatch(['bernoulli', '30'])")
+    for name in ("numpy", "euler_periods.eulerfun", "euler_periods.mzv", "euler_periods.symbolic",
+                 "euler_periods.feynper", "euler_periods.g2", "dataclasses", "inspect"):
         assert name not in loaded
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -38,6 +39,7 @@ from euler_periods.numkernel import (
     working_dps,
     zeta_values,
 )
+from test_symbolic import read_digits
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +73,60 @@ def test_bernoulli_sign_convention():
     assert bernoulli(1) == Fraction(-1, 2)
 
 
+def bernoulli_by_recurrence(n: int) -> list[Fraction]:
+    """``B_0 .. B_n`` by ``sum(C(m+1, k) B_k, k <= m) == 0``: the construction before the tangent numbers."""
+    cache = [Fraction(1)]
+    while len(cache) <= n:
+        m = len(cache)
+        acc = Fraction(0)
+        for k, bk in enumerate(cache):
+            if bk:
+                acc += math.comb(m + 1, k) * bk
+        cache.append(-acc / (m + 1))
+    return cache
+
+
 def test_bernoulli_recurrence_closes():
     # sum(C(n+1, k) B_k, k=0..n) == 0 for n >= 1 is the defining relation.
     for n in range(1, 20):
         acc = sum(math.comb(n + 1, k) * bernoulli(k) for k in range(n + 1))
         assert acc == 0
+
+
+def test_bernoulli_equals_the_recurrence():
+    assert [bernoulli(n) for n in range(301)] == bernoulli_by_recurrence(300)
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+def test_bernoulli_satisfies_von_staudt_clausen_up_to_the_cap():
+    # B_n + sum(1/p for primes p with (p - 1) | n) is an integer for even n >= 2,
+    # an oracle independent of both constructions.
+    for n in range(2, BERNOULLI_CAP + 1, 2):
+        primes = [d + 1 for d in range(1, n + 1) if n % d == 0 and is_prime(d + 1)]
+        assert (bernoulli(n) + sum(Fraction(1, p) for p in primes)).denominator == 1, n
+
+
+def test_bernoulli_fills_index_by_index_in_quadratic_steps(monkeypatch):
+    monkeypatch.setattr(numkernel, "_BERNOULLI_CACHE", [Fraction(1)])
+    monkeypatch.setattr(numkernel, "_TANGENT_COLUMN", [])
+    monkeypatch.setattr(numkernel, "_BERNOULLI_RATIOS", [(1, 1)])
+    extended = []  # the length of each column extended
+    step = numkernel._tangent_step
+    monkeypatch.setattr(numkernel, "_tangent_step",
+                        lambda column: extended.append(len(column)) or step(column))
+    numkernel._bernoulli_ratios(2)
+    assert len(numkernel._BERNOULLI_CACHE) == 5 and extended == [0, 1]  # B_4, no further
+    for j in range(3, 101):  # one B_2j at a time, as the Euler-Maclaurin plans ask
+        numkernel._bernoulli_ratios(j)
+    for n in range(200, -1, -1):  # every index again, backwards: all cached
+        bernoulli(n)
+    # T_k extends the column of T_(k-1) once, in k small-integer multiply-adds:
+    # 100 * 101 / 2 of them for B_0 .. B_200.
+    assert extended == list(range(100))
+    assert numkernel._BERNOULLI_CACHE == bernoulli_by_recurrence(200)
 
 
 @pytest.mark.parametrize("bad", [-1, 2.0, "3", None])
@@ -86,9 +137,19 @@ def test_bernoulli_rejects_bad_index(bad):
 
 def test_bernoulli_past_the_cap_is_refused_before_any_work(monkeypatch):
     monkeypatch.setattr(numkernel, "_BERNOULLI_CACHE", [Fraction(1)])
+    monkeypatch.setattr(numkernel, "_TANGENT_COLUMN", [])
     with pytest.raises(TooLarge, match=f"cap {BERNOULLI_CAP}"):
         bernoulli(BERNOULLI_CAP + 1)
-    assert numkernel._BERNOULLI_CACHE == [Fraction(1)]
+    assert numkernel._BERNOULLI_CACHE == [Fraction(1)] and numkernel._TANGENT_COLUMN == []
+
+
+@pytest.mark.parametrize("q", [0, -7, 10 ** 999, -(10 ** 4500) - 1, Fraction(-691, 2730),
+                               Fraction(10 ** 5000 + 1, 3 * 10 ** 4400 + 7)],
+                         ids=["0", "-7", "1e999", "-1e4500-1", "B12", "huge-fraction"])
+def test_exact_str_writes_any_size(q):
+    sign, num, _, den = re.fullmatch(r"(-?)(\d+)(/(\d+))?", numkernel.exact_str(q)).groups()
+    assert num == "0" or num[0] != "0"
+    assert Fraction(int(sign + "1") * read_digits(num), read_digits(den or "1")) == q
 
 
 @pytest.mark.parametrize("text,size", [("1" * 1001, 1001), ("1/" + "0" * 999, 1000),

@@ -7,8 +7,9 @@ import mpmath
 import pytest
 from mpmath import mpf
 
+from euler_periods import symbolic
 from euler_periods.errors import DomainError, InputError, ParseError, TooLarge
-from euler_periods.numkernel import WEIGHT_CAP, working_dps
+from euler_periods.numkernel import COACTION_TERM_CAP, WEIGHT_CAP, working_dps
 from euler_periods.symbolic import (
     MotivicExpr,
     TensorSum,
@@ -480,6 +481,31 @@ def test_polylog_weight_past_the_cap_is_refused_in_both_families():
         UnipotentExpr.liu(WEIGHT_CAP + 1, Fraction(1, 2))
     with pytest.raises(TooLarge):
         parse_expr("zeta_m(3) + Li_m(9999999; 1/2)")
+
+
+def refuse_work(*args):
+    raise AssertionError("work began before the size check")
+
+
+@pytest.mark.parametrize("call", [coact, galois_conjugates, coassoc_residual,
+                                  lambda e: stability_report([ZM(3), e])],
+                         ids=["coact", "conjugates", "coassoc", "stability"])
+@pytest.mark.parametrize("text,size", [("Li_m(100; 1/2)*Li_m(100; 1/3)", 101 * 101),
+                                       ("zeta_m(3)*zeta_m(5)*Li_m(500; 1/2)", 2 * 2 * 501),
+                                       ("Li_m(4; 1/2)*Li_m(400; 1/3) + zeta_m(3)", 5 * 401)])
+def test_coaction_past_the_term_cap_is_refused_before_any_work(monkeypatch, call, text, size):
+    e = parse_expr(text)
+    monkeypatch.setattr(symbolic, "_linear_image", refuse_work)
+    monkeypatch.setattr(symbolic, "_echelon", refuse_work)
+    with pytest.raises(TooLarge, match=f"has {size} terms, past the cap {COACTION_TERM_CAP}"):
+        call(e)
+
+
+@pytest.mark.parametrize("text,size", [(f"Li_m({WEIGHT_CAP}; 1/2)", WEIGHT_CAP + 1),
+                                       (f"zeta_m(3)*Li_m({WEIGHT_CAP}; 1/2)", COACTION_TERM_CAP),
+                                       ("zeta_m(2)*twopi_i*zeta_m(3)*Li_m(1; 1/2)*Li_m(2; 1/3)", 12)])
+def test_coaction_up_to_the_term_cap_is_allowed(text, size):
+    assert len(coact(parse_expr(text)).terms) == size
 
 
 def read_digits(text: str) -> int:
