@@ -2,9 +2,10 @@
 
 Every subcommand prints its main numeric result as ``value ± bound`` and
 exits 0 on success, 1 when a requested precision could not be certified,
-2 on invalid input, and 3 when an internal cross-check fails.  Identical
-arguments produce byte-identical output.  Interfaces use decimal strings
-only, so reports can be compared across machines and languages.
+2 on invalid input, 3 when an internal cross-check fails, and 141 when the
+reader of standard output closes it before the output is written.
+Identical arguments produce byte-identical output.  Interfaces use decimal
+strings only, so reports can be compared across machines and languages.
 
 Each subcommand imports the layer it runs when it runs, so a call loads
 only what it needs; numpy is loaded by ``period`` and ``selftest`` alone.
@@ -42,6 +43,10 @@ if TYPE_CHECKING:
 _GRAPH_NAMES = ("bubble", "triangle", "k4", "w4")
 _IDENTITY_KINDS = ("dilog-reflection", "cotangent", "euler-product", "phi-funceq")
 _COEFF_MODES = ("exact-bracket", "as-printed", "registry", "consistent")
+
+#: Exit code when standard output is a pipe closed before the output is
+#: written: 128 + SIGPIPE, what a shell reports for a process SIGPIPE ends.
+EXIT_CLOSED_PIPE = 141
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +126,7 @@ def _cmd_mzv(args):
 
 def _cmd_multiphi(args):
     from .mzv import multiphi
-    value = multiphi(tuple(args.parts), args.prec, cutoff=args.cutoff)
-    return *_certified_line(value), 0
+    return *_certified_line(multiphi(tuple(args.parts), args.prec)), 0
 
 
 def _cmd_stuffle_check(args):
@@ -364,9 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("multiphi", "Alternating sum of (-1)^(k1+...+kd) k1^-n1 ... kd^-nd over 0 < k1 < ... < kd.")
     p.add_argument("parts", type=int, nargs="+", help="index parts n1 ... nd, each >= 1")
-    p.add_argument("--cutoff", type=int, default=None, metavar="N",
-                   help="series terms on each side of the split at 1/2, in place of the "
-                        "planned count (4 to 1000)")
 
     p = add("stuffle-check", "Verify zeta(m) zeta(n) = zeta(m,n) + zeta(n,m) + zeta(m+n).")
     p.add_argument("m", type=int)
@@ -445,11 +446,16 @@ def dispatch(argv: list[str] | None = None) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return 3
     if args.json:
-        doc = {"command": args.command, **payload, "output": "\n".join(lines)}
-        print(json.dumps(doc, ensure_ascii=False))
-    else:
-        for line in lines:
-            print(line)
+        lines = [json.dumps({"command": args.command, **payload, "output": "\n".join(lines)},
+                            ensure_ascii=False)]
+    try:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  What is still buffered goes to devnull,
+        # so the flush at exit raises nothing, and the code is a shell's for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     return code
 
 

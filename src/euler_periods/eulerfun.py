@@ -28,7 +28,7 @@ from .numkernel import (
     as_mpf,
     bernoulli,
     check_prec,
-    em_sum_certified,
+    em_sum,
     working_bits,
     working_dps,
     zeta_values,
@@ -59,7 +59,7 @@ def zeta(s: ScalarLike, prec: int) -> BigReal:
     once ``1/(s - 1)`` eats the
     :data:`~euler_periods.numkernel.GUARD_DIGITS` guard digits the counted
     rounding misses it and :class:`PrecisionNotMet` is raised:
-    ``zeta(1 + 10**-9, 15)`` certifies, ``zeta(1 + 10**-9, 50)`` and
+    ``zeta(1 + 10**-9, 50)`` certifies, ``zeta(1 + 10**-10, 50)`` and
     ``zeta(1 + 10**-12, 15)`` do not.
     """
     check_prec(prec)
@@ -68,7 +68,7 @@ def zeta(s: ScalarLike, prec: int) -> BigReal:
         raise DomainError(
             f"zeta requires s > 1, got s = {mpmath.nstr(as_mpf(q), 8)}; "
             "the series diverges there (at s = 1 it is the harmonic series)")
-    return em_sum_certified(q, prec)
+    return em_sum(q, prec)
 
 
 def zeta_even_closed(n: int) -> Fraction:
@@ -243,11 +243,11 @@ def gamma_const(prec: int, method: str = "EM") -> BigReal:
     bounds, which the test suite enforces.
 
     ``"ZETA_SERIES"`` takes all of its ``zeta(n)`` from one
-    :func:`~euler_periods.numkernel.zeta_values` batch at
-    ``working_dps(prec) + 6`` digits, as integers ``total`` within ``err``
-    units of ``2**-B``, and the declared bound includes their propagated
-    uncertainty.  With ``b = working_bits(prec)`` and ``sh = B - b``, row
-    ``k`` of the :func:`~euler_periods.numkernel.accel_alt_sum` pass is
+    :func:`~euler_periods.numkernel.zeta_values` batch at ``prec + 6``, as
+    integers ``total`` within ``err`` units of ``2**-B``, and the declared
+    bound includes their propagated uncertainty.  With ``b =
+    working_bits(prec)`` and ``sh = B - b``, row ``k`` of the
+    :func:`~euler_periods.numkernel.accel_alt_sum` pass is
     ``(total >> sh) // (k + 1)``, the exact floor of ``2**b`` times the
     batch sum over ``k + 1``, and its bound is ``((err >> sh) + k + 1) //
     (k + 1)`` units of ``2**-b``: the batch bound over ``k + 1``, rounded
@@ -259,9 +259,9 @@ def gamma_const(prec: int, method: str = "EM") -> BigReal:
     """
     check_prec(prec)
     if method == "EM":
-        return em_sum_certified(1, prec)
+        return em_sum(1, prec)
     if method == "ZETA_SERIES":
-        wide, zetas = zeta_values(alt_terms_needed(prec) + 1, working_dps(prec) + 6)
+        wide, zetas = zeta_values(alt_terms_needed(prec) + 1, prec + 6)
         sh = wide - working_bits(prec)
         rows = [(total >> sh) // (k + 1) for k, (total, _) in enumerate(zetas, 1)]
         bounds = [((err >> sh) + k + 1) // (k + 1) for k, (_, err) in enumerate(zetas, 1)]

@@ -279,7 +279,7 @@ def _backed_out(n: int, total: str, prec: int, registry: Sequence[Measurement] |
     powers = _powers(r, 4 if n == 3 else n)
     if n == 3:
         a4 = lookup(registry, "a4:laporta:2017").as_bigreal(inner)
-        rest = rest - coeff_a2(inner) * powers[2] - a4 * powers[4]
+        rest = rest - coeff_a2(prec=inner) * powers[2] - a4 * powers[4]
     a = rest / powers[n]
     return BigReal(a.value, a.err, prec)
 
@@ -311,7 +311,7 @@ def _bracket(order: int, mode: CoeffMode):
     return parse_expr(_BRACKETS[order, mode])
 
 
-def coeff_a2(prec: int, mode: CoeffMode | str = CoeffMode.EXACT_BRACKET,
+def coeff_a2(mode: CoeffMode | str = CoeffMode.EXACT_BRACKET, prec: int = 15,
              registry: Sequence[Measurement] | None = None) -> BigReal:
     """Second-order coefficient ``a_2``.
 
@@ -365,7 +365,7 @@ class CoefficientSet:
         if n == 1:
             return BigReal.exact(Fraction(1, 2), prec)
         if n == 2:
-            return coeff_a2(prec, self.a2_mode, registry)
+            return coeff_a2(self.a2_mode, prec, registry)
         if n == 3:
             return coeff_a3(self.a3_mode, prec, registry)
         return BigReal.from_decimal(A4_DIGITS, prec)

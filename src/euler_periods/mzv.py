@@ -21,10 +21,6 @@ from .eulerfun import zeta
 from .numkernel import (BRUTEFORCE_STEP_CAP, MAX_PREC, BigReal, check_prec, working_dps, _at_one,
                         _rounding, _word)
 
-#: Maximum explicit ``multiphi`` cutoff: ``2**-1000`` is far below any
-#: ``10**-prec`` the interface accepts.
-CUTOFF_CAP = 1000
-
 
 def _parts(idx: Sequence[int]) -> tuple[int, ...]:
     idx = tuple(idx)
@@ -133,31 +129,20 @@ def _log_poly_tail(cutoff: int, q: int, r: int) -> mpf:
 # ---------------------------------------------------------------------------
 
 
-def multiphi(idx: Sequence[int], prec: int, cutoff: int | None = None) -> BigReal:
+def multiphi(idx: Sequence[int], prec: int) -> BigReal:
     """All-alternating sum ``sum(prod((-1)**k_i k_i**-n_i), 0 < k_1 < ... < k_d)``.
 
     The index is inner-first, as for :func:`mzv`, and every part ``>= 1``
     converges.  Depth 2 is ``sum((-1)**(k+l) k**-m l**-n, 0 < k < l)``,
     and depth 1 is ``-phi(n)``.  The sum is ``I_1`` of the word ``0**(n_d-1)
     -1 0**(n_(d-1)-1) 1 0**(n_(d-2)-1) -1 ...``, whose letters alternate
-    from -1 outermost, evaluated by the same engine as :func:`mzv`.  A
-    weight above ``numkernel.WEIGHT_CAP`` raises :class:`TooLarge`.
-
-    ``cutoff`` sets ``N``, the number of series terms on each side of the
-    split, in place of the plan for ``prec``; it must be an integer in ``[4,
-    CUTOFF_CAP]``.  With an explicit cutoff the result is returned with its
-    honest bound even when that bound exceeds ``10**-prec``; without one
-    the usual certification applies.
+    from -1 outermost, evaluated by the same engine as :func:`mzv`, at the
+    plan for ``prec``.  A weight above ``numkernel.WEIGHT_CAP`` raises
+    :class:`TooLarge`.
     """
     idx = _parts(idx)
     check_prec(prec)
-    if cutoff is not None:
-        if not isinstance(cutoff, int) or cutoff < 4:
-            raise DomainError(f"cutoff must be an integer >= 4, got {cutoff!r}")
-        if cutoff > CUTOFF_CAP:
-            raise TooLarge(f"cutoff {cutoff} exceeds the supported cap {CUTOFF_CAP}")
-    out = _at_one(_word(idx[::-1], (-1, 1) * len(idx)), prec, cutoff)
-    return out.demand("multiphi") if cutoff is None else out
+    return _at_one(_word(idx[::-1], (-1, 1) * len(idx)), prec).demand("multiphi")
 
 
 # ---------------------------------------------------------------------------

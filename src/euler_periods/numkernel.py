@@ -26,7 +26,7 @@ log10(3 + sqrt(8)))`` terms and the Cohen-Rodriguez Villegas-Zagier bound
 ``2 |S| / (3 + sqrt(8))**n``, a theorem for the moment sequences every
 caller sums.  No engine caches an mpf: the Bernoulli ratios ``B_2j/(2j)!``
 are cached per index as exact integer pairs, the integer Chebyshev weights
-per term count, the batch plans per ``(top, wd)``, and the last 1024
+per term count, the batch plans per ``(top, prec)``, and the last 1024
 Euler-Maclaurin plans per exact argument tuple.
 
 Every engine sums in Python-integer fixed point at the binary precision
@@ -45,8 +45,8 @@ units of the precision ``p`` the rounding happens at (as Arb does,
 arXiv:1611.02831): :func:`_rounding_at` ``(v, p, count) = count (1 + |v|)
 2**(1 - p)`` on raw mpf tuples, one count per rounding that makes ``v``;
 :func:`_rounding` ``(v, count)`` is the same rule at the ambient ``p =
-mp.prec``, for the sites that compute in an mpmath context.  The premises: mpmath's ``+ - * /`` and decimal
-parsing round correctly, within half a count, and each elementary or special
+mp.prec``, for the sites that compute in an mpmath context.  The
+premises: mpmath's ``+ - * /`` and decimal parsing round correctly, within half a count, and each elementary or special
 function (``log``, ``cos``, ``cot``, ``gamma``, powers, ``pi``) is faithful,
 within one count, unless its site states more.  A floor to ``2**-b`` with
 ``b = p`` errs by under one unit of ``2**-b``, less than the one count of
@@ -60,6 +60,13 @@ p/q``), so :func:`em_sum`, :func:`zeta_values` and ``phi`` count proved
 units there.  The one exception is an ``s`` whose denominator ``q`` has
 ``q b`` past :data:`_ROOT_BITS_CAP` (a binary ``s`` such as PHI_FUNCEQ's, or
 ``1 + 10**-9``): its rows come from mpmath's power, on the premise above.
+
+The three engines, :func:`em_sum`, :func:`accel_alt_sum` and the
+iterated-integral engine :func:`_at_one`, count their own units in
+integers: their bounds are proved in the docstrings of :func:`_em_power_sum`
+and :func:`accel_alt_sum` and below.  Each ends in the one shared finish
+:func:`_finish`, which rounds the integer total to nearest at ``b =
+working_bits(prec)`` bits and adds ``(|total| >> b) + 1`` units for it.
 :func:`zeta_values` converts nothing: it hands over its integer sums and
 unit bounds, and ``gamma_const("ZETA_SERIES")`` shifts them to its
 Chebyshev rows.  The counted sites, each with its count and premises beside
@@ -70,17 +77,10 @@ the call:
   explicit ``working_bits(p)`` of its result, through mpmath.libmp with no
   context switch, and counts that with :func:`_rounding_at` at the same
   ``p``: the same premise and the same count as in an mpmath context;
-* :func:`em_sum`'s one conversion of the integer total of
-  :func:`_em_power_sum` to an mpf;
 * in :mod:`.eulerfun`, the ``Li_n`` series of DILOG_REFLECTION, ``polylog``
   at ``n = 1`` and in the reflection window, and the four identity residuals;
 * :func:`~euler_periods.mzv.mzv_bruteforce`, whose count grows with the depth;
 * :func:`~euler_periods.g2.invert_alpha`.
-
-The Euler-Maclaurin body :func:`_em_power_sum`, the Chebyshev engine
-:func:`accel_alt_sum` and the iterated-integral engine count their own
-units in integers: their bounds, rounding included, are proved in the
-docstrings of the first two and below.
 
 Iterated integrals at 1/2
 -------------------------
@@ -120,7 +120,7 @@ q / (2p)``) and ``e'_(k+1) = E_k // (k+1)``.  The declared bound is a proof:
 3. The products are summed exactly in units of ``2**-2b``; each is off by
    at most ``alpha (2 + alpha)``, the sum by ``(n + 1)`` times that.
 4. Converting the integer sum to an mpf at the working precision ``p``
-   bits adds at most ``|value| 2**-p``.
+   bits adds at most ``|value| 2**-p`` (:func:`_finish`).
 
 The bound is that count of units, rounded up to an mpf.  The plan comes a
 priori: with ``wd = working_dps(prec)``, ``T = ceil(wd log2 10) + bitlen(n
@@ -144,9 +144,9 @@ from typing import Sequence, Union
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, from_str, fzero, mpf_abs,
-                          mpf_add, mpf_div, mpf_eq, mpf_le, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
-                          mpf_pos, mpf_pow_int, mpf_shift, mpf_sub)
+from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, from_man_exp, from_str, fzero,
+                          mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_le, mpf_mul, mpf_mul_int, mpf_neg,
+                          mpf_pi, mpf_pos, mpf_pow_int, mpf_shift, mpf_sub)
 from mpmath.libmp import round_nearest as RN
 
 from .errors import DomainError, InputError, PrecisionNotMet, TooLarge
@@ -543,6 +543,23 @@ def pi_times(k: int, prec: int) -> BigReal:
     return _wrap(v, _rounding_at(v, b, _TWO), prec)  # pi, then the product
 
 
+def _finish(total: int, frac_bits: int, units: int, prec: int) -> BigReal:
+    """An engine's integer result as a :class:`BigReal` at ``prec``: its one conversion.
+
+    ``total`` is the value in units of ``2**-frac_bits`` and ``units`` the
+    error the engine proved for it, in the same units.  The value rounds to
+    nearest at ``b = working_bits(prec)`` bits, which errs by at most
+    ``|total| 2**-b`` units, so the bound adds ``(|total| >> b) + 1``; the
+    sum is rounded up to a 32-bit mantissa.  Both go through mpmath.libmp
+    at explicit precisions, with no mpmath context.
+    """
+    b = working_bits(prec)
+    units += (abs(total) >> b) + 1
+    shift = max(units.bit_length() - 32, 0)
+    return _wrap(from_man_exp(total, -frac_bits, b, RN),
+                 from_man_exp(-(-units >> shift), shift - frac_bits), prec)
+
+
 # ---------------------------------------------------------------------------
 # Alternating-series acceleration
 # ---------------------------------------------------------------------------
@@ -632,12 +649,6 @@ def alt_terms_needed(prec: int) -> int:
     return math.ceil((wd - 1 + math.log10(2)) / math.log10(3 + math.sqrt(8)))
 
 
-def _units_up(units: int, bits: int) -> mpf:
-    """``units * 2**-bits`` rounded up to a 32-bit mantissa: exact at 32 bits or more."""
-    shift = max(units.bit_length() - 32, 0)
-    return mpf((-(-units >> shift), shift - bits))
-
-
 def accel_alt_sum(rows: Sequence[int], prec: int, bounds: Sequence[int] | None = None) -> BigReal:
     """``sum((-1)**(k-1) * a_k, k >= 1)`` to ``prec`` certified digits, from integer rows.
 
@@ -654,8 +665,8 @@ def accel_alt_sum(rows: Sequence[int], prec: int, bounds: Sequence[int] | None =
 
     The estimate is the integer ``E = floor(sum(c_k rows[k]) / d)``, with
     the Chebyshev weights ``c_k`` and normaliser ``d`` of Cohen, Rodriguez
-    Villegas and Zagier (Experiment. Math. 9 (2000)), converted to an mpf
-    once.  The declared bound is a proof, in units of ``2**-b``:
+    Villegas and Zagier (Experiment. Math. 9 (2000)), converted once by
+    :func:`_finish`.  The declared bound is a proof, in units of ``2**-b``:
 
     1. For moment sequences one Chebyshev pass over the true terms errs by
        at most ``2 |S| / (3 + sqrt(8))**n``, where ``|S| <= |a_1| <=
@@ -664,14 +675,13 @@ def accel_alt_sum(rows: Sequence[int], prec: int, bounds: Sequence[int] | None =
        sign like the terms, so the estimate moves by at most ``sum(|c_k|
        (delta_k + 1)) / d``, all of it when every term errs the same way.
     3. The dot product is exact, and the floor division costs one unit.
-    4. Converting ``E`` to an mpf of ``b`` bits costs one count: a faithful
-       rounding errs by under ``|E| 2**(1 - b)``, at most ``(|E| >> (b -
-       1)) + 1`` units.
+    4. Converting ``E`` to an mpf of ``b`` bits rounds to nearest, within
+       ``|E| 2**-b``: at most ``(|E| >> b) + 1`` units.
 
     The sum of the units is rounded up to an mpf.  Two consecutive zero
     rows end a finite series, summed exactly as its own best acceleration:
     its ``j`` rows cost a unit each, the tail at most the first zero row's
-    ``|a_j| <= delta_j + 1``, and step 4 one count; every ``delta_k`` is
+    ``|a_j| <= delta_j + 1``, and step 4 its units; every ``delta_k`` is
     added, read or not.
 
     Cost: ``n = ceil((wd - 1 + log10 2) / log10(3 + sqrt(8)))`` rows, ``wd =
@@ -697,10 +707,7 @@ def accel_alt_sum(rows: Sequence[int], prec: int, bounds: Sequence[int] | None =
         estimate = sum(map(mul, weights, rows)) // d
         units = (-(-2 * (rows[0] + bounds[0] + 1) // (2 * d - 1))
                  - (-sum(abs(c) * (e + 1) for c, e in zip(weights, bounds)) // d) + 1)
-    units += (abs(estimate) >> bits - 1) + 1
-    with mpmath.workprec(bits):
-        value, err = mpf((estimate, -bits)), _units_up(units, bits)
-    return BigReal(value, err, prec).demand("accel_alt_sum")
+    return _finish(estimate, bits, units, prec).demand("accel_alt_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -720,60 +727,50 @@ def _bernoulli_ratios(terms: int) -> list[tuple[int, int]]:
     return cache
 
 
-def em_sum(s: ScalarLike, n_split: int, bernoulli_terms: int, prec: int) -> BigReal:
-    """Euler-Maclaurin sum of ``k**-s`` for rational ``s >= 1``.
+def em_sum(s: ScalarLike, prec: int) -> BigReal:
+    """Euler-Maclaurin sum of ``k**-s`` for rational ``s >= 1``, planned from ``prec``.
 
-    ``s`` is the exact rational it denotes (:func:`as_fraction`), and the
-    rows ``floor(2**bits * k**-s)`` at the binary precision ``bits`` of ``wd
-    = working_dps(prec)`` are computed here by :func:`_power_rows`; so no
-    caller can pair a bound with a series it does not describe.  The rows are
-    exact floors, one unit off at most, so their 2 counted units are a proof,
-    for every ``s = p/q`` with ``q * bits`` within :data:`_ROOT_BITS_CAP`
-    (every integer ``s``, and every ``s > bits``); past the cap a row comes
-    from ``mpf(k) ** -s`` and its 2 units rest on mpmath's power being
-    faithful.  With ``f(k) = k**-s`` this sums, in the integer fixed point
-    of :func:`_em_power_sum`, the body :func:`zeta_values` runs on::
+    ``s`` is the exact rational it denotes (:func:`as_fraction`).  The split
+    ``n`` and the term count ``J`` are :func:`_em_plan`'s, aimed at a first
+    omitted term of ``10**-(wd - 1)``, ``wd = working_dps(prec)``, which with
+    the counted units meets ``10**-prec`` with about nine digits to spare.
+    The rows ``floor(2**bits k**-s)`` at ``bits = working_bits(prec)`` are
+    computed here by :func:`_power_rows`, so no caller can pair a bound with
+    a series it does not describe.  The rows are exact floors, one unit off
+    at most, for every ``s = p/q`` with ``q * bits`` within
+    :data:`_ROOT_BITS_CAP` (every integer ``s``, and every ``s > bits``);
+    past the cap a row comes from ``mpf(k) ** -s``, within 2 units on the
+    premise that mpmath's power is faithful.  With ``f(k) = k**-s`` this
+    sums, in the integer fixed point of :func:`_em_power_sum`, the body
+    :func:`zeta_values` runs on::
 
         sum(f(k), k=1..n) + I(n) - f(n)/2
             + sum(B_2j/(2j)! * poch(s, 2j-1) * n**(1-s-2j), j=1..J)
 
-    with ``n = n_split``, ``J = bernoulli_terms`` and ``I(n)`` the integral
-    tail ``n**(1-s)/(s-1)``, or ``-log(n)`` at ``s == 1`` (the regularized
-    companion, whose limit is the constant the ``s == 1`` series defines).
-    The declared bound is the first omitted Bernoulli term, plus
-    ``_rounding(0, units)`` for the units of ``2**-bits`` that
-    :func:`_em_power_sum` counts and proves: 2 per row, 2 for ``f(n)/2``, 2
-    for the ``-log n`` of ``s = 1``, and for the integral tail and each
-    Bernoulli term (the omitted one too) a floor and its share of the last
-    row's error, ``2 n q`` times the exact factor it scales ``q n**(1-s)``
-    by (``s = p/q``); plus one count of ``|value|`` for the one conversion
-    of the integer total to an mpf.
+    with ``I(n)`` the integral tail ``n**(1-s)/(s-1)``, or ``-log(n)`` at
+    ``s == 1`` (the regularized companion, whose limit is the constant the
+    ``s == 1`` series defines).  The declared bound is what
+    :func:`_em_power_sum` proves, ``|correction| + units`` units of
+    ``2**-bits`` (the first omitted Bernoulli term and the counted units),
+    plus the units of :func:`_finish` for the one conversion to an mpf.
 
-    Cost: ``n_split`` rows, each one integer division for an integer ``s``
-    and an integer ``q``-th root otherwise, then integer sums and ``J + 1``
+    Cost: ``n`` rows, each one integer division for an integer ``s`` and an
+    integer ``q``-th root otherwise, then integer sums and ``J + 1``
     Bernoulli terms of a few exact integer products each.  Only the exact
     ``B_2j/(2j)!`` are cached, per ``j``, as integer pairs: at most 51
-    entries with the plans of :func:`em_sum_certified` (``J <= 50``).
-
-    Raises :class:`PrecisionNotMet` when that bound exceeds ``10**-prec``.
+    entries (``J <= 50``).  One call; a plan that misses raises
+    :class:`PrecisionNotMet` naming its split and term count, and nothing is
+    retried.
     """
     check_prec(prec)
-    if not isinstance(n_split, int) or n_split < 1:
-        raise DomainError(f"n_split must be a positive integer, got {n_split!r}")
-    if not isinstance(bernoulli_terms, int) or bernoulli_terms < 0:
-        raise DomainError(f"bernoulli_terms must be >= 0, got {bernoulli_terms!r}")
     s = as_fraction(s)
     if s < 1:
         raise DomainError("em_sum needs s >= 1; a smaller s does not define a convergent tail")
-    with mpmath.workdps(working_dps(prec)):
-        bits = mpmath.mp.prec
-        rows = _power_rows(s, n_split, bits)
-        total, correction, units = _em_power_sum(s, rows, bernoulli_terms, bits)
-        value = mpf((total, -bits))
-        # The first omitted term, the counted units, and the conversion of the total.
-        err = mpf((abs(correction), -bits)) + _rounding(mpf(0), units) + _rounding(value, 1)
-    return BigReal(value, err, prec).demand(
-        f"em_sum at split {n_split} with {bernoulli_terms} Bernoulli terms")
+    n_split, terms = _em_plan(s, working_dps(prec) - 1, _EM_BERNOULLI_TERM_COST)
+    bits = working_bits(prec)
+    total, correction, units = _em_power_sum(s, _power_rows(s, n_split, bits), terms, bits)
+    return _finish(total, bits, abs(correction) + units, prec).demand(
+        f"em_sum at split {n_split} with {terms} Bernoulli terms")
 
 
 # |B_2m|/(2m)! = 2 zeta(2m) / (2 pi)^(2m) <= (pi^2/3) / (2 pi)^(2m) for m >= 1.
@@ -845,36 +842,23 @@ def _em_plan(s: int | Fraction, digits: int, term_cost: int, n_start: int = 2) -
     return best
 
 
-def em_sum_certified(s: ScalarLike, prec: int) -> BigReal:
-    """:func:`em_sum` at the split and term count :func:`_em_plan` picks.
-
-    The plan aims the first omitted term at ``10**-(wd - 1)``, which with
-    the counted rounding meets ``10**-prec`` with about nine digits to spare.
-    One :func:`em_sum` call; a plan that misses raises its
-    :class:`PrecisionNotMet`, and nothing is retried.
-    """
-    wd = working_dps(check_prec(prec))
-    s = as_fraction(s)
-    return em_sum(s, *_em_plan(s, wd - 1, _EM_BERNOULLI_TERM_COST), prec)
-
-
 # ---------------------------------------------------------------------------
 # Zeta at the integers, in one batch
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _zeta_plan(top: int, wd: int) -> tuple[tuple[int, int], ...]:
-    """``(n_split, bernoulli_terms)`` for each ``s = 2..top`` at ``wd`` digits.
+def _zeta_plan(top: int, prec: int) -> tuple[tuple[int, int], ...]:
+    """``(n_split, bernoulli_terms)`` for each ``s = 2..top`` at ``prec``.
 
-    Each pair is :func:`_em_plan`'s, aimed at ``10**-(wd - GUARD_DIGITS +
-    1)``, a tenth of the bound :func:`zeta_values` promises; each ``s``
-    starts its search at the split of ``s + 1``, so ``n_split`` never
-    grows with ``s`` and the power table only ever loses rows.
+    Each pair is :func:`_em_plan`'s, aimed at ``10**-(prec + 1)``, a tenth
+    of the bound :func:`zeta_values` promises; each ``s`` starts its search
+    at the split of ``s + 1``, so ``n_split`` never grows with ``s`` and the
+    power table only ever loses rows.
     """
     plan, n = [], 2
     for s in range(top, 1, -1):
-        plan.append(_em_plan(s, wd - GUARD_DIGITS + 1, _BERNOULLI_TERM_COST, n))
+        plan.append(_em_plan(s, prec + 1, _BERNOULLI_TERM_COST, n))
         n = plan[-1][0]
     return tuple(reversed(plan))
 
@@ -890,9 +874,8 @@ def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
     the root cap on mpmath's premise).  ``total`` is ``2**bits`` times the
     value, ``correction`` the first omitted Bernoulli term in the same
     units, and ``units`` counts the error of ``total``; the callers declare
-    ``|correction| + 2 units`` units of ``2**-bits`` (``em_sum`` as
-    ``_rounding(0, units)``).  The count is a proof, in units of
-    ``2**-bits``:
+    ``|correction| + units`` units of ``2**-bits``.  The count is a proof,
+    in units of ``2**-bits``:
 
     1. ``f(x) = x**-s`` is completely monotone, so the Euler-Maclaurin
        remainder after ``J`` corrections lies between 0 and the first
@@ -922,8 +905,7 @@ def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
     the sum up to the last correction kept; step 5 bounds ``2**bits`` times
     the true first omitted term by ``|correction|`` plus its share of
     ``units``; with step 1 the value is within ``|correction| + units``.
-    The declared ``2 units`` is twice that, and the rows' own 1 of the 2
-    in step 2 is slack for exact floors.
+    The rows' own 1 of the 2 in step 2 is slack for exact floors.
 
     Cost: one pass over the rows and ``J + 1`` Bernoulli terms of a few
     exact integer products and one floor division each; a term's unit
@@ -964,17 +946,18 @@ def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
     return total, correction, units
 
 
-def zeta_values(top: int, wd: int) -> tuple[int, list[tuple[int, int]]]:
+def zeta_values(top: int, prec: int) -> tuple[int, list[tuple[int, int]]]:
     """``(B, [(total, err), ...])``: ``zeta(s)`` for ``s = 2..top`` in units of ``2**-B``.
 
-    ``B = dps_to_prec(wd)`` is the binary precision of ``wd`` digits.  For
-    each ``s``, ``total`` is an integer within ``err`` of ``2**B zeta(s)``:
-    ``err`` is the first omitted Bernoulli term plus twice the units that
-    :func:`em_sum`'s body, :func:`_em_power_sum`, counts and proves, the
-    same quantity :func:`em_sum` declares before its conversion to an mpf.
-    Every ``err`` meets ``err 10**(wd - GUARD_DIGITS) <= 2**B``, checked in
-    integers.  ``wd`` is a working precision, not a ``prec``, and has no
-    upper cap.  No mpf is built: the caller scales the integers itself.
+    ``B = working_bits(prec)``.  For each ``s``, ``total`` is an integer
+    within ``err`` of ``2**B zeta(s)``: ``err`` is the first omitted
+    Bernoulli term plus the units that :func:`em_sum`'s body,
+    :func:`_em_power_sum`, counts and proves, the bound :func:`em_sum`
+    declares before its conversion to an mpf.  Every ``err`` meets ``err
+    10**prec <= 2**B``, checked in integers.  ``prec`` is any integer ``>=
+    1``, past :data:`MAX_PREC` too: a caller that shifts the totals to fewer
+    bits asks for more digits here.  No mpf is built: the caller scales the
+    integers itself.
 
     Shared work: one fixed-point table of ``1/m`` with ``B`` fraction bits,
     and each ``m**-s`` is ``m**-(s-1)`` floor-divided by ``m``, which is the
@@ -988,26 +971,26 @@ def zeta_values(top: int, wd: int) -> tuple[int, list[tuple[int, int]]]:
 
     Cost: ``sum(n_s)`` small integer divisions and ``sum(J_s)`` Bernoulli
     terms of a few exact integer products each, about 4 ms for ``(144,
-    116)`` on a 2-core x86-64 VM.  The plan depends only on ``(top, wd)``
+    106)`` on a 2-core x86-64 VM.  The plan depends only on ``(top, prec)``
     and is cached under that key; no value is cached.
     """
     if not isinstance(top, int) or top < 2:
         raise DomainError(f"zeta_values needs an integer top >= 2, got {top!r}")
-    if not isinstance(wd, int) or wd <= GUARD_DIGITS:
-        raise DomainError(f"zeta_values needs an integer wd > {GUARD_DIGITS}, got {wd!r}")
-    plan = _zeta_plan(top, wd)
-    bits = dps_to_prec(wd)
-    one, scale = 1 << bits, 10 ** (wd - GUARD_DIGITS)
+    if not isinstance(prec, int) or prec < MIN_PREC:
+        raise DomainError(f"zeta_values needs an integer prec >= {MIN_PREC}, got {prec!r}")
+    plan = _zeta_plan(top, prec)
+    bits = working_bits(prec)
+    one, scale = 1 << bits, 10 ** prec
     rows = [one // m for m in range(1, plan[0][0] + 1)]
     out = []
     for s, (n_split, terms) in enumerate(plan, start=2):
         rows = list(map(floordiv, rows, range(1, n_split + 1)))
         total, correction, units = _em_power_sum(s, rows, terms, bits)
-        err = abs(correction) + 2 * units
+        err = abs(correction) + units
         if err * scale > one:
             raise PrecisionNotMet(
                 f"zeta_values: zeta({s}) bound of {err} units of 2**-{bits} exceeds "
-                f"1e-{wd - GUARD_DIGITS} at split {n_split} with {terms} Bernoulli terms")
+                f"1e-{prec} at split {n_split} with {terms} Bernoulli terms")
         out.append((total, err))
     return bits, out
 
@@ -1026,6 +1009,15 @@ WEIGHT_CAP = 1000
 #: to 1000 factors, 12 MB printed in about 2.5 s; the cost of a product of
 #: polylogarithms grows about as the cube of their weight.
 COACTION_TERM_CAP = 2 * (WEIGHT_CAP + 1)
+
+#: Most terms :func:`~euler_periods.symbolic.coassoc_residual` may form for
+#: one monomial, estimated as the product over its atoms of ``C(n + 3, 3)``,
+#: about ``n**3 / 6``, for ``Li_m(n; z)``, 3 for an odd ``zeta_m`` and 1
+#: otherwise.  A lone ``Li_m(n; z)`` passes the coaction cap with ``n + 1``
+#: terms, but its check takes about 1 s at n = 64, 4 s at n = 100 and 51 s
+#: at n = 200 (2-core x86-64 VM); the cap admits n = 64 (47905) and three
+#: weight-4 polylogarithms (42875).
+COASSOC_TERM_CAP = 50_000
 
 #: Largest index :func:`bernoulli` computes.  The tangent numbers cost about
 #: ``n**2`` steps on integers of about ``n log n`` bits: B_1000 takes 0.15 s
@@ -1083,7 +1075,9 @@ def _at_one(word: Sequence[int | Fraction], prec: int, terms: int | None = None)
     """``I_1(word)`` by the Hoelder split at 1/2, with the bound of the module docstring.
 
     ``terms`` is ``N``, the series terms on each side of the split; by
-    default the plan that meets ``10**-working_dps(prec)``.
+    default the plan that meets ``10**-working_dps(prec)``, which every
+    caller in the package takes.  A smaller ``N`` widens the bound, which
+    the returned value carries uncertified.
     """
     n = len(word)
     units = sum(3 if a else 1 for a in word)
@@ -1096,7 +1090,4 @@ def _at_one(word: Sequence[int | Fraction], prec: int, terms: int | None = None)
     signs = accumulate((1 if a in (0, 1) else -1 for a in word), mul, initial=1)
     total = sum(s * x * y for s, x, y in zip(signs, behind, ahead))
     alpha = (1 << max(bits - terms, 0)) + (terms + 1) * units
-    err = (n + 1) * alpha * ((2 << bits) + alpha)
-    with mpmath.workdps(working_dps(prec)):
-        err += (abs(total) >> mpmath.mp.prec) + 1
-        return BigReal(mpf((total, -2 * bits)), _units_up(err, 2 * bits), prec)
+    return _finish(total, 2 * bits, (n + 1) * alpha * ((2 << bits) + alpha), prec)

@@ -38,8 +38,8 @@ from typing import Callable, NamedTuple
 
 from .errors import DomainError, InputError, ParseError, TooLarge
 from .eulerfun import polylog, zeta
-from .numkernel import (COACTION_TERM_CAP, MAX_PREC, WEIGHT_CAP, BigReal, check_digits, check_prec,
-                        exact_str, pi_times)
+from .numkernel import (COACTION_TERM_CAP, COASSOC_TERM_CAP, MAX_PREC, WEIGHT_CAP, BigReal,
+                        check_digits, check_prec, exact_str, pi_times)
 
 __all__ = [
     "MotivicExpr",
@@ -222,13 +222,8 @@ def _fmt_product(coeff: Fraction, factors: list[str]) -> str:
 def _join_signed(rendered: list[str]) -> str:
     if not rendered:
         return "0"
-    out = rendered[0]
-    for piece in rendered[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
+    return rendered[0] + "".join(" - " + piece[1:] if piece.startswith("-") else " + " + piece
+                                 for piece in rendered[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +392,18 @@ class _Combination:
         return _BY_FACTORS[self._factors + other._factors]._raw(out)
 
     def __str__(self) -> str:
+        # Each distinct atom is formatted once: the atoms of a large
+        # coaction repeat in term after term.
+        shown: dict[tuple, str] = {}
+
+        def fmt(kind: _AtomKind, mono: tuple) -> list[str]:
+            return [shown[a] if a in shown else shown.setdefault(a, kind.fmt(a)) for a in mono]
+
         first, *rest = self._factors
         rendered = []
         for c, mono, *others in self.pairs():
-            parts = [_fmt_product(c, [first.fmt(a) for a in mono])]
-            parts += ["*".join(map(kind.fmt, m)) or "1" for kind, m in zip(rest, others)]
+            parts = [_fmt_product(c, fmt(first, mono))]
+            parts += ["*".join(fmt(kind, m)) or "1" for kind, m in zip(rest, others)]
             rendered.append(" (x) ".join(parts))
         return _join_signed(rendered)
 
@@ -518,14 +520,20 @@ def _coaction_terms(atom: tuple) -> int:
     return 2 if atom[0] == "zm" and atom[1] % 2 else 1
 
 
-def _check_coaction_size(e: MotivicExpr) -> None:
+def _coassoc_terms(atom: tuple) -> int:
+    if atom[0] == "lim":
+        return math.comb(atom[1] + 3, 3)
+    return 3 if atom[0] == "zm" and atom[1] % 2 else 1
+
+
+def _check_size(e: MotivicExpr, what: str = "the coaction", count=_coaction_terms,
+                cap: int = COACTION_TERM_CAP) -> None:
     # Per monomial, the product of its atoms' term counts; checked before any work.
     for mono in e.terms:
-        size = math.prod(map(_coaction_terms, mono))
-        if size > COACTION_TERM_CAP:
+        size = math.prod(map(count, mono))
+        if size > cap:
             shown = "*".join(map(_fmt_motivic_atom, mono))
-            raise TooLarge(f"the coaction of {shown} has {size} terms, "
-                           f"past the cap {COACTION_TERM_CAP}")
+            raise TooLarge(f"{what} of {shown} has {size} terms, past the cap {cap}")
 
 
 def _linear_image(e: _Combination, atom_rule: Callable[[tuple], _Combination],
@@ -552,7 +560,7 @@ def coact(e: MotivicExpr) -> TensorSum:
     """
     if not isinstance(e, MotivicExpr):
         raise DomainError("coact expects a MotivicExpr")
-    _check_coaction_size(e)
+    _check_size(e)
     return _linear_image(e, _coact_atom, TensorSum)
 
 
@@ -572,8 +580,15 @@ def coassoc_residual(e: MotivicExpr) -> bool:
     """True when the two ways of coacting twice agree exactly.
 
     Compares ``(hopf (x) id)`` after :func:`coact` against ``(id (x)
-    coact)`` after :func:`coact`, as triple tensors in normal form.
+    coact)`` after :func:`coact`, as triple tensors in normal form.  Past
+    the coaction cap, or a monomial whose estimate of the terms formed here
+    passes ``numkernel.COASSOC_TERM_CAP``, raises :class:`TooLarge` before
+    any work.
     """
+    if not isinstance(e, MotivicExpr):
+        raise DomainError("coassoc_residual expects a MotivicExpr")
+    _check_size(e)
+    _check_size(e, "the coassociativity check", _coassoc_terms, COASSOC_TERM_CAP)
     lhs = rhs = _TripleSum.zero()
     for left, right in coact(e).group_by_left().items():
         u = UnipotentExpr._raw({left: _F1})
@@ -659,7 +674,7 @@ def stability_report(family: list[MotivicExpr]) -> StabilityReport:
     for f in members:
         if not isinstance(f, MotivicExpr):
             raise DomainError("stability_report expects MotivicExpr members")
-        _check_coaction_size(f)
+        _check_size(f)
     span = _echelon(members)
     outside = [(f, [c for c in _conjugates(f) if not _reduce(span, c).is_zero()])
                for f in members]

@@ -70,8 +70,8 @@ PERIOD_EXPRS = [
     "Li_m(2; 3/4)*zeta_m(3) - Li_m(4; 1)",
 ]
 MODES = ("EXACT_BRACKET", "AS_PRINTED", "REGISTRY")
-#: ``(top, wd)`` of the ``zeta_values`` batches pinned whole, one cell each.
-ZETA_BATCHES = [(33, 27), (79, 66), (144, 116)]
+#: ``(top, prec)`` of the ``zeta_values`` batches pinned whole, one cell each.
+ZETA_BATCHES = [(33, 17), (79, 56), (144, 106)]
 
 
 def _cells():
@@ -94,13 +94,12 @@ def _cells():
     yield "mzv_bruteforce((2, 3), 200)", lambda p: mzv_bruteforce((2, 3), 200, p)
     for idx in MULTIPHI_ARGS:
         yield f"multiphi{idx}", lambda p, i=idx: multiphi(i, p)
-    yield "multiphi((1, 3), cutoff=40)", lambda p: multiphi((1, 3), p, cutoff=40)
     yield "stuffle_residual(2, 3)", lambda p: stuffle_residual(2, 3, p)
     yield "p35_combination", p35_combination
     for text in PERIOD_EXPRS:
         yield f"period_map({text})", lambda p, t=text: symbolic.period_map(symbolic.parse_expr(t), p)
     for mode in MODES:
-        yield f"coeff_a2({mode})", lambda p, m=mode: g2.coeff_a2(p, m)
+        yield f"coeff_a2({mode})", lambda p, m=mode: g2.coeff_a2(m, p)
     for mode in MODES:
         yield f"coeff_a3({mode})", lambda p, m=mode: g2.coeff_a3(m, p)
     yield "assemble(137.035999084)", lambda p: g2.assemble("137.035999084", prec=p)
@@ -151,9 +150,9 @@ def _cli(argv: list[str]) -> dict:
 
 def build() -> dict:
     values = {f"{key} @{p}": _bits(call, p) for key, call in _cells() for p in PRECS}
-    for top, wd in ZETA_BATCHES:
-        bits, pairs = zeta_values(top, wd)
-        values[f"zeta_values({top}, {wd})"] = [bits, [list(pair) for pair in pairs]]
+    for top, prec in ZETA_BATCHES:
+        bits, pairs = zeta_values(top, prec)
+        values[f"zeta_values({top}, {prec})"] = [bits, [list(pair) for pair in pairs]]
     cli = {}
     for argv in _commands():
         for p in CLI_PRECS:

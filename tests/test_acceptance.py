@@ -21,6 +21,7 @@ from euler_periods.eulerfun import (
     zeta_even_closed,
 )
 from euler_periods.mzv import multiphi, mzv, mzv_bruteforce, stuffle_residual
+from euler_periods.numkernel import _at_one, _word
 
 
 @contextmanager
@@ -95,8 +96,9 @@ def test_criterion_06_alternating_double_sums():
             for n in (1, 2, 3):
                 certified = multiphi((m, n), 15)
                 assert certified.value < 0
-                at_64 = multiphi((m, n), 15, cutoff=64)
-                at_128 = multiphi((m, n), 15, cutoff=128)
+                word = _word((n, m), (-1, 1))  # multiphi((m, n)) at a set term count
+                at_64 = _at_one(word, 15, 64)
+                at_128 = _at_one(word, 15, 128)
                 with mpmath.workdps(25):
                     assert abs(at_64.value - at_128.value) <= mpmath.mpf("1e-8")
 

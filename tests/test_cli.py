@@ -394,10 +394,29 @@ def test_negative_rational_follows_a_double_dash(capsys):
     assert out.startswith("-0.691703603690459 ± 1e-15")
 
 
-def test_exit_one_uncertifiable_cutoff(capsys):
-    code, out, err = run(capsys, "multiphi", "1", "3", "--cutoff", "12")
+def test_exit_one_uncertifiable_precision(capsys):
+    # zeta(1 + 10**-12) eats the guard digits: the planned bound misses 1e-15.
+    code, out, err = run(capsys, "zeta", "1.000000000001")
     assert code == 1
     assert "certified bound" in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_a_pipe_closed_after_the_first_bytes_exits_141_without_a_traceback(mode):
+    # About 1 MB of output, far past a pipe's buffer, so the reader closes
+    # while the command still writes.  The child's stdout is buffered, as by
+    # default: unbuffered, Python drops the rest of a cut-short write silently.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "euler_periods.cli", "coact", *mode, "Li_m(400; 1/2)"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(env, PYTHONPATH=str(SRC)))
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert head == (b'{"command"' if mode else b"1 (x) Li_m")
+    assert err == b""
 
 
 @pytest.mark.parametrize("argv", [
@@ -411,7 +430,7 @@ def test_exit_one_uncertifiable_cutoff(capsys):
     ("mzv", "2", "1"),
     ("mzv", "2", "100000000"),
     ("multiphi", "1", "1000"),
-    ("multiphi", "1", "3", "--cutoff", "1001"),
+    ("multiphi", "1", "3", "--cutoff", "12"),
     ("bernoulli", "-1"),
     ("stuffle-check", "1", "2"),
     ("period", "triangle"),

@@ -238,7 +238,7 @@ def test_a1_is_exactly_one_half():
 
 
 def test_a2_exact_bracket_value():
-    c = coeff_a2(15, CoeffMode.EXACT_BRACKET)
+    c = coeff_a2(CoeffMode.EXACT_BRACKET, 15)
     with mpmath.workdps(40):
         assert abs(c.value - mpf("-0.328478965579194")) < mpf("1e-14")
     assert c.certified()
@@ -247,8 +247,8 @@ def test_a2_exact_bracket_value():
 def test_a2_as_printed_drops_one_term():
     # The two brackets differ by exactly phi(2) = pi^2/12.
     prec = 15
-    exact = coeff_a2(prec, CoeffMode.EXACT_BRACKET)
-    printed = coeff_a2(prec, CoeffMode.AS_PRINTED)
+    exact = coeff_a2(CoeffMode.EXACT_BRACKET, prec)
+    printed = coeff_a2(CoeffMode.AS_PRINTED, prec)
     with mpmath.workdps(working_dps(prec) + 10):
         assert abs(printed.value - mpf("-1.15094599900331")) < mpf("1e-13")
         gap = exact.value - printed.value
@@ -256,8 +256,8 @@ def test_a2_as_printed_drops_one_term():
 
 
 def test_a2_registry_mode_consistent_with_bracket():
-    exact = coeff_a2(15, CoeffMode.EXACT_BRACKET)
-    solved = coeff_a2(15, CoeffMode.REGISTRY)
+    exact = coeff_a2(CoeffMode.EXACT_BRACKET, 15)
+    solved = coeff_a2(CoeffMode.REGISTRY, 15)
     diff = abs(float(exact.value) - float(solved.value))
     assert diff <= float(exact.err) + float(solved.err)
     assert float(solved.err) < 1e-2
@@ -329,7 +329,7 @@ def phi_form(order: int, mode: CoeffMode, prec: int) -> BigReal:
 @pytest.mark.parametrize("order,mode", list(_BRACKETS), ids=lambda k: str(getattr(k, "name", k)))
 @pytest.mark.parametrize("prec", [1, 15, 50, 100])
 def test_bracket_matches_its_phi_form(order, mode, prec):
-    new = coeff_a2(prec, mode) if order == 2 else coeff_a3(mode, prec)
+    new = coeff_a2(mode, prec) if order == 2 else coeff_a3(mode, prec)
     old = phi_form(order, mode, min(prec + 6, MAX_PREC))
     assert new.certified()
     with mpmath.workdps(working_dps(MAX_PREC) + 20):
@@ -351,11 +351,11 @@ def test_bracket_expressions_coact_coassociatively(key):
 
 
 def test_mode_aliases_and_validation():
-    a = coeff_a2(15, "as-printed")
-    b = coeff_a2(15, CoeffMode.AS_PRINTED)
+    a = coeff_a2("as-printed", 15)
+    b = coeff_a2(CoeffMode.AS_PRINTED, 15)
     assert repr(a) == repr(b)
     with pytest.raises(InputError, match="EXACT_BRACKET, AS_PRINTED, REGISTRY, CONSISTENT"):
-        coeff_a2(15, "folklore")
+        coeff_a2("folklore", 15)
     assert repr(coeff_a3("consistent", 15)) == repr(coeff_a3(CoeffMode.REGISTRY, 15))
 
 

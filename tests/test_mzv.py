@@ -38,14 +38,13 @@ from mpmath import mpf
 from euler_periods.errors import DivergentIndex, DomainError, TooLarge
 from euler_periods.eulerfun import phi, polylog, zeta
 from euler_periods.mzv import (
-    CUTOFF_CAP,
     mzv,
     mzv_bruteforce,
     multiphi,
     p35_combination,
     stuffle_residual,
 )
-from euler_periods.numkernel import BRUTEFORCE_STEP_CAP, WEIGHT_CAP, _at_one, working_dps
+from euler_periods.numkernel import BRUTEFORCE_STEP_CAP, WEIGHT_CAP, _at_one, _word, working_dps
 
 
 def assert_close(x, ref, prec, slack=1):
@@ -267,18 +266,24 @@ def test_multiphi_pinned_value():
         assert abs(x.value - mpf("-0.117875999650509")) < mpf("1e-14")
 
 
-def test_multiphi_stable_under_cutoff_growth():
-    a = multiphi((2, 2), 15, cutoff=64)
-    b = multiphi((2, 2), 15, cutoff=128)
+def multiphi_word(idx) -> list:
+    """The engine word of ``multiphi(idx)``, letters alternating from -1 outermost."""
+    return _word(idx[::-1], (-1, 1) * len(idx))
+
+
+def test_multiphi_stable_under_term_growth():
+    a = _at_one(multiphi_word((2, 2)), 15, 64)
+    b = _at_one(multiphi_word((2, 2)), 15, 128)
     with mpmath.workdps(40):
         assert abs(a.value - b.value) <= mpf("1e-8")
 
 
-def test_multiphi_explicit_cutoff_reports_honest_bound():
-    """A starved cutoff must widen err rather than raise or lie."""
-    x = multiphi((1, 3), 15, cutoff=12)
+def test_multiphi_word_with_few_terms_reports_honest_bound():
+    """Starved of series terms, the engine widens err rather than raise or lie."""
+    x = _at_one(multiphi_word((1, 3)), 15, 12)
     assert not x.certified()
     tight = multiphi((1, 3), 15)
+    assert _at_one(multiphi_word((1, 3)), 15) == tight
     with mpmath.workdps(40):
         assert abs(x.value - tight.value) <= x.err + tight.err
 
@@ -287,18 +292,6 @@ def test_multiphi_explicit_cutoff_reports_honest_bound():
 def test_multiphi_index_validation(idx):
     with pytest.raises(DomainError):
         multiphi(idx, 15)
-
-
-@pytest.mark.parametrize("cutoff", [3, -1, 12.0])
-def test_multiphi_cutoff_validation(cutoff):
-    with pytest.raises(DomainError):
-        multiphi((1, 2), 15, cutoff=cutoff)
-
-
-def test_multiphi_cutoff_cap():
-    assert multiphi((1, 3), 15, cutoff=CUTOFF_CAP).certified()
-    with pytest.raises(TooLarge):
-        multiphi((1, 3), 15, cutoff=CUTOFF_CAP + 1)
 
 
 def test_weight_cap():

@@ -22,7 +22,6 @@ from euler_periods.eulerfun import zeta, zeta_even_closed
 from euler_periods.numkernel import (
     BERNOULLI_CAP,
     DIGIT_CAP,
-    GUARD_DIGITS,
     MAX_PREC,
     MIN_PREC,
     BigReal,
@@ -722,18 +721,54 @@ def test_chebyshev_weights_are_the_exact_recurrence():
 
 
 # ---------------------------------------------------------------------------
+# The shared finish
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("prec", [1, 15, 100])
+def test_finish_rounds_to_nearest_and_adds_its_units(prec):
+    # err is units + (|total| >> b) + 1 in units of 2**-frac_bits, rounded
+    # up to 32 bits, and the value is within the conversion's share of it.
+    rng = random.Random(prec)
+    b = working_bits(prec)
+    for _ in range(200):
+        frac_bits = rng.choice([b, 2 * b + 7])
+        total = rng.choice([-1, 1]) * rng.getrandbits(rng.randint(1, frac_bits + 8))
+        units = rng.getrandbits(rng.randint(1, 80))
+        x = numkernel._finish(total, frac_bits, units, prec)
+        exact = Fraction(total, 1 << frac_bits)
+        count = units + (abs(total) >> b) + 1
+        err = as_fraction(x.err)
+        assert x.prec == prec
+        assert count <= err * (1 << frac_bits) <= count * (1 + Fraction(1, 1 << 31))
+        assert abs(as_fraction(x.value) - exact) <= Fraction((abs(total) >> b) + 1, 1 << frac_bits)
+        assert x.value == mpmath.ldexp(mpmath.mpf(total, prec=b), -frac_bits)
+
+
+def test_engines_finish_in_no_mpmath_context(monkeypatch):
+    # The one shared finish calls mpmath.libmp at explicit precisions: with
+    # the mpmath module out of reach every engine still runs (an integer s
+    # keeps the rows and the body of em_sum in integers too).
+    monkeypatch.setattr(numkernel, "mpmath", Absent())
+    for prec in (1, 15, 100):
+        rows = unit_rows(prec, eta2)
+        for x in (em_sum(3, prec), accel_alt_sum(rows, prec), numkernel._at_one([0, 1], prec)):
+            assert x.prec == prec and x.certified()
+
+
+# ---------------------------------------------------------------------------
 # Zeta at the integers, in one batch
 # ---------------------------------------------------------------------------
 
 
-def assert_zeta_values_cover(batch: tuple, wd: int) -> None:
+def assert_zeta_values_cover(batch: tuple, prec: int) -> None:
     bits, values = batch
-    with mpmath.workdps(wd):
+    with mpmath.workdps(working_dps(prec)):
         assert bits == mpmath.mp.prec
-    with mpmath.workdps(max(130, wd + 30)):
+    with mpmath.workdps(max(130, prec + 40)):
         for s, (total, err) in enumerate(values, start=2):
             assert type(total) is int and type(err) is int and err >= 0, s
-            assert err * 10 ** (wd - GUARD_DIGITS) <= 2 ** bits, s
+            assert err * 10 ** prec <= 2 ** bits, s
             assert abs(total - mpmath.ldexp(mpmath.zeta(s), bits)) <= err, s
             if s % 2 == 0:
                 r = zeta_even_closed(s // 2)
@@ -744,50 +779,53 @@ def assert_zeta_values_cover(batch: tuple, wd: int) -> None:
 @pytest.mark.parametrize("prec", [1, 50, 100])
 def test_zeta_values_match_mpmath_and_even_closed_forms(prec):
     # The batch Euler's constant by the zeta series takes at this prec.
-    top, wd = alt_terms_needed(prec) + 1, working_dps(prec) + 6
-    batch = zeta_values(top, wd)
+    top, inner = alt_terms_needed(prec) + 1, prec + 6
+    batch = zeta_values(top, inner)
     assert len(batch[1]) == top - 1
-    assert_zeta_values_cover(batch, wd)
+    assert_zeta_values_cover(batch, inner)
 
 
 def test_zeta_values_raise_when_doubling_cannot_certify(monkeypatch):
-    monkeypatch.setattr(numkernel, "_zeta_plan", lambda top, wd: ((2, 0),) * (top - 1))
+    monkeypatch.setattr(numkernel, "_zeta_plan", lambda top, prec: ((2, 0),) * (top - 1))
     with pytest.raises(PrecisionNotMet, match="zeta\\(2\\) .* at split 2 with 0 Bernoulli terms"):
-        zeta_values(5, 40)
+        zeta_values(5, 30)
 
 
 def test_zeta_values_reach_past_the_prec_cap():
-    batch = zeta_values(12, working_dps(120))
-    assert_zeta_values_cover(batch, working_dps(120))
+    batch = zeta_values(12, 120)
+    assert_zeta_values_cover(batch, 120)
+
+
+class Absent:
+    """Stands in for ``mpmath`` or ``mpf`` in numkernel: any use fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"used mpmath.{name}")
+
+    def __call__(self, *args):
+        raise AssertionError("built an mpf")
 
 
 def test_zeta_values_build_no_mpf(monkeypatch):
     # The batch is integers end to end: it reaches neither mpmath nor mpf.
-    class Absent:
-        def __getattr__(self, name):
-            raise AssertionError(f"zeta_values used mpmath.{name}")
-
-        def __call__(self, *args):
-            raise AssertionError("zeta_values built an mpf")
-
     monkeypatch.setattr(numkernel, "mpmath", Absent())
     monkeypatch.setattr(numkernel, "mpf", Absent())
-    bits, values = zeta_values(40, 37)
+    bits, values = zeta_values(40, 27)
     assert all(type(total) is int and type(err) is int for total, err in values)
 
 
-def reference_zeta_batch(top: int, wd: int) -> list:
+def reference_zeta_batch(top: int, prec: int) -> list:
     """The batch as mpf pairs, as it was finished before it handed over integers.
 
     A copy of the shared Euler-Maclaurin body with ``Fraction`` ratios and
     every unit division taken, and of the mpf finish: the total converted at
     ``B`` bits, its bound the first omitted term plus ``_rounding(0, units)``
     plus one count for the conversion.  Each entry also carries the integer
-    ``|correction| + 2 units`` of the body.
+    ``|correction| + units`` the body proves.
     """
-    plan = numkernel._zeta_plan(top, wd)
+    plan = numkernel._zeta_plan(top, prec)
     out = []
-    with mpmath.workdps(wd):
+    with mpmath.workdps(working_dps(prec)):
         bits = mpmath.mp.prec
         rows = [(1 << bits) // m for m in range(1, plan[0][0] + 1)]
         for s, (n, terms) in enumerate(plan, start=2):
@@ -810,7 +848,7 @@ def reference_zeta_batch(top: int, wd: int) -> list:
             value = mpf((total, -bits))
             err = (mpf((abs(correction), -bits)) + numkernel._rounding(mpf(0), units)
                    + numkernel._rounding(value, 1))
-            out.append((value, err, abs(correction) + 2 * units))
+            out.append((value, err, abs(correction) + units))
     return out
 
 
@@ -822,9 +860,9 @@ def test_zeta_batch_for_gamma_matches_the_mpf_reference(monkeypatch):
     seen = []
     monkeypatch.setattr(eulerfun, "accel_alt_sum", lambda rows, prec, bounds: seen.append((rows, bounds)))
     for prec in range(MIN_PREC, MAX_PREC + 1):
-        top, wd, bits = alt_terms_needed(prec) + 1, working_dps(prec) + 6, working_bits(prec)
-        reference = reference_zeta_batch(top, wd)
-        wide, values = zeta_values(top, wd)
+        top, inner, bits = alt_terms_needed(prec) + 1, prec + 6, working_bits(prec)
+        reference = reference_zeta_batch(top, inner)
+        wide, values = zeta_values(top, inner)
         with mpmath.workprec(wide):
             for (total, err), (value, _, units) in zip(values, reference, strict=True):
                 assert mpf((total, -wide))._mpf_ == value._mpf_, prec
@@ -838,10 +876,10 @@ def test_zeta_batch_for_gamma_matches_the_mpf_reference(monkeypatch):
         assert all(map(int.__le__, bounds, ref_bounds)), prec
 
 
-@pytest.mark.parametrize("top,wd", [(1, 30), (2.0, 30), (5, GUARD_DIGITS), (5, 30.5)])
-def test_zeta_values_validate_arguments(top, wd):
+@pytest.mark.parametrize("top,prec", [(1, 30), (2.0, 30), (5, 0), (5, 30.5)])
+def test_zeta_values_validate_arguments(top, prec):
     with pytest.raises(DomainError):
-        zeta_values(top, wd)
+        zeta_values(top, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -850,13 +888,18 @@ def test_zeta_values_validate_arguments(top, wd):
 
 
 def planned(s, prec: int) -> tuple[int, int]:
-    """The ``(n_split, bernoulli_terms)`` that ``em_sum_certified(s, prec)`` runs."""
+    """The ``(n_split, bernoulli_terms)`` that ``em_sum(s, prec)`` runs."""
     return numkernel._em_plan(as_fraction(s), working_dps(prec) - 1, numkernel._EM_BERNOULLI_TERM_COST)
+
+
+def fix_plan(monkeypatch, n_split: int, terms: int) -> None:
+    """Make ``em_sum`` run ``n_split`` rows and ``terms`` Bernoulli terms whatever its plan."""
+    monkeypatch.setattr(numkernel, "_em_plan", lambda *args: (n_split, terms))
 
 
 def test_em_sum_zeta3_matches_reference():
     prec = 30
-    x = em_sum(3, *planned(3, prec), prec)
+    x = em_sum(3, prec)
     with mpmath.workdps(working_dps(prec)):
         assert abs(x.value - mpmath.zeta(3)) <= mpf(10) ** (-prec)
 
@@ -864,7 +907,7 @@ def test_em_sum_zeta3_matches_reference():
 def test_em_sum_regularized_harmonic_gives_eulers_constant():
     """s == 1 subtracts log(n); the limit is Euler's constant."""
     prec = 25
-    x = em_sum(1, *planned(1, prec), prec)
+    x = em_sum(1, prec)
     with mpmath.workdps(working_dps(prec)):
         assert abs(x.value - mpmath.euler) <= mpf(10) ** (-prec)
 
@@ -874,24 +917,19 @@ def test_zeta_and_em_sum_reject_an_exponent_that_is_no_number(s):
     with pytest.raises(DomainError):
         zeta(s, 15)
     with pytest.raises(DomainError):
-        em_sum(s, 10, 2, 15)
+        em_sum(s, 15)
 
 
 def test_em_sum_rejects_divergent_tail():
     with pytest.raises(DomainError):
-        em_sum("0.5", 20, 4, 15)
+        em_sum("0.5", 15)
 
 
-@pytest.mark.parametrize("n_split,terms", [(0, 3), (-4, 3), (5, -1), (2.0, 3)])
-def test_em_sum_validates_split_parameters(n_split, terms):
-    with pytest.raises(DomainError):
-        em_sum(2, n_split, terms, 15)
-
-
-def test_em_sum_insufficient_split_raises_precision_not_met():
-    # Two terms at split 3 cannot certify thirty digits.
-    with pytest.raises(PrecisionNotMet):
-        em_sum(2, 3, 2, 30)
+def test_em_sum_insufficient_split_raises_precision_not_met(monkeypatch):
+    # Two terms at split 3 cannot certify thirty digits; the message names the plan.
+    fix_plan(monkeypatch, 3, 2)
+    with pytest.raises(PrecisionNotMet, match="em_sum at split 3 with 2 Bernoulli terms"):
+        em_sum(2, 30)
 
 
 def em_sum_reference(s, n_split: int, bernoulli_terms: int, prec: int) -> tuple[mpf, mpf]:
@@ -922,11 +960,12 @@ def em_sum_reference(s, n_split: int, bernoulli_terms: int, prec: int) -> tuple[
         return value, err
 
 
-def assert_agrees_with_textbook_tail(s, n_split: int, terms: int, prec: int) -> None:
+def assert_agrees_with_textbook_tail(monkeypatch, s, n_split: int, terms: int, prec: int) -> None:
     # Both routes certify, agree within the sum of their bounds, and the
     # fixed-point one covers mpmath at 130 digits.
     value, err = em_sum_reference(s, n_split, terms, prec)
-    x = em_sum(s, n_split, terms, prec)
+    fix_plan(monkeypatch, n_split, terms)
+    x = em_sum(s, prec)
     assert err <= mpf(10) ** -prec and x.certified()
     with mpmath.workdps(130):
         assert abs(x.value - value) <= x.err + err
@@ -937,13 +976,13 @@ def assert_agrees_with_textbook_tail(s, n_split: int, terms: int, prec: int) -> 
 
 @pytest.mark.parametrize("prec", [1, 15, 50, 100])
 @pytest.mark.parametrize("s", [1, 2, Fraction(5, 2), Fraction(7, 3), 3, 40, 163], ids=str)
-def test_em_sum_agrees_with_textbook_tail(s, prec):
-    assert_agrees_with_textbook_tail(s, *planned(s, prec), prec)
+def test_em_sum_agrees_with_textbook_tail(s, prec, monkeypatch):
+    assert_agrees_with_textbook_tail(monkeypatch, s, *planned(s, prec), prec)
 
 
 @pytest.mark.parametrize("terms", [0, 1, 2])
-def test_em_sum_agrees_with_textbook_tail_with_few_terms(terms):
-    assert_agrees_with_textbook_tail(40, 20, terms, 15)
+def test_em_sum_agrees_with_textbook_tail_with_few_terms(terms, monkeypatch):
+    assert_agrees_with_textbook_tail(monkeypatch, 40, 20, terms, 15)
 
 
 @pytest.mark.parametrize("prec", [1, 15, 100])
@@ -951,7 +990,7 @@ def test_em_sum_agrees_with_textbook_tail_with_few_terms(terms):
                          ids=repr)
 def test_em_sum_takes_any_scalar_exponent_with_zeta_bits(s, prec):
     z = zeta(s, prec)
-    x = em_sum(s, *planned(s, prec), prec)
+    x = em_sum(s, prec)
     assert (x.value._mpf_, x.err._mpf_) == (z.value._mpf_, z.err._mpf_)
 
 

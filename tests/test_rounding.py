@@ -100,7 +100,7 @@ def sweep_cells(seed=SEED, per_family=CELLS_PER_FAMILY):
     modes = [(order, mode) for order in (2, 3) for mode in (g2.CoeffMode.EXACT_BRACKET, g2.CoeffMode.AS_PRINTED)]
     for _ in range(per_family // 4):
         for order, mode in modes:
-            call = ((lambda p, m=mode: g2.coeff_a2(p, m)) if order == 2
+            call = ((lambda p, m=mode: g2.coeff_a2(m, p)) if order == 2
                     else (lambda p, m=mode: g2.coeff_a3(m, p)))
             add("g2_bracket", f"a{order} {mode.value}", call,
                 lambda t=g2._BRACKETS[order, mode]: _expr_value(t))

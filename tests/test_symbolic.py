@@ -9,7 +9,7 @@ from mpmath import mpf
 
 from euler_periods import symbolic
 from euler_periods.errors import DomainError, InputError, ParseError, TooLarge
-from euler_periods.numkernel import COACTION_TERM_CAP, WEIGHT_CAP, working_dps
+from euler_periods.numkernel import COACTION_TERM_CAP, COASSOC_TERM_CAP, WEIGHT_CAP, working_dps
 from euler_periods.symbolic import (
     MotivicExpr,
     TensorSum,
@@ -501,6 +501,27 @@ def test_coaction_past_the_term_cap_is_refused_before_any_work(monkeypatch, call
         call(e)
 
 
+@pytest.mark.parametrize("text,size", [("Li_m(100; 1/2)", 176851), ("Li_m(65; 1/2)", 50116),
+                                       ("Li_m(10; 1/2)*Li_m(10; 1/3)", 286 * 286),
+                                       ("zeta_m(3)*zeta_m(5)*Li_m(32; 1/2) + zeta_m(2)", 9 * 6545)])
+def test_coassociativity_past_its_cap_is_refused_before_any_work(monkeypatch, text, size):
+    # Each passes the coaction cap; the two double coactions form about n**3/6
+    # terms per Li_m(n; z), C(n + 3, 3), and 3 per odd zeta_m.
+    e = parse_expr(text)
+    assert len(coact(e).terms) <= COACTION_TERM_CAP
+    monkeypatch.setattr(symbolic, "_linear_image", refuse_work)
+    with pytest.raises(TooLarge, match=f"coassociativity check of .* has {size} terms, "
+                                       f"past the cap {COASSOC_TERM_CAP}"):
+        coassoc_residual(e)
+
+
+@pytest.mark.parametrize("text", ["Li_m(40; 1/2)", "Li_m(4; 1/2)*Li_m(4; 1/3)*Li_m(4; -1)",
+                                  "zeta_m(5)*zeta_m(3)*Li_m(4; 1/2)*Li_m(4; 1/3)"])
+def test_coassociativity_up_to_its_cap_is_allowed(text):
+    # The largest products the benchmark draws are three weight-4 polylogarithms.
+    assert coassoc_residual(parse_expr(text))
+
+
 @pytest.mark.parametrize("text,size", [(f"Li_m({WEIGHT_CAP}; 1/2)", WEIGHT_CAP + 1),
                                        (f"zeta_m(3)*Li_m({WEIGHT_CAP}; 1/2)", COACTION_TERM_CAP),
                                        ("zeta_m(2)*twopi_i*zeta_m(3)*Li_m(1; 1/2)*Li_m(2; 1/3)", 12)])
@@ -525,3 +546,30 @@ def test_coefficients_print_exactly_past_the_str_digit_limit(coeff):
     num, _, den = number.lstrip("-").partition("/")
     assert num[0] != "0" and den[:1] != "0"
     assert Fraction(sign * read_digits(num), read_digits(den or "1")) == coeff
+
+
+def old_rendering(e) -> str:
+    """``str(e)`` as printed before each atom was formatted once and the pieces joined once."""
+    first, *rest = e._factors
+    rendered = []
+    for c, mono, *others in e.pairs():
+        parts = [symbolic._fmt_product(c, [first.fmt(a) for a in mono])]
+        parts += ["*".join(map(kind.fmt, m)) or "1" for kind, m in zip(rest, others)]
+        rendered.append(" (x) ".join(parts))
+    if not rendered:
+        return "0"
+    out = rendered[0]
+    for piece in rendered[1:]:
+        if piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out
+
+
+def test_a_large_coaction_prints_as_before():
+    e = parse_expr("Li_m(300; 1/2) - 3/7*zeta_m(3)*Li_m(200; -1/3) + twopi_i*zeta_m(5) - zeta_m(2)")
+    for x in (e, coact(e), hopf_coproduct(UnipotentExpr.liu(30, Fraction(2, 3))),
+              -e, MotivicExpr.zero(), TensorSum.zero()):
+        assert str(x) == old_rendering(x)
+    assert len(str(coact(e))) > 100_000
