@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -35,7 +36,7 @@ from .errors import (
     SchemaError,
     TooLarge,
 )
-from .numkernel import BigReal, bernoulli, check_digits, check_prec, exact_str, working_dps
+from .numkernel import BigReal, as_fraction, bernoulli, check_digits, check_prec, exact_str, working_dps
 
 if TYPE_CHECKING:
     from . import feynper, g2
@@ -68,11 +69,24 @@ def _certified_line(x: BigReal) -> tuple[list[str], dict]:
     return [f"{value} ± {bound}"], {"value": value, "bound": bound}
 
 
+def _bound_text(err: mpmath.mpf, digits: int) -> str:
+    """A bound ``err >= 0`` as ``nstr`` writes it in ``digits`` digits, rounded upward.
+
+    Where ``nstr``'s nearest decimal lies below ``err``, it prints the next
+    decimal up, so a printed bound never understates the declared one.
+    """
+    text = mpmath.nstr(err, digits)
+    low = Decimal(text)
+    if Fraction(low) < as_fraction(err):
+        text = mpmath.nstr(mpmath.mpf(str(low + Decimal(1).scaleb(low.adjusted() - digits + 1))), digits)
+    return text
+
+
 def _measured_line(x: BigReal) -> tuple[list[str], dict]:
     """Render a value whose bound is honest but possibly above 1e-prec."""
     with mpmath.workdps(working_dps(x.prec)):
         value = mpmath.nstr(x.value, x.prec)
-        bound = mpmath.nstr(x.err, 2)
+        bound = _bound_text(x.err, 2)
     return [f"{value} ± {bound}"], {"value": value, "bound": bound}
 
 
@@ -136,7 +150,7 @@ def _cmd_stuffle_check(args):
         resid = abs(r.value)
         ok = bool(resid <= r.err)
         resid_text = mpmath.nstr(resid, 3)
-        bound_text = mpmath.nstr(r.err, 3)
+        bound_text = _bound_text(r.err, 3)
     verdict = "pass" if ok else "FAIL"
     line = f"residual {resid_text} within bound {bound_text}: {verdict}"
     payload = {"residual": resid_text, "bound": bound_text, "passed": ok}
@@ -159,7 +173,7 @@ def _cmd_identity_check(args):
     with mpmath.workdps(working_dps(r.prec)):
         magnitude = abs(r.value)
         resid = mpmath.nstr(magnitude, 3)
-        bound = mpmath.nstr(r.err, 2)
+        bound = _bound_text(r.err, 2)
         ok = bool(magnitude <= args.tol) if args.tol is not None else True
     payload = {"kind": kind, "residual": resid, "bound": bound}
     if args.tol is not None:
@@ -422,6 +436,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(text: str) -> None:
+    """Write all of ``text`` to standard output, through its byte layer if it has one.
+
+    Unbuffered (``PYTHONUNBUFFERED=1``, ``python -u``) that layer is the raw
+    file, which may take part of a write, and the text layer would drop the
+    rest silently: the loop writes on, so a closed pipe raises
+    :class:`BrokenPipeError`.
+    """
+    out = sys.stdout
+    out.flush()
+    raw = getattr(out, "buffer", None)
+    if raw is None:  # a text stream, such as io.StringIO
+        out.write(text)
+        return
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[raw.write(data):]
+    raw.flush()
+
+
 def dispatch(argv: list[str] | None = None) -> int:
     """Run one subcommand; returns the process exit code."""
     parser = _build_parser()
@@ -449,8 +483,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         lines = [json.dumps({"command": args.command, **payload, "output": "\n".join(lines)},
                             ensure_ascii=False)]
     try:
-        sys.stdout.write("".join(line + "\n" for line in lines))
-        sys.stdout.flush()
+        _write("".join(line + "\n" for line in lines))
     except BrokenPipeError:
         # The reader closed the pipe.  What is still buffered goes to devnull,
         # so the flush at exit raises nothing, and the code is a shell's for SIGPIPE.

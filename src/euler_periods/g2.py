@@ -26,6 +26,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -80,11 +81,14 @@ def format_difference(difference: float, uncertainty: float) -> str:
 
     The exponent is the larger decade of the two numbers and both mantissas
     carry two decimals, so 1.05e-12 with uncertainty 8.2e-13 prints as
-    ``-1.05e-12 ± 0.82e-12``.
+    ``-1.05e-12 ± 0.82e-12``.  The difference rounds to nearest; the
+    uncertainty, taken as the shortest decimal of its float, rounds upward,
+    so the printed one never understates it.
     """
     exponent = max((_decade(x) for x in (difference, uncertainty) if x != 0), default=0)
     scale = 10.0 ** exponent
-    return f"{difference / scale:.2f}e{exponent} ± {uncertainty / scale:.2f}e{exponent}"
+    spread = Decimal(repr(uncertainty)).scaleb(-exponent).quantize(Decimal("0.01"), ROUND_CEILING)
+    return f"{difference / scale:.2f}e{exponent} ± {spread}e{exponent}"
 
 
 # ---------------------------------------------------------------------------

@@ -9,30 +9,33 @@ Everything numerical in this package funnels through this module:
 * :func:`em_sum` evaluates ``sum(k**-s)`` for rational ``s >= 1``, the
   exact rational the exponent denotes, by partial sum plus integral tail
   plus Bernoulli correction terms (at ``s = 1`` the harmonic sum less ``log
-  n``); :func:`zeta_values` evaluates ``zeta(2), ..., zeta(top)`` the same
-  way in one pass over a shared table of powers.
+  n``).
 * :func:`accel_alt_sum` evaluates an alternating series, given its leading
   terms as integer rows in fixed point and optionally a bound on each row's
   input error, by Chebyshev-weighted acceleration, needing O(digits) terms
-  instead of exponentially many.
+  instead of exponentially many.  Its integer body :func:`_chebyshev` has
+  three users: ``phi``, the outer pass of ``gamma_const("ZETA_SERIES")``,
+  and :func:`zeta_values`, which takes ``zeta(2), ..., zeta(top)`` from
+  ``phi(s)`` on one shared table of powers.
 * :func:`_at_one` evaluates the iterated integrals from 0 to 1 whose
   words give multiple zeta values, alternating sums and polylogarithms.
 
 Every engine sizes itself a priori and runs once; a plan that misses
-raises :class:`PrecisionNotMet`.  Euler-Maclaurin takes the cheapest split
-and term count whose closed-form first omitted term meets its target
-(:func:`_em_plan`).  Chebyshev takes ``n = ceil((wd - 1 + log10 2) /
-log10(3 + sqrt(8)))`` terms and the Cohen-Rodriguez Villegas-Zagier bound
-``2 |S| / (3 + sqrt(8))**n``, a theorem for the moment sequences every
-caller sums.  No engine caches an mpf: the Bernoulli ratios ``B_2j/(2j)!``
-are cached per index as exact integer pairs, the integer Chebyshev weights
-per term count, the batch plans per ``(top, prec)``, and the last 1024
-Euler-Maclaurin plans per exact argument tuple.
+raises :class:`PrecisionNotMet`.  Euler-Maclaurin, whose one caller is
+:func:`em_sum`, takes the cheapest split and term count whose closed-form
+first omitted term meets its target (:func:`_em_plan`).  Chebyshev takes
+``n = ceil((wd - 1 + log10 2) / log10(3 + sqrt(8)))`` terms and the
+Cohen-Rodriguez Villegas-Zagier bound ``2 |S| / (3 + sqrt(8))**n``, a
+theorem for the moment sequences every caller sums.  No engine caches an
+mpf: the Bernoulli ratios ``B_2j/(2j)!`` are cached per index as exact
+integer pairs, the integer Chebyshev weights and their absolute sum per
+term count, and the last 1024 Euler-Maclaurin plans per exact argument
+tuple.
 
 Every engine sums in Python-integer fixed point at the binary precision
 :func:`working_bits` of ``prec`` plus :data:`GUARD_DIGITS` decimal digits:
 the Euler-Maclaurin body :func:`_em_power_sum`, the Chebyshev dot product in
-:func:`accel_alt_sum` and the iterated integrals.  Identical inputs produce
+:func:`_chebyshev` and the iterated integrals.  Identical inputs produce
 bit-identical outputs.  Each engine is exercised against independent
 references in the test suite.
 
@@ -56,10 +59,11 @@ error of ``2**-p`` stays far below the slack of the counts.
 The rows ``floor(2**b k**-s)`` of the Euler-Maclaurin and Chebyshev bodies
 need no premise: :func:`_power_rows` computes them as exact integer floors
 (one division for an integer ``s``, an integer ``q``-th root for ``s =
-p/q``), so :func:`em_sum`, :func:`zeta_values` and ``phi`` count proved
-units there.  The one exception is an ``s`` whose denominator ``q`` has
-``q b`` past :data:`_ROOT_BITS_CAP` (a binary ``s`` such as PHI_FUNCEQ's, or
-``1 + 10**-9``): its rows come from mpmath's power, on the premise above.
+p/q``), and :func:`zeta_values` the same floors by repeated division, so
+:func:`em_sum`, :func:`zeta_values` and ``phi`` count proved units there.
+The one exception is an ``s`` whose denominator ``q`` has ``q b`` past
+:data:`_ROOT_BITS_CAP` (a binary ``s`` such as PHI_FUNCEQ's, or ``1 +
+10**-9``): its rows come from mpmath's power, on the premise above.
 
 The three engines, :func:`em_sum`, :func:`accel_alt_sum` and the
 iterated-integral engine :func:`_at_one`, count their own units in
@@ -68,8 +72,8 @@ and :func:`accel_alt_sum` and below.  Each ends in the one shared finish
 :func:`_finish`, which rounds the integer total to nearest at ``b =
 working_bits(prec)`` bits and adds ``(|total| >> b) + 1`` units for it.
 :func:`zeta_values` converts nothing: it hands over its integer sums and
-unit bounds, and ``gamma_const("ZETA_SERIES")`` shifts them to its
-Chebyshev rows.  The counted sites, each with its count and premises beside
+unit bounds at the same ``b``, proved in its docstring, and
+``gamma_const("ZETA_SERIES")`` divides them into its Chebyshev rows.  The counted sites, each with its count and premises beside
 the call:
 
 * the :class:`BigReal` constructors and ``+ - * /``, and :func:`pi_times`:
@@ -566,11 +570,11 @@ def _finish(total: int, frac_bits: int, units: int, prec: int) -> BigReal:
 
 
 @lru_cache(maxsize=None)
-def _cvz_weights(n: int) -> tuple[tuple[int, ...], int]:
-    # Chebyshev weights c_0..c_(n-1) and normaliser d = ((3 + sqrt 8)^n +
-    # (3 - sqrt 8)^n) / 2, all integers: d by the Pell recurrence, and every
-    # division of the b_k recurrence is exact.  |c_k| <= d, and the c_k
-    # alternate in sign like the terms they weigh.
+def _cvz_weights(n: int) -> tuple[tuple[int, ...], int, int]:
+    # Chebyshev weights c_0..c_(n-1), normaliser d = ((3 + sqrt 8)^n +
+    # (3 - sqrt 8)^n) / 2 and sum(|c_k|), all integers: d by the Pell
+    # recurrence, and every division of the b_k recurrence is exact.
+    # |c_k| <= d, and the c_k alternate in sign like the terms they weigh.
     d, d_next = 1, 3
     for _ in range(n):
         d, d_next = d_next, 6 * d_next - d
@@ -580,7 +584,7 @@ def _cvz_weights(n: int) -> tuple[tuple[int, ...], int]:
         c = b - c
         weights.append(c)
         b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
-    return tuple(weights), d
+    return tuple(weights), d, sum(map(abs, weights))
 
 
 def _fixed(x: mpf, bits: int) -> int:
@@ -665,8 +669,10 @@ def accel_alt_sum(rows: Sequence[int], prec: int, bounds: Sequence[int] | None =
 
     The estimate is the integer ``E = floor(sum(c_k rows[k]) / d)``, with
     the Chebyshev weights ``c_k`` and normaliser ``d`` of Cohen, Rodriguez
-    Villegas and Zagier (Experiment. Math. 9 (2000)), converted once by
-    :func:`_finish`.  The declared bound is a proof, in units of ``2**-b``:
+    Villegas and Zagier (Experiment. Math. 9 (2000)), computed with its
+    unit count by :func:`_chebyshev`, the integer body :func:`zeta_values`
+    shares, and converted once by :func:`_finish`.  The declared bound is a
+    proof, in units of ``2**-b``:
 
     1. For moment sequences one Chebyshev pass over the true terms errs by
        at most ``2 |S| / (3 + sqrt(8))**n``, where ``|S| <= |a_1| <=
@@ -686,28 +692,96 @@ def accel_alt_sum(rows: Sequence[int], prec: int, bounds: Sequence[int] | None =
 
     Cost: ``n = ceil((wd - 1 + log10 2) / log10(3 + sqrt(8)))`` rows, ``wd =
     working_dps(prec)``: one integer dot product and one division.  The
-    integer weights depend only on ``n`` and are cached under it: at most
-    100 entries, about 0.5 MB for all ``prec``.
+    integer weights and ``sum(|c_k|)`` depend only on ``n`` and are cached
+    under it: at most 100 entries, about 0.5 MB for all ``prec``.
 
     Raises :class:`PrecisionNotMet` when the bound cannot be certified.
     """
-    n, bits = alt_terms_needed(prec), working_bits(prec)
+    n = alt_terms_needed(prec)
     rows = rows[:n]
-    bounds = [0] * n if bounds is None else bounds[:n]
-    if len(rows) < n or len(bounds) < n or min(*rows, *bounds) < 0:
+    checked = [0] * n if bounds is None else bounds[:n]
+    if len(rows) < n or len(checked) < n or min(*rows, *checked) < 0:
         raise DomainError(f"accel_alt_sum at prec {prec} reads {n} rows and bounds, "
-                          f"non-negative integers; got {len(rows)} and {len(bounds)}")
-    for j in range(n - 1):
-        if rows[j] == rows[j + 1] == 0:
-            estimate = sum(rows[0:j:2]) - sum(rows[1:j:2])
-            units = sum(bounds) + j + 1
-            break
-    else:
-        weights, d = _cvz_weights(n)
-        estimate = sum(map(mul, weights, rows)) // d
-        units = (-(-2 * (rows[0] + bounds[0] + 1) // (2 * d - 1))
-                 - (-sum(abs(c) * (e + 1) for c, e in zip(weights, bounds)) // d) + 1)
-    return _finish(estimate, bits, units, prec).demand("accel_alt_sum")
+                          f"non-negative integers; got {len(rows)} and {len(checked)}")
+    estimate, units = _chebyshev(rows, n, None if bounds is None else checked)
+    return _finish(estimate, working_bits(prec), units, prec).demand("accel_alt_sum")
+
+
+def _chebyshev(rows: Sequence[int], n: int, bounds: Sequence[int] | None = None) -> tuple[int, int]:
+    """``(E, units)``: steps 1-3 of :func:`accel_alt_sum`'s proof, unchecked and unconverted.
+
+    Reads ``rows[:n]``, or up to two zero rows, and ``bounds`` cut to ``n``;
+    zero rows are found by a C-level search (``index``), not a Python loop.
+    """
+    j = -1
+    try:
+        while True:
+            j = rows.index(0, j + 1, n - 1)
+            if not rows[j + 1]:
+                spread = 0 if bounds is None else sum(bounds)
+                return sum(rows[0:j:2]) - sum(rows[1:j:2]), spread + j + 1
+    except ValueError:
+        pass
+    weights, d, size = _cvz_weights(n)
+    first = rows[0] + 1
+    if bounds is not None:
+        first += bounds[0]
+        size += sum(map(mul, map(abs, weights), bounds))
+    return sum(map(mul, weights, rows)) // d, -(-2 * first // (2 * d - 1)) - (-size // d) + 1
+
+
+def zeta_values(top: int, prec: int) -> tuple[int, list[tuple[int, int]]]:
+    """``(b, [(total, err), ...])``: ``zeta(s)`` for ``s = 2..top`` in units of ``2**-b``.
+
+    ``b = working_bits(prec)``.  For each ``s``, ``total`` is an integer
+    within ``err`` of ``2**b zeta(s)``, and every ``err`` meets ``err
+    10**prec <= 2**b``, checked in integers.  No mpf is built: the caller
+    scales the integers itself.  Each ``zeta(s)`` is ``phi(s) 2**(s-1) /
+    (2**(s-1) - 1)``, with ``phi(s)`` from one Chebyshev pass
+    (:func:`_chebyshev`) over ``n = alt_terms_needed(prec)`` rows shared by
+    all ``s``.  The bound is a proof, in units of ``2**-b``:
+
+    1. The rows are exact floors.  Row ``m`` for ``s`` is row ``m`` for ``s
+       - 1`` floor-divided by ``m``, and ``floor(floor(x) / m) = floor(x /
+       m)`` for an integer ``m >= 1``, so from ``floor(2**b / m)`` on it is
+       ``floor(2**b / m**s)``, within one unit of the true term.
+    2. ``m**-s`` is the moment ``integral(t**(m-1) (-log t)**(s-1) /
+       Gamma(s) dt, 0..1)`` of a positive measure, so the
+       Cohen-Rodriguez Villegas-Zagier bound of :func:`accel_alt_sum` holds
+       for each ``s``: the pass gives ``E`` and ``U`` with ``|E - 2**b
+       phi(s)| <= U`` (truncation, the rows' units and the floor of the
+       division; a finite series when two rows are 0).
+    3. With ``D = 2**(s-1) - 1``, ``2**b zeta(s) = 2**b phi(s) (1 + 1/D)``
+       lies within ``U + U/D`` of ``E + E/D``, and the last floor, ``total
+       = E + E // D``, moves it by less than one unit more: ``err = U +
+       ceil(U/D) + 1``.
+
+    Rows never grow with ``s``, so the batch keeps two zero rows and drops
+    the rest.  A bound that misses raises :class:`PrecisionNotMet`.
+
+    Cost: ``top - 1`` passes, each ``n`` small floor divisions and one
+    integer dot product against the cached weights, fewer once rows are 0;
+    no Bernoulli number is formed.  ``(144, 100)`` takes about 4-5 ms on a
+    shared 2-core x86-64 VM.  Nothing is cached but the weights.
+    """
+    if not isinstance(top, int) or top < 2:
+        raise DomainError(f"zeta_values needs an integer top >= 2, got {top!r}")
+    n, bits = alt_terms_needed(prec), working_bits(prec)
+    one, scale = 1 << bits, 10 ** prec
+    rows = [one // m for m in range(1, n + 1)]
+    out = []
+    for s in range(2, top + 1):
+        rows = list(map(floordiv, rows, range(1, n + 1)))
+        if not rows[-1]:
+            rows = rows[:rows.index(0) + 2]
+        estimate, units = _chebyshev(rows, n)
+        den = (1 << s - 1) - 1
+        err = units - (-units // den) + 1
+        if err * scale > one:
+            raise PrecisionNotMet(
+                f"zeta_values: zeta({s}) bound of {err} units of 2**-{bits} exceeds 1e-{prec}")
+        out.append((estimate + estimate // den, err))
+    return bits, out
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +815,7 @@ def em_sum(s: ScalarLike, prec: int) -> BigReal:
     :data:`_ROOT_BITS_CAP` (every integer ``s``, and every ``s > bits``);
     past the cap a row comes from ``mpf(k) ** -s``, within 2 units on the
     premise that mpmath's power is faithful.  With ``f(k) = k**-s`` this
-    sums, in the integer fixed point of :func:`_em_power_sum`, the body
-    :func:`zeta_values` runs on::
+    sums, in the integer fixed point of :func:`_em_power_sum`::
 
         sum(f(k), k=1..n) + I(n) - f(n)/2
             + sum(B_2j/(2j)! * poch(s, 2j-1) * n**(1-s-2j), j=1..J)
@@ -766,7 +839,7 @@ def em_sum(s: ScalarLike, prec: int) -> BigReal:
     s = as_fraction(s)
     if s < 1:
         raise DomainError("em_sum needs s >= 1; a smaller s does not define a convergent tail")
-    n_split, terms = _em_plan(s, working_dps(prec) - 1, _EM_BERNOULLI_TERM_COST)
+    n_split, terms = _em_plan(s, working_dps(prec) - 1)
     bits = working_bits(prec)
     total, correction, units = _em_power_sum(s, _power_rows(s, n_split, bits), terms, bits)
     return _finish(total, bits, abs(correction) + units, prec).demand(
@@ -776,15 +849,6 @@ def em_sum(s: ScalarLike, prec: int) -> BigReal:
 # |B_2m|/(2m)! = 2 zeta(2m) / (2 pi)^(2m) <= (pi^2/3) / (2 pi)^(2m) for m >= 1.
 _LOG10_BERNOULLI_RATIO_BOUND = math.log10(math.pi ** 2 / 3)
 _LOG10_2PI = math.log10(2 * math.pi)
-
-# Cost of one Bernoulli term in partial-sum terms: in zeta_values against one
-# integer division (measured).  On em_sum's exact rows a term costs 4-20 rows
-# at an integer s and 0.5-1 at s = 7/3 or 29/12 (prec 15-100, 2-core x86-64
-# VM), so no one weight fits both; planning em_sum at 6 grew every declared
-# bound (more rows, more counted units) and slowed s = 29/12 by half, so its
-# plans keep 3.
-_BERNOULLI_TERM_COST = 6
-_EM_BERNOULLI_TERM_COST = 3
 
 
 def _first_omitted_log10(s: float, n: int, terms: int) -> float:
@@ -798,13 +862,14 @@ def _first_omitted_log10(s: float, n: int, terms: int) -> float:
 
 
 @lru_cache(maxsize=1024)
-def _em_plan(s: int | Fraction, digits: int, term_cost: int, n_start: int = 2) -> tuple[int, int]:
+def _em_plan(s: int | Fraction, digits: int) -> tuple[int, int]:
     """The cheapest ``(n_split, bernoulli_terms)`` for ``sum(k**-s)``, ``s >= 1``.
 
-    Cheapest at ``n_split + term_cost * bernoulli_terms`` among splits from
-    ``n_start`` on, with the estimated first omitted term at most
-    ``10**-digits``.  The plan is a function of its exact arguments, so the
-    last 1024 are cached, keyed and valued by integers and fractions alone.
+    Cheapest at ``n_split + 3 * bernoulli_terms`` among splits from 2 on,
+    with the estimated first omitted term at most ``10**-digits``.  A term
+    costs 4-20 rows at an integer ``s`` and 0.5-1 at ``s = 7/3``; a weight of
+    6 grew every declared bound and slowed ``s = 29/12`` by half.  The plan
+    is a function of its exact arguments, so the last 1024 are cached.
     """
     # Past s = 10 * digits every split certifies with no Bernoulli term,
     # and the first omitted term, s * n**(-s-1) / 12, only falls as s
@@ -813,10 +878,10 @@ def _em_plan(s: int | Fraction, digits: int, term_cost: int, n_start: int = 2) -
     s = float(min(s, 10 * digits))
     best_cost, best = math.inf, None
     terms = None
-    n = n_start
-    # The cost is about convex in n: once a split term_cost rows past the
-    # best saves no term, a larger one saves none either.
-    while best is None or n - best[0] <= term_cost:
+    n = 2
+    # The cost is about convex in n: once a split 3 rows past the best
+    # saves no term, a larger one saves none either.
+    while best is None or n - best[0] <= 3:
         if terms is None:
             # Past about pi*n - s/2 terms the corrections grow again, so
             # below that the estimate falls with every term.
@@ -834,46 +899,25 @@ def _em_plan(s: int | Fraction, digits: int, term_cost: int, n_start: int = 2) -
             while terms and _first_omitted_log10(s, n, terms - 1) <= -digits:
                 terms -= 1
         if terms is not None:
-            if n + term_cost * terms < best_cost:
-                best_cost, best = n + term_cost * terms, (n, terms)
+            if n + 3 * terms < best_cost:
+                best_cost, best = n + 3 * terms, (n, terms)
             if not terms:
                 break
         n += 1
     return best
 
 
-# ---------------------------------------------------------------------------
-# Zeta at the integers, in one batch
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _zeta_plan(top: int, prec: int) -> tuple[tuple[int, int], ...]:
-    """``(n_split, bernoulli_terms)`` for each ``s = 2..top`` at ``prec``.
-
-    Each pair is :func:`_em_plan`'s, aimed at ``10**-(prec + 1)``, a tenth
-    of the bound :func:`zeta_values` promises; each ``s`` starts its search
-    at the split of ``s + 1``, so ``n_split`` never grows with ``s`` and the
-    power table only ever loses rows.
-    """
-    plan, n = [], 2
-    for s in range(top, 1, -1):
-        plan.append(_em_plan(s, prec + 1, _BERNOULLI_TERM_COST, n))
-        n = plan[-1][0]
-    return tuple(reversed(plan))
-
-
 def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
                   bits: int) -> tuple[int, int, int]:
-    """``(total, correction, units)``, the integer body of :func:`em_sum` and :func:`zeta_values`.
+    """``(total, correction, units)``, the integer body of :func:`em_sum`.
 
     Sums ``k**-s``, ``s = p/q >= 1``, split at ``n = len(rows)`` with ``J =
     terms`` Bernoulli corrections, in integer fixed point with ``bits``
     fraction bits: ``rows[k-1]`` is ``2**bits k**-s`` within 2 units (1 for
-    the exact floors of :func:`_power_rows` and :func:`zeta_values`, 2 past
-    the root cap on mpmath's premise).  ``total`` is ``2**bits`` times the
-    value, ``correction`` the first omitted Bernoulli term in the same
-    units, and ``units`` counts the error of ``total``; the callers declare
+    the exact floors of :func:`_power_rows`, 2 past the root cap on
+    mpmath's premise).  ``total`` is ``2**bits`` times the value,
+    ``correction`` the first omitted Bernoulli term in the same units, and
+    ``units`` counts the error of ``total``; :func:`em_sum` declares
     ``|correction| + units`` units of ``2**-bits``.  The count is a proof,
     in units of ``2**-bits``:
 
@@ -944,55 +988,6 @@ def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
         total += correction
         poch *= (p + (2 * j - 1) * q) * (p + 2 * j * q)
     return total, correction, units
-
-
-def zeta_values(top: int, prec: int) -> tuple[int, list[tuple[int, int]]]:
-    """``(B, [(total, err), ...])``: ``zeta(s)`` for ``s = 2..top`` in units of ``2**-B``.
-
-    ``B = working_bits(prec)``.  For each ``s``, ``total`` is an integer
-    within ``err`` of ``2**B zeta(s)``: ``err`` is the first omitted
-    Bernoulli term plus the units that :func:`em_sum`'s body,
-    :func:`_em_power_sum`, counts and proves, the bound :func:`em_sum`
-    declares before its conversion to an mpf.  Every ``err`` meets ``err
-    10**prec <= 2**B``, checked in integers.  ``prec`` is any integer ``>=
-    1``, past :data:`MAX_PREC` too: a caller that shifts the totals to fewer
-    bits asks for more digits here.  No mpf is built: the caller scales the
-    integers itself.
-
-    Shared work: one fixed-point table of ``1/m`` with ``B`` fraction bits,
-    and each ``m**-s`` is ``m**-(s-1)`` floor-divided by ``m``, which is the
-    exact floor of the true power (the row :func:`_power_rows` gives).  A
-    row is dropped once no larger ``s`` splits beyond it.  The split and
-    the number of Bernoulli terms for each ``s`` come a priori from a
-    closed-form estimate of the first omitted term (:func:`_zeta_plan`);
-    large ``s`` needs no Bernoulli term and a handful of rows.  If a bound
-    still misses, the plan was wrong: :class:`PrecisionNotMet` is raised
-    with its split and term count, and nothing is retried.
-
-    Cost: ``sum(n_s)`` small integer divisions and ``sum(J_s)`` Bernoulli
-    terms of a few exact integer products each, about 4 ms for ``(144,
-    106)`` on a 2-core x86-64 VM.  The plan depends only on ``(top, prec)``
-    and is cached under that key; no value is cached.
-    """
-    if not isinstance(top, int) or top < 2:
-        raise DomainError(f"zeta_values needs an integer top >= 2, got {top!r}")
-    if not isinstance(prec, int) or prec < MIN_PREC:
-        raise DomainError(f"zeta_values needs an integer prec >= {MIN_PREC}, got {prec!r}")
-    plan = _zeta_plan(top, prec)
-    bits = working_bits(prec)
-    one, scale = 1 << bits, 10 ** prec
-    rows = [one // m for m in range(1, plan[0][0] + 1)]
-    out = []
-    for s, (n_split, terms) in enumerate(plan, start=2):
-        rows = list(map(floordiv, rows, range(1, n_split + 1)))
-        total, correction, units = _em_power_sum(s, rows, terms, bits)
-        err = abs(correction) + units
-        if err * scale > one:
-            raise PrecisionNotMet(
-                f"zeta_values: zeta({s}) bound of {err} units of 2**-{bits} exceeds "
-                f"1e-{prec} at split {n_split} with {terms} Bernoulli terms")
-        out.append((total, err))
-    return bits, out
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ PERIOD_EXPRS = [
 ]
 MODES = ("EXACT_BRACKET", "AS_PRINTED", "REGISTRY")
 #: ``(top, prec)`` of the ``zeta_values`` batches pinned whole, one cell each.
-ZETA_BATCHES = [(33, 17), (79, 56), (144, 106)]
+ZETA_BATCHES = [(33, 15), (79, 50), (144, 100)]
 
 
 def _cells():
@@ -180,7 +180,7 @@ def _err(cell):
     if cell is None or "raises" in cell:
         return None
     if "stdout" in cell:
-        m = re.search(r"± ([-+.0-9e]+)", cell["stdout"])
+        m = re.search(r"(?:±|within bound) ([-+.0-9e]+)", cell["stdout"])
         return Fraction(m.group(1)) if m else None
     if isinstance(cell[0], int):
         bits, pairs = cell

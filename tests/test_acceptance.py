@@ -187,7 +187,7 @@ def test_criterion_14_uncertainty_arithmetic():
     assert round(g2.combine_uncertainties([6.0, 4.0, 2.0, 77.0])) == 77
     assert round(g2.combine_uncertainties([77.0, 28.0])) == 82
     result = g2.compare(g2.lookup(None, "exp:2008"), g2.lookup(None, "th:2012"))
-    assert str(result) == "-1.05e-12 ± 0.82e-12"
+    assert str(result) == "-1.05e-12 ± 0.83e-12"
 
 
 def test_criterion_15_coaction_suite():

@@ -8,6 +8,7 @@ process has loaded every layer long before they run.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,9 +19,11 @@ import mpmath
 import pytest
 
 import euler_periods
+from euler_periods import eulerfun, g2
 from euler_periods.cli import _certified_line, dispatch
 from euler_periods.numkernel import (BERNOULLI_CAP, COACTION_TERM_CAP, DIGIT_CAP, WEIGHT_CAP, BigReal,
-                                     bernoulli)
+                                     as_fraction, bernoulli)
+from make_bits import _commands as bit_commands
 from test_mzv import NEWTON, zagier
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -62,7 +65,7 @@ def test_zeta_two_prec_seven(capsys):
 def test_g2_compare_example(capsys):
     code, out, err = run(capsys, "g2-compare", "exp:2008", "th:2012")
     assert code == 0
-    assert out == "-1.05e-12 ± 0.82e-12\n"
+    assert out == "-1.05e-12 ± 0.83e-12\n"
 
 
 def test_zeta_one_divergence(capsys):
@@ -246,7 +249,7 @@ def test_multiphi_certifies_at_high_prec(capsys, argv):
 def test_g2_invert_alpha_output(capsys):
     code, out, _ = run(capsys, "g2-invert-alpha", "exp:2008")
     assert code == 0
-    assert out == "137.035999159537 ± 2.1e-7\n"
+    assert out == "137.035999159537 ± 2.2e-7\n"
 
 
 def test_registry_list_shape(capsys):
@@ -307,7 +310,7 @@ def test_json_compare_fields(capsys):
     _, out, _ = run(capsys, "g2-compare", "exp:2008", "th:2012", "--json")
     doc = json.loads(out)
     assert doc["difference"] == "-1.05e-12"
-    assert doc["uncertainty"] == "0.82e-12"
+    assert doc["uncertainty"] == "0.83e-12"
     assert doc["pull"] == "-1.276"
 
 
@@ -385,6 +388,38 @@ def test_phi_funceq_at_a_large_denominator_stays_within_its_bound(capsys, prec):
     assert Fraction(doc["residual"]) <= Fraction(doc["bound"])
 
 
+#: The bound-printing commands of the bit contract (make_bits.py).
+BOUND_COMMANDS = [tuple(argv) for argv in bit_commands()
+                  if argv[0] in ("stuffle-check", "identity-check", "g2-assemble", "g2-invert-alpha")]
+
+
+@pytest.mark.parametrize("prec", ["1", "15", "50", "99", "100"])
+@pytest.mark.parametrize("argv", BOUND_COMMANDS, ids=lambda a: " ".join(a))
+def test_a_printed_bound_is_never_below_the_declared_one(capsys, monkeypatch, argv, prec):
+    # Each library call the command makes records its declared err; the
+    # outermost returns last.  The printed bound, plain and JSON, must not
+    # understate it: nstr's nearest rounding printed 1.8e-23 for 1.8386e-23.
+    declared = []
+    for module, name in ((sys.modules["euler_periods.mzv"], "stuffle_residual"),
+                         (eulerfun, "identity_residual"),
+                         (g2, "assemble"), (g2, "invert_alpha")):
+        def recorded(*args, _call=getattr(module, name), **kwargs):
+            x = _call(*args, **kwargs)
+            declared.append(x.err)
+            return x
+        monkeypatch.setattr(module, name, recorded)
+    assert len(BOUND_COMMANDS) == 9
+    for mode in ((), ("--json",)):
+        declared.clear()
+        code, out, err = run(capsys, argv[0], "--prec", prec, *mode, *argv[1:])
+        assert code == 0, err
+        if mode:
+            printed = json.loads(out)["bound"]
+        else:
+            printed = re.search(r"(?:within bound|±) (\S+?):?(?: |$)", out.strip()).group(1)
+        assert Fraction(printed) >= as_fraction(declared[-1]), (printed, declared[-1])
+
+
 def test_negative_rational_follows_a_double_dash(capsys):
     code, out, err = run(capsys, "polylog", "3", "-3/4")
     assert code == 2
@@ -401,12 +436,16 @@ def test_exit_one_uncertifiable_precision(capsys):
     assert "certified bound" in err
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
-def test_a_pipe_closed_after_the_first_bytes_exits_141_without_a_traceback(mode):
+def test_a_pipe_closed_after_the_first_bytes_exits_141_without_a_traceback(mode, unbuffered):
     # About 1 MB of output, far past a pipe's buffer, so the reader closes
-    # while the command still writes.  The child's stdout is buffered, as by
-    # default: unbuffered, Python drops the rest of a cut-short write silently.
+    # while the command still writes.  The child's environment is set either
+    # way: unbuffered, Python's raw stdout takes part of a write and reports
+    # it, and a text write would drop the rest silently.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen([sys.executable, "-m", "euler_periods.cli", "coact", *mode, "Li_m(400; 1/2)"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=dict(env, PYTHONPATH=str(SRC)))

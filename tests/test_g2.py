@@ -83,7 +83,9 @@ def test_combine_rejects(bad):
 def test_format_difference_shared_exponent():
     assert format_difference(-1.05e-12, 0.82e-12) == "-1.05e-12 ± 0.82e-12"
     assert format_difference(1.234e-5, 2e-7) == "1.23e-5 ± 0.02e-5"
-    assert format_difference(2e-7, 1.234e-5) == "0.02e-5 ± 1.23e-5"
+    # The uncertainty rounds upward, the difference to nearest.
+    assert format_difference(2e-7, 1.234e-5) == "0.02e-5 ± 1.24e-5"
+    assert format_difference(1.234e-5, 1.234e-5) == "1.23e-5 ± 1.24e-5"
 
 
 def test_format_difference_zero_edge_cases():
@@ -516,11 +518,13 @@ def test_compare_reproduces_published_difference():
     a = lookup(None, "exp:2008")
     b = lookup(None, "th:2012")
     result = compare(a, b)
-    assert str(result) == "-1.05e-12 ± 0.82e-12"
+    assert str(result) == "-1.05e-12 ± 0.83e-12"
     assert result.pull == pytest.approx(-1.2762243953718702, rel=1e-9)
     published = lookup(None, "diff:2012")
-    assert str(result) == format_difference(float(published.value.value),
-                                            published.total_uncertainty)
+    # The same difference; the combined 0.8227e-12 rounds upward here and
+    # to nearest, 0.82e-12, in the publication.
+    assert format_difference(float(published.value.value),
+                             published.total_uncertainty) == "-1.05e-12 ± 0.82e-12"
 
 
 def test_compare_antisymmetric():

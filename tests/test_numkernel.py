@@ -710,7 +710,8 @@ def test_chebyshev_weights_are_the_exact_recurrence():
     # the b_k and c_k of Cohen, Rodriguez Villegas and Zagier in Fractions:
     # every division exact, every weight the cached integer.
     for n in sorted({alt_terms_needed(p) for p in range(1, 101)}):
-        weights, d = numkernel._cvz_weights(n)
+        weights, d, size = numkernel._cvz_weights(n)
+        assert size == sum(map(abs, weights))
         assert d == sum(math.comb(n, k) * 3 ** (n - k) * 8 ** (k // 2) for k in range(0, n + 1, 2))
         b, c = Fraction(-1), Fraction(-d)
         for k in range(n):
@@ -779,21 +780,17 @@ def assert_zeta_values_cover(batch: tuple, prec: int) -> None:
 @pytest.mark.parametrize("prec", [1, 50, 100])
 def test_zeta_values_match_mpmath_and_even_closed_forms(prec):
     # The batch Euler's constant by the zeta series takes at this prec.
-    top, inner = alt_terms_needed(prec) + 1, prec + 6
-    batch = zeta_values(top, inner)
+    top = alt_terms_needed(prec) + 1
+    batch = zeta_values(top, prec)
     assert len(batch[1]) == top - 1
-    assert_zeta_values_cover(batch, inner)
+    assert_zeta_values_cover(batch, prec)
 
 
-def test_zeta_values_raise_when_doubling_cannot_certify(monkeypatch):
-    monkeypatch.setattr(numkernel, "_zeta_plan", lambda top, prec: ((2, 0),) * (top - 1))
-    with pytest.raises(PrecisionNotMet, match="zeta\\(2\\) .* at split 2 with 0 Bernoulli terms"):
+def test_zeta_values_raise_when_the_pass_is_too_short(monkeypatch):
+    # Two Chebyshev terms cannot certify thirty digits of zeta(2).
+    monkeypatch.setattr(numkernel, "alt_terms_needed", lambda prec: 2)
+    with pytest.raises(PrecisionNotMet, match="zeta\\(2\\) bound of .* exceeds 1e-30"):
         zeta_values(5, 30)
-
-
-def test_zeta_values_reach_past_the_prec_cap():
-    batch = zeta_values(12, 120)
-    assert_zeta_values_cover(batch, 120)
 
 
 class Absent:
@@ -814,69 +811,51 @@ def test_zeta_values_build_no_mpf(monkeypatch):
     assert all(type(total) is int and type(err) is int for total, err in values)
 
 
-def reference_zeta_batch(top: int, prec: int) -> list:
-    """The batch as mpf pairs, as it was finished before it handed over integers.
+def reference_zeta_batch(top: int, prec: int) -> list[tuple[int, int]]:
+    """``(total, err)`` for ``s = 2..top``, each from its own rows and a plain loop.
 
-    A copy of the shared Euler-Maclaurin body with ``Fraction`` ratios and
-    every unit division taken, and of the mpf finish: the total converted at
-    ``B`` bits, its bound the first omitted term plus ``_rounding(0, units)``
-    plus one count for the conversion.  Each entry also carries the integer
-    ``|correction| + units`` the body proves.
+    The rows are ``_power_rows(s, n, b)``; the estimate is the integer
+    Chebyshev sum of ``accel_alt_sum``'s proof, or the exact finite sum
+    before the first two zero rows, and its units those of the proof.  The
+    total scales the estimate by ``2**(s-1) / (2**(s-1) - 1)`` in one floor.
     """
-    plan = numkernel._zeta_plan(top, prec)
+    n, bits = alt_terms_needed(prec), working_bits(prec)
+    weights, d, _ = numkernel._cvz_weights(n)
     out = []
-    with mpmath.workdps(working_dps(prec)):
-        bits = mpmath.mp.prec
-        rows = [(1 << bits) // m for m in range(1, plan[0][0] + 1)]
-        for s, (n, terms) in enumerate(plan, start=2):
-            rows = [r // m for r, m in zip(rows, range(1, n + 1))]
-            tail, tail_err = rows[-1] * n, 2 * n
-            shift = max(s - bits - 1, 0)
-            units = 2 * n + 4 + (tail_err >> shift) // (s - 1)
-            total = sum(rows) + tail // (s - 1) - rows[-1] // 2
-            poch, npow = s, 1
-            for j in range(1, terms + 2):
-                npow *= n * n
-                ratio = bernoulli(2 * j) / math.factorial(2 * j)
-                scale, den = poch * ratio.numerator, ratio.denominator * npow
-                correction = tail * scale // den
-                units += (tail_err * abs(scale) >> shift) // den + 2
-                if j > terms:
-                    break
-                total += correction
-                poch *= (s + 2 * j - 1) * (s + 2 * j)
-            value = mpf((total, -bits))
-            err = (mpf((abs(correction), -bits)) + numkernel._rounding(mpf(0), units)
-                   + numkernel._rounding(value, 1))
-            out.append((value, err, abs(correction) + units))
+    for s in range(2, top + 1):
+        rows = numkernel._power_rows(Fraction(s), n, bits)
+        ends = [j for j in range(n - 1) if rows[j] == rows[j + 1] == 0]
+        if ends:
+            j = ends[0]
+            estimate = sum((-1) ** k * r for k, r in enumerate(rows[:j]))
+            units = j + 1
+        else:
+            estimate = sum(c * r for c, r in zip(weights, rows)) // d
+            units = (math.ceil(Fraction(2 * (rows[0] + 1), 2 * d - 1))
+                     + math.ceil(Fraction(sum(abs(c) for c in weights), d)) + 1)
+        den = 2 ** (s - 1) - 1
+        out.append((estimate * 2 ** (s - 1) // den, units + math.ceil(Fraction(units, den)) + 1))
     return out
 
 
-def test_zeta_batch_for_gamma_matches_the_mpf_reference(monkeypatch):
-    # At every prec, gamma's rows are the reference's floors bit for bit, so
-    # its value keeps its bits, and no unit bound is larger; each total,
-    # converted once at B bits, is the reference's mpf zeta value, and each
-    # integer bound is the reference body's.
+def test_zeta_batch_for_gamma_is_the_chebyshev_pass_bit_for_bit(monkeypatch):
+    # At every prec each batch entry is the reference's, and gamma's rows
+    # and bounds are its totals over s, floored, and its bounds over s,
+    # rounded up.
     seen = []
     monkeypatch.setattr(eulerfun, "accel_alt_sum", lambda rows, prec, bounds: seen.append((rows, bounds)))
     for prec in range(MIN_PREC, MAX_PREC + 1):
-        top, inner, bits = alt_terms_needed(prec) + 1, prec + 6, working_bits(prec)
-        reference = reference_zeta_batch(top, inner)
-        wide, values = zeta_values(top, inner)
-        with mpmath.workprec(wide):
-            for (total, err), (value, _, units) in zip(values, reference, strict=True):
-                assert mpf((total, -wide))._mpf_ == value._mpf_, prec
-                assert err == units, prec
+        top = alt_terms_needed(prec) + 1
+        reference = reference_zeta_batch(top, prec)
+        assert zeta_values(top, prec) == (working_bits(prec), reference), prec
         seen.clear()
         eulerfun.gamma_const(prec, "ZETA_SERIES")
         (rows, bounds), = seen
-        # Row k is zeta(k + 1) / (k + 1): over s for zeta(s).
-        assert rows == [numkernel._fixed(z, bits) // s for s, (z, _, _) in enumerate(reference, 2)], prec
-        ref_bounds = [(numkernel._fixed(e, bits) + s) // s for s, (_, e, _) in enumerate(reference, 2)]
-        assert all(map(int.__le__, bounds, ref_bounds)), prec
+        assert rows == [total // s for s, (total, _) in enumerate(reference, 2)], prec
+        assert bounds == [math.ceil(Fraction(err, s)) for s, (_, err) in enumerate(reference, 2)], prec
 
 
-@pytest.mark.parametrize("top,prec", [(1, 30), (2.0, 30), (5, 0), (5, 30.5)])
+@pytest.mark.parametrize("top,prec", [(1, 30), (2.0, 30), (5, 0), (5, 30.5), (5, MAX_PREC + 1)])
 def test_zeta_values_validate_arguments(top, prec):
     with pytest.raises(DomainError):
         zeta_values(top, prec)
@@ -889,7 +868,7 @@ def test_zeta_values_validate_arguments(top, prec):
 
 def planned(s, prec: int) -> tuple[int, int]:
     """The ``(n_split, bernoulli_terms)`` that ``em_sum(s, prec)`` runs."""
-    return numkernel._em_plan(as_fraction(s), working_dps(prec) - 1, numkernel._EM_BERNOULLI_TERM_COST)
+    return numkernel._em_plan(as_fraction(s), working_dps(prec) - 1)
 
 
 def fix_plan(monkeypatch, n_split: int, terms: int) -> None:
