@@ -36,7 +36,7 @@ from .errors import (
     SchemaError,
     TooLarge,
 )
-from .numkernel import BigReal, as_fraction, bernoulli, check_digits, check_prec, exact_str, working_dps
+from .numkernel import BigReal, bernoulli, check_digits, check_prec, exact_str, working_dps
 
 if TYPE_CHECKING:
     from . import feynper, g2
@@ -73,11 +73,12 @@ def _bound_text(err: mpmath.mpf, digits: int) -> str:
     """A bound ``err >= 0`` as ``nstr`` writes it in ``digits`` digits, rounded upward.
 
     Where ``nstr``'s nearest decimal lies below ``err``, it prints the next
-    decimal up, so a printed bound never understates the declared one.
+    decimal up, so a printed bound never understates the declared one.  A
+    bound is a result, not an input, so it may pass ``DIGIT_CAP`` digits.
     """
     text = mpmath.nstr(err, digits)
     low = Decimal(text)
-    if Fraction(low) < as_fraction(err):
+    if Fraction(low) < Fraction(*mpmath.libmp.to_rational(err._mpf_)):
         text = mpmath.nstr(mpmath.mpf(str(low + Decimal(1).scaleb(low.adjusted() - digits + 1))), digits)
     return text
 

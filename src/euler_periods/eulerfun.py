@@ -33,7 +33,6 @@ from .numkernel import (
     working_dps,
     zeta_values,
     _at_one,
-    _planned_bits,
     _power_rows,
     _rounding,
     _word,
@@ -63,7 +62,7 @@ def zeta(s: ScalarLike, prec: int) -> BigReal:
     ``zeta(1 + 10**-12, 15)`` do not.
     """
     check_prec(prec)
-    q = as_fraction(s)
+    q = as_fraction(s, "s")
     if not q > 1:
         raise DomainError(
             f"zeta requires s > 1, got s = {mpmath.nstr(as_mpf(q), 8)}; "
@@ -99,7 +98,7 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
     the tail below one unit.
     """
     check_prec(prec)
-    q = as_fraction(s)
+    q = as_fraction(s, "s")
     if not q > 0:
         raise DomainError(f"phi requires s > 0, got s = {mpmath.nstr(as_mpf(q), 8)}")
     n, bits = alt_terms_needed(prec), working_bits(prec)
@@ -161,59 +160,30 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
     :class:`DomainError`, as do ``|z| > 1`` and ``(n, z) = (1, 1)``; a
     weight ``n`` above ``numkernel.WEIGHT_CAP`` raises :class:`TooLarge`.
 
-    The domain is decided on the exact rational.  A ``z`` of more than ``2
-    T`` bits, ``T`` the engine's planned bit count, is never converted
-    whole.  For ``n = 1``, ``1 - z`` is cut toward 0 to ``T`` significant
-    bits, which moves the log by under ``2**(1 - T)``, within its counts.
-    For ``n >= 2``, ``z`` is cut toward 0 to ``T`` fraction bits, ``|z - z'|
-    < 2**-T``, and evaluated there; the bound grows by ``m 2**(1 - T)``,
-    where ``2 m`` bounds ``|Li_n'|`` on ``[z', z]``: ``m = 1`` on ``[-1,
-    1/2]``, where ``|Li_n'| <= 2`` (``1/(1 - z)``, or ``|Li_(n-1)(z)/z| <= 2
-    log 2``), and on ``(1/2, 1)``, where ``|Li_2'(t)| = |log(1 - t)|/t <= 2 m
-    log 2``, the ``m`` with ``1/(1 - z) < 2**m``.  Error messages show the
-    cut ``z``.
+    The domain is decided on the exact rational, and a ``z`` past
+    :data:`~euler_periods.numkernel.DIGIT_CAP` digits raises
+    :class:`InputError`, as it would at the command line.
     """
     check_prec(prec)
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"polylog order must be an integer >= 1, got {n!r}")
-    q = as_fraction(z)
-    t = _planned_bits(n, prec)
-    huge = max(q.numerator.bit_length(), q.denominator.bit_length()) > 2 * t
-    if huge:  # z cut toward 0 to t fraction bits, in units of 2**-t
-        cut = (abs(q.numerator) << t) // q.denominator
-        cut = cut if q > 0 else -cut
-    wd = working_dps(prec)
-
-    def shown() -> str:
-        with mpmath.workdps(wd):
-            return mpmath.nstr(mpf((cut, -t)) if huge else as_mpf(q), 8)
-
+    q = as_fraction(z, "z")
     if abs(q) > 1:
-        raise DomainError(f"polylog requires |z| <= 1, got z = {shown()}")
+        raise DomainError(f"polylog requires |z| <= 1, got z = {mpmath.nstr(as_mpf(q), 8)}")
     w = 1 - q
     if n == 1:
         if q == 1:
             raise DomainError("Li_1(1) is the harmonic series; no value to report")
-        with mpmath.workdps(wd):
-            if huge:
-                shift = t + w.denominator.bit_length() - w.numerator.bit_length()
-                wv = mpf(((w.numerator << shift) // w.denominator, -shift))
-            else:
-                wv = as_mpf(w)
-            # 1 - z is exact before it rounds (twice, as a Fraction, or a cut
-            # below 2**(1 - T) relative and one rounding), which moves the log
-            # by 2 2**-prec; the log rounds once more.
-            v = -mpmath.log(wv)
+        with mpmath.workdps(working_dps(prec)):
+            # 1 - z is exact before it rounds twice, as a Fraction, which
+            # moves the log by 2 2**-prec; the log rounds once more.
+            v = -mpmath.log(as_mpf(w))
             return BigReal(v, _rounding(v, 2), prec).demand("polylog")
     if q == 0:
         return BigReal(mpf(0), mpf(0), prec)
     if Fraction(1, 2) < q < 1 and n > 2:
-        raise DomainError(f"Li_{n} is only evaluated on [-1, 1/2] and the endpoint 1; got z = {shown()}")
-    if huge:
-        near = polylog(n, Fraction(cut, 1 << t), prec)
-        m = 1 if q <= Fraction(1, 2) else w.denominator.bit_length() - w.numerator.bit_length() + 1
-        with mpmath.workdps(wd):
-            return BigReal(near.value, near.err + m * mpf(2) ** (1 - t), prec).demand("polylog")
+        raise DomainError(f"Li_{n} is only evaluated on [-1, 1/2] and the endpoint 1; "
+                          f"got z = {mpmath.nstr(as_mpf(q), 8)}")
     if q <= Fraction(1, 2) or q == 1:
         return _at_one(_word((n,), (1 / q,)), prec).demand("polylog")
     # Li_2(z) + Li_2(1-z) + log(z) log(1-z) = zeta(2), with 1-z in (0, 1/2).
@@ -326,7 +296,7 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
 
     if kind is IdentityKind.DILOG_REFLECTION:
         with mpmath.workdps(wd):
-            x = as_mpf(_param(params, "x"))
+            x = as_mpf(as_fraction(_param(params, "x"), "x"))
             if not (0 < x < 1):
                 raise DomainError(f"dilog reflection requires x in (0, 1), got {mpmath.nstr(x, 8)}")
             li_x, b1 = _li_direct(2, x, wd)
@@ -344,7 +314,7 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
             raise DomainError(f"cotangent check needs an integer terms >= 1, got {terms!r}")
         bernoulli(2 * terms)  # term m takes B_2m: all built, or refused, before any work
         with mpmath.workdps(wd):
-            x = as_mpf(_param(params, "x"))
+            x = as_mpf(as_fraction(_param(params, "x"), "x"))
             if not (0 < x < mpmath.pi):
                 raise DomainError("cotangent check requires x in (0, pi)")
             # 2 * sum(zeta(2n) (x/pi)^2n) == 2 * sum(r_n x^2n) with r_n exact.
@@ -366,12 +336,12 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
             raise DomainError(f"prime_bound must be an integer >= 2, got {bound!r}")
         if bound > MAX_PRIME_BOUND:
             raise TooLarge(f"prime_bound {bound} exceeds the cap {MAX_PRIME_BOUND}")
-        s = _param(params, "s")
-        if not as_fraction(s) > 1:
+        q = as_fraction(_param(params, "s"), "s")
+        if not q > 1:
             raise DomainError("Euler product requires s > 1")
-        z = zeta(s, prec)
+        z = zeta(q, prec)
         with mpmath.workdps(wd):
-            s = as_mpf(s)
+            s = as_mpf(q)
             prod = mpf(1)
             primes = _primes_upto(bound)
             for p in primes:
@@ -386,24 +356,27 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
             return BigReal(resid, err, prec)
 
     if kind is IdentityKind.PHI_FUNCEQ:
+        q = as_fraction(_param(params, "s"), "s")
+        if not 0 < q < 1:
+            raise DomainError(f"functional equation checked on s in (0, 1), got {mpmath.nstr(as_mpf(q), 8)}")
+        inner = min(prec + 2, MAX_PREC)
+        lhs_num = phi(1 - q, inner)
+        lhs_den = phi(q, inner)
         with mpmath.workdps(wd):
-            s = as_mpf(_param(params, "s"))
-            if not (0 < s < 1):
-                raise DomainError(f"functional equation checked on s in (0, 1), got {mpmath.nstr(s, 8)}")
-            inner = min(prec + 2, MAX_PREC)
-            lhs_num = phi(1 - s, inner)
-            lhs_den = phi(s, inner)
-            rhs = (-mpmath.gamma(s) * (2 ** s - 1) * mpmath.cos(mpmath.pi * s / 2)
-                   / ((2 ** (s - 1) - 1) * mpmath.pi ** s))
+            s, ln2 = as_mpf(q), mpmath.ln2
+            rhs = (-mpmath.gamma(s) * mpmath.expm1(s * ln2) * mpmath.sin(mpmath.pi * as_mpf(1 - q) / 2)
+                   / (mpmath.expm1(as_mpf(q - 1) * ln2) * mpmath.pi ** s))
             ratio = lhs_num.value / (lhs_den.value * rhs)
             resid = abs(ratio - 1)
             rel = (lhs_num.err / abs(lhs_num.value) + lhs_den.err / abs(lhs_den.value))
-            # Relative to ratio ~ 1, in 2**-prec: the rounded 1 - s 1, gamma
-            # 2, 2**s - 1 (exact difference) 2 2**s / (2**s - 1) <= 2 + 2.9 / s,
-            # cos(pi s / 2) 2 + 2 a tan(a) <= 2 + 2 / (1 - s) with a = pi s / 2
-            # off by 2, 2**(s-1) - 1 2.7 / (1 - 2**(s-1)) <= 5.4 / (1 - s),
-            # pi**s 3, and 6 products and quotients: 16 + 2.9 / s + 7.4 / (1 - s).
-            err = abs(ratio) * rel + _rounding(resid, 9 + 2 / s + 4 / (1 - s))
+            # Relative to ratio ~ 1, in 2**-prec, where s, 1 - s and s - 1 are
+            # each 2 off from their Fractions: gamma 3.2 (|s psi(s)| <= 1.06),
+            # 2**s - 1 = expm1(s ln 2) 6.6 (its argument 4 off, scaled by x
+            # e**x / (e**x - 1) <= 1.39, and 1 rounding), cos(pi s / 2) =
+            # sin(pi (1 - s) / 2) 5 (its argument 4 off, scaled by a cot a <=
+            # 1), 2**(s-1) - 1 5 (likewise), pi**s 4.3 (s ln pi <= 1.15) and 6
+            # products and quotients: under 30, and ratio - 1 rounds once.
+            err = abs(ratio) * rel + _rounding(resid, 16)
             return BigReal(resid, err, prec)
 
     raise AssertionError("unreachable")

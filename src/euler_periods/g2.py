@@ -147,6 +147,8 @@ def _parse_entry(index: int, raw: object) -> Measurement:
         value = BigReal.from_decimal(text, _REGISTRY_PREC)
     except ValueError:
         raise _entry_error(index, label, f"value {text!r} is not a decimal number", "value") from None
+    except InputError as exc:
+        raise _entry_error(index, label, str(exc), "value") from None
     comps = raw["uncertainty_components"]
     if not isinstance(comps, list):
         raise _entry_error(index, label, "uncertainty_components must be an array", "uncertainty_components")
@@ -179,8 +181,9 @@ def load_registry(path: str | None = None) -> list[Measurement]:
     With ``path`` omitted the packaged registry is used.  The file must be
     an array of objects with exactly the fields label, value (a decimal
     string), uncertainty_components (an array of decimal strings), year and
-    source_eq; labels must be unique.  Violations raise SchemaError.  Values
-    are parsed at :data:`_REGISTRY_PREC` digits.
+    source_eq; labels must be unique.  Violations, a value past
+    :data:`~euler_periods.numkernel.DIGIT_CAP` digits among them, raise
+    SchemaError.  Values are parsed at :data:`_REGISTRY_PREC` digits.
     """
     path = default_registry_path() if path is None else path
     try:

@@ -62,7 +62,7 @@ need no premise: :func:`_power_rows` computes them as exact integer floors
 p/q``), and :func:`zeta_values` the same floors by repeated division, so
 :func:`em_sum`, :func:`zeta_values` and ``phi`` count proved units there.
 The one exception is an ``s`` whose denominator ``q`` has ``q b`` past
-:data:`_ROOT_BITS_CAP` (a binary ``s`` such as PHI_FUNCEQ's, or ``1 +
+:data:`_ROOT_BITS_CAP` (a binary ``s`` such as a float's, or ``1 +
 10**-9``): its rows come from mpmath's power, on the premise above.
 
 The three engines, :func:`em_sum`, :func:`accel_alt_sum` and the
@@ -189,14 +189,28 @@ def as_mpf(x: ScalarLike) -> mpf:
     return mpf(x)
 
 
-def as_fraction(x: ScalarLike) -> Fraction:
-    """The exact rational value of ``x``: strings are decimal, floats and mpf binary."""
-    if isinstance(x, mpf) and mpmath.isfinite(x):
-        return Fraction(*mpmath.libmp.to_rational(x._mpf_))
+def as_fraction(x: ScalarLike, what: str = "the number") -> Fraction:
+    """The exact rational value of ``x``: strings are decimal, floats and mpf binary.
+
+    The one reader of numbers from outside.  Past :data:`DIGIT_CAP` digits
+    in numerator or denominator it raises :class:`InputError` before the
+    integer is built: a string by :func:`check_digits`, an mpf by the bits
+    its exponent and mantissa give, any other number against ``10**DIGIT_CAP``.
+    """
+    if isinstance(x, str):
+        check_digits(x, what)
+    elif isinstance(x, mpf) and mpmath.isfinite(x):
+        _, _, exp, bc = x._mpf_
+        if max(bc + exp, 1 - exp) > _CAP.bit_length():  # the numerator's or the denominator's bits
+            raise InputError(f"{what} is past the cap {DIGIT_CAP} digits")
+        x = Fraction(*mpmath.libmp.to_rational(x._mpf_))
     try:
-        return Fraction(x)
-    except (ValueError, OverflowError, TypeError):
+        q = Fraction(x)
+    except (ValueError, OverflowError, TypeError, ZeroDivisionError):
         raise DomainError(f"expected a finite rational number, got {x!r}") from None
+    if max(abs(q.numerator), q.denominator) >= _CAP:
+        raise InputError(f"{what} is past the cap {DIGIT_CAP} digits")
+    return q
 
 
 def check_digits(text: str, what: str) -> str:
@@ -206,7 +220,8 @@ def check_digits(text: str, what: str) -> str:
     (``1e5000`` is a 5001-digit integer), or every digit written if they
     alone pass the cap.  So a literal that Python would refuse to convert,
     or that would take long to build, raises :class:`InputError` before
-    any work.
+    any work.  :func:`as_fraction` and :meth:`BigReal.exact` apply it to
+    every string they read; the CLI and the symbol parser, to name theirs.
     """
     size = sum(c.isdigit() for c in text)
     if size <= DIGIT_CAP:
@@ -366,7 +381,8 @@ class BigReal:
 
         A value that converts without change has a zero bound.  For a
         ``Fraction`` ``num/den`` that is decided in integers: the result
-        ``man 2**exp`` is exact iff ``man 2**exp den == num``.
+        ``man 2**exp`` is exact iff ``man 2**exp den == num``.  A decimal
+        string is an input, held to :func:`check_digits`.
         """
         b = working_bits(check_prec(prec))
         if isinstance(x, Fraction):
@@ -377,7 +393,7 @@ class BigReal:
             exact = man * den << max(exp, 0) == abs(num) << max(-exp, 0)
             count = _TWO
         elif isinstance(x, str):
-            v = from_str(x, b, RN)
+            v = from_str(check_digits(x, "the decimal"), b, RN)
             exact, count = False, fone  # decimal parsing rounds once
         else:
             if isinstance(x, int):
@@ -836,7 +852,7 @@ def em_sum(s: ScalarLike, prec: int) -> BigReal:
     retried.
     """
     check_prec(prec)
-    s = as_fraction(s)
+    s = as_fraction(s, "s")
     if s < 1:
         raise DomainError("em_sum needs s >= 1; a smaller s does not define a convergent tail")
     n_split, terms = _em_plan(s, working_dps(prec) - 1)
@@ -1022,9 +1038,11 @@ COASSOC_TERM_CAP = 50_000
 #: allows, so it prints through :func:`exact_str`.
 BERNOULLI_CAP = 2500
 
-#: Most digits an integer literal of the input may have (:func:`check_digits`),
-#: well below the 4300 digits past which Python refuses ``int(str)``.
+#: Most digits of a numerator or denominator read from outside, by
+#: :func:`check_digits` and :func:`as_fraction`: well below the 4300 digits
+#: past which Python refuses ``int(str)``.  ``_CAP`` is the least past it.
 DIGIT_CAP = 1000
+_CAP = 10 ** DIGIT_CAP
 
 #: Largest ``cutoff * depth`` :func:`~euler_periods.mzv.mzv_bruteforce` sums;
 #: one step costs about 10 us, so about 2 s at the cap and prec 15 (2-core
@@ -1061,11 +1079,6 @@ def _suffix_integrals(word: Sequence[int | Fraction], terms: int, bits: int) -> 
     return out[::-1]
 
 
-def _planned_bits(n: int, prec: int) -> int:
-    """``T``, the fraction bits :func:`_at_one` plans for a word of ``n`` letters."""
-    return math.ceil(working_dps(prec) * math.log2(10)) + (n + 1).bit_length() + 3
-
-
 def _at_one(word: Sequence[int | Fraction], prec: int, terms: int | None = None) -> BigReal:
     """``I_1(word)`` by the Hoelder split at 1/2, with the bound of the module docstring.
 
@@ -1076,7 +1089,7 @@ def _at_one(word: Sequence[int | Fraction], prec: int, terms: int | None = None)
     """
     n = len(word)
     units = sum(3 if a else 1 for a in word)
-    planned = _planned_bits(n, prec)
+    planned = math.ceil(working_dps(prec) * math.log2(10)) + (n + 1).bit_length() + 3
     terms = planned if terms is None else terms
     bits = planned + ((terms + 1) * units).bit_length()
     ahead = _suffix_integrals(word, terms, bits)

@@ -381,7 +381,7 @@ def test_phi_funceq_at_the_top_precisions(capsys, prec):
 
 @pytest.mark.parametrize("prec", ["15", "100"])
 def test_phi_funceq_at_a_large_denominator_stays_within_its_bound(capsys, prec):
-    # phi(5/7) and phi(2/7) take the binary mpf of 5/7, past the exact rows' root cap.
+    # phi(5/7) and phi(2/7) take the exact rationals, whose rows are exact floors.
     code, out, err = run(capsys, "identity-check", "phi-funceq", "--s", "5/7", "--prec", prec, "--json")
     assert code == 0, err
     doc = json.loads(out)
@@ -492,6 +492,22 @@ def test_exit_two_invalid_input(capsys, argv):
 HUGE = "1" + "0" * 5000  # past Python's 4300-digit int(str) limit
 
 
+def dispatch_in_a_child(argv, timeout=20):
+    """``dispatch(argv)`` in a fresh interpreter: exit code, stdout, stderr and its seconds.
+
+    A command that does not end fails the calling test after ``timeout``
+    seconds rather than stalling the suite.  The seconds are those of the
+    call alone, measured in the child, without the interpreter's start.
+    """
+    code = ("import sys, time\nfrom euler_periods.cli import dispatch\n"
+            "start = time.perf_counter()\ncode = dispatch(sys.argv[1:])\n"
+            "print(time.perf_counter() - start, file=sys.stderr)\nsys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=timeout)
+    err, _, seconds = proc.stderr.rstrip("\n").rpartition("\n")
+    return proc.returncode, proc.stdout, err, float(seconds)
+
+
 @pytest.mark.parametrize("argv", [
     ("per", f"1/{HUGE}*zeta_m(2)"),
     ("coact", f"1/{HUGE}*zeta_m(2)"),
@@ -502,14 +518,26 @@ HUGE = "1" + "0" * 5000  # past Python's 4300-digit int(str) limit
     ("zeta", "1e10000000"),  # a 10**7-digit integer, written short
     ("bernoulli", str(BERNOULLI_CAP + 1)),
     ("identity-check", "cotangent", "--x", "1/2", "--terms", str(BERNOULLI_CAP // 2 + 1)),
+    ("g2-assemble", HUGE),
+    ("g2-assemble", "1e100000000"),
+    ("g2-invert-alpha", "1e-100000000"),  # once ran on into a bound of 10**8 digits
 ], ids=lambda a: " ".join(x if len(x) < 20 else f"<{len(x)} chars>" for x in a))
-def test_huge_input_exits_two_at_once_without_a_traceback(capsys, argv):
-    start = time.perf_counter()
-    code, out, err = run(capsys, *argv)
-    assert time.perf_counter() - start < 1
+def test_huge_input_exits_two_at_once_without_a_traceback(argv):
+    code, out, err, seconds = dispatch_in_a_child(argv)
+    assert seconds < 1
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert (f"digits, past the cap {DIGIT_CAP}" in err) == (argv[0] not in ("bernoulli", "identity-check"))
+
+
+@pytest.mark.parametrize("s", ["1e-30", "1e-999", "0." + "9" * 200], ids=["1e-30", "1e-999", "0.9..9"])
+def test_phi_funceq_near_both_ends_exits_zero(capsys, s):
+    # 2**s - 1 rounded to 0 near s = 0 and raised ZeroDivisionError; 200 nines
+    # were refused as s = 1.0 before the domain was decided on the exact rational.
+    code, out, err = run(capsys, "identity-check", "phi-funceq", "--s", s, "--json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert Fraction(doc["residual"]) <= Fraction(doc["bound"])
 
 
 @pytest.mark.parametrize("command", ["coact", "conjugates", "per"])

@@ -14,7 +14,7 @@ import pytest
 from mpmath import mpf
 
 from euler_periods import eulerfun, numkernel
-from euler_periods.errors import DomainError, PrecisionNotMet, TooLarge
+from euler_periods.errors import DomainError, InputError, PrecisionNotMet, TooLarge
 from euler_periods.eulerfun import (
     IdentityKind,
     MAX_PRIME_BOUND,
@@ -25,7 +25,8 @@ from euler_periods.eulerfun import (
     zeta,
     zeta_even_closed,
 )
-from euler_periods.numkernel import MAX_PREC, MIN_PREC, WEIGHT_CAP, working_dps, zeta_values
+from euler_periods.numkernel import (DIGIT_CAP, MAX_PREC, MIN_PREC, WEIGHT_CAP, em_sum, working_dps,
+                                     zeta_values)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +404,7 @@ def test_phi_funceq_residual_small(s):
 @pytest.mark.parametrize("prec", [99, 100])
 @pytest.mark.parametrize("s", [Fraction(1, 3), Fraction(5, 7)], ids=str)
 def test_phi_funceq_at_the_top_precisions(s, prec):
-    # Both phi values are taken two digits higher inside, capped at MAX_PREC;
-    # their binary exponents pass the exact rows' root cap.
+    # Both phi values are taken two digits higher inside, capped at MAX_PREC.
     r = identity_residual(IdentityKind.PHI_FUNCEQ, {"s": s}, prec)
     assert r.prec == prec
     assert abs(r.value) <= r.err
@@ -414,6 +414,48 @@ def test_phi_funceq_at_the_top_precisions(s, prec):
 def test_phi_funceq_domain(s):
     with pytest.raises(DomainError):
         identity_residual(IdentityKind.PHI_FUNCEQ, {"s": s}, 15)
+
+
+@pytest.mark.parametrize("prec", [15, 50])
+@pytest.mark.parametrize("s", [Fraction(1, 3), Fraction(3, 10), Fraction(1, 10 ** 30), Fraction(1, 10 ** 100),
+                               Fraction(1, 10 ** 999), 1 - Fraction(1, 10 ** 200)],
+                         ids=["1/3", "3/10", "1e-30", "1e-100", "1e-999", "1-1e-200"])
+def test_phi_funceq_near_both_ends_stays_within_its_bound(s, prec):
+    # 2**s - 1 and 2**(s-1) - 1 come from expm1 and cos(pi s / 2) from sin(pi (1 - s) / 2),
+    # so nothing cancels to 0 as s nears 0 or 1; phi takes s and 1 - s exactly.
+    r = identity_residual(IdentityKind.PHI_FUNCEQ, {"s": s}, prec)
+    assert r.certified()
+    assert abs(r.value) <= r.err
+
+
+def test_phi_funceq_decides_its_domain_on_the_exact_rational():
+    just_below_one = "0." + "9" * 200
+    assert identity_residual(IdentityKind.PHI_FUNCEQ, {"s": just_below_one}, 15).certified()
+    with pytest.raises(DomainError, match="got 1.0"):
+        identity_residual(IdentityKind.PHI_FUNCEQ, {"s": 1}, 15)
+
+
+#: Strings, an int, Fractions and mpfs past the digit cap.
+PAST_THE_CAP = ["1e1000", "1/" + "3" * 1001, 10 ** 1000 + 1, -Fraction(7, 10 ** 1000),
+                1 - Fraction(1, 10 ** 1000), Fraction(10 ** 100000, 3), mpf(2) ** -4000,
+                mpf("1e1000000000000")]
+EVALUATORS = {
+    "zeta": zeta,
+    "phi": phi,
+    "polylog": lambda x, prec: polylog(2, x, prec),
+    "em_sum": em_sum,
+    "phi-funceq": lambda x, prec: identity_residual(IdentityKind.PHI_FUNCEQ, {"s": x}, prec),
+    "dilog-reflection": lambda x, prec: identity_residual(IdentityKind.DILOG_REFLECTION, {"x": x}, prec),
+}
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_every_evaluator_refuses_a_number_past_the_digit_cap_quickly(name):
+    for x in PAST_THE_CAP:
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=f"past the cap {DIGIT_CAP}"):
+            EVALUATORS[name](x, 15)
+        assert time.perf_counter() - start < 0.1, x
 
 
 def test_unknown_identity_kind_rejected():
@@ -578,20 +620,20 @@ def test_polylog_weight_cap():
         polylog(10 ** 9, Fraction(-1, 3), 15)
 
 
-def test_polylog_of_a_huge_decimal_certifies_quickly():
-    # z is cut to the engine's bit count before any mpf conversion.
+def test_polylog_of_a_decimal_at_the_digit_cap_certifies_quickly():
+    # 1e-999 has a 1000-digit denominator, the most the cap allows, and is evaluated exactly.
     start = time.perf_counter()
-    x = polylog(2, "1e-1000000", 15)
+    x = polylog(2, "1e-999", 15)
     assert time.perf_counter() - start < 1
     assert x.certified()
     with mpmath.workdps(30):
-        assert abs(x.value - mpmath.polylog(2, mpf("1e-1000000"))) <= x.err
+        assert abs(x.value - mpmath.polylog(2, mpf("1e-999"))) <= x.err
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("z", [Fraction(1, 3) + Fraction(1, 10 ** 2000),
+@pytest.mark.parametrize("z", [Fraction(1, 3) + Fraction(1, 10 ** 999),
                                -Fraction(1, 2) - Fraction(1, 7 ** 900)], ids=["1/3+", "-1/2-"])
-def test_polylog_cut_point_covers_at_every_prec(n, z):
+def test_polylog_at_a_point_of_large_height_covers_at_every_prec(n, z):
     assert_certifies_and_covers(n, z)
 
 
@@ -622,18 +664,19 @@ def test_zeta_near_its_pole_names_its_limit():
 
 
 # ---------------------------------------------------------------------------
-# polylog at points of huge height outside [-1, 1/2]
+# polylog at points of large height outside [-1, 1/2]
 # ---------------------------------------------------------------------------
 
-#: z = 3/4 + 10**-40 and 1 - 10**-30, each moved by 10**-100000: the cut keeps
-#: the visible digits, and mpmath at 130 digits sees the exact z.
-HUGE_POINTS = [Fraction(3, 4) + Fraction(1, 10 ** 40) + Fraction(1, 10 ** 100000),
-               1 - Fraction(1, 10 ** 30) + Fraction(1, 10 ** 100000)]
+#: z = 3/4 + 10**-40 and 1 - 10**-30, each moved by 10**-999: 1000-digit
+#: denominators, within the digit cap.  mpmath at 130 digits sees z to within
+#: 10**-130, far inside every bound checked.
+LARGE_POINTS = [Fraction(3, 4) + Fraction(1, 10 ** 40) + Fraction(1, 10 ** 999),
+                1 - Fraction(1, 10 ** 30) + Fraction(1, 10 ** 999)]
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("z", HUGE_POINTS, ids=["3/4+", "1-"])
-def test_polylog_cut_in_the_reflection_window_covers_the_exact_point(n, z):
+@pytest.mark.parametrize("z", LARGE_POINTS, ids=["3/4+", "1-"])
+def test_polylog_in_the_reflection_window_covers_a_point_of_large_height(n, z):
     with mpmath.workdps(130):
         # Li_1 = -log(1 - z) takes 1 - z exactly: 130 digits of z near 1 hold 100 of 1 - z.
         ref = -mpmath.log(exact(1 - z)) if n == 1 else mpmath.polylog(n, exact(z))
@@ -646,10 +689,8 @@ def test_polylog_cut_in_the_reflection_window_covers_the_exact_point(n, z):
             assert abs(x.value - ref) <= x.err, prec
 
 
-def test_polylog_refuses_a_huge_point_quickly_and_shows_it_cut():
-    start = time.perf_counter()
-    with pytest.raises(DomainError, match=r"got z = 3\.3333333e\+99999"):
-        polylog(2, Fraction(10 ** 100000, 3), 15)
+def test_polylog_shows_a_point_of_large_height_outside_its_domain():
+    with pytest.raises(DomainError, match=r"got z = 3\.3333333e\+998"):
+        polylog(2, Fraction(10 ** 999, 3), 15)
     with pytest.raises(DomainError, match=r"Li_3 .* got z = 0\.75"):
-        polylog(3, HUGE_POINTS[0], 15)
-    assert time.perf_counter() - start < 0.5
+        polylog(3, LARGE_POINTS[0], 15)

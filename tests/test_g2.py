@@ -31,7 +31,7 @@ from euler_periods.g2 import (
     lookup,
 )
 from euler_periods.mzv import multiphi
-from euler_periods.numkernel import MAX_PREC, MIN_PREC, BigReal, working_dps
+from euler_periods.numkernel import DIGIT_CAP, MAX_PREC, MIN_PREC, BigReal, working_dps
 from euler_periods.symbolic import coassoc_residual, parse_expr, period_map
 
 GOOD_ROW = {
@@ -199,6 +199,13 @@ def test_registry_entry_index_reported(tmp_path):
     with pytest.raises(SchemaError) as exc:
         load_registry(path)
     assert exc.value.entry == 1
+
+
+def test_registry_value_past_the_digit_cap_is_a_schema_error(tmp_path):
+    path = write_registry(tmp_path, [GOOD_ROW, row(label="y:2001", value="1" * 2000)])
+    with pytest.raises(SchemaError, match=f"2000 digits, past the cap {DIGIT_CAP}") as exc:
+        load_registry(path)
+    assert (exc.value.entry, exc.value.field) == (1, "value")
 
 
 def test_registry_non_object_entry(tmp_path):

@@ -161,6 +161,37 @@ def test_check_digits_counts_digits_and_exponent(text, size):
         assert check_digits(text, "x") == text
 
 
+# 10**DIGIT_CAP has 3322 bits: 63 * 2**3316 has as many and passes it, 3 * 2**3320 does not.
+WITHIN_CAP = [10 ** DIGIT_CAP - 1, Fraction(-1, 10 ** DIGIT_CAP - 1), "9" * DIGIT_CAP, "1e-999",
+              mpf(2) ** 3321, mpf(2) ** -3321, mpf(3) * 2 ** 3320]
+PAST_CAP = [10 ** DIGIT_CAP, Fraction(1, 10 ** DIGIT_CAP), "1e1000", "1/" + "3" * 1001,
+            mpf(2) ** 3322, mpf(2) ** -3322, mpf(63) * 2 ** 3316, mpf("1e-1000000000000")]
+
+
+@pytest.mark.parametrize("x", WITHIN_CAP, ids=["10**1000-1", "-1/(10**1000-1)", "9*1000", "1e-999",
+                                             "mpf 2**3321", "mpf 2**-3321", "mpf 3*2**3320"])
+def test_as_fraction_reads_a_number_within_the_digit_cap_exactly(x):
+    q = as_fraction(x)
+    expected = Fraction(*mpmath.libmp.to_rational(x._mpf_)) if isinstance(x, mpf) else Fraction(x)
+    assert q == expected
+
+
+@pytest.mark.parametrize("x", PAST_CAP, ids=["10**1000", "1/10**1000", "1e1000", "1/3*1001", "mpf 2**3322",
+                                           "mpf 2**-3322", "mpf 63*2**3316", "mpf 1e-10**12"])
+def test_as_fraction_refuses_a_number_past_the_digit_cap_before_building_it(x):
+    with pytest.raises(InputError, match=f"^x .*past the cap {DIGIT_CAP}"):
+        as_fraction(x, "x")
+
+
+def test_a_decimal_bigreal_is_held_to_the_digit_cap():
+    x = BigReal.from_decimal("9" * DIGIT_CAP, 15)
+    with mpmath.workdps(1010):
+        assert abs(x.value - (mpf(10) ** DIGIT_CAP - 1)) <= x.err
+    for text in ("1" * (DIGIT_CAP + 1), "1e-100000000", " 1e5000 "):
+        with pytest.raises(InputError, match=f"digits, past the cap {DIGIT_CAP}"):
+            BigReal.from_decimal(text, 15)
+
+
 # ---------------------------------------------------------------------------
 # prec plumbing
 # ---------------------------------------------------------------------------
