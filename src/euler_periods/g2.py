@@ -36,7 +36,8 @@ import mpmath
 from mpmath import mpf
 
 from .errors import DomainError, InputError, NoConvergence, SchemaError
-from .numkernel import MAX_PREC, BigReal, check_prec, pi_times, working_dps, _rounding
+from .numkernel import (MAX_PREC, BigReal, as_fraction, check_digits, check_prec, pi_times, working_dps,
+                        _rounding)
 
 MAX_ORDER = 4
 
@@ -111,11 +112,13 @@ class Measurement:
         return combine_uncertainties(self.uncertainty_components)
 
     def as_bigreal(self, prec: int) -> BigReal:
-        """The value with the quoted uncertainty folded into the bound."""
+        """The value with the quoted uncertainty folded into the bound.
+
+        The sum is exact, and the constructor rounds it up.
+        """
         check_prec(prec)
-        with mpmath.workdps(working_dps(prec)):
-            err = self.value.err + mpf(self.total_uncertainty)
-            return BigReal(self.value.value, err, prec)
+        err = mpmath.fadd(self.value.err, self.total_uncertainty, exact=True)
+        return BigReal(self.value.value, err, prec)
 
 
 def default_registry_path() -> str:
@@ -158,14 +161,23 @@ def _parse_entry(index: int, raw: object) -> Measurement:
             raise _entry_error(index, label, "uncertainty components must be decimal strings",
                                "uncertainty_components")
         try:
-            x = float(c)
-        except ValueError:
+            x = float(check_digits(c, "an uncertainty component"))
+            exact = Decimal(c)
+        except InputError as exc:
+            raise _entry_error(index, label, str(exc), "uncertainty_components") from None
+        except (ValueError, ArithmeticError):
             raise _entry_error(index, label, f"uncertainty component {c!r} is not a decimal number",
                                "uncertainty_components") from None
-        if not math.isfinite(x) or x < 0:
-            raise _entry_error(index, label, f"uncertainty component {c!r} must be non-negative",
-                               "uncertainty_components")
-        parsed.append(x)
+        if not exact.is_finite() or exact < 0:
+            problem = "must be non-negative"
+        elif math.isinf(x):
+            problem = "overflows the float range"
+        elif x == 0 and exact:
+            problem = "rounds to 0.0"
+        else:
+            parsed.append(x)
+            continue
+        raise _entry_error(index, label, f"uncertainty component {c!r} {problem}", "uncertainty_components")
     year = raw["year"]
     if isinstance(year, bool) or not isinstance(year, int):
         raise _entry_error(index, label, "year must be an integer", "year")
@@ -387,7 +399,9 @@ def _as_input(x: object, name: str, prec: int | None = None) -> BigReal:
     """``x`` as a BigReal at ``prec``, by default its own or else 15.
 
     ``x`` is a Measurement (its uncertainty folded in), a BigReal, a decimal
-    string or a number; anything else raises :class:`InputError`.
+    string or a number; anything else raises :class:`InputError`, and so
+    does a number past :func:`~.numkernel.as_fraction`'s digit cap, however
+    it is written.
     """
     if isinstance(x, Measurement):
         x = x.as_bigreal(x.value.prec)
@@ -401,6 +415,7 @@ def _as_input(x: object, name: str, prec: int | None = None) -> BigReal:
             raise InputError(f"{name} {x!r} is not a decimal number") from None
     if isinstance(x, bool) or not isinstance(x, (int, float, Fraction, mpf)):
         raise InputError(f"{name} must be a number, got {x!r}")
+    as_fraction(x, name)
     return BigReal.exact(x, prec)
 
 

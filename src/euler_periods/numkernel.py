@@ -42,19 +42,24 @@ references in the test suite.
 Rounding
 --------
 
-The declared bound is the truncation bound plus the rounding the code
-performs, counted, not an interval enclosure.  One rule counts it, in binary
-units of the precision ``p`` the rounding happens at (as Arb does,
-arXiv:1611.02831): :func:`_rounding_at` ``(v, p, count) = count (1 + |v|)
-2**(1 - p)`` on raw mpf tuples, one count per rounding that makes ``v``;
-:func:`_rounding` ``(v, count)`` is the same rule at the ambient ``p =
-mp.prec``, for the sites that compute in an mpmath context.  The
-premises: mpmath's ``+ - * /`` and decimal parsing round correctly, within half a count, and each elementary or special
-function (``log``, ``cos``, ``cot``, ``gamma``, powers, ``pi``) is faithful,
-within one count, unless its site states more.  A floor to ``2**-b`` with
-``b = p`` errs by under one unit of ``2**-b``, less than the one count of
-``_rounding(0, 1)``.  The counts are first order; the square of a relative
-error of ``2**-p`` stays far below the slack of the counts.
+One rule counts the rounding the code performs, in binary units of the
+precision ``p`` it happens at (as Arb does, arXiv:1611.02831): ``count (1
++ |v|) 2**(1 - p)``, one count per rounding that makes ``v``.  The
+premises: mpmath's ``+ - * /`` and decimal parsing round correctly, within
+half a count, and each elementary or special function (``log``, ``cos``,
+``cot``, ``gamma``, powers, ``pi``) is faithful, within one count, unless
+its site states more.  A floor to ``2**-b`` with ``b = p`` errs by under
+one unit of ``2**-b``, less than the one count of ``_rounding(0, 1)``.
+
+:class:`BigReal` arithmetic encloses: each constructor and ``+ - * /``,
+and :func:`pi_times`, adds its counts to the propagated radius in
+integers and rounds the sum upward, so the bound's own arithmetic never
+rounds it down and the square of a relative error is in it too.  Sites
+that compute in an mpmath context count first order instead, with
+:func:`_rounding` ``(v, count)`` at the ambient ``p = mp.prec``: their
+bound is the truncation bound plus the counted rounding, summed at that
+precision, and the square of a relative error of ``2**-p`` stays far below
+the slack of the counts.
 
 The rows ``floor(2**b k**-s)`` of the Euler-Maclaurin and Chebyshev bodies
 need no premise: :func:`_power_rows` computes them as exact integer floors
@@ -73,14 +78,9 @@ and :func:`accel_alt_sum` and below.  Each ends in the one shared finish
 working_bits(prec)`` bits and adds ``(|total| >> b) + 1`` units for it.
 :func:`zeta_values` converts nothing: it hands over its integer sums and
 unit bounds at the same ``b``, proved in its docstring, and
-``gamma_const("ZETA_SERIES")`` divides them into its Chebyshev rows.  The counted sites, each with its count and premises beside
-the call:
+``gamma_const("ZETA_SERIES")`` divides them into its Chebyshev rows.  The
+first-order sites, each with its count and premises beside the call:
 
-* the :class:`BigReal` constructors and ``+ - * /``, and :func:`pi_times`:
-  each rounds once (a ``Fraction`` and ``pi`` times ``k`` twice) at the
-  explicit ``working_bits(p)`` of its result, through mpmath.libmp with no
-  context switch, and counts that with :func:`_rounding_at` at the same
-  ``p``: the same premise and the same count as in an mpmath context;
 * in :mod:`.eulerfun`, the ``Li_n`` series of DILOG_REFLECTION, ``polylog``
   at ``n = 1`` and in the reflection window, and the four identity residuals;
 * :func:`~euler_periods.mzv.mzv_bruteforce`, whose count grows with the depth;
@@ -143,14 +143,14 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import floordiv, mul
+from operator import attrgetter, floordiv, mul
 from typing import Sequence, Union
 
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, from_man_exp, from_str, fzero,
-                          mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_le, mpf_mul, mpf_mul_int, mpf_neg,
-                          mpf_pi, mpf_pos, mpf_pow_int, mpf_shift, mpf_sub)
+                          mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
+                          mpf_pos, mpf_shift, mpf_sub)
 from mpmath.libmp import round_nearest as RN
 
 from .errors import DomainError, InputError, PrecisionNotMet, TooLarge
@@ -324,43 +324,72 @@ def bernoulli(n: int) -> Fraction:
 
 
 class BigReal:
-    """An arbitrary-precision real with an absolute error bound.
+    """An arbitrary-precision real with an absolute error bound: a ball.
 
     ``value`` approximates some target ``x`` with ``|value - x| <= err``;
     ``prec`` records the decimal precision that was requested when the
     number was produced.  Successful library operations guarantee
-    ``err <= 10**-prec``.  Arithmetic propagates bounds first-order and
-    adds one count of :func:`_rounding_at` for its one rounding; it never
-    tightens them.
+    ``err <= 10**-prec``.
+
+    The midpoint is a raw mpf tuple and the radius a Python integer below
+    ``2**32`` times a power of 2, as Arb holds its ``mag_t`` (Johansson,
+    arXiv:1611.02831).  ``value`` and ``err`` are read-only mpfs built on
+    access; ``BigReal(value, err, prec)`` rounds a given bound up into the
+    integer form.
+
+    The constructors, ``+ - * /`` and :func:`pi_times` enclose: when the
+    operands' targets lie in their balls, the exact result lies in the
+    result's ball.  Each rounds its midpoint to nearest at the explicit
+    binary precision ``b = working_bits(p)`` of the result's ``prec = p``,
+    bit for bit as the mpf operators round inside
+    ``workdps(working_dps(p))``, with one mpmath.libmp call and no mpmath
+    context: ``pi`` times ``k`` takes two, and a ``Fraction`` none, its
+    quotient rounded in integers by :func:`_quotient` (a numerator wider
+    than ``b`` is rounded first, through libmp).  The radius is summed in
+    integers and rounded upward (:func:`_ball`), from one count ``(1 +
+    |v|) 2**(1 - b)`` per rounding that makes the midpoint ``v`` (round to
+    nearest errs by at most ``|v| 2**-b``) plus:
+
+    * ``x + y``, ``x - y``: ``e_x + e_y``;
+    * ``x y``: ``|x| e_y + |y| e_x + e_x e_y``;
+    * ``x / y``: ``(e_x + |x/y| e_y) / (|y| - e_y)``, with ``|x/y|`` at
+      most ``|v|`` plus half a unit in its last place.  A divisor whose
+      ball holds 0 raises :class:`PrecisionNotMet`, an exact 0
+      :class:`DomainError`.
+
+    A value that converts without change has radius 0.  Negation and
+    ``abs`` round the midpoint to the value's own working precision and
+    keep the radius.  :meth:`certified` compares the radius with
+    ``10**-prec`` exactly, in integers.
 
     Instances are immutable and compare and hash by ``(value, err,
-    prec)``.  The constructors and ``+ - * / neg abs`` call mpmath.libmp on
-    the raw mpf tuples at the explicit binary precision ``b =
-    working_bits(p)`` of the result's ``prec = p``, rounding to nearest: the
-    ambient mpmath context is neither read nor changed.  Every step is the
-    one the mpf operators would take inside ``workdps(working_dps(p))``,
-    in the same order, so each value and bound keeps its bits.  Cost: a few
-    microseconds per op, nearly all of it in mpmath.libmp.
+    prec)``.  Cost: 2.5-9 microseconds per op on a shared 2-core x86-64 VM,
+    division the most, and 0.26-0.45 of what the radius as a rounded mpf
+    cost there (mpmath 1.3.0, pure-Python backend).
     """
 
-    __slots__ = ("value", "err", "prec")
+    __slots__ = ("_mid", "_man", "_exp", "_prec")
 
-    value: mpf
-    err: mpf
-    prec: int
-
-    def __init__(self, value: mpf, err: mpf, prec: int) -> None:
-        if err < 0:
+    def __init__(self, value: mpf, err: mpf | int | float, prec: int) -> None:
+        sign, man, exp, _ = _raw(err)
+        if sign and man:
             raise DomainError("error bound must be non-negative")
-        _set_value(self, value)
-        _set_err(self, err)
-        _set_prec(self, prec)
+        if not man and exp:
+            raise DomainError(f"error bound must be finite, got {err!r}")
+        self._mid = _raw(value)
+        self._man, self._exp = _up(man, exp)
+        self._prec = prec
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
+    @property
+    def value(self) -> mpf:
+        return _make_mpf(self._mid)
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+    @property
+    def err(self) -> mpf:
+        """The radius as an exact mpf."""
+        return _make_mpf(from_man_exp(self._man, self._exp))
+
+    prec = property(attrgetter("_prec"))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -380,33 +409,36 @@ class BigReal:
         """Wrap a value known exactly up to representation rounding.
 
         A value that converts without change has a zero bound.  For a
-        ``Fraction`` ``num/den`` that is decided in integers: the result
-        ``man 2**exp`` is exact iff ``man 2**exp den == num``.  A decimal
-        string is an input, held to :func:`check_digits`.
+        ``Fraction`` ``num/den`` in lowest terms that is decided in
+        integers: only a power of 2 ``den`` can give an exact binary
+        result ``man 2**exp``, exact iff ``man 2**exp den == num``.  A
+        decimal string is an input, held to :func:`check_digits`.
         """
-        b = working_bits(check_prec(prec))
+        b = _BITS[check_prec(prec)]
         if isinstance(x, Fraction):
-            # A Fraction rounds its numerator, then the quotient: two roundings.
-            num, den = x.numerator, x.denominator
-            v = mpf_div(mpf_pos(from_int(num), b, RN), from_int(den), b, RN)
-            _, man, exp, _ = v  # v has the sign of num
-            exact = man * den << max(exp, 0) == abs(num) << max(-exp, 0)
-            count = _TWO
-        elif isinstance(x, str):
-            v = from_str(check_digits(x, "the decimal"), b, RN)
-            exact, count = False, fone  # decimal parsing rounds once
-        else:
-            if isinstance(x, int):
-                raw = from_int(x)
-            elif isinstance(x, float):
-                raw = from_float(x)
-            elif isinstance(x, mpf):
-                raw = x._mpf_
+            # A Fraction rounds its numerator, then the quotient: two counts.
+            num, den = x.as_integer_ratio()
+            if num.bit_length() > b:
+                v = mpf_div(mpf_pos(from_int(num), b, RN), from_int(den), b, RN)
             else:
-                raise TypeError(f"cannot create a BigReal from {x!r}")
-            v = mpf_pos(raw, b, RN)
-            exact, count = mpf_eq(v, raw), fone
-        return _wrap(v, fzero if exact else _rounding_at(v, b, count), prec)
+                v = _quotient(num, den, b)
+            if not den & den - 1:
+                _, man, exp, _ = v  # v has the sign of num
+                if man * den << max(exp, 0) == abs(num) << max(-exp, 0):
+                    return _new_ball(v, 0, 0, prec)
+            return _ball(v, prec, 2 - b)
+        if isinstance(x, str):
+            return _ball(from_str(check_digits(x, "the decimal"), b, RN), prec, 1 - b)
+        if isinstance(x, int):
+            raw = from_int(x)
+        elif isinstance(x, float):
+            raw = from_float(x)
+        elif isinstance(x, mpf):
+            raw = x._mpf_
+        else:
+            raise TypeError(f"cannot create a BigReal from {x!r}")
+        v = mpf_pos(raw, b, RN)
+        return _new_ball(v, 0, 0, prec) if mpf_eq(v, raw) else _ball(v, prec, 1 - b)
 
     @classmethod
     def from_decimal(cls, text: str, prec: int) -> "BigReal":
@@ -415,132 +447,258 @@ class BigReal:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other: ScalarLike | "BigReal") -> "BigReal":
-        if isinstance(other, BigReal):
-            return other
-        return BigReal.exact(other, self.prec)
-
     def __add__(self, other: ScalarLike | "BigReal") -> "BigReal":
-        o = self._coerce(other)
-        p = min(self.prec, o.prec)
-        b = working_bits(p)
-        v = mpf_add(self.value._mpf_, o.value._mpf_, b, RN)
-        return _wrap(v, _sum(b, self.err._mpf_, o.err._mpf_, _rounding_at(v, b)), p)
+        o = other if isinstance(other, BigReal) else BigReal.exact(other, self._prec)
+        p = self._prec if self._prec <= o._prec else o._prec
+        b = _BITS[p]
+        return _ball(mpf_add(self._mid, o._mid, b, RN), p, 1 - b,
+                     ((self._man, self._exp), (o._man, o._exp)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "BigReal":
         # Negation rounds the payload to the value's own working precision,
-        # as mpf's unary minus does there; the bound is unchanged.
-        return _wrap(mpf_neg(self.value._mpf_, working_bits(self.prec), RN),
-                     self.err._mpf_, self.prec)
+        # as mpf's unary minus does there; the radius is unchanged.
+        return _new_ball(mpf_neg(self._mid, _BITS[self._prec], RN), self._man, self._exp, self._prec)
 
     def __sub__(self, other: ScalarLike | "BigReal") -> "BigReal":
-        o = self._coerce(other)
-        p = min(self.prec, o.prec)
-        b = working_bits(p)
-        v = mpf_sub(self.value._mpf_, o.value._mpf_, b, RN)
-        return _wrap(v, _sum(b, self.err._mpf_, o.err._mpf_, _rounding_at(v, b)), p)
+        o = other if isinstance(other, BigReal) else BigReal.exact(other, self._prec)
+        p = self._prec if self._prec <= o._prec else o._prec
+        b = _BITS[p]
+        return _ball(mpf_sub(self._mid, o._mid, b, RN), p, 1 - b,
+                     ((self._man, self._exp), (o._man, o._exp)))
 
     def __rsub__(self, other: ScalarLike) -> "BigReal":
-        return self._coerce(other) - self
+        return BigReal.exact(other, self._prec) - self
 
     def __mul__(self, other: ScalarLike | "BigReal") -> "BigReal":
-        o = self._coerce(other)
-        p = min(self.prec, o.prec)
-        b = working_bits(p)
-        x, ex, y, ey = self.value._mpf_, self.err._mpf_, o.value._mpf_, o.err._mpf_
-        v = mpf_mul(x, y, b, RN)
-        # |x| ey + |y| ex + ex ey + one count, each product and sum rounded.
-        e = _sum(b, mpf_mul(mpf_abs(x, b, RN), ey, b, RN), mpf_mul(mpf_abs(y, b, RN), ex, b, RN),
-                 mpf_mul(ex, ey, b, RN), _rounding_at(v, b))
-        return _wrap(v, e, p)
+        o = other if isinstance(other, BigReal) else BigReal.exact(other, self._prec)
+        p = self._prec if self._prec <= o._prec else o._prec
+        b = _BITS[p]
+        x, y = self._mid, o._mid
+        mx, ex, my, ey = self._man, self._exp, o._man, o._exp
+        return _ball(mpf_mul(x, y, b, RN), p, 1 - b,
+                     ((x[1] * my, x[2] + ey), (y[1] * mx, y[2] + ex), (mx * my, ex + ey)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike | "BigReal") -> "BigReal":
-        o = self._coerce(other)
-        y = o.value._mpf_
+        o = other if isinstance(other, BigReal) else BigReal.exact(other, self._prec)
+        y = o._mid
         if y == fzero:
             raise DomainError("division by zero")
-        p = min(self.prec, o.prec)
-        b = working_bits(p)
-        v = mpf_div(self.value._mpf_, y, b, RN)
-        denom = mpf_abs(y, b, RN)
-        # ex / |y| + (|v| ey) / |y| + one count, each step rounded.
-        e = _sum(b, mpf_div(self.err._mpf_, denom, b, RN),
-                 mpf_div(mpf_mul(mpf_abs(v, b, RN), o.err._mpf_, b, RN), denom, b, RN),
-                 _rounding_at(v, b))
-        return _wrap(v, e, p)
+        p = self._prec if self._prec <= o._prec else o._prec
+        b = _BITS[p]
+        v = mpf_div(self._mid, y, b, RN)
+        mx, my = self._man, o._man
+        if not (mx or my):
+            return _ball(v, p, 1 - b)
+        # |y| - e_y rounded down, in units of 2**low, 64 bits below the top of |y|.
+        _, yman, yexp, ybc = y
+        low = yexp + ybc - 64
+        den = yman << yexp - low if yexp >= low else yman >> low - yexp
+        if my:
+            ey = o._exp
+            if ey + my.bit_length() > low + 64:  # e_y >= 2**(low + 64) > |y|
+                den = 0
+            else:
+                den -= my << ey - low if ey >= low else (my >> low - ey) + 1
+            if den <= 0:
+                raise PrecisionNotMet(f"division by a ball that holds 0: {o!r}")
+        # e_x / den + |x/y| e_y / den, each rounded up with at least 31 bits.
+        # |x/y| is at most |v| plus half a unit of its last place at b bits,
+        # (man 2**(b + 1 - bc) + 1) 2**(exp + bc - b - 1) for v = man 2**exp.
+        _, vman, vexp, vbc = v
+        ratio = (vman << b + 1 - vbc) + 1 if vman else 0
+        return _ball(v, p, 1 - b, ((-((-mx << 96) // den), self._exp - 96 - low),
+                                   (-((-ratio * my << 96) // den), vexp + vbc - b - 1 + o._exp - 96 - low)))
 
     def __rtruediv__(self, other: ScalarLike) -> "BigReal":
-        return self._coerce(other) / self
+        return BigReal.exact(other, self._prec) / self
 
     def __pow__(self, k: int) -> "BigReal":
         if not isinstance(k, int) or k < 0:
             raise DomainError("BigReal powers must be non-negative integers")
-        out = BigReal.exact(1, self.prec)
+        out = BigReal.exact(1, self._prec)
         for _ in range(k):
             out = out * self
         return out
 
     def __abs__(self) -> "BigReal":
-        return _wrap(mpf_abs(self.value._mpf_, working_bits(self.prec), RN),
-                     self.err._mpf_, self.prec)
+        return _new_ball(mpf_abs(self._mid, _BITS[self._prec], RN), self._man, self._exp, self._prec)
 
     # -- queries ------------------------------------------------------
 
     def certified(self) -> bool:
-        """True when the bound meets the requested precision."""
-        return mpf_le(self.err._mpf_, _limit(self.prec))
+        """True when the radius is at most ``10**-prec``, decided exactly."""
+        man, k = self._man, -self._exp
+        if not man:
+            return True
+        # man 10**prec <= 2**k, with no power of 2 built past it.
+        lhs = man * _TEN_TO[self._prec]
+        return lhs.bit_length() <= k or lhs == 1 << k
 
     def demand(self, what: str = "result") -> "BigReal":
         if not self.certified():
             raise PrecisionNotMet(
-                f"{what}: certified bound {mpmath.nstr(self.err, 3)} exceeds 1e-{self.prec}")
+                f"{what}: certified bound {_upward(self._man, self._exp)} exceeds 1e-{self._prec}")
         return self
 
     def __repr__(self) -> str:  # debugging aid, not part of the text format
-        return (f"BigReal({mpmath.nstr(self.value, self.prec + 2)}, "
-                f"err<={mpmath.nstr(self.err, 3)}, prec={self.prec})")
+        return (f"BigReal({mpmath.nstr(self.value, self._prec + 2)}, "
+                f"err<={_upward(self._man, self._exp)}, prec={self._prec})")
 
 
-_set_value, _set_err, _set_prec = (BigReal.__dict__[name].__set__ for name in BigReal.__slots__)
 _new = object.__new__
 _make_mpf = mpmath.mp.make_mpf
-_TWO = from_int(2)
 
 
-def _wrap(value: tuple, err: tuple, prec: int) -> BigReal:
-    """A :class:`BigReal` from raw mpf tuples, with no conversion or check."""
+class _ByPrec(dict):
+    """``fn(p)`` by ``p``, computed on first use: a lookup cheaper than a cached call."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, p: int):
+        value = self[p] = self.fn(p)
+        return value
+
+
+#: ``working_bits(p)`` and ``10**p`` by ``p``, read by every op.
+_BITS = _ByPrec(working_bits)
+_TEN_TO = _ByPrec(lambda p: 10 ** p)
+
+#: Widest shift, in bits, between the terms :func:`_ball` sums exactly.
+_SPREAD = 4096
+
+
+def _raw(x: mpf | int | float) -> tuple:
+    """The raw mpf tuple of an mpf, int or float, exactly."""
+    if isinstance(x, mpf):
+        return x._mpf_
+    if isinstance(x, float):
+        return from_float(x)
+    if isinstance(x, int):
+        return from_int(x)
+    raise TypeError(f"expected an mpf, int or float, got {x!r}")
+
+
+def _ball(v: tuple, prec: int, count: int, terms: Sequence[tuple[int, int]] = ()) -> BigReal:
+    """A :class:`BigReal` of midpoint ``v`` whose radius rounds up a sum of terms.
+
+    The sum is ``(1 + |v|) 2**count``, the rounding count, plus ``m 2**e``
+    for each ``(m, e)`` in ``terms``, integers ``m >= 0``.  It is exact, in
+    units of the lowest exponent that matters, then rounded up as by
+    :func:`_up`; terms more than :data:`_SPREAD` bits apart go to the
+    windowed sum of :func:`_far_ball`.  ``v`` is rounded at
+    ``working_bits(prec)``, so its mantissa is short.
+    """
+    _, vman, vexp, _ = v
+    if -_SPREAD <= vexp < 0:
+        total, low = vman + (1 << -vexp), count + vexp
+    elif 0 <= vexp <= _SPREAD:
+        total, low = (vman << vexp) + 1, count
+    else:
+        return _far_ball(v, prec, count, terms)
+    if terms:
+        for m, e in terms:
+            if m:
+                d = e - low
+                if 0 <= d <= _SPREAD:
+                    total += m << d
+                elif -_SPREAD <= d < 0:
+                    total = (total << -d) + m
+                    low = e
+                else:
+                    return _far_ball(v, prec, count, terms)
+    s = total.bit_length() - 32
+    if s > 0:
+        total = -(-total >> s)
+        low += s
+        if total >> 32:
+            total >>= 1
+            low += 1
+    return _new_ball(v, total, low, prec)
+
+
+def _quotient(num: int, den: int, b: int) -> tuple:
+    """``num / den`` rounded to nearest at ``b`` bits, as a raw mpf.
+
+    For ``den > 0`` and ``|num| < 2**b``: the bits of
+    ``mpf_div(from_int(num), from_int(den), b, round_nearest)``.  The
+    floored quotient has ``b + 1`` or ``b + 2`` bits, and rounding it half
+    up at ``b`` bits rounds the true quotient to nearest, since no tie can
+    occur: a tie has ``b + 1`` bits and ends in 1, and for ``num/den`` in
+    lowest terms so would ``num``.
+    """
+    sign = num < 0
+    if sign:
+        num = -num
+    elif not num:
+        return fzero
+    shift = b + 1 + den.bit_length() - num.bit_length()
+    q = (num << shift) // den
+    extra = q.bit_length() - b
+    q = ((q >> extra - 1) + 1) >> 1
+    zeros = (q & -q).bit_length() - 1
+    q >>= zeros
+    return sign, q, extra - shift + zeros, q.bit_length()
+
+
+def _new_ball(v: tuple, man: int, exp: int, prec: int) -> BigReal:
+    """A :class:`BigReal` of midpoint ``v`` and radius ``man 2**exp``, as given."""
     out = _new(BigReal)
-    _set_value(out, _make_mpf(value))
-    _set_err(out, _make_mpf(err))
-    _set_prec(out, prec)
+    out._mid = v
+    out._man = man
+    out._exp = exp
+    out._prec = prec
     return out
 
 
-def _sum(bits: int, first: tuple, *rest: tuple) -> tuple:
-    """Raw mpfs added left to right, each sum rounded to nearest at ``bits``."""
-    for term in rest:
-        first = mpf_add(first, term, bits, RN)
-    return first
+def _far_ball(v: tuple, prec: int, count: int, terms: Sequence[tuple[int, int]]) -> BigReal:
+    """:func:`_ball` for terms far apart: their sum in a window, rounded up by :func:`_up`.
 
-
-@lru_cache(maxsize=None)
-def _limit(prec: int) -> tuple:
-    """Raw ``10**-prec`` at ``working_bits(prec)``, the bound :meth:`BigReal.certified` meets."""
-    return mpf_pow_int(from_int(10), -prec, working_bits(prec), RN)
-
-
-def _rounding_at(v: tuple, bits: int, count: tuple = fone) -> tuple:
-    """Raw ``count (1 + |v|) 2**(1 - bits)`` for a raw mpf ``v``: the one counted rule.
-
-    ``|v|``, the sum and the product round to nearest at ``bits``, as the
-    mpf operators do at that precision; ``count`` is a raw mpf.
+    The sum is exact in units of ``2**low``, 64 bits below the top of its
+    largest term; each term, or the part of one, below ``low`` counts as one
+    unit.  So it exceeds the exact sum by a relative ``2**-31`` at most,
+    however far apart the terms lie, and no integer grows past 64 bits more
+    than the largest term.
     """
-    t = mpf_add(mpf_abs(v, bits, RN), fone, bits, RN)
-    return mpf_shift(t if count == fone else mpf_mul(count, t, bits, RN), 1 - bits)
+    terms = ((1, count), (v[1], v[2] + count), *terms)
+    low = max(e + m.bit_length() for m, e in terms if m) - 64
+    total = 0
+    for m, e in terms:
+        if e >= low:
+            total += m << e - low
+        elif m:
+            total += (m >> low - e) + 1
+    return _new_ball(v, *_up(total, low), prec)
+
+
+def _up(n: int, e: int) -> tuple[int, int]:
+    """``(m, f)``: ``n 2**e`` for an integer ``n >= 0`` rounded up to ``m < 2**32``."""
+    s = n.bit_length() - 32
+    if s <= 0:
+        return (n, e) if n else (0, 0)
+    n = -(-n >> s)
+    return (n >> 1, e + s + 1) if n >> 32 else (n, e + s)
+
+
+def _upward(man: int, exp: int, digits: int = 3) -> str:
+    """``man 2**exp`` in decimal to ``digits`` significant digits, rounded up."""
+    if not man:
+        return "0.0"
+    num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    k = math.floor((man.bit_length() + exp - 1) * math.log10(2)) - 1  # below log10 of it
+    while True:
+        shift = digits - 1 - k
+        q = -(-num * 10 ** shift // den) if shift >= 0 else -(-num // (den * 10 ** -shift))
+        if q < 10 ** digits:
+            break
+        k += 1
+    text = str(q)
+    return f"{text[0]}.{text[1:].rstrip('0') or '0'}e{k}"
 
 
 def _rounding(v: mpf, count: int | float | Fraction | mpf) -> mpf:
@@ -548,19 +706,21 @@ def _rounding(v: mpf, count: int | float | Fraction | mpf) -> mpf:
 
     One count covers one faithful rounding of ``v`` at the ambient binary
     precision, and one unit of ``2**-mp.prec`` absolute; the module
-    docstring gives the premises and the counted sites.  :func:`_rounding_at`
-    at ``mp.prec``, with ``v`` and ``count`` converted as mpf's operators
-    convert them.
+    docstring gives the premises and the sites that count with it.  ``v``
+    and ``count`` convert as mpf's operators convert them, and ``|v|``, the
+    sum and the product round to nearest at ``mp.prec``, as those operators
+    do.
     """
-    convert = mpmath.mp.convert
-    return _make_mpf(_rounding_at(convert(v)._mpf_, mpmath.mp.prec, convert(count)._mpf_))
+    convert, bits = mpmath.mp.convert, mpmath.mp.prec
+    count = convert(count)._mpf_
+    t = mpf_add(mpf_abs(convert(v)._mpf_, bits, RN), fone, bits, RN)
+    return _make_mpf(mpf_shift(t if count == fone else mpf_mul(count, t, bits, RN), 1 - bits))
 
 
 def pi_times(k: int, prec: int) -> BigReal:
     """``k * pi`` at the working precision of ``prec``, with its two roundings."""
-    b = working_bits(prec)
-    v = mpf_mul_int(mpf_pi(b, RN), k, b, RN)
-    return _wrap(v, _rounding_at(v, b, _TWO), prec)  # pi, then the product
+    b = _BITS[prec]
+    return _ball(mpf_mul_int(mpf_pi(b, RN), k, b, RN), prec, 2 - b)  # pi, then the product
 
 
 def _finish(total: int, frac_bits: int, units: int, prec: int) -> BigReal:
@@ -569,15 +729,13 @@ def _finish(total: int, frac_bits: int, units: int, prec: int) -> BigReal:
     ``total`` is the value in units of ``2**-frac_bits`` and ``units`` the
     error the engine proved for it, in the same units.  The value rounds to
     nearest at ``b = working_bits(prec)`` bits, which errs by at most
-    ``|total| 2**-b`` units, so the bound adds ``(|total| >> b) + 1``; the
-    sum is rounded up to a 32-bit mantissa.  Both go through mpmath.libmp
-    at explicit precisions, with no mpmath context.
+    ``|total| 2**-b`` units, so the radius adds ``(|total| >> b) + 1``, and
+    the sum rounds up by :func:`_up`.  Both go through mpmath.libmp at
+    explicit precisions, with no mpmath context.
     """
-    b = working_bits(prec)
-    units += (abs(total) >> b) + 1
-    shift = max(units.bit_length() - 32, 0)
-    return _wrap(from_man_exp(total, -frac_bits, b, RN),
-                 from_man_exp(-(-units >> shift), shift - frac_bits), prec)
+    b = _BITS[prec]
+    return _new_ball(from_man_exp(total, -frac_bits, b, RN), *_up(units + (abs(total) >> b) + 1, -frac_bits),
+                     prec)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ also records stdout and the exit code of a fixed set of CLI commands, in
 plain and ``--json`` mode.  ``test_bits.py`` recomputes every cell and
 compares the file byte for byte.  A change that alters bits on purpose
 reruns this script and commits the rewrite; the diff of the file is the
-list of changed cells, and the script prints each changed cell with its old
-and new declared bound, marking a bound that grew.  The file was made with
-mpmath 1.3.0, the version the CI installs; mpmath's elementary functions
-set the bits of most cells.
+list of changed cells, and the script prints each changed cell, marked by
+whether its value or only its bound changed, with its old and new declared
+bound, then a count per section and evaluator (:func:`report`).  The file
+was made with mpmath 1.3.0, the version the CI installs; mpmath's
+elementary functions set the bits of most cells.
 """
 
 from __future__ import annotations
@@ -189,17 +190,54 @@ def _err(cell):
     return (-1) ** sign * man * Fraction(2) ** exp
 
 
+_BOUND = re.compile(r'(± |within bound |"bound": ")[-+.0-9e]+')
+
+
+def _value_part(cell):
+    """What a cell holds besides its bound: the value bits, the batch totals, the
+    stdout with every printed bound masked, or what was raised."""
+    if cell is None or "raises" in cell:
+        return cell
+    if "stdout" in cell:
+        return cell["code"], _BOUND.sub(r"\1*", cell["stdout"])
+    if isinstance(cell[0], int):
+        bits, pairs = cell
+        return bits, [total for total, _ in pairs]
+    return cell[0]
+
+
 def report(old: dict, new: dict) -> None:
-    """Print every cell that a rewrite adds, removes or changes, with its bound."""
+    """Print every cell that a rewrite adds, removes or changes, then a summary.
+
+    Each line says whether the cell's value changed (``VALUE``) or only its
+    bound (``bound``), with the old and new bound, marking one that grew.
+    The summary gives, per section and evaluator, the cells changed, the
+    values changed (an added or removed cell counts as one), the bounds
+    grown and the largest growth factor.
+    """
     for section in new:
         before, after = old.get(section, {}), new[section]
+        tally: dict[str, list] = {}
         for key in [*after, *(k for k in before if k not in after)]:
             if before.get(key) == after.get(key):
                 continue
-            e0, e1 = _err(before.get(key)), _err(after.get(key))
-            grew = "  GREW" if e0 is not None and e1 is not None and e1 > e0 else ""
+            cell0, cell1 = before.get(key), after.get(key)
+            kind = ("added" if cell0 is None else "removed" if cell1 is None
+                    else "bound" if _value_part(cell0) == _value_part(cell1) else "VALUE")
+            e0, e1 = _err(cell0), _err(cell1)
+            grew = e0 is not None and e1 is not None and e1 > e0
             shown = ["-" if e is None else f"{float(e):.3g}" for e in (e0, e1)]
-            print(f"{section}: {key}: err {shown[0]} -> {shown[1]}{grew}")
+            print(f"{section}: {key}: {kind}: err {shown[0]} -> {shown[1]}{'  GREW' if grew else ''}")
+            counts = tally.setdefault(re.match(r"[\w-]+", key).group(), [0, 0, 0, Fraction(1)])
+            counts[0] += 1
+            counts[1] += kind != "bound"
+            counts[2] += grew
+            if grew and e0:
+                counts[3] = max(counts[3], e1 / e0)
+        for name, (changed, values, grown, factor) in tally.items():
+            largest = f"1 + {float(factor - 1):.3g}" if factor > 1 else "-"
+            print(f"summary {section}: {name}: {changed} changed, {values} values, "
+                  f"{grown} bounds grew, largest growth {largest}")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
+from euler_periods import g2 as g2_module
 from euler_periods.errors import DomainError, InputError, SchemaError
 from euler_periods.eulerfun import phi
 from euler_periods.g2 import (
@@ -134,6 +135,16 @@ def test_th2012_component_budget():
     assert round(m.total_uncertainty / 1e-14) == 77
 
 
+@pytest.mark.parametrize("prec", [1, 15, 30, MAX_PREC])
+def test_measurement_folds_its_uncertainty_in_without_rounding_down(prec):
+    def exact(x):
+        return Fraction(*mpmath.libmp.to_rational(x._mpf_))
+    for m in load_registry():
+        x = m.as_bigreal(prec)
+        assert x.value == m.value.value and x.prec == prec
+        assert exact(x.err) >= exact(m.value.err) + Fraction(m.total_uncertainty)
+
+
 def test_laporta_row_matches_constant():
     # The registry row is parsed at registry precision; the full digit
     # string must survive verbatim in the shipped file itself.
@@ -192,6 +203,19 @@ def test_registry_schema_errors(tmp_path, rows, field):
     with pytest.raises(SchemaError) as exc:
         load_registry(path)
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("component,problem", [
+    ("1e-400", "rounds to 0.0"),
+    ("1e400", "overflows the float range"),
+    ("-1e-400", "must be non-negative"),
+    ("1" * 2000, "has 2000 digits, past the cap"),
+], ids=["underflow", "overflow", "negative underflow", "past the digit cap"])
+def test_registry_component_a_float_cannot_hold_is_a_schema_error(tmp_path, component, problem):
+    path = write_registry(tmp_path, [row(uncertainty_components=["1e-6", component])])
+    with pytest.raises(SchemaError, match=problem) as exc:
+        load_registry(path)
+    assert (exc.value.entry, exc.value.field) == (0, "uncertainty_components")
 
 
 def test_registry_entry_index_reported(tmp_path):
@@ -428,6 +452,25 @@ def test_assemble_rejects_nonpositive_alpha():
 def test_assemble_rejects_non_number():
     with pytest.raises(InputError):
         assemble(object(), order=2)
+
+
+PAST_CAP = [10 ** 5000, Fraction(1, 10 ** (DIGIT_CAP + 1)), mpf(2) ** 5000]
+WITHIN_CAP = [137, 10 ** (DIGIT_CAP - 1), Fraction(137035999084, 10 ** 9), Fraction(1, 10 ** (DIGIT_CAP - 1)),
+              mpf("137.035999084"), 137.035999084]
+
+
+@pytest.mark.parametrize("x", PAST_CAP, ids=["int", "Fraction", "mpf"])
+def test_number_inputs_past_the_digit_cap_raise_as_strings_do(x):
+    with pytest.raises(InputError, match=f"^alpha_inv is past the cap {DIGIT_CAP} digits$"):
+        assemble(x, order=2)
+    with pytest.raises(InputError, match=f"^target_ae is past the cap {DIGIT_CAP} digits$"):
+        invert_alpha(x, order=2)
+
+
+@pytest.mark.parametrize("x", WITHIN_CAP, ids=["int", "wide int", "Fraction", "tiny Fraction", "mpf", "float"])
+def test_number_inputs_within_the_digit_cap_keep_their_bits(x):
+    mine, direct = g2_module._as_input(x, "x", 21), BigReal.exact(x, 21)
+    assert (mine.value._mpf_, mine.err._mpf_, mine.prec) == (direct.value._mpf_, direct.err._mpf_, 21)
 
 
 def test_assemble_deterministic():

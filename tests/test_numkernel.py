@@ -15,6 +15,7 @@ from pathlib import Path
 import mpmath
 import pytest
 from mpmath import mpf
+from mpmath.libmp import from_int, fzero, mpf_div, round_nearest
 
 from euler_periods import eulerfun, numkernel
 from euler_periods.errors import DomainError, InputError, PrecisionNotMet, TooLarge
@@ -393,7 +394,7 @@ def test_bigreal_is_immutable_and_compares_by_fields():
 
 
 # ---------------------------------------------------------------------------
-# BigReal against the mpf-operator reference, bit for bit
+# BigReal against the mpf-radius reference: the same values, enclosing bounds
 # ---------------------------------------------------------------------------
 
 
@@ -497,23 +498,84 @@ class RefReal:
             return bool(self.err <= mpf(10) ** (-self.prec))
 
 
-def bits_of(x):
-    return x.value._mpf_, x.err._mpf_, x.prec
+def rational(x) -> Fraction:
+    """The exact value of an mpf, however wide."""
+    return Fraction(*mpmath.libmp.to_rational(x._mpf_))
 
 
-def same(new, ref):
-    """Both raise the same error type, or give the same bits (or the same bool)."""
+def dyadic(man: int, exp: int) -> mpf:
+    """``man 2**exp`` as an mpf, exactly."""
+    return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(man, exp))
+
+
+#: Most a declared bound may exceed the mpf-radius reference's, but for the
+#: enclosure term of a division.
+GROWTH = 1 + Fraction(1, 2 ** 20)
+
+OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def counts(v, prec, n=1) -> Fraction:
+    """``n`` counts of rounding ``v``, exactly: ``n (1 + |v|) 2**(1 - b)``."""
+    return n * (1 + abs(rational(v))) / 2 ** (working_bits(prec) - 1)
+
+
+def first_order(sym, left, right, v, prec) -> Fraction:
+    """The reference's bound for ``left sym right = v``, summed exactly on the new operands."""
+    x, ex, y, ey = rational(left.value), rational(left.err), rational(right.value), rational(right.err)
+    if sym in "+-":
+        spread = ex + ey
+    elif sym == "*":
+        spread = abs(x) * ey + abs(y) * ex + ex * ey
+    else:
+        spread = (ex + abs(rational(v)) * ey) / abs(y)
+    return spread + counts(v, prec)
+
+
+def agree(sym, left, right, ref_left, ref_right):
+    """``left sym right`` keeps the reference's value bits, and its bound lies
+    between the reference's bound summed exactly and ``GROWTH`` times the
+    reference's bound (for a division, times ``|y| / (|y| - e_y)``)."""
+    op = OPS[sym]
     try:
-        want = ref()
+        want = op(ref_left, ref_right)
     except (DomainError, ZeroDivisionError) as exc:
         with pytest.raises(type(exc)):
-            new()
+            op(left, right)
         return
-    got = new()
-    if isinstance(want, RefReal):
-        assert bits_of(got) == bits_of(want)
+    ball = left if isinstance(left, BigReal) else right
+    x, y = (BigReal.exact(z, ball.prec) if not isinstance(z, BigReal) else z for z in (left, right))
+    try:
+        got = op(left, right)
+    except PrecisionNotMet:
+        assert sym == "/" and rational(y.err) * (1 + Fraction(1, 2 ** 60)) >= abs(rational(y.value))
+        return
+    assert (got.value._mpf_, got.prec) == (want.value._mpf_, want.prec)
+    err = rational(got.err)
+    assert err >= first_order(sym, x, y, got.value, got.prec)
+    limit = rational(want.err) * GROWTH
+    if sym == "/":
+        size = abs(rational(y.value))
+        limit = limit * size / (size - rational(y.err))
+    assert err <= limit
+
+
+def agree_exact(make, ref, x, prec):
+    """A constructor keeps the reference's value bits; a zero bound stays zero, and
+    any other lies between its counts, summed exactly, and ``GROWTH`` times the reference's."""
+    try:
+        want = ref(x, prec)
+    except (DomainError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            make(x, prec)
+        return
+    got = make(x, prec)
+    assert (got.value._mpf_, got.prec) == (want.value._mpf_, want.prec)
+    if want.err == 0:
+        assert got.err == 0
     else:
-        assert got == want
+        err = rational(got.err)
+        assert counts(got.value, prec, 2 if isinstance(x, Fraction) else 1) <= err <= rational(want.err) * GROWTH
 
 
 def seeded_scalars(rng, n):
@@ -548,27 +610,31 @@ def wide_pair(rng, x, prec):
     return BigReal(value, err, prec), RefReal(value, err, prec)
 
 
-OPS = [
-    lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b,
-]
-SCALAR_OPS = [
-    lambda a, x: a + x, lambda a, x: x + a, lambda a, x: a - x, lambda a, x: x - a,
-    lambda a, x: a * x, lambda a, x: x * a, lambda a, x: a / x, lambda a, x: x / a,
-]
+def test_quotient_rounds_as_mpf_div():
+    # The integer rounding of a Fraction's quotient against mpmath.libmp's,
+    # at the working precisions' ends and past, with dyadic denominators.
+    rng = random.Random(37)
+    for b in sorted({working_bits(p) for p in (1, 2, 15, 50, 100)} | {41, 400}):
+        for _ in range(3000):
+            num = rng.choice((1, -1)) * rng.getrandbits(rng.randint(0, b))
+            kind = rng.random()
+            den = (1 << rng.randint(0, 60) if kind < 0.2 else rng.randint(1, 20) if kind < 0.3
+                   else rng.getrandbits(rng.randint(1, 400)) + 1)
+            want = mpf_div(from_int(num), from_int(den), b, round_nearest) if num else fzero
+            assert numkernel._quotient(num, den, b) == want, (num, den, b)
 
 
-def test_bigreal_constructors_match_the_mpf_reference_bit_for_bit():
+def test_bigreal_constructors_keep_the_reference_values_and_cover_its_bounds():
     rng = random.Random(2017)
     scalars = seeded_scalars(rng, 300)
     for prec in range(MIN_PREC, MAX_PREC + 1):
         for x in scalars:
-            same(lambda: BigReal.exact(x, prec), lambda: RefReal.exact(x, prec))
+            agree_exact(BigReal.exact, RefReal.exact, x, prec)
             if isinstance(x, str):
-                text = f"  {x}\n"
-                same(lambda: BigReal.from_decimal(text, prec), lambda: RefReal.from_decimal(text, prec))
+                agree_exact(BigReal.from_decimal, RefReal.from_decimal, f"  {x}\n", prec)
 
 
-def test_bigreal_ops_match_the_mpf_reference_bit_for_bit():
+def test_bigreal_ops_keep_the_reference_values_and_cover_its_bounds():
     rng = random.Random(1707)
     scalars = seeded_scalars(rng, 200)
     for _ in range(3000):
@@ -579,42 +645,134 @@ def test_bigreal_ops_match_the_mpf_reference_bit_for_bit():
             b, rb = BigReal.exact(y, q), RefReal.exact(y, q)
         else:
             (a, ra), (b, rb) = wide_pair(rng, x, p), wide_pair(rng, y, q)
-        for op in OPS:
-            same(lambda: op(a, b), lambda: op(ra, rb))
         z = rng.choice(scalars)
-        for op in SCALAR_OPS:
-            same(lambda: op(a, z), lambda: op(ra, z))
-        same(lambda: -a, lambda: -ra)
-        same(lambda: abs(b), lambda: abs(rb))
-        same(lambda: a ** 3, lambda: ra ** 3)
-        same(a.certified, ra.certified)
+        for sym in OPS:
+            agree(sym, a, b, ra, rb)
+            agree(sym, a, z, ra, z)
+            agree(sym, z, a, z, ra)
+        for new, ref, source in ((-a, -ra, a), (abs(b), abs(rb), b)):
+            assert new.value._mpf_ == ref.value._mpf_ and new.err == source.err
+        cube, ref = a ** 3, ra ** 3
+        assert cube.value._mpf_ == ref.value._mpf_
+        assert rational(cube.err) <= rational(ref.err) * GROWTH
 
 
-def test_certified_matches_the_mpf_reference_at_the_limit():
+def random_ball(rng, prec):
+    """A BigReal of random dyadic midpoint and radius, and the ends and midpoint of its ball.
+
+    The midpoint has up to twice the working bits; the radius is 0, or
+    relative to it, or absolute, so that some balls hold 0.
+    """
+    bits = working_bits(prec)
+    width = rng.randint(1, 2 * bits)
+    exp = rng.randint(-60, 60) - width
+    value = dyadic(rng.choice((1, -1)) * rng.getrandbits(width), exp)
+    kind = rng.random()
+    if kind < 0.2:
+        err = mpf(0)
+    elif kind < 0.85:
+        err = dyadic(rng.getrandbits(rng.randint(1, 40)), exp + width - rng.randint(40, 3 * bits + 40))
+    else:
+        err = dyadic(rng.getrandbits(rng.randint(1, 40)), rng.randint(-3 * bits, 60))
+    c, r = rational(value), rational(err)
+    return BigReal(value, err, prec), (c - r, c, c + r)
+
+
+def assert_ops_enclose(left, right):
+    """Each of ``+ - * /`` on two balls holds its exact result at every pair of their points."""
+    (a, xs), (b, ys) = left, right
+    for sym, op in OPS.items():
+        try:
+            r = op(a, b)
+        except DomainError:
+            assert sym == "/" and ys[1] == 0
+            continue
+        except PrecisionNotMet:
+            assert sym == "/" and min(map(abs, (ys[0], ys[2]))) <= abs(ys[1]) / 2 ** 60 or ys[0] * ys[2] <= 0
+            continue
+        mid, rad = rational(r.value), rational(r.err)
+        for x in xs:
+            for y in ys:
+                assert abs(op(x, y) - mid) <= rad, (sym, x, y)
+
+
+@pytest.mark.parametrize("prec", [1, 15, 50, 100])
+def test_bigreal_arithmetic_encloses(prec):
+    # Every op, exact and pi_times: the exact result at the ends and the
+    # midpoints of the operands' balls lies in the result's ball.
+    rng = random.Random(prec)
+    with mpmath.workprec(2000):
+        pi = rational(+mpmath.pi)
+    for _ in range(300):
+        assert_ops_enclose(random_ball(rng, prec), random_ball(rng, prec))
+        q = Fraction(rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 400)),
+                     rng.getrandbits(rng.randint(1, 400)) + 1)
+        decimal = f"{rng.getrandbits(rng.randint(1, 200))}e{rng.randint(-60, 60)}"
+        for x in (q, float(q), decimal, int(q)):
+            r = BigReal.exact(x, prec)
+            assert abs(Fraction(x) - rational(r.value)) <= rational(r.err)
+        k = rng.randint(-10 ** 6, 10 ** 6)
+        r = pi_times(k, prec)
+        for end in (k * pi - Fraction(1, 2 ** 1990), k * pi + Fraction(1, 2 ** 1990)):
+            assert abs(end - rational(r.value)) <= rational(r.err)
+
+
+@pytest.mark.parametrize("prec", [1, 15, 100])
+def test_bigreal_arithmetic_encloses_terms_far_apart(prec):
+    # Values and radii thousands of bits apart take the windowed sum.
+    balls = []
+    for vexp, eexp in ((6000, -6000), (-6000, 6000), (-9000, -3000), (0, -9000), (3, 0)):
+        for man in (1, 3, 2 ** 200 + 1):
+            value, err = dyadic(man, vexp), dyadic(5, eexp)
+            c, r = rational(value), rational(err)
+            balls.append((BigReal(value, err, prec), (c - r, c, c + r)))
+    for left in balls:
+        for right in balls:
+            assert_ops_enclose(left, right)
+
+
+def test_certified_is_exact_at_the_limit():
+    # The 32-bit radii next to 10**-prec, one radius unit apart, on both sides.
     for prec in range(MIN_PREC, MAX_PREC + 1):
-        with mpmath.workdps(working_dps(prec)):
-            limit = mpf(10) ** -prec
-        bits = working_bits(prec)
-        for k in range(-3, 4):
-            for err in (limit + mpmath.ldexp(k, mpmath.mag(limit) - bits), limit * (1 + k * 1e-3)):
-                err = abs(err)
-                assert BigReal(mpf(1), err, prec).certified() == RefReal(mpf(1), err, prec).certified()
+        limit = Fraction(1, 10 ** prec)
+        exp = math.floor(math.log2(limit)) - 31
+        man = math.floor(limit / Fraction(2) ** exp)
+        assert 2 ** 31 <= man < 2 ** 32
+        for m, ok in ((man - 1, True), (man, True), (man + 1, False)):
+            x = BigReal(mpf(1), dyadic(m, exp), prec)
+            assert rational(x.err) == m * Fraction(2) ** exp
+            assert (rational(x.err) <= limit) is ok
+            assert x.certified() is ok
 
 
-def test_rounding_and_pi_times_match_the_mpf_reference():
+def test_demand_writes_its_bound_rounded_up():
+    x = BigReal(mpf(1), mpf("1.0004e-15"), 15)
+    with pytest.raises(PrecisionNotMet, match=r"^unit test: certified bound 1\.01e-15 exceeds 1e-15$"):
+        x.demand("unit test")
+    rng = random.Random(3)
+    for _ in range(2000):
+        man, exp = rng.getrandbits(rng.randint(1, 32)) | 1, rng.randint(-400, 60)
+        text = numkernel._upward(man, exp)
+        shown, true = Fraction(text), man * Fraction(2) ** exp
+        step = Fraction(10) ** (int(text.split("e")[1]) - 2)
+        assert shown - step < true <= shown, (man, exp, text)
+
+
+def test_rounding_matches_the_mpf_reference_and_pi_times_keeps_its_bits():
     rng = random.Random(31)
     values = [mpf(0), mpf(1), mpf(-3) / 7, mpf(2) ** -200]
-    counts = [1, 2, 7, 7.5, 2.0 / 3, Fraction(5, 3), mpf(1) / 3 + 4]
+    factors = [1, 2, 7, 7.5, 2.0 / 3, Fraction(5, 3), mpf(1) / 3 + 4]
     for prec in range(MIN_PREC, MAX_PREC + 1):
         with mpmath.workdps(working_dps(prec)):
             for v in values + [mpf(rng.getrandbits(400)) / 3]:
-                for count in counts:
+                for count in factors:
                     assert numkernel._rounding(v, count)._mpf_ == ref_rounding(v, count)._mpf_
             k = rng.randint(-50, 50)
-            with mpmath.workdps(working_dps(prec)):
-                v = k * mpmath.pi
-                want = (v._mpf_, ref_rounding(v, 2)._mpf_, prec)
-        assert bits_of(pi_times(k, prec)) == want
+            v = k * mpmath.pi
+            want = ref_rounding(v, 2)
+        x = pi_times(k, prec)
+        assert (x.value._mpf_, x.prec) == (v._mpf_, prec)
+        assert counts(v, prec, 2) <= rational(x.err) <= rational(want) * GROWTH
 
 
 # ---------------------------------------------------------------------------
