@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -36,7 +35,7 @@ from .errors import (
     SchemaError,
     TooLarge,
 )
-from .numkernel import BigReal, bernoulli, check_digits, check_prec, exact_str, working_dps
+from .numkernel import BigReal, bernoulli, bound_text, check_digits, check_prec, exact_str, working_dps
 
 if TYPE_CHECKING:
     from . import feynper, g2
@@ -69,25 +68,11 @@ def _certified_line(x: BigReal) -> tuple[list[str], dict]:
     return [f"{value} ± {bound}"], {"value": value, "bound": bound}
 
 
-def _bound_text(err: mpmath.mpf, digits: int) -> str:
-    """A bound ``err >= 0`` as ``nstr`` writes it in ``digits`` digits, rounded upward.
-
-    Where ``nstr``'s nearest decimal lies below ``err``, it prints the next
-    decimal up, so a printed bound never understates the declared one.  A
-    bound is a result, not an input, so it may pass ``DIGIT_CAP`` digits.
-    """
-    text = mpmath.nstr(err, digits)
-    low = Decimal(text)
-    if Fraction(low) < Fraction(*mpmath.libmp.to_rational(err._mpf_)):
-        text = mpmath.nstr(mpmath.mpf(str(low + Decimal(1).scaleb(low.adjusted() - digits + 1))), digits)
-    return text
-
-
 def _measured_line(x: BigReal) -> tuple[list[str], dict]:
     """Render a value whose bound is honest but possibly above 1e-prec."""
     with mpmath.workdps(working_dps(x.prec)):
         value = mpmath.nstr(x.value, x.prec)
-        bound = _bound_text(x.err, 2)
+        bound = bound_text(x.err, 2)
     return [f"{value} ± {bound}"], {"value": value, "bound": bound}
 
 
@@ -151,10 +136,10 @@ def _cmd_stuffle_check(args):
         resid = abs(r.value)
         ok = bool(resid <= r.err)
         resid_text = mpmath.nstr(resid, 3)
-        bound_text = _bound_text(r.err, 3)
+        bound = bound_text(r.err, 3)
     verdict = "pass" if ok else "FAIL"
-    line = f"residual {resid_text} within bound {bound_text}: {verdict}"
-    payload = {"residual": resid_text, "bound": bound_text, "passed": ok}
+    line = f"residual {resid_text} within bound {bound}: {verdict}"
+    payload = {"residual": resid_text, "bound": bound, "passed": ok}
     return [line], payload, 0 if ok else 3
 
 
@@ -174,7 +159,7 @@ def _cmd_identity_check(args):
     with mpmath.workdps(working_dps(r.prec)):
         magnitude = abs(r.value)
         resid = mpmath.nstr(magnitude, 3)
-        bound = _bound_text(r.err, 2)
+        bound = bound_text(r.err, 2)
         ok = bool(magnitude <= args.tol) if args.tol is not None else True
     payload = {"kind": kind, "residual": resid, "bound": bound}
     if args.tol is not None:

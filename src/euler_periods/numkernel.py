@@ -364,7 +364,7 @@ class BigReal:
 
     Instances are immutable and compare and hash by ``(value, err,
     prec)``.  Cost: 2.5-9 microseconds per op on a shared 2-core x86-64 VM,
-    division the most, and 0.26-0.45 of what the radius as a rounded mpf
+    division the most, and 0.28-0.47 of what the radius as a rounded mpf
     cost there (mpmath 1.3.0, pure-Python backend).
     """
 
@@ -534,43 +534,31 @@ class BigReal:
         man, k = self._man, -self._exp
         if not man:
             return True
-        # man 10**prec <= 2**k, with no power of 2 built past it.
+        # man 10**prec <= 2**k, with no power of 2 built past it; for k < 0
+        # the radius is at least 2.
         lhs = man * _TEN_TO[self._prec]
-        return lhs.bit_length() <= k or lhs == 1 << k
+        return k >= 0 and (lhs.bit_length() <= k or lhs == 1 << k)
 
     def demand(self, what: str = "result") -> "BigReal":
         if not self.certified():
             raise PrecisionNotMet(
-                f"{what}: certified bound {_upward(self._man, self._exp)} exceeds 1e-{self._prec}")
+                f"{what}: certified bound {bound_text(self.err, 3)} exceeds 1e-{self._prec}")
         return self
 
     def __repr__(self) -> str:  # debugging aid, not part of the text format
         return (f"BigReal({mpmath.nstr(self.value, self._prec + 2)}, "
-                f"err<={_upward(self._man, self._exp)}, prec={self._prec})")
+                f"err<={bound_text(self.err, 3)}, prec={self._prec})")
 
 
 _new = object.__new__
 _make_mpf = mpmath.mp.make_mpf
 
 
-class _ByPrec(dict):
-    """``fn(p)`` by ``p``, computed on first use: a lookup cheaper than a cached call."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, p: int):
-        value = self[p] = self.fn(p)
-        return value
-
-
-#: ``working_bits(p)`` and ``10**p`` by ``p``, read by every op.
-_BITS = _ByPrec(working_bits)
-_TEN_TO = _ByPrec(lambda p: 10 ** p)
-
-#: Widest shift, in bits, between the terms :func:`_ball` sums exactly.
-_SPREAD = 4096
+#: ``working_bits(p)`` and ``10**p`` by ``p``, read by every op.  An inner
+#: step may run past ``MAX_PREC`` by a few digits (``polylog``'s reflection
+#: at ``prec + 4``), by at most ``GUARD_DIGITS``.
+_BITS = tuple(working_bits(p) for p in range(MAX_PREC + GUARD_DIGITS + 1))
+_TEN_TO = tuple(10 ** p for p in range(MAX_PREC + GUARD_DIGITS + 1))
 
 
 def _raw(x: mpf | int | float) -> tuple:
@@ -588,38 +576,37 @@ def _ball(v: tuple, prec: int, count: int, terms: Sequence[tuple[int, int]] = ()
     """A :class:`BigReal` of midpoint ``v`` whose radius rounds up a sum of terms.
 
     The sum is ``(1 + |v|) 2**count``, the rounding count, plus ``m 2**e``
-    for each ``(m, e)`` in ``terms``, integers ``m >= 0``.  It is exact, in
-    units of the lowest exponent that matters, then rounded up as by
-    :func:`_up`; terms more than :data:`_SPREAD` bits apart go to the
-    windowed sum of :func:`_far_ball`.  ``v`` is rounded at
-    ``working_bits(prec)``, so its mantissa is short.
+    for each ``(m, e)`` in ``terms``, integers ``m >= 0``.  It is taken in
+    units of ``2**low``, 64 bits below the top of its largest term; each
+    term, or the part of one, below ``low`` counts as one unit.  The sum is
+    at least ``2**62`` units and at most five are added, so it exceeds the
+    exact sum by a relative ``2**-59`` at most, however far apart the terms
+    lie, and no integer grows past 64 bits more than the widest term.  It is
+    then rounded up to 32 bits, as by :func:`_up`.
     """
-    _, vman, vexp, _ = v
-    if -_SPREAD <= vexp < 0:
-        total, low = vman + (1 << -vexp), count + vexp
-    elif 0 <= vexp <= _SPREAD:
-        total, low = (vman << vexp) + 1, count
-    else:
-        return _far_ball(v, prec, count, terms)
-    if terms:
-        for m, e in terms:
-            if m:
-                d = e - low
-                if 0 <= d <= _SPREAD:
-                    total += m << d
-                elif -_SPREAD <= d < 0:
-                    total = (total << -d) + m
-                    low = e
-                else:
-                    return _far_ball(v, prec, count, terms)
+    _, vman, vexp, vbc = v
+    top = vexp + vbc
+    top = count + 1 + (top if top > 0 else 0)  # (1 + |v|) 2**count < 2**top
+    for m, e in terms:
+        if m:
+            t = e + m.bit_length()
+            if t > top:
+                top = t
+    low = top - 64
+    d = count - low
+    total = 1 << d if d >= 0 else 1
+    if vman:
+        d += vexp
+        total += vman << d if d >= 0 else (vman >> -d) + 1
+    for m, e in terms:
+        if m:
+            d = e - low
+            total += m << d if d >= 0 else (m >> -d) + 1
     s = total.bit_length() - 32
-    if s > 0:
-        total = -(-total >> s)
-        low += s
-        if total >> 32:
-            total >>= 1
-            low += 1
-    return _new_ball(v, total, low, prec)
+    total = -(-total >> s)
+    if total >> 32:
+        return _new_ball(v, total >> 1, low + s + 1, prec)
+    return _new_ball(v, total, low + s, prec)
 
 
 def _quotient(num: int, den: int, b: int) -> tuple:
@@ -656,26 +643,6 @@ def _new_ball(v: tuple, man: int, exp: int, prec: int) -> BigReal:
     return out
 
 
-def _far_ball(v: tuple, prec: int, count: int, terms: Sequence[tuple[int, int]]) -> BigReal:
-    """:func:`_ball` for terms far apart: their sum in a window, rounded up by :func:`_up`.
-
-    The sum is exact in units of ``2**low``, 64 bits below the top of its
-    largest term; each term, or the part of one, below ``low`` counts as one
-    unit.  So it exceeds the exact sum by a relative ``2**-31`` at most,
-    however far apart the terms lie, and no integer grows past 64 bits more
-    than the largest term.
-    """
-    terms = ((1, count), (v[1], v[2] + count), *terms)
-    low = max(e + m.bit_length() for m, e in terms if m) - 64
-    total = 0
-    for m, e in terms:
-        if e >= low:
-            total += m << e - low
-        elif m:
-            total += (m >> low - e) + 1
-    return _new_ball(v, *_up(total, low), prec)
-
-
 def _up(n: int, e: int) -> tuple[int, int]:
     """``(m, f)``: ``n 2**e`` for an integer ``n >= 0`` rounded up to ``m < 2**32``."""
     s = n.bit_length() - 32
@@ -685,20 +652,24 @@ def _up(n: int, e: int) -> tuple[int, int]:
     return (n >> 1, e + s + 1) if n >> 32 else (n, e + s)
 
 
-def _upward(man: int, exp: int, digits: int = 3) -> str:
-    """``man 2**exp`` in decimal to ``digits`` significant digits, rounded up."""
+def bound_text(err: mpf, digits: int) -> str:
+    """A bound ``err >= 0`` as ``nstr`` writes it in ``digits`` digits, rounded upward.
+
+    The digits are the least ones at or above ``err``, found in integers, so
+    a printed bound never understates the declared one.  A bound is a
+    result, not an input, so it may pass :data:`DIGIT_CAP` digits.
+    """
+    _, man, exp, bc = err._mpf_
     if not man:
-        return "0.0"
+        return mpmath.nstr(err, digits)
     num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-    k = math.floor((man.bit_length() + exp - 1) * math.log10(2)) - 1  # below log10 of it
+    k = math.floor((bc + exp - 1) * math.log10(2)) - 1  # below log10 of it
     while True:
         shift = digits - 1 - k
         q = -(-num * 10 ** shift // den) if shift >= 0 else -(-num // (den * 10 ** -shift))
         if q < 10 ** digits:
-            break
+            return mpmath.nstr(_make_mpf(from_str(f"{q}e{-shift}", 64, RN)), digits)
         k += 1
-    text = str(q)
-    return f"{text[0]}.{text[1:].rstrip('0') or '0'}e{k}"
 
 
 def _rounding(v: mpf, count: int | float | Fraction | mpf) -> mpf:

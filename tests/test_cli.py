@@ -219,6 +219,13 @@ def test_per_twopi_i_squared_is_negative(capsys):
     assert err == ""
 
 
+def test_per_with_a_radius_past_one_exits_1(capsys):
+    # A bound far above 1 is reported, rounded upward, as not certified.
+    code, out, err = run(capsys, "per", f"{10 ** 60}*zeta_m(3)")
+    assert (code, out) == (1, "")
+    assert err == "error: period_map: certified bound 1.82e+30 exceeds 1e-15\n"
+
+
 def test_g2_assemble_default_alpha(capsys):
     code, out, _ = run(capsys, "g2-assemble")
     assert code == 0

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from euler_periods.numkernel import (
     as_fraction,
     as_mpf,
     bernoulli,
+    bound_text,
     check_digits,
     check_prec,
     em_sum,
@@ -719,7 +721,8 @@ def test_bigreal_arithmetic_encloses(prec):
 
 @pytest.mark.parametrize("prec", [1, 15, 100])
 def test_bigreal_arithmetic_encloses_terms_far_apart(prec):
-    # Values and radii thousands of bits apart take the windowed sum.
+    # Values and radii thousands of bits apart: the terms below the window
+    # of the radius sum count a unit each.
     balls = []
     for vexp, eexp in ((6000, -6000), (-6000, 6000), (-9000, -3000), (0, -9000), (3, 0)):
         for man in (1, 3, 2 ** 200 + 1):
@@ -743,19 +746,30 @@ def test_certified_is_exact_at_the_limit():
             assert rational(x.err) == m * Fraction(2) ** exp
             assert (rational(x.err) <= limit) is ok
             assert x.certified() is ok
+    # Radii of 1 and more, held with exponents from 0 up.
+    for err in (mpf(1), mpf(2), mpf(2) ** 40, mpf(10) ** 1971):
+        for prec in (MIN_PREC, 15, MAX_PREC):
+            x = BigReal(mpf(1), err, prec)
+            assert x.certified() is False
+            with pytest.raises(PrecisionNotMet, match="exceeds"):
+                x.demand()
 
 
 def test_demand_writes_its_bound_rounded_up():
     x = BigReal(mpf(1), mpf("1.0004e-15"), 15)
     with pytest.raises(PrecisionNotMet, match=r"^unit test: certified bound 1\.01e-15 exceeds 1e-15$"):
         x.demand("unit test")
+    with pytest.raises(PrecisionNotMet, match=r"certified bound 1\.0e\+13 exceeds 1e-15$"):
+        BigReal(mpf(1), mpf(10) ** 13, 15).demand()
     rng = random.Random(3)
     for _ in range(2000):
-        man, exp = rng.getrandbits(rng.randint(1, 32)) | 1, rng.randint(-400, 60)
-        text = numkernel._upward(man, exp)
-        shown, true = Fraction(text), man * Fraction(2) ** exp
-        step = Fraction(10) ** (int(text.split("e")[1]) - 2)
-        assert shown - step < true <= shown, (man, exp, text)
+        man, exp = rng.getrandbits(rng.randint(1, 200)) | 1, rng.randint(-7000, 7000)
+        for digits in (2, 3):
+            text = bound_text(dyadic(man, exp), digits)
+            shown, true = Fraction(text), man * Fraction(2) ** exp
+            step = Fraction(10) ** (Decimal(text).adjusted() - digits + 1)
+            assert shown - step < true <= shown, (man, exp, text)
+    assert bound_text(mpf(0), 2) == "0.0"
 
 
 def test_rounding_matches_the_mpf_reference_and_pi_times_keeps_its_bits():
