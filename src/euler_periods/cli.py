@@ -17,10 +17,7 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
-
-import mpmath
 
 from .errors import (
     Disconnected,
@@ -35,7 +32,7 @@ from .errors import (
     SchemaError,
     TooLarge,
 )
-from .numkernel import BigReal, bernoulli, bound_text, check_digits, check_prec, exact_str, working_dps
+from .numkernel import BigReal, as_fraction, bernoulli, bound_text, check_prec, exact_str, value_text
 
 if TYPE_CHECKING:
     from . import feynper, g2
@@ -60,27 +57,15 @@ def _certified_line(x: BigReal) -> tuple[list[str], dict]:
     A value whose bound admits 0, and puts it within ``1e-prec`` of 0,
     prints as 0: its digits are rounding noise.
     """
-    x.demand()
-    with mpmath.workdps(working_dps(x.prec)):
-        zero = abs(x.value) <= x.err and abs(x.value) + x.err <= mpmath.mpf(10) ** -x.prec
-        value = mpmath.nstr(0 if zero else x.value, x.prec)
+    value = value_text(x.demand())
     bound = f"1e-{x.prec}"
     return [f"{value} ± {bound}"], {"value": value, "bound": bound}
 
 
 def _measured_line(x: BigReal) -> tuple[list[str], dict]:
     """Render a value whose bound is honest but possibly above 1e-prec."""
-    with mpmath.workdps(working_dps(x.prec)):
-        value = mpmath.nstr(x.value, x.prec)
-        bound = bound_text(x.err, 2)
+    value, bound = value_text(x, x.prec), bound_text(x.err, 2)
     return [f"{value} ± {bound}"], {"value": value, "bound": bound}
-
-
-def _rational(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(check_digits(text, what))
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"{what} must be a rational number (like 3, 0.25 or 1/3), got {text!r}") from None
 
 
 def _registry_rows(args):
@@ -95,18 +80,17 @@ def _registry_rows(args):
 
 def _cmd_zeta(args):
     from . import eulerfun
-    return *_certified_line(eulerfun.zeta(_rational(args.s, "s"), args.prec)), 0
+    return *_certified_line(eulerfun.zeta(args.s, args.prec)), 0
 
 
 def _cmd_phi(args):
     from . import eulerfun
-    return *_certified_line(eulerfun.phi(_rational(args.s, "s"), args.prec)), 0
+    return *_certified_line(eulerfun.phi(args.s, args.prec)), 0
 
 
 def _cmd_polylog(args):
     from . import eulerfun
-    z = _rational(args.z, "z")
-    return *_certified_line(eulerfun.polylog(args.n, z, args.prec)), 0
+    return *_certified_line(eulerfun.polylog(args.n, args.z, args.prec)), 0
 
 
 def _cmd_gamma(args):
@@ -132,11 +116,9 @@ def _cmd_multiphi(args):
 def _cmd_stuffle_check(args):
     from .mzv import stuffle_residual
     r = stuffle_residual(args.m, args.n, args.prec)
-    with mpmath.workdps(working_dps(r.prec)):
-        resid = abs(r.value)
-        ok = bool(resid <= r.err)
-        resid_text = mpmath.nstr(resid, 3)
-        bound = bound_text(r.err, 3)
+    resid = abs(r)
+    ok = bool(resid.value <= r.err)
+    resid_text, bound = value_text(resid, 3), bound_text(r.err, 3)
     verdict = "pass" if ok else "FAIL"
     line = f"residual {resid_text} within bound {bound}: {verdict}"
     payload = {"residual": resid_text, "bound": bound, "passed": ok}
@@ -147,20 +129,18 @@ def _cmd_identity_check(args):
     from . import eulerfun
     kind = args.kind.upper().replace("-", "_")
     params: dict[str, object] = {}
-    if args.x is not None:
-        params["x"] = _rational(args.x, "x")
+    if args.x is not None:  # read here, so an argument the kind does not use is refused too
+        params["x"] = as_fraction(args.x, "x")
     if args.s is not None:
-        params["s"] = _rational(args.s, "s")
+        params["s"] = as_fraction(args.s, "s")
     if args.terms is not None:
         params["terms"] = args.terms
     if args.prime_bound is not None:
         params["prime_bound"] = args.prime_bound
     r = eulerfun.identity_residual(kind, params, args.prec)
-    with mpmath.workdps(working_dps(r.prec)):
-        magnitude = abs(r.value)
-        resid = mpmath.nstr(magnitude, 3)
-        bound = bound_text(r.err, 2)
-        ok = bool(magnitude <= args.tol) if args.tol is not None else True
+    magnitude = abs(r)
+    resid, bound = value_text(magnitude, 3), bound_text(r.err, 2)
+    ok = bool(magnitude.value <= args.tol) if args.tol is not None else True
     payload = {"kind": kind, "residual": resid, "bound": bound}
     if args.tol is not None:
         verdict = "pass" if ok else "FAIL"
@@ -290,9 +270,7 @@ def _cmd_registry_list(args):
     lines = []
     entries = []
     for m in rows:
-        with mpmath.workdps(working_dps(m.value.prec)):
-            value = mpmath.nstr(m.value.value, 15)
-        total = f"{m.total_uncertainty:.2g}" if m.total_uncertainty else "0"
+        value, total = value_text(m.value, 15), m.total_text
         lines.append(f"{m.label:<16} {value} ± {total}  ({m.year}, {m.source})")
         entries.append({"label": m.label, "value": value, "total_uncertainty": total,
                         "year": m.year, "source": m.source})

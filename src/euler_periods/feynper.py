@@ -149,6 +149,8 @@ class MultiGraph:
         return len(self.edges)
 
     def is_connected(self) -> bool:
+        if self.vertices > self.n_edges + 1:  # too few edges to join them, and no union-find state built
+            return False
         uf = _UnionFind(self.vertices)
         parts = self.vertices
         for u, v in self.edges:
@@ -692,6 +694,6 @@ def load_graph(path: str) -> MultiGraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as ex:
+    except ValueError as ex:  # a JSONDecodeError, or an integer past Python's str digit limit
         raise SchemaError(f"not valid JSON: {ex}") from None
     return graph_from_dict(obj)

@@ -25,10 +25,11 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
@@ -36,8 +37,7 @@ import mpmath
 from mpmath import mpf
 
 from .errors import DomainError, InputError, NoConvergence, SchemaError
-from .numkernel import (MAX_PREC, BigReal, as_fraction, check_digits, check_prec, pi_times, working_dps,
-                        _rounding)
+from .numkernel import MAX_PREC, BigReal, as_fraction, check_prec, pi_times, working_dps, _rounding
 
 MAX_ORDER = 4
 
@@ -97,13 +97,24 @@ def format_difference(difference: float, uncertainty: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _root_up(square: Fraction, scale: Fraction) -> int:
+    """The least integer at or above ``scale sqrt(square)``."""
+    n = math.ceil(square * scale * scale)
+    return math.isqrt(n - 1) + 1 if n else 0
+
+
+def _half_log2(square: Fraction) -> int:
+    """About ``log2 sqrt(square)``, within 1, from the bit lengths alone."""
+    return (square.numerator.bit_length() - square.denominator.bit_length()) // 2
+
+
 @dataclass(frozen=True)
 class Measurement:
-    """One published value with its quoted uncertainty components."""
+    """One published value with its quoted uncertainty components, a registry row's as exact rationals."""
 
     label: str
     value: BigReal
-    uncertainty_components: tuple[float, ...]
+    uncertainty_components: tuple[Fraction | float, ...]
     year: int
     source: str
 
@@ -111,14 +122,41 @@ class Measurement:
     def total_uncertainty(self) -> float:
         return combine_uncertainties(self.uncertainty_components)
 
+    @property
+    def _square(self) -> Fraction:
+        """``sum(c**2)`` of the exact components."""
+        return sum((Fraction(c) ** 2 for c in self.uncertainty_components), Fraction(0))
+
+    @property
+    def total_text(self) -> str:
+        """The quadrature total as ``.2g`` writes it, rounded upward, or ``0``.
+
+        The two digits are the least ones at or above ``sqrt(sum(c**2))`` of
+        the exact components, so the quoted total is never understated.
+        """
+        square = self._square
+        if not square:
+            return "0"
+        shift = 3 - math.floor(_half_log2(square) * math.log10(2))  # too large: the first q is at least 100
+        while (q := _root_up(square, Fraction(10) ** shift)) >= 100:
+            shift -= 1
+        return f"{float(f'{q}e{-shift}'):.2g}"
+
+    @cached_property
+    def _total_up(self) -> mpf:
+        """The quadrature total of the exact components rounded upward at 64 bits, found once."""
+        square = self._square
+        bits = 64 - _half_log2(square)
+        return mpmath.ldexp(_root_up(square, Fraction(2) ** bits), -bits)
+
     def as_bigreal(self, prec: int) -> BigReal:
         """The value with the quoted uncertainty folded into the bound.
 
-        The sum is exact, and the constructor rounds it up.
+        :attr:`_total_up` adds to the value's bound exactly, and the
+        constructor rounds the sum up.
         """
         check_prec(prec)
-        err = mpmath.fadd(self.value.err, self.total_uncertainty, exact=True)
-        return BigReal(self.value.value, err, prec)
+        return BigReal(self.value.value, mpmath.fadd(self.value.err, self._total_up, exact=True), prec)
 
 
 def default_registry_path() -> str:
@@ -155,27 +193,23 @@ def _parse_entry(index: int, raw: object) -> Measurement:
     comps = raw["uncertainty_components"]
     if not isinstance(comps, list):
         raise _entry_error(index, label, "uncertainty_components must be an array", "uncertainty_components")
-    parsed: list[float] = []
+    parsed: list[Fraction] = []
     for c in comps:
         if not isinstance(c, str):
             raise _entry_error(index, label, "uncertainty components must be decimal strings",
                                "uncertainty_components")
         try:
-            x = float(check_digits(c, "an uncertainty component"))
-            exact = Decimal(c)
-        except InputError as exc:
+            exact = as_fraction(c, "an uncertainty component")
+        except (InputError, DomainError) as exc:
             raise _entry_error(index, label, str(exc), "uncertainty_components") from None
-        except (ValueError, ArithmeticError):
-            raise _entry_error(index, label, f"uncertainty component {c!r} is not a decimal number",
-                               "uncertainty_components") from None
-        if not exact.is_finite() or exact < 0:
+        if exact < 0:
             problem = "must be non-negative"
-        elif math.isinf(x):
+        elif exact > sys.float_info.max:
             problem = "overflows the float range"
-        elif x == 0 and exact:
+        elif exact and not float(exact):
             problem = "rounds to 0.0"
         else:
-            parsed.append(x)
+            parsed.append(exact)
             continue
         raise _entry_error(index, label, f"uncertainty component {c!r} {problem}", "uncertainty_components")
     year = raw["year"]
@@ -205,7 +239,7 @@ def load_registry(path: str | None = None) -> list[Measurement]:
         raise SchemaError(f"cannot read registry {path!r}: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's str digit limit
         raise SchemaError(f"registry is not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise SchemaError(f"registry must be a JSON array, got {type(data).__name__}")
@@ -286,15 +320,19 @@ def _powers(r: BigReal, top: int) -> list[BigReal]:
     return out
 
 
-def _backed_out(n: int, total: str, prec: int, registry: Sequence[Measurement] | None) -> BigReal:
-    """``a_n`` solved from the registry total ``total`` with the rubidium alpha.
+#: The registry total each REGISTRY coefficient is solved from, by order.
+_TOTALS = {2: "th:1957", 3: "th:2017"}
+
+
+def _backed_out(n: int, prec: int, registry: Sequence[Measurement] | None) -> BigReal:
+    """``a_n`` solved from its registry total :data:`_TOTALS` ``[n]`` with the rubidium alpha.
 
     ``(a_e - r/2 - a_2 r**2 - a_4 r**4) / r**n`` at the inner precision with
     ``r = alpha / pi``, the ``a_2`` and ``a_4`` terms only for ``n = 3``.
     """
     inner = _inner_prec(prec)
     r = _alpha_ratio(lookup(registry, "alpha:rb:2011").as_bigreal(inner), inner)
-    rest = lookup(registry, total).as_bigreal(inner) - r / 2
+    rest = lookup(registry, _TOTALS[n]).as_bigreal(inner) - r / 2
     powers = _powers(r, 4 if n == 3 else n)
     if n == 3:
         a4 = lookup(registry, "a4:laporta:2017").as_bigreal(inner)
@@ -330,6 +368,17 @@ def _bracket(order: int, mode: CoeffMode):
     return parse_expr(_BRACKETS[order, mode])
 
 
+def _coefficient(n: int, mode: CoeffMode | str, prec: int,
+                 registry: Sequence[Measurement] | None) -> BigReal:
+    """``a_n`` for ``n`` = 2 or 3: backed out of the registry, or the period of its bracket."""
+    check_prec(prec)
+    mode = _as_mode(mode)
+    if mode is CoeffMode.REGISTRY:
+        return _backed_out(n, prec, registry)
+    from .symbolic import period_map  # only the bracket modes load the symbol layer
+    return period_map(_bracket(n, mode), prec)
+
+
 def coeff_a2(mode: CoeffMode | str = CoeffMode.EXACT_BRACKET, prec: int = 15,
              registry: Sequence[Measurement] | None = None) -> BigReal:
     """Second-order coefficient ``a_2``.
@@ -340,12 +389,7 @@ def coeff_a2(mode: CoeffMode | str = CoeffMode.EXACT_BRACKET, prec: int = 15,
     th:1957 total using the rubidium alpha, which matches the corrected
     bracket but carries the measurement uncertainty.
     """
-    check_prec(prec)
-    mode = _as_mode(mode)
-    if mode is CoeffMode.REGISTRY:
-        return _backed_out(2, "th:1957", prec, registry)
-    from .symbolic import period_map  # only the bracket modes load the symbol layer
-    return period_map(_bracket(2, mode), prec)
+    return _coefficient(2, mode, prec, registry)
 
 
 def coeff_a3(mode: CoeffMode | str = CoeffMode.CONSISTENT, prec: int = 15,
@@ -358,12 +402,7 @@ def coeff_a3(mode: CoeffMode | str = CoeffMode.CONSISTENT, prec: int = 15,
     alpha and the 51-digit ``a_4``: about 1.18164 +- 1.2e-4, above the closed
     form by the mass-dependent, hadronic, electroweak and fifth-order terms.
     """
-    check_prec(prec)
-    mode = _as_mode(mode)
-    if mode is CoeffMode.REGISTRY:
-        return _backed_out(3, "th:2017", prec, registry)
-    from .symbolic import period_map
-    return period_map(_bracket(3, mode), prec)
+    return _coefficient(3, mode, prec, registry)
 
 
 @dataclass(frozen=True)
@@ -383,11 +422,9 @@ class CoefficientSet:
         _check_order(n)
         if n == 1:
             return BigReal.exact(Fraction(1, 2), prec)
-        if n == 2:
-            return coeff_a2(self.a2_mode, prec, registry)
-        if n == 3:
-            return coeff_a3(self.a3_mode, prec, registry)
-        return BigReal.from_decimal(A4_DIGITS, prec)
+        if n == 4:
+            return BigReal.from_decimal(A4_DIGITS, prec)
+        return _coefficient(n, self.a2_mode if n == 2 else self.a3_mode, prec, registry)
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +605,7 @@ def compare(a: Measurement, b: Measurement) -> ComparisonResult:
     Exactly antisymmetric: swapping the arguments flips the signs of the
     difference and the pull bit for bit.
     """
-    prec = min(a.value.prec, b.value.prec)
-    with mpmath.workdps(working_dps(prec)):
-        difference = float(a.value.value - b.value.value)
+    difference = float((a.value - b.value).value)
     uncertainty = combine_uncertainties(a.uncertainty_components + b.uncertainty_components)
     if uncertainty > 0:
         pull = difference / uncertainty

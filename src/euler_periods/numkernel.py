@@ -150,7 +150,7 @@ import mpmath
 from mpmath import mpf
 from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, from_man_exp, from_str, fzero,
                           mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
-                          mpf_pos, mpf_shift, mpf_sub)
+                          mpf_pos, mpf_shift, mpf_sub, to_str)
 from mpmath.libmp import round_nearest as RN
 
 from .errors import DomainError, InputError, PrecisionNotMet, TooLarge
@@ -192,10 +192,11 @@ def as_mpf(x: ScalarLike) -> mpf:
 def as_fraction(x: ScalarLike, what: str = "the number") -> Fraction:
     """The exact rational value of ``x``: strings are decimal, floats and mpf binary.
 
-    The one reader of numbers from outside.  Past :data:`DIGIT_CAP` digits
-    in numerator or denominator it raises :class:`InputError` before the
-    integer is built: a string by :func:`check_digits`, an mpf by the bits
-    its exponent and mantissa give, any other number against ``10**DIGIT_CAP``.
+    The one reader of numbers from outside, the symbol layer's points and
+    the registry's components among them.  Past :data:`DIGIT_CAP` digits in
+    numerator or denominator it raises :class:`InputError` before the integer
+    is built: a string by :func:`check_digits`, an mpf by the bits its
+    exponent and mantissa give, any other number against ``10**DIGIT_CAP``.
     """
     if isinstance(x, str):
         check_digits(x, what)
@@ -207,7 +208,7 @@ def as_fraction(x: ScalarLike, what: str = "the number") -> Fraction:
     try:
         q = Fraction(x)
     except (ValueError, OverflowError, TypeError, ZeroDivisionError):
-        raise DomainError(f"expected a finite rational number, got {x!r}") from None
+        raise DomainError(f"{what} must be a rational number (like 3, 0.25 or 1/3), got {x!r}") from None
     if max(abs(q.numerator), q.denominator) >= _CAP:
         raise InputError(f"{what} is past the cap {DIGIT_CAP} digits")
     return q
@@ -531,13 +532,7 @@ class BigReal:
 
     def certified(self) -> bool:
         """True when the radius is at most ``10**-prec``, decided exactly."""
-        man, k = self._man, -self._exp
-        if not man:
-            return True
-        # man 10**prec <= 2**k, with no power of 2 built past it; for k < 0
-        # the radius is at least 2.
-        lhs = man * _TEN_TO[self._prec]
-        return k >= 0 and (lhs.bit_length() <= k or lhs == 1 << k)
+        return _at_most_ten_to(self._man, self._exp, self._prec)
 
     def demand(self, what: str = "result") -> "BigReal":
         if not self.certified():
@@ -546,7 +541,7 @@ class BigReal:
         return self
 
     def __repr__(self) -> str:  # debugging aid, not part of the text format
-        return (f"BigReal({mpmath.nstr(self.value, self._prec + 2)}, "
+        return (f"BigReal({value_text(self, self._prec + 2)}, "
                 f"err<={bound_text(self.err, 3)}, prec={self._prec})")
 
 
@@ -643,6 +638,12 @@ def _new_ball(v: tuple, man: int, exp: int, prec: int) -> BigReal:
     return out
 
 
+def _at_most_ten_to(n: int, e: int, prec: int) -> bool:
+    """``n 2**e <= 10**-prec`` for an integer ``n >= 0``, decided in integers."""
+    lhs, k = n * _TEN_TO[prec], -e  # n 10**prec <= 2**k, with no power of 2 built past it
+    return not n or k >= 0 and (lhs.bit_length() <= k or lhs == 1 << k)
+
+
 def _up(n: int, e: int) -> tuple[int, int]:
     """``(m, f)``: ``n 2**e`` for an integer ``n >= 0`` rounded up to ``m < 2**32``."""
     s = n.bit_length() - 32
@@ -650,6 +651,23 @@ def _up(n: int, e: int) -> tuple[int, int]:
         return (n, e) if n else (0, 0)
     n = -(-n >> s)
     return (n >> 1, e + s + 1) if n >> 32 else (n, e + s)
+
+
+def value_text(x: BigReal, digits: int | None = None) -> str:
+    """The midpoint of ``x`` as ``nstr`` writes it in ``digits`` digits, rounded to nearest.
+
+    ``digits`` omitted writes a certified value: ``x.prec`` digits, or ``0``
+    when ``|v| <= e`` and ``|v| + e <= 10**-prec``, decided exactly, since
+    then its digits are rounding noise.
+    """
+    _, man, exp, _ = v = x._mid
+    if digits is None:
+        digits, e = x._prec, x._exp
+        low = min(exp, e)
+        a, b = man << exp - low, x._man << e - low  # |v| and e in units of 2**low
+        if a <= b and _at_most_ten_to(a + b, low, digits):
+            return "0"
+    return to_str(v, digits)
 
 
 def bound_text(err: mpf, digits: int) -> str:
@@ -661,14 +679,14 @@ def bound_text(err: mpf, digits: int) -> str:
     """
     _, man, exp, bc = err._mpf_
     if not man:
-        return mpmath.nstr(err, digits)
+        return to_str(fzero, digits)
     num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
     k = math.floor((bc + exp - 1) * math.log10(2)) - 1  # below log10 of it
     while True:
         shift = digits - 1 - k
         q = -(-num * 10 ** shift // den) if shift >= 0 else -(-num // (den * 10 ** -shift))
         if q < 10 ** digits:
-            return mpmath.nstr(_make_mpf(from_str(f"{q}e{-shift}", 64, RN)), digits)
+            return to_str(from_str(f"{q}e{-shift}", 64, RN), digits)
         k += 1
 
 

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 
 from .errors import DomainError, InputError, ParseError, TooLarge
 from .eulerfun import polylog, zeta
-from .numkernel import (COACTION_TERM_CAP, COASSOC_TERM_CAP, MAX_PREC, WEIGHT_CAP, BigReal,
+from .numkernel import (COACTION_TERM_CAP, COASSOC_TERM_CAP, MAX_PREC, WEIGHT_CAP, BigReal, as_fraction,
                         check_digits, check_prec, exact_str, pi_times)
 
 __all__ = [
@@ -76,7 +76,8 @@ _RESERVED_NAMES = frozenset({"zeta_m", "Li_m", "twopi_i", "zeta_u", "ln_u", "Li_
 
 
 def rational_point(x) -> tuple:
-    q = Fraction(x)
+    """The point of the rational ``x``, read by :func:`~.numkernel.as_fraction` and held to its cap."""
+    q = as_fraction(x, "the point")
     return ("rat", q.numerator, q.denominator)
 
 
@@ -92,19 +93,16 @@ def as_point(z) -> tuple:
     """Coerce ``z`` to a point tuple.  Strings may be names or rationals."""
     if isinstance(z, tuple):
         if len(z) == 3 and z[0] == "rat":
-            return rational_point(Fraction(z[1], z[2]))
+            num, den = (as_fraction(c, "the point") for c in z[1:])
+            if den:
+                return rational_point(num / den)
         if len(z) == 2 and z[0] == "sym":
             return symbolic_point(z[1])
         raise DomainError(f"malformed point {z!r}")
-    if isinstance(z, (int, Fraction)):
+    if isinstance(z, str) and _IDENT_RE.fullmatch(z) and z not in _RESERVED_NAMES:
+        return symbolic_point(z)
+    if isinstance(z, (int, Fraction, str)):
         return rational_point(z)
-    if isinstance(z, str):
-        if _IDENT_RE.fullmatch(z) and z not in _RESERVED_NAMES:
-            return symbolic_point(z)
-        try:
-            return rational_point(Fraction(z))
-        except (ValueError, ZeroDivisionError):
-            raise DomainError(f"cannot read {z!r} as a point") from None
     raise DomainError(f"cannot read {z!r} as a point")
 
 

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -488,6 +489,7 @@ def test_a_pipe_closed_after_the_first_bytes_exits_141_without_a_traceback(mode,
     ("coact", "zeta_m(1)"),
     ("g2-compare", "exp:2008", "exp:1899"),
     ("g2-invert-alpha", "not-a-number"),
+    ("identity-check", "euler-product", "--s", "2", "--x", "abc"),  # an argument the kind does not use
 ], ids=lambda a: " ".join(a))
 def test_exit_two_invalid_input(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -659,6 +661,49 @@ def test_registry_broken_file_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "registry-list", "--registry", str(bad))
     assert code == 2
     assert "JSON" in err
+
+
+@pytest.mark.parametrize("command", ["period", "registry-list"])
+def test_json_file_with_an_integer_past_the_str_limit_exits_two(tmp_path, command):
+    # json raises a plain ValueError for an integer past Python's 4300-digit
+    # limit, which once escaped as a traceback with exit 1.
+    big = "1" + "0" * 5000
+    path = tmp_path / "big.json"
+    if command == "period":
+        path.write_text(f'{{"vertices": {big}, "edges": [[0, 1], [0, 1]]}}', encoding="utf-8")
+        argv = ["period", str(path)]
+    else:
+        path.write_text(json.dumps([dict(GOOD_REGISTRY_ROW, year=0)]).replace('"year": 0', f'"year": {big}'),
+                        encoding="utf-8")
+        argv = ["registry-list", "--registry", str(path)]
+    code, out, err, _ = dispatch_in_a_child(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["plain", "json"])
+def test_registry_list_totals_are_rounded_upward(capsys, mode):
+    # Each printed total is the least two-digit decimal at or above the
+    # quadrature total of the exact quoted decimals.
+    code, out, _ = run(capsys, "registry-list", *mode)
+    assert code == 0
+    if mode:
+        totals = [e["total_uncertainty"] for e in json.loads(out)["entries"]]
+    else:
+        totals = [line.split(" ± ")[1].split()[0] for line in out.splitlines()]
+    rows = g2.load_registry()
+    assert len(totals) == len(rows)
+    for m, text in zip(rows, totals):
+        square = sum(Fraction(c) ** 2 for c in m.uncertainty_components)
+        shown = Fraction(text)
+        assert shown ** 2 >= square, (m.label, text)
+        if square:
+            step = Fraction(10) ** (Decimal(text).adjusted() - 1)
+            assert (shown - step) ** 2 < square, (m.label, text)
+    listed = dict(zip((m.label for m in rows), totals))
+    assert [listed[k] for k in ("th:2012", "th:2017", "alpha:ae:2012", "exp:2008", "a4:num:2012")] == \
+        ["7.8e-13", "7.7e-13", "3.5e-08", "2.8e-13", "0.002"]
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,23 @@ def test_disconnected_rejected_by_loop_number():
         loop_number(g)
 
 
+def test_too_few_edges_to_connect_build_no_per_vertex_state():
+    # A graph with more vertices than edges + 1 cannot be connected; deciding
+    # so must not build union-find state per vertex (a 48-byte file asked
+    # for 30 million vertices and took the process past 1 GB).
+    import tracemalloc
+    g = MultiGraph(10 ** 6, [(0, 1), (1, 2)])
+    tracemalloc.start()
+    try:
+        assert not g.is_connected()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert MultiGraph(3, [(0, 1), (1, 2)]).is_connected()
+    assert not MultiGraph(4, [(0, 1), (1, 2), (0, 2)]).is_connected()
+
+
 @pytest.mark.parametrize("graph,loops", [
     (bubble(), 1), (triangle(), 1), (k4(), 3), (wheel(4), 4), (wheel(5), 5),
 ])
@@ -574,3 +591,7 @@ def test_load_graph(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SchemaError):
         load_graph(str(bad))
+    huge = tmp_path / "huge.json"  # an integer past Python's 4300-digit str limit
+    huge.write_text('{"vertices": 1' + "0" * 5000 + ', "edges": [[0, 1]]}')
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        load_graph(str(huge))

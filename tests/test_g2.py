@@ -145,6 +145,40 @@ def test_measurement_folds_its_uncertainty_in_without_rounding_down(prec):
         assert exact(x.err) >= exact(m.value.err) + Fraction(m.total_uncertainty)
 
 
+def test_registry_components_are_the_exact_decimals():
+    m = lookup(None, "th:2012")
+    assert m.uncertainty_components == tuple(Fraction(c) for c in ("6e-14", "4e-14", "2e-14", "77e-14"))
+    assert m.total_uncertainty == combine_uncertainties([6e-14, 4e-14, 2e-14, 77e-14])
+
+
+@pytest.mark.parametrize("prec", [MIN_PREC, 15, MAX_PREC])
+def test_every_row_prints_and_folds_a_total_at_least_the_exact_quadrature(prec):
+    # sqrt(sum(c**2)) of the quoted decimals, compared by squares in Fractions.
+    def exact(x):
+        return Fraction(*mpmath.libmp.to_rational(x._mpf_))
+    for m in load_registry():
+        square = sum(Fraction(c) ** 2 for c in m.uncertainty_components)
+        assert Fraction(m.total_text) ** 2 >= square, m.label
+        folded = exact(m.as_bigreal(prec).err) - exact(m.value.err)
+        assert folded >= 0 and folded ** 2 >= square, m.label
+        if square:  # rounded upward at the radius's 32 bits, not to two digits
+            assert folded ** 2 <= square * (1 + Fraction(1, 2 ** 28)), m.label
+
+
+def test_a_float_component_totals_upward_from_its_binary_value():
+    m = Measurement("a", BigReal.from_decimal("1.0e-3", 30), (0.1, 0.2), 2000, "src")
+    square = Fraction(0.1) ** 2 + Fraction(0.2) ** 2
+    assert Fraction(m.total_text) ** 2 >= square and m.total_text == "0.23"
+    assert Measurement("b", m.value, (), 2000, "src").total_text == "0"
+    # A component whose float square underflows still totals upward, not to 0 or to 1.
+    tiny = Measurement("c", BigReal.exact(1, 30), (Fraction(1, 10 ** 200), Fraction(3, 10 ** 201)), 2000, "src")
+    assert tiny.total_uncertainty == 0.0
+    square = Fraction(109, 10 ** 402)
+    assert tiny.total_text == "1.1e-200" and Fraction(tiny.total_text) ** 2 >= square
+    folded = Fraction(*mpmath.libmp.to_rational(tiny.as_bigreal(15).err._mpf_))
+    assert square <= folded ** 2 <= square * (1 + Fraction(1, 2 ** 28))
+
+
 def test_laporta_row_matches_constant():
     # The registry row is parsed at registry precision; the full digit
     # string must survive verbatim in the shipped file itself.

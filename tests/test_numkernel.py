@@ -37,6 +37,7 @@ from euler_periods.numkernel import (
     check_prec,
     em_sum,
     pi_times,
+    value_text,
     working_bits,
     working_dps,
     zeta_values,
@@ -770,6 +771,45 @@ def test_demand_writes_its_bound_rounded_up():
             step = Fraction(10) ** (Decimal(text).adjusted() - digits + 1)
             assert shown - step < true <= shown, (man, exp, text)
     assert bound_text(mpf(0), 2) == "0.0"
+
+
+@pytest.mark.parametrize("prec", [MIN_PREC, 2, 15, 50, MAX_PREC])
+def test_value_text_zero_rule_is_exact_on_the_ball(prec):
+    # The certified line writes 0 iff |v| <= e and |v| + e <= 10**-prec, taken
+    # exactly: balls one radius unit either side of |v| = e, and of |v| + e =
+    # 10**-prec, against a Fraction oracle.  Otherwise it writes nstr's digits.
+    limit = Fraction(1, 10 ** prec)
+    exp = math.floor(math.log2(limit)) - 32
+    top = math.floor(limit / Fraction(2) ** exp)  # the most units of 2**exp that |v| + e may hold
+    e = top // 2 + 1
+    quarter = top // 4
+    assert 2 ** 30 <= quarter < e < 2 ** 32  # radii the ball holds exactly
+    cases = [
+        (top - e, e, True), (top + 1 - e, e, False),  # |v| + e at 10**-prec, and one unit past it
+        (quarter - 1, quarter, True), (quarter, quarter, True), (quarter + 1, quarter, False),  # |v| = e
+        (0, quarter, True), (0, 0, True),
+    ]
+    for v, r, expected in cases:
+        for sign in (1, -1):
+            x = BigReal(dyadic(sign * v, exp), dyadic(r, exp), prec)
+            mid, rad = abs(rational(x.value)), rational(x.err)
+            assert rad == r * Fraction(2) ** exp
+            assert (mid <= rad and mid + rad <= limit) is expected
+            assert (value_text(x) == "0") is expected, (v, r)
+            if not expected:
+                assert value_text(x) == mpmath.nstr(x.value, prec)
+            assert value_text(x, prec) == mpmath.nstr(x.value, prec)
+
+
+def test_value_text_writes_the_midpoint_as_nstr_does():
+    rng = random.Random(11)
+    for _ in range(500):
+        man, exp = rng.getrandbits(rng.randint(1, 400)) * rng.choice((1, -1)), rng.randint(-1500, 1500)
+        x = BigReal(dyadic(man, exp), mpf(2) ** -20, 15)
+        for digits in (1, 3, 15, 60):
+            assert value_text(x, digits) == mpmath.nstr(x.value, digits)
+    assert value_text(BigReal(mpf(0), 0, 15), 3) == "0.0"
+    assert value_text(BigReal(mpf(0), 0, 15)) == "0"
 
 
 def test_rounding_matches_the_mpf_reference_and_pi_times_keeps_its_bits():

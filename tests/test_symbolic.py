@@ -1,6 +1,7 @@
 """Symbol algebra: coaction rules, conjugates, stability, parser, periods."""
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,7 @@ from mpmath import mpf
 
 from euler_periods import symbolic
 from euler_periods.errors import DomainError, InputError, ParseError, TooLarge
-from euler_periods.numkernel import COACTION_TERM_CAP, COASSOC_TERM_CAP, WEIGHT_CAP, working_dps
+from euler_periods.numkernel import COACTION_TERM_CAP, COASSOC_TERM_CAP, DIGIT_CAP, WEIGHT_CAP, working_dps
 from euler_periods.symbolic import (
     MotivicExpr,
     TensorSum,
@@ -481,6 +482,34 @@ def test_polylog_weight_past_the_cap_is_refused_in_both_families():
         UnipotentExpr.liu(WEIGHT_CAP + 1, Fraction(1, 2))
     with pytest.raises(TooLarge):
         parse_expr("zeta_m(3) + Li_m(9999999; 1/2)")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LIM(2, "1e2000"),
+    lambda: symbolic.rational_point(10 ** 1001),
+    lambda: symbolic.as_point(("rat", 10 ** 1001, 1)),
+    lambda: symbolic.as_point(("rat", 1, 10 ** 1001)),
+    lambda: UnipotentExpr.lnu("1/" + "3" * 1001),
+], ids=["lim 1e2000", "rational_point 10**1001", "rat tuple 10**1001", "rat tuple 1/10**1001", "lnu 1/3*1001"])
+def test_a_point_past_the_digit_cap_is_refused(make):
+    with pytest.raises(InputError, match=f"^the point .*past the cap {DIGIT_CAP}"):
+        make()
+
+
+def test_a_point_written_short_is_refused_before_it_is_built():
+    start = time.perf_counter()
+    with pytest.raises(InputError, match=f"has 3000001 digits, past the cap {DIGIT_CAP}"):
+        LIM(2, "1e3000000")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_points_read_as_before_within_the_cap():
+    assert LIM(2, "1/3") == LIM(2, Fraction(1, 3)) == LIM(2, ("rat", 2, 6)) == parse_expr("Li_m(2; 1/3)")
+    assert str(LIM(2, "0.25")) == "Li_m(2; 1/4)"
+    assert str(LIM(2, "x0")) == "Li_m(2; x0)"
+    for bad in [("rat", 1, 0), "zeta_m", "1/0", 0.5, ("rat", 1)]:
+        with pytest.raises(DomainError):
+            LIM(2, bad)
 
 
 def refuse_work(*args):
