@@ -137,17 +137,20 @@ def _cmd_identity_check(args):
         params["terms"] = args.terms
     if args.prime_bound is not None:
         params["prime_bound"] = args.prime_bound
+    tol = None if args.tol is None else as_fraction(args.tol, "tol")
+    if tol is not None and tol < 0:
+        raise DomainError(f"tol must be non-negative, got {args.tol!r}")
     r = eulerfun.identity_residual(kind, params, args.prec)
     magnitude = abs(r)
     resid, bound = value_text(magnitude, 3), bound_text(r.err, 2)
-    ok = bool(magnitude.value <= args.tol) if args.tol is not None else True
     payload = {"kind": kind, "residual": resid, "bound": bound}
-    if args.tol is not None:
-        verdict = "pass" if ok else "FAIL"
-        payload["tol"] = f"{args.tol:g}"
-        payload["passed"] = ok
-        return [f"residual {resid} ± {bound} (tol {args.tol:g}: {verdict})"], payload, 0 if ok else 3
-    return [f"residual {resid} ± {bound}"], payload, 0
+    if tol is None:
+        return [f"residual {resid} ± {bound}"], payload, 0
+    ok = as_fraction(magnitude.value) <= tol  # the midpoint against the tol as written, exactly
+    verdict = "pass" if ok else "FAIL"
+    payload["tol"] = args.tol
+    payload["passed"] = ok
+    return [f"residual {resid} ± {bound} (tol {args.tol}: {verdict})"], payload, 0 if ok else 3
 
 
 def _cmd_coact(args):
@@ -240,7 +243,7 @@ def _cmd_g2_invert_alpha(args):
     except InputError:
         try:
             target = BigReal.from_decimal(args.target, args.prec)
-        except ValueError:
+        except DomainError:
             raise InputError(
                 f"target {args.target!r} is neither a registry label nor a decimal number") from None
     trace: list[float] = []
@@ -357,8 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", default=None, help="exponent for euler-product / phi-funceq")
     p.add_argument("--terms", type=int, default=None, help="cotangent truncation order")
     p.add_argument("--prime-bound", type=int, default=None, help="euler-product prime cap")
-    p.add_argument("--tol", type=float, default=None,
-                   help="fail (exit 3) when the residual exceeds this")
+    p.add_argument("--tol", default=None,
+                   help="fail (exit 3) when the residual exceeds this, a non-negative rational")
 
     p = add("coact", "Galois coaction of a motivic expression.")
     p.add_argument("expr", help="expression in zeta_m(n), Li_m(n; z), twopi_i")

@@ -35,14 +35,18 @@ from typing import Iterable, Iterator, Sequence
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import from_rational, round_ceiling
 
-from .errors import DomainError, InputError, NoConvergence, SchemaError
-from .numkernel import MAX_PREC, BigReal, as_fraction, check_prec, pi_times, working_dps, _rounding
+from .errors import DomainError, InputError, NoConvergence, PrecisionNotMet, SchemaError
+from .numkernel import MAX_PREC, BigReal, as_fraction, check_prec, pi_times, working_bits
 
 MAX_ORDER = 4
 
-#: Fourth-order coefficient, 51 digits (Laporta's value, label a4:laporta:2017).
+#: Fourth-order coefficient, 51 decimals (Laporta's value, label a4:laporta:2017).
 A4_DIGITS = "-1.912245764926445574152647167439830054060873390658725"
+
+#: One unit in the last decimal of :data:`A4_DIGITS`, 1e-51 rounded upward: a4's radius.
+_A4_UNIT = mpmath.mp.make_mpf(from_rational(1, 10 ** 51, 64, round_ceiling))
 
 _REGISTRY_FIELDS = ("label", "value", "uncertainty_components", "year", "source_eq")
 
@@ -186,7 +190,7 @@ def _parse_entry(index: int, raw: object) -> Measurement:
         raise _entry_error(index, label, "value must be a decimal string", "value")
     try:
         value = BigReal.from_decimal(text, _REGISTRY_PREC)
-    except ValueError:
+    except DomainError:
         raise _entry_error(index, label, f"value {text!r} is not a decimal number", "value") from None
     except InputError as exc:
         raise _entry_error(index, label, str(exc), "value") from None
@@ -324,6 +328,13 @@ def _powers(r: BigReal, top: int) -> list[BigReal]:
 _TOTALS = {2: "th:1957", 3: "th:2017"}
 
 
+@lru_cache(maxsize=None)
+def _a4(prec: int) -> BigReal:
+    """``a_4`` at ``prec``: :data:`A4_DIGITS` as read, its radius widened by :data:`_A4_UNIT`."""
+    a4 = BigReal.from_decimal(A4_DIGITS, prec)
+    return BigReal(a4.value, mpmath.fadd(a4.err, _A4_UNIT, exact=True), prec)
+
+
 def _backed_out(n: int, prec: int, registry: Sequence[Measurement] | None) -> BigReal:
     """``a_n`` solved from its registry total :data:`_TOTALS` ``[n]`` with the rubidium alpha.
 
@@ -335,8 +346,7 @@ def _backed_out(n: int, prec: int, registry: Sequence[Measurement] | None) -> Bi
     rest = lookup(registry, _TOTALS[n]).as_bigreal(inner) - r / 2
     powers = _powers(r, 4 if n == 3 else n)
     if n == 3:
-        a4 = lookup(registry, "a4:laporta:2017").as_bigreal(inner)
-        rest = rest - coeff_a2(prec=inner) * powers[2] - a4 * powers[4]
+        rest = rest - coeff_a2(prec=inner) * powers[2] - _a4(inner) * powers[4]
     a = rest / powers[n]
     return BigReal(a.value, a.err, prec)
 
@@ -410,7 +420,8 @@ class CoefficientSet:
     """Choice of coefficient modes for assembling the series.
 
     ``a_1 = 1/2`` always.  ``a_4`` is read from the decimal string
-    :data:`A4_DIGITS`, so its 51 digits survive to any working precision.
+    :data:`A4_DIGITS`, so its 51 decimals survive to any working precision,
+    and its radius holds one unit in the last of them.
     """
 
     a2_mode: CoeffMode = CoeffMode.EXACT_BRACKET
@@ -423,7 +434,7 @@ class CoefficientSet:
         if n == 1:
             return BigReal.exact(Fraction(1, 2), prec)
         if n == 4:
-            return BigReal.from_decimal(A4_DIGITS, prec)
+            return _a4(prec)
         return _coefficient(n, self.a2_mode if n == 2 else self.a3_mode, prec, registry)
 
 
@@ -448,7 +459,7 @@ def _as_input(x: object, name: str, prec: int | None = None) -> BigReal:
     if isinstance(x, str):
         try:
             return BigReal.from_decimal(x, prec)
-        except ValueError:
+        except DomainError:
             raise InputError(f"{name} {x!r} is not a decimal number") from None
     if isinstance(x, bool) or not isinstance(x, (int, float, Fraction, mpf)):
         raise InputError(f"{name} must be a number, got {x!r}")
@@ -492,91 +503,83 @@ def g_factor(a_e: object, prec: int | None = None) -> BigReal:
     return (_as_input(a_e, "a_e", prec) + 1) * 2
 
 
+#: Most point Newton steps of :func:`invert_alpha`, and most widenings of its candidate ball.
+_NEWTON_STEPS, _WIDENINGS = 50, 4
+
+
+def _horner(coeffs: Sequence[BigReal], r: BigReal) -> BigReal:
+    """``sum(coeffs[k] * r**k)`` by Horner's rule."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * r + c
+    return acc
+
+
 def invert_alpha(target_ae: object, coeffs: CoefficientSet | None = None, order: int = MAX_ORDER,
                  prec: int = 15, registry: Sequence[Measurement] | None = None,
                  trace: list | None = None) -> BigReal:
-    """Solve ``assemble(alpha_inv) == target_ae`` for ``alpha_inv``.
+    """Solve ``assemble(alpha_inv) == target_ae`` for ``alpha_inv``, as a proved enclosure.
 
-    Damped Newton iteration in alpha from the one-loop seed
-    ``alpha = 2 pi target``; NoConvergence after 50 iterations.  The target
-    must lie in (0, 2e-3), the range where the quartic is monotone and the
-    physical branch is unambiguous.  Passing a list as ``trace`` records
-    the alpha_inv iterates, one per Newton update.
+    The target must lie in (0, 2e-3), where the quartic is monotone and the
+    physical branch unambiguous.  Newton's iteration in alpha from the
+    one-loop seed ``alpha = 2 pi target`` finds a point ``m`` and carries no
+    bound: at most 50 steps, until one moves alpha by about ``2**(8 - b)``
+    of it or less, at ``b`` working bits.  A list passed as ``trace``
+    records the alpha_inv iterates, one per step.
 
-    The returned bound covers the Newton residual, the target's own bound
-    (when it is a BigReal, Measurement or decimal string) and the
-    coefficient bounds.
+    The bound is one interval Newton step (Moore, *Interval Analysis*, 1966;
+    Rump, "Verification methods", Acta Numerica 19, 2010).  ``f(a) =
+    sum(c_n (a/pi)**n) - t`` is summed in BigReal over the coefficient
+    balls, the target's ball and ``pi_times(1, .)``.  Those operations
+    enclose, so with ``X = m ± rho`` the ball of ``f(m)`` holds every
+    ``f(m)`` that the balls allow, and that of ``f'(X)`` every such ``f'``
+    on ``X``.  Theorem: if ``f'(X)`` excludes 0 and ``N(X) = m - f(m) /
+    f'(X)`` lies in ``X``, each such ``f`` has exactly one root in ``X``,
+    and it lies in ``N(X)``.  Proof: ``f`` is monotone on ``X``; a root is
+    ``m - f(m) / f'(xi)`` for some ``xi`` in ``X`` by the mean value
+    theorem; and ``N(X)`` in ``X`` makes ``f(m)`` and ``f(m -+ rho)`` differ
+    in sign.  ``rho`` starts at twice ``|f(m) / f'(m)|`` plus that ball's
+    radius and quadruples at most 4 times.  NoConvergence when ``N(X)``
+    never lies in ``X``, or a slope's or the root's ball holds 0.  The
+    result is ``1 / N(X)``.
     """
     check_prec(prec)
     order = _check_order(order)
     if coeffs is None:
         coeffs = CoefficientSet()
     target = _as_input(target_ae, "target_ae", prec)
+    if not 0 < target.value < 1 or as_fraction(target.value) >= Fraction(1, 500):
+        shown = target if isinstance(target_ae, (str, Measurement)) else target_ae
+        raise DomainError(f"target_ae must lie in (0, 2e-3), got {shown!r}")
     inner = _inner_prec(prec)
-    wd = working_dps(inner)
-    with mpmath.workdps(wd):
-        t, t_err = target.value, target.err
-        if not 0 < t < mpf("2e-3"):
-            shown = target if isinstance(target_ae, (str, Measurement)) else target_ae
-            raise DomainError(f"target_ae must lie in (0, 2e-3), got {shown!r}")
-        cs = [coeffs.coefficient(n, inner, registry) for n in range(1, order + 1)]
-        cvals = [c.value for c in cs]
-        pi = +mpmath.pi
-
-        def f(a: mpf) -> mpf:
+    t = BigReal(target.value, target.err, inner)
+    cs = [coeffs.coefficient(n, inner, registry) for n in range(1, order + 1)]
+    slopes = [c * n for n, c in enumerate(cs, start=1)]
+    pi = pi_times(1, inner)
+    top = 8 - working_bits(inner)
+    a = BigReal((pi * t * 2).value, 0, inner)
+    try:
+        for k in range(_NEWTON_STEPS + 1):
             r = a / pi
-            acc = mpf(0)
-            for cv in reversed(cvals):
-                acc = (acc + cv) * r
-            return acc - t
-
-        def fprime(a: mpf) -> mpf:
-            r = a / pi
-            acc = mpf(0)
-            for n in range(order, 0, -1):
-                acc = acc * r + n * cvals[n - 1]
-            return acc / pi
-
-        alpha = 2 * pi * t
-        tiny = mpf(10) ** -(wd - 2)
-        converged = False
-        for _ in range(50):
-            fv = f(alpha)
-            fpv = fprime(alpha)
-            if fpv == 0:
-                raise NoConvergence("flat tangent in alpha inversion")
-            step = fv / fpv
-            lam = mpf(1)
-            while lam > mpf(2) ** -20:
-                cand = alpha - lam * step
-                if cand > 0 and abs(f(cand)) <= abs(fv):
-                    break
-                lam /= 2
-            else:
-                raise NoConvergence("damping failed to reduce the residual")
-            new_alpha = alpha - lam * step
-            if trace is not None:
-                trace.append(float(1 / new_alpha))
-            done = abs(new_alpha - alpha) <= abs(new_alpha) * tiny
-            alpha = new_alpha
-            if done:
-                converged = True
+            fa = _horner(cs, r) * r - t
+            step = fa / (_horner(slopes, r) / pi)
+            if k == _NEWTON_STEPS or mpmath.mag(step.value) <= mpmath.mag(a.value) + top:
                 break
-        if not converged:
-            raise NoConvergence("alpha inversion did not converge in 50 iterations")
-        slope = abs(fprime(alpha))
-        resid = abs(f(alpha))
-        coeff_err = mpf(0)
-        r = alpha / pi
-        for n, c in enumerate(cs, start=1):
-            coeff_err += c.err * abs(r) ** n
-        # f(alpha) rounds 2 order + 5 times (r = alpha / pi twice) on values of
-        # size t, and the slope is about t / alpha, so alpha is off by under
-        # (2 order + 5) |alpha| 2**-prec: one count, as |alpha| < 0.02.
-        alpha_err = (resid + t_err + coeff_err) / slope + _rounding(alpha, 1)
-        inv = 1 / alpha
-        inv_err = alpha_err / (alpha * alpha) + _rounding(inv, 1)
-        return BigReal(inv, inv_err, prec)
+            a = BigReal((a - step).value, 0, inner)
+            if trace is not None:
+                trace.append(float(1 / a.value))
+        rho = 2 * (abs(float(step.value)) + float(step.err))
+        for _ in range(_WIDENINGS):
+            x = BigReal(a.value, rho, inner)
+            root = a - fa / (_horner(slopes, x / pi) / pi)
+            gap = abs(as_fraction(root.value) - as_fraction(a.value))
+            if gap + as_fraction(root.err) <= as_fraction(x.err):  # N(X) lies in X
+                inv = 1 / root
+                return BigReal(inv.value, inv.err, prec)
+            rho *= 4
+    except PrecisionNotMet:
+        raise NoConvergence("alpha inversion: a slope's or the root's ball holds 0") from None
+    raise NoConvergence(f"alpha inversion: Newton's image left its ball {_WIDENINGS} times")
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,11 @@ Rounding
 One rule counts the rounding the code performs, in binary units of the
 precision ``p`` it happens at (as Arb does, arXiv:1611.02831): ``count (1
 + |v|) 2**(1 - p)``, one count per rounding that makes ``v``.  The
-premises: mpmath's ``+ - * /`` and decimal parsing round correctly, within
-half a count, and each elementary or special function (``log``, ``cos``,
-``cot``, ``gamma``, powers, ``pi``) is faithful, within one count, unless
-its site states more.  A floor to ``2**-b`` with ``b = p`` errs by under
-one unit of ``2**-b``, less than the one count of ``_rounding(0, 1)``.
+premises: mpmath's ``+ - * /`` round correctly, within half a count, and
+each elementary or special function (``log``, ``cos``, ``cot``, ``gamma``,
+powers, ``pi``) is faithful, within one count, unless its site states
+more.  A floor to ``2**-b`` with ``b = p`` errs by under one unit of
+``2**-b``, less than the one count of ``_rounding(0, 1)``.
 
 :class:`BigReal` arithmetic encloses: each constructor and ``+ - * /``,
 and :func:`pi_times`, adds its counts to the propagated radius in
@@ -83,8 +83,10 @@ first-order sites, each with its count and premises beside the call:
 
 * in :mod:`.eulerfun`, the ``Li_n`` series of DILOG_REFLECTION, ``polylog``
   at ``n = 1`` and in the reflection window, and the four identity residuals;
-* :func:`~euler_periods.mzv.mzv_bruteforce`, whose count grows with the depth;
-* :func:`~euler_periods.g2.invert_alpha`.
+* :func:`~euler_periods.mzv.mzv_bruteforce`, whose count grows with the depth.
+
+:func:`~euler_periods.g2.invert_alpha` is no such site: its bound is an
+interval Newton step evaluated in :class:`BigReal`.
 
 Iterated integrals at 1/2
 -------------------------
@@ -344,9 +346,10 @@ class BigReal:
     binary precision ``b = working_bits(p)`` of the result's ``prec = p``,
     bit for bit as the mpf operators round inside
     ``workdps(working_dps(p))``, with one mpmath.libmp call and no mpmath
-    context: ``pi`` times ``k`` takes two, and a ``Fraction`` none, its
-    quotient rounded in integers by :func:`_quotient` (a numerator wider
-    than ``b`` is rounded first, through libmp).  The radius is summed in
+    context: ``pi`` times ``k`` takes two, and a ``Fraction`` or a decimal
+    string, read exactly by :func:`as_fraction`, none: its quotient is
+    rounded in integers by :func:`_quotient` (a wider numerator goes
+    through libmp, a Fraction's rounded first).  The radius is summed in
     integers and rounded upward (:func:`_ball`), from one count ``(1 +
     |v|) 2**(1 - b)`` per rounding that makes the midpoint ``v`` (round to
     nearest errs by at most ``|v| 2**-b``) plus:
@@ -413,23 +416,25 @@ class BigReal:
         ``Fraction`` ``num/den`` in lowest terms that is decided in
         integers: only a power of 2 ``den`` can give an exact binary
         result ``man 2**exp``, exact iff ``man 2**exp den == num``.  A
-        decimal string is an input, held to :func:`check_digits`.
+        string is an input: :func:`as_fraction` reads its exact rational,
+        which rounds once to nearest, so ``"0.5"`` has a zero bound and
+        ``"inf"`` raises :class:`DomainError`.
         """
         b = _BITS[check_prec(prec)]
-        if isinstance(x, Fraction):
-            # A Fraction rounds its numerator, then the quotient: two counts.
-            num, den = x.as_integer_ratio()
+        if isinstance(x, (str, Fraction)):
+            # A decimal rounds its exact value once; a Fraction rounds its
+            # numerator, then the quotient: two counts.
+            is_str = isinstance(x, str)
+            num, den = (as_fraction(x, "the decimal") if is_str else x).as_integer_ratio()
             if num.bit_length() > b:
-                v = mpf_div(mpf_pos(from_int(num), b, RN), from_int(den), b, RN)
+                v = mpf_div(from_int(num) if is_str else mpf_pos(from_int(num), b, RN), from_int(den), b, RN)
             else:
                 v = _quotient(num, den, b)
             if not den & den - 1:
                 _, man, exp, _ = v  # v has the sign of num
                 if man * den << max(exp, 0) == abs(num) << max(-exp, 0):
                     return _new_ball(v, 0, 0, prec)
-            return _ball(v, prec, 2 - b)
-        if isinstance(x, str):
-            return _ball(from_str(check_digits(x, "the decimal"), b, RN), prec, 1 - b)
+            return _ball(v, prec, (1 if is_str else 2) - b)
         if isinstance(x, int):
             raw = from_int(x)
         elif isinstance(x, float):
@@ -443,7 +448,7 @@ class BigReal:
 
     @classmethod
     def from_decimal(cls, text: str, prec: int) -> "BigReal":
-        """Parse a decimal string; the bound covers conversion rounding."""
+        """Read a decimal string as :meth:`exact` does; the bound covers its one rounding."""
         return cls.exact(text.strip(), prec)
 
     # -- arithmetic ---------------------------------------------------

@@ -605,6 +605,37 @@ def test_exit_three_identity_tolerance(capsys):
     assert "FAIL" in out
 
 
+def test_identity_tolerance_is_read_and_printed_as_written(capsys):
+    # 1e-400 is no float; the verdict compares it with the residual exactly.
+    code, out, err = run(capsys, "identity-check", "dilog-reflection", "--x", "1/2",
+                         "--tol", "1e-400", "--json")
+    payload = json.loads(out)
+    assert code == 3 and err == ""
+    assert payload["tol"] == "1e-400" and payload["passed"] is False
+    assert "(tol 1e-400: FAIL)" in payload["output"]
+    residual = Fraction(payload["residual"])
+    for tol, want in ((f"{residual / 2}", 3), (f"{residual * 2}", 0), ("1e999", 0)):
+        code, out, _ = run(capsys, "identity-check", "dilog-reflection", "--x", "1/2", "--tol", tol)
+        assert code == want and f"(tol {tol}: " in out, tol
+
+
+@pytest.mark.parametrize("tol", ["-1e-9", "abc", "inf", "1e-5000"])
+def test_identity_tolerance_that_is_no_non_negative_rational_exits_two(capsys, tol):
+    code, out, err = run(capsys, "identity-check", "dilog-reflection", "--x", "1/2", f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("g2-assemble", "--", "inf"), ("g2-assemble", "nan"),
+                                  ("g2-invert-alpha", "nan"), ("g2-invert-alpha", "--", "-inf")],
+                         ids=lambda a: " ".join(a))
+def test_g2_decimal_that_is_no_number_exits_two_without_a_repr(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "is not a decimal number" in err or "nor a decimal number" in err
+    assert "Traceback" not in err and "BigReal(" not in err
+
+
 def test_identity_tolerance_pass_keeps_zero(capsys):
     code, out, _ = run(capsys, "identity-check", "dilog-reflection",
                        "--x", "0.5", "--tol", "1e-9")
@@ -702,8 +733,8 @@ def test_registry_list_totals_are_rounded_upward(capsys, mode):
             step = Fraction(10) ** (Decimal(text).adjusted() - 1)
             assert (shown - step) ** 2 < square, (m.label, text)
     listed = dict(zip((m.label for m in rows), totals))
-    assert [listed[k] for k in ("th:2012", "th:2017", "alpha:ae:2012", "exp:2008", "a4:num:2012")] == \
-        ["7.8e-13", "7.7e-13", "3.5e-08", "2.8e-13", "0.002"]
+    assert [listed[k] for k in ("th:2012", "th:2017", "alpha:ae:2012", "exp:2008", "a4:num:2012",
+                                "a4:laporta:2017")] == ["7.8e-13", "7.7e-13", "3.5e-08", "2.8e-13", "0.002", "1e-51"]
 
 
 # ---------------------------------------------------------------------------

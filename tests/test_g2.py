@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +11,7 @@ import pytest
 from mpmath import mpf
 
 from euler_periods import g2 as g2_module
-from euler_periods.errors import DomainError, InputError, SchemaError
+from euler_periods.errors import DomainError, InputError, NoConvergence, SchemaError
 from euler_periods.eulerfun import phi
 from euler_periods.g2 import (
     _BRACKETS,
@@ -159,10 +160,12 @@ def test_every_row_prints_and_folds_a_total_at_least_the_exact_quadrature(prec):
     for m in load_registry():
         square = sum(Fraction(c) ** 2 for c in m.uncertainty_components)
         assert Fraction(m.total_text) ** 2 >= square, m.label
-        folded = exact(m.as_bigreal(prec).err) - exact(m.value.err)
+        radius, own = exact(m.as_bigreal(prec).err), exact(m.value.err)
+        folded = radius - own
         assert folded >= 0 and folded ** 2 >= square, m.label
-        if square:  # rounded upward at the radius's 32 bits, not to two digits
-            assert folded ** 2 <= square * (1 + Fraction(1, 2 ** 28)), m.label
+        if square:  # the exact sum rounded upward at the radius's 32 bits, not to two digits
+            spare = radius / (1 + Fraction(1, 2 ** 30)) - own
+            assert spare <= 0 or spare ** 2 <= square, m.label
 
 
 def test_a_float_component_totals_upward_from_its_binary_value():
@@ -183,7 +186,7 @@ def test_laporta_row_matches_constant():
     # The registry row is parsed at registry precision; the full digit
     # string must survive verbatim in the shipped file itself.
     m = lookup(None, "a4:laporta:2017")
-    assert m.uncertainty_components == ()
+    assert m.uncertainty_components == (Fraction(1, 10 ** 51),)  # one unit in the last decimal
     with mpmath.workdps(60):
         assert abs(m.value.value - mpf(A4_DIGITS)) <= m.value.err
     with open(default_registry_path(), encoding="utf-8") as fh:
@@ -223,6 +226,8 @@ def test_load_registry_custom_file(tmp_path):
     ([row(extra="x")], "extra"),
     ([row(value=1.0e-3)], "value"),
     ([row(value="one")], "value"),
+    ([row(value="inf")], "value"),
+    ([row(value="nan")], "value"),
     ([row(uncertainty_components="1e-6")], "uncertainty_components"),
     ([row(uncertainty_components=[1e-6])], "uncertainty_components"),
     ([row(uncertainty_components=["-1e-6"])], "uncertainty_components"),
@@ -435,6 +440,29 @@ def test_coefficient_set_defaults():
         assert abs(c4.value - mpf(A4_DIGITS)) < mpf("1e-30")
 
 
+def test_a4_radius_is_one_unit_in_its_last_decimal_at_every_prec():
+    unit = Fraction(1, 10 ** 51)
+    for prec in range(MIN_PREC, MAX_PREC + 1):
+        c4 = CoefficientSet().coefficient(4, prec)
+        value, err = (Fraction(*mpmath.libmp.to_rational(v._mpf_)) for v in (c4.value, c4.err))
+        assert abs(value - Fraction(A4_DIGITS)) + unit <= err, prec
+
+
+@pytest.mark.parametrize("mode", [CoeffMode.EXACT_BRACKET, CoeffMode.AS_PRINTED], ids=lambda m: m.name)
+def test_assemble_covers_a4_anywhere_in_its_last_decimal(mode):
+    # The a4 term moves the sum by about 3e-62 at alpha_inv = 137.035999084,
+    # far past the 1e-110 that the working precision alone would declare.
+    x = assemble("137.035999084", CoefficientSet(mode, mode), prec=100)
+    c2, c3 = coeff_a2(mode, 100), coeff_a3(mode, 100)
+    with mpmath.workdps(150):
+        r = 1 / (mpf("137.035999084") * mpmath.pi)
+        spread = c2.err * r ** 2 + c3.err * r ** 3
+        for shift in (-1, 0, 1):
+            a4 = mpf(A4_DIGITS) + shift * mpf(10) ** -51
+            ref = r / 2 + c2.value * r ** 2 + c3.value * r ** 3 + a4 * r ** 4
+            assert abs(x.value - ref) + spread <= x.err, shift
+
+
 def test_coefficient_index_validation():
     cs = CoefficientSet()
     for bad in (0, 5, -1, 2.0, True):
@@ -535,6 +563,8 @@ def test_g_factor_rejects_what_assemble_rejects(a_e):
     (lambda: invert_alpha(True), "target_ae must be a number, got True"),
     (lambda: g_factor("abc"), "a_e 'abc' is not a decimal number"),
     (lambda: g_factor(None), "a_e must be a number, got None"),
+    (lambda: assemble("inf"), "alpha_inv 'inf' is not a decimal number"),
+    (lambda: invert_alpha("nan"), "target_ae 'nan' is not a decimal number"),
 ])
 def test_input_errors_name_the_argument(call, message):
     with pytest.raises(InputError) as exc:
@@ -562,6 +592,55 @@ def test_invert_alpha_from_measurement():
     with mpmath.workdps(30):
         assert abs(x.value - mpf("137.035999159537")) < mpf("1e-9")
     assert 1e-8 < float(x.err) < 1e-6
+
+
+EXACT_ALPHAS = ("130", "137.036", "140", "137.035999084")
+BRACKETS = CoefficientSet(CoeffMode.EXACT_BRACKET, CoeffMode.EXACT_BRACKET)
+
+
+def holds(x: BigReal, q: Fraction) -> bool:
+    """Whether the ball of ``x`` holds the rational ``q``, decided exactly."""
+    value, err = (Fraction(*mpmath.libmp.to_rational(v._mpf_)) for v in (x.value, x.err))
+    return abs(value - q) <= err
+
+
+def test_inverting_an_assembled_exact_alpha_encloses_it_at_every_prec():
+    for alpha in EXACT_ALPHAS:
+        for prec in range(MIN_PREC, MAX_PREC + 1):
+            back = invert_alpha(assemble(alpha, BRACKETS, prec=prec), BRACKETS, prec=prec)
+            assert holds(back, Fraction(alpha)), (alpha, prec)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+def test_an_early_stopped_newton_point_still_encloses_or_raises(monkeypatch, steps):
+    # The bound is the interval Newton step's, so a midpoint left off by the
+    # point iteration widens the ball or fails it; it never makes it miss.
+    monkeypatch.setattr(g2_module, "_NEWTON_STEPS", steps)
+    enclosed = 0
+    for alpha in EXACT_ALPHAS:
+        for prec in range(MIN_PREC, MAX_PREC + 1, 9):
+            trace = []
+            target = assemble(alpha, BRACKETS, prec=prec)
+            try:
+                back = invert_alpha(target, BRACKETS, prec=prec, trace=trace)
+            except NoConvergence:
+                continue
+            assert len(trace) <= steps
+            assert holds(back, Fraction(alpha)), (alpha, prec)
+            enclosed += 1
+    assert enclosed
+
+
+def test_a_slope_ball_that_holds_zero_raises_no_convergence_naming_the_inversion():
+    @dataclass(frozen=True)
+    class Loose(CoefficientSet):
+        def coefficient(self, n, prec, registry=None):
+            c = super().coefficient(n, prec, registry)
+            return BigReal(c.value, 1000, prec) if n == 2 else c
+
+    with pytest.raises(NoConvergence) as exc:
+        invert_alpha("1.159652e-3", Loose(), prec=15)
+    assert str(exc.value) == "alpha inversion: a slope's or the root's ball holds 0"
 
 
 def test_invert_round_trips():

@@ -261,6 +261,19 @@ def test_from_decimal_parses_and_bounds():
     assert x.certified()
 
 
+@pytest.mark.parametrize("prec", [MIN_PREC, 15, MAX_PREC])
+def test_from_decimal_reads_the_exact_rational(prec):
+    # A decimal that converts exactly has radius 0; one that does not keeps one count.
+    for text in ("0.5", "-0.375", "1e3", "1/4", "0"):
+        x = BigReal.from_decimal(text, prec)
+        assert x.err == 0 and as_fraction(x.value) == Fraction(text), text
+    x = BigReal.from_decimal("0.1", prec)
+    assert 0 < as_fraction(x.err) and abs(as_fraction(x.value) - Fraction(1, 10)) <= as_fraction(x.err)
+    for text in ("inf", "-inf", "nan", "abc", ""):
+        with pytest.raises(DomainError):
+            BigReal.from_decimal(text, prec)
+
+
 def test_negative_error_bound_rejected():
     with pytest.raises(DomainError):
         BigReal(mpf(1), mpf(-1e-20), 15)
@@ -422,18 +435,15 @@ class RefReal:
         check_prec(prec)
         with mpmath.workdps(working_dps(prec)):
             v = as_mpf(x)
-            # A Fraction is exact when its rounded value is, as rationals.
-            exact = as_fraction(v) == x if isinstance(x, Fraction) else not isinstance(x, str) and v == x
+            # A Fraction or a decimal is exact when its rounded value is, as rationals.
+            exact = as_fraction(v) == as_fraction(x) if isinstance(x, (str, Fraction)) else v == x
             if exact:
                 return cls(v, mpf(0), prec)
             return cls(v, ref_rounding(v, 2 if isinstance(x, Fraction) else 1), prec)
 
     @classmethod
     def from_decimal(cls, text, prec):
-        check_prec(prec)
-        with mpmath.workdps(working_dps(prec)):
-            v = mpf(text.strip())
-            return cls(v, ref_rounding(v, 1), prec)
+        return cls.exact(text.strip(), prec)
 
     def _coerce(self, other):
         return other if isinstance(other, RefReal) else RefReal.exact(other, self.prec)
