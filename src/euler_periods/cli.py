@@ -241,8 +241,9 @@ def _cmd_g2_invert_alpha(args):
     try:
         target = g2.lookup(rows, args.target)
     except InputError:
+        target = args.target  # passed as written, so an error shows the user's text
         try:
-            target = BigReal.from_decimal(args.target, args.prec)
+            as_fraction(target, "the target")
         except DomainError:
             raise InputError(
                 f"target {args.target!r} is neither a registry label nor a decimal number") from None

@@ -18,6 +18,14 @@ hold more than the four-order series (see CoeffMode).
 Orders above four are not represented by series coefficients here; their
 effect enters only through the quoted uncertainty components of the
 theory rows in the registry.
+
+Every coefficient but REGISTRY with a caller's own registry depends only on
+``(n, mode, prec)``, so a2 and a3 are kept once per process in an
+``lru_cache`` keyed on the order, the mode after :func:`_as_mode` and the
+checked prec: at most 2 x 3 x 100 = 600 immutable balls, about 0.4 MB when
+all are filled (tracemalloc, with the a4 balls the fill adds).
+:func:`invert_alpha` finds its Newton point on bare midpoints and evaluates
+balls only at that point, for the step that proves the root.
 """
 
 from __future__ import annotations
@@ -35,10 +43,11 @@ from typing import Iterable, Iterator, Sequence
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import from_rational, round_ceiling
+from mpmath.libmp import from_rational, mpf_add, mpf_div, mpf_mul, mpf_shift, mpf_sub, round_ceiling
+from mpmath.libmp import round_nearest as RN
 
 from .errors import DomainError, InputError, NoConvergence, PrecisionNotMet, SchemaError
-from .numkernel import MAX_PREC, BigReal, as_fraction, check_prec, pi_times, working_bits
+from .numkernel import MAX_PREC, BigReal, as_fraction, check_prec, pi_times, value_text, working_bits
 
 MAX_ORDER = 4
 
@@ -383,8 +392,21 @@ def _coefficient(n: int, mode: CoeffMode | str, prec: int,
     """``a_n`` for ``n`` = 2 or 3: backed out of the registry, or the period of its bracket."""
     check_prec(prec)
     mode = _as_mode(mode)
-    if mode is CoeffMode.REGISTRY:
+    if mode is CoeffMode.REGISTRY and registry is not None:
         return _backed_out(n, prec, registry)
+    return _packaged_coefficient(n, mode, prec)
+
+
+@lru_cache(maxsize=None)
+def _packaged_coefficient(n: int, mode: CoeffMode, prec: int) -> BigReal:
+    """``a_n`` from its bracket or the packaged registry, found once per process.
+
+    Keyed after :func:`check_prec` and :func:`_as_mode`, so a mode's
+    spellings share one entry: at most 2 orders x 3 modes x 100 precs = 600
+    immutable balls.
+    """
+    if mode is CoeffMode.REGISTRY:
+        return _backed_out(n, prec, None)
     from .symbolic import period_map  # only the bracket modes load the symbol layer
     return period_map(_bracket(n, mode), prec)
 
@@ -515,6 +537,14 @@ def _horner(coeffs: Sequence[BigReal], r: BigReal) -> BigReal:
     return acc
 
 
+def _horner_mid(coeffs: Sequence[tuple], r: tuple, b: int) -> tuple:
+    """:func:`_horner` on raw mpf midpoints, each op rounded to nearest at ``b`` bits as BigReal's."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = mpf_add(mpf_mul(acc, r, b, RN), c, b, RN)
+    return acc
+
+
 def invert_alpha(target_ae: object, coeffs: CoefficientSet | None = None, order: int = MAX_ORDER,
                  prec: int = 15, registry: Sequence[Measurement] | None = None,
                  trace: list | None = None) -> BigReal:
@@ -523,9 +553,12 @@ def invert_alpha(target_ae: object, coeffs: CoefficientSet | None = None, order:
     The target must lie in (0, 2e-3), where the quartic is monotone and the
     physical branch unambiguous.  Newton's iteration in alpha from the
     one-loop seed ``alpha = 2 pi target`` finds a point ``m`` and carries no
-    bound: at most 50 steps, until one moves alpha by about ``2**(8 - b)``
-    of it or less, at ``b`` working bits.  A list passed as ``trace``
-    records the alpha_inv iterates, one per step.
+    bound, so it runs on the bare midpoints of the balls below: the same
+    libmp operations in the same order, rounded to nearest at ``b`` working
+    bits, as BigReal would apply to them, so ``m`` has the bits the balls'
+    midpoints would give.  At most 50 steps, until one moves alpha by about
+    ``2**(8 - b)`` of it or less.  A list passed as ``trace`` records the
+    alpha_inv iterates, one per step.
 
     The bound is one interval Newton step (Moore, *Interval Analysis*, 1966;
     Rump, "Verification methods", Acta Numerica 19, 2010).  ``f(a) =
@@ -539,9 +572,9 @@ def invert_alpha(target_ae: object, coeffs: CoefficientSet | None = None, order:
     ``m - f(m) / f'(xi)`` for some ``xi`` in ``X`` by the mean value
     theorem; and ``N(X)`` in ``X`` makes ``f(m)`` and ``f(m -+ rho)`` differ
     in sign.  ``rho`` starts at twice ``|f(m) / f'(m)|`` plus that ball's
-    radius and quadruples at most 4 times.  NoConvergence when ``N(X)``
-    never lies in ``X``, or a slope's or the root's ball holds 0.  The
-    result is ``1 / N(X)``.
+    radius, both taken from balls evaluated once at ``m``, and quadruples at
+    most 4 times.  NoConvergence when ``N(X)`` never lies in ``X``, or a
+    slope's or the root's ball holds 0.  The result is ``1 / N(X)``.
     """
     check_prec(prec)
     order = _check_order(order)
@@ -549,35 +582,43 @@ def invert_alpha(target_ae: object, coeffs: CoefficientSet | None = None, order:
         coeffs = CoefficientSet()
     target = _as_input(target_ae, "target_ae", prec)
     if not 0 < target.value < 1 or as_fraction(target.value) >= Fraction(1, 500):
-        shown = target if isinstance(target_ae, (str, Measurement)) else target_ae
-        raise DomainError(f"target_ae must lie in (0, 2e-3), got {shown!r}")
+        shown = (f"row {target_ae.label!r}" if isinstance(target_ae, Measurement)
+                 else value_text(target_ae) if isinstance(target_ae, BigReal) else repr(target_ae))
+        raise DomainError(f"target_ae must lie in (0, 2e-3), got {shown}")
     inner = _inner_prec(prec)
     t = BigReal(target.value, target.err, inner)
     cs = [coeffs.coefficient(n, inner, registry) for n in range(1, order + 1)]
     slopes = [c * n for n, c in enumerate(cs, start=1)]
     pi = pi_times(1, inner)
-    top = 8 - working_bits(inner)
-    a = BigReal((pi * t * 2).value, 0, inner)
+    b = working_bits(inner)
+    mids, slope_mids = [c.value._mpf_ for c in cs], [c.value._mpf_ for c in slopes]
+    pi_mid, t_mid = pi.value._mpf_, t.value._mpf_
+    a = mpf_shift(mpf_mul(pi_mid, t_mid, b, RN), 1)
     try:
         for k in range(_NEWTON_STEPS + 1):
-            r = a / pi
-            fa = _horner(cs, r) * r - t
-            step = fa / (_horner(slopes, r) / pi)
-            if k == _NEWTON_STEPS or mpmath.mag(step.value) <= mpmath.mag(a.value) + top:
+            r = mpf_div(a, pi_mid, b, RN)
+            fa = mpf_sub(mpf_mul(_horner_mid(mids, r, b), r, b, RN), t_mid, b, RN)
+            step = mpf_div(fa, mpf_div(_horner_mid(slope_mids, r, b), pi_mid, b, RN), b, RN)
+            # A step of 0, or of magnitude (exp + bc) at most 2**(8 - b) of a's, ends the iteration.
+            if k == _NEWTON_STEPS or not step[1] or step[2] + step[3] <= a[2] + a[3] + 8 - b:
                 break
-            a = BigReal((a - step).value, 0, inner)
+            a = mpf_sub(a, step, b, RN)
             if trace is not None:
-                trace.append(float(1 / a.value))
+                trace.append(float(1 / mpmath.mp.make_mpf(a)))
+        m = BigReal(mpmath.mp.make_mpf(a), 0, inner)
+        r = m / pi
+        fa = _horner(cs, r) * r - t
+        step = fa / (_horner(slopes, r) / pi)
         rho = 2 * (abs(float(step.value)) + float(step.err))
         for _ in range(_WIDENINGS):
-            x = BigReal(a.value, rho, inner)
-            root = a - fa / (_horner(slopes, x / pi) / pi)
-            gap = abs(as_fraction(root.value) - as_fraction(a.value))
+            x = BigReal(m.value, rho, inner)
+            root = m - fa / (_horner(slopes, x / pi) / pi)
+            gap = abs(as_fraction(root.value) - as_fraction(m.value))
             if gap + as_fraction(root.err) <= as_fraction(x.err):  # N(X) lies in X
                 inv = 1 / root
                 return BigReal(inv.value, inv.err, prec)
             rho *= 4
-    except PrecisionNotMet:
+    except (PrecisionNotMet, ZeroDivisionError):  # a slope midpoint of exactly 0 as well
         raise NoConvergence("alpha inversion: a slope's or the root's ball holds 0") from None
     raise NoConvergence(f"alpha inversion: Newton's image left its ball {_WIDENINGS} times")
 

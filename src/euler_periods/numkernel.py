@@ -179,7 +179,7 @@ def working_bits(prec: int) -> int:
 
 
 def check_prec(prec: int) -> int:
-    if not isinstance(prec, int) or not (MIN_PREC <= prec <= MAX_PREC):
+    if isinstance(prec, bool) or not isinstance(prec, int) or not (MIN_PREC <= prec <= MAX_PREC):
         raise DomainError(f"prec must be an integer in [{MIN_PREC}, {MAX_PREC}], got {prec!r}")
     return prec
 

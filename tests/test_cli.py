@@ -636,6 +636,14 @@ def test_g2_decimal_that_is_no_number_exits_two_without_a_repr(capsys, argv):
     assert "Traceback" not in err and "BigReal(" not in err
 
 
+@pytest.mark.parametrize("target,shown", [("0.5", "'0.5'"), ("2.50e-3", "'2.50e-3'"),
+                                          ("alpha:rb:2011", "row 'alpha:rb:2011'")])
+def test_g2_target_outside_the_domain_is_shown_as_given(capsys, target, shown):
+    code, out, err = run(capsys, "g2-invert-alpha", target)
+    assert code == 2 and out == ""
+    assert err == f"error: target_ae must lie in (0, 2e-3), got {shown}\n"
+
+
 def test_identity_tolerance_pass_keeps_zero(capsys):
     code, out, _ = run(capsys, "identity-check", "dilog-reflection",
                        "--x", "0.5", "--tol", "1e-9")

@@ -1,5 +1,6 @@
 """Registry handling, series coefficients, assembly, inversion, comparison."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 from mpmath import mpf
 
 from euler_periods import g2 as g2_module
-from euler_periods.errors import DomainError, InputError, NoConvergence, SchemaError
+from euler_periods.errors import DomainError, InputError, NoConvergence, PrecisionNotMet, SchemaError
 from euler_periods.eulerfun import phi
 from euler_periods.g2 import (
     _BRACKETS,
@@ -33,7 +34,8 @@ from euler_periods.g2 import (
     lookup,
 )
 from euler_periods.mzv import multiphi
-from euler_periods.numkernel import DIGIT_CAP, MAX_PREC, MIN_PREC, BigReal, working_dps
+from euler_periods.numkernel import (DIGIT_CAP, MAX_PREC, MIN_PREC, BigReal, as_fraction, pi_times, working_bits,
+                                     working_dps)
 from euler_periods.symbolic import coassoc_residual, parse_expr, period_map
 
 GOOD_ROW = {
@@ -470,6 +472,63 @@ def test_coefficient_index_validation():
             cs.coefficient(bad, 15)
 
 
+COEFFS = (coeff_a2, coeff_a3)
+MODES = (CoeffMode.EXACT_BRACKET, CoeffMode.AS_PRINTED, CoeffMode.REGISTRY)
+
+
+def bits(x: BigReal) -> tuple:
+    return x.value._mpf_, x.err._mpf_, x.prec
+
+
+def test_a_cached_coefficient_has_the_bits_of_a_fresh_one_at_every_prec():
+    cache = g2_module._packaged_coefficient
+    for prec in range(MIN_PREC, MAX_PREC + 1):
+        for coeff in COEFFS:
+            for mode in MODES:
+                cached = coeff(mode, prec)
+                assert coeff(mode, prec) is cached
+                cache.cache_clear()
+                fresh = coeff(mode, prec)
+                assert cache.cache_info().misses >= 1
+                assert bits(fresh) == bits(cached), (coeff.__name__, mode, prec)
+
+
+def test_mode_spellings_share_one_cache_entry():
+    cache = g2_module._packaged_coefficient
+    cache.cache_clear()
+    for prec in (1, 15, 100):
+        enums = [coeff_a2(CoeffMode.EXACT_BRACKET, prec), coeff_a3(CoeffMode.AS_PRINTED, prec),
+                 coeff_a3(CoeffMode.REGISTRY, prec), coeff_a3(CoeffMode.CONSISTENT, prec)]
+        filled = cache.cache_info().currsize
+        spelled = [coeff_a2("exact-bracket", prec), coeff_a3(" as_printed ", prec),
+                   coeff_a3("registry", prec), coeff_a3("consistent", prec)]
+        assert all(x is y for x, y in zip(spelled, enums))
+        assert cache.cache_info().currsize == filled
+
+
+def test_a_callers_registry_is_not_cached_and_leaves_the_packaged_value(tmp_path):
+    packaged = coeff_a3(CoeffMode.CONSISTENT, 15)
+    rows = [dataclasses.replace(m, value=m.value + mpf("1e-12")) if m.label == "th:2017" else m
+            for m in load_registry()]
+    changed = coeff_a3(CoeffMode.CONSISTENT, 15, registry=rows)
+    assert bits(changed) != bits(packaged)
+    assert bits(coeff_a3(CoeffMode.CONSISTENT, 15, registry=rows)) == bits(changed)
+    assert coeff_a3(CoeffMode.CONSISTENT, 15) is packaged
+    # A registry file read by path takes the same uncached route.
+    with open(default_registry_path(), encoding="utf-8") as fh:
+        path = write_registry(tmp_path, json.load(fh))
+    assert bits(coeff_a3(CoeffMode.CONSISTENT, 15, registry=load_registry(path))) == bits(packaged)
+
+
+def test_the_coefficient_cache_holds_at_most_600_entries():
+    for prec in range(MIN_PREC, MAX_PREC + 1):
+        for coeff in COEFFS:
+            for mode in MODES:
+                coeff(mode, prec)
+                coeff(mode.value.lower().replace("_", "-"), prec)
+    assert g2_module._packaged_coefficient.cache_info().currsize <= 600
+
+
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
@@ -579,6 +638,21 @@ def test_domain_errors_show_the_input():
         invert_alpha(0.0025)
 
 
+@pytest.mark.parametrize("target,shown", [
+    ("0.5", "'0.5'"),
+    (" 2.50e-3", "' 2.50e-3'"),
+    (0.0025, "0.0025"),
+    (Fraction(1, 2), "Fraction(1, 2)"),
+    (mpf("0.5"), "mpf('0.5')"),
+    (BigReal.from_decimal("0.5", 15), "0.5"),
+    (lookup(None, "alpha:rb:2011"), "row 'alpha:rb:2011'"),
+], ids=["str", "str as written", "float", "Fraction", "mpf", "BigReal", "Measurement"])
+def test_a_target_outside_the_domain_is_shown_as_given(target, shown):
+    with pytest.raises(DomainError) as exc:
+        invert_alpha(target)
+    assert str(exc.value) == f"target_ae must lie in (0, 2e-3), got {shown}"
+
+
 # ---------------------------------------------------------------------------
 # Inversion
 # ---------------------------------------------------------------------------
@@ -641,6 +715,89 @@ def test_a_slope_ball_that_holds_zero_raises_no_convergence_naming_the_inversion
     with pytest.raises(NoConvergence) as exc:
         invert_alpha("1.159652e-3", Loose(), prec=15)
     assert str(exc.value) == "alpha inversion: a slope's or the root's ball holds 0"
+
+
+def reference_invert_alpha(target_ae, coeffs=None, order=4, prec=15, registry=None, trace=None):
+    """The inversion with its point iteration run on BigReal balls, as it was first written.
+
+    Each point step computes radii that the next step discards;
+    :func:`invert_alpha` runs the same steps on the bare midpoints and must
+    give the same iterates and the same result bits.
+    """
+    coeffs = coeffs or CoefficientSet()
+    target = g2_module._as_input(target_ae, "target_ae", prec)
+    inner = g2_module._inner_prec(prec)
+    t = BigReal(target.value, target.err, inner)
+    cs = [coeffs.coefficient(n, inner, registry) for n in range(1, order + 1)]
+    slopes = [c * n for n, c in enumerate(cs, start=1)]
+    pi = pi_times(1, inner)
+    horner = g2_module._horner
+    top = 8 - working_bits(inner)
+    a = BigReal((pi * t * 2).value, 0, inner)
+    try:
+        for k in range(g2_module._NEWTON_STEPS + 1):
+            r = a / pi
+            fa = horner(cs, r) * r - t
+            step = fa / (horner(slopes, r) / pi)
+            if k == g2_module._NEWTON_STEPS or mpmath.mag(step.value) <= mpmath.mag(a.value) + top:
+                break
+            a = BigReal((a - step).value, 0, inner)
+            if trace is not None:
+                trace.append(float(1 / a.value))
+        rho = 2 * (abs(float(step.value)) + float(step.err))
+        for _ in range(g2_module._WIDENINGS):
+            x = BigReal(a.value, rho, inner)
+            root = a - fa / (horner(slopes, x / pi) / pi)
+            gap = abs(as_fraction(root.value) - as_fraction(a.value))
+            if gap + as_fraction(root.err) <= as_fraction(x.err):
+                inv = 1 / root
+                return BigReal(inv.value, inv.err, prec)
+            rho *= 4
+    except PrecisionNotMet:
+        raise NoConvergence("alpha inversion: a slope's or the root's ball holds 0") from None
+    raise NoConvergence(f"alpha inversion: Newton's image left its ball {g2_module._WIDENINGS} times")
+
+
+def outcome(invert, target, coeffs, prec):
+    """What ``invert`` gives: its iterates and result bits, or its error's type and text."""
+    trace = []
+    try:
+        x = invert(target, coeffs, prec=prec, trace=trace)
+    except NoConvergence as exc:
+        return trace, type(exc), str(exc)
+    return trace, bits(x)
+
+
+TARGETS = ["1e-12", "1e-10", "1e-8", "1e-6", "1e-5", "1e-4", "5e-4", "1e-3", "1.159652e-3", "1.999e-3"]
+
+
+@pytest.mark.parametrize("prec", [1, 15, 50, 100])
+def test_the_midpoint_newton_point_gives_the_bits_of_the_ball_iteration(prec):
+    cases = [(lookup(None, "exp:2008"), None), *((t, None) for t in TARGETS),
+             *((t, BRACKETS) for t in TARGETS[::3]),
+             *((assemble(alpha, BRACKETS, prec=prec), BRACKETS) for alpha in EXACT_ALPHAS)]
+    for target, coeffs in cases:
+        mine = outcome(invert_alpha, target, coeffs, prec)
+        assert mine == outcome(reference_invert_alpha, target, coeffs, prec), (target, prec)
+        assert len(mine[0]) >= 1 or mine[1] is NoConvergence, (target, prec)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+def test_a_stopped_midpoint_iteration_gives_the_bits_of_the_ball_iteration(monkeypatch, steps):
+    monkeypatch.setattr(g2_module, "_NEWTON_STEPS", steps)
+    for target in ("1e-6", "1.159652e-3"):
+        for prec in (1, 15, 100):
+            mine = outcome(invert_alpha, target, None, prec)
+            assert len(mine[0]) <= steps
+            assert mine == outcome(reference_invert_alpha, target, None, prec), (target, prec)
+
+
+@pytest.mark.parametrize("prec", [1, 15])
+def test_a_target_of_1e_30_still_fails_to_invert_as_before(prec):
+    with pytest.raises(NoConvergence) as exc:
+        invert_alpha("1e-30", prec=prec)
+    assert str(exc.value) == "alpha inversion: a slope's or the root's ball holds 0"
+    assert outcome(invert_alpha, "1e-30", None, prec) == outcome(reference_invert_alpha, "1e-30", None, prec)
 
 
 def test_invert_round_trips():

@@ -206,7 +206,7 @@ def test_check_prec_accepts_range_ends():
     assert check_prec(100) == 100
 
 
-@pytest.mark.parametrize("bad", [0, 101, -5, 2.5, "15", None])
+@pytest.mark.parametrize("bad", [0, 101, -5, 2.5, "15", None, True])
 def test_check_prec_rejects(bad):
     with pytest.raises(DomainError):
         check_prec(bad)
