@@ -395,7 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a2-mode", choices=_COEFF_MODES[:3], default=None)
     p.add_argument("--a3-mode", choices=_COEFF_MODES, default=None)
 
-    p = add("g2-compare", "Difference of two registry values with combined uncertainty.", registry=True)
+    p = add("g2-compare", "Difference of two registry values with combined 1σ uncertainty, rounded upward.",
+            registry=True)
     p.add_argument("a", help="registry label")
     p.add_argument("b", help="registry label")
 

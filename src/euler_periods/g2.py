@@ -35,7 +35,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -68,41 +67,52 @@ _REGISTRY_PREC = 30
 # ---------------------------------------------------------------------------
 
 
-def combine_uncertainties(components: Iterable[object]) -> float:
-    """Quadrature total ``sqrt(sum(c**2))`` of uncertainty components.
+def _decade(square: Fraction) -> int:
+    """``floor(log10 sqrt(square))`` of a positive ``square``, exactly."""
+    e = math.floor(_half_log2(square) * math.log10(2)) + 1  # at or above it
+    while Fraction(100) ** e > square:
+        e -= 1
+    return e
 
-    Components must be non-negative reals; an empty collection totals 0.0.
+
+def _float_up(square: Fraction) -> float:
+    """The least float at or above ``sqrt(square)``; InputError past the largest float."""
+    bits = min(54 - _half_log2(square), 1074)  # 54 bits or more, or the subnormal grid; then up to 53
+    n = _root_up(square, Fraction(2) ** bits)
+    drop = max(n.bit_length() - 53, 0)
+    try:
+        return math.ldexp(-(-n >> drop), drop - bits)
+    except OverflowError:
+        raise InputError("the quadrature total overflows the float range") from None
+
+
+def combine_uncertainties(components: Iterable[object]) -> float:
+    """Quadrature total ``sqrt(sum(c**2))`` of uncertainty components, as the least float at or above it.
+
+    Components must be non-negative reals, summed as exact rationals; an
+    empty collection totals 0.0.
     """
-    squares = []
+    square = Fraction(0)
     for c in components:
         if isinstance(c, bool) or not isinstance(c, (int, float, Fraction)):
             raise InputError(f"uncertainty component must be a real number, got {c!r}")
-        x = float(c)
-        if not math.isfinite(x) or x < 0:
+        if isinstance(c, float) and not math.isfinite(c) or c < 0:
             raise InputError(f"uncertainty component must be finite and non-negative, got {c!r}")
-        squares.append(x * x)
-    return math.sqrt(math.fsum(squares))
-
-
-def _decade(x: float) -> int:
-    # Exponent read back from the decimal formatter; floor(log10(.)) can land
-    # on the wrong side for exact powers of ten.
-    return int(f"{abs(x):.15e}".split("e")[1])
+        square += Fraction(c) ** 2
+    return _float_up(square)
 
 
 def format_difference(difference: float, uncertainty: float) -> str:
-    """Render ``difference +- uncertainty`` with a shared power of ten.
+    """Render ``difference ± uncertainty`` with a shared power of ten.
 
-    The exponent is the larger decade of the two numbers and both mantissas
-    carry two decimals, so 1.05e-12 with uncertainty 8.2e-13 prints as
-    ``-1.05e-12 ± 0.82e-12``.  The difference rounds to nearest; the
-    uncertainty, taken as the shortest decimal of its float, rounds upward,
-    so the printed one never understates it.
+    The exponent is the larger exact decade of the two numbers and both
+    mantissas carry two decimals, so 1.05e-12 with uncertainty 8.2e-13 prints
+    as ``-1.05e-12 ± 0.82e-12``.  Each float is read as its shortest decimal.
+    The difference rounds to the nearest hundredth, ties to even, and keeps
+    its sign; the uncertainty rounds up to a hundredth, so the printed one
+    never understates it.
     """
-    exponent = max((_decade(x) for x in (difference, uncertainty) if x != 0), default=0)
-    scale = 10.0 ** exponent
-    spread = Decimal(repr(uncertainty)).scaleb(-exponent).quantize(Decimal("0.01"), ROUND_CEILING)
-    return f"{difference / scale:.2f}e{exponent} ± {spread}e{exponent}"
+    return str(ComparisonResult(Fraction(repr(float(difference))), Fraction(repr(float(uncertainty))) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +145,9 @@ class Measurement:
     def total_uncertainty(self) -> float:
         return combine_uncertainties(self.uncertainty_components)
 
-    @property
+    @cached_property
     def _square(self) -> Fraction:
-        """``sum(c**2)`` of the exact components."""
+        """``sum(c**2)`` of the exact components, found once."""
         return sum((Fraction(c) ** 2 for c in self.uncertainty_components), Fraction(0))
 
     @property
@@ -150,10 +160,8 @@ class Measurement:
         square = self._square
         if not square:
             return "0"
-        shift = 3 - math.floor(_half_log2(square) * math.log10(2))  # too large: the first q is at least 100
-        while (q := _root_up(square, Fraction(10) ** shift)) >= 100:
-            shift -= 1
-        return f"{float(f'{q}e{-shift}'):.2g}"
+        shift = 1 - _decade(square)  # two digits, or 100 when rounding up carries: the same float
+        return f"{float(f'{_root_up(square, Fraction(10) ** shift)}e{-shift}'):.2g}"
 
     @cached_property
     def _total_up(self) -> mpf:
@@ -630,17 +638,38 @@ def invert_alpha(target_ae: object, coeffs: CoefficientSet | None = None, order:
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Difference of two measurements with the combined uncertainty."""
+    """Exact ``delta`` of two midpoints and ``square``, both rows' ``sum(c**2)``, which ``str`` writes.
 
-    difference: float
-    uncertainty: float
-    pull: float
+    The floats are ``delta`` to nearest, the least float at or above the root, and their quotient.
+    """
+
+    delta: Fraction
+    square: Fraction
+
+    @property
+    def difference(self) -> float:
+        return float(self.delta)
+
+    @property
+    def uncertainty(self) -> float:
+        return _float_up(self.square)
+
+    @property
+    def pull(self) -> float:
+        if self.square:
+            return self.difference / self.uncertainty
+        return math.copysign(math.inf, self.delta) if self.delta else 0.0
 
     def __iter__(self) -> Iterator[float]:
         return iter((self.difference, self.uncertainty, self.pull))
 
     def __str__(self) -> str:
-        return format_difference(self.difference, self.uncertainty)
+        """The one comparison writer; :func:`format_difference` states its rules."""
+        exponent = _decade(max(self.delta ** 2, self.square)) if self.delta or self.square else 0
+        scale = Fraction(10) ** (2 - exponent)
+        n, q = abs(round(self.delta * scale)), _root_up(self.square, scale)
+        sign = "-" if self.delta < 0 else ""
+        return f"{sign}{n // 100}.{n % 100:02d}e{exponent} ± {q // 100}.{q % 100:02d}e{exponent}"
 
 
 def compare(a: Measurement, b: Measurement) -> ComparisonResult:
@@ -649,12 +678,4 @@ def compare(a: Measurement, b: Measurement) -> ComparisonResult:
     Exactly antisymmetric: swapping the arguments flips the signs of the
     difference and the pull bit for bit.
     """
-    difference = float((a.value - b.value).value)
-    uncertainty = combine_uncertainties(a.uncertainty_components + b.uncertainty_components)
-    if uncertainty > 0:
-        pull = difference / uncertainty
-    elif difference == 0:
-        pull = 0.0
-    else:
-        pull = math.copysign(math.inf, difference)
-    return ComparisonResult(difference, uncertainty, pull)
+    return ComparisonResult(as_fraction(a.value.value) - as_fraction(b.value.value), a._square + b._square)

@@ -9,6 +9,7 @@ process has loaded every layer long before they run.
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -61,6 +62,33 @@ def test_zeta_two_prec_seven(capsys):
     assert code == 0
     assert out == "1.644934 ± 1e-7\n"
     assert err == ""
+
+
+def readme_examples():
+    """``(argv, output)`` of each ``$ euler-periods`` line in README's "Command line" section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        for example in block.split("\n\n"):
+            command, *output = example.strip("\n").split("\n")
+            if command.startswith("$ euler-periods "):
+                argv = shlex.split(command[len("$ euler-periods "):], comments=True)
+                examples.append((argv, "".join(line + "\n" for line in output)))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_has_seven_examples():
+    assert len(README_EXAMPLES) == 7
+
+
+@pytest.mark.parametrize("argv,output", README_EXAMPLES, ids=[argv[0] for argv, _ in README_EXAMPLES])
+def test_readme_example_prints_what_readme_shows(capsys, argv, output):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, output, "")
 
 
 def test_g2_compare_example(capsys):
@@ -320,6 +348,21 @@ def test_json_compare_fields(capsys):
     assert doc["difference"] == "-1.05e-12"
     assert doc["uncertainty"] == "0.83e-12"
     assert doc["pull"] == "-1.276"
+
+
+REGISTRY_PAIRS = [(a, b) for a in g2.load_registry() for b in g2.load_registry() if a.label != b.label]
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["plain", "json"])
+def test_g2_compare_never_prints_less_than_the_exact_quadrature(capsys, mode):
+    # The printed uncertainty, squared, is at least sum(c**2) of both rows' exact components.
+    assert len(REGISTRY_PAIRS) == 240
+    for a, b in REGISTRY_PAIRS:
+        code, out, _ = run(capsys, "g2-compare", a.label, b.label, *mode)
+        assert code == 0
+        shown = json.loads(out)["uncertainty"] if mode else out.rstrip("\n").split(" ± ")[1]
+        square = sum(Fraction(c) ** 2 for c in a.uncertainty_components + b.uncertainty_components)
+        assert Fraction(shown) ** 2 >= square, (a.label, b.label, shown)
 
 
 def test_json_invert_reports_iterations(capsys):
@@ -719,6 +762,17 @@ def test_json_file_with_an_integer_past_the_str_limit_exits_two(tmp_path, comman
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert "not valid JSON" in err
+
+
+def test_g2_compare_past_the_float_range_is_an_input_error(capsys, tmp_path):
+    # Each row's component is a float, but the pair's quadrature total is not:
+    # the float path ended in an IndexError traceback, exit 1.
+    rows = [dict(GOOD_REGISTRY_ROW, label=label, uncertainty_components=["1.5e308"]) for label in ("a", "b")]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    code, out, err = run(capsys, "g2-compare", "a", "b", "--registry", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: the quadrature total overflows the float range\n"
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["plain", "json"])

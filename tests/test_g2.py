@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,10 +74,42 @@ def test_combine_quadrature():
     assert combine_uncertainties([0, 0]) == 0.0
 
 
-def test_combine_close_to_fsum_reference():
+def least_float_up(x: float, square: Fraction) -> bool:
+    """Whether ``x`` is the least float at or above ``sqrt(square)``."""
+    return Fraction(x) ** 2 >= square and (x == 0 or Fraction(math.nextafter(x, 0)) ** 2 < square)
+
+
+def test_combine_is_the_least_float_at_or_above_the_exact_root():
     comps = [6e-14, 4e-14, 2e-14, 77e-14]
-    ref = math.sqrt(math.fsum(c * c for c in comps))
-    assert combine_uncertainties(comps) == ref
+    total = combine_uncertainties(comps)
+    assert least_float_up(total, sum(Fraction(c) ** 2 for c in comps))
+    # The root of the float squares' fsum lies one float below the exact root here.
+    assert total == math.nextafter(math.sqrt(math.fsum(c * c for c in comps)), math.inf)
+
+
+def test_combine_rounds_upward_across_the_float_range():
+    rng = random.Random(28)
+    for _ in range(300):
+        comps = [rng.random() * 2.0 ** rng.randint(-1080, 1000) for _ in range(rng.randint(1, 4))]
+        comps += [Fraction(rng.randint(1, 10 ** 6), 10 ** rng.randint(0, 330))]
+        assert least_float_up(combine_uncertainties(comps), sum(Fraction(c) ** 2 for c in comps)), comps
+
+
+@pytest.mark.parametrize("comps,total", [
+    ([Fraction(1, 10 ** 400)], 5e-324),  # the least positive float, where the float square is 0.0
+    ([1e200, 1e200], 1.414213562373095e200),  # where the float square is inf
+    ([sys.float_info.max], sys.float_info.max),
+    ([5e-324, 5e-324], 1e-323),
+])
+def test_combine_at_the_edges_of_the_float_range(comps, total):
+    assert combine_uncertainties(comps) == total
+    assert least_float_up(total, sum(Fraction(c) ** 2 for c in comps))
+
+
+@pytest.mark.parametrize("comps", [[Fraction(10 ** 400)], [10 ** 400], [sys.float_info.max, 1e300]])
+def test_combine_past_the_largest_float_is_an_input_error(comps):
+    with pytest.raises(InputError, match="overflows the float range"):
+        combine_uncertainties(comps)
 
 
 @pytest.mark.parametrize("bad", [[True], ["3"], [-1], [float("nan")], [float("inf")], [None]])
@@ -177,8 +211,8 @@ def test_a_float_component_totals_upward_from_its_binary_value():
     assert Measurement("b", m.value, (), 2000, "src").total_text == "0"
     # A component whose float square underflows still totals upward, not to 0 or to 1.
     tiny = Measurement("c", BigReal.exact(1, 30), (Fraction(1, 10 ** 200), Fraction(3, 10 ** 201)), 2000, "src")
-    assert tiny.total_uncertainty == 0.0
     square = Fraction(109, 10 ** 402)
+    assert tiny.total_uncertainty == 1.0440306508910551e-200 and least_float_up(tiny.total_uncertainty, square)
     assert tiny.total_text == "1.1e-200" and Fraction(tiny.total_text) ** 2 >= square
     folded = Fraction(*mpmath.libmp.to_rational(tiny.as_bigreal(15).err._mpf_))
     assert square <= folded ** 2 <= square * (1 + Fraction(1, 2 ** 28))
@@ -845,6 +879,34 @@ def test_compare_reproduces_published_difference():
     # to nearest, 0.82e-12, in the publication.
     assert format_difference(float(published.value.value),
                              published.total_uncertainty) == "-1.05e-12 ± 0.82e-12"
+
+
+def test_every_row_and_pair_carries_the_least_float_at_or_above_the_exact_root():
+    rows = load_registry()
+    squares = {m.label: sum(Fraction(c) ** 2 for c in m.uncertainty_components) for m in rows}
+    for m in rows:
+        assert m.total_uncertainty == combine_uncertainties(m.uncertainty_components), m.label
+        assert least_float_up(m.total_uncertainty, squares[m.label]), m.label
+    for a in rows:
+        for b in rows:
+            result = compare(a, b)
+            assert least_float_up(result.uncertainty, squares[a.label] + squares[b.label]), (a.label, b.label)
+            assert result.difference == float(as_fraction(a.value.value) - as_fraction(b.value.value))
+            assert result.pull == (result.difference / result.uncertainty if result.uncertainty else 0.0)
+
+
+def test_compare_writes_the_exact_quadrature_upward():
+    # sqrt(0.002**2 + 1e-102) is a little above 2.00e-3; the float path printed 2.00e-3.
+    a, b = lookup(None, "a4:num:2012"), lookup(None, "a4:laporta:2017")
+    assert str(compare(a, b)) == "1.65e-3 ± 2.01e-3"
+    assert str(compare(b, a)) == "-1.65e-3 ± 2.01e-3"
+
+
+def test_format_difference_reads_shortest_decimals():
+    assert format_difference(0.0, 0.1 + 0.2) == "0.00e-1 ± 3.01e-1"  # 0.30000000000000004, upward
+    assert format_difference(1.125e-3, 0.0) == "1.12e-3 ± 0.00e-3"  # a tie goes to even
+    assert format_difference(-1e-20, 1e-3) == "-0.00e-3 ± 1.00e-3"  # the sign is kept
+    assert format_difference(5e-324, 0.0) == "5.00e-324 ± 0.00e-324"  # its shortest decimal, not 4.94e-324
 
 
 def test_compare_antisymmetric():
