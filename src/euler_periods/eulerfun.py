@@ -222,11 +222,11 @@ def gamma_const(prec: int, method: str = "EM") -> BigReal:
     its floor, so its bound is ``ceil(err / (k + 1))`` units.  No mpf is
     built before the pass's one conversion.  Cost: at prec 15 / 50 / 100
     the batch is ``zeta(2)..zeta(n)`` for n = 33 / 79 / 144, each from one
-    Chebyshev pass over shared rows, followed by one more pass over the n -
-    1 rows of the series; a warm call takes about 0.3 / 1.3 / 4.3 ms on a
-    shared 2-core x86-64 VM (the Euler-Maclaurin batch it replaced: 0.26 /
-    1.1 / 3.8 ms).  Only the integer Chebyshev weights are cached, no zeta
-    or gamma value.
+    Chebyshev pass over shared rows, about 0.2 / 0.9 / 3.3 ms on a shared
+    2-core x86-64 VM the first time at a prec.  ``zeta_values`` caches the
+    batch as integers, so a warm call is the one more pass over the n - 1
+    rows of the series, about 0.03 / 0.06 / 0.13 ms.  No gamma value and no
+    mpf is cached.
     """
     check_prec(prec)
     if method == "EM":

@@ -110,9 +110,15 @@ def format_difference(difference: float, uncertainty: float) -> str:
     as ``-1.05e-12 ± 0.82e-12``.  Each float is read as its shortest decimal.
     The difference rounds to the nearest hundredth, ties to even, and keeps
     its sign; the uncertainty rounds up to a hundredth, so the printed one
-    never understates it.
+    never understates it.  A difference that is not finite, or an
+    uncertainty that is not finite and non-negative, raises
+    :class:`InputError`.
     """
-    return str(ComparisonResult(Fraction(repr(float(difference))), Fraction(repr(float(uncertainty))) ** 2))
+    d, u = float(difference), float(uncertainty)
+    if not (math.isfinite(d) and math.isfinite(u) and u >= 0):
+        raise InputError(f"format_difference needs a finite difference and a finite, "
+                         f"non-negative uncertainty, got {d!r} and {u!r}")
+    return str(ComparisonResult(Fraction(repr(d)), Fraction(repr(u)) ** 2))
 
 
 # ---------------------------------------------------------------------------

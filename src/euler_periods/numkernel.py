@@ -29,8 +29,9 @@ Cohen-Rodriguez Villegas-Zagier bound ``2 |S| / (3 + sqrt(8))**n``, a
 theorem for the moment sequences every caller sums.  No engine caches an
 mpf: the Bernoulli ratios ``B_2j/(2j)!`` are cached per index as exact
 integer pairs, the integer Chebyshev weights and their absolute sum per
-term count, and the last 1024 Euler-Maclaurin plans per exact argument
-tuple.
+term count, the last 1024 Euler-Maclaurin plans per exact argument tuple,
+the last 128 :func:`zeta_values` batches per ``(top, prec)`` as tuples of
+integers, and the least prime factors the power rows start from.
 
 Every engine sums in Python-integer fixed point at the binary precision
 :func:`working_bits` of ``prec`` plus :data:`GUARD_DIGITS` decimal digits:
@@ -63,9 +64,11 @@ the slack of the counts.
 
 The rows ``floor(2**b k**-s)`` of the Euler-Maclaurin and Chebyshev bodies
 need no premise: :func:`_power_rows` computes them as exact integer floors
-(one division for an integer ``s``, an integer ``q``-th root for ``s =
-p/q``), and :func:`zeta_values` the same floors by repeated division, so
-:func:`em_sum`, :func:`zeta_values` and ``phi`` count proved units there.
+(one division for an integer ``s``; for ``s = p/q`` an integer ``q``-th
+root at a prime ``k``, and at a composite the product of its factors' rows,
+checked in integers), and :func:`zeta_values` the same floors by repeated
+division, so :func:`em_sum`, :func:`zeta_values` and ``phi`` count proved
+units there.
 The one exception is an ``s`` whose denominator ``q`` has ``q b`` past
 :data:`_ROOT_BITS_CAP` (a binary ``s`` such as a float's, or ``1 +
 10**-9``): its rows come from mpmath's power, on the premise above.
@@ -786,23 +789,63 @@ def _iroot(x: int, q: int) -> int:
 
 
 #: Largest ``q * bits`` for which :func:`_power_rows` takes ``k**-(p/q)`` as
-#: an exact integer root: the sweep's ``q <= 12`` at prec 100 is 4428; at the
-#: cap a row costs about twice an mpf power (2-core x86-64 VM, mpmath 1.3.0).
+#: an exact integer floor: the sweep's ``q <= 12`` at prec 100 is 4428.  At
+#: ``q * bits = 8118`` (``s = 45/22``, prec 100) the 143 exact rows take
+#: about as long as 143 mpf powers, 2.9 ms (a root per row took 9.6 ms);
+#: past the cap each ``q``-th root grows with ``q`` (2-core x86-64 VM,
+#: mpmath 1.3.0).
 _ROOT_BITS_CAP = 1 << 13
+
+#: ``_LEAST_FACTOR[k]`` is the least prime factor of ``k >= 2``; filled by
+#: :func:`_least_factors` on first use, never at import.
+_LEAST_FACTOR: list[int] = []
+
+
+def _least_factors(n: int) -> list[int]:
+    """The table of least prime factors, filled past ``n`` by a sieve."""
+    table = _LEAST_FACTOR
+    if len(table) <= n:
+        size = max(n + 1, 2 * len(table), 256)
+        table[:] = range(size)
+        # Descending, so each multiple keeps the least p that marks it.
+        for p in range(math.isqrt(size - 1), 1, -1):
+            table[p * p::p] = [p] * len(range(p * p, size, p))
+    return table
 
 
 def _power_rows(s: Fraction, n: int, bits: int) -> list[int]:
     """``floor(2**bits * k**-s)`` for ``k = 1..n``, ``s = p/q > 0`` rational.
 
-    Exact floors, each within one unit of ``2**-bits``: as ``floor(y) =
-    floor(floor(y**q)**(1/q))``, a row is the integer ``q``-th root of ``(1
-    << bits q) // k**p`` (:func:`_iroot`), one division for an integer
-    ``s``.  Once ``s > bits`` every row past the first is 0 and no ``k**p``
-    is formed, so a huge ``s`` costs nothing.  Past :data:`_ROOT_BITS_CAP`
-    for ``q * bits`` row ``k`` is ``_fixed(mpf(k) ** -s, bits)`` at ``bits``
-    bits instead, within 2 units on the premise that mpmath's power is
-    faithful: its ``2**(1 - bits)`` relative is a unit once ``k >= 2``, and
-    the floor one more.
+    Exact floors, each within one unit of ``2**-bits``.  An integer ``s``
+    takes one division per row.  Otherwise a prime row ``k`` is the integer
+    ``q``-th root of ``(1 << bits q) // k**p`` (:func:`_iroot`), as
+    ``floor(y) = floor(floor(y**q)**(1/q))``, and a composite ``k = a c``,
+    ``a`` its least prime factor, comes from the rows ``r_a``, ``r_c`` of
+    its factors.  With ``X_k = 2**bits k**-s``, so ``2**bits X_k = X_a
+    X_c``, and each ``X = r + f``, ``0 <= f < 1``:
+
+    1. ``r_a r_c <= 2**bits X_k < r_a r_c + r_a + r_c + 1``, so the guess
+       ``y = (r_a r_c) >> bits`` is at most ``floor(X_k)``, and at least
+       ``floor(X_k) - 2`` as ``X_a, X_c < 2**bits``.
+    2. If the low ``bits`` bits of ``r_a r_c`` plus ``r_a + r_c`` stay
+       below ``2**bits``, the upper end is at most ``2**bits (y + 1)``:
+       ``y`` is the floor.  That holds for most rows once ``s > 1``, and
+       whenever ``r_c = 0``.
+    3. Otherwise ``y`` is raised while ``(y + 1)**q k**p <= 2**(bits q)``,
+       an exact check.
+
+    Rows never grow with ``k``, so once a row is 0 the rest are.  Once ``s
+    > bits`` every row past the first is 0 and no ``k**p`` is formed, so a
+    huge ``s`` costs nothing.  Past :data:`_ROOT_BITS_CAP` for ``q *
+    bits`` row ``k`` is ``_fixed(mpf(k) ** -s, bits)`` at ``bits`` bits
+    instead, within 2 units on the premise that mpmath's power is
+    faithful: its ``2**(1 - bits)`` relative is a unit once ``k >= 2``,
+    and the floor one more.
+
+    Cost at prec 100 (143 rows): 34 roots and 108 products, of which 11
+    need the check at ``s = 37/11`` and 90 at ``s = 1/2``.  At ``s =
+    37/11`` the rows take about 1.1 ms against 3.7 ms for a root per row,
+    four fifths of it in the roots (2-core x86-64 VM).
     """
     p, q = s.numerator, s.denominator
     if p > bits * q:  # 2**bits k**-s <= 2**(bits - s) < 1 for k >= 2
@@ -812,7 +855,26 @@ def _power_rows(s: Fraction, n: int, bits: int) -> list[int]:
             sv = as_mpf(s)
             return [_fixed(mpf(k) ** -sv, bits) for k in range(1, n + 1)]
     one = 1 << bits * q
-    return [_iroot(one // k ** p, q) for k in range(1, n + 1)]
+    if q == 1:
+        return [one // k ** p for k in range(1, n + 1)]
+    least, mask = _least_factors(n), (1 << bits) - 1
+    rows = [1 << bits]
+    for k in range(2, n + 1):
+        a = least[k]
+        if a == k:
+            y = _iroot(one // k ** p, q)
+        else:
+            ra, rc = rows[a - 1], rows[k // a - 1]
+            guess = ra * rc
+            y = guess >> bits
+            if (guess & mask) + ra + rc > mask:
+                kp = k ** p
+                while (y + 1) ** q * kp <= one:
+                    y += 1
+        if not y:
+            return rows + [0] * (n + 1 - k)
+        rows.append(y)
+    return rows
 
 
 def alt_terms_needed(prec: int) -> int:
@@ -898,8 +960,8 @@ def _chebyshev(rows: Sequence[int], n: int, bounds: Sequence[int] | None = None)
     return sum(map(mul, weights, rows)) // d, -(-2 * first // (2 * d - 1)) - (-size // d) + 1
 
 
-def zeta_values(top: int, prec: int) -> tuple[int, list[tuple[int, int]]]:
-    """``(b, [(total, err), ...])``: ``zeta(s)`` for ``s = 2..top`` in units of ``2**-b``.
+def zeta_values(top: int, prec: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``(b, ((total, err), ...))``: ``zeta(s)`` for ``s = 2..top`` in units of ``2**-b``.
 
     ``b = working_bits(prec)``.  For each ``s``, ``total`` is an integer
     within ``err`` of ``2**b zeta(s)``, and every ``err`` meets ``err
@@ -929,11 +991,20 @@ def zeta_values(top: int, prec: int) -> tuple[int, list[tuple[int, int]]]:
 
     Cost: ``top - 1`` passes, each ``n`` small floor divisions and one
     integer dot product against the cached weights, fewer once rows are 0;
-    no Bernoulli number is formed.  ``(144, 100)`` takes about 4-5 ms on a
-    shared 2-core x86-64 VM.  Nothing is cached but the weights.
+    no Bernoulli number is formed.  ``(144, 100)`` takes about 3.3 ms on a
+    shared 2-core x86-64 VM.  The batch depends on ``(top, prec)`` alone, so
+    the last 128 are cached as immutable tuples of integers
+    (:func:`_zeta_batch`): the batches that ``gamma_const`` reads at all 100
+    ``prec`` hold about 1.5 MB (tracemalloc).
     """
     if not isinstance(top, int) or top < 2:
         raise DomainError(f"zeta_values needs an integer top >= 2, got {top!r}")
+    return _zeta_batch(top, check_prec(prec))
+
+
+@lru_cache(maxsize=128)
+def _zeta_batch(top: int, prec: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """:func:`zeta_values` on checked arguments; ``_zeta_batch.__wrapped__`` is the uncached body."""
     n, bits = alt_terms_needed(prec), working_bits(prec)
     one, scale = 1 << bits, 10 ** prec
     rows = [one // m for m in range(1, n + 1)]
@@ -949,7 +1020,7 @@ def zeta_values(top: int, prec: int) -> tuple[int, list[tuple[int, int]]]:
             raise PrecisionNotMet(
                 f"zeta_values: zeta({s}) bound of {err} units of 2**-{bits} exceeds 1e-{prec}")
         out.append((estimate + estimate // den, err))
-    return bits, out
+    return bits, tuple(out)
 
 
 # ---------------------------------------------------------------------------

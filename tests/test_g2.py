@@ -132,6 +132,20 @@ def test_format_difference_zero_edge_cases():
     assert format_difference(-1e-3, 0.0) == "-1.00e-3 ± 0.00e-3"
 
 
+@pytest.mark.parametrize("difference,uncertainty", [
+    (1.0, math.inf), (math.nan, 1.0), (1.0, -1e-3), (math.inf, 1.0), (1.0, math.nan), (0.0, -5e-324),
+])
+def test_format_difference_refuses_what_it_cannot_print(difference, uncertainty):
+    # inf and nan used to raise a bare ValueError from Fraction, and a
+    # negative uncertainty printed as its absolute value.
+    with pytest.raises(InputError, match="finite, non-negative uncertainty"):
+        format_difference(difference, uncertainty)
+
+
+def test_format_difference_keeps_a_negative_zero_uncertainty():
+    assert format_difference(1e-3, -0.0) == "1.00e-3 ± 0.00e-3"
+
+
 def test_format_difference_powers_of_ten():
     # Exact powers of ten must not fall into the neighbouring decade.
     assert format_difference(1e-12, 1e-13) == "1.00e-12 ± 0.10e-12"

@@ -1041,9 +1041,10 @@ def test_zeta_values_match_mpmath_and_even_closed_forms(prec):
 
 def test_zeta_values_raise_when_the_pass_is_too_short(monkeypatch):
     # Two Chebyshev terms cannot certify thirty digits of zeta(2).
+    # The uncached body, so a batch cached at (5, 30) cannot stand in for it.
     monkeypatch.setattr(numkernel, "alt_terms_needed", lambda prec: 2)
     with pytest.raises(PrecisionNotMet, match="zeta\\(2\\) bound of .* exceeds 1e-30"):
-        zeta_values(5, 30)
+        numkernel._zeta_batch.__wrapped__(5, 30)
 
 
 class Absent:
@@ -1060,11 +1061,33 @@ def test_zeta_values_build_no_mpf(monkeypatch):
     # The batch is integers end to end: it reaches neither mpmath nor mpf.
     monkeypatch.setattr(numkernel, "mpmath", Absent())
     monkeypatch.setattr(numkernel, "mpf", Absent())
-    bits, values = zeta_values(40, 27)
+    bits, values = numkernel._zeta_batch.__wrapped__(40, 27)
     assert all(type(total) is int and type(err) is int for total, err in values)
 
 
-def reference_zeta_batch(top: int, prec: int) -> list[tuple[int, int]]:
+def test_zeta_values_are_cached_immutable_and_bounded():
+    batch = zeta_values(12, 20)
+    assert zeta_values(12, 20) is batch
+    assert batch == numkernel._zeta_batch.__wrapped__(12, 20)
+    bits, values = batch
+    assert type(values) is tuple and all(type(pair) is tuple for pair in values)
+    with pytest.raises(TypeError):
+        values[0] = (0, 0)
+    bound = numkernel._zeta_batch.cache_parameters()["maxsize"]
+    for top in range(2, bound + 12):
+        zeta_values(top, 1)
+    assert numkernel._zeta_batch.cache_info().currsize <= bound
+
+
+def test_a_warm_gamma_by_the_zeta_series_reads_no_new_batch():
+    eulerfun.gamma_const(100, "ZETA_SERIES")
+    before = numkernel._zeta_batch.cache_info()
+    eulerfun.gamma_const(100, "ZETA_SERIES")
+    after = numkernel._zeta_batch.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def reference_zeta_batch(top: int, prec: int) -> tuple[tuple[int, int], ...]:
     """``(total, err)`` for ``s = 2..top``, each from its own rows and a plain loop.
 
     The rows are ``_power_rows(s, n, b)``; the estimate is the integer
@@ -1088,7 +1111,7 @@ def reference_zeta_batch(top: int, prec: int) -> list[tuple[int, int]]:
                      + math.ceil(Fraction(sum(abs(c) for c in weights), d)) + 1)
         den = 2 ** (s - 1) - 1
         out.append((estimate * 2 ** (s - 1) // den, units + math.ceil(Fraction(units, den)) + 1))
-    return out
+    return tuple(out)
 
 
 def test_zeta_batch_for_gamma_is_the_chebyshev_pass_bit_for_bit(monkeypatch):
@@ -1288,6 +1311,44 @@ def test_power_rows_past_bits_are_zero_without_forming_the_power(bits):
         assert numkernel._power_rows(s, 20, bits) == oracle_rows(s, 20, bits), s
 
 
+def root_rows(s: Fraction, n: int, bits: int) -> list[int]:
+    """Each row by its own integer root, ``_iroot((1 << bits q) // k**p, q)``."""
+    p, q = s.numerator, s.denominator
+    return [numkernel._iroot((1 << bits * q) // k ** p, q) for k in range(1, n + 1)]
+
+
+#: Exponents whose composite rows start from their factors' rows: q up to
+#: 22, so q * 369 = 8118 at the cap; s < 1, where the guess is furthest
+#: below the floor; and s = bits/6, whose row 64 is exactly 1 and rows past
+#: it 0, and s = bits/6 + 1/12, whose rows reach 0 before row 64.
+FACTOR_EXPONENTS = [Fraction(p, q) for q in (2, 3, 5, 7, 11, 12, 17, 21, 22)
+                    for p in (1, q - 1, q + 1, 3 * q - 1) if math.gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("bits", ROW_BITS)
+def test_power_rows_from_factors_are_the_floors_of_each_row(bits):
+    exponents = FACTOR_EXPONENTS + [Fraction(bits, 6), Fraction(2 * bits + 1, 12)]
+    for s in exponents:
+        assert s.denominator * bits <= numkernel._ROOT_BITS_CAP
+        rows = numkernel._power_rows(s, 143, bits)
+        assert rows == root_rows(s, 143, bits) == oracle_rows(s, 143, bits), s
+    assert numkernel._power_rows(Fraction(bits, 6), 143, bits)[63:65] == [1, 0]
+    assert numkernel._power_rows(Fraction(2 * bits + 1, 12), 143, bits)[63] == 0
+
+
+@pytest.mark.parametrize("bits", ROW_BITS)
+def test_power_rows_are_exact_at_composite_exact_powers(bits):
+    # k**s is an integer here, so the row is 2**bits // k**s and the upward
+    # check meets equality wherever k**s is a power of 2.
+    for s, ks in [(Fraction(3, 2), (4, 9, 36, 100)), (Fraction(4, 3), (8, 27, 64, 125))]:
+        rows = numkernel._power_rows(s, 143, bits)
+        assert rows == root_rows(s, 143, bits), s
+        for k in ks:
+            power = round(k ** float(s))
+            assert power ** s.denominator == k ** s.numerator
+            assert rows[k - 1] == (1 << bits) // power, (s, k)
+
+
 def test_power_rows_past_the_root_cap_keep_the_mpmath_premise():
     # q * bits past the cap: rows from mpmath's power, within 2 units of the floor.
     for s, bits in [(Fraction(2 ** 70 + 3, 2 ** 71), 86), (1 + Fraction(1, 10 ** 9), 369),
@@ -1319,6 +1380,7 @@ def bits_in_fresh_interpreter(calls: list[str]) -> str:
     """Bits of the last of ``calls``, each run in order in a new interpreter."""
     code = ("from fractions import Fraction\n"
             "from euler_periods.eulerfun import gamma_const, phi, zeta\n"
+            "from euler_periods.numkernel import zeta_values\n"
             "from euler_periods.g2 import coeff_a3\n"
             + "".join(f"x = {call}\n" for call in calls)
             + "print((x.value._mpf_, x.err._mpf_))")
@@ -1332,6 +1394,9 @@ def bits_in_fresh_interpreter(calls: list[str]) -> str:
     ("phi(Fraction(5, 2), 21)", "phi(Fraction(5, 2), 15)"),
     ("gamma_const(21, 'ZETA_SERIES')", "gamma_const(15, 'ZETA_SERIES')"),
     ("gamma_const(50, 'ZETA_SERIES')", "gamma_const(100, 'ZETA_SERIES')"),
+    # The zeta batch is cached per (top, prec): another top, another prec.
+    ("zeta_values(100, 100)", "gamma_const(100, 'ZETA_SERIES')"),
+    ("zeta_values(144, 50)", "gamma_const(100, 'ZETA_SERIES')"),
     # Both precisions use the exact B_2j/(2j)! for j = 1..6.
     ("zeta(Fraction(7, 3), 15)", "zeta(Fraction(7, 3), 21)"),
     # The Euler-Maclaurin plan is cached per exact argument tuple, the g-2
