@@ -128,15 +128,9 @@ def _cmd_stuffle_check(args):
 def _cmd_identity_check(args):
     from . import eulerfun
     kind = args.kind.upper().replace("-", "_")
-    params: dict[str, object] = {}
-    if args.x is not None:  # read here, so an argument the kind does not use is refused too
-        params["x"] = as_fraction(args.x, "x")
-    if args.s is not None:
-        params["s"] = as_fraction(args.s, "s")
-    if args.terms is not None:
-        params["terms"] = args.terms
-    if args.prime_bound is not None:
-        params["prime_bound"] = args.prime_bound
+    # As written: identity_residual reads, shows and checks them.
+    given = {"x": args.x, "s": args.s, "terms": args.terms, "prime_bound": args.prime_bound}
+    params = {key: value for key, value in given.items() if value is not None}
     tol = None if args.tol is None else as_fraction(args.tol, "tol")
     if tol is not None and tol < 0:
         raise DomainError(f"tol must be non-negative, got {args.tol!r}")

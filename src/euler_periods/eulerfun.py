@@ -5,6 +5,10 @@ declared bound meets the requested precision, and every closed-form or
 identity claim exposed here is checkable through
 :func:`identity_residual`, which recomputes both sides by routes that do
 not share code with the primary evaluators.
+
+The evaluators keep the one rounding rule of :mod:`.numkernel`; only the
+identity checks compute in an mpmath context, counting first order with
+:func:`_rounding`.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Mapping
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest, to_str
 
 from .errors import DomainError, TooLarge
 from .numkernel import (
@@ -29,18 +34,35 @@ from .numkernel import (
     bernoulli,
     check_prec,
     em_sum,
+    log_of,
+    pi_times,
     working_bits,
     working_dps,
     zeta_values,
     _at_one,
     _power_rows,
-    _rounding,
     _word,
     _ROOT_BITS_CAP,
 )
 
 #: Largest prime bound accepted by the Euler-product residual check.
 MAX_PRIME_BOUND = 10_000_000
+
+
+def _shown(x: ScalarLike, q: Fraction, *edges: Fraction | int) -> str:
+    """``x`` of exact value ``q`` as written, or in 8 or more digits that keep ``q``'s side of each edge."""
+    digits = 8
+    while not isinstance(x, str):
+        text = to_str(from_rational(*q.as_integer_ratio(), dps_to_prec(digits) + 8, round_nearest), digits)
+        if all((Fraction(text) > e) - (Fraction(text) < e) == (q > e) - (q < e) for e in edges):
+            return text
+        digits *= 2
+    return x
+
+
+def _rounding(v: mpf, count: int | float | Fraction | mpf) -> mpf:
+    """``count (1 + |v|) 2**(1 - mp.prec)``: ``count`` faithful roundings of an mpf ``v``, first order."""
+    return mpmath.ldexp(count * (1 + abs(v)), 1 - mpmath.mp.prec)
 
 
 def zeta(s: ScalarLike, prec: int) -> BigReal:
@@ -65,7 +87,7 @@ def zeta(s: ScalarLike, prec: int) -> BigReal:
     q = as_fraction(s, "s")
     if not q > 1:
         raise DomainError(
-            f"zeta requires s > 1, got s = {mpmath.nstr(as_mpf(q), 8)}; "
+            f"zeta requires s > 1, got s = {_shown(s, q, 1)}; "
             "the series diverges there (at s = 1 it is the harmonic series)")
     return em_sum(q, prec)
 
@@ -100,7 +122,7 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
     check_prec(prec)
     q = as_fraction(s, "s")
     if not q > 0:
-        raise DomainError(f"phi requires s > 0, got s = {mpmath.nstr(as_mpf(q), 8)}")
+        raise DomainError(f"phi requires s > 0, got s = {_shown(s, q, 0)}")
     n, bits = alt_terms_needed(prec), working_bits(prec)
     bounds = [1] * n if q.denominator * bits > _ROOT_BITS_CAP else None
     return accel_alt_sum(_power_rows(q, n, bits), prec, bounds)
@@ -115,12 +137,12 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
 LI_DIRECT_TERM_CAP = 100_000
 
 
-def _li_direct(n: int, z: mpf, wd: int) -> tuple[mpf, mpf]:
+def _li_direct(n: int, z: mpf, wd: int, shown: str) -> tuple[mpf, mpf]:
     """Li_n(z), 0 < z < 1, by its power series: (value, bound), for DILOG_REFLECTION.
 
     Sums the fewest terms ``N`` whose tail bound ``|z|**(N+1) / ((1 - |z|)
     (N+1)**n)`` meets ``10**-(wd - 2)``; past :data:`LI_DIRECT_TERM_CAP`
-    terms it raises :class:`TooLarge`.
+    terms it raises :class:`TooLarge`, naming ``|z|`` as ``shown``.
     """
     az = abs(z)
     decay, need = -mpmath.log(az), (wd - 2) * mpmath.log(10) - mpmath.log(1 - az)
@@ -134,7 +156,7 @@ def _li_direct(n: int, z: mpf, wd: int) -> tuple[mpf, mpf]:
         else:
             lo = mid + 1
     if hi > LI_DIRECT_TERM_CAP:
-        raise TooLarge(f"the Li_{n} series at |z| = {mpmath.nstr(az, 8)} needs {hi} terms, "
+        raise TooLarge(f"the Li_{n} series at |z| = {shown} needs {hi} terms, "
                        f"past the cap {LI_DIRECT_TERM_CAP}")
     value, p = mpf(0), mpf(1)
     for k in range(1, hi + 1):
@@ -155,10 +177,12 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
     1/2]`` or ``z = 1`` the value is one call of the iterated-integral
     engine of :mod:`.numkernel` on the word ``0**(n-1) (1/z)``; for ``n =
     2`` on ``(1/2, 1)`` the reflection ``Li_2(z) = zeta(2) - log(z) log(1-z)
-    - Li_2(1-z)`` takes ``Li_2(1-z)`` from it.  ``n = 1`` is ``-log(1 -
-    z)`` and ``z = 0`` an exact 0.  Other ``z`` in ``(1/2, 1)`` raise
-    :class:`DomainError`, as do ``|z| > 1`` and ``(n, z) = (1, 1)``; a
-    weight ``n`` above ``numkernel.WEIGHT_CAP`` raises :class:`TooLarge`.
+    - Li_2(1-z)`` takes ``Li_2(1-z)`` from it, the rest a ``BigReal`` at
+    ``prec + 4``.  ``n = 1`` is ``-log(1 - z)``, the logs are
+    :func:`~euler_periods.numkernel.log_of`'s, and ``z = 0`` an exact 0.
+    Other ``z`` in ``(1/2, 1)`` raise :class:`DomainError`, as do ``|z| >
+    1`` and ``(n, z) = (1, 1)``; a weight ``n`` above
+    ``numkernel.WEIGHT_CAP`` raises :class:`TooLarge`.
 
     The domain is decided on the exact rational, and a ``z`` past
     :data:`~euler_periods.numkernel.DIGIT_CAP` digits raises
@@ -169,33 +193,27 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
         raise DomainError(f"polylog order must be an integer >= 1, got {n!r}")
     q = as_fraction(z, "z")
     if abs(q) > 1:
-        raise DomainError(f"polylog requires |z| <= 1, got z = {mpmath.nstr(as_mpf(q), 8)}")
+        raise DomainError(f"polylog requires |z| <= 1, got z = {_shown(z, q, -1, 1)}")
     w = 1 - q
     if n == 1:
         if q == 1:
             raise DomainError("Li_1(1) is the harmonic series; no value to report")
-        with mpmath.workdps(working_dps(prec)):
-            # 1 - z is exact before it rounds twice, as a Fraction, which
-            # moves the log by 2 2**-prec; the log rounds once more.
-            v = -mpmath.log(as_mpf(w))
-            return BigReal(v, _rounding(v, 2), prec).demand("polylog")
+        return (-log_of(w, prec)).demand("polylog")
     if q == 0:
         return BigReal(mpf(0), mpf(0), prec)
     if Fraction(1, 2) < q < 1 and n > 2:
         raise DomainError(f"Li_{n} is only evaluated on [-1, 1/2] and the endpoint 1; "
-                          f"got z = {mpmath.nstr(as_mpf(q), 8)}")
+                          f"got z = {_shown(z, q, Fraction(1, 2), 1)}")
     if q <= Fraction(1, 2) or q == 1:
         return _at_one(_word((n,), (1 / q,)), prec).demand("polylog")
     # Li_2(z) + Li_2(1-z) + log(z) log(1-z) = zeta(2), with 1-z in (0, 1/2).
-    li_w = _at_one(_word((2,), (1 / w,)), prec + 4)
-    with mpmath.workdps(working_dps(prec + 4)):
-        log_w = mpmath.log(as_mpf(w))
-        v = mpmath.pi ** 2 / 6 - mpmath.log(as_mpf(q)) * log_w - li_w.value
-        # pi**2/6 rounds 3 times on 1.65, log z (|log z| < log 2) is 2
-        # 2**-prec off from its Fraction and 1 count from the log, log(1 -
-        # z) as much on its size L, the product and two sums once each:
-        # under 12 + 5.5 L in 2**-prec, so 4 + 2 L counts as |v| > 0.58.
-        return BigReal(v, li_w.err + _rounding(v, 4 + 2 * abs(log_w)), prec).demand("polylog")
+    # The inner prec may pass MAX_PREC, so 6 is built as a ball: an operand
+    # that is not one would go through BigReal.exact and its prec check.
+    inner = prec + 4
+    pi = pi_times(1, inner)
+    v = (pi * pi / BigReal(6, 0, inner) - log_of(q, inner) * log_of(w, inner)
+         - _at_one(_word((2,), (1 / w,)), inner))
+    return BigReal(v.value, v.err, prec).demand("polylog")
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +278,11 @@ def _primes_upto(limit: int) -> list[int]:
     return [i for i in range(2, limit + 1) if sieve[i]]
 
 
+#: The parameters each identity check reads; any other is refused.
+_PARAMS = {IdentityKind.DILOG_REFLECTION: ("x",), IdentityKind.COTANGENT: ("x", "terms"),
+           IdentityKind.EULER_PRODUCT: ("s", "prime_bound"), IdentityKind.PHI_FUNCEQ: ("s",)}
+
+
 def _param(params: Mapping[str, object], key: str) -> object:
     if key not in params:
         raise DomainError(f"identity check is missing parameter {key!r}")
@@ -292,15 +315,21 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
     """
     check_prec(prec)
     kind = IdentityKind(kind)
+    unused = [key for key in params if key not in _PARAMS[kind]]
+    if unused:
+        raise DomainError(f"identity check {kind.value} takes no parameter {unused[0]!r}; "
+                          f"it takes {', '.join(_PARAMS[kind])}")
     wd = working_dps(prec)
 
     if kind is IdentityKind.DILOG_REFLECTION:
+        raw = _param(params, "x")
+        q = as_fraction(raw, "x")
+        if not 0 < q < 1:
+            raise DomainError(f"dilog reflection requires x in (0, 1), got {_shown(raw, q, 0, 1)}")
         with mpmath.workdps(wd):
-            x = as_mpf(as_fraction(_param(params, "x"), "x"))
-            if not (0 < x < 1):
-                raise DomainError(f"dilog reflection requires x in (0, 1), got {mpmath.nstr(x, 8)}")
-            li_x, b1 = _li_direct(2, x, wd)
-            li_1mx, b2 = _li_direct(2, 1 - x, wd)
+            x = as_mpf(q)
+            li_x, b1 = _li_direct(2, x, wd, _shown(raw, q, 1))
+            li_1mx, b2 = _li_direct(2, 1 - x, wd, _shown(1 - q, 1 - q, 1))
             resid = abs(li_x + li_1mx + mpmath.log(x) * mpmath.log(1 - x) - mpmath.pi ** 2 / 6)
             # Both sides take the same rounded 1 - x.  The two logs and their
             # product (|product| <= log(2)**2), pi**2/6 (3 roundings), and the
@@ -356,9 +385,10 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
             return BigReal(resid, err, prec)
 
     if kind is IdentityKind.PHI_FUNCEQ:
-        q = as_fraction(_param(params, "s"), "s")
+        raw = _param(params, "s")
+        q = as_fraction(raw, "s")
         if not 0 < q < 1:
-            raise DomainError(f"functional equation checked on s in (0, 1), got {mpmath.nstr(as_mpf(q), 8)}")
+            raise DomainError(f"functional equation checked on s in (0, 1), got {_shown(raw, q, 0, 1)}")
         inner = min(prec + 2, MAX_PREC)
         lhs_num = phi(1 - q, inner)
         lhs_den = phi(q, inner)

@@ -15,11 +15,12 @@ from typing import Sequence
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import from_int, mpf_pow_int, round_nearest
 
 from .errors import DivergentIndex, DomainError, TooLarge
 from .eulerfun import zeta
-from .numkernel import (BRUTEFORCE_STEP_CAP, MAX_PREC, BigReal, check_prec, working_dps, _at_one,
-                        _rounding, _word)
+from .numkernel import (BRUTEFORCE_STEP_CAP, MAX_PREC, BigReal, check_prec, working_bits, working_dps,
+                        _at_one, _new_ball, _up, _word)
 
 
 def _parts(idx: Sequence[int]) -> tuple[int, ...]:
@@ -63,11 +64,13 @@ def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
     ``j`` parts, and the discarded tail is bounded by integral comparison,
     with each inner partial sum capped by ``zeta(s) <= 1 + 1/(s-1)`` (or
     ``1 + log m`` for parts equal to 1); a nested sum of positive terms is
-    at most the product of its unnested partial sums.  The returned ``err``
-    is that bound plus rounding, so the value is certified without
-    reference to any expansion used by :func:`mzv`.  The weight cap of
-    :func:`mzv` applies, and a ``cutoff * depth`` past
-    ``numkernel.BRUTEFORCE_STEP_CAP`` raises :class:`TooLarge`.
+    at most the product of its unnested partial sums.  The sums enclose in
+    :class:`~euler_periods.numkernel.BigReal`, each power ``m**-n`` libmp's
+    at the working ``b`` bits, within ``|m**-n| 2**(1 - b)`` (``m**n`` at ``b
+    + 5`` bits, then one quotient), and ``err`` adds the tail bound, so the
+    value is certified without reference to any expansion used by
+    :func:`mzv`.  The weight cap of :func:`mzv` applies, and a ``cutoff *
+    depth`` past ``numkernel.BRUTEFORCE_STEP_CAP`` raises :class:`TooLarge`.
     """
     idx = _admissible(idx)
     d = len(idx)
@@ -77,28 +80,18 @@ def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
         raise DomainError(f"cutoff must be an integer > depth, got {cutoff!r}")
     if cutoff * d > BRUTEFORCE_STEP_CAP:
         raise TooLarge(f"cutoff {cutoff} times depth {d} exceeds the supported cap {BRUTEFORCE_STEP_CAP}")
-    wd = working_dps(prec)
-    with mpmath.workdps(wd):
-        s = [mpf(1)] + [mpf(0)] * d
-        for m in range(1, cutoff + 1):
-            for j in range(d, 0, -1):
-                s[j] += mpf(m) ** -idx[j - 1] * s[j - 1]
-        tail = _log_poly_tail(cutoff, idx[-1], idx[:-1].count(1)) * _inner_cap(idx[:-1])
-        # Every sum is positive.  A step of level j rounds its power and its
-        # product once each on top of level j - 1's relative error, and its
-        # running sum once, so over the cutoff each level adds (cutoff + 3)
-        # 2**-prec relative: d (cutoff + 3) / 2 counts.
-        err = tail + _rounding(s[d], d * (cutoff + 3) / 2)
-        return BigReal(s[d], err, prec)
-
-
-def _inner_cap(parts: Sequence[int]) -> mpf:
-    """Product of cutoff-free caps for inner partial sums with parts >= 2."""
-    out = mpf(1)
-    for s in parts:
-        if s >= 2:
-            out *= 1 + mpf(1) / (s - 1)
-    return out
+    b = working_bits(prec)
+    s = [BigReal(1, 0, prec)] + [BigReal(0, 0, prec)] * d
+    for m in range(1, cutoff + 1):
+        k = from_int(m)
+        for j in range(d, 0, -1):
+            t = mpf_pow_int(k, -idx[j - 1], b, round_nearest)
+            term = _new_ball(t, *_up(t[1], t[2] + 1 - b), prec)
+            s[j] += term * s[j - 1] if j > 1 else term  # s[0] is an exact 1
+    with mpmath.workdps(working_dps(prec)):
+        caps = math.prod(1 + mpf(1) / (part - 1) for part in idx[:-1] if part >= 2)  # inner sums' caps
+        tail = _log_poly_tail(cutoff, idx[-1], idx[:-1].count(1)) * caps
+    return BigReal(s[d].value, mpmath.fadd(s[d].err, tail, exact=True), prec)
 
 
 def _log_poly_tail(cutoff: int, q: int, r: int) -> mpf:

@@ -43,24 +43,15 @@ references in the test suite.
 Rounding
 --------
 
-One rule counts the rounding the code performs, in binary units of the
-precision ``p`` it happens at (as Arb does, arXiv:1611.02831): ``count (1
-+ |v|) 2**(1 - p)``, one count per rounding that makes ``v``.  The
-premises: mpmath's ``+ - * /`` round correctly, within half a count, and
-each elementary or special function (``log``, ``cos``, ``cot``, ``gamma``,
-powers, ``pi``) is faithful, within one count, unless its site states
-more.  A floor to ``2**-b`` with ``b = p`` errs by under one unit of
-``2**-b``, less than the one count of ``_rounding(0, 1)``.
-
-:class:`BigReal` arithmetic encloses: each constructor and ``+ - * /``,
-and :func:`pi_times`, adds its counts to the propagated radius in
-integers and rounds the sum upward, so the bound's own arithmetic never
-rounds it down and the square of a relative error is in it too.  Sites
-that compute in an mpmath context count first order instead, with
-:func:`_rounding` ``(v, count)`` at the ambient ``p = mp.prec``: their
-bound is the truncation bound plus the counted rounding, summed at that
-precision, and the square of a relative error of ``2**-p`` stays far below
-the slack of the counts.
+This module works at explicit binary precisions only, through
+mpmath.libmp, and keeps one rule: :class:`BigReal` encloses, and the
+integer engines prove their units.  A rounding counts ``(1 + |v|) 2**(1 -
+b)`` at the precision ``b`` it happens at, one count per rounding that
+makes ``v`` (as Arb does, arXiv:1611.02831), on the premises that libmp's
+``+ - * /`` round correctly and its ``pi``, ``log`` and power are faithful.
+Each :class:`BigReal` constructor and ``+ - * /``, :func:`pi_times` and
+:func:`log_of` add their counts to the propagated radius in integers and
+round the sum upward, so the square of a relative error is in it too.
 
 The rows ``floor(2**b k**-s)`` of the Euler-Maclaurin and Chebyshev bodies
 need no premise: :func:`_power_rows` computes them as exact integer floors
@@ -71,7 +62,7 @@ division, so :func:`em_sum`, :func:`zeta_values` and ``phi`` count proved
 units there.
 The one exception is an ``s`` whose denominator ``q`` has ``q b`` past
 :data:`_ROOT_BITS_CAP` (a binary ``s`` such as a float's, or ``1 +
-10**-9``): its rows come from mpmath's power, on the premise above.
+10**-9``): its rows come from libmp's power, on the premise above.
 
 The three engines, :func:`em_sum`, :func:`accel_alt_sum` and the
 iterated-integral engine :func:`_at_one`, count their own units in
@@ -81,15 +72,10 @@ and :func:`accel_alt_sum` and below.  Each ends in the one shared finish
 working_bits(prec)`` bits and adds ``(|total| >> b) + 1`` units for it.
 :func:`zeta_values` converts nothing: it hands over its integer sums and
 unit bounds at the same ``b``, proved in its docstring, and
-``gamma_const("ZETA_SERIES")`` divides them into its Chebyshev rows.  The
-first-order sites, each with its count and premises beside the call:
+``gamma_const("ZETA_SERIES")`` divides them into its Chebyshev rows.
 
-* in :mod:`.eulerfun`, the ``Li_n`` series of DILOG_REFLECTION, ``polylog``
-  at ``n = 1`` and in the reflection window, and the four identity residuals;
-* :func:`~euler_periods.mzv.mzv_bruteforce`, whose count grows with the depth.
-
-:func:`~euler_periods.g2.invert_alpha` is no such site: its bound is an
-interval Newton step evaluated in :class:`BigReal`.
+A first-order count in an mpmath context is left only in the identity
+checks of :mod:`.eulerfun`; no value an evaluator returns depends on it.
 
 Iterated integrals at 1/2
 -------------------------
@@ -153,9 +139,9 @@ from typing import Sequence, Union
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, from_man_exp, from_str, fzero,
-                          mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
-                          mpf_pos, mpf_shift, mpf_sub, to_str)
+from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp, from_str, fzero, mpf_abs,
+                          mpf_add, mpf_div, mpf_eq, mpf_log, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
+                          mpf_pos, mpf_pow, mpf_shift, mpf_sub, round_floor, to_int, to_str)
 from mpmath.libmp import round_nearest as RN
 
 from .errors import DomainError, InputError, PrecisionNotMet, TooLarge
@@ -343,13 +329,13 @@ class BigReal:
     access; ``BigReal(value, err, prec)`` rounds a given bound up into the
     integer form.
 
-    The constructors, ``+ - * /`` and :func:`pi_times` enclose: when the
-    operands' targets lie in their balls, the exact result lies in the
-    result's ball.  Each rounds its midpoint to nearest at the explicit
-    binary precision ``b = working_bits(p)`` of the result's ``prec = p``,
-    bit for bit as the mpf operators round inside
-    ``workdps(working_dps(p))``, with one mpmath.libmp call and no mpmath
-    context: ``pi`` times ``k`` takes two, and a ``Fraction`` or a decimal
+    The constructors, ``+ - * /``, :func:`pi_times` and :func:`log_of`
+    enclose: when the operands' targets lie in their balls, the exact result
+    lies in the result's ball.  Each rounds its midpoint to nearest at the
+    explicit binary precision ``b = working_bits(p)`` of the result's ``prec
+    = p``, bit for bit as the mpf operators round at an ambient ``b`` bits,
+    with one mpmath.libmp call and no mpmath context: ``pi`` times ``k`` and
+    a log take two, and a ``Fraction`` or a decimal
     string, read exactly by :func:`as_fraction`, none: its quotient is
     rounded in integers by :func:`_quotient` (a wider numerator goes
     through libmp, a Fraction's rounded first).  The radius is summed in
@@ -429,10 +415,7 @@ class BigReal:
             # numerator, then the quotient: two counts.
             is_str = isinstance(x, str)
             num, den = (as_fraction(x, "the decimal") if is_str else x).as_integer_ratio()
-            if num.bit_length() > b:
-                v = mpf_div(from_int(num) if is_str else mpf_pos(from_int(num), b, RN), from_int(den), b, RN)
-            else:
-                v = _quotient(num, den, b)
+            v = _quotient(num, den, b, not is_str)
             if not den & den - 1:
                 _, man, exp, _ = v  # v has the sign of num
                 if man * den << max(exp, 0) == abs(num) << max(-exp, 0):
@@ -612,16 +595,19 @@ def _ball(v: tuple, prec: int, count: int, terms: Sequence[tuple[int, int]] = ()
     return _new_ball(v, total, low + s, prec)
 
 
-def _quotient(num: int, den: int, b: int) -> tuple:
-    """``num / den`` rounded to nearest at ``b`` bits, as a raw mpf.
+def _quotient(num: int, den: int, b: int, twice: bool = True) -> tuple:
+    """``num / den`` for ``den > 0`` rounded to nearest at ``b`` bits, as a raw mpf.
 
-    For ``den > 0`` and ``|num| < 2**b``: the bits of
-    ``mpf_div(from_int(num), from_int(den), b, round_nearest)``.  The
+    The bits of ``mpf(num) / den`` at an ambient ``b`` bits.  A numerator
+    wider than ``b`` bits goes through libmp and rounds first, unless
+    ``twice`` is false (a decimal's exact value rounds once).  Otherwise the
     floored quotient has ``b + 1`` or ``b + 2`` bits, and rounding it half
     up at ``b`` bits rounds the true quotient to nearest, since no tie can
     occur: a tie has ``b + 1`` bits and ends in 1, and for ``num/den`` in
     lowest terms so would ``num``.
     """
+    if num.bit_length() > b:
+        return mpf_div(mpf_pos(from_int(num), b, RN) if twice else from_int(num), from_int(den), b, RN)
     sign = num < 0
     if sign:
         num = -num
@@ -698,26 +684,26 @@ def bound_text(err: mpf, digits: int) -> str:
         k += 1
 
 
-def _rounding(v: mpf, count: int | float | Fraction | mpf) -> mpf:
-    """``count (1 + |v|) 2**(1 - mp.prec)``: ``count`` roundings that make ``v``.
-
-    One count covers one faithful rounding of ``v`` at the ambient binary
-    precision, and one unit of ``2**-mp.prec`` absolute; the module
-    docstring gives the premises and the sites that count with it.  ``v``
-    and ``count`` convert as mpf's operators convert them, and ``|v|``, the
-    sum and the product round to nearest at ``mp.prec``, as those operators
-    do.
-    """
-    convert, bits = mpmath.mp.convert, mpmath.mp.prec
-    count = convert(count)._mpf_
-    t = mpf_add(mpf_abs(convert(v)._mpf_, bits, RN), fone, bits, RN)
-    return _make_mpf(mpf_shift(t if count == fone else mpf_mul(count, t, bits, RN), 1 - bits))
-
-
 def pi_times(k: int, prec: int) -> BigReal:
     """``k * pi`` at the working precision of ``prec``, with its two roundings."""
     b = _BITS[prec]
     return _ball(mpf_mul_int(mpf_pi(b, RN), k, b, RN), prec, 2 - b)  # pi, then the product
+
+
+def log_of(q: int | Fraction, prec: int) -> BigReal:
+    """``log q`` for a rational ``q > 0`` at the working precision of ``prec``, with two counts.
+
+    ``q`` rounds as :meth:`BigReal.exact` rounds a ``Fraction``, once or
+    twice, which moves the log by at most ``2**(1 - b)``, one count; libmp's
+    faithful ``log`` adds one more.  ``log 1`` is an exact 0.
+    """
+    num, den = q.as_integer_ratio()
+    if num <= 0:
+        raise DomainError(f"log_of needs q > 0, got {exact_str(q)}")
+    if num == den:
+        return _new_ball(fzero, 0, 0, prec)
+    b = _BITS[prec]
+    return _ball(mpf_log(_quotient(num, den, b), b, RN), prec, 2 - b)  # the quotient, then the log
 
 
 def _finish(total: int, frac_bits: int, units: int, prec: int) -> BigReal:
@@ -756,12 +742,6 @@ def _cvz_weights(n: int) -> tuple[tuple[int, ...], int, int]:
         weights.append(c)
         b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
     return tuple(weights), d, sum(map(abs, weights))
-
-
-def _fixed(x: mpf, bits: int) -> int:
-    """``floor(|x| * 2**bits)`` for a finite mpf ``x``."""
-    _, man, exp, _ = x._mpf_
-    return man << (exp + bits) if exp + bits >= 0 else man >> -(exp + bits)
 
 
 def _iroot(x: int, q: int) -> int:
@@ -837,10 +817,9 @@ def _power_rows(s: Fraction, n: int, bits: int) -> list[int]:
     Rows never grow with ``k``, so once a row is 0 the rest are.  Once ``s
     > bits`` every row past the first is 0 and no ``k**p`` is formed, so a
     huge ``s`` costs nothing.  Past :data:`_ROOT_BITS_CAP` for ``q *
-    bits`` row ``k`` is ``_fixed(mpf(k) ** -s, bits)`` at ``bits`` bits
-    instead, within 2 units on the premise that mpmath's power is
-    faithful: its ``2**(1 - bits)`` relative is a unit once ``k >= 2``,
-    and the floor one more.
+    bits`` row ``k`` is the floor of libmp's power ``k**-s`` at ``bits``
+    bits instead, of ``s`` rounded to ``bits`` bits, within 2 units on the
+    premise that the power is faithful.
 
     Cost at prec 100 (143 rows): 34 roots and 108 products, of which 11
     need the check at ``s = 37/11`` and 90 at ``s = 1/2``.  At ``s =
@@ -851,9 +830,9 @@ def _power_rows(s: Fraction, n: int, bits: int) -> list[int]:
     if p > bits * q:  # 2**bits k**-s <= 2**(bits - s) < 1 for k >= 2
         return [1 << bits] + [0] * (n - 1)
     if q * bits > _ROOT_BITS_CAP:
-        with mpmath.workprec(bits):
-            sv = as_mpf(s)
-            return [_fixed(mpf(k) ** -sv, bits) for k in range(1, n + 1)]
+        minus_s = mpf_neg(_quotient(p, q, bits))
+        return [to_int(mpf_shift(mpf_pow(from_int(k), minus_s, bits, RN), bits), round_floor)
+                for k in range(1, n + 1)]
     one = 1 << bits * q
     if q == 1:
         return [one // k ** p for k in range(1, n + 1)]
@@ -1052,8 +1031,8 @@ def em_sum(s: ScalarLike, prec: int) -> BigReal:
     a series it does not describe.  The rows are exact floors, one unit off
     at most, for every ``s = p/q`` with ``q * bits`` within
     :data:`_ROOT_BITS_CAP` (every integer ``s``, and every ``s > bits``);
-    past the cap a row comes from ``mpf(k) ** -s``, within 2 units on the
-    premise that mpmath's power is faithful.  With ``f(k) = k**-s`` this
+    past the cap a row comes from libmp's power, within 2 units on the
+    premise that it is faithful.  With ``f(k) = k**-s`` this
     sums, in the integer fixed point of :func:`_em_power_sum`::
 
         sum(f(k), k=1..n) + I(n) - f(n)/2
@@ -1154,7 +1133,7 @@ def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
     terms`` Bernoulli corrections, in integer fixed point with ``bits``
     fraction bits: ``rows[k-1]`` is ``2**bits k**-s`` within 2 units (1 for
     the exact floors of :func:`_power_rows`, 2 past the root cap on
-    mpmath's premise).  ``total`` is ``2**bits`` times the value,
+    libmp's premise).  ``total`` is ``2**bits`` times the value,
     ``correction`` the first omitted Bernoulli term in the same units, and
     ``units`` counts the error of ``total``; :func:`em_sum` declares
     ``|correction| + units`` units of ``2**-bits``.  The count is a proof,
@@ -1166,7 +1145,7 @@ def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
     2. The rows are off by at most 2 each: ``2 n`` units.
     3. ``rows[-1] // 2`` is off by at most 1 for half a row's error and 1
        for its floor: 2 units.  Two more go to the integral tail: at ``s =
-       1`` the ``-log n``, computed at 16 more bits, is faithful, under
+       1`` the ``-log n``, libmp's at 16 more bits, is faithful, under
        ``|log n| 2**-15 < 1`` unit, and its floor costs one; otherwise they
        cover the floor of ``tail // (p - q)`` and the floor taken of its
        share in step 5.
@@ -1201,8 +1180,7 @@ def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
     shift = max(p // q - bits - 1, 0)
     units = 2 * n + 4
     if p == q:
-        with mpmath.workprec(bits + 16):
-            integral = int(mpmath.floor(-mpmath.ldexp(mpmath.log(n), bits)))
+        integral = to_int(mpf_neg(mpf_shift(mpf_log(from_int(n), bits + 16, RN), bits)), round_floor)
     else:
         integral = tail // (p - q)
         units += (tail_err >> shift) // (p - q)

@@ -533,12 +533,32 @@ def test_a_pipe_closed_after_the_first_bytes_exits_141_without_a_traceback(mode,
     ("g2-compare", "exp:2008", "exp:1899"),
     ("g2-invert-alpha", "not-a-number"),
     ("identity-check", "euler-product", "--s", "2", "--x", "abc"),  # an argument the kind does not use
+    ("identity-check", "dilog-reflection", "--x", "1/2", "--s", "3"),
 ], ids=lambda a: " ".join(a))
 def test_exit_two_invalid_input(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     if err:
         assert err.startswith("error:") or "usage" in err
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (("polylog", "2", "--", "-1.0000000001"), "requires |z| <= 1, got z = -1.0000000001\n"),
+    (("polylog", "3", "0.50000000001"), "the endpoint 1; got z = 0.50000000001\n"),
+    (("zeta", "0.99999999999"), "requires s > 1, got s = 0.99999999999;"),
+    (("phi", "--", "-1e-11"), "requires s > 0, got s = -1e-11\n"),
+    (("identity-check", "dilog-reflection", "--x", "1.00000000001"), "requires x in (0, 1), got 1.00000000001\n"),
+    (("identity-check", "dilog-reflection", "--x", "0.999999999"), "series at |z| = 0.999999999 needs"),
+    (("identity-check", "phi-funceq", "--s", "1.00000000001"), "on s in (0, 1), got 1.00000000001\n"),
+    (("identity-check", "euler-product", "--s", "2", "--x", "abc"), "takes no parameter 'x'"),
+    (("identity-check", "dilog-reflection", "--x", "1/2", "--s", "3", "--terms", "5", "--prime-bound", "7"),
+     "takes no parameter 's'"),
+], ids=lambda a: " ".join(a) if isinstance(a, tuple) else "")
+def test_a_refused_argument_is_shown_as_written(capsys, argv, shown):
+    # A number rounded to 8 digits could land inside the rule it breaks ("got z = -1.0").
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and shown in err
 
 
 HUGE = "1" + "0" * 5000  # past Python's 4300-digit int(str) limit

@@ -6,6 +6,7 @@ them share code with the evaluators under test.
 """
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -694,3 +695,131 @@ def test_polylog_shows_a_point_of_large_height_outside_its_domain():
         polylog(2, Fraction(10 ** 999, 3), 15)
     with pytest.raises(DomainError, match=r"Li_3 .* got z = 0\.75"):
         polylog(3, LARGE_POINTS[0], 15)
+
+
+# ---------------------------------------------------------------------------
+# polylog against its first-order routes
+# ---------------------------------------------------------------------------
+
+
+def reference_polylog(n, z, prec):
+    """``polylog`` as it was before :func:`numkernel.log_of`, for the routes that changed.
+
+    ``n = 1`` and the ``n = 2`` reflection window computed in an mpmath
+    context at the working precision, with the first-order count of
+    :func:`eulerfun._rounding`; every other point goes to :func:`polylog`.
+    """
+    q = numkernel.as_fraction(z)
+    w = 1 - q
+    if n == 1:
+        with mpmath.workdps(working_dps(prec)):
+            # 1 - z rounds twice as a Fraction, moving the log by 2 2**-prec; the log once more.
+            v = -mpmath.log(numkernel.as_mpf(w))
+            return numkernel.BigReal(v, eulerfun._rounding(v, 2), prec)
+    if not (n == 2 and Fraction(1, 2) < q < 1):
+        return polylog(n, z, prec)
+    li_w = numkernel._at_one(numkernel._word((2,), (1 / w,)), prec + 4)
+    with mpmath.workdps(working_dps(prec + 4)):
+        log_w = mpmath.log(numkernel.as_mpf(w))
+        v = mpmath.pi ** 2 / 6 - mpmath.log(numkernel.as_mpf(q)) * log_w - li_w.value
+        # pi**2/6 rounds 3 times, each log 3 counts on its size, the product and two sums once.
+        return numkernel.BigReal(v, li_w.err + eulerfun._rounding(v, 4 + 2 * abs(log_w)), prec)
+
+
+REFERENCE_GRID = [-1, 0, "0.3", Fraction(1, 2), Fraction(51, 100), Fraction(3, 4), Fraction(99, 100),
+                  1 - Fraction(1, 10 ** 30)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("z", REFERENCE_GRID, ids=str)
+def test_polylog_keeps_the_value_bits_of_its_first_order_routes(n, z):
+    # log_of and the BigReal window round as the mpmath context did, so only the bounds move:
+    # an n = 1 bound never grows, and every bound covers mpmath at 130 digits.
+    q = numkernel.as_fraction(z)
+    with mpmath.workdps(130):
+        # Li_1 = -log(1 - z) takes 1 - z exactly: 130 digits of z near 1 hold 100 of 1 - z.
+        ref = -mpmath.log(exact(1 - q)) if n == 1 else mpmath.polylog(n, exact(q))
+    for prec in ALL_PRECS:
+        x, old = polylog(n, z, prec), reference_polylog(n, z, prec)
+        assert x.value._mpf_ == old.value._mpf_, prec
+        assert x.prec == prec and x.certified(), prec
+        if n == 1:
+            assert x.err <= old.err, prec
+        with mpmath.workdps(130):
+            assert abs(x.value - ref) <= x.err, prec
+
+
+def test_li1_at_zero_is_an_exact_zero():
+    for prec in ALL_PRECS:
+        x = polylog(1, 0, prec)
+        assert bits(x) == ((0, 0, 0, 0), (0, 0, 0, 0)), prec
+
+
+def test_log_of_encloses_the_log_at_every_inner_prec():
+    # The window runs at prec + 4, past MAX_PREC: log_of takes that prec, as pi_times does.
+    points = [Fraction(1, 3), Fraction(49, 100), Fraction(10 ** 40 + 1, 10 ** 40), Fraction(7, 2),
+              Fraction(3 ** 200, 2 ** 300), Fraction(1)]
+    for prec in range(MIN_PREC, MAX_PREC + 5):
+        for q in points:
+            x = numkernel.log_of(q, prec)
+            with mpmath.workdps(200):
+                assert abs(x.value - mpmath.log(exact(q))) <= x.err, (q, prec)
+    assert bits(numkernel.log_of(1, 104)) == ((0, 0, 0, 0), (0, 0, 0, 0))
+    for q in (0, Fraction(-1, 2)):
+        with pytest.raises(DomainError):
+            numkernel.log_of(q, 15)
+
+
+# ---------------------------------------------------------------------------
+# Parameters and messages of the domain errors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, params, extra", [
+    ("DILOG_REFLECTION", {"x": "1/2"}, "bogus"),
+    ("DILOG_REFLECTION", {"x": "1/2"}, "s"),
+    ("COTANGENT", {"x": "1/2", "terms": 5}, "prime_bound"),
+    ("EULER_PRODUCT", {"s": 2, "prime_bound": 7}, "x"),
+    ("PHI_FUNCEQ", {"s": "1/3"}, "terms"),
+])
+def test_identity_check_refuses_a_parameter_its_kind_does_not_use(kind, params, extra):
+    identity_residual(kind, params, 15)
+    with pytest.raises(DomainError, match=f"{kind} takes no parameter '{extra}'"):
+        identity_residual(kind, {**params, extra: 1}, 15)
+
+
+#: Numbers just outside a rule, each as a string, a Fraction, a float and a
+#: point of large height.
+def just_outside(edge, side):
+    step = Fraction(side, 10 ** 11)
+    text = str(float(edge + step)) if edge else f"{side}e-11"
+    return [text, edge + step, float(edge + step), edge + Fraction(side, 10 ** 999)]
+
+
+#: (name, call, the pattern that catches the number shown, the rule's test
+#: of being outside, the arguments), one per message that shows a number.
+MESSAGES = [
+    ("polylog |z|", lambda z: polylog(2, z, 15), r"got z = (\S+)$", lambda q: abs(q) > 1, just_outside(-1, -1)),
+    ("Li_3 window", lambda z: polylog(3, z, 15), r"got z = (\S+)$", lambda q: Fraction(1, 2) < q < 1,
+     just_outside(Fraction(1, 2), 1)),
+    ("zeta", lambda s: zeta(s, 15), r"got s = (\S+);", lambda q: q <= 1, just_outside(1, -1)),
+    ("phi", lambda s: phi(s, 15), r"got s = (\S+)$", lambda q: q <= 0, just_outside(0, -1)),
+    ("dilog reflection", lambda x: identity_residual("DILOG_REFLECTION", {"x": x}, 15), r"got (\S+)$",
+     lambda q: not 0 < q < 1, just_outside(1, 1)),
+    ("phi funceq", lambda s: identity_residual("PHI_FUNCEQ", {"s": s}, 15), r"got (\S+)$",
+     lambda q: not 0 < q < 1, just_outside(0, -1)),
+    ("Li_2 series", lambda x: identity_residual("DILOG_REFLECTION", {"x": x}, 15), r"\|z\| = (\S+) needs",
+     lambda q: q < 1, ["0.999999999", Fraction(999999999, 10 ** 9), 0.999999999]),
+]
+
+
+@pytest.mark.parametrize("name, call, pattern, outside, args", MESSAGES, ids=[m[0] for m in MESSAGES])
+def test_a_domain_error_never_shows_a_number_its_rule_accepts(name, call, pattern, outside, args):
+    for x in args:
+        with pytest.raises((DomainError, TooLarge)) as caught:
+            call(x)
+        shown = re.search(pattern, str(caught.value)).group(1)
+        if isinstance(x, str):
+            assert shown == x
+        assert outside(Fraction(shown)), (x, shown)
+        assert len(shown) <= 1200, x

@@ -36,15 +36,16 @@ import pytest
 from mpmath import mpf
 
 from euler_periods.errors import DivergentIndex, DomainError, TooLarge
-from euler_periods.eulerfun import phi, polylog, zeta
+from euler_periods.eulerfun import _rounding, phi, polylog, zeta
 from euler_periods.mzv import (
+    _log_poly_tail,
     mzv,
     mzv_bruteforce,
     multiphi,
     p35_combination,
     stuffle_residual,
 )
-from euler_periods.numkernel import BRUTEFORCE_STEP_CAP, WEIGHT_CAP, _at_one, _word, working_dps
+from euler_periods.numkernel import BRUTEFORCE_STEP_CAP, WEIGHT_CAP, BigReal, _at_one, _word, working_dps
 
 
 def assert_close(x, ref, prec, slack=1):
@@ -131,6 +132,45 @@ def test_bruteforce_tail_bound_covers_while_the_summand_rises(cutoff):
         assert abs(rough.value - mpmath.zeta(9)) <= rough.err
 
 
+def reference_bruteforce(idx, cutoff, prec):
+    """The nested sum of :func:`mzv_bruteforce` as it was before BigReal: mpf running sums.
+
+    Summed in an mpmath context at the working precision, with the
+    first-order count of :func:`eulerfun._rounding` in place of an enclosure.
+    """
+    d = len(idx)
+    with mpmath.workdps(working_dps(prec)):
+        s = [mpf(1)] + [mpf(0)] * d
+        for m in range(1, cutoff + 1):
+            for j in range(d, 0, -1):
+                s[j] += mpf(m) ** -idx[j - 1] * s[j - 1]
+        caps = mpf(1)
+        for part in idx[:-1]:
+            if part >= 2:
+                caps *= 1 + mpf(1) / (part - 1)
+        tail = _log_poly_tail(cutoff, idx[-1], idx[:-1].count(1)) * caps
+        # Each level adds (cutoff + 3) 2**-prec relative: d (cutoff + 3) / 2 counts.
+        return BigReal(s[d], tail + _rounding(s[d], d * (cutoff + 3) / 2), prec)
+
+
+#: Indices with closed forms, each with a cutoff that keeps the sweep quick.
+BRUTEFORCE_CLOSED = [((7,), 20, lambda: mpmath.zeta(7)), ((1, 2), 40, lambda: mpmath.zeta(3)),
+                     ((2, 2), 30, lambda: mpmath.pi ** 4 / 120), ((1, 3), 30, lambda: mpmath.pi ** 4 / 360),
+                     ((1, 1, 2), 20, lambda: mpmath.zeta(4))]
+
+
+@pytest.mark.parametrize("idx, cutoff, closed", BRUTEFORCE_CLOSED, ids=[str(c[0]) for c in BRUTEFORCE_CLOSED])
+def test_bruteforce_keeps_the_value_bits_of_its_mpf_sums(idx, cutoff, closed):
+    # The BigReal sums round as the mpf ones did, so only the bound moves; it covers the closed form.
+    with mpmath.workdps(130):
+        ref = closed()
+    for prec in range(1, 101):
+        x, old = mzv_bruteforce(idx, cutoff, prec), reference_bruteforce(idx, cutoff, prec)
+        assert x.value._mpf_ == old.value._mpf_, prec
+        with mpmath.workdps(130):
+            assert abs(x.value - ref) <= x.err, prec
+
+
 def test_mzv_deterministic():
     assert repr(mzv((2, 3), 20)) == repr(mzv((2, 3), 20))
 
@@ -156,10 +196,10 @@ def test_bruteforce_cutoff_validation():
 
 def test_bruteforce_refuses_a_huge_cutoff_before_summing(monkeypatch):
     # A step costs about 10 us: 10**9 steps would run for hours.
-    def no_mpf(*args):
+    def no_power(*args):
         raise AssertionError("summed before refusing")
 
-    monkeypatch.setattr(importlib.import_module("euler_periods.mzv"), "mpf", no_mpf)
+    monkeypatch.setattr(importlib.import_module("euler_periods.mzv"), "mpf_pow_int", no_power)
     for idx, cutoff in [((2, 3), 10 ** 9), ((2, 3), BRUTEFORCE_STEP_CAP // 2 + 1),
                         ((1, 1, 1, 1, 2), BRUTEFORCE_STEP_CAP // 5 + 1)]:
         with pytest.raises(TooLarge, match="cutoff"):

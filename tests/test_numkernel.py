@@ -830,7 +830,7 @@ def test_rounding_matches_the_mpf_reference_and_pi_times_keeps_its_bits():
         with mpmath.workdps(working_dps(prec)):
             for v in values + [mpf(rng.getrandbits(400)) / 3]:
                 for count in factors:
-                    assert numkernel._rounding(v, count)._mpf_ == ref_rounding(v, count)._mpf_
+                    assert eulerfun._rounding(v, count)._mpf_ == ref_rounding(v, count)._mpf_
             k = rng.randint(-50, 50)
             v = k * mpmath.pi
             want = ref_rounding(v, 2)
@@ -1350,13 +1350,37 @@ def test_power_rows_are_exact_at_composite_exact_powers(bits):
 
 
 def test_power_rows_past_the_root_cap_keep_the_mpmath_premise():
-    # q * bits past the cap: rows from mpmath's power, within 2 units of the floor.
+    # q * bits past the cap: rows from libmp's power, within 2 units of the floor.
     for s, bits in [(Fraction(2 ** 70 + 3, 2 ** 71), 86), (1 + Fraction(1, 10 ** 9), 369),
                     (Fraction(45, 31), 369)]:
         assert s.denominator * bits > numkernel._ROOT_BITS_CAP
         rows = numkernel._power_rows(s, 40, bits)
         with mpmath.workprec(2 * bits + 200):
             assert all(abs(a - v) <= 2 for a, v in zip(rows, scaled_powers(s, 40, bits))), s
+
+
+def reference_rows_past_the_cap(s: Fraction, n: int, bits: int) -> list[int]:
+    """Rows past the root cap as an mpf power computes them in an mpmath context of ``bits`` bits."""
+    with mpmath.workprec(bits):
+        sv = as_mpf(s)
+        return [int(mpmath.floor(mpmath.ldexp(mpf(k) ** -sv, bits))) for k in range(1, n + 1)]
+
+
+def test_power_rows_past_the_root_cap_keep_the_bits_of_the_mpf_power():
+    for s in (Fraction(45, 23), 1 + Fraction(1, 10 ** 9), Fraction(2 ** 70 + 3, 2 ** 71)):
+        for prec in (1, 15, 50, 100):
+            bits = working_bits(prec)
+            if s.denominator * bits > numkernel._ROOT_BITS_CAP:
+                assert numkernel._power_rows(s, 143, bits) == reference_rows_past_the_cap(s, 143, bits), (s, prec)
+
+
+@pytest.mark.parametrize("bits", [37, 86, 202, 369])
+def test_em_sum_at_one_floors_the_log_the_mpmath_context_gave(bits):
+    # At s = 1 the integral tail is floor(-2**bits log n), from libmp's log at bits + 16.
+    for n in range(2, 200):
+        with mpmath.workprec(bits + 16):
+            integral = int(mpmath.floor(-mpmath.ldexp(mpmath.log(n), bits)))
+        assert numkernel._em_power_sum(1, [0] * n, 0, bits)[0] == integral, n
 
 
 def test_integer_root_is_exact():

@@ -1,10 +1,13 @@
-"""The counted rounding rule: every declared bound covers the true error.
+"""The rounding rule: every declared bound covers the true error.
 
-``numkernel._rounding`` counts one binary unit of the working precision per
-rounding a site performs.  A count that misses shows as a residual or an
+The evaluators' values are enclosing ``BigReal`` balls or the integer
+engines' proved units; the identity checks alone count their rounding first
+order, with ``eulerfun._rounding``, one binary unit of the working precision
+per rounding a site performs.  A count that misses shows as a residual or an
 error above its bound, so this file checks the identity residuals on a grid
 of rational points and a seeded sweep of evaluator cells at random prec
-against mpmath at 130 digits.
+against mpmath at 130 digits.  No certified value may read mpmath's ambient
+precision: every value keeps its bits under an ambient 20 and 3000 bits.
 """
 
 import random
@@ -16,8 +19,8 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from euler_periods import eulerfun, g2, symbolic
-from euler_periods.mzv import p35_combination, stuffle_residual
+from euler_periods import eulerfun, g2, numkernel, symbolic
+from euler_periods.mzv import multiphi, mzv, mzv_bruteforce, p35_combination, stuffle_residual
 
 GRID = sorted({Fraction(n, d) for d in range(2, 21) for n in range(1, d)})
 SEED = 20181013
@@ -130,3 +133,53 @@ def test_every_bound_covers_mpmath(family):
             if not abs(x.value - ref()) <= x.err:
                 missed.append((label, prec))
     assert not missed, missed
+
+
+#: One cell per route that returns a certified value: the evaluators, the
+#: symbol layer and g2, the brute-force oracle and the four identity checks.
+AMBIENT_CELLS = {
+    "zeta": lambda p: eulerfun.zeta(Fraction(7, 3), p),
+    "zeta past the root cap": lambda p: eulerfun.zeta(1 + Fraction(1, 10 ** 9), p),
+    "phi": lambda p: eulerfun.phi(Fraction(1, 2), p),
+    "phi past the root cap": lambda p: eulerfun.phi(Fraction(2 ** 70 + 3, 2 ** 71), p),
+    "polylog n = 1": lambda p: eulerfun.polylog(1, Fraction(1, 3), p),
+    "polylog engine": lambda p: eulerfun.polylog(3, Fraction(-1, 2), p),
+    "polylog window": lambda p: eulerfun.polylog(2, Fraction(3, 4), p),
+    "gamma EM": lambda p: eulerfun.gamma_const(p, "EM"),
+    "gamma ZETA_SERIES": lambda p: eulerfun.gamma_const(p, "ZETA_SERIES"),
+    "mzv": lambda p: mzv((2, 3), p),
+    "multiphi": lambda p: multiphi((1, 3), p),
+    "stuffle_residual": lambda p: stuffle_residual(2, 3, p),
+    "p35_combination": p35_combination,
+    "mzv_bruteforce": lambda p: mzv_bruteforce((2, 3), 200, p),
+    "period_map": lambda p: symbolic.period_map(symbolic.parse_expr("Li_m(2; 3/4)*zeta_m(3) - Li_m(4; 1)"), p),
+    "coeff_a2": lambda p: g2.coeff_a2(g2.CoeffMode.EXACT_BRACKET, p),
+    "coeff_a3": lambda p: g2.coeff_a3(g2.CoeffMode.AS_PRINTED, p),
+    "assemble": lambda p: g2.assemble("137.035999084", prec=p),
+    "invert_alpha": lambda p: g2.invert_alpha(g2.lookup(None, "exp:2008"), prec=p),
+    "DILOG_REFLECTION": lambda p: eulerfun.identity_residual("DILOG_REFLECTION", {"x": Fraction(1, 3)}, p),
+    "COTANGENT": lambda p: eulerfun.identity_residual("COTANGENT", {"x": Fraction(1, 2), "terms": 30}, p),
+    "EULER_PRODUCT": lambda p: eulerfun.identity_residual("EULER_PRODUCT", {"s": 2, "prime_bound": 1000}, p),
+    "PHI_FUNCEQ": lambda p: eulerfun.identity_residual("PHI_FUNCEQ", {"s": Fraction(1, 3)}, p),
+}
+
+
+def _outcome(call, prec):
+    """The value and bound bits of ``call(prec)``, or what it raised, from empty caches."""
+    for cached in (g2._packaged_coefficient, g2._a4, numkernel._zeta_batch):
+        cached.cache_clear()
+    try:
+        x = call(prec)
+    except Exception as exc:  # the cell compares what was raised
+        return type(exc).__name__, str(exc)
+    return x.value._mpf_, x.err._mpf_
+
+
+@pytest.mark.parametrize("name", AMBIENT_CELLS)
+def test_no_certified_value_reads_the_ambient_precision(name):
+    call = AMBIENT_CELLS[name]
+    for prec in (1, 15, 100):
+        default = _outcome(call, prec)
+        for bits in (20, 3000):
+            with mpmath.workprec(bits):
+                assert _outcome(call, prec) == default, (prec, bits)
