@@ -6,9 +6,8 @@ identity claim exposed here is checkable through
 :func:`identity_residual`, which recomputes both sides by routes that do
 not share code with the primary evaluators.
 
-The evaluators keep the one rounding rule of :mod:`.numkernel`; only the
-identity checks compute in an mpmath context, counting first order with
-:func:`_rounding`.
+All of it, the identity checks too, keeps the one rounding rule of
+:mod:`.numkernel`, at explicit precisions with no mpmath context.
 """
 
 from __future__ import annotations
@@ -18,11 +17,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
-import mpmath
 from mpmath import mpf
-from mpmath.libmp import dps_to_prec, from_rational, round_nearest, to_str
+from mpmath.libmp import (dps_to_prec, from_rational, mpf_cos, mpf_exp, mpf_gamma, mpf_log, mpf_lt, mpf_shift,
+                          mpf_sin, mpf_sin_pi, mpf_sinh, round_nearest, to_str)
 
-from .errors import DomainError, TooLarge
+from .errors import DomainError, PrecisionNotMet, TooLarge
 from .numkernel import (
     MAX_PREC,
     BigReal,
@@ -30,16 +29,17 @@ from .numkernel import (
     accel_alt_sum,
     alt_terms_needed,
     as_fraction,
-    as_mpf,
     bernoulli,
     check_prec,
     em_sum,
+    faithful,
     log_of,
     pi_times,
     working_bits,
-    working_dps,
     zeta_values,
     _at_one,
+    _finish,
+    _libmp_rows,
     _power_rows,
     _word,
     _ROOT_BITS_CAP,
@@ -58,11 +58,6 @@ def _shown(x: ScalarLike, q: Fraction, *edges: Fraction | int) -> str:
             return text
         digits *= 2
     return x
-
-
-def _rounding(v: mpf, count: int | float | Fraction | mpf) -> mpf:
-    """``count (1 + |v|) 2**(1 - mp.prec)``: ``count`` faithful roundings of an mpf ``v``, first order."""
-    return mpmath.ldexp(count * (1 + abs(v)), 1 - mpmath.mp.prec)
 
 
 def zeta(s: ScalarLike, prec: int) -> BigReal:
@@ -131,42 +126,6 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
 # ---------------------------------------------------------------------------
 # Polylogarithms
 # ---------------------------------------------------------------------------
-
-
-#: Most series terms DILOG_REFLECTION sums: about 1 s on a 2-core x86-64 VM.
-LI_DIRECT_TERM_CAP = 100_000
-
-
-def _li_direct(n: int, z: mpf, wd: int, shown: str) -> tuple[mpf, mpf]:
-    """Li_n(z), 0 < z < 1, by its power series: (value, bound), for DILOG_REFLECTION.
-
-    Sums the fewest terms ``N`` whose tail bound ``|z|**(N+1) / ((1 - |z|)
-    (N+1)**n)`` meets ``10**-(wd - 2)``; past :data:`LI_DIRECT_TERM_CAP`
-    terms it raises :class:`TooLarge`, naming ``|z|`` as ``shown``.
-    """
-    az = abs(z)
-    decay, need = -mpmath.log(az), (wd - 2) * mpmath.log(10) - mpmath.log(1 - az)
-    if not decay:
-        raise TooLarge(f"the Li_{n} series needs unboundedly many terms at |z| within 1e-{wd} of 1")
-    lo, hi = 1, int(mpmath.ceil(need / decay))  # hi meets the bound without the (N+1)**n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (mid + 1) * decay + n * mpmath.log(mid + 1) >= need:
-            hi = mid
-        else:
-            lo = mid + 1
-    if hi > LI_DIRECT_TERM_CAP:
-        raise TooLarge(f"the Li_{n} series at |z| = {shown} needs {hi} terms, "
-                       f"past the cap {LI_DIRECT_TERM_CAP}")
-    value, p = mpf(0), mpf(1)
-    for k in range(1, hi + 1):
-        p *= z
-        value += p / mpf(k) ** n
-    tail = abs(p) * az / ((1 - az) * mpf(hi + 1) ** n)
-    # Term k is (k + 3) 2**-prec off (k products, a power, a quotient) and
-    # each sum 1 more, all on positive values below ``value``: at most
-    # (2 hi + 3) 2**-prec relative, hi + 2 counts.
-    return value, tail + _rounding(value, hi + 2)
 
 
 def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
@@ -278,15 +237,56 @@ def _primes_upto(limit: int) -> list[int]:
     return [i for i in range(2, limit + 1) if sieve[i]]
 
 
-#: The parameters each identity check reads; any other is refused.
+#: The parameters each identity check reads, its rational one first; any other is refused.
 _PARAMS = {IdentityKind.DILOG_REFLECTION: ("x",), IdentityKind.COTANGENT: ("x", "terms"),
            IdentityKind.EULER_PRODUCT: ("s", "prime_bound"), IdentityKind.PHI_FUNCEQ: ("s",)}
 
 
-def _param(params: Mapping[str, object], key: str) -> object:
-    if key not in params:
-        raise DomainError(f"identity check is missing parameter {key!r}")
-    return params[key]
+#: Most terms each Li_2 series of DILOG_REFLECTION sums: about 0.05 s at prec 100 on a 2-core x86-64 VM.
+LI_DIRECT_TERM_CAP = 100_000
+
+
+def _li_direct(z: Fraction, prec: int, given: ScalarLike) -> BigReal:
+    """Li_2(z), 0 < z < 1, by its power series in integer fixed point.
+
+    ``N`` terms, the fewest whose tail ``z**(N+1) / ((1 - z) (N+1)**2)`` is
+    planned in floats to meet ``2**-b``; past the cap :class:`TooLarge` shows
+    ``z`` as ``given``.  At ``F`` fraction bits and ``z = a/c`` the power
+    ``t_k = t_(k-1) a // c`` is at most ``k`` units below ``2**F z**k``, so
+    each term ``t_k // k**2`` is within 2 units, and the tail is at most
+    ``(t_N + N) a / c`` over ``(1 - z) (N+1)**2``, all in integers.
+    """
+    (a, c), b = z.as_integer_ratio(), working_bits(prec)
+    decay = math.log(c) - math.log(a) if 2 * a <= c else -math.log1p(-(c - a) / c)  # -log z
+    need = b * math.log(2) + math.log(c) - math.log(c - a)
+    meets = lambda n: 2 * math.log(n + 1) + (decay and (n + 1) * decay) >= need  # no float of a huge n
+    lo, n = 1, LI_DIRECT_TERM_CAP
+    while not meets(n):
+        lo, n = n + 1, 2 * n
+    while lo < n:
+        mid = (lo + n) // 2
+        lo, n = (lo, mid) if meets(mid) else (mid + 1, n)
+    if n > LI_DIRECT_TERM_CAP:
+        raise TooLarge(f"the Li_2 series at |z| = {_shown(given, z, 1)} needs {n} terms, "
+                       f"past the cap {LI_DIRECT_TERM_CAP}")
+    frac = b + n.bit_length() + 2
+    power, total = 1 << frac, 0
+    for k in range(1, n + 1):
+        power = power * a // c
+        total += power // (k * k)
+    return _finish(total, frac, 2 * n - (-(power + n) * a // ((c - a) * (n + 1) ** 2)), prec)
+
+
+def _sinc(f, q: Fraction, slope: Fraction, prec: int, c: BigReal | int = 1) -> BigReal:
+    """``f(q c) / (q c)`` for libmp's sin, sinh or ``sin(pi x)``, a rational ``q > 0`` and a ball ``c``.
+
+    It is ``2**e f(y 2**-e) / y`` for ``y = q 2**e c`` with ``q 2**e`` in
+    ``(2, 8)``: no ball is as small as ``q`` and the quotient does not
+    amplify, however small ``q`` is.  ``slope`` bounds its derivative in ``y``.
+    """
+    e = q.denominator.bit_length() - q.numerator.bit_length() + 2
+    y = BigReal.exact(q * 2 ** e, prec) * c
+    return faithful(lambda v, b, rnd: mpf_shift(f(mpf_shift(v, -e), b, rnd), e), y, slope) / y
 
 
 def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], prec: int) -> BigReal:
@@ -295,7 +295,9 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
     For exact identities the residual is numerical noise and shrinks with
     ``prec``; for truncated ones (the cotangent expansion, the finite
     Euler product) it measures the truncation and shrinks as the
-    truncation parameter grows.
+    truncation parameter grows.  The residual is ``abs`` of the ball of the
+    difference of the two sides, each its own route; its radius is the
+    bound.  Each domain is decided on the exact rational given.
 
     Parameters per kind:
 
@@ -306,12 +308,18 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
     * ``COTANGENT``: ``x`` in (0, pi), ``terms`` from 1 to
       ``numkernel.BERNOULLI_CAP // 2`` (:class:`TooLarge` past it, before
       any work).  Checks ``x cot x = 1 - 2 sum(zeta(2n) (x/pi)**2n)`` with
-      the even zetas taken from their exact rational closed forms.
+      the even zetas taken from their exact rational closed forms.  An
+      ``x`` above the ball of pi raises :class:`DomainError`, and one that
+      the ball of ``sin x`` cannot place below pi :class:`PrecisionNotMet`.
     * ``EULER_PRODUCT``: ``s`` > 1, ``prime_bound`` >= 2.  Checks
       ``prod(1 - p**-s) * zeta(s) = 1`` over primes up to the bound.
     * ``PHI_FUNCEQ``: ``s`` in (0, 1).  Checks the reflection formula
       ``phi(1-s)/phi(s) = -Gamma(s) (2**s - 1) cos(pi s / 2) /
       ((2**(s-1) - 1) pi**s)`` as a ratio-minus-one residual.
+
+    Besides libmp's pi, log and power, the checks take its cos, sin, gamma,
+    exp, sinh and ``sin(pi x)`` as faithful, through
+    :func:`~euler_periods.numkernel.faithful`.
     """
     check_prec(prec)
     kind = IdentityKind(kind)
@@ -319,94 +327,78 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
     if unused:
         raise DomainError(f"identity check {kind.value} takes no parameter {unused[0]!r}; "
                           f"it takes {', '.join(_PARAMS[kind])}")
-    wd = working_dps(prec)
+    missing = [key for key in _PARAMS[kind] if key not in params]
+    if missing:
+        raise DomainError(f"identity check is missing parameter {missing[0]!r}")
+    key = _PARAMS[kind][0]
+    raw = params[key]
+    q = as_fraction(raw, key)
 
     if kind is IdentityKind.DILOG_REFLECTION:
-        raw = _param(params, "x")
-        q = as_fraction(raw, "x")
         if not 0 < q < 1:
             raise DomainError(f"dilog reflection requires x in (0, 1), got {_shown(raw, q, 0, 1)}")
-        with mpmath.workdps(wd):
-            x = as_mpf(q)
-            li_x, b1 = _li_direct(2, x, wd, _shown(raw, q, 1))
-            li_1mx, b2 = _li_direct(2, 1 - x, wd, _shown(1 - q, 1 - q, 1))
-            resid = abs(li_x + li_1mx + mpmath.log(x) * mpmath.log(1 - x) - mpmath.pi ** 2 / 6)
-            # Both sides take the same rounded 1 - x.  The two logs and their
-            # product (|product| <= log(2)**2), pi**2/6 (3 roundings), and the
-            # sums (below pi**2/6; the last is exact): under 12 2**-prec.
-            err = b1 + b2 + _rounding(resid, 7)
-            return BigReal(resid, err, prec)
+        li_x, li_w = _li_direct(q, prec, raw), _li_direct(1 - q, prec, 1 - q)
+        pi = pi_times(1, prec)
+        return abs(li_x + li_w + log_of(q, prec) * log_of(1 - q, prec) - pi * pi / 6)
 
     if kind is IdentityKind.COTANGENT:
-        terms = _param(params, "terms")
+        terms = params["terms"]
         if not isinstance(terms, int) or terms < 1:
             raise DomainError(f"cotangent check needs an integer terms >= 1, got {terms!r}")
         bernoulli(2 * terms)  # term m takes B_2m: all built, or refused, before any work
-        with mpmath.workdps(wd):
-            x = as_mpf(as_fraction(_param(params, "x"), "x"))
-            if not (0 < x < mpmath.pi):
-                raise DomainError("cotangent check requires x in (0, pi)")
-            # 2 * sum(zeta(2n) (x/pi)^2n) == 2 * sum(r_n x^2n) with r_n exact.
-            acc = mpf(0)
-            for m in range(1, terms + 1):
-                r = zeta_even_closed(m)
-                acc += as_mpf(r) * x ** (2 * m)
-            resid = abs(x * mpmath.cot(x) - 1 + 2 * acc)
-            # Each positive term of acc is 5 2**-prec off (r_m as a Fraction 2,
-            # the power 2, the product 1) and each sum 1 more: (terms + 5)
-            # 2**-prec of acc.  x cot x is 3 2**-prec off on |x cot x| <= 1 +
-            # 2 acc + resid, and the two sums 1 each on sizes below that.
-            err = _rounding(resid + 2 * acc, terms + 5)
-            return BigReal(resid, err, prec)
+        pi = pi_times(1, prec)
+        above = as_fraction(pi.value) + as_fraction(pi.err)
+        if not 0 < q < above:
+            raise DomainError(f"cotangent check requires x in (0, pi), got {_shown(raw, q, 0, above)}")
+        # x < above < 2 pi, so a sine ball above 0 places x below pi.
+        x, sinc = BigReal.exact(q, prec), _sinc(mpf_sin, q, 1, prec)
+        if not mpf_lt(sinc.err._mpf_, sinc.value._mpf_):
+            raise PrecisionNotMet(f"cotangent check: at prec {prec} the ball of sin x holds 0 or less, "
+                                  f"so it cannot place x = {_shown(raw, q, above)} below pi")
+        # 2 * sum(zeta(2m) (x/pi)**2m) == 2 * sum(r_m x**2m), r_m exact, by Horner's rule in x**2.
+        x2, acc = x * x, BigReal.exact(0, prec)
+        for m in range(terms, 0, -1):
+            acc = (acc + zeta_even_closed(m)) * x2
+        return abs(faithful(mpf_cos, x, 1) / sinc - 1 + 2 * acc)
 
     if kind is IdentityKind.EULER_PRODUCT:
-        bound = _param(params, "prime_bound")
+        bound = params["prime_bound"]
         if not isinstance(bound, int) or bound < 2:
             raise DomainError(f"prime_bound must be an integer >= 2, got {bound!r}")
         if bound > MAX_PRIME_BOUND:
             raise TooLarge(f"prime_bound {bound} exceeds the cap {MAX_PRIME_BOUND}")
-        q = as_fraction(_param(params, "s"), "s")
         if not q > 1:
             raise DomainError("Euler product requires s > 1")
         z = zeta(q, prec)
-        with mpmath.workdps(wd):
-            s = as_mpf(q)
-            prod = mpf(1)
-            primes = _primes_upto(bound)
-            for p in primes:
-                prod *= 1 - mpf(p) ** (-s)
-            resid = abs(prod * z.value - 1)
-            # Each factor 1 - p**-s (p**-s < 1/2) and its product cost 4
-            # 2**-prec of prod, 2 counts; the product with zeta(s) and the
-            # sum 1 more.  The rounded s moves log(prod) by 2**(1-prec) s
-            # sum(log p / (p**s - 1)) <= 4 (log(bound) + 1) 2**-prec, at
-            # most 2 len(primes) + 2 counts.
-            err = prod * z.err + _rounding(resid, 4 * len(primes) + 3)
-            return BigReal(resid, err, prec)
+        # In units of 2**-b each row is within 3 of 2**b p**-s; with the product at
+        # most 2**b, a factor adds 3 units to its error and the floor 1.
+        b = working_bits(prec)
+        rows = _libmp_rows(q, _primes_upto(bound), b)
+        total = one = 1 << b
+        for row in rows:
+            total = total * (one - row) >> b
+        return abs(_finish(total, b, 4 * len(rows), prec) * z - 1)
 
     if kind is IdentityKind.PHI_FUNCEQ:
-        raw = _param(params, "s")
-        q = as_fraction(raw, "s")
         if not 0 < q < 1:
             raise DomainError(f"functional equation checked on s in (0, 1), got {_shown(raw, q, 0, 1)}")
-        inner = min(prec + 2, MAX_PREC)
-        lhs_num = phi(1 - q, inner)
-        lhs_den = phi(q, inner)
-        with mpmath.workdps(wd):
-            s, ln2 = as_mpf(q), mpmath.ln2
-            rhs = (-mpmath.gamma(s) * mpmath.expm1(s * ln2) * mpmath.sin(mpmath.pi * as_mpf(1 - q) / 2)
-                   / (mpmath.expm1(as_mpf(q - 1) * ln2) * mpmath.pi ** s))
-            ratio = lhs_num.value / (lhs_den.value * rhs)
-            resid = abs(ratio - 1)
-            rel = (lhs_num.err / abs(lhs_num.value) + lhs_den.err / abs(lhs_den.value))
-            # Relative to ratio ~ 1, in 2**-prec, where s, 1 - s and s - 1 are
-            # each 2 off from their Fractions: gamma 3.2 (|s psi(s)| <= 1.06),
-            # 2**s - 1 = expm1(s ln 2) 6.6 (its argument 4 off, scaled by x
-            # e**x / (e**x - 1) <= 1.39, and 1 rounding), cos(pi s / 2) =
-            # sin(pi (1 - s) / 2) 5 (its argument 4 off, scaled by a cot a <=
-            # 1), 2**(s-1) - 1 5 (likewise), pi**s 4.3 (s ln pi <= 1.15) and 6
-            # products and quotients: under 30, and ratio - 1 rounds once.
-            err = abs(ratio) * rel + _rounding(resid, 16)
-            return BigReal(resid, err, prec)
+        # With t = 1 - s, sinhc(w) = sinh(w)/w and S = sin(pi t/2)/(t/2): Gamma(s)
+        # = Gamma(1 + s)/s, 2**s - 1 = 2**(s/2) s ln 2 sinhc(s ln 2/2), cos(pi
+        # s/2) = t S/2 and 2**(s-1) - 1 = -2**(-t/2) t ln 2 sinhc(t ln 2/2), so
+        # s, t and ln 2 cancel exactly and the right side is Gamma(1 + s)
+        # sinhc(s ln 2/2) S / (sinhc(t ln 2/2) sqrt(2) pi**s), each factor
+        # near 1 however near s is to 0 or 1.  Each slope bounds |f'| on its
+        # ball: 1/3 for log pi, sqrt(2) pi < 9/2 for exp, gamma < 3/5 for
+        # Gamma on [1, 2], cosh(ln 2/2) < 17/16 for sinh and pi < 22/7 for
+        # sin(pi x).  It runs two digits higher, as phi does.
+        t, inner = 1 - q, min(prec + 2, MAX_PREC)
+        ln2 = log_of(2, inner)
+        log_pi = faithful(mpf_log, pi_times(1, inner), Fraction(1, 3))
+        scale = faithful(mpf_exp, BigReal.exact(q, inner) * log_pi + ln2 / 2, Fraction(9, 2))
+        gamma = faithful(mpf_gamma, BigReal.exact(1 + q, inner), Fraction(3, 5))
+        sinhc = [_sinc(mpf_sinh, w / 2, Fraction(17, 16), inner, ln2) for w in (q, t)]
+        rhs = gamma * sinhc[0] * _sinc(mpf_sin_pi, t / 2, Fraction(22, 7), inner) / (sinhc[1] * scale)
+        r = abs(phi(1 - q, inner) / (phi(q, inner) * rhs) - 1)
+        return BigReal(r.value, r.err, prec)
 
     raise AssertionError("unreachable")

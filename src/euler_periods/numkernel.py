@@ -52,6 +52,8 @@ makes ``v`` (as Arb does, arXiv:1611.02831), on the premises that libmp's
 Each :class:`BigReal` constructor and ``+ - * /``, :func:`pi_times` and
 :func:`log_of` add their counts to the propagated radius in integers and
 round the sum upward, so the square of a relative error is in it too.
+:func:`faithful` takes any other libmp function as faithful: one count,
+plus a slope the caller proves times the radius.
 
 The rows ``floor(2**b k**-s)`` of the Euler-Maclaurin and Chebyshev bodies
 need no premise: :func:`_power_rows` computes them as exact integer floors
@@ -73,9 +75,6 @@ working_bits(prec)`` bits and adds ``(|total| >> b) + 1`` units for it.
 :func:`zeta_values` converts nothing: it hands over its integer sums and
 unit bounds at the same ``b``, proved in its docstring, and
 ``gamma_const("ZETA_SERIES")`` divides them into its Chebyshev rows.
-
-A first-order count in an mpmath context is left only in the identity
-checks of :mod:`.eulerfun`; no value an evaluator returns depends on it.
 
 Iterated integrals at 1/2
 -------------------------
@@ -171,13 +170,6 @@ def check_prec(prec: int) -> int:
     if isinstance(prec, bool) or not isinstance(prec, int) or not (MIN_PREC <= prec <= MAX_PREC):
         raise DomainError(f"prec must be an integer in [{MIN_PREC}, {MAX_PREC}], got {prec!r}")
     return prec
-
-
-def as_mpf(x: ScalarLike) -> mpf:
-    """Convert to mpf under the ambient precision.  Strings are decimal."""
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
 
 
 def as_fraction(x: ScalarLike, what: str = "the number") -> Fraction:
@@ -685,9 +677,9 @@ def bound_text(err: mpf, digits: int) -> str:
 
 
 def pi_times(k: int, prec: int) -> BigReal:
-    """``k * pi`` at the working precision of ``prec``, with its two roundings."""
-    b = _BITS[prec]
-    return _ball(mpf_mul_int(mpf_pi(b, RN), k, b, RN), prec, 2 - b)  # pi, then the product
+    """``k * pi`` at the working precision of ``prec``: pi rounds, then the product, exact if ``|k| = 2**j``."""
+    b, m = _BITS[prec], abs(k)
+    return _ball(mpf_mul_int(mpf_pi(b, RN), k, b, RN), prec, (2 if m & m - 1 else 1) - b)
 
 
 def log_of(q: int | Fraction, prec: int) -> BigReal:
@@ -704,6 +696,16 @@ def log_of(q: int | Fraction, prec: int) -> BigReal:
         return _new_ball(fzero, 0, 0, prec)
     b = _BITS[prec]
     return _ball(mpf_log(_quotient(num, den, b), b, RN), prec, 2 - b)  # the quotient, then the log
+
+
+def faithful(f, x: BigReal, slope: int | Fraction) -> BigReal:
+    """``f(x)`` for a libmp function ``f(v, b, rnd)`` taken as faithful, at ``b = working_bits(x.prec)``.
+
+    One count at the midpoint, plus ``slope`` times the radius, where the
+    caller proves ``|f'| <= slope`` over the ball.
+    """
+    b, (num, den) = _BITS[x._prec], slope.as_integer_ratio()
+    return _ball(f(x._mid, b, RN), x._prec, 1 - b, ((-(-num * x._man << 32) // den, x._exp - 32),))
 
 
 def _finish(total: int, frac_bits: int, units: int, prec: int) -> BigReal:
@@ -816,10 +818,8 @@ def _power_rows(s: Fraction, n: int, bits: int) -> list[int]:
 
     Rows never grow with ``k``, so once a row is 0 the rest are.  Once ``s
     > bits`` every row past the first is 0 and no ``k**p`` is formed, so a
-    huge ``s`` costs nothing.  Past :data:`_ROOT_BITS_CAP` for ``q *
-    bits`` row ``k`` is the floor of libmp's power ``k**-s`` at ``bits``
-    bits instead, of ``s`` rounded to ``bits`` bits, within 2 units on the
-    premise that the power is faithful.
+    huge ``s`` costs nothing.  Past :data:`_ROOT_BITS_CAP` for ``q * bits``
+    the rows are :func:`_libmp_rows`.
 
     Cost at prec 100 (143 rows): 34 roots and 108 products, of which 11
     need the check at ``s = 37/11`` and 90 at ``s = 1/2``.  At ``s =
@@ -830,9 +830,7 @@ def _power_rows(s: Fraction, n: int, bits: int) -> list[int]:
     if p > bits * q:  # 2**bits k**-s <= 2**(bits - s) < 1 for k >= 2
         return [1 << bits] + [0] * (n - 1)
     if q * bits > _ROOT_BITS_CAP:
-        minus_s = mpf_neg(_quotient(p, q, bits))
-        return [to_int(mpf_shift(mpf_pow(from_int(k), minus_s, bits, RN), bits), round_floor)
-                for k in range(1, n + 1)]
+        return _libmp_rows(s, range(1, n + 1), bits)
     one = 1 << bits * q
     if q == 1:
         return [one // k ** p for k in range(1, n + 1)]
@@ -854,6 +852,16 @@ def _power_rows(s: Fraction, n: int, bits: int) -> list[int]:
             return rows + [0] * (n + 1 - k)
         rows.append(y)
     return rows
+
+
+def _libmp_rows(s: Fraction, ks: Sequence[int], bits: int) -> list[int]:
+    """``floor(2**bits k**-s')`` for each ``k``, from libmp's power of ``s`` rounded to ``s'`` at ``bits`` bits.
+
+    Within 2 units on the premise that the power is faithful; ``s'`` moves
+    ``2**bits k**-s`` by at most ``s log(k) k**-s <= 1/e`` units more.
+    """
+    minus_s = mpf_neg(_quotient(s.numerator, s.denominator, bits))
+    return [to_int(mpf_shift(mpf_pow(from_int(k), minus_s, bits, RN), bits), round_floor) for k in ks]
 
 
 def alt_terms_needed(prec: int) -> int:

@@ -661,6 +661,16 @@ def test_exit_two_unknown_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("x, codes", [("3.14159265358979", (0, 0)), ("3.1415926535897932384626433832795", (1, 0)),
+                                      ("3.1415926535897932384626433832795029", (1, 2))], ids=["1e-15", "1e-32", "above"])
+def test_cotangent_near_pi_exits_as_its_ball_of_pi_decides(capsys, x, codes):
+    # At --prec 15 and 50: 1 where the ball of pi holds x, 2 for an x above pi, never a traceback.
+    for prec, want in zip(("15", "50"), codes):
+        code, out, err = run(capsys, "identity-check", "cotangent", "--x", x, "--terms", "30", "--prec", prec)
+        assert code == want and "Traceback" not in err, (prec, code, err)
+        assert bool(out) == (code == 0)
+
+
 def test_exit_three_identity_tolerance(capsys):
     code, out, _ = run(capsys, "identity-check", "euler-product",
                        "--s", "2", "--prime-bound", "100", "--tol", "1e-9")

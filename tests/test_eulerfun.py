@@ -28,6 +28,8 @@ from euler_periods.eulerfun import (
 )
 from euler_periods.numkernel import (DIGIT_CAP, MAX_PREC, MIN_PREC, WEIGHT_CAP, em_sum, working_dps,
                                      zeta_values)
+from test_numkernel import _mp, ref_rounding
+from test_rounding import _true_residual
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +347,9 @@ def test_dilog_reflection_near_the_ends_plans_its_terms(x, prec):
 
 
 @pytest.mark.parametrize("x,message", [
-    (Fraction(1, 10 ** 6), r"needs 32199997 terms, past the cap 100000"),
-    # 1 - x rounds to 1 at the working precision.
-    (Fraction(1, 10 ** 30), r"needs unboundedly many terms"),
+    (Fraction(1, 10 ** 6), r"needs 38494116 terms, past the cap 100000"),
+    # 1 - x is taken exactly, so the plan sees how near 1 it is.
+    (Fraction(1, 10 ** 30), r"needs \d{28} terms, past the cap 100000"),
 ], ids=["1e-6", "1e-30"])
 def test_dilog_reflection_past_the_term_cap_is_too_large(x, message):
     with pytest.raises(TooLarge, match=message):
@@ -371,6 +373,28 @@ def test_cotangent_residual_shrinks_with_terms():
 def test_cotangent_parameter_validation(params):
     with pytest.raises(DomainError):
         identity_residual(IdentityKind.COTANGENT, params, 15)
+
+
+#: x near pi, each at --prec 15 and 50, with how the check must end: a bound
+#: that covers the residual, PrecisionNotMet when the ball of pi holds x, or
+#: DomainError for the x above pi.
+NEAR_PI = [("3.14159265358979", 15, None), ("3.14159265358979", 50, None),
+           ("3.1415926535897932384626433832795", 15, PrecisionNotMet),
+           ("3.1415926535897932384626433832795", 50, None),
+           ("3.1415926535897932384626433832795029", 15, PrecisionNotMet),
+           ("3.1415926535897932384626433832795029", 50, DomainError)]
+
+
+@pytest.mark.parametrize("x, prec, refused", NEAR_PI, ids=[f"{x}@{p}" for x, p, _ in NEAR_PI])
+def test_cotangent_near_pi_covers_its_residual_or_refuses(x, prec, refused):
+    # The bound missed the residual by 8e12 times, and an x above pi was accepted.
+    if refused:
+        with pytest.raises(refused):
+            identity_residual(IdentityKind.COTANGENT, {"x": x, "terms": 30}, prec)
+        return
+    r = identity_residual(IdentityKind.COTANGENT, {"x": x, "terms": 30}, prec)
+    with mpmath.workdps(130):
+        assert abs(r.value - _true_residual("COTANGENT", {"x": x, "terms": 30})) <= r.err
 
 
 def test_euler_product_residual_tracks_truncation():
@@ -422,7 +446,7 @@ def test_phi_funceq_domain(s):
                                Fraction(1, 10 ** 999), 1 - Fraction(1, 10 ** 200)],
                          ids=["1/3", "3/10", "1e-30", "1e-100", "1e-999", "1-1e-200"])
 def test_phi_funceq_near_both_ends_stays_within_its_bound(s, prec):
-    # 2**s - 1 and 2**(s-1) - 1 come from expm1 and cos(pi s / 2) from sin(pi (1 - s) / 2),
+    # s and 1 - s cancel exactly from Gamma(s) (2**s - 1) and cos(pi s / 2) / (2**(s-1) - 1),
     # so nothing cancels to 0 as s nears 0 or 1; phi takes s and 1 - s exactly.
     r = identity_residual(IdentityKind.PHI_FUNCEQ, {"s": s}, prec)
     assert r.certified()
@@ -707,23 +731,23 @@ def reference_polylog(n, z, prec):
 
     ``n = 1`` and the ``n = 2`` reflection window computed in an mpmath
     context at the working precision, with the first-order count of
-    :func:`eulerfun._rounding`; every other point goes to :func:`polylog`.
+    :func:`ref_rounding`; every other point goes to :func:`polylog`.
     """
     q = numkernel.as_fraction(z)
     w = 1 - q
     if n == 1:
         with mpmath.workdps(working_dps(prec)):
             # 1 - z rounds twice as a Fraction, moving the log by 2 2**-prec; the log once more.
-            v = -mpmath.log(numkernel.as_mpf(w))
-            return numkernel.BigReal(v, eulerfun._rounding(v, 2), prec)
+            v = -mpmath.log(_mp(w))
+            return numkernel.BigReal(v, ref_rounding(v, 2), prec)
     if not (n == 2 and Fraction(1, 2) < q < 1):
         return polylog(n, z, prec)
     li_w = numkernel._at_one(numkernel._word((2,), (1 / w,)), prec + 4)
     with mpmath.workdps(working_dps(prec + 4)):
-        log_w = mpmath.log(numkernel.as_mpf(w))
-        v = mpmath.pi ** 2 / 6 - mpmath.log(numkernel.as_mpf(q)) * log_w - li_w.value
+        log_w = mpmath.log(_mp(w))
+        v = mpmath.pi ** 2 / 6 - mpmath.log(_mp(q)) * log_w - li_w.value
         # pi**2/6 rounds 3 times, each log 3 counts on its size, the product and two sums once.
-        return numkernel.BigReal(v, li_w.err + eulerfun._rounding(v, 4 + 2 * abs(log_w)), prec)
+        return numkernel.BigReal(v, li_w.err + ref_rounding(v, 4 + 2 * abs(log_w)), prec)
 
 
 REFERENCE_GRID = [-1, 0, "0.3", Fraction(1, 2), Fraction(51, 100), Fraction(3, 4), Fraction(99, 100),

@@ -36,7 +36,7 @@ import pytest
 from mpmath import mpf
 
 from euler_periods.errors import DivergentIndex, DomainError, TooLarge
-from euler_periods.eulerfun import _rounding, phi, polylog, zeta
+from euler_periods.eulerfun import phi, polylog, zeta
 from euler_periods.mzv import (
     _log_poly_tail,
     mzv,
@@ -46,6 +46,7 @@ from euler_periods.mzv import (
     stuffle_residual,
 )
 from euler_periods.numkernel import BRUTEFORCE_STEP_CAP, WEIGHT_CAP, BigReal, _at_one, _word, working_dps
+from test_numkernel import ref_rounding
 
 
 def assert_close(x, ref, prec, slack=1):
@@ -136,7 +137,7 @@ def reference_bruteforce(idx, cutoff, prec):
     """The nested sum of :func:`mzv_bruteforce` as it was before BigReal: mpf running sums.
 
     Summed in an mpmath context at the working precision, with the
-    first-order count of :func:`eulerfun._rounding` in place of an enclosure.
+    first-order count of :func:`ref_rounding` in place of an enclosure.
     """
     d = len(idx)
     with mpmath.workdps(working_dps(prec)):
@@ -150,7 +151,7 @@ def reference_bruteforce(idx, cutoff, prec):
                 caps *= 1 + mpf(1) / (part - 1)
         tail = _log_poly_tail(cutoff, idx[-1], idx[:-1].count(1)) * caps
         # Each level adds (cutoff + 3) 2**-prec relative: d (cutoff + 3) / 2 counts.
-        return BigReal(s[d], tail + _rounding(s[d], d * (cutoff + 3) / 2), prec)
+        return BigReal(s[d], tail + ref_rounding(s[d], d * (cutoff + 3) / 2), prec)
 
 
 #: Indices with closed forms, each with a cutoff that keeps the sweep quick.

@@ -30,7 +30,6 @@ from euler_periods.numkernel import (
     accel_alt_sum,
     alt_terms_needed,
     as_fraction,
-    as_mpf,
     bernoulli,
     bound_text,
     check_digits,
@@ -415,7 +414,15 @@ def test_bigreal_is_immutable_and_compares_by_fields():
 
 
 def ref_rounding(v, count):
+    """``count (1 + |v|) 2**(1 - mp.prec)``: ``count`` roundings of an mpf ``v``, first order."""
     return mpmath.ldexp(count * (1 + abs(v)), 1 - mpmath.mp.prec)
+
+
+def _mp(x) -> mpf:
+    """``x`` as an mpf at the ambient precision; a Fraction's numerator rounds, then its quotient."""
+    if isinstance(x, Fraction):
+        return mpf(x.numerator) / x.denominator
+    return mpf(x)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -434,7 +441,7 @@ class RefReal:
     def exact(cls, x, prec):
         check_prec(prec)
         with mpmath.workdps(working_dps(prec)):
-            v = as_mpf(x)
+            v = _mp(x)
             # A Fraction or a decimal is exact when its rounded value is, as rationals.
             exact = as_fraction(v) == as_fraction(x) if isinstance(x, (str, Fraction)) else v == x
             if exact:
@@ -618,7 +625,7 @@ def seeded_scalars(rng, n):
 def wide_pair(rng, x, prec):
     """A BigReal and its reference with a value and a bound wider than ``prec`` carries."""
     with mpmath.workprec(rng.randint(50, 800)):
-        value = as_mpf(x) if not isinstance(x, str) else mpf(x)
+        value = _mp(x) if not isinstance(x, str) else mpf(x)
         err = mpf(rng.getrandbits(200)) / 2 ** rng.randint(190, 560) if rng.random() < 0.8 else mpf(0)
     return BigReal(value, err, prec), RefReal(value, err, prec)
 
@@ -823,20 +830,17 @@ def test_value_text_writes_the_midpoint_as_nstr_does():
 
 
 def test_rounding_matches_the_mpf_reference_and_pi_times_keeps_its_bits():
+    # pi rounds, then the product, which is exact when |k| is a power of 2.
     rng = random.Random(31)
-    values = [mpf(0), mpf(1), mpf(-3) / 7, mpf(2) ** -200]
-    factors = [1, 2, 7, 7.5, 2.0 / 3, Fraction(5, 3), mpf(1) / 3 + 4]
     for prec in range(MIN_PREC, MAX_PREC + 1):
+        k = rng.randint(-50, 50)
+        n = 2 if abs(k) & abs(k) - 1 else 1
         with mpmath.workdps(working_dps(prec)):
-            for v in values + [mpf(rng.getrandbits(400)) / 3]:
-                for count in factors:
-                    assert eulerfun._rounding(v, count)._mpf_ == ref_rounding(v, count)._mpf_
-            k = rng.randint(-50, 50)
             v = k * mpmath.pi
-            want = ref_rounding(v, 2)
+            want = ref_rounding(v, n)
         x = pi_times(k, prec)
         assert (x.value._mpf_, x.prec) == (v._mpf_, prec)
-        assert counts(v, prec, 2) <= rational(x.err) <= rational(want) * GROWTH
+        assert counts(v, prec, n) <= rational(x.err) <= rational(want) * GROWTH
 
 
 # ---------------------------------------------------------------------------
@@ -1195,7 +1199,7 @@ def em_sum_reference(s, n_split: int, bernoulli_terms: int, prec: int) -> tuple[
     """
     wd = working_dps(prec)
     with mpmath.workdps(wd):
-        sv = as_mpf(s)
+        sv = _mp(s)
         n = mpf(n_split)
         partial = mpmath.fsum(mpf(k) ** (-sv) for k in range(1, n_split + 1))
         integral = -mpmath.log(n) if sv == 1 else n ** (1 - sv) / (sv - 1)
@@ -1247,6 +1251,17 @@ def test_em_sum_takes_any_scalar_exponent_with_zeta_bits(s, prec):
     z = zeta(s, prec)
     x = em_sum(s, prec)
     assert (x.value._mpf_, x.err._mpf_) == (z.value._mpf_, z.err._mpf_)
+
+
+def test_pi_times_by_one_and_two_encloses_at_every_prec():
+    # Doubling is exact, so pi_times(1, .) and pi_times(2, .) count one rounding, not two.
+    with mpmath.workprec(2000):
+        pi = rational(+mpmath.pi)
+    for prec in range(MIN_PREC, MAX_PREC + 1):
+        for k in (1, 2):
+            x = pi_times(k, prec)
+            assert abs(k * pi - rational(x.value)) + Fraction(k, 2 ** 1990) <= rational(x.err), (k, prec)
+            assert rational(x.err) <= counts(x.value, prec) * GROWTH, (k, prec)
 
 
 @pytest.mark.parametrize("prec", [1, 15, 100])
@@ -1362,7 +1377,7 @@ def test_power_rows_past_the_root_cap_keep_the_mpmath_premise():
 def reference_rows_past_the_cap(s: Fraction, n: int, bits: int) -> list[int]:
     """Rows past the root cap as an mpf power computes them in an mpmath context of ``bits`` bits."""
     with mpmath.workprec(bits):
-        sv = as_mpf(s)
+        sv = _mp(s)
         return [int(mpmath.floor(mpmath.ldexp(mpf(k) ** -sv, bits))) for k in range(1, n + 1)]
 
 

@@ -1,15 +1,16 @@
 """The rounding rule: every declared bound covers the true error.
 
-The evaluators' values are enclosing ``BigReal`` balls or the integer
-engines' proved units; the identity checks alone count their rounding first
-order, with ``eulerfun._rounding``, one binary unit of the working precision
-per rounding a site performs.  A count that misses shows as a residual or an
-error above its bound, so this file checks the identity residuals on a grid
-of rational points and a seeded sweep of evaluator cells at random prec
-against mpmath at 130 digits.  No certified value may read mpmath's ambient
-precision: every value keeps its bits under an ambient 20 and 3000 bits.
+Every value the package returns, the identity residuals included, is an
+enclosing ``BigReal`` ball or an integer engine's proved units, counted by
+the one rule of :mod:`euler_periods.numkernel`.  A count that misses shows
+as a residual or an error above its bound, so this file checks the identity
+residuals at every prec and on a grid of rational points, and a seeded sweep
+of evaluator cells at random prec, against mpmath at 130 digits.  No
+certified value may read mpmath's ambient precision: every value keeps its
+bits under an ambient 20 and 3000 bits.
 """
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -21,6 +22,7 @@ from mpmath import mpf
 
 from euler_periods import eulerfun, g2, numkernel, symbolic
 from euler_periods.mzv import multiphi, mzv, mzv_bruteforce, p35_combination, stuffle_residual
+from make_bits import IDENTITY_ARGS
 
 GRID = sorted({Fraction(n, d) for d in range(2, 21) for n in range(1, d)})
 SEED = 20181013
@@ -35,6 +37,34 @@ def test_identity_residual_within_its_bound_on_the_grid(kind, key):
         r = eulerfun.identity_residual(kind, {key: x}, 15)
         if not abs(r.value) <= r.err:
             missed.append(x)
+    assert not missed, missed
+
+
+def _true_residual(kind, params):
+    """The residual each identity check should show, at the ambient precision: 0 for an exact identity."""
+    if kind == "COTANGENT":
+        x = _mp(Fraction(params["x"]))
+        series = mpmath.fsum(mpmath.zeta(2 * m) * (x / mpmath.pi) ** (2 * m) for m in range(1, params["terms"] + 1))
+        return abs(x * mpmath.cot(x) - 1 + 2 * series)
+    if kind == "EULER_PRODUCT":
+        s, bound = _mp(Fraction(params["s"])), params["prime_bound"]
+        primes = [p for p in range(2, bound + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        return abs(mpmath.fprod(1 - mpf(p) ** -s for p in primes) * mpmath.zeta(s) - 1)
+    return mpf(0)
+
+
+@pytest.mark.parametrize("kind, params", IDENTITY_ARGS,
+                         ids=[f"{k}({', '.join(f'{a}={v}' for a, v in p.items())})" for k, p in IDENTITY_ARGS])
+def test_identity_residual_certifies_and_covers_mpmath_at_every_prec(kind, params):
+    with mpmath.workdps(130):
+        true = _true_residual(kind, params)
+    missed = []
+    for prec in range(numkernel.MIN_PREC, numkernel.MAX_PREC + 1):
+        r = eulerfun.identity_residual(kind, params, prec)
+        assert r.certified() and r.prec == prec, prec
+        with mpmath.workdps(130):
+            if not abs(r.value - true) <= r.err:
+                missed.append(prec)
     assert not missed, missed
 
 
