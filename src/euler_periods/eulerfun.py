@@ -42,6 +42,7 @@ from .numkernel import (
     _libmp_rows,
     _power_rows,
     _word,
+    _zeta_pass,
     _ROOT_BITS_CAP,
 )
 
@@ -63,16 +64,23 @@ def _shown(x: ScalarLike, q: Fraction, *edges: Fraction | int) -> str:
 def zeta(s: ScalarLike, prec: int) -> BigReal:
     """Riemann zeta on the real ray ``s > 1``.
 
-    ``s`` is the exact rational it denotes, as in :func:`polylog`.
-    Evaluated by Euler-Maclaurin summation (partial sum, integral tail,
-    Bernoulli corrections).  Raises :class:`DomainError` for ``s <= 1``;
-    the ``s = 1`` series is harmonic and has no value to report.
+    ``s`` is the exact rational it denotes, as in :func:`polylog`.  At an
+    integer ``s`` (``3``, ``"3"``, ``3.0`` or ``Fraction(3)`` alike) it is
+    ``phi(s) 2**(s-1) / (2**(s-1) - 1)``: one Chebyshev pass over the rows
+    of :func:`phi`, then :func:`~euler_periods.numkernel._zeta_pass`, the
+    step :func:`~euler_periods.numkernel.zeta_values` takes, so ``zeta(n,
+    p)`` is the batch's integer for ``n`` at ``p``, finished by
+    :func:`~euler_periods.numkernel._finish`.  Every other ``s`` is
+    :func:`~euler_periods.numkernel.em_sum`'s Euler-Maclaurin sum (partial
+    sum, integral tail, Bernoulli corrections).  Raises
+    :class:`DomainError` for ``s <= 1``; the ``s = 1`` series is harmonic
+    and has no value to report.
 
-    Limit near the pole: the sum runs at ``working_dps(prec)`` digits
-    whatever ``s``, but its integral tail ``n**(1-s)/(s-1)`` carries the
-    last row's error times ``n/(s - 1)``, and the value itself is about
-    ``1/(s - 1)``, while the bound asked for is absolute, ``10**-prec``.  So
-    once ``1/(s - 1)`` eats the
+    Limit near the pole: the Euler-Maclaurin sum runs at
+    ``working_dps(prec)`` digits whatever ``s``, but its integral tail
+    ``n**(1-s)/(s-1)`` carries the last row's error times ``n/(s - 1)``,
+    and the value itself is about ``1/(s - 1)``, while the bound asked for
+    is absolute, ``10**-prec``.  So once ``1/(s - 1)`` eats the
     :data:`~euler_periods.numkernel.GUARD_DIGITS` guard digits the counted
     rounding misses it and :class:`PrecisionNotMet` is raised:
     ``zeta(1 + 10**-9, 50)`` certifies, ``zeta(1 + 10**-10, 50)`` and
@@ -84,7 +92,11 @@ def zeta(s: ScalarLike, prec: int) -> BigReal:
         raise DomainError(
             f"zeta requires s > 1, got s = {_shown(s, q, 1)}; "
             "the series diverges there (at s = 1 it is the harmonic series)")
-    return em_sum(q, prec)
+    if q.denominator > 1:
+        return em_sum(q, prec)
+    n, bits = alt_terms_needed(prec), working_bits(prec)
+    total, err = _zeta_pass(_power_rows(q, n, bits), q.numerator, n, bits)
+    return _finish(total, bits, err, prec).demand("zeta")
 
 
 def zeta_even_closed(n: int) -> Fraction:
@@ -109,8 +121,9 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
     :func:`~euler_periods.numkernel._power_rows`, ``b = working_bits(prec)``,
     go to :func:`~euler_periods.numkernel.accel_alt_sum` as they are: exact
     floors, within the one unit the engine allows a row.  If ``s`` has a
-    denominator past the rows' root cap, a row comes from mpmath's power,
-    within 2 units on its premise, and each row is passed a bound of 1.
+    denominator past the rows' root cap, a row comes from libmp's power,
+    within 3 units (:func:`~euler_periods.numkernel._libmp_rows`), and each
+    row is passed a bound of 2.
     Rows that floor to 0 end the series as a finite sum, whose bound covers
     the tail below one unit.
     """
@@ -119,7 +132,7 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
     if not q > 0:
         raise DomainError(f"phi requires s > 0, got s = {_shown(s, q, 0)}")
     n, bits = alt_terms_needed(prec), working_bits(prec)
-    bounds = [1] * n if q.denominator * bits > _ROOT_BITS_CAP else None
+    bounds = [2] * n if q.denominator * bits > _ROOT_BITS_CAP else None
     return accel_alt_sum(_power_rows(q, n, bits), prec, bounds)
 
 
@@ -132,12 +145,13 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
     """Real polylogarithm ``Li_n(z)`` for integer ``n >= 1``, ``z in [-1, 1]``.
 
     ``z`` is the exact rational it denotes: a decimal string as written, a
-    float or mpf as its binary value.  For ``n >= 2`` and ``z`` in ``[-1,
-    1/2]`` or ``z = 1`` the value is one call of the iterated-integral
-    engine of :mod:`.numkernel` on the word ``0**(n-1) (1/z)``; for ``n =
-    2`` on ``(1/2, 1)`` the reflection ``Li_2(z) = zeta(2) - log(z) log(1-z)
-    - Li_2(1-z)`` takes ``Li_2(1-z)`` from it, the rest a ``BigReal`` at
-    ``prec + 4``.  ``n = 1`` is ``-log(1 - z)``, the logs are
+    float or mpf as its binary value.  For ``n >= 2`` the endpoints are
+    ``Li_n(1) = zeta(n)`` and ``Li_n(-1) = -phi(n)``, those functions' own
+    bits; at ``z`` in ``(-1, 1/2]`` the value is one call of the
+    iterated-integral engine of :mod:`.numkernel` on the word ``0**(n-1)
+    (1/z)``; for ``n = 2`` on ``(1/2, 1)`` the reflection ``Li_2(z) =
+    zeta(2) - log(z) log(1-z) - Li_2(1-z)`` takes ``Li_2(1-z)`` from it, the
+    rest a ``BigReal`` at ``prec + 4``.  ``n = 1`` is ``-log(1 - z)``, the logs are
     :func:`~euler_periods.numkernel.log_of`'s, and ``z = 0`` an exact 0.
     Other ``z`` in ``(1/2, 1)`` raise :class:`DomainError`, as do ``|z| >
     1`` and ``(n, z) = (1, 1)``; a weight ``n`` above
@@ -163,7 +177,10 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
     if Fraction(1, 2) < q < 1 and n > 2:
         raise DomainError(f"Li_{n} is only evaluated on [-1, 1/2] and the endpoint 1; "
                           f"got z = {_shown(z, q, Fraction(1, 2), 1)}")
-    if q <= Fraction(1, 2) or q == 1:
+    if q in (1, -1):
+        _word((n,), (q,))  # raises TooLarge past numkernel.WEIGHT_CAP, as at the other points
+        return zeta(n, prec) if q == 1 else -phi(n, prec)
+    if q <= Fraction(1, 2):
         return _at_one(_word((n,), (1 / q,)), prec).demand("polylog")
     # Li_2(z) + Li_2(1-z) + log(z) log(1-z) = zeta(2), with 1-z in (0, 1/2).
     # The inner prec may pass MAX_PREC, so 6 is built as a ball: an operand
@@ -242,8 +259,9 @@ _PARAMS = {IdentityKind.DILOG_REFLECTION: ("x",), IdentityKind.COTANGENT: ("x", 
            IdentityKind.EULER_PRODUCT: ("s", "prime_bound"), IdentityKind.PHI_FUNCEQ: ("s",)}
 
 
-#: Most terms each Li_2 series of DILOG_REFLECTION sums: about 0.05 s at prec 100 on a 2-core x86-64 VM.
-LI_DIRECT_TERM_CAP = 100_000
+#: Most terms each Li_2 series of DILOG_REFLECTION sums: at the cap the integer loop takes about
+#: 0.8-0.9 s at prec 100 and 0.6 s at prec 15 on a shared 2-core x86-64 VM (1e5 terms about 0.05 s).
+LI_DIRECT_TERM_CAP = 2_000_000
 
 
 def _li_direct(z: Fraction, prec: int, given: ScalarLike) -> BigReal:

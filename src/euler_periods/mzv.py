@@ -1,10 +1,11 @@
 """Multiple zeta values and alternating sums of any depth, as iterated integrals.
 
-``mzv`` and ``multiphi`` are words over the letters ``{0, 1, -1}`` of the
-iterated-integral engine of :mod:`.numkernel`, whose bound is proved in
-that module's docstring; the index to word map is the one place depth
-enters.  :func:`mzv_bruteforce` is an independent oracle: a truncated
-nested sum with an elementary integral tail bound.
+From depth 2 on, ``mzv`` and ``multiphi`` are words over the letters ``{0,
+1, -1}`` of the iterated-integral engine of :mod:`.numkernel`, whose bound
+is proved in that module's docstring; the index to word map is the one
+place depth enters.  Depth 1 is ``zeta(n)`` and ``-phi(n)``, with those
+functions' own bits.  :func:`mzv_bruteforce` is an independent oracle: a
+truncated nested sum with an elementary integral tail bound.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
-from mpmath import mpf
 from mpmath.libmp import from_int, mpf_pow_int, round_nearest
 
 from .errors import DivergentIndex, DomainError, TooLarge
-from .eulerfun import zeta
-from .numkernel import (BRUTEFORCE_STEP_CAP, MAX_PREC, BigReal, check_prec, working_bits, working_dps,
+from .eulerfun import phi, zeta
+from .numkernel import (BRUTEFORCE_STEP_CAP, MAX_PREC, BigReal, as_fraction, check_prec, log_of, working_bits,
                         _at_one, _new_ball, _up, _word)
 
 
@@ -47,13 +46,17 @@ def mzv(idx: Sequence[int], prec: int) -> BigReal:
     The index is written inner-first: ``(n_1, ..., n_d)`` weights the
     smallest summation variable by ``n_1`` and the largest by ``n_d``, and
     admissibility means ``n_d >= 2``.  Inadmissible indices raise
-    :class:`DivergentIndex`.  Every depth is one engine call on the word
-    ``0**(n_d-1) 1 ... 0**(n_1-1) 1``.  A weight above
+    :class:`DivergentIndex`.  Depth 1 is :func:`~euler_periods.eulerfun.zeta`
+    of the part, bit for bit; every deeper index is one engine call on the
+    word ``0**(n_d-1) 1 ... 0**(n_1-1) 1``.  A weight above
     ``numkernel.WEIGHT_CAP`` raises :class:`TooLarge`.
     """
     idx = _admissible(idx)
     check_prec(prec)
-    return _at_one(_word(idx[::-1], [1] * len(idx)), prec).demand("mzv")
+    word = _word(idx[::-1], [1] * len(idx))  # raises TooLarge past numkernel.WEIGHT_CAP
+    if len(idx) == 1:
+        return zeta(idx[0], prec)
+    return _at_one(word, prec).demand("mzv")
 
 
 def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
@@ -67,10 +70,13 @@ def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
     at most the product of its unnested partial sums.  The sums enclose in
     :class:`~euler_periods.numkernel.BigReal`, each power ``m**-n`` libmp's
     at the working ``b`` bits, within ``|m**-n| 2**(1 - b)`` (``m**n`` at ``b
-    + 5`` bits, then one quotient), and ``err`` adds the tail bound, so the
-    value is certified without reference to any expansion used by
-    :func:`mzv`.  The weight cap of :func:`mzv` applies, and a ``cutoff *
-    depth`` past ``numkernel.BRUTEFORCE_STEP_CAP`` raises :class:`TooLarge`.
+    + 5`` bits, then one quotient).  The tail bound is an exact rational,
+    taken at the upper end of the ball of ``log(cutoff)``
+    (:func:`~euler_periods.numkernel.log_of`), and ``err`` is the radius plus
+    it, rounded upward, so the value is certified without reference to any
+    expansion used by :func:`mzv`.  The weight cap of :func:`mzv` applies,
+    and a ``cutoff * depth`` past ``numkernel.BRUTEFORCE_STEP_CAP`` raises
+    :class:`TooLarge`.
     """
     idx = _admissible(idx)
     d = len(idx)
@@ -88,33 +94,39 @@ def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
             t = mpf_pow_int(k, -idx[j - 1], b, round_nearest)
             term = _new_ball(t, *_up(t[1], t[2] + 1 - b), prec)
             s[j] += term * s[j - 1] if j > 1 else term  # s[0] is an exact 1
-    with mpmath.workdps(working_dps(prec)):
-        caps = math.prod(1 + mpf(1) / (part - 1) for part in idx[:-1] if part >= 2)  # inner sums' caps
-        tail = _log_poly_tail(cutoff, idx[-1], idx[:-1].count(1)) * caps
-    return BigReal(s[d].value, mpmath.fadd(s[d].err, tail, exact=True), prec)
+    ball = log_of(cutoff, prec)
+    log_k = as_fraction(ball.value) + as_fraction(ball.err)  # at or above log(cutoff)
+    caps = math.prod(1 + Fraction(1, part - 1) for part in idx[:-1] if part >= 2)  # inner sums' caps
+    tail = _log_poly_tail(cutoff, idx[-1], idx[:-1].count(1), log_k)
+    # The radius plus the tail, rounded up to a 32-bit radius as every ball's is.
+    num, den = (as_fraction(s[d].err) + tail * caps).as_integer_ratio()
+    e = num.bit_length() - den.bit_length() - 33
+    units = -((-num << max(-e, 0)) // (den << max(e, 0)))
+    return _new_ball(s[d].value._mpf_, *_up(units, e), prec)
 
 
-def _log_poly_tail(cutoff: int, q: int, r: int) -> mpf:
-    """Bound ``sum(l**-q (1 + log l)**r, l > cutoff)`` by its integral.
+def _log_poly_tail(cutoff: int, q: int, r: int, log_k: Fraction) -> Fraction:
+    """Bound ``sum(l**-q (1 + log l)**r, l > cutoff)`` by its integral, exactly.
 
     Uses ``int x**-q (log x)**j dx = j!/(q-1)**(j+1) * x**(1-q) *
-    sum(((q-1) log x)**i / i!, i <= j)`` evaluated at the cutoff; ``r`` is
-    the number of inner parts equal to 1 and ``q >= 2``.  For ``r <= 2``
-    the summand decreases for ``x >= 1``, so the integral bounds the sum.
+    sum(((q-1) log x)**i / i!, i <= j)`` evaluated at the cutoff, with
+    ``log_k`` at or above ``log(cutoff) > 0`` in place of the log: every
+    term grows with it, so the bound holds.  ``r`` is the number of inner
+    parts equal to 1 and ``q >= 2``.  For ``r <= 2`` the summand decreases
+    for ``x >= 1``, so the integral bounds the sum.
     For ``r >= 3`` it may first rise, up to ``x = e**(r/q - 1)``; the sum
     then exceeds the integral by at most its largest term, which is at most
     ``e`` times the integral.  :func:`mzv_bruteforce` stays covered,
     because ``(1 + log l)**r`` overstates the nested sum of its ``r`` parts
     equal to 1 by ``r! >= 6 > 1 + e``.
     """
-    k = mpf(cutoff)
-    lk = mpmath.log(k)
-    total = mpf(0)
+    y = (q - 1) * log_k
+    total, partial, power = Fraction(0), Fraction(0), Fraction(1)
     for j in range(r + 1):
-        ij = (math.factorial(j) / mpf(q - 1) ** (j + 1) * k ** (1 - q)
-              * mpmath.fsum(((q - 1) * lk) ** i / math.factorial(i) for i in range(j + 1)))
-        total += math.comb(r, j) * ij
-    return total
+        partial += power  # sum(y**i / i!, i <= j)
+        total += math.comb(r, j) * math.factorial(j) * partial / (q - 1) ** (j + 1)
+        power = power * y / (j + 1)
+    return total / cutoff ** (q - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +139,19 @@ def multiphi(idx: Sequence[int], prec: int) -> BigReal:
 
     The index is inner-first, as for :func:`mzv`, and every part ``>= 1``
     converges.  Depth 2 is ``sum((-1)**(k+l) k**-m l**-n, 0 < k < l)``,
-    and depth 1 is ``-phi(n)``.  The sum is ``I_1`` of the word ``0**(n_d-1)
-    -1 0**(n_(d-1)-1) 1 0**(n_(d-2)-1) -1 ...``, whose letters alternate
-    from -1 outermost, evaluated by the same engine as :func:`mzv`, at the
-    plan for ``prec``.  A weight above ``numkernel.WEIGHT_CAP`` raises
-    :class:`TooLarge`.
+    and depth 1 is ``-phi(n)``, the negated bits of
+    :func:`~euler_periods.eulerfun.phi`.  From depth 2 on the sum is ``I_1``
+    of the word ``0**(n_d-1) -1 0**(n_(d-1)-1) 1 0**(n_(d-2)-1) -1 ...``,
+    whose letters alternate from -1 outermost, evaluated by the same engine
+    as :func:`mzv`, at the plan for ``prec``.  A weight above
+    ``numkernel.WEIGHT_CAP`` raises :class:`TooLarge`.
     """
     idx = _parts(idx)
     check_prec(prec)
-    return _at_one(_word(idx[::-1], (-1, 1) * len(idx)), prec).demand("multiphi")
+    word = _word(idx[::-1], (-1, 1) * len(idx))  # raises TooLarge past numkernel.WEIGHT_CAP
+    if len(idx) == 1:
+        return -phi(idx[0], prec)
+    return _at_one(word, prec).demand("multiphi")
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,16 @@ Everything numerical in this package funnels through this module:
 * :func:`em_sum` evaluates ``sum(k**-s)`` for rational ``s >= 1``, the
   exact rational the exponent denotes, by partial sum plus integral tail
   plus Bernoulli correction terms (at ``s = 1`` the harmonic sum less ``log
-  n``).
+  n``); ``zeta`` at a non-integer ``s`` and ``gamma_const("EM")`` call it.
 * :func:`accel_alt_sum` evaluates an alternating series, given its leading
   terms as integer rows in fixed point and optionally a bound on each row's
   input error, by Chebyshev-weighted acceleration, needing O(digits) terms
   instead of exponentially many.  Its integer body :func:`_chebyshev` has
   three users: ``phi``, the outer pass of ``gamma_const("ZETA_SERIES")``,
-  and :func:`zeta_values`, which takes ``zeta(2), ..., zeta(top)`` from
-  ``phi(s)`` on one shared table of powers.
+  and :func:`_zeta_pass`, the one step from ``phi(s)`` to ``zeta(s)`` at an
+  integer ``s``.  That step serves ``zeta`` at an integer and
+  :func:`zeta_values`, which takes ``zeta(2), ..., zeta(top)`` on one shared
+  table of powers, so both give the same integers.
 * :func:`_at_one` evaluates the iterated integrals from 0 to 1 whose
   words give multiple zeta values, alternating sums and polylogarithms.
 
@@ -64,7 +66,8 @@ division, so :func:`em_sum`, :func:`zeta_values` and ``phi`` count proved
 units there.
 The one exception is an ``s`` whose denominator ``q`` has ``q b`` past
 :data:`_ROOT_BITS_CAP` (a binary ``s`` such as a float's, or ``1 +
-10**-9``): its rows come from libmp's power, on the premise above.
+10**-9``): its rows come from libmp's power, on the premise above, of ``s``
+rounded to ``b`` bits, and are counted within 3 units (:func:`_libmp_rows`).
 
 The three engines, :func:`em_sum`, :func:`accel_alt_sum` and the
 iterated-integral engine :func:`_at_one`, count their own units in
@@ -74,7 +77,8 @@ and :func:`accel_alt_sum` and below.  Each ends in the one shared finish
 working_bits(prec)`` bits and adds ``(|total| >> b) + 1`` units for it.
 :func:`zeta_values` converts nothing: it hands over its integer sums and
 unit bounds at the same ``b``, proved in its docstring, and
-``gamma_const("ZETA_SERIES")`` divides them into its Chebyshev rows.
+``gamma_const("ZETA_SERIES")`` divides them into its Chebyshev rows;
+``zeta`` at an integer converts the same pair by :func:`_finish`.
 
 Iterated integrals at 1/2
 -------------------------
@@ -857,8 +861,10 @@ def _power_rows(s: Fraction, n: int, bits: int) -> list[int]:
 def _libmp_rows(s: Fraction, ks: Sequence[int], bits: int) -> list[int]:
     """``floor(2**bits k**-s')`` for each ``k``, from libmp's power of ``s`` rounded to ``s'`` at ``bits`` bits.
 
-    Within 2 units on the premise that the power is faithful; ``s'`` moves
-    ``2**bits k**-s`` by at most ``s log(k) k**-s <= 1/e`` units more.
+    Within 3 units of ``2**bits k**-s``: 2 on the premise that the power is
+    faithful, and ``|s' - s| <= s 2**-bits`` moves ``2**bits k**-s`` by at
+    most ``s log(k) k**-s <= 1/e`` units more.  So ``phi`` passes each row
+    a bound of 2, and ``em_sum`` and EULER_PRODUCT count 3 units a row.
     """
     minus_s = mpf_neg(_quotient(s.numerator, s.denominator, bits))
     return [to_int(mpf_shift(mpf_pow(from_int(k), minus_s, bits, RN), bits), round_floor) for k in ks]
@@ -973,8 +979,11 @@ def zeta_values(top: int, prec: int) -> tuple[int, tuple[tuple[int, int], ...]]:
        = E + E // D``, moves it by less than one unit more: ``err = U +
        ceil(U/D) + 1``.
 
-    Rows never grow with ``s``, so the batch keeps two zero rows and drops
-    the rest.  A bound that misses raises :class:`PrecisionNotMet`.
+    Steps 2 and 3 are :func:`_zeta_pass`, which ``zeta`` at an integer runs
+    on the same floors from :func:`_power_rows`, so the two give the same
+    ``(total, err)``.  Rows never grow with ``s``, so the batch keeps two
+    zero rows and drops the rest.  A bound that misses raises
+    :class:`PrecisionNotMet`.
 
     Cost: ``top - 1`` passes, each ``n`` small floor divisions and one
     integer dot product against the cached weights, fewer once rows are 0;
@@ -1000,14 +1009,31 @@ def _zeta_batch(top: int, prec: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         rows = list(map(floordiv, rows, range(1, n + 1)))
         if not rows[-1]:
             rows = rows[:rows.index(0) + 2]
-        estimate, units = _chebyshev(rows, n)
-        den = (1 << s - 1) - 1
-        err = units - (-units // den) + 1
+        total, err = _zeta_pass(rows, s, n, bits)
         if err * scale > one:
             raise PrecisionNotMet(
                 f"zeta_values: zeta({s}) bound of {err} units of 2**-{bits} exceeds 1e-{prec}")
-        out.append((estimate + estimate // den, err))
+        out.append((total, err))
     return bits, tuple(out)
+
+
+def _zeta_pass(rows: Sequence[int], s: int, n: int, bits: int) -> tuple[int, int]:
+    """``(total, err)``: ``2**bits zeta(s)`` for an integer ``s >= 2`` from the rows of ``phi(s)``.
+
+    Steps 2 and 3 of :func:`zeta_values`' proof: one :func:`_chebyshev` pass
+    over ``rows``, the floors ``floor(2**bits k**-s)``, gives ``E`` within
+    ``U`` units of ``2**bits phi(s)``; with ``D = 2**(s-1) - 1``, ``total =
+    E + E // D`` and ``err = U + ceil(U/D) + 1``.  The one step from
+    ``phi(s)`` to ``zeta(s)``, shared by :func:`zeta_values` and
+    ``eulerfun.zeta`` at an integer.  Once ``s > bits + 2``, ``D`` exceeds
+    ``E`` and ``U``, so ``E // D = 0`` and ``ceil(U/D) = 1``, and ``2**(s-1)``
+    is not formed: a huge ``s`` costs nothing.
+    """
+    estimate, units = _chebyshev(rows, n)
+    if s > bits + 2:
+        return estimate, units + 2
+    den = (1 << s - 1) - 1
+    return estimate + estimate // den, units - (-units // den) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -1039,8 +1065,8 @@ def em_sum(s: ScalarLike, prec: int) -> BigReal:
     a series it does not describe.  The rows are exact floors, one unit off
     at most, for every ``s = p/q`` with ``q * bits`` within
     :data:`_ROOT_BITS_CAP` (every integer ``s``, and every ``s > bits``);
-    past the cap a row comes from libmp's power, within 2 units on the
-    premise that it is faithful.  With ``f(k) = k**-s`` this
+    past the cap a row comes from libmp's power, within 3 units
+    (:func:`_libmp_rows`).  With ``f(k) = k**-s`` this
     sums, in the integer fixed point of :func:`_em_power_sum`::
 
         sum(f(k), k=1..n) + I(n) - f(n)/2
@@ -1139,30 +1165,30 @@ def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
 
     Sums ``k**-s``, ``s = p/q >= 1``, split at ``n = len(rows)`` with ``J =
     terms`` Bernoulli corrections, in integer fixed point with ``bits``
-    fraction bits: ``rows[k-1]`` is ``2**bits k**-s`` within 2 units (1 for
-    the exact floors of :func:`_power_rows`, 2 past the root cap on
-    libmp's premise).  ``total`` is ``2**bits`` times the value,
-    ``correction`` the first omitted Bernoulli term in the same units, and
-    ``units`` counts the error of ``total``; :func:`em_sum` declares
-    ``|correction| + units`` units of ``2**-bits``.  The count is a proof,
-    in units of ``2**-bits``:
+    fraction bits: ``rows[k-1]`` is ``2**bits k**-s`` within ``r`` units,
+    ``r = 2`` for the exact floors of :func:`_power_rows` (1 unit of it
+    slack) and ``r = 3`` past the root cap (:func:`_libmp_rows`).  ``total``
+    is ``2**bits`` times the value, ``correction`` the first omitted
+    Bernoulli term in the same units, and ``units`` counts the error of
+    ``total``; :func:`em_sum` declares ``|correction| + units`` units of
+    ``2**-bits``.  The count is a proof, in units of ``2**-bits``:
 
     1. ``f(x) = x**-s`` is completely monotone, so the Euler-Maclaurin
        remainder after ``J`` corrections lies between 0 and the first
        omitted term ``B_2m/(2m)! poch(s, 2m-1) n**(1-s-2m)``, ``m = J + 1``.
-    2. The rows are off by at most 2 each: ``2 n`` units.
-    3. ``rows[-1] // 2`` is off by at most 1 for half a row's error and 1
-       for its floor: 2 units.  Two more go to the integral tail: at ``s =
-       1`` the ``-log n``, libmp's at 16 more bits, is faithful, under
+    2. The rows are off by at most ``r`` each: ``r n`` units.
+    3. ``rows[-1] // 2`` is off by at most half a row's error and half a
+       unit for its floor: 2 units.  Two more go to the integral tail: at
+       ``s = 1`` the ``-log n``, libmp's at 16 more bits, is faithful, under
        ``|log n| 2**-15 < 1`` unit, and its floor costs one; otherwise they
        cover the floor of ``tail // (p - q)`` and the floor taken of its
        share in step 5.
-    4. ``tail = rows[-1] n q`` is ``2**bits q n**(1-s)`` within ``2 n q``
-       units, ``tail_err``, since the last row is off by 2 at most.  Once
-       ``s >= bits + 2``, with ``shift = p // q - bits - 1``, the true last
-       row is ``2**bits n**-s <= 2**(1 - shift)`` and it floors to 0, so
-       the tail is within ``tail_err 2**-shift`` (0 at ``n = 1``, whose row
-       is exact).
+    4. ``tail = rows[-1] n q`` is ``2**bits q n**(1-s)`` within ``r n q``
+       units, ``tail_err``, since the last row is off by ``r`` at most.
+       Once ``s >= bits + 2``, with ``shift = p // q - bits - 1``, the
+       true last row is ``2**bits n**-s <= 2**(1 - shift)`` and it floors
+       to 0, so the tail is within ``tail_err 2**-shift`` (0 at ``n = 1``,
+       whose row is exact).
     5. The integral ``q n**(1-s) / (p - q)`` and each Bernoulli term, the
        omitted one too, are ``tail`` times an exact rational ``scale /
        den`` (``1 / (p - q)`` for the integral), so each carries ``tail_err
@@ -1175,7 +1201,6 @@ def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
     the sum up to the last correction kept; step 5 bounds ``2**bits`` times
     the true first omitted term by ``|correction|`` plus its share of
     ``units``; with step 1 the value is within ``|correction| + units``.
-    The rows' own 1 of the 2 in step 2 is slack for exact floors.
 
     Cost: one pass over the rows and ``J + 1`` Bernoulli terms of a few
     exact integer products and one floor division each; a term's unit
@@ -1183,10 +1208,11 @@ def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
     """
     n = len(rows)
     p, q = s.as_integer_ratio()
+    r = 3 if q * bits > _ROOT_BITS_CAP else 2
     tail = rows[-1] * n * q  # q n**(1-s)
-    tail_err = 2 * n * q  # the tail's error, times 2**shift
+    tail_err = r * n * q  # the tail's error, times 2**shift
     shift = max(p // q - bits - 1, 0)
-    units = 2 * n + 4
+    units = r * n + 4
     if p == q:
         integral = to_int(mpf_neg(mpf_shift(mpf_log(from_int(n), bits + 16, RN), bits)), round_floor)
     else:

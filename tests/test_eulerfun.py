@@ -27,7 +27,7 @@ from euler_periods.eulerfun import (
     zeta_even_closed,
 )
 from euler_periods.numkernel import (DIGIT_CAP, MAX_PREC, MIN_PREC, WEIGHT_CAP, em_sum, working_dps,
-                                     zeta_values)
+                                     zeta_values, _at_one, _word)
 from test_numkernel import _mp, ref_rounding
 from test_rounding import _true_residual
 
@@ -185,10 +185,12 @@ def test_li3_half_closed_form():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_li_at_one_is_zeta(n):
+    # polylog(n, 1) is zeta(n)'s bits; the engine on the word 0**(n-1) 1 is another route.
     prec = 20
-    x = polylog(n, 1, prec)
-    with mpmath.workdps(working_dps(prec)):
-        assert abs(x.value - mpmath.zeta(n)) <= mpf(10) ** (-prec)
+    x, engine = polylog(n, 1, prec), _at_one(_word((n,), (1,)), prec)
+    with mpmath.workdps(130):
+        assert abs(x.value - mpmath.zeta(n)) <= x.err
+        assert abs(x.value - engine.value) <= x.err + engine.err
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -338,19 +340,21 @@ def test_dilog_reflection_domain(x):
         identity_residual(IdentityKind.DILOG_REFLECTION, {"x": x}, 15)
 
 
-@pytest.mark.parametrize("x,prec", [(Fraction(1, 1000), 15), (Fraction(1, 100), 100),
+@pytest.mark.parametrize("x,prec", [(Fraction(1, 1000), 15), (Fraction(1, 3000), 15), (Fraction(1, 100), 100),
                                     (Fraction(99, 100), 100)], ids=str)
 def test_dilog_reflection_near_the_ends_plans_its_terms(x, prec):
-    # Tens of thousands of terms of Li_2(1 - x), planned from |z| and prec.
+    # Tens of thousands of terms of Li_2(1 - x), planned from |z| and prec;
+    # 1/3000 at prec 15 plans 132081, past the cap of 100000 the loop once had.
     r = identity_residual(IdentityKind.DILOG_REFLECTION, {"x": x}, prec)
     assert r.certified() and r.value <= r.err
 
 
 @pytest.mark.parametrize("x,message", [
-    (Fraction(1, 10 ** 6), r"needs 38494116 terms, past the cap 100000"),
+    (Fraction(1, 50000), r"needs 2067324 terms, past the cap 2000000"),
+    (Fraction(1, 10 ** 6), r"needs 38494116 terms, past the cap 2000000"),
     # 1 - x is taken exactly, so the plan sees how near 1 it is.
-    (Fraction(1, 10 ** 30), r"needs \d{28} terms, past the cap 100000"),
-], ids=["1e-6", "1e-30"])
+    (Fraction(1, 10 ** 30), r"needs \d{28} terms, past the cap 2000000"),
+], ids=["2e-5", "1e-6", "1e-30"])
 def test_dilog_reflection_past_the_term_cap_is_too_large(x, message):
     with pytest.raises(TooLarge, match=message):
         identity_residual(IdentityKind.DILOG_REFLECTION, {"x": x}, 15)
@@ -520,16 +524,26 @@ def counted(monkeypatch, name: str, module=numkernel) -> list:
     return calls
 
 
-ZETA_EXPONENTS = [Fraction(101, 100), Fraction(6, 5), Fraction(3, 2), 2, Fraction(7, 3), 3, 5, 8, 10]
-
-
-@pytest.mark.parametrize("s", ZETA_EXPONENTS, ids=str)
+@pytest.mark.parametrize("s", [Fraction(101, 100), Fraction(6, 5), Fraction(3, 2), Fraction(7, 3), "2.5"],
+                         ids=str)
 def test_zeta_runs_one_planned_em_sum_at_every_prec(s, monkeypatch):
-    calls = counted(monkeypatch, "em_sum", eulerfun)
+    # A non-integer s is Euler-Maclaurin's: one planned em_sum, no phi pass.
+    calls, steps = counted(monkeypatch, "em_sum", eulerfun), counted(monkeypatch, "_zeta_pass", eulerfun)
     for prec in ALL_PRECS:
         calls.clear()
         z = zeta(s, prec)
-        assert len(calls) == 1, prec
+        assert (len(calls), len(steps)) == (1, 0), prec
+        assert_covers(z, lambda: mpmath.zeta(exact(s)), prec)
+
+
+@pytest.mark.parametrize("s", [2, 3, 5, 8, 10, "3", 3.0, Fraction(3), 40], ids=repr)
+def test_integer_zeta_runs_one_phi_pass_at_every_prec(s, monkeypatch):
+    # An integer s, however written, is the phi pass's: one shared step, no em_sum.
+    calls, steps = counted(monkeypatch, "em_sum", eulerfun), counted(monkeypatch, "_zeta_pass", eulerfun)
+    for prec in ALL_PRECS:
+        steps.clear()
+        z = zeta(s, prec)
+        assert (len(calls), len(steps)) == (0, 1), prec
         assert_covers(z, lambda: mpmath.zeta(exact(s)), prec)
 
 
@@ -606,16 +620,19 @@ def test_dilog_reflection_window_certifies_and_covers_at_every_prec(z):
 
 
 def test_polylog_makes_one_engine_call(monkeypatch):
-    engine = counted(monkeypatch, "_at_one", eulerfun)
-    others = [counted(monkeypatch, "_li_direct", eulerfun),
-              counted(monkeypatch, "accel_alt_sum", eulerfun), counted(monkeypatch, "em_sum", eulerfun)]
+    # Li_n(1) is zeta's one phi pass and Li_n(-1) phi's one Chebyshev pass, with no
+    # engine call; every other point is one engine call.
+    passes = [counted(monkeypatch, name, eulerfun) for name in ("_at_one", "_zeta_pass", "accel_alt_sum")]
+    others = [counted(monkeypatch, "_li_direct", eulerfun), counted(monkeypatch, "em_sum", eulerfun)]
     cases = [(n, z) for n in (2, 3, 5) for z in POLYLOG_POINTS]
     cases += [(2, z) for z in REFLECTION_POINTS]
     for prec in (1, 15, 50, 100):
         for n, z in cases:
-            engine.clear()
+            for calls in passes:
+                calls.clear()
             polylog(n, z, prec)
-            assert len(engine) == 1, (n, z, prec)
+            route = (0, 1, 0) if z == 1 else (0, 0, 1) if z == -1 else (1, 0, 0)
+            assert tuple(map(len, passes)) == route, (n, z, prec)
     assert not any(others)
 
 
@@ -643,6 +660,11 @@ def test_polylog_weight_cap():
         polylog(WEIGHT_CAP + 1, Fraction(1, 2), 15)
     with pytest.raises(TooLarge):
         polylog(10 ** 9, Fraction(-1, 3), 15)
+    # The endpoints call zeta and phi, which have no weight, after the same check.
+    assert polylog(WEIGHT_CAP, 1, 15) == zeta(WEIGHT_CAP, 15)
+    for z in (1, -1):
+        with pytest.raises(TooLarge, match=f"weight {WEIGHT_CAP + 1} exceeds"):
+            polylog(WEIGHT_CAP + 1, z, 15)
 
 
 def test_polylog_of_a_decimal_at_the_digit_cap_certifies_quickly():

@@ -28,6 +28,7 @@ arithmetic and word convention.
 """
 
 import importlib
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -45,7 +46,8 @@ from euler_periods.mzv import (
     p35_combination,
     stuffle_residual,
 )
-from euler_periods.numkernel import BRUTEFORCE_STEP_CAP, WEIGHT_CAP, BigReal, _at_one, _word, working_dps
+from euler_periods.numkernel import (BRUTEFORCE_STEP_CAP, MAX_PREC, MIN_PREC, WEIGHT_CAP, BigReal,
+                                     working_dps, zeta_values, _at_one, _finish, _word)
 from test_numkernel import ref_rounding
 
 
@@ -60,10 +62,13 @@ def assert_close(x, ref, prec, slack=1):
 
 
 def test_singleton_is_zeta():
+    # mzv((3,)) is zeta(3)'s bits; the engine on its word 0 0 1 is checked on its own.
     prec = 25
-    x = mzv((3,), prec)
-    with mpmath.workdps(working_dps(prec)):
-        assert_close(x, mpmath.zeta(3), prec)
+    x, engine = mzv((3,), prec), _at_one([0, 0, 1], prec)
+    assert engine.certified()
+    with mpmath.workdps(130):
+        assert abs(engine.value - mpmath.zeta(3)) <= engine.err
+        assert abs(x.value - mpmath.zeta(3)) <= x.err
 
 
 def test_euler_sum_formula():
@@ -149,7 +154,9 @@ def reference_bruteforce(idx, cutoff, prec):
         for part in idx[:-1]:
             if part >= 2:
                 caps *= 1 + mpf(1) / (part - 1)
-        tail = _log_poly_tail(cutoff, idx[-1], idx[:-1].count(1)) * caps
+        log_k = Fraction(math.log(cutoff)) + Fraction(1, 10 ** 9)  # at or above log(cutoff)
+        tail = _log_poly_tail(cutoff, idx[-1], idx[:-1].count(1), log_k)
+        tail = mpf(tail.numerator) / tail.denominator * caps
         # Each level adds (cutoff + 3) 2**-prec relative: d (cutoff + 3) / 2 counts.
         return BigReal(s[d], tail + ref_rounding(s[d], d * (cutoff + 3) / 2), prec)
 
@@ -284,13 +291,14 @@ def test_multiphi_negative_and_matches_lerch_route(m, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_multiphi_depth_one_is_minus_phi(n):
-    # The engine word 0**(n-1) -1 against the Chebyshev route of phi, and mpmath.
+    # multiphi((n,)) is -phi(n)'s bits; the engine word 0**(n-1) -1 and mpmath are other routes.
     for prec in (1, 15, 50, 100):
-        x, ref = multiphi((n,), prec), phi(n, prec)
-        assert x.certified()
+        x, engine = multiphi((n,), prec), _at_one(_word((n,), (-1,)), prec)
+        assert x.certified() and engine.certified()
         with mpmath.workdps(130):
-            assert abs(x.value + ref.value) <= x.err + ref.err
+            assert abs(x.value - engine.value) <= x.err + engine.err
             assert abs(x.value + mpmath.altzeta(n)) <= x.err
+            assert abs(engine.value + mpmath.altzeta(n)) <= engine.err
 
 
 @pytest.mark.parametrize("idx", [(1, 2, 3), (2, 1, 3), (2, 2, 2), (1, 1, 1, 3)])
@@ -342,6 +350,12 @@ def test_weight_cap():
             mzv(idx, 15)
     with pytest.raises(TooLarge):
         multiphi((1, WEIGHT_CAP), 15)
+    # Depth 1 calls zeta and phi, which have no weight, after the same check.
+    assert mzv((WEIGHT_CAP,), 15) == zeta(WEIGHT_CAP, 15)
+    assert multiphi((WEIGHT_CAP,), 15) == -phi(WEIGHT_CAP, 15)
+    for depth_one in (mzv, multiphi):
+        with pytest.raises(TooLarge, match=f"weight {WEIGHT_CAP + 1} exceeds"):
+            depth_one((WEIGHT_CAP + 1,), 15)
     with pytest.raises(TooLarge):
         mzv_bruteforce((2, WEIGHT_CAP - 1), 10, 15)
 
@@ -528,13 +542,50 @@ def test_multiphi_one_three_matches_the_polylog_route(prec):
 
 @pytest.mark.parametrize("n", [2, 3, 7])
 def test_engine_depth_one_agrees_with_zeta(n):
-    # The Hoelder split of the word 0**(n-1) 1 against the Euler-Maclaurin route.
+    # The Hoelder split of the word 0**(n-1) 1 against mpmath's zeta, which mzv((n,)) no longer runs.
+    with mpmath.workdps(130):
+        ref = mpmath.zeta(n)
     for prec in range(1, 101, 9):
         x = _at_one([0] * (n - 1) + [1], prec)
-        ref = zeta(n, prec)
-        with mpmath.workdps(working_dps(prec) + 10):
-            assert abs(x.value - ref.value) <= x.err + ref.err
+        with mpmath.workdps(130):
+            assert abs(x.value - ref) <= x.err
         assert x.certified()
+
+
+#: The integer arguments whose zeta and phi have one route each.
+ONE_ROUTE = range(2, 21)
+
+
+def test_zeta_at_an_integer_has_one_route_at_every_prec():
+    # zeta(n), mzv((n,)), polylog(n, 1) and the zeta_values entry, finished, are one set of bits.
+    with mpmath.workdps(130):
+        refs = [mpmath.zeta(n) for n in ONE_ROUTE]
+    for prec in range(MIN_PREC, MAX_PREC + 1):
+        bits, batch = zeta_values(ONE_ROUTE[-1], prec)
+        for n, (total, err), ref in zip(ONE_ROUTE, batch, refs):
+            x = zeta(n, prec)
+            assert x == mzv((n,), prec) == polylog(n, 1, prec) == _finish(total, bits, err, prec), (n, prec)
+            assert x.certified(), (n, prec)
+            with mpmath.workdps(130):
+                assert abs(x.value - ref) <= x.err, (n, prec)
+
+
+def test_phi_at_an_integer_has_one_route_at_every_prec():
+    # phi(n), -polylog(n, -1) and -multiphi((n,)) are one set of bits; phi(1) and -multiphi((1,)) too.
+    with mpmath.workdps(130):
+        refs = [mpmath.altzeta(n) for n in ONE_ROUTE]
+        ln2 = mpmath.log(2)
+    for prec in range(MIN_PREC, MAX_PREC + 1):
+        for n, ref in zip(ONE_ROUTE, refs):
+            x = phi(n, prec)
+            assert x == -polylog(n, -1, prec) == -multiphi((n,), prec), (n, prec)
+            assert x.certified(), (n, prec)
+            with mpmath.workdps(130):
+                assert abs(x.value - ref) <= x.err, (n, prec)
+        x = phi(1, prec)
+        assert x == -multiphi((1,), prec) and x.certified(), prec
+        with mpmath.workdps(130):
+            assert abs(x.value - ln2) <= x.err, prec
 
 
 # ---------------------------------------------------------------------------

@@ -1245,12 +1245,22 @@ def test_em_sum_agrees_with_textbook_tail_with_few_terms(terms, monkeypatch):
 
 
 @pytest.mark.parametrize("prec", [1, 15, 100])
-@pytest.mark.parametrize("s", [3, Fraction(5, 2), "2.5", mpf("2.5"), Fraction(7, 3), "1.7"],
+@pytest.mark.parametrize("s", [Fraction(5, 2), "2.5", mpf("2.5"), Fraction(7, 3), "1.7"],
                          ids=repr)
 def test_em_sum_takes_any_scalar_exponent_with_zeta_bits(s, prec):
     z = zeta(s, prec)
     x = em_sum(s, prec)
     assert (x.value._mpf_, x.err._mpf_) == (z.value._mpf_, z.err._mpf_)
+
+
+@pytest.mark.parametrize("prec", [1, 15, 100])
+def test_em_sum_at_an_integer_covers_zeta_and_agrees_with_the_phi_route(prec):
+    # zeta at an integer takes the phi pass, so em_sum(3) is an independent route to it.
+    x, z = em_sum(3, prec), zeta(3, prec)
+    assert x.certified()
+    with mpmath.workdps(130):
+        assert abs(x.value - mpmath.zeta(3)) <= x.err
+        assert abs(x.value - z.value) <= x.err + z.err
 
 
 def test_pi_times_by_one_and_two_encloses_at_every_prec():
@@ -1372,6 +1382,20 @@ def test_power_rows_past_the_root_cap_keep_the_mpmath_premise():
         rows = numkernel._power_rows(s, 40, bits)
         with mpmath.workprec(2 * bits + 200):
             assert all(abs(a - v) <= 2 for a, v in zip(rows, scaled_powers(s, 40, bits))), s
+
+
+@pytest.mark.parametrize("bits", [37, 86, 202, 369])
+def test_libmp_rows_lie_within_the_three_counted_units(bits):
+    # Each row is within 3 units of 2**bits k**-s: 2 for libmp's power on its
+    # premise and up to 1/e for s rounded to bits bits.  phi passes each such
+    # row a bound of 2 (a row within 3), em_sum and EULER_PRODUCT count 3.
+    ks = list(range(1, 144)) + [p for p in range(144, 1000) if all(p % d for d in range(2, 32))]
+    for s in (Fraction(45, 23), 1 + Fraction(1, 10 ** 9), Fraction(2 ** 70 + 3, 2 ** 71), Fraction(1, 3),
+              Fraction(7, 3), Fraction(20)):
+        rows = numkernel._libmp_rows(s, ks, bits)
+        with mpmath.workprec(4 * bits):
+            sv = mpf(s.numerator) / s.denominator
+            assert all(abs(r - mpmath.ldexp(mpf(k) ** -sv, bits)) <= 3 for r, k in zip(rows, ks)), s
 
 
 def reference_rows_past_the_cap(s: Fraction, n: int, bits: int) -> list[int]:
