@@ -23,7 +23,6 @@ from mpmath.libmp import (dps_to_prec, from_rational, mpf_cos, mpf_exp, mpf_gamm
 
 from .errors import DomainError, PrecisionNotMet, TooLarge
 from .numkernel import (
-    MAX_PREC,
     BigReal,
     ScalarLike,
     accel_alt_sum,
@@ -33,6 +32,7 @@ from .numkernel import (
     check_prec,
     em_sum,
     faithful,
+    inner_prec,
     log_of,
     pi_times,
     working_bits,
@@ -43,7 +43,6 @@ from .numkernel import (
     _power_rows,
     _word,
     _zeta_pass,
-    _ROOT_BITS_CAP,
 )
 
 #: Largest prime bound accepted by the Euler-product residual check.
@@ -95,7 +94,8 @@ def zeta(s: ScalarLike, prec: int) -> BigReal:
     if q.denominator > 1:
         return em_sum(q, prec)
     n, bits = alt_terms_needed(prec), working_bits(prec)
-    total, err = _zeta_pass(_power_rows(q, n, bits), q.numerator, n, bits)
+    rows, _ = _power_rows(q, n, bits)  # exact floors: q * bits stays below the root cap
+    total, err = _zeta_pass(rows, q.numerator, n, bits)
     return _finish(total, bits, err, prec).demand("zeta")
 
 
@@ -119,11 +119,12 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
     alternating summation.  ``s`` must be a finite rational, as for
     :func:`zeta`.  The rows ``floor(2**b k**-s)`` of
     :func:`~euler_periods.numkernel._power_rows`, ``b = working_bits(prec)``,
-    go to :func:`~euler_periods.numkernel.accel_alt_sum` as they are: exact
-    floors, within the one unit the engine allows a row.  If ``s`` has a
-    denominator past the rows' root cap, a row comes from libmp's power,
-    within 3 units (:func:`~euler_periods.numkernel._libmp_rows`), and each
-    row is passed a bound of 2.
+    go to :func:`~euler_periods.numkernel.accel_alt_sum` as they are, with
+    the units ``r`` that function returns for them: exact floors, ``r =
+    1``, are within the one unit the engine allows a row, and rows from
+    libmp's power past the root cap, ``r = 3``
+    (:func:`~euler_periods.numkernel._libmp_rows`), are passed a bound of
+    ``r - 1`` each.
     Rows that floor to 0 end the series as a finite sum, whose bound covers
     the tail below one unit.
     """
@@ -132,8 +133,8 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
     if not q > 0:
         raise DomainError(f"phi requires s > 0, got s = {_shown(s, q, 0)}")
     n, bits = alt_terms_needed(prec), working_bits(prec)
-    bounds = [2] * n if q.denominator * bits > _ROOT_BITS_CAP else None
-    return accel_alt_sum(_power_rows(q, n, bits), prec, bounds)
+    rows, r = _power_rows(q, n, bits)
+    return accel_alt_sum(rows, prec, [r - 1] * n if r > 1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +151,10 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
     bits; at ``z`` in ``(-1, 1/2]`` the value is one call of the
     iterated-integral engine of :mod:`.numkernel` on the word ``0**(n-1)
     (1/z)``; for ``n = 2`` on ``(1/2, 1)`` the reflection ``Li_2(z) =
-    zeta(2) - log(z) log(1-z) - Li_2(1-z)`` takes ``Li_2(1-z)`` from it, the
-    rest a ``BigReal`` at ``prec + 4``.  ``n = 1`` is ``-log(1 - z)``, the logs are
+    zeta(2) - log(z) log(1-z) - Li_2(1-z)`` takes ``Li_2(1-z)`` from it, all
+    of it a ``BigReal`` expression at
+    :func:`~euler_periods.numkernel.inner_prec` ``(prec, 4)``.  ``n = 1`` is
+    ``-log(1 - z)``, the logs are
     :func:`~euler_periods.numkernel.log_of`'s, and ``z = 0`` an exact 0.
     Other ``z`` in ``(1/2, 1)`` raise :class:`DomainError`, as do ``|z| >
     1`` and ``(n, z) = (1, 1)``; a weight ``n`` above
@@ -183,11 +186,9 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
     if q <= Fraction(1, 2):
         return _at_one(_word((n,), (1 / q,)), prec).demand("polylog")
     # Li_2(z) + Li_2(1-z) + log(z) log(1-z) = zeta(2), with 1-z in (0, 1/2).
-    # The inner prec may pass MAX_PREC, so 6 is built as a ball: an operand
-    # that is not one would go through BigReal.exact and its prec check.
-    inner = prec + 4
+    inner = inner_prec(prec, 4)
     pi = pi_times(1, inner)
-    v = (pi * pi / BigReal(6, 0, inner) - log_of(q, inner) * log_of(w, inner)
+    v = (pi * pi / 6 - log_of(q, inner) * log_of(w, inner)
          - _at_one(_word((2,), (1 / w,)), inner))
     return BigReal(v.value, v.err, prec).demand("polylog")
 
@@ -408,8 +409,8 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
         # near 1 however near s is to 0 or 1.  Each slope bounds |f'| on its
         # ball: 1/3 for log pi, sqrt(2) pi < 9/2 for exp, gamma < 3/5 for
         # Gamma on [1, 2], cosh(ln 2/2) < 17/16 for sinh and pi < 22/7 for
-        # sin(pi x).  It runs two digits higher, as phi does.
-        t, inner = 1 - q, min(prec + 2, MAX_PREC)
+        # sin(pi x).  The parts run two digits higher than the residual.
+        t, inner = 1 - q, inner_prec(prec, 2)
         ln2 = log_of(2, inner)
         log_pi = faithful(mpf_log, pi_times(1, inner), Fraction(1, 3))
         scale = faithful(mpf_exp, BigReal.exact(q, inner) * log_pi + ln2 / 2, Fraction(9, 2))

@@ -22,8 +22,9 @@ theory rows in the registry.
 Every coefficient but REGISTRY with a caller's own registry depends only on
 ``(n, mode, prec)``, so a2 and a3 are kept once per process in an
 ``lru_cache`` keyed on the order, the mode after :func:`_as_mode` and the
-checked prec: at most 2 x 3 x 100 = 600 immutable balls, about 0.4 MB when
-all are filled (tracemalloc, with the a4 balls the fill adds).
+checked prec, 1-100 or an inner precision up to 112: at most 2 x 3 x 112 =
+672 immutable balls.  The 600 at prec 1-100 take about 0.4 MB when all are
+filled (tracemalloc, with the a4 balls the fill adds).
 :func:`invert_alpha` finds its Newton point on bare midpoints and evaluates
 balls only at that point, for the step that proves the root.
 """
@@ -46,7 +47,7 @@ from mpmath.libmp import from_rational, mpf_add, mpf_div, mpf_mul, mpf_shift, mp
 from mpmath.libmp import round_nearest as RN
 
 from .errors import DomainError, InputError, NoConvergence, PrecisionNotMet, SchemaError
-from .numkernel import MAX_PREC, BigReal, as_fraction, check_prec, pi_times, value_text, working_bits
+from .numkernel import BigReal, as_fraction, check_prec, inner_prec, pi_times, value_text, working_bits
 
 MAX_ORDER = 4
 
@@ -331,10 +332,6 @@ def _as_mode(mode: CoeffMode | str) -> CoeffMode:
     raise InputError(f"unknown coefficient mode {mode!r} (choose from {choices})")
 
 
-def _inner_prec(prec: int) -> int:
-    return min(prec + 6, MAX_PREC)
-
-
 def _alpha_ratio(alpha_inv: BigReal, prec: int) -> BigReal:
     return 1 / (alpha_inv * pi_times(1, prec))
 
@@ -364,7 +361,7 @@ def _backed_out(n: int, prec: int, registry: Sequence[Measurement] | None) -> Bi
     ``(a_e - r/2 - a_2 r**2 - a_4 r**4) / r**n`` at the inner precision with
     ``r = alpha / pi``, the ``a_2`` and ``a_4`` terms only for ``n = 3``.
     """
-    inner = _inner_prec(prec)
+    inner = inner_prec(prec, 6)
     r = _alpha_ratio(lookup(registry, "alpha:rb:2011").as_bigreal(inner), inner)
     rest = lookup(registry, _TOTALS[n]).as_bigreal(inner) - r / 2
     powers = _powers(r, 4 if n == 3 else n)
@@ -416,8 +413,11 @@ def _packaged_coefficient(n: int, mode: CoeffMode, prec: int) -> BigReal:
     """``a_n`` from its bracket or the packaged registry, found once per process.
 
     Keyed after :func:`check_prec` and :func:`_as_mode`, so a mode's
-    spellings share one entry: at most 2 orders x 3 modes x 100 precs = 600
-    immutable balls.
+    spellings share one entry.  A call asks for prec 1-100 or an inner
+    precision: :func:`assemble` and :func:`invert_alpha` take their
+    coefficients at ``prec + 6``, up to 106, and a REGISTRY ``a_3`` takes
+    ``a_2`` six digits higher, up to 112.  So at most 2 orders x 3 modes x
+    112 precs = 672 immutable balls.
     """
     if mode is CoeffMode.REGISTRY:
         return _backed_out(n, prec, None)
@@ -490,7 +490,7 @@ def _as_input(x: object, name: str, prec: int | None = None) -> BigReal:
     if isinstance(x, Measurement):
         x = x.as_bigreal(x.value.prec)
     if isinstance(x, BigReal):
-        return x if prec is None else BigReal(x.value, x.err, check_prec(prec))
+        return x if prec is None else BigReal(x.value, x.err, prec)
     prec = 15 if prec is None else prec
     if isinstance(x, str):
         try:
@@ -522,7 +522,7 @@ def assemble(alpha_inv: object, coeffs: CoefficientSet | None = None, order: int
     order = _check_order(order)
     if coeffs is None:
         coeffs = CoefficientSet()
-    inner = _inner_prec(prec)
+    inner = inner_prec(prec, 6)
     ainv = _as_input(alpha_inv, "alpha_inv", inner)
     if not ainv.value > 0:
         raise DomainError(f"alpha_inv must be positive, got {alpha_inv!r}")
@@ -599,7 +599,7 @@ def invert_alpha(target_ae: object, coeffs: CoefficientSet | None = None, order:
         shown = (f"row {target_ae.label!r}" if isinstance(target_ae, Measurement)
                  else value_text(target_ae) if isinstance(target_ae, BigReal) else repr(target_ae))
         raise DomainError(f"target_ae must lie in (0, 2e-3), got {shown}")
-    inner = _inner_prec(prec)
+    inner = inner_prec(prec, 6)
     t = BigReal(target.value, target.err, inner)
     cs = [coeffs.coefficient(n, inner, registry) for n in range(1, order + 1)]
     slopes = [c * n for n, c in enumerate(cs, start=1)]

@@ -18,7 +18,7 @@ from mpmath.libmp import from_int, mpf_pow_int, round_nearest
 
 from .errors import DivergentIndex, DomainError, TooLarge
 from .eulerfun import phi, zeta
-from .numkernel import (BRUTEFORCE_STEP_CAP, MAX_PREC, BigReal, as_fraction, check_prec, log_of, working_bits,
+from .numkernel import (BRUTEFORCE_STEP_CAP, BigReal, as_fraction, check_prec, inner_prec, log_of, working_bits,
                         _at_one, _new_ball, _up, _word)
 
 
@@ -170,7 +170,7 @@ def stuffle_residual(m: int, n: int, prec: int) -> BigReal:
         if not isinstance(part, int) or part < 2:
             raise DomainError(f"stuffle check requires parts >= 2, got ({m!r}, {n!r})")
     check_prec(prec)
-    inner = min(prec + 2, MAX_PREC)
+    inner = inner_prec(prec, 2)
     lhs = zeta(m, inner) * zeta(n, inner)
     rhs = mzv((m, n), inner) + mzv((n, m), inner) + zeta(m + n, inner)
     resid = abs(lhs - rhs)
@@ -180,7 +180,7 @@ def stuffle_residual(m: int, n: int, prec: int) -> BigReal:
 def p35_combination(prec: int) -> BigReal:
     """The weight-8 combination ``(2/5)(29 zeta(8) - 12 zeta(3,5)) - 9 zeta(5) zeta(3)``."""
     check_prec(prec)
-    inner = min(prec + 4, MAX_PREC)
+    inner = inner_prec(prec, 4)
     z8 = zeta(8, inner)
     z35 = mzv((3, 5), inner)
     z5 = zeta(5, inner)

@@ -170,9 +170,35 @@ def working_bits(prec: int) -> int:
     return dps_to_prec(working_dps(prec))
 
 
+#: Most digits a chain of inner steps adds past :data:`MAX_PREC`: g2's
+#: ``assemble`` takes the REGISTRY ``a_3`` at ``prec + 6``, which takes
+#: ``a_2`` at ``prec + 12``, whose ``period_map`` takes its atoms at ``prec +
+#: 18``.
+INNER_DIGITS = 18
+
+
+class _InnerPrec(int):
+    """A precision that :func:`inner_prec` made; only it makes one."""
+
+    __slots__ = ()
+
+
+def inner_prec(prec: int, digits: int) -> int:
+    """``prec + digits``, the precision of an inner step that keeps ``digits`` guard digits.
+
+    A combination of balls that must meet ``10**-prec`` evaluates its parts
+    here, at a precision that :func:`check_prec` admits up to
+    :data:`MAX_PREC` ``+`` :data:`INNER_DIGITS`, while a plain integer stays
+    in the public range.
+    """
+    return _InnerPrec(prec + digits)
+
+
 def check_prec(prec: int) -> int:
-    if isinstance(prec, bool) or not isinstance(prec, int) or not (MIN_PREC <= prec <= MAX_PREC):
-        raise DomainError(f"prec must be an integer in [{MIN_PREC}, {MAX_PREC}], got {prec!r}")
+    """``prec``, if it is an integer in ``[MIN_PREC, MAX_PREC]`` or an :func:`inner_prec` within its top."""
+    top = MAX_PREC + INNER_DIGITS if prec.__class__ is _InnerPrec else MAX_PREC
+    if isinstance(prec, bool) or not isinstance(prec, int) or not (MIN_PREC <= prec <= top):
+        raise DomainError(f"prec must be an integer in [{MIN_PREC}, {top}], got {prec!r}")
     return prec
 
 
@@ -317,7 +343,9 @@ class BigReal:
     ``value`` approximates some target ``x`` with ``|value - x| <= err``;
     ``prec`` records the decimal precision that was requested when the
     number was produced.  Successful library operations guarantee
-    ``err <= 10**-prec``.
+    ``err <= 10**-prec``.  ``BigReal(value, err, prec)`` and :meth:`exact`
+    take ``prec`` through :func:`check_prec`; the ops keep the least
+    ``prec`` of their operands.
 
     The midpoint is a raw mpf tuple and the radius a Python integer below
     ``2**32`` times a power of 2, as Arb holds its ``mag_t`` (Johansson,
@@ -367,7 +395,7 @@ class BigReal:
             raise DomainError(f"error bound must be finite, got {err!r}")
         self._mid = _raw(value)
         self._man, self._exp = _up(man, exp)
-        self._prec = prec
+        self._prec = check_prec(prec)
 
     @property
     def value(self) -> mpf:
@@ -536,11 +564,10 @@ _new = object.__new__
 _make_mpf = mpmath.mp.make_mpf
 
 
-#: ``working_bits(p)`` and ``10**p`` by ``p``, read by every op.  An inner
-#: step may run past ``MAX_PREC`` by a few digits (``polylog``'s reflection
-#: at ``prec + 4``), by at most ``GUARD_DIGITS``.
-_BITS = tuple(working_bits(p) for p in range(MAX_PREC + GUARD_DIGITS + 1))
-_TEN_TO = tuple(10 ** p for p in range(MAX_PREC + GUARD_DIGITS + 1))
+#: ``working_bits(p)`` and ``10**p`` by ``p``, read by every op, for every
+#: ``p`` that :func:`check_prec` admits.
+_BITS = tuple(working_bits(p) for p in range(MAX_PREC + INNER_DIGITS + 1))
+_TEN_TO = tuple(10 ** p for p in range(MAX_PREC + INNER_DIGITS + 1))
 
 
 def _raw(x: mpf | int | float) -> tuple:
@@ -799,10 +826,13 @@ def _least_factors(n: int) -> list[int]:
     return table
 
 
-def _power_rows(s: Fraction, n: int, bits: int) -> list[int]:
-    """``floor(2**bits * k**-s)`` for ``k = 1..n``, ``s = p/q > 0`` rational.
+def _power_rows(s: Fraction, n: int, bits: int) -> tuple[list[int], int]:
+    """``(rows, r)``: ``floor(2**bits * k**-s)`` for ``k = 1..n``, ``s = p/q > 0`` rational.
 
-    Exact floors, each within one unit of ``2**-bits``.  An integer ``s``
+    Each row lies within ``r`` units of ``2**bits k**-s``.  Exact floors,
+    ``r = 1``, wherever ``q * bits`` is within :data:`_ROOT_BITS_CAP` or
+    ``s > bits``; otherwise the rows are :func:`_libmp_rows`, ``r = 3``.
+    The callers read ``r`` and count no cap of their own.  An integer ``s``
     takes one division per row.  Otherwise a prime row ``k`` is the integer
     ``q``-th root of ``(1 << bits q) // k**p`` (:func:`_iroot`), as
     ``floor(y) = floor(floor(y**q)**(1/q))``, and a composite ``k = a c``,
@@ -822,8 +852,7 @@ def _power_rows(s: Fraction, n: int, bits: int) -> list[int]:
 
     Rows never grow with ``k``, so once a row is 0 the rest are.  Once ``s
     > bits`` every row past the first is 0 and no ``k**p`` is formed, so a
-    huge ``s`` costs nothing.  Past :data:`_ROOT_BITS_CAP` for ``q * bits``
-    the rows are :func:`_libmp_rows`.
+    huge ``s`` costs nothing.
 
     Cost at prec 100 (143 rows): 34 roots and 108 products, of which 11
     need the check at ``s = 37/11`` and 90 at ``s = 1/2``.  At ``s =
@@ -832,12 +861,12 @@ def _power_rows(s: Fraction, n: int, bits: int) -> list[int]:
     """
     p, q = s.numerator, s.denominator
     if p > bits * q:  # 2**bits k**-s <= 2**(bits - s) < 1 for k >= 2
-        return [1 << bits] + [0] * (n - 1)
+        return [1 << bits] + [0] * (n - 1), 1
     if q * bits > _ROOT_BITS_CAP:
-        return _libmp_rows(s, range(1, n + 1), bits)
+        return _libmp_rows(s, range(1, n + 1), bits), 3
     one = 1 << bits * q
     if q == 1:
-        return [one // k ** p for k in range(1, n + 1)]
+        return [one // k ** p for k in range(1, n + 1)], 1
     least, mask = _least_factors(n), (1 << bits) - 1
     rows = [1 << bits]
     for k in range(2, n + 1):
@@ -853,9 +882,9 @@ def _power_rows(s: Fraction, n: int, bits: int) -> list[int]:
                 while (y + 1) ** q * kp <= one:
                     y += 1
         if not y:
-            return rows + [0] * (n + 1 - k)
+            return rows + [0] * (n + 1 - k), 1
         rows.append(y)
-    return rows
+    return rows, 1
 
 
 def _libmp_rows(s: Fraction, ks: Sequence[int], bits: int) -> list[int]:
@@ -863,8 +892,8 @@ def _libmp_rows(s: Fraction, ks: Sequence[int], bits: int) -> list[int]:
 
     Within 3 units of ``2**bits k**-s``: 2 on the premise that the power is
     faithful, and ``|s' - s| <= s 2**-bits`` moves ``2**bits k**-s`` by at
-    most ``s log(k) k**-s <= 1/e`` units more.  So ``phi`` passes each row
-    a bound of 2, and ``em_sum`` and EULER_PRODUCT count 3 units a row.
+    most ``s log(k) k**-s <= 1/e`` units more.  So :func:`_power_rows`
+    returns ``r = 3`` with them, and EULER_PRODUCT counts 3 units a row.
     """
     minus_s = mpf_neg(_quotient(s.numerator, s.denominator, bits))
     return [to_int(mpf_shift(mpf_pow(from_int(k), minus_s, bits, RN), bits), round_floor) for k in ks]
@@ -1061,12 +1090,10 @@ def em_sum(s: ScalarLike, prec: int) -> BigReal:
     omitted term of ``10**-(wd - 1)``, ``wd = working_dps(prec)``, which with
     the counted units meets ``10**-prec`` with about nine digits to spare.
     The rows ``floor(2**bits k**-s)`` at ``bits = working_bits(prec)`` are
-    computed here by :func:`_power_rows`, so no caller can pair a bound with
-    a series it does not describe.  The rows are exact floors, one unit off
-    at most, for every ``s = p/q`` with ``q * bits`` within
-    :data:`_ROOT_BITS_CAP` (every integer ``s``, and every ``s > bits``);
-    past the cap a row comes from libmp's power, within 3 units
-    (:func:`_libmp_rows`).  With ``f(k) = k**-s`` this
+    computed here by :func:`_power_rows`, with the units ``r`` each row may
+    be off by, so no caller can pair a bound with a series it does not
+    describe: exact floors, one unit off at most, or past the root cap
+    rows from libmp's power, within 3 units.  With ``f(k) = k**-s`` this
     sums, in the integer fixed point of :func:`_em_power_sum`::
 
         sum(f(k), k=1..n) + I(n) - f(n)/2
@@ -1093,7 +1120,8 @@ def em_sum(s: ScalarLike, prec: int) -> BigReal:
         raise DomainError("em_sum needs s >= 1; a smaller s does not define a convergent tail")
     n_split, terms = _em_plan(s, working_dps(prec) - 1)
     bits = working_bits(prec)
-    total, correction, units = _em_power_sum(s, _power_rows(s, n_split, bits), terms, bits)
+    rows, r = _power_rows(s, n_split, bits)
+    total, correction, units = _em_power_sum(s, rows, r, terms, bits)
     return _finish(total, bits, abs(correction) + units, prec).demand(
         f"em_sum at split {n_split} with {terms} Bernoulli terms")
 
@@ -1159,15 +1187,16 @@ def _em_plan(s: int | Fraction, digits: int) -> tuple[int, int]:
     return best
 
 
-def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
+def _em_power_sum(s: int | Fraction, rows: Sequence[int], r: int, terms: int,
                   bits: int) -> tuple[int, int, int]:
     """``(total, correction, units)``, the integer body of :func:`em_sum`.
 
     Sums ``k**-s``, ``s = p/q >= 1``, split at ``n = len(rows)`` with ``J =
     terms`` Bernoulli corrections, in integer fixed point with ``bits``
     fraction bits: ``rows[k-1]`` is ``2**bits k**-s`` within ``r`` units,
-    ``r = 2`` for the exact floors of :func:`_power_rows` (1 unit of it
-    slack) and ``r = 3`` past the root cap (:func:`_libmp_rows`).  ``total``
+    as :func:`_power_rows` returns them, 1 for exact floors and 3 past the
+    root cap; the count takes at least 2 a row (1 unit of it slack on exact
+    floors), and ``r`` below stands for that.  ``total``
     is ``2**bits`` times the value, ``correction`` the first omitted
     Bernoulli term in the same units, and ``units`` counts the error of
     ``total``; :func:`em_sum` declares ``|correction| + units`` units of
@@ -1208,7 +1237,7 @@ def _em_power_sum(s: int | Fraction, rows: Sequence[int], terms: int,
     """
     n = len(rows)
     p, q = s.as_integer_ratio()
-    r = 3 if q * bits > _ROOT_BITS_CAP else 2
+    r = max(r, 2)
     tail = rows[-1] * n * q  # q n**(1-s)
     tail_err = r * n * q  # the tail's error, times 2**shift
     shift = max(p // q - bits - 1, 0)

@@ -38,8 +38,8 @@ from typing import Callable, NamedTuple
 
 from .errors import DomainError, InputError, ParseError, TooLarge
 from .eulerfun import polylog, zeta
-from .numkernel import (COACTION_TERM_CAP, COASSOC_TERM_CAP, MAX_PREC, WEIGHT_CAP, BigReal, as_fraction,
-                        check_digits, check_prec, exact_str, pi_times)
+from .numkernel import (COACTION_TERM_CAP, COASSOC_TERM_CAP, WEIGHT_CAP, BigReal, as_fraction, check_digits,
+                        check_prec, exact_str, inner_prec, pi_times)
 
 __all__ = [
     "MotivicExpr",
@@ -874,7 +874,7 @@ def period_map(e: MotivicExpr, prec: int = 15) -> BigReal:
                 f"degree {degree}, so its period is imaginary; the period map is real-valued")
         # i**(2k) = (-1)**k, the sign the real factors (2*pi)**(2k) leave out.
         signed.append((-c if degree % 4 else c, mono))
-    inner = min(prec + 6, MAX_PREC)
+    inner = inner_prec(prec, 6)
     cache: dict[tuple, BigReal] = {}
 
     def atom_value(atom: tuple) -> BigReal:

@@ -514,6 +514,10 @@ def test_a_pipe_closed_after_the_first_bytes_exits_141_without_a_traceback(mode,
     ("zeta", "abc"),
     ("zeta", "2", "--prec", "0"),
     ("zeta", "2", "--prec", "101"),
+    ("stuffle-check", "2", "3", "--prec", "101"),
+    ("identity-check", "phi-funceq", "--s", "1/3", "--prec", "101"),
+    ("per", "Li_m(2; 3/4)*zeta_m(3) - Li_m(4; 1)", "--prec", "101"),
+    ("g2-assemble", "--prec", "101"),
     ("polylog", "3", "3/4"),
     ("polylog", "2", "7/5"),
     ("polylog", "1001", "1/2"),

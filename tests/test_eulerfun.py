@@ -433,7 +433,7 @@ def test_phi_funceq_residual_small(s):
 @pytest.mark.parametrize("prec", [99, 100])
 @pytest.mark.parametrize("s", [Fraction(1, 3), Fraction(5, 7)], ids=str)
 def test_phi_funceq_at_the_top_precisions(s, prec):
-    # Both phi values are taken two digits higher inside, capped at MAX_PREC.
+    # Both phi values are taken two digits higher inside, past MAX_PREC at the top.
     r = identity_residual(IdentityKind.PHI_FUNCEQ, {"s": s}, prec)
     assert r.prec == prec
     assert abs(r.value) <= r.err
@@ -700,6 +700,22 @@ def test_zeta_and_phi_at_large_denominators_certify_and_cover(prec):
         assert_covers(zeta(near_pole, prec), lambda: mpmath.zeta(exact(near_pole)), prec)
 
 
+def test_rows_past_bits_count_as_exact_floors_past_the_root_cap_too():
+    # q * bits passes the root cap, but s > bits: every row past the first is
+    # an exact 0, and _power_rows says so, so phi declares the bound that
+    # accel_alt_sum proves on the same rows, and em_sum counts them as exact.
+    s, prec = Fraction(10 ** 10 + 1, 10 ** 4), 15
+    b = numkernel.working_bits(prec)
+    assert s.denominator * b > numkernel._ROOT_BITS_CAP
+    rows, r = numkernel._power_rows(s, numkernel.alt_terms_needed(prec), b)
+    assert r == 1
+    x = phi(s, prec)
+    assert bits(x) == bits(numkernel.accel_alt_sum(rows, prec))
+    assert x.err < mpf("6e-26")  # 8.8e-25 while phi counted libmp rows from q * bits alone
+    assert_covers(x, lambda: mpmath.altzeta(exact(s)), prec)
+    assert_covers(zeta(s, prec), lambda: mpmath.zeta(exact(s)), prec)
+
+
 def test_zeta_near_its_pole_names_its_limit():
     # The bound is absolute while the value is about 1/(s - 1): see zeta's docstring.
     near_pole = 1 + Fraction(1, 10 ** 9)
@@ -802,7 +818,7 @@ def test_li1_at_zero_is_an_exact_zero():
 
 
 def test_log_of_encloses_the_log_at_every_inner_prec():
-    # The window runs at prec + 4, past MAX_PREC: log_of takes that prec, as pi_times does.
+    # The window runs at inner_prec(prec, 4), past MAX_PREC: log_of takes that prec, as pi_times does.
     points = [Fraction(1, 3), Fraction(49, 100), Fraction(10 ** 40 + 1, 10 ** 40), Fraction(7, 2),
               Fraction(3 ** 200, 2 ** 300), Fraction(1)]
     for prec in range(MIN_PREC, MAX_PREC + 5):

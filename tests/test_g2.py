@@ -36,8 +36,8 @@ from euler_periods.g2 import (
     lookup,
 )
 from euler_periods.mzv import multiphi
-from euler_periods.numkernel import (DIGIT_CAP, MAX_PREC, MIN_PREC, BigReal, as_fraction, pi_times, working_bits,
-                                     working_dps)
+from euler_periods.numkernel import (DIGIT_CAP, MAX_PREC, MIN_PREC, BigReal, as_fraction, inner_prec, pi_times,
+                                     working_bits, working_dps)
 from euler_periods.symbolic import coassoc_residual, parse_expr, period_map
 
 GOOD_ROW = {
@@ -452,7 +452,7 @@ def phi_form(order: int, mode: CoeffMode, prec: int) -> BigReal:
 @pytest.mark.parametrize("prec", [1, 15, 50, 100])
 def test_bracket_matches_its_phi_form(order, mode, prec):
     new = coeff_a2(mode, prec) if order == 2 else coeff_a3(mode, prec)
-    old = phi_form(order, mode, min(prec + 6, MAX_PREC))
+    old = phi_form(order, mode, inner_prec(prec, 6))
     assert new.certified()
     with mpmath.workdps(working_dps(MAX_PREC) + 20):
         assert abs(new.value - old.value) <= new.err + old.err
@@ -568,13 +568,23 @@ def test_a_callers_registry_is_not_cached_and_leaves_the_packaged_value(tmp_path
     assert bits(coeff_a3(CoeffMode.CONSISTENT, 15, registry=load_registry(path))) == bits(packaged)
 
 
-def test_the_coefficient_cache_holds_at_most_600_entries():
+def test_the_coefficient_cache_holds_at_most_672_entries():
+    # A call asks for prec 1..100 or an inner precision: assemble and
+    # invert_alpha take their coefficients at prec + 6, up to 106, and a
+    # REGISTRY a3 takes a2 at prec + 6 again, up to 112.
+    cache = g2_module._packaged_coefficient
     for prec in range(MIN_PREC, MAX_PREC + 1):
         for coeff in COEFFS:
             for mode in MODES:
                 coeff(mode, prec)
                 coeff(mode.value.lower().replace("_", "-"), prec)
-    assert g2_module._packaged_coefficient.cache_info().currsize <= 600
+    for prec in range(MAX_PREC - 5, MAX_PREC + 1):
+        for mode in MODES:
+            assemble("137.035999084", CoefficientSet(mode, mode), prec=prec)
+    hits = cache.cache_info().hits
+    cache(2, CoeffMode.EXACT_BRACKET, inner_prec(inner_prec(MAX_PREC, 6), 6))
+    assert cache.cache_info().hits == hits + 1
+    assert cache.cache_info().currsize <= 2 * 3 * (MAX_PREC + 12)
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +784,7 @@ def reference_invert_alpha(target_ae, coeffs=None, order=4, prec=15, registry=No
     """
     coeffs = coeffs or CoefficientSet()
     target = g2_module._as_input(target_ae, "target_ae", prec)
-    inner = g2_module._inner_prec(prec)
+    inner = inner_prec(prec, 6)
     t = BigReal(target.value, target.err, inner)
     cs = [coeffs.coefficient(n, inner, registry) for n in range(1, order + 1)]
     slopes = [c * n for n, c in enumerate(cs, start=1)]

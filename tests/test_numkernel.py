@@ -211,6 +211,30 @@ def test_check_prec_rejects(bad):
         check_prec(bad)
 
 
+@pytest.mark.parametrize("bad", [-1, 0, True, 1.5, 101])
+def test_a_ball_is_made_at_a_checked_prec_only(bad):
+    # BigReal(v, 0, -1) used to run at the top table entry and call itself
+    # certified at prec -1; a plain 101 or 500 ran on, or ended in IndexError.
+    with pytest.raises(DomainError):
+        BigReal(mpf(1), 0, bad)
+    with pytest.raises(DomainError):
+        BigReal.exact(1, bad)
+
+
+def test_an_inner_prec_passes_check_prec_up_to_its_top():
+    top = numkernel.inner_prec(MAX_PREC, numkernel.INNER_DIGITS)
+    assert check_prec(top) == top == MAX_PREC + numkernel.INNER_DIGITS
+    assert check_prec(numkernel.inner_prec(1, 5)) == 6
+    with pytest.raises(DomainError):
+        check_prec(numkernel.inner_prec(top, 1))
+    with pytest.raises(DomainError):
+        check_prec(MAX_PREC + 1)
+    x = BigReal(mpf(1) / 3, 0, top) * 3
+    assert x.prec == top and x.certified()
+    assert BigReal.exact(Fraction(1, 3), numkernel.inner_prec(MAX_PREC, 5)).prec == 105
+    assert numkernel.working_bits(top) == numkernel._BITS[-1]
+
+
 def test_working_dps_adds_guard_digits():
     assert working_dps(15) == 25
     assert working_dps(1) == 11
@@ -1103,7 +1127,8 @@ def reference_zeta_batch(top: int, prec: int) -> tuple[tuple[int, int], ...]:
     weights, d, _ = numkernel._cvz_weights(n)
     out = []
     for s in range(2, top + 1):
-        rows = numkernel._power_rows(Fraction(s), n, bits)
+        rows, r = numkernel._power_rows(Fraction(s), n, bits)
+        assert r == 1
         ends = [j for j in range(n - 1) if rows[j] == rows[j + 1] == 0]
         if ends:
             j = ends[0]
@@ -1325,15 +1350,15 @@ ROW_EXPONENTS = ([Fraction(s) for s in (1, 2, 3, 7, 40)]
 def test_power_rows_are_exact_floors(bits):
     # Integer s, s = 1 and every q <= 12: one division, isqrt or integer Newton.
     for s in ROW_EXPONENTS:
-        assert numkernel._power_rows(s, 60, bits) == oracle_rows(s, 60, bits), s
+        assert numkernel._power_rows(s, 60, bits) == (oracle_rows(s, 60, bits), 1), s
 
 
 @pytest.mark.parametrize("bits", ROW_BITS)
 def test_power_rows_past_bits_are_zero_without_forming_the_power(bits):
     for s in (Fraction(bits + 1), Fraction(2 * bits + 3, 2), Fraction(bits + 2), Fraction(10 ** 400)):
-        assert numkernel._power_rows(s, 20, bits) == [1 << bits] + [0] * 19, s
+        assert numkernel._power_rows(s, 20, bits) == ([1 << bits] + [0] * 19, 1), s
     for s in (Fraction(bits), Fraction(2 * bits - 1, 2)):  # just below: row 2 is 1 or 0, exactly
-        assert numkernel._power_rows(s, 20, bits) == oracle_rows(s, 20, bits), s
+        assert numkernel._power_rows(s, 20, bits) == (oracle_rows(s, 20, bits), 1), s
 
 
 def root_rows(s: Fraction, n: int, bits: int) -> list[int]:
@@ -1355,10 +1380,11 @@ def test_power_rows_from_factors_are_the_floors_of_each_row(bits):
     exponents = FACTOR_EXPONENTS + [Fraction(bits, 6), Fraction(2 * bits + 1, 12)]
     for s in exponents:
         assert s.denominator * bits <= numkernel._ROOT_BITS_CAP
-        rows = numkernel._power_rows(s, 143, bits)
+        rows, r = numkernel._power_rows(s, 143, bits)
         assert rows == root_rows(s, 143, bits) == oracle_rows(s, 143, bits), s
-    assert numkernel._power_rows(Fraction(bits, 6), 143, bits)[63:65] == [1, 0]
-    assert numkernel._power_rows(Fraction(2 * bits + 1, 12), 143, bits)[63] == 0
+        assert r == 1, s
+    assert numkernel._power_rows(Fraction(bits, 6), 143, bits)[0][63:65] == [1, 0]
+    assert numkernel._power_rows(Fraction(2 * bits + 1, 12), 143, bits)[0][63] == 0
 
 
 @pytest.mark.parametrize("bits", ROW_BITS)
@@ -1366,8 +1392,8 @@ def test_power_rows_are_exact_at_composite_exact_powers(bits):
     # k**s is an integer here, so the row is 2**bits // k**s and the upward
     # check meets equality wherever k**s is a power of 2.
     for s, ks in [(Fraction(3, 2), (4, 9, 36, 100)), (Fraction(4, 3), (8, 27, 64, 125))]:
-        rows = numkernel._power_rows(s, 143, bits)
-        assert rows == root_rows(s, 143, bits), s
+        rows, r = numkernel._power_rows(s, 143, bits)
+        assert rows == root_rows(s, 143, bits) and r == 1, s
         for k in ks:
             power = round(k ** float(s))
             assert power ** s.denominator == k ** s.numerator
@@ -1375,11 +1401,13 @@ def test_power_rows_are_exact_at_composite_exact_powers(bits):
 
 
 def test_power_rows_past_the_root_cap_keep_the_mpmath_premise():
-    # q * bits past the cap: rows from libmp's power, within 2 units of the floor.
+    # q * bits past the cap: rows from libmp's power, within 2 units of the
+    # floor, and counted within 3 of the power.
     for s, bits in [(Fraction(2 ** 70 + 3, 2 ** 71), 86), (1 + Fraction(1, 10 ** 9), 369),
                     (Fraction(45, 31), 369)]:
         assert s.denominator * bits > numkernel._ROOT_BITS_CAP
-        rows = numkernel._power_rows(s, 40, bits)
+        rows, r = numkernel._power_rows(s, 40, bits)
+        assert r == 3, s
         with mpmath.workprec(2 * bits + 200):
             assert all(abs(a - v) <= 2 for a, v in zip(rows, scaled_powers(s, 40, bits))), s
 
@@ -1387,8 +1415,8 @@ def test_power_rows_past_the_root_cap_keep_the_mpmath_premise():
 @pytest.mark.parametrize("bits", [37, 86, 202, 369])
 def test_libmp_rows_lie_within_the_three_counted_units(bits):
     # Each row is within 3 units of 2**bits k**-s: 2 for libmp's power on its
-    # premise and up to 1/e for s rounded to bits bits.  phi passes each such
-    # row a bound of 2 (a row within 3), em_sum and EULER_PRODUCT count 3.
+    # premise and up to 1/e for s rounded to bits bits.  _power_rows returns
+    # r = 3 with such rows, for phi and em_sum; EULER_PRODUCT counts 3.
     ks = list(range(1, 144)) + [p for p in range(144, 1000) if all(p % d for d in range(2, 32))]
     for s in (Fraction(45, 23), 1 + Fraction(1, 10 ** 9), Fraction(2 ** 70 + 3, 2 ** 71), Fraction(1, 3),
               Fraction(7, 3), Fraction(20)):
@@ -1410,7 +1438,8 @@ def test_power_rows_past_the_root_cap_keep_the_bits_of_the_mpf_power():
         for prec in (1, 15, 50, 100):
             bits = working_bits(prec)
             if s.denominator * bits > numkernel._ROOT_BITS_CAP:
-                assert numkernel._power_rows(s, 143, bits) == reference_rows_past_the_cap(s, 143, bits), (s, prec)
+                rows, r = numkernel._power_rows(s, 143, bits)
+                assert (rows, r) == (reference_rows_past_the_cap(s, 143, bits), 3), (s, prec)
 
 
 @pytest.mark.parametrize("bits", [37, 86, 202, 369])
@@ -1419,7 +1448,7 @@ def test_em_sum_at_one_floors_the_log_the_mpmath_context_gave(bits):
     for n in range(2, 200):
         with mpmath.workprec(bits + 16):
             integral = int(mpmath.floor(-mpmath.ldexp(mpmath.log(n), bits)))
-        assert numkernel._em_power_sum(1, [0] * n, 0, bits)[0] == integral, n
+        assert numkernel._em_power_sum(1, [0] * n, 1, 0, bits)[0] == integral, n
 
 
 def test_integer_root_is_exact():
