@@ -23,6 +23,7 @@ from mpmath.libmp import (dps_to_prec, from_rational, mpf_cos, mpf_exp, mpf_gamm
 
 from .errors import DomainError, PrecisionNotMet, TooLarge
 from .numkernel import (
+    INNER_TOP,
     BigReal,
     ScalarLike,
     accel_alt_sum,
@@ -63,27 +64,26 @@ def _shown(x: ScalarLike, q: Fraction, *edges: Fraction | int) -> str:
 def zeta(s: ScalarLike, prec: int) -> BigReal:
     """Riemann zeta on the real ray ``s > 1``.
 
-    ``s`` is the exact rational it denotes, as in :func:`polylog`.  At an
-    integer ``s`` (``3``, ``"3"``, ``3.0`` or ``Fraction(3)`` alike) it is
-    ``phi(s) 2**(s-1) / (2**(s-1) - 1)``: one Chebyshev pass over the rows
-    of :func:`phi`, then :func:`~euler_periods.numkernel._zeta_pass`, the
-    step :func:`~euler_periods.numkernel.zeta_values` takes, so ``zeta(n,
-    p)`` is the batch's integer for ``n`` at ``p``, finished by
-    :func:`~euler_periods.numkernel._finish`.  Every other ``s`` is
-    :func:`~euler_periods.numkernel.em_sum`'s Euler-Maclaurin sum (partial
-    sum, integral tail, Bernoulli corrections).  Raises
+    ``s`` is the exact rational it denotes, as in :func:`polylog`: ``3``,
+    ``"3"``, ``3.0`` and ``Fraction(3)`` are one argument.  Every ``s`` is
+    ``phi(s) / (1 - 2**(1-s))``: one Chebyshev pass over the rows of
+    :func:`phi`, then :func:`~euler_periods.numkernel._zeta_pass`, the step
+    :func:`~euler_periods.numkernel.zeta_values` takes, finished by
+    :func:`~euler_periods.numkernel._finish`, so ``zeta(n, p)`` at an
+    integer is the batch's integer for ``n`` at ``p``.  Raises
     :class:`DomainError` for ``s <= 1``; the ``s = 1`` series is harmonic
     and has no value to report.
 
-    Limit near the pole: the Euler-Maclaurin sum runs at
-    ``working_dps(prec)`` digits whatever ``s``, but its integral tail
-    ``n**(1-s)/(s-1)`` carries the last row's error times ``n/(s - 1)``,
-    and the value itself is about ``1/(s - 1)``, while the bound asked for
-    is absolute, ``10**-prec``.  So once ``1/(s - 1)`` eats the
-    :data:`~euler_periods.numkernel.GUARD_DIGITS` guard digits the counted
-    rounding misses it and :class:`PrecisionNotMet` is raised:
-    ``zeta(1 + 10**-9, 50)`` certifies, ``zeta(1 + 10**-10, 50)`` and
-    ``zeta(1 + 10**-12, 15)`` do not.
+    Near the pole the value is about ``1/(s - 1)`` while the bound asked
+    for is absolute, ``10**-prec``.  So a non-integer ``s`` runs at
+    :func:`~euler_periods.numkernel.inner_prec` ``(prec, k)``, with ``k``
+    the digits of ``floor(1/(s - 1))``: ``floor(log10(1/(s - 1))) + 1``
+    below ``s = 2`` and 1 above, where it covers the divisor's factor of up
+    to 2.  The ball is returned at ``prec``; an integer ``s`` adds none.  A
+    ``prec + k`` past :data:`~euler_periods.numkernel.INNER_TOP` (118) raises
+    :class:`PrecisionNotMet` naming ``s - 1`` and ``prec`` before any row is
+    built: ``zeta(1 + 10**-12, 15)`` and ``zeta(1 + 10**-60, 15)`` certify,
+    ``zeta(1 + 10**-30, 100)`` is refused.
     """
     check_prec(prec)
     q = as_fraction(s, "s")
@@ -91,12 +91,18 @@ def zeta(s: ScalarLike, prec: int) -> BigReal:
         raise DomainError(
             f"zeta requires s > 1, got s = {_shown(s, q, 1)}; "
             "the series diverges there (at s = 1 it is the harmonic series)")
-    if q.denominator > 1:
-        return em_sum(q, prec)
-    n, bits = alt_terms_needed(prec), working_bits(prec)
-    rows, _ = _power_rows(q, n, bits)  # exact floors: q * bits stays below the root cap
-    total, err = _zeta_pass(rows, q.numerator, n, bits)
-    return _finish(total, bits, err, prec).demand("zeta")
+    a, c = (q - 1).as_integer_ratio()
+    extra = len(str(c // a)) if c > 1 else 0  # the digits of floor(1/(s - 1)), at least one
+    if prec + extra > INNER_TOP:
+        raise PrecisionNotMet(
+            f"zeta at s = {_shown(s, q, 1)}: s - 1 = {_shown(q - 1, q - 1)} needs {extra} digits past "
+            f"prec {prec}, beyond the working top {INNER_TOP}")
+    inner = inner_prec(prec, extra)
+    n, bits = alt_terms_needed(inner), working_bits(inner)
+    rows, r = _power_rows(q, n, bits)
+    total, err = _zeta_pass(rows, r, q, n, bits)
+    z = _finish(total, bits, err, inner)
+    return BigReal(z.value, z.err, prec).demand("zeta")
 
 
 def zeta_even_closed(n: int) -> Fraction:
@@ -225,7 +231,7 @@ def gamma_const(prec: int, method: str = "EM") -> BigReal:
     """
     check_prec(prec)
     if method == "EM":
-        return em_sum(1, prec)
+        return em_sum(prec)
     if method == "ZETA_SERIES":
         _, zetas = zeta_values(alt_terms_needed(prec) + 1, prec)
         rows = [total // s for s, (total, _) in enumerate(zetas, 2)]

@@ -6,19 +6,18 @@ Everything numerical in this package funnels through this module:
   convention) from the tangent numbers, in ``O(n**2)`` small-integer steps.
 * :class:`BigReal` is an arbitrary-precision real paired with an explicit
   absolute error bound and the precision that was requested for it.
-* :func:`em_sum` evaluates ``sum(k**-s)`` for rational ``s >= 1``, the
-  exact rational the exponent denotes, by partial sum plus integral tail
-  plus Bernoulli correction terms (at ``s = 1`` the harmonic sum less ``log
-  n``); ``zeta`` at a non-integer ``s`` and ``gamma_const("EM")`` call it.
+* :func:`em_sum` evaluates Euler's constant, the harmonic sum less ``log
+  n``, by partial sum plus Bernoulli correction terms; its one caller is
+  ``gamma_const("EM")``.
 * :func:`accel_alt_sum` evaluates an alternating series, given its leading
   terms as integer rows in fixed point and optionally a bound on each row's
   input error, by Chebyshev-weighted acceleration, needing O(digits) terms
   instead of exponentially many.  Its integer body :func:`_chebyshev` has
   three users: ``phi``, the outer pass of ``gamma_const("ZETA_SERIES")``,
-  and :func:`_zeta_pass`, the one step from ``phi(s)`` to ``zeta(s)`` at an
-  integer ``s``.  That step serves ``zeta`` at an integer and
+  and :func:`_zeta_pass`, the one step from ``phi(s)`` to ``zeta(s)`` at
+  every rational ``s > 1``.  That step serves ``zeta`` and
   :func:`zeta_values`, which takes ``zeta(2), ..., zeta(top)`` on one shared
-  table of powers, so both give the same integers.
+  table of powers, so both give the same integers at an integer ``s``.
 * :func:`_at_one` evaluates the iterated integrals from 0 to 1 whose
   words give multiple zeta values, alternating sums and polylogarithms.
 
@@ -29,15 +28,14 @@ first omitted term meets its target (:func:`_em_plan`).  Chebyshev takes
 ``n = ceil((wd - 1 + log10 2) / log10(3 + sqrt(8)))`` terms and the
 Cohen-Rodriguez Villegas-Zagier bound ``2 |S| / (3 + sqrt(8))**n``, a
 theorem for the moment sequences every caller sums.  No engine caches an
-mpf: the Bernoulli ratios ``B_2j/(2j)!`` are cached per index as exact
-integer pairs, the integer Chebyshev weights and their absolute sum per
-term count, the last 1024 Euler-Maclaurin plans per exact argument tuple,
-the last 128 :func:`zeta_values` batches per ``(top, prec)`` as tuples of
-integers, and the least prime factors the power rows start from.
+mpf: the integer Chebyshev weights and their absolute sum are cached per
+term count, the Euler-Maclaurin plan per digit count, the last 128
+:func:`zeta_values` batches per ``(top, prec)`` as tuples of integers, and
+the least prime factors the power rows start from.
 
 Every engine sums in Python-integer fixed point at the binary precision
 :func:`working_bits` of ``prec`` plus :data:`GUARD_DIGITS` decimal digits:
-the Euler-Maclaurin body :func:`_em_power_sum`, the Chebyshev dot product in
+the Euler-Maclaurin body of :func:`em_sum`, the Chebyshev dot product in
 :func:`_chebyshev` and the iterated integrals.  Identical inputs produce
 bit-identical outputs.  Each engine is exercised against independent
 references in the test suite.
@@ -58,12 +56,13 @@ round the sum upward, so the square of a relative error is in it too.
 plus a slope the caller proves times the radius.
 
 The rows ``floor(2**b k**-s)`` of the Euler-Maclaurin and Chebyshev bodies
-need no premise: :func:`_power_rows` computes them as exact integer floors
-(one division for an integer ``s``; for ``s = p/q`` an integer ``q``-th
-root at a prime ``k``, and at a composite the product of its factors' rows,
+need no premise: :func:`em_sum` takes ``floor(2**b / k)``,
+:func:`_power_rows` computes the rest as exact integer floors (one
+division for an integer ``s``; for ``s = p/q`` an integer ``q``-th root at
+a prime ``k``, and at a composite the product of its factors' rows,
 checked in integers), and :func:`zeta_values` the same floors by repeated
-division, so :func:`em_sum`, :func:`zeta_values` and ``phi`` count proved
-units there.
+division, so :func:`em_sum`, :func:`zeta_values`, ``zeta`` and ``phi``
+count proved units there.
 The one exception is an ``s`` whose denominator ``q`` has ``q b`` past
 :data:`_ROOT_BITS_CAP` (a binary ``s`` such as a float's, or ``1 +
 10**-9``): its rows come from libmp's power, on the premise above, of ``s``
@@ -71,14 +70,14 @@ rounded to ``b`` bits, and are counted within 3 units (:func:`_libmp_rows`).
 
 The three engines, :func:`em_sum`, :func:`accel_alt_sum` and the
 iterated-integral engine :func:`_at_one`, count their own units in
-integers: their bounds are proved in the docstrings of :func:`_em_power_sum`
-and :func:`accel_alt_sum` and below.  Each ends in the one shared finish
+integers: their bounds are proved in the docstrings of :func:`em_sum` and
+:func:`accel_alt_sum` and below.  Each ends in the one shared finish
 :func:`_finish`, which rounds the integer total to nearest at ``b =
 working_bits(prec)`` bits and adds ``(|total| >> b) + 1`` units for it.
 :func:`zeta_values` converts nothing: it hands over its integer sums and
 unit bounds at the same ``b``, proved in its docstring, and
 ``gamma_const("ZETA_SERIES")`` divides them into its Chebyshev rows;
-``zeta`` at an integer converts the same pair by :func:`_finish`.
+``zeta`` converts the pair of :func:`_zeta_pass` by :func:`_finish`.
 
 Iterated integrals at 1/2
 -------------------------
@@ -173,8 +172,13 @@ def working_bits(prec: int) -> int:
 #: Most digits a chain of inner steps adds past :data:`MAX_PREC`: g2's
 #: ``assemble`` takes the REGISTRY ``a_3`` at ``prec + 6``, which takes
 #: ``a_2`` at ``prec + 12``, whose ``period_map`` takes its atoms at ``prec +
-#: 18``.
+#: 18``.  ``zeta`` near its pole is the other user: it adds the digits of
+#: ``1/(s - 1)`` and refuses a ``prec`` they carry past this top.
 INNER_DIGITS = 18
+
+#: The highest precision an inner step may run at: :func:`check_prec`'s top
+#: for an :func:`inner_prec` value, and where ``zeta`` refuses.
+INNER_TOP = MAX_PREC + INNER_DIGITS
 
 
 class _InnerPrec(int):
@@ -196,7 +200,7 @@ def inner_prec(prec: int, digits: int) -> int:
 
 def check_prec(prec: int) -> int:
     """``prec``, if it is an integer in ``[MIN_PREC, MAX_PREC]`` or an :func:`inner_prec` within its top."""
-    top = MAX_PREC + INNER_DIGITS if prec.__class__ is _InnerPrec else MAX_PREC
+    top = INNER_TOP if prec.__class__ is _InnerPrec else MAX_PREC
     if isinstance(prec, bool) or not isinstance(prec, int) or not (MIN_PREC <= prec <= top):
         raise DomainError(f"prec must be an integer in [{MIN_PREC}, {top}], got {prec!r}")
     return prec
@@ -375,8 +379,7 @@ class BigReal:
       :class:`DomainError`.
 
     A value that converts without change has radius 0.  Negation and
-    ``abs`` round the midpoint to the value's own working precision and
-    keep the radius.  :meth:`certified` compares the radius with
+    ``abs`` are exact: they keep the midpoint's bits and the radius.  :meth:`certified` compares the radius with
     ``10**-prec`` exactly, in integers.
 
     Instances are immutable and compare and hash by ``(value, err,
@@ -473,9 +476,9 @@ class BigReal:
     __radd__ = __add__
 
     def __neg__(self) -> "BigReal":
-        # Negation rounds the payload to the value's own working precision,
-        # as mpf's unary minus does there; the radius is unchanged.
-        return _new_ball(mpf_neg(self._mid, _BITS[self._prec], RN), self._man, self._exp, self._prec)
+        # Exact, however wide the midpoint: a ball relabelled to a lower prec
+        # keeps the bits of its inner step, and a rounding here went uncounted.
+        return _new_ball(mpf_neg(self._mid), self._man, self._exp, self._prec)
 
     def __sub__(self, other: ScalarLike | "BigReal") -> "BigReal":
         o = other if isinstance(other, BigReal) else BigReal.exact(other, self._prec)
@@ -541,7 +544,7 @@ class BigReal:
         return out
 
     def __abs__(self) -> "BigReal":
-        return _new_ball(mpf_abs(self._mid, _BITS[self._prec], RN), self._man, self._exp, self._prec)
+        return _new_ball(mpf_abs(self._mid), self._man, self._exp, self._prec)
 
     # -- queries ------------------------------------------------------
 
@@ -566,8 +569,8 @@ _make_mpf = mpmath.mp.make_mpf
 
 #: ``working_bits(p)`` and ``10**p`` by ``p``, read by every op, for every
 #: ``p`` that :func:`check_prec` admits.
-_BITS = tuple(working_bits(p) for p in range(MAX_PREC + INNER_DIGITS + 1))
-_TEN_TO = tuple(10 ** p for p in range(MAX_PREC + INNER_DIGITS + 1))
+_BITS = tuple(working_bits(p) for p in range(INNER_TOP + 1))
+_TEN_TO = tuple(10 ** p for p in range(INNER_TOP + 1))
 
 
 def _raw(x: mpf | int | float) -> tuple:
@@ -709,7 +712,7 @@ def bound_text(err: mpf, digits: int) -> str:
 
 def pi_times(k: int, prec: int) -> BigReal:
     """``k * pi`` at the working precision of ``prec``: pi rounds, then the product, exact if ``|k| = 2**j``."""
-    b, m = _BITS[prec], abs(k)
+    b, m = _BITS[check_prec(prec)], abs(k)
     return _ball(mpf_mul_int(mpf_pi(b, RN), k, b, RN), prec, (2 if m & m - 1 else 1) - b)
 
 
@@ -720,6 +723,7 @@ def log_of(q: int | Fraction, prec: int) -> BigReal:
     twice, which moves the log by at most ``2**(1 - b)``, one count; libmp's
     faithful ``log`` adds one more.  ``log 1`` is an exact 0.
     """
+    check_prec(prec)
     num, den = q.as_integer_ratio()
     if num <= 0:
         raise DomainError(f"log_of needs q > 0, got {exact_str(q)}")
@@ -832,7 +836,9 @@ def _power_rows(s: Fraction, n: int, bits: int) -> tuple[list[int], int]:
     Each row lies within ``r`` units of ``2**bits k**-s``.  Exact floors,
     ``r = 1``, wherever ``q * bits`` is within :data:`_ROOT_BITS_CAP` or
     ``s > bits``; otherwise the rows are :func:`_libmp_rows`, ``r = 3``.
-    The callers read ``r`` and count no cap of their own.  An integer ``s``
+    The callers, ``phi``, ``zeta`` and the divisor row ``_power_rows(s, 2,
+    bits + g)`` of :func:`_zeta_pass`, read ``r`` and count no cap of their
+    own.  An integer ``s``
     takes one division per row.  Otherwise a prime row ``k`` is the integer
     ``q``-th root of ``(1 << bits q) // k**p`` (:func:`_iroot`), as
     ``floor(y) = floor(floor(y**q)**(1/q))``, and a composite ``k = a c``,
@@ -893,7 +899,10 @@ def _libmp_rows(s: Fraction, ks: Sequence[int], bits: int) -> list[int]:
     Within 3 units of ``2**bits k**-s``: 2 on the premise that the power is
     faithful, and ``|s' - s| <= s 2**-bits`` moves ``2**bits k**-s`` by at
     most ``s log(k) k**-s <= 1/e`` units more.  So :func:`_power_rows`
-    returns ``r = 3`` with them, and EULER_PRODUCT counts 3 units a row.
+    returns ``r = 3`` with them, :func:`_zeta_pass` counts ``2 r = 6`` units
+    in its divisor, and EULER_PRODUCT counts 3 units a row.  Near the pole,
+    ``s = 1 + 10**-9`` and closer, every ``zeta`` and ``phi`` row is one of
+    these.
     """
     minus_s = mpf_neg(_quotient(s.numerator, s.denominator, bits))
     return [to_int(mpf_shift(mpf_pow(from_int(k), minus_s, bits, RN), bits), round_floor) for k in ks]
@@ -1038,7 +1047,7 @@ def _zeta_batch(top: int, prec: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         rows = list(map(floordiv, rows, range(1, n + 1)))
         if not rows[-1]:
             rows = rows[:rows.index(0) + 2]
-        total, err = _zeta_pass(rows, s, n, bits)
+        total, err = _zeta_pass(rows, 1, s, n, bits)
         if err * scale > one:
             raise PrecisionNotMet(
                 f"zeta_values: zeta({s}) bound of {err} units of 2**-{bits} exceeds 1e-{prec}")
@@ -1046,23 +1055,49 @@ def _zeta_batch(top: int, prec: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return bits, tuple(out)
 
 
-def _zeta_pass(rows: Sequence[int], s: int, n: int, bits: int) -> tuple[int, int]:
-    """``(total, err)``: ``2**bits zeta(s)`` for an integer ``s >= 2`` from the rows of ``phi(s)``.
+def _zeta_pass(rows: Sequence[int], r: int, s: int | Fraction, n: int, bits: int) -> tuple[int, int]:
+    """``(total, err)``: ``2**bits zeta(s)`` for a rational ``s > 1`` from the rows of ``phi(s)``.
 
-    Steps 2 and 3 of :func:`zeta_values`' proof: one :func:`_chebyshev` pass
-    over ``rows``, the floors ``floor(2**bits k**-s)``, gives ``E`` within
-    ``U`` units of ``2**bits phi(s)``; with ``D = 2**(s-1) - 1``, ``total =
-    E + E // D`` and ``err = U + ceil(U/D) + 1``.  The one step from
-    ``phi(s)`` to ``zeta(s)``, shared by :func:`zeta_values` and
-    ``eulerfun.zeta`` at an integer.  Once ``s > bits + 2``, ``D`` exceeds
-    ``E`` and ``U``, so ``E // D = 0`` and ``ceil(U/D) = 1``, and ``2**(s-1)``
-    is not formed: a huge ``s`` costs nothing.
+    ``rows`` are :func:`_power_rows`'s, each within ``r`` units of ``2**bits
+    k**-s``.  One :func:`_chebyshev` pass over them, with a bound of ``r -
+    1`` a row past exact floors, gives ``E`` within ``U`` units of ``2**bits
+    phi(s)``, ``phi(s) = (1 - 2**(1-s)) zeta(s)``.  The divisor comes from
+    row 2 of ``_power_rows(s, 2, bits + g)``, with ``g = 64 + 2 ceil(log2(1/(s
+    - 1)))`` guard bits (64 from ``s = 2`` on), so that it keeps its
+    relative precision near the pole.  With ``t`` twice that row, within
+    ``e = 2 r_2`` of ``T = 2**(bits + g) 2**(1-s)``, ``e = 0`` at an integer
+    ``s``, where the row is an exact power of 2, and ``D = 2**(bits + g) -
+    t``, within ``e`` of ``2**(bits + g) - T``, the bound is a proof in units
+    of ``2**-bits``:
+
+    1. ``2**bits zeta(s) = P 2**(bits + g) / (2**(bits + g) - T)`` for ``P =
+       2**bits phi(s)``, and ``|P - E| <= U``.
+    2. ``(P - E) 2**(bits + g) / (2**(bits + g) - T)`` is at most ``U (D +
+       t) / (D - e) = U + U (t + e) / (D - e)``.
+    3. ``E 2**(bits + g)`` over the true divisor and over ``D`` differ by at
+       most ``(E + U) 2**(bits + g) e / (D (D - e))``.
+    4. ``total = E + E t // D``, the floor of ``E 2**(bits + g) / D``, is one
+       unit below it at most.
+
+    So ``err = U + ceil(U (t + e) / (D - e)) + ceil((E + U) 2**(bits + g) e /
+    (D (D - e))) + 1``.  At an integer ``s`` it is ``E + E // (2**(s-1) - 1)``
+    with ``err = U + ceil(U / (2**(s-1) - 1)) + 1``, the step of
+    :func:`zeta_values`, which ``zeta`` at an integer shares bit for bit.
+    Once ``s > bits + 2`` the divisor moves ``2**bits zeta(s)`` by less than
+    a unit, so ``total = E`` within ``U + 2``, and no divisor row is formed:
+    a huge ``s`` costs nothing.
     """
-    estimate, units = _chebyshev(rows, n)
+    estimate, units = _chebyshev(rows, n, [r - 1] * n if r > 1 else None)
     if s > bits + 2:
         return estimate, units + 2
-    den = (1 << s - 1) - 1
-    return estimate + estimate // den, units - (-units // den) + 1
+    a, c = (s - 1).as_integer_ratio()
+    top = bits + 64 + 2 * ((c - 1) // a).bit_length()  # ceil(log2(c/a)), 0 for c <= a
+    (_, half), r2 = _power_rows(s, 2, top)
+    t, e = 2 * half, (0 if c == 1 else 2 * r2)
+    den = (1 << top) - t
+    low = den - e  # the divisor's lower end
+    err = units - (-units * (t + e) // low) - ((-(estimate + units) * e << top) // (den * low)) + 1
+    return estimate + estimate * t // den, err
 
 
 # ---------------------------------------------------------------------------
@@ -1070,60 +1105,72 @@ def _zeta_pass(rows: Sequence[int], s: int, n: int, bits: int) -> tuple[int, int
 # ---------------------------------------------------------------------------
 
 
-_BERNOULLI_RATIOS: list[tuple[int, int]] = [(1, 1)]
+def em_sum(prec: int) -> BigReal:
+    """Euler's constant by Euler-Maclaurin on the harmonic sum, planned from ``prec``.
 
+    The split ``n`` and the term count ``J`` are :func:`_em_plan`'s, aimed
+    at a first omitted term of ``10**-(wd - 1)``, ``wd = working_dps(prec)``,
+    which with the counted units meets ``10**-prec`` with about nine digits
+    to spare.  In integer fixed point with ``b = working_bits(prec)``
+    fraction bits, from the rows ``floor(2**b / k)``, this sums::
 
-def _bernoulli_ratios(terms: int) -> list[tuple[int, int]]:
-    """The cache, filled to ``terms``: entry ``j`` is ``B_2j/(2j)!`` as an exact ``(num, den)``."""
-    cache = _BERNOULLI_RATIOS
-    while len(cache) <= terms:
-        ratio = bernoulli(2 * len(cache)) / math.factorial(2 * len(cache))
-        cache.append((ratio.numerator, ratio.denominator))
-    return cache
+        sum(1/k, k=1..n) - log(n) - 1/(2 n) + sum(B_2j / (2j n**(2j)), j=1..J)
 
+    the regularized companion of the harmonic series, whose limit is Euler's
+    constant.  The declared bound is ``|correction| + units`` units of
+    ``2**-b``, with ``correction`` the first omitted Bernoulli term, plus
+    the units of :func:`_finish` for the one conversion to an mpf.  The
+    count is a proof:
 
-def em_sum(s: ScalarLike, prec: int) -> BigReal:
-    """Euler-Maclaurin sum of ``k**-s`` for rational ``s >= 1``, planned from ``prec``.
+    1. ``f(x) = 1/x`` is completely monotone, so the Euler-Maclaurin
+       remainder after ``J`` corrections lies between 0 and the first
+       omitted term ``B_2m / (2m n**(2m))``, ``m = J + 1``.
+    2. Each row is off by less than one unit; the count takes 2 a row, ``2
+       n`` units.
+    3. ``rows[-1] // 2`` is off by at most half a row's error and half a
+       unit for its floor: 2 units.  Two more go to ``-log n``: libmp's at
+       16 more bits is faithful, under ``|log n| 2**-15 < 1`` unit, and its
+       floor costs one.
+    4. ``tail = rows[-1] n`` is ``2**b`` within ``tail_err = 2 n`` units,
+       and each Bernoulli term, the omitted one too, is ``tail`` times the
+       exact rational ``B_2j / (2j n**(2j))``: it carries the floor of that
+       multiple of ``tail_err`` plus 2 units, at least the share plus 1 for
+       its own floor.  A share is skipped when bit lengths prove its floor 0.
 
-    ``s`` is the exact rational it denotes (:func:`as_fraction`).  The split
-    ``n`` and the term count ``J`` are :func:`_em_plan`'s, aimed at a first
-    omitted term of ``10**-(wd - 1)``, ``wd = working_dps(prec)``, which with
-    the counted units meets ``10**-prec`` with about nine digits to spare.
-    The rows ``floor(2**bits k**-s)`` at ``bits = working_bits(prec)`` are
-    computed here by :func:`_power_rows`, with the units ``r`` each row may
-    be off by, so no caller can pair a bound with a series it does not
-    describe: exact floors, one unit off at most, or past the root cap
-    rows from libmp's power, within 3 units.  With ``f(k) = k**-s`` this
-    sums, in the integer fixed point of :func:`_em_power_sum`::
+    Steps 2-4 bound the distance of ``total`` from ``2**b`` times the sum up
+    to the last correction kept; step 4 bounds ``2**b`` times the true first
+    omitted term by ``|correction|`` plus its share; with step 1 the value
+    is within ``|correction| + units``.
 
-        sum(f(k), k=1..n) + I(n) - f(n)/2
-            + sum(B_2j/(2j)! * poch(s, 2j-1) * n**(1-s-2j), j=1..J)
-
-    with ``I(n)`` the integral tail ``n**(1-s)/(s-1)``, or ``-log(n)`` at
-    ``s == 1`` (the regularized companion, whose limit is the constant the
-    ``s == 1`` series defines).  The declared bound is what
-    :func:`_em_power_sum` proves, ``|correction| + units`` units of
-    ``2**-bits`` (the first omitted Bernoulli term and the counted units),
-    plus the units of :func:`_finish` for the one conversion to an mpf.
-
-    Cost: ``n`` rows, each one integer division for an integer ``s`` and an
-    integer ``q``-th root otherwise, then integer sums and ``J + 1``
-    Bernoulli terms of a few exact integer products each.  Only the exact
-    ``B_2j/(2j)!`` are cached, per ``j``, as integer pairs: at most 51
-    entries (``J <= 50``).  One call; a plan that misses raises
-    :class:`PrecisionNotMet` naming its split and term count, and nothing is
-    retried.
+    Cost: ``n`` rows of one integer division each, then ``J + 1`` Bernoulli
+    terms of a few exact integer products and one floor division each; the
+    Bernoulli numbers are :func:`bernoulli`'s cache.  One call; a plan that
+    misses raises :class:`PrecisionNotMet` naming its split and term count,
+    and nothing is retried.
     """
     check_prec(prec)
-    s = as_fraction(s, "s")
-    if s < 1:
-        raise DomainError("em_sum needs s >= 1; a smaller s does not define a convergent tail")
-    n_split, terms = _em_plan(s, working_dps(prec) - 1)
+    n, terms = _em_plan(working_dps(prec) - 1)
     bits = working_bits(prec)
-    rows, r = _power_rows(s, n_split, bits)
-    total, correction, units = _em_power_sum(s, rows, r, terms, bits)
+    one = 1 << bits
+    rows = [one // k for k in range(1, n + 1)]
+    tail, tail_err = rows[-1] * n, 2 * n  # 2**bits, within 2 n units
+    log_n = to_int(mpf_neg(mpf_shift(mpf_log(from_int(n), bits + 16, RN), bits)), round_floor)
+    total = sum(rows) + log_n - rows[-1] // 2
+    units = 2 * n + 4
+    npow, err_bits = 1, tail_err.bit_length()
+    for j in range(1, terms + 2):
+        npow *= n * n
+        num, den = bernoulli(2 * j).as_integer_ratio()
+        den *= 2 * j * npow
+        correction = tail * num // den
+        if err_bits + num.bit_length() >= den.bit_length():
+            units += tail_err * abs(num) // den
+        units += 2
+        if j > terms:
+            break
+        total += correction
     return _finish(total, bits, abs(correction) + units, prec).demand(
-        f"em_sum at split {n_split} with {terms} Bernoulli terms")
+        f"em_sum at split {n} with {terms} Bernoulli terms")
 
 
 # |B_2m|/(2m)! = 2 zeta(2m) / (2 pi)^(2m) <= (pi^2/3) / (2 pi)^(2m) for m >= 1.
@@ -1131,31 +1178,24 @@ _LOG10_BERNOULLI_RATIO_BOUND = math.log10(math.pi ** 2 / 3)
 _LOG10_2PI = math.log10(2 * math.pi)
 
 
-def _first_omitted_log10(s: float, n: int, terms: int) -> float:
+def _first_omitted_log10(n: int, terms: int) -> float:
     # Upper estimate of log10 of the first omitted Euler-Maclaurin term of
-    # sum(k**-s) split at n after ``terms`` corrections:
-    # |B_2m|/(2m)! * s(s+1)...(s+2m-2) * n**(1-s-2m) with m = terms + 1.
+    # the harmonic sum split at n after ``terms`` corrections:
+    # |B_2m|/(2m)! * (2m-1)! * n**(-2m) with m = terms + 1.
     m = terms + 1
     return (_LOG10_BERNOULLI_RATIO_BOUND - 2 * m * _LOG10_2PI
-            + (math.lgamma(s + 2 * m - 1) - math.lgamma(s)) / math.log(10)
-            - (s + 2 * m - 1) * math.log10(n))
+            + math.lgamma(2 * m) / math.log(10) - 2 * m * math.log10(n))
 
 
-@lru_cache(maxsize=1024)
-def _em_plan(s: int | Fraction, digits: int) -> tuple[int, int]:
-    """The cheapest ``(n_split, bernoulli_terms)`` for ``sum(k**-s)``, ``s >= 1``.
+@lru_cache(maxsize=None)
+def _em_plan(digits: int) -> tuple[int, int]:
+    """The cheapest ``(n_split, bernoulli_terms)`` for the harmonic sum.
 
     Cheapest at ``n_split + 3 * bernoulli_terms`` among splits from 2 on,
-    with the estimated first omitted term at most ``10**-digits``.  A term
-    costs 4-20 rows at an integer ``s`` and 0.5-1 at ``s = 7/3``; a weight of
-    6 grew every declared bound and slowed ``s = 29/12`` by half.  The plan
-    is a function of its exact arguments, so the last 1024 are cached.
+    with the estimated first omitted term at most ``10**-digits``.  A weight
+    of 6 grew every declared bound.  The plan is a function of ``digits``
+    alone, so each is cached.
     """
-    # Past s = 10 * digits every split certifies with no Bernoulli term,
-    # and the first omitted term, s * n**(-s-1) / 12, only falls as s
-    # grows; so a larger exponent plans as 10 * digits does, and float(s)
-    # stays finite.
-    s = float(min(s, 10 * digits))
     best_cost, best = math.inf, None
     terms = None
     n = 2
@@ -1163,20 +1203,20 @@ def _em_plan(s: int | Fraction, digits: int) -> tuple[int, int]:
     # saves no term, a larger one saves none either.
     while best is None or n - best[0] <= 3:
         if terms is None:
-            # Past about pi*n - s/2 terms the corrections grow again, so
+            # Past about pi*n - 1/2 terms the corrections grow again, so
             # below that the estimate falls with every term.
-            hi = max(0, int(math.pi * n - s / 2))
-            if _first_omitted_log10(s, n, hi) <= -digits:
+            hi = max(0, int(math.pi * n - 0.5))
+            if _first_omitted_log10(n, hi) <= -digits:
                 lo = 0
                 while lo < hi:
                     mid = (lo + hi) // 2
-                    if _first_omitted_log10(s, n, mid) <= -digits:
+                    if _first_omitted_log10(n, mid) <= -digits:
                         hi = mid
                     else:
                         lo = mid + 1
                 terms = hi
         else:
-            while terms and _first_omitted_log10(s, n, terms - 1) <= -digits:
+            while terms and _first_omitted_log10(n, terms - 1) <= -digits:
                 terms -= 1
         if terms is not None:
             if n + 3 * terms < best_cost:
@@ -1185,89 +1225,6 @@ def _em_plan(s: int | Fraction, digits: int) -> tuple[int, int]:
                 break
         n += 1
     return best
-
-
-def _em_power_sum(s: int | Fraction, rows: Sequence[int], r: int, terms: int,
-                  bits: int) -> tuple[int, int, int]:
-    """``(total, correction, units)``, the integer body of :func:`em_sum`.
-
-    Sums ``k**-s``, ``s = p/q >= 1``, split at ``n = len(rows)`` with ``J =
-    terms`` Bernoulli corrections, in integer fixed point with ``bits``
-    fraction bits: ``rows[k-1]`` is ``2**bits k**-s`` within ``r`` units,
-    as :func:`_power_rows` returns them, 1 for exact floors and 3 past the
-    root cap; the count takes at least 2 a row (1 unit of it slack on exact
-    floors), and ``r`` below stands for that.  ``total``
-    is ``2**bits`` times the value, ``correction`` the first omitted
-    Bernoulli term in the same units, and ``units`` counts the error of
-    ``total``; :func:`em_sum` declares ``|correction| + units`` units of
-    ``2**-bits``.  The count is a proof, in units of ``2**-bits``:
-
-    1. ``f(x) = x**-s`` is completely monotone, so the Euler-Maclaurin
-       remainder after ``J`` corrections lies between 0 and the first
-       omitted term ``B_2m/(2m)! poch(s, 2m-1) n**(1-s-2m)``, ``m = J + 1``.
-    2. The rows are off by at most ``r`` each: ``r n`` units.
-    3. ``rows[-1] // 2`` is off by at most half a row's error and half a
-       unit for its floor: 2 units.  Two more go to the integral tail: at
-       ``s = 1`` the ``-log n``, libmp's at 16 more bits, is faithful, under
-       ``|log n| 2**-15 < 1`` unit, and its floor costs one; otherwise they
-       cover the floor of ``tail // (p - q)`` and the floor taken of its
-       share in step 5.
-    4. ``tail = rows[-1] n q`` is ``2**bits q n**(1-s)`` within ``r n q``
-       units, ``tail_err``, since the last row is off by ``r`` at most.
-       Once ``s >= bits + 2``, with ``shift = p // q - bits - 1``, the
-       true last row is ``2**bits n**-s <= 2**(1 - shift)`` and it floors
-       to 0, so the tail is within ``tail_err 2**-shift`` (0 at ``n = 1``,
-       whose row is exact).
-    5. The integral ``q n**(1-s) / (p - q)`` and each Bernoulli term, the
-       omitted one too, are ``tail`` times an exact rational ``scale /
-       den`` (``1 / (p - q)`` for the integral), so each carries ``tail_err
-       |scale| 2**-shift / den`` units of the tail's error.  A Bernoulli
-       term adds the floor of that share plus 2, at least the share plus 1
-       for its own floor; the integral adds the floor of its share, and
-       step 3's 2 units make up the rest.
-
-    Steps 2-5 bound ``|total - 2**bits S_J|`` by ``units``, where ``S_J`` is
-    the sum up to the last correction kept; step 5 bounds ``2**bits`` times
-    the true first omitted term by ``|correction|`` plus its share of
-    ``units``; with step 1 the value is within ``|correction| + units``.
-
-    Cost: one pass over the rows and ``J + 1`` Bernoulli terms of a few
-    exact integer products and one floor division each; a term's unit
-    division is skipped when bit lengths prove its quotient is 0.
-    """
-    n = len(rows)
-    p, q = s.as_integer_ratio()
-    r = max(r, 2)
-    tail = rows[-1] * n * q  # q n**(1-s)
-    tail_err = r * n * q  # the tail's error, times 2**shift
-    shift = max(p // q - bits - 1, 0)
-    units = r * n + 4
-    if p == q:
-        integral = to_int(mpf_neg(mpf_shift(mpf_log(from_int(n), bits + 16, RN), bits)), round_floor)
-    else:
-        integral = tail // (p - q)
-        units += (tail_err >> shift) // (p - q)
-    total = sum(rows) + integral - rows[-1] // 2
-    poch = p  # q**(2j-1) s(s+1)...(s+2j-2), exact
-    npow = 1  # (q n)**(2j)
-    qn2 = (q * n) ** 2
-    # A unit share tail_err |scale| 2**-shift / den is 0 when its bit length
-    # bound, bitlen(tail_err) + bitlen(scale) - shift, is below bitlen(den).
-    err_bits = tail_err.bit_length() - shift
-    ratios = _bernoulli_ratios(terms + 1)
-    for j in range(1, terms + 2):
-        npow *= qn2
-        num, den = ratios[j]
-        scale, den = poch * num, den * npow
-        correction = tail * scale // den
-        if err_bits + scale.bit_length() >= den.bit_length():
-            units += (tail_err * abs(scale) >> shift) // den
-        units += 2
-        if j > terms:
-            break
-        total += correction
-        poch *= (p + (2 * j - 1) * q) * (p + 2 * j * q)
-    return total, correction, units
 
 
 # ---------------------------------------------------------------------------

@@ -481,10 +481,18 @@ def test_negative_rational_follows_a_double_dash(capsys):
 
 
 def test_exit_one_uncertifiable_precision(capsys):
-    # zeta(1 + 10**-12) eats the guard digits: the planned bound misses 1e-15.
-    code, out, err = run(capsys, "zeta", "1.000000000001")
-    assert code == 1
-    assert "certified bound" in err
+    # zeta(1 + 10**-30) at prec 100 needs 31 digits past it, beyond the working top.
+    code, out, err = run(capsys, "zeta", "--prec", "100", "1.000000000000000000000000000001")
+    assert (code, out) == (1, "")
+    assert err == ("error: zeta at s = 1.000000000000000000000000000001: s - 1 = 1.0e-30 needs 31 digits "
+                   "past prec 100, beyond the working top 118\n")
+
+
+@pytest.mark.parametrize("args", [["--prec", "50", "1.0000000001"], ["--prec", "15", "1.000000000001"]])
+def test_zeta_near_its_pole_certifies_quietly(capsys, args):
+    # Both used to exit 1 when Euler-Maclaurin's planned bound missed.
+    code, out, err = run(capsys, "zeta", *args)
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

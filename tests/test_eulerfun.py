@@ -26,7 +26,7 @@ from euler_periods.eulerfun import (
     zeta,
     zeta_even_closed,
 )
-from euler_periods.numkernel import (DIGIT_CAP, MAX_PREC, MIN_PREC, WEIGHT_CAP, em_sum, working_dps,
+from euler_periods.numkernel import (DIGIT_CAP, INNER_DIGITS, MAX_PREC, MIN_PREC, WEIGHT_CAP, working_dps,
                                      zeta_values, _at_one, _word)
 from test_numkernel import _mp, ref_rounding
 from test_rounding import _true_residual
@@ -116,13 +116,13 @@ def test_phi_at_one_is_log_two():
 
 @pytest.mark.parametrize("s", [2, 3, "2.5", 6])
 def test_phi_zeta_relation_above_one(s):
-    # phi(s) = (1 - 2**(1-s)) zeta(s) for s > 1.
+    # phi(s) = (1 - 2**(1-s)) zeta(s) for s > 1.  zeta is phi's pass divided
+    # by that factor, so the zeta here is mpmath's.
     prec = 25
     p = phi(s, prec)
-    z = zeta(s, prec + 2)
     with mpmath.workdps(working_dps(prec) + 5):
         sv = mpf(s)
-        assert abs(p.value - (1 - 2 ** (1 - sv)) * z.value) <= 2 * mpf(10) ** (-prec)
+        assert abs(p.value - (1 - 2 ** (1 - sv)) * mpmath.zeta(sv)) <= 2 * mpf(10) ** (-prec)
 
 
 @pytest.mark.parametrize("s", ["0.5", "0.25", 1, "1.75"])
@@ -472,7 +472,6 @@ EVALUATORS = {
     "zeta": zeta,
     "phi": phi,
     "polylog": lambda x, prec: polylog(2, x, prec),
-    "em_sum": em_sum,
     "phi-funceq": lambda x, prec: identity_residual(IdentityKind.PHI_FUNCEQ, {"s": x}, prec),
     "dilog-reflection": lambda x, prec: identity_residual(IdentityKind.DILOG_REFLECTION, {"x": x}, prec),
 }
@@ -505,9 +504,10 @@ def exact(x) -> mpf:
     return mpf(x.numerator) / x.denominator
 
 
-def assert_covers(x, reference, prec: int) -> None:
+def assert_covers(x, reference, prec: int, dps: int = 0) -> None:
+    """``x`` is certified at ``prec`` and covers ``reference()``, taken at ``dps`` digits or 20 past ``x``'s."""
     assert x.prec == prec and x.certified(), prec
-    with mpmath.workdps(working_dps(prec) + 20):
+    with mpmath.workdps(dps or working_dps(prec) + 20):
         assert abs(x.value - reference()) <= x.err, prec
 
 
@@ -524,21 +524,11 @@ def counted(monkeypatch, name: str, module=numkernel) -> list:
     return calls
 
 
-@pytest.mark.parametrize("s", [Fraction(101, 100), Fraction(6, 5), Fraction(3, 2), Fraction(7, 3), "2.5"],
-                         ids=str)
-def test_zeta_runs_one_planned_em_sum_at_every_prec(s, monkeypatch):
-    # A non-integer s is Euler-Maclaurin's: one planned em_sum, no phi pass.
-    calls, steps = counted(monkeypatch, "em_sum", eulerfun), counted(monkeypatch, "_zeta_pass", eulerfun)
-    for prec in ALL_PRECS:
-        calls.clear()
-        z = zeta(s, prec)
-        assert (len(calls), len(steps)) == (1, 0), prec
-        assert_covers(z, lambda: mpmath.zeta(exact(s)), prec)
-
-
-@pytest.mark.parametrize("s", [2, 3, 5, 8, 10, "3", 3.0, Fraction(3), 40], ids=repr)
-def test_integer_zeta_runs_one_phi_pass_at_every_prec(s, monkeypatch):
-    # An integer s, however written, is the phi pass's: one shared step, no em_sum.
+@pytest.mark.parametrize("s", [Fraction(101, 100), Fraction(6, 5), Fraction(3, 2), Fraction(7, 3), "2.5",
+                               2, 3, 5, 8, 10, "3", 3.0, Fraction(3), 40], ids=repr)
+def test_zeta_runs_one_phi_pass_at_every_prec(s, monkeypatch):
+    # Every s, integer or not and however written, is the phi pass's: one
+    # shared step, no em_sum.
     calls, steps = counted(monkeypatch, "em_sum", eulerfun), counted(monkeypatch, "_zeta_pass", eulerfun)
     for prec in ALL_PRECS:
         steps.clear()
@@ -695,15 +685,14 @@ def test_zeta_and_phi_at_large_denominators_certify_and_cover(prec):
     binary = Fraction(2 ** 70 + 3, 2 ** 71)
     assert binary.denominator * 40 > numkernel._ROOT_BITS_CAP
     assert_covers(phi(binary, prec), lambda: mpmath.altzeta(exact(binary)), prec)
-    if prec <= 15:
-        near_pole = 1 + Fraction(1, 10 ** 9)
-        assert_covers(zeta(near_pole, prec), lambda: mpmath.zeta(exact(near_pole)), prec)
+    near_pole = 1 + Fraction(1, 10 ** 9)
+    assert_covers(zeta(near_pole, prec), lambda: mpmath.zeta(exact(near_pole)), prec, 300)
 
 
 def test_rows_past_bits_count_as_exact_floors_past_the_root_cap_too():
     # q * bits passes the root cap, but s > bits: every row past the first is
     # an exact 0, and _power_rows says so, so phi declares the bound that
-    # accel_alt_sum proves on the same rows, and em_sum counts them as exact.
+    # accel_alt_sum proves on the same rows, and zeta's pass counts them as exact.
     s, prec = Fraction(10 ** 10 + 1, 10 ** 4), 15
     b = numkernel.working_bits(prec)
     assert s.denominator * b > numkernel._ROOT_BITS_CAP
@@ -716,14 +705,33 @@ def test_rows_past_bits_count_as_exact_floors_past_the_root_cap_too():
     assert_covers(zeta(s, prec), lambda: mpmath.zeta(exact(s)), prec)
 
 
-def test_zeta_near_its_pole_names_its_limit():
-    # The bound is absolute while the value is about 1/(s - 1): see zeta's docstring.
-    near_pole = 1 + Fraction(1, 10 ** 9)
-    assert_covers(zeta(near_pole, 50), lambda: mpmath.zeta(exact(near_pole)), 50)
-    with pytest.raises(PrecisionNotMet):
-        zeta(1 + Fraction(1, 10 ** 10), 50)
-    with pytest.raises(PrecisionNotMet):
-        zeta(1 + Fraction(1, 10 ** 12), 15)
+@pytest.mark.parametrize("k, prec", [(9, 50), (10, 50), (12, 15), (60, 15), (17, 100), (30, 87)])
+def test_zeta_near_its_pole_certifies_within_the_working_top(k, prec):
+    # The bound is absolute while the value is about 10**k: k + 1 more digits,
+    # up to MAX_PREC + INNER_DIGITS.  mpmath loses digits near the pole too, so
+    # its reference takes 400 (at 140, zeta(1 + 10**-60) is off by 1e-21).
+    near_pole = 1 + Fraction(1, 10 ** k)
+    assert prec + k + 1 <= MAX_PREC + INNER_DIGITS
+    assert_covers(zeta(near_pole, prec), lambda: mpmath.zeta(exact(near_pole)), prec, 400)
+
+
+@pytest.mark.parametrize("k, prec", [(12, 15), (10, 50)])
+def test_zeta_near_its_pole_negates_and_takes_abs_within_its_ball(k, prec):
+    # The ball is relabelled to prec with its inner midpoint, which is wider
+    # than prec's bits: -z and abs(-z) must keep it to stay enclosures.
+    z = -zeta(1 + Fraction(1, 10 ** k), prec)
+    assert_covers(z, lambda: -mpmath.zeta(1 + mpf(10) ** -k), prec, 400)
+    assert_covers(abs(z), lambda: mpmath.zeta(1 + mpf(10) ** -k), prec, 400)
+
+
+@pytest.mark.parametrize("k, prec", [(30, 100), (30, 88), (18, 100), (999, 1)])
+def test_zeta_near_its_pole_names_its_limit(k, prec, monkeypatch):
+    # Past the working top the refusal names s - 1 and prec before any row is built.
+    rows = counted(monkeypatch, "_power_rows", eulerfun)
+    with pytest.raises(PrecisionNotMet, match=rf"s - 1 = 1\.0e-{k} needs {k + 1} digits past prec {prec}, "
+                                              rf"beyond the working top {MAX_PREC + INNER_DIGITS}"):
+        zeta(1 + Fraction(1, 10 ** k), prec)
+    assert not rows
 
 
 # ---------------------------------------------------------------------------
@@ -821,12 +829,13 @@ def test_log_of_encloses_the_log_at_every_inner_prec():
     # The window runs at inner_prec(prec, 4), past MAX_PREC: log_of takes that prec, as pi_times does.
     points = [Fraction(1, 3), Fraction(49, 100), Fraction(10 ** 40 + 1, 10 ** 40), Fraction(7, 2),
               Fraction(3 ** 200, 2 ** 300), Fraction(1)]
-    for prec in range(MIN_PREC, MAX_PREC + 5):
+    inner = [numkernel.inner_prec(MAX_PREC, k) for k in range(1, 5)]
+    for prec in [*range(MIN_PREC, MAX_PREC + 1), *inner]:
         for q in points:
             x = numkernel.log_of(q, prec)
             with mpmath.workdps(200):
                 assert abs(x.value - mpmath.log(exact(q))) <= x.err, (q, prec)
-    assert bits(numkernel.log_of(1, 104)) == ((0, 0, 0, 0), (0, 0, 0, 0))
+    assert bits(numkernel.log_of(1, inner[-1])) == ((0, 0, 0, 0), (0, 0, 0, 0))
     for q in (0, Fraction(-1, 2)):
         with pytest.raises(DomainError):
             numkernel.log_of(q, 15)

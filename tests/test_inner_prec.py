@@ -43,7 +43,7 @@ PUBLIC = {
     "mzv": lambda p: mzv((2, 3), p),
     "mzv_bruteforce": lambda p: mzv_bruteforce((2, 3), 10, p),
     "multiphi": lambda p: multiphi((1, 3), p),
-    "em_sum": lambda p: em_sum(3, p),
+    "em_sum": em_sum,
     "accel_alt_sum": lambda p: accel_alt_sum([1] * 200, p),
     "zeta_values": lambda p: zeta_values(5, p),
     "alt_terms_needed": alt_terms_needed,

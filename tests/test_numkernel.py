@@ -114,15 +114,14 @@ def test_bernoulli_satisfies_von_staudt_clausen_up_to_the_cap():
 def test_bernoulli_fills_index_by_index_in_quadratic_steps(monkeypatch):
     monkeypatch.setattr(numkernel, "_BERNOULLI_CACHE", [Fraction(1)])
     monkeypatch.setattr(numkernel, "_TANGENT_COLUMN", [])
-    monkeypatch.setattr(numkernel, "_BERNOULLI_RATIOS", [(1, 1)])
     extended = []  # the length of each column extended
     step = numkernel._tangent_step
     monkeypatch.setattr(numkernel, "_tangent_step",
                         lambda column: extended.append(len(column)) or step(column))
-    numkernel._bernoulli_ratios(2)
+    bernoulli(4)
     assert len(numkernel._BERNOULLI_CACHE) == 5 and extended == [0, 1]  # B_4, no further
-    for j in range(3, 101):  # one B_2j at a time, as the Euler-Maclaurin plans ask
-        numkernel._bernoulli_ratios(j)
+    for j in range(3, 101):  # one B_2j at a time, as the Euler-Maclaurin terms ask
+        bernoulli(2 * j)
     for n in range(200, -1, -1):  # every index again, backwards: all cached
         bernoulli(n)
     # T_k extends the column of T_(k-1) once, in k small-integer multiply-adds:
@@ -219,6 +218,39 @@ def test_a_ball_is_made_at_a_checked_prec_only(bad):
         BigReal(mpf(1), 0, bad)
     with pytest.raises(DomainError):
         BigReal.exact(1, bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 0, True, 1.5, 101, 500])
+def test_pi_times_and_log_of_take_a_checked_prec_only(bad):
+    # pi_times(1, -1) used to return a ball at prec -1 that called itself
+    # certified, and log_of(3, 500) ended in IndexError.
+    with pytest.raises(DomainError):
+        pi_times(1, bad)
+    with pytest.raises(DomainError):
+        numkernel.log_of(3, bad)
+    with pytest.raises(DomainError):
+        numkernel.log_of(1, bad)  # log 1 is an exact 0, at a checked prec too
+
+
+def test_pi_times_and_log_of_run_at_the_inner_top():
+    top = numkernel.inner_prec(MAX_PREC, numkernel.INNER_DIGITS)
+    for x in (pi_times(3, top), numkernel.log_of(3, top), numkernel.log_of(1, top)):
+        assert x.prec == top and x.certified()
+    with mpmath.workdps(200):
+        assert abs(pi_times(3, top).value - 3 * mpmath.pi) <= pi_times(3, top).err
+        assert abs(numkernel.log_of(3, top).value - mpmath.log(3)) <= numkernel.log_of(3, top).err
+    with pytest.raises(DomainError):
+        pi_times(1, numkernel.inner_prec(top, 1))
+
+
+def test_negation_and_abs_keep_a_midpoint_wider_than_the_prec():
+    # A ball relabelled from an inner prec keeps its inner midpoint; rounding
+    # it to the outer prec's bits would move it by more than the radius.
+    with mpmath.workdps(60):
+        wide = BigReal(mpf(10) ** 12 + mpf(1) / 3, 0, 15)
+    assert wide.value._mpf_[3] > numkernel.working_bits(15)
+    assert (-wide).value == mpmath.fneg(wide.value, exact=True) and abs(-wide).value == wide.value
+    assert (-wide).err == abs(-wide).err == 0 and (-wide).prec == 15
 
 
 def test_an_inner_prec_passes_check_prec_up_to_its_top():
@@ -451,7 +483,10 @@ def _mp(x) -> mpf:
 
 @dataclasses.dataclass(frozen=True)
 class RefReal:
-    """BigReal on mpf operators, one ``workdps(working_dps(p))`` block per op."""
+    """BigReal on mpf operators, one ``workdps(working_dps(p))`` block per rounding op.
+
+    Negation and ``abs`` round nothing, as BigReal's do not.
+    """
 
     value: mpf
     err: mpf
@@ -489,8 +524,7 @@ class RefReal:
     __radd__ = __add__
 
     def __neg__(self):
-        with mpmath.workdps(working_dps(self.prec)):
-            return RefReal(-self.value, self.err, self.prec)
+        return RefReal(mpmath.fneg(self.value, exact=True), self.err, self.prec)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -534,8 +568,7 @@ class RefReal:
         return out
 
     def __abs__(self):
-        with mpmath.workdps(working_dps(self.prec)):
-            return RefReal(abs(self.value), self.err, self.prec)
+        return -self if self.value < 0 else self
 
     def certified(self):
         with mpmath.workdps(working_dps(self.prec)):
@@ -1029,12 +1062,12 @@ def test_finish_rounds_to_nearest_and_adds_its_units(prec):
 
 def test_engines_finish_in_no_mpmath_context(monkeypatch):
     # The one shared finish calls mpmath.libmp at explicit precisions: with
-    # the mpmath module out of reach every engine still runs (an integer s
-    # keeps the rows and the body of em_sum in integers too).
+    # the mpmath module out of reach every engine still runs (em_sum's rows
+    # and body are integers, its log libmp's).
     monkeypatch.setattr(numkernel, "mpmath", Absent())
     for prec in (1, 15, 100):
         rows = unit_rows(prec, eta2)
-        for x in (em_sum(3, prec), accel_alt_sum(rows, prec), numkernel._at_one([0, 1], prec)):
+        for x in (em_sum(prec), accel_alt_sum(rows, prec), numkernel._at_one([0, 1], prec)):
             assert x.prec == prec and x.certified()
 
 
@@ -1171,9 +1204,9 @@ def test_zeta_values_validate_arguments(top, prec):
 # ---------------------------------------------------------------------------
 
 
-def planned(s, prec: int) -> tuple[int, int]:
-    """The ``(n_split, bernoulli_terms)`` that ``em_sum(s, prec)`` runs."""
-    return numkernel._em_plan(as_fraction(s), working_dps(prec) - 1)
+def planned(prec: int) -> tuple[int, int]:
+    """The ``(n_split, bernoulli_terms)`` that ``em_sum(prec)`` runs."""
+    return numkernel._em_plan(working_dps(prec) - 1)
 
 
 def fix_plan(monkeypatch, n_split: int, terms: int) -> None:
@@ -1181,31 +1214,30 @@ def fix_plan(monkeypatch, n_split: int, terms: int) -> None:
     monkeypatch.setattr(numkernel, "_em_plan", lambda *args: (n_split, terms))
 
 
-def test_em_sum_zeta3_matches_reference():
+def test_zeta3_matches_reference():
     prec = 30
-    x = em_sum(3, prec)
+    x = zeta(3, prec)
     with mpmath.workdps(working_dps(prec)):
         assert abs(x.value - mpmath.zeta(3)) <= mpf(10) ** (-prec)
 
 
 def test_em_sum_regularized_harmonic_gives_eulers_constant():
-    """s == 1 subtracts log(n); the limit is Euler's constant."""
+    """The harmonic sum less log(n); the limit is Euler's constant."""
     prec = 25
-    x = em_sum(1, prec)
+    x = em_sum(prec)
     with mpmath.workdps(working_dps(prec)):
         assert abs(x.value - mpmath.euler) <= mpf(10) ** (-prec)
 
 
 @pytest.mark.parametrize("s", [float("inf"), float("nan"), mpmath.inf, "abc", None], ids=repr)
-def test_zeta_and_em_sum_reject_an_exponent_that_is_no_number(s):
+def test_zeta_rejects_an_exponent_that_is_no_number(s):
     with pytest.raises(DomainError):
         zeta(s, 15)
-    with pytest.raises(DomainError):
-        em_sum(s, 15)
 
 
-def test_em_sum_rejects_divergent_tail():
-    with pytest.raises(DomainError):
+def test_em_sum_takes_no_exponent():
+    # em_sum is the harmonic sum of Euler's constant alone: it reads no exponent.
+    with pytest.raises(TypeError):
         em_sum("0.5", 15)
 
 
@@ -1213,14 +1245,15 @@ def test_em_sum_insufficient_split_raises_precision_not_met(monkeypatch):
     # Two terms at split 3 cannot certify thirty digits; the message names the plan.
     fix_plan(monkeypatch, 3, 2)
     with pytest.raises(PrecisionNotMet, match="em_sum at split 3 with 2 Bernoulli terms"):
-        em_sum(2, 30)
+        em_sum(30)
 
 
 def em_sum_reference(s, n_split: int, bernoulli_terms: int, prec: int) -> tuple[mpf, mpf]:
-    """``em_sum`` for ``k**-s`` with the textbook O(J**2) tail.
+    """Euler-Maclaurin for ``k**-s`` with the textbook O(J**2) tail.
 
     Every correction term builds its Pochhammer product afresh from 1 and
-    converts ``B_2j/(2j)!`` anew; returns ``(value, err)``.
+    converts ``B_2j/(2j)!`` anew; returns ``(value, err)``.  At ``s = 1`` it
+    is the oracle of ``em_sum``'s harmonic body, elsewhere of ``zeta``.
     """
     wd = working_dps(prec)
     with mpmath.workdps(wd):
@@ -1244,12 +1277,10 @@ def em_sum_reference(s, n_split: int, bernoulli_terms: int, prec: int) -> tuple[
         return value, err
 
 
-def assert_agrees_with_textbook_tail(monkeypatch, s, n_split: int, terms: int, prec: int) -> None:
-    # Both routes certify, agree within the sum of their bounds, and the
-    # fixed-point one covers mpmath at 130 digits.
+def assert_agrees_with_textbook_tail(x, s, n_split: int, terms: int, prec: int) -> None:
+    # Both routes certify, agree within the sum of their bounds, and x covers
+    # mpmath at 130 digits.
     value, err = em_sum_reference(s, n_split, terms, prec)
-    fix_plan(monkeypatch, n_split, terms)
-    x = em_sum(s, prec)
     assert err <= mpf(10) ** -prec and x.certified()
     with mpmath.workdps(130):
         assert abs(x.value - value) <= x.err + err
@@ -1260,31 +1291,38 @@ def assert_agrees_with_textbook_tail(monkeypatch, s, n_split: int, terms: int, p
 
 @pytest.mark.parametrize("prec", [1, 15, 50, 100])
 @pytest.mark.parametrize("s", [1, 2, Fraction(5, 2), Fraction(7, 3), 3, 40, 163], ids=str)
-def test_em_sum_agrees_with_textbook_tail(s, prec, monkeypatch):
-    assert_agrees_with_textbook_tail(monkeypatch, s, *planned(s, prec), prec)
+def test_em_sum_and_zeta_agree_with_textbook_tail(s, prec):
+    # em_sum is checked at its own plan; zeta, which plans no split, against
+    # a fixed one that meets 10**-100 in the reference for every s here.
+    if s == 1:
+        assert_agrees_with_textbook_tail(em_sum(prec), s, *planned(prec), prec)
+    else:
+        assert_agrees_with_textbook_tail(zeta(s, prec), s, 80, 60, prec)
 
 
 @pytest.mark.parametrize("terms", [0, 1, 2])
 def test_em_sum_agrees_with_textbook_tail_with_few_terms(terms, monkeypatch):
-    assert_agrees_with_textbook_tail(monkeypatch, 40, 20, terms, 15)
+    # At split 20 the first omitted term is 2e-4, 5e-8 and 6e-11: prec 3 certifies.
+    fix_plan(monkeypatch, 20, terms)
+    assert_agrees_with_textbook_tail(em_sum(3), 1, 20, terms, 3)
 
 
 @pytest.mark.parametrize("prec", [1, 15, 100])
 @pytest.mark.parametrize("s", [Fraction(5, 2), "2.5", mpf("2.5"), Fraction(7, 3), "1.7"],
                          ids=repr)
-def test_em_sum_takes_any_scalar_exponent_with_zeta_bits(s, prec):
+def test_zeta_takes_any_scalar_exponent_with_the_bits_of_its_rational(s, prec):
     z = zeta(s, prec)
-    x = em_sum(s, prec)
+    x = zeta(as_fraction(s), prec)
     assert (x.value._mpf_, x.err._mpf_) == (z.value._mpf_, z.err._mpf_)
 
 
 @pytest.mark.parametrize("prec", [1, 15, 100])
-def test_em_sum_at_an_integer_covers_zeta_and_agrees_with_the_phi_route(prec):
-    # zeta at an integer takes the phi pass, so em_sum(3) is an independent route to it.
-    x, z = em_sum(3, prec), zeta(3, prec)
-    assert x.certified()
+def test_zeta_at_an_integer_agrees_with_the_iterated_integral_route(prec):
+    # zeta(3) is the phi pass, so the engine's word 0 0 1 is an independent route to it.
+    x, z = numkernel._at_one(numkernel._word((3,), (1,)), prec), zeta(3, prec)
+    assert x.certified() and z.certified()
     with mpmath.workdps(130):
-        assert abs(x.value - mpmath.zeta(3)) <= x.err
+        assert abs(z.value - mpmath.zeta(3)) <= z.err
         assert abs(x.value - z.value) <= x.err + z.err
 
 
@@ -1416,7 +1454,7 @@ def test_power_rows_past_the_root_cap_keep_the_mpmath_premise():
 def test_libmp_rows_lie_within_the_three_counted_units(bits):
     # Each row is within 3 units of 2**bits k**-s: 2 for libmp's power on its
     # premise and up to 1/e for s rounded to bits bits.  _power_rows returns
-    # r = 3 with such rows, for phi and em_sum; EULER_PRODUCT counts 3.
+    # r = 3 with such rows, for phi and zeta; EULER_PRODUCT counts 3.
     ks = list(range(1, 144)) + [p for p in range(144, 1000) if all(p % d for d in range(2, 32))]
     for s in (Fraction(45, 23), 1 + Fraction(1, 10 ** 9), Fraction(2 ** 70 + 3, 2 ** 71), Fraction(1, 3),
               Fraction(7, 3), Fraction(20)):
@@ -1443,12 +1481,20 @@ def test_power_rows_past_the_root_cap_keep_the_bits_of_the_mpf_power():
 
 
 @pytest.mark.parametrize("bits", [37, 86, 202, 369])
-def test_em_sum_at_one_floors_the_log_the_mpmath_context_gave(bits):
-    # At s = 1 the integral tail is floor(-2**bits log n), from libmp's log at bits + 16.
+def test_em_sum_floors_the_log_the_mpmath_context_gave(bits, monkeypatch):
+    # The integral tail is floor(-2**bits log n), from libmp's log at bits +
+    # 16: with no Bernoulli term the total em_sum finishes is the rows, less
+    # half the last, plus it.
+    finished = []
+    monkeypatch.setattr(numkernel, "working_bits", lambda prec: bits)
+    monkeypatch.setattr(numkernel, "_finish", lambda total, *args: finished.append(total) or BigReal(mpf(0), 0, 15))
     for n in range(2, 200):
+        fix_plan(monkeypatch, n, 0)
+        em_sum(15)
+        rows = [(1 << bits) // k for k in range(1, n + 1)]
         with mpmath.workprec(bits + 16):
             integral = int(mpmath.floor(-mpmath.ldexp(mpmath.log(n), bits)))
-        assert numkernel._em_power_sum(1, [0] * n, 1, 0, bits)[0] == integral, n
+        assert finished.pop() == sum(rows) - rows[-1] // 2 + integral, n
 
 
 def test_integer_root_is_exact():
