@@ -64,7 +64,7 @@ def _certified_line(x: BigReal) -> tuple[list[str], dict]:
 
 def _measured_line(x: BigReal) -> tuple[list[str], dict]:
     """Render a value whose bound is honest but possibly above 1e-prec."""
-    value, bound = value_text(x, x.prec), bound_text(x.err, 2)
+    value, bound = value_text(x, x.prec), bound_text(x, 2)
     return [f"{value} ± {bound}"], {"value": value, "bound": bound}
 
 
@@ -116,9 +116,8 @@ def _cmd_multiphi(args):
 def _cmd_stuffle_check(args):
     from .mzv import stuffle_residual
     r = stuffle_residual(args.m, args.n, args.prec)
-    resid = abs(r)
-    ok = bool(resid.value <= r.err)
-    resid_text, bound = value_text(resid, 3), bound_text(r.err, 3)
+    ok = r.holds_zero()
+    resid_text, bound = value_text(abs(r), 3), bound_text(r, 3)
     verdict = "pass" if ok else "FAIL"
     line = f"residual {resid_text} within bound {bound}: {verdict}"
     payload = {"residual": resid_text, "bound": bound, "passed": ok}
@@ -136,7 +135,7 @@ def _cmd_identity_check(args):
         raise DomainError(f"tol must be non-negative, got {args.tol!r}")
     r = eulerfun.identity_residual(kind, params, args.prec)
     magnitude = abs(r)
-    resid, bound = value_text(magnitude, 3), bound_text(r.err, 2)
+    resid, bound = value_text(magnitude, 3), bound_text(r, 2)
     payload = {"kind": kind, "residual": resid, "bound": bound}
     if tol is None:
         return [f"residual {resid} ± {bound}"], payload, 0

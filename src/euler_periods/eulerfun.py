@@ -17,10 +17,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
-from mpmath import mpf
-from mpmath.libmp import (dps_to_prec, from_rational, mpf_cos, mpf_exp, mpf_gamma, mpf_log, mpf_lt, mpf_shift,
-                          mpf_sin, mpf_sin_pi, mpf_sinh, round_nearest, to_str)
-
 from .errors import DomainError, PrecisionNotMet, TooLarge
 from .numkernel import (
     INNER_TOP,
@@ -31,6 +27,7 @@ from .numkernel import (
     as_fraction,
     bernoulli,
     check_prec,
+    dps_to_prec,
     em_sum,
     faithful,
     inner_prec,
@@ -39,9 +36,12 @@ from .numkernel import (
     working_bits,
     zeta_values,
     _at_one,
+    _decimal_text,
     _finish,
     _libmp_rows,
     _power_rows,
+    _quotient,
+    _relabel,
     _word,
     _zeta_pass,
 )
@@ -54,7 +54,7 @@ def _shown(x: ScalarLike, q: Fraction, *edges: Fraction | int) -> str:
     """``x`` of exact value ``q`` as written, or in 8 or more digits that keep ``q``'s side of each edge."""
     digits = 8
     while not isinstance(x, str):
-        text = to_str(from_rational(*q.as_integer_ratio(), dps_to_prec(digits) + 8, round_nearest), digits)
+        text = _decimal_text(_quotient(*q.as_integer_ratio(), dps_to_prec(digits) + 8, False), digits)
         if all((Fraction(text) > e) - (Fraction(text) < e) == (q > e) - (q < e) for e in edges):
             return text
         digits *= 2
@@ -102,7 +102,7 @@ def zeta(s: ScalarLike, prec: int) -> BigReal:
     rows, r = _power_rows(q, n, bits)
     total, err = _zeta_pass(rows, r, q, n, bits)
     z = _finish(total, bits, err, inner)
-    return BigReal(z.value, z.err, prec).demand("zeta")
+    return _relabel(z, prec).demand("zeta")
 
 
 def zeta_even_closed(n: int) -> Fraction:
@@ -182,7 +182,7 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
             raise DomainError("Li_1(1) is the harmonic series; no value to report")
         return (-log_of(w, prec)).demand("polylog")
     if q == 0:
-        return BigReal(mpf(0), mpf(0), prec)
+        return BigReal.exact(0, prec)
     if Fraction(1, 2) < q < 1 and n > 2:
         raise DomainError(f"Li_{n} is only evaluated on [-1, 1/2] and the endpoint 1; "
                           f"got z = {_shown(z, q, Fraction(1, 2), 1)}")
@@ -196,7 +196,7 @@ def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
     pi = pi_times(1, inner)
     v = (pi * pi / 6 - log_of(q, inner) * log_of(w, inner)
          - _at_one(_word((2,), (1 / w,)), inner))
-    return BigReal(v.value, v.err, prec).demand("polylog")
+    return _relabel(v, prec).demand("polylog")
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +309,7 @@ def _sinc(f, q: Fraction, slope: Fraction, prec: int, c: BigReal | int = 1) -> B
     ``(2, 8)``: no ball is as small as ``q`` and the quotient does not
     amplify, however small ``q`` is.  ``slope`` bounds its derivative in ``y``.
     """
+    from mpmath.libmp import mpf_shift
     e = q.denominator.bit_length() - q.numerator.bit_length() + 2
     y = BigReal.exact(q * 2 ** e, prec) * c
     return faithful(lambda v, b, rnd: mpf_shift(f(mpf_shift(v, -e), b, rnd), e), y, slope) / y
@@ -344,8 +345,9 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
 
     Besides libmp's pi, log and power, the checks take its cos, sin, gamma,
     exp, sinh and ``sin(pi x)`` as faithful, through
-    :func:`~euler_periods.numkernel.faithful`.
+    :func:`~euler_periods.numkernel.faithful`, imported from libmp here.
     """
+    from mpmath.libmp import mpf_cos, mpf_exp, mpf_gamma, mpf_log, mpf_lt, mpf_sin, mpf_sin_pi, mpf_sinh
     check_prec(prec)
     kind = IdentityKind(kind)
     unused = [key for key in params if key not in _PARAMS[kind]]
@@ -424,6 +426,6 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
         sinhc = [_sinc(mpf_sinh, w / 2, Fraction(17, 16), inner, ln2) for w in (q, t)]
         rhs = gamma * sinhc[0] * _sinc(mpf_sin_pi, t / 2, Fraction(22, 7), inner) / (sinhc[1] * scale)
         r = abs(phi(1 - q, inner) / (phi(q, inner) * rhs) - 1)
-        return BigReal(r.value, r.err, prec)
+        return _relabel(r, prec)
 
     raise AssertionError("unreachable")

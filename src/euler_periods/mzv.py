@@ -14,12 +14,10 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from mpmath.libmp import from_int, mpf_pow_int, round_nearest
-
 from .errors import DivergentIndex, DomainError, TooLarge
 from .eulerfun import phi, zeta
 from .numkernel import (BRUTEFORCE_STEP_CAP, BigReal, as_fraction, check_prec, inner_prec, log_of, working_bits,
-                        _at_one, _new_ball, _up, _word)
+                        _at_one, _new_ball, _relabel, _up, _word)
 
 
 def _parts(idx: Sequence[int]) -> tuple[int, ...]:
@@ -86,6 +84,7 @@ def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
         raise DomainError(f"cutoff must be an integer > depth, got {cutoff!r}")
     if cutoff * d > BRUTEFORCE_STEP_CAP:
         raise TooLarge(f"cutoff {cutoff} times depth {d} exceeds the supported cap {BRUTEFORCE_STEP_CAP}")
+    from mpmath.libmp import from_int, mpf_pow_int, round_nearest
     b = working_bits(prec)
     s = [BigReal(1, 0, prec)] + [BigReal(0, 0, prec)] * d
     for m in range(1, cutoff + 1):
@@ -102,7 +101,7 @@ def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
     num, den = (as_fraction(s[d].err) + tail * caps).as_integer_ratio()
     e = num.bit_length() - den.bit_length() - 33
     units = -((-num << max(-e, 0)) // (den << max(e, 0)))
-    return _new_ball(s[d].value._mpf_, *_up(units, e), prec)
+    return _new_ball(s[d]._mid, *_up(units, e), prec)
 
 
 def _log_poly_tail(cutoff: int, q: int, r: int, log_k: Fraction) -> Fraction:
@@ -174,7 +173,7 @@ def stuffle_residual(m: int, n: int, prec: int) -> BigReal:
     lhs = zeta(m, inner) * zeta(n, inner)
     rhs = mzv((m, n), inner) + mzv((n, m), inner) + zeta(m + n, inner)
     resid = abs(lhs - rhs)
-    return BigReal(resid.value, resid.err, prec)
+    return _relabel(resid, prec)
 
 
 def p35_combination(prec: int) -> BigReal:
@@ -186,4 +185,4 @@ def p35_combination(prec: int) -> BigReal:
     z5 = zeta(5, inner)
     z3 = zeta(3, inner)
     out = Fraction(2, 5) * (29 * z8 - 12 * z35) - 9 * (z5 * z3)
-    return BigReal(out.value, out.err, prec).demand("p35_combination")
+    return _relabel(out, prec).demand("p35_combination")

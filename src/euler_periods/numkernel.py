@@ -43,12 +43,19 @@ references in the test suite.
 Rounding
 --------
 
-This module works at explicit binary precisions only, through
-mpmath.libmp, and keeps one rule: :class:`BigReal` encloses, and the
-integer engines prove their units.  A rounding counts ``(1 + |v|) 2**(1 -
-b)`` at the precision ``b`` it happens at, one count per rounding that
-makes ``v`` (as Arb does, arXiv:1611.02831), on the premises that libmp's
-``+ - * /`` round correctly and its ``pi``, ``log`` and power are faithful.
+This module works at explicit binary precisions only and keeps one rule:
+:class:`BigReal` encloses, and the integer engines prove their units.  A
+rounding counts ``(1 + |v|) 2**(1 - b)`` at the precision ``b`` it happens
+at, one count per rounding that makes ``v`` (as Arb does,
+arXiv:1611.02831).  ``+ - * /``, the constructors and :func:`_finish`
+round to nearest, ties to even, in Python integers (:func:`_round`), and
+the decimal writer :func:`_decimal_text` prints in integers too, both bit
+for bit as mpmath.libmp does.  libmp is a premise only where its ``pi``,
+``log`` and power are taken as faithful, and it is imported on first use
+there: :func:`pi_times`, :func:`log_of`,
+:func:`faithful`, the ``log n`` of :func:`em_sum` and the rows past the
+root cap (and the writer, for an exponent past 3500 bits).  So ``zeta``, ``phi``, the engines and the printed lines load
+no mpmath.
 Each :class:`BigReal` constructor and ``+ - * /``, :func:`pi_times` and
 :func:`log_of` add their counts to the propagated radius in integers and
 round the sum upward, so the square of a relative error is in it too.
@@ -137,16 +144,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import attrgetter, floordiv, mul
-from typing import Sequence, Union
-
-import mpmath
-from mpmath import mpf
-from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp, from_str, fzero, mpf_abs,
-                          mpf_add, mpf_div, mpf_eq, mpf_log, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
-                          mpf_pos, mpf_pow, mpf_shift, mpf_sub, round_floor, to_int, to_str)
-from mpmath.libmp import round_nearest as RN
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import DomainError, InputError, PrecisionNotMet, TooLarge
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 #: Decimal digits carried internally beyond the requested precision.
 GUARD_DIGITS = 10
@@ -155,12 +158,17 @@ GUARD_DIGITS = 10
 MIN_PREC = 1
 MAX_PREC = 100
 
-ScalarLike = Union[int, Fraction, str, mpf, float]
+ScalarLike = Union[int, Fraction, str, "mpf", float]
 
 
 def working_dps(prec: int) -> int:
     """Internal decimal precision used for a request of ``prec`` digits."""
     return prec + GUARD_DIGITS
+
+
+def dps_to_prec(dps: int) -> int:
+    """The bits that carry ``dps`` decimal digits, by mpmath's rule: ``round((dps + 1) log2 10)``."""
+    return max(1, int(round((int(dps) + 1) * 3.3219280948873626)))
 
 
 @lru_cache(maxsize=None)
@@ -215,13 +223,14 @@ def as_fraction(x: ScalarLike, what: str = "the number") -> Fraction:
     is built: a string by :func:`check_digits`, an mpf by the bits its
     exponent and mantissa give, any other number against ``10**DIGIT_CAP``.
     """
+    raw = getattr(x, "_mpf_", None)
     if isinstance(x, str):
         check_digits(x, what)
-    elif isinstance(x, mpf) and mpmath.isfinite(x):
-        _, _, exp, bc = x._mpf_
+    elif raw is not None and (raw[1] or not raw[2]):  # a finite mpf
+        sign, man, exp, bc = raw
         if max(bc + exp, 1 - exp) > _CAP.bit_length():  # the numerator's or the denominator's bits
             raise InputError(f"{what} is past the cap {DIGIT_CAP} digits")
-        x = Fraction(*mpmath.libmp.to_rational(x._mpf_))
+        x = Fraction(-man if sign else man) * Fraction(2) ** exp
     try:
         q = Fraction(x)
     except (ValueError, OverflowError, TypeError, ZeroDivisionError):
@@ -351,25 +360,25 @@ class BigReal:
     take ``prec`` through :func:`check_prec`; the ops keep the least
     ``prec`` of their operands.
 
-    The midpoint is a raw mpf tuple and the radius a Python integer below
-    ``2**32`` times a power of 2, as Arb holds its ``mag_t`` (Johansson,
-    arXiv:1611.02831).  ``value`` and ``err`` are read-only mpfs built on
-    access; ``BigReal(value, err, prec)`` rounds a given bound up into the
-    integer form.
+    The midpoint is a raw mpf tuple ``(sign, man, exp, bc)`` of Python
+    integers and the radius a Python integer below ``2**32`` times a power
+    of 2, as Arb holds its ``mag_t`` (Johansson, arXiv:1611.02831).
+    ``value`` and ``err`` are read-only mpfs built on access, which imports
+    mpmath; ``BigReal(value, err, prec)`` takes a finite mpf, int or float
+    and rounds a given bound up into the integer form.
 
     The constructors, ``+ - * /``, :func:`pi_times` and :func:`log_of`
     enclose: when the operands' targets lie in their balls, the exact result
     lies in the result's ball.  Each rounds its midpoint to nearest at the
     explicit binary precision ``b = working_bits(p)`` of the result's ``prec
-    = p``, bit for bit as the mpf operators round at an ambient ``b`` bits,
-    with one mpmath.libmp call and no mpmath context: ``pi`` times ``k`` and
-    a log take two, and a ``Fraction`` or a decimal
-    string, read exactly by :func:`as_fraction`, none: its quotient is
-    rounded in integers by :func:`_quotient` (a wider numerator goes
-    through libmp, a Fraction's rounded first).  The radius is summed in
-    integers and rounded upward (:func:`_ball`), from one count ``(1 +
-    |v|) 2**(1 - b)`` per rounding that makes the midpoint ``v`` (round to
-    nearest errs by at most ``|v| 2**-b``) plus:
+    = p``, bit for bit as the mpf operators round at an ambient ``b`` bits.
+    ``+ - * /`` round in integers (:func:`_add`, :func:`_mul`,
+    :func:`_div`), as does a ``Fraction`` or a decimal string, read exactly
+    by :func:`as_fraction`, through :func:`_quotient` (a Fraction's wide
+    numerator rounded first); ``pi`` times ``k`` and a log take libmp's.
+    The radius is summed in integers and rounded upward (:func:`_ball`),
+    from one count ``(1 + |v|) 2**(1 - b)`` per rounding that makes the
+    midpoint ``v`` (round to nearest errs by at most ``|v| 2**-b``) plus:
 
     * ``x + y``, ``x - y``: ``e_x + e_y``;
     * ``x y``: ``|x| e_y + |y| e_x + e_x e_y``;
@@ -379,48 +388,54 @@ class BigReal:
       :class:`DomainError`.
 
     A value that converts without change has radius 0.  Negation and
-    ``abs`` are exact: they keep the midpoint's bits and the radius.  :meth:`certified` compares the radius with
-    ``10**-prec`` exactly, in integers.
+    ``abs`` are exact: they keep the midpoint's bits and the radius.
+    :meth:`certified` compares the radius with ``10**-prec`` exactly, in
+    integers.
 
-    Instances are immutable and compare and hash by ``(value, err,
-    prec)``.  Cost: 2.5-9 microseconds per op on a shared 2-core x86-64 VM,
-    division the most, and 0.28-0.47 of what the radius as a rounded mpf
-    cost there (mpmath 1.3.0, pure-Python backend).
+    Instances are immutable and compare and hash by their midpoint, the
+    value of their radius and ``prec``.  Cost: 1.9-4.6 microseconds per op
+    at prec 15 and 100 on a shared 2-core x86-64 VM (Python 3.11), division
+    the most; interleaved with the same ops through libmp's ``mpf_add``,
+    ``mpf_mul`` and ``mpf_div`` they took 0.7-0.97 of the time.
     """
 
     __slots__ = ("_mid", "_man", "_exp", "_prec")
 
-    def __init__(self, value: mpf, err: mpf | int | float, prec: int) -> None:
-        sign, man, exp, _ = _raw(err)
-        if sign and man:
+    def __init__(self, value: mpf | int | float, err: mpf | int | float, prec: int) -> None:
+        sign, man, exp, _ = _raw(err, "error bound")
+        if sign:
             raise DomainError("error bound must be non-negative")
-        if not man and exp:
-            raise DomainError(f"error bound must be finite, got {err!r}")
-        self._mid = _raw(value)
+        self._mid = _raw(value, "value")
         self._man, self._exp = _up(man, exp)
         self._prec = check_prec(prec)
 
     @property
     def value(self) -> mpf:
-        return _make_mpf(self._mid)
+        """The midpoint as an mpf."""
+        from mpmath import mp
+        return mp.make_mpf(self._mid)
 
     @property
     def err(self) -> mpf:
         """The radius as an exact mpf."""
-        return _make_mpf(from_man_exp(self._man, self._exp))
+        from mpmath import mp
+        return mp.make_mpf(_exact(0, self._man, self._exp))
 
     prec = property(attrgetter("_prec"))
+
+    def _fields(self) -> tuple:
+        return self._mid, _exact(0, self._man, self._exp), self._prec
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.value, self.err, self.prec) == (other.value, other.err, other.prec)
+        return self._fields() == other._fields()
 
     def __hash__(self) -> int:
-        return hash((self.value, self.err, self.prec))
+        return hash(self._fields())
 
     def __reduce__(self):
-        return BigReal, (self.value, self.err, self.prec)
+        return _new_ball, (self._mid, self._man, self._exp, self._prec)
 
     # -- constructors -------------------------------------------------
 
@@ -434,7 +449,8 @@ class BigReal:
         result ``man 2**exp``, exact iff ``man 2**exp den == num``.  A
         string is an input: :func:`as_fraction` reads its exact rational,
         which rounds once to nearest, so ``"0.5"`` has a zero bound and
-        ``"inf"`` raises :class:`DomainError`.
+        ``"inf"`` raises :class:`DomainError`, as does a float or mpf that
+        is not finite.
         """
         b = _BITS[check_prec(prec)]
         if isinstance(x, (str, Fraction)):
@@ -448,16 +464,9 @@ class BigReal:
                 if man * den << max(exp, 0) == abs(num) << max(-exp, 0):
                     return _new_ball(v, 0, 0, prec)
             return _ball(v, prec, (1 if is_str else 2) - b)
-        if isinstance(x, int):
-            raw = from_int(x)
-        elif isinstance(x, float):
-            raw = from_float(x)
-        elif isinstance(x, mpf):
-            raw = x._mpf_
-        else:
-            raise TypeError(f"cannot create a BigReal from {x!r}")
-        v = mpf_pos(raw, b, RN)
-        return _new_ball(v, 0, 0, prec) if mpf_eq(v, raw) else _ball(v, prec, 1 - b)
+        raw = _raw(x, "value")
+        v = _round(raw[0], raw[1], raw[2], b)
+        return _new_ball(v, 0, 0, prec) if v == raw else _ball(v, prec, 1 - b)
 
     @classmethod
     def from_decimal(cls, text: str, prec: int) -> "BigReal":
@@ -470,22 +479,21 @@ class BigReal:
         o = other if isinstance(other, BigReal) else BigReal.exact(other, self._prec)
         p = self._prec if self._prec <= o._prec else o._prec
         b = _BITS[p]
-        return _ball(mpf_add(self._mid, o._mid, b, RN), p, 1 - b,
-                     ((self._man, self._exp), (o._man, o._exp)))
+        return _ball(_add(self._mid, o._mid, b), p, 1 - b, ((self._man, self._exp), (o._man, o._exp)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "BigReal":
         # Exact, however wide the midpoint: a ball relabelled to a lower prec
         # keeps the bits of its inner step, and a rounding here went uncounted.
-        return _new_ball(mpf_neg(self._mid), self._man, self._exp, self._prec)
+        sign, man, exp, bc = self._mid
+        return _new_ball((1 - sign, man, exp, bc) if man else self._mid, self._man, self._exp, self._prec)
 
     def __sub__(self, other: ScalarLike | "BigReal") -> "BigReal":
         o = other if isinstance(other, BigReal) else BigReal.exact(other, self._prec)
         p = self._prec if self._prec <= o._prec else o._prec
         b = _BITS[p]
-        return _ball(mpf_sub(self._mid, o._mid, b, RN), p, 1 - b,
-                     ((self._man, self._exp), (o._man, o._exp)))
+        return _ball(_add(self._mid, o._mid, b, 1), p, 1 - b, ((self._man, self._exp), (o._man, o._exp)))
 
     def __rsub__(self, other: ScalarLike) -> "BigReal":
         return BigReal.exact(other, self._prec) - self
@@ -496,7 +504,7 @@ class BigReal:
         b = _BITS[p]
         x, y = self._mid, o._mid
         mx, ex, my, ey = self._man, self._exp, o._man, o._exp
-        return _ball(mpf_mul(x, y, b, RN), p, 1 - b,
+        return _ball(_mul(x, y, b), p, 1 - b,
                      ((x[1] * my, x[2] + ey), (y[1] * mx, y[2] + ex), (mx * my, ex + ey)))
 
     __rmul__ = __mul__
@@ -504,11 +512,11 @@ class BigReal:
     def __truediv__(self, other: ScalarLike | "BigReal") -> "BigReal":
         o = other if isinstance(other, BigReal) else BigReal.exact(other, self._prec)
         y = o._mid
-        if y == fzero:
+        if not y[1]:
             raise DomainError("division by zero")
         p = self._prec if self._prec <= o._prec else o._prec
         b = _BITS[p]
-        v = mpf_div(self._mid, y, b, RN)
+        v = _div(self._mid, y, b)
         mx, my = self._man, o._man
         if not (mx or my):
             return _ball(v, p, 1 - b)
@@ -544,7 +552,8 @@ class BigReal:
         return out
 
     def __abs__(self) -> "BigReal":
-        return _new_ball(mpf_abs(self._mid), self._man, self._exp, self._prec)
+        _, man, exp, bc = self._mid
+        return _new_ball((0, man, exp, bc), self._man, self._exp, self._prec)
 
     # -- queries ------------------------------------------------------
 
@@ -552,19 +561,24 @@ class BigReal:
         """True when the radius is at most ``10**-prec``, decided exactly."""
         return _at_most_ten_to(self._man, self._exp, self._prec)
 
+    def holds_zero(self) -> bool:
+        """True when the ball holds 0, ``|value| <= err``, decided exactly."""
+        _, man, exp, _ = self._mid
+        low = min(exp, self._exp)
+        return man << exp - low <= self._man << self._exp - low
+
     def demand(self, what: str = "result") -> "BigReal":
         if not self.certified():
             raise PrecisionNotMet(
-                f"{what}: certified bound {bound_text(self.err, 3)} exceeds 1e-{self._prec}")
+                f"{what}: certified bound {bound_text(self, 3)} exceeds 1e-{self._prec}")
         return self
 
     def __repr__(self) -> str:  # debugging aid, not part of the text format
         return (f"BigReal({value_text(self, self._prec + 2)}, "
-                f"err<={bound_text(self.err, 3)}, prec={self._prec})")
+                f"err<={bound_text(self, 3)}, prec={self._prec})")
 
 
 _new = object.__new__
-_make_mpf = mpmath.mp.make_mpf
 
 
 #: ``working_bits(p)`` and ``10**p`` by ``p``, read by every op, for every
@@ -572,16 +586,115 @@ _make_mpf = mpmath.mp.make_mpf
 _BITS = tuple(working_bits(p) for p in range(INNER_TOP + 1))
 _TEN_TO = tuple(10 ** p for p in range(INNER_TOP + 1))
 
+#: The raw tuple of 0, libmp's ``fzero``.
+_ZERO = (0, 0, 0, 0)
 
-def _raw(x: mpf | int | float) -> tuple:
-    """The raw mpf tuple of an mpf, int or float, exactly."""
-    if isinstance(x, mpf):
-        return x._mpf_
-    if isinstance(x, float):
-        return from_float(x)
+
+def _exact(sign: int, man: int, exp: int) -> tuple:
+    """``(-1)**sign man 2**exp`` for an integer ``man >= 0`` as a raw tuple, unrounded."""
+    if not man:
+        return _ZERO
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return sign, man, exp + zeros, man.bit_length()
+
+
+def _round(sign: int, man: int, exp: int, b: int) -> tuple:
+    """``(-1)**sign man 2**exp``, ``man >= 0``, rounded to nearest at ``b`` bits as a raw tuple.
+
+    libmp's ``normalize`` at ``round_nearest``: ties go to the even
+    mantissa, and the result sheds its trailing zero bits, so equal values
+    have equal tuples.
+    """
+    n = man.bit_length() - b
+    if n > 0:
+        t = man >> n - 1  # b + 1 bits: the last is the half
+        man = (t >> 1) + 1 if t & 1 and (t & 2 or man & (1 << n - 1) - 1) else t >> 1
+        exp += n
+    if not man & 1:
+        if not man:
+            return _ZERO
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        exp += zeros
+    return sign, man, exp, man.bit_length()
+
+
+def _add(s: tuple, t: tuple, b: int, sub: int = 0) -> tuple:
+    """``s + t``, or ``s - t`` for ``sub = 1``, of raw tuples rounded at ``b`` bits: libmp's ``mpf_add``.
+
+    The sum is exact, then rounded once by :func:`_round`, except where an
+    operand's exponent lies more than 100 bits below the other's and its
+    magnitude more than ``b + 4`` bits below: as in libmp it then counts as
+    one sticky bit ``b + 4`` bits below the larger operand's last bit, so no
+    integer grows with the gap.  When the larger operand has at most ``b`` bits the result is
+    correctly rounded either way; a wider one (a relabelled midpoint) errs
+    by under ``|v| 2**(1 - b)``, within the op's one count.
+    """
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    tsign ^= sub
+    if not sman:
+        return _round(tsign, tman, texp, b)
+    if not tman:
+        return _round(ssign, sman, sexp, b)
+    offset = sexp - texp
+    if offset > 100 and sbc + sexp - tbc - texp > b + 4:
+        return _round(ssign, (sman << b + 4) + (1 if ssign == tsign else -1), sexp - b - 4, b)
+    if offset < -100 and tbc + texp - sbc - sexp > b + 4:
+        return _round(tsign, (tman << b + 4) + (1 if ssign == tsign else -1), texp - b - 4, b)
+    if offset >= 0:
+        sman <<= offset
+        exp = texp
+    else:
+        tman <<= -offset
+        exp = sexp
+    if ssign == tsign:
+        return _round(ssign, sman + tman, exp, b)
+    man = sman - tman
+    return _round(ssign, man, exp, b) if man >= 0 else _round(tsign, -man, exp, b)
+
+
+def _mul(s: tuple, t: tuple, b: int) -> tuple:
+    """``s t`` of raw tuples, exact, then rounded at ``b`` bits: libmp's ``mpf_mul``."""
+    return _round(s[0] ^ t[0], s[1] * t[1], s[2] + t[2], b)
+
+
+def _div(s: tuple, t: tuple, b: int) -> tuple:
+    """``s / t`` of raw tuples, ``t`` nonzero, rounded at ``b`` bits: libmp's ``mpf_div``.
+
+    The floored quotient keeps at least ``b + 4`` bits, and a nonzero
+    remainder is one sticky bit past them, so the one rounding is correct.
+    """
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    sign = ssign ^ tsign
+    if tman == 1:
+        return _round(sign, sman, sexp - texp, b)
+    extra = b - sbc + tbc + 5
+    if extra < 5:
+        extra = 5
+    quot, rem = divmod(sman << extra, tman)
+    if rem:
+        return _round(sign, (quot << 1) + 1, sexp - texp - extra - 1, b)
+    return _round(sign, quot, sexp - texp - extra, b)
+
+
+def _raw(x: mpf | int | float, what: str) -> tuple:
+    """The raw tuple of a finite mpf, int or float, exactly; mpmath is not imported for it."""
     if isinstance(x, int):
-        return from_int(x)
-    raise TypeError(f"expected an mpf, int or float, got {x!r}")
+        return _exact(1 if x < 0 else 0, abs(x), 0)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise DomainError(f"{what} must be finite, got {x!r}")
+        m, e = math.frexp(x)
+        return _exact(1 if m < 0 else 0, int(abs(m) * (1 << 53)), e - 53)
+    raw = getattr(x, "_mpf_", None)
+    if raw is None:
+        raise TypeError(f"cannot create a BigReal from {x!r}")
+    if not raw[1] and raw[2]:
+        raise DomainError(f"{what} must be finite, got {x!r}")
+    return raw
 
 
 def _ball(v: tuple, prec: int, count: int, terms: Sequence[tuple[int, int]] = ()) -> BigReal:
@@ -622,23 +735,23 @@ def _ball(v: tuple, prec: int, count: int, terms: Sequence[tuple[int, int]] = ()
 
 
 def _quotient(num: int, den: int, b: int, twice: bool = True) -> tuple:
-    """``num / den`` for ``den > 0`` rounded to nearest at ``b`` bits, as a raw mpf.
+    """``num / den`` for ``den > 0`` rounded to nearest at ``b`` bits, as a raw tuple.
 
     The bits of ``mpf(num) / den`` at an ambient ``b`` bits.  A numerator
-    wider than ``b`` bits goes through libmp and rounds first, unless
-    ``twice`` is false (a decimal's exact value rounds once).  Otherwise the
-    floored quotient has ``b + 1`` or ``b + 2`` bits, and rounding it half
-    up at ``b`` bits rounds the true quotient to nearest, since no tie can
-    occur: a tie has ``b + 1`` bits and ends in 1, and for ``num/den`` in
-    lowest terms so would ``num``.
+    wider than ``b`` bits rounds first, unless ``twice`` is false (a
+    decimal's exact value rounds once), and goes through :func:`_div`.
+    Otherwise the floored quotient has ``b + 1`` or ``b + 2`` bits, and
+    rounding it half up at ``b`` bits rounds the true quotient to nearest,
+    since no tie can occur: a tie has ``b + 1`` bits and ends in 1, and for
+    ``num/den`` in lowest terms so would ``num``.
     """
-    if num.bit_length() > b:
-        return mpf_div(mpf_pos(from_int(num), b, RN) if twice else from_int(num), from_int(den), b, RN)
-    sign = num < 0
+    sign = 1 if num < 0 else 0
     if sign:
         num = -num
     elif not num:
-        return fzero
+        return _ZERO
+    if num.bit_length() > b:
+        return _div(_round(sign, num, 0, b) if twice else _exact(sign, num, 0), _exact(0, den, 0), b)
     shift = b + 1 + den.bit_length() - num.bit_length()
     q = (num << shift) // den
     extra = q.bit_length() - b
@@ -656,6 +769,11 @@ def _new_ball(v: tuple, man: int, exp: int, prec: int) -> BigReal:
     out._exp = exp
     out._prec = prec
     return out
+
+
+def _relabel(x: BigReal, prec: int) -> BigReal:
+    """``x`` with its midpoint and radius as they are, labelled ``prec``: an inner step's ball handed out."""
+    return _new_ball(x._mid, x._man, x._exp, check_prec(prec))
 
 
 def _at_most_ten_to(n: int, e: int, prec: int) -> bool:
@@ -687,33 +805,92 @@ def value_text(x: BigReal, digits: int | None = None) -> str:
         a, b = man << exp - low, x._man << e - low  # |v| and e in units of 2**low
         if a <= b and _at_most_ten_to(a + b, low, digits):
             return "0"
-    return to_str(v, digits)
+    return _decimal_text(v, digits)
 
 
-def bound_text(err: mpf, digits: int) -> str:
-    """A bound ``err >= 0`` as ``nstr`` writes it in ``digits`` digits, rounded upward.
+def bound_text(x: BigReal, digits: int) -> str:
+    """The radius of ``x`` as ``nstr`` writes it in ``digits`` digits, rounded upward.
 
-    The digits are the least ones at or above ``err``, found in integers, so
-    a printed bound never understates the declared one.  A bound is a
-    result, not an input, so it may pass :data:`DIGIT_CAP` digits.
+    The digits are the least ones at or above the radius, found in
+    integers and laid out by :func:`_layout`, so a printed bound never
+    understates the declared one.  A bound is a result, not an input, so it
+    may pass :data:`DIGIT_CAP` digits.
     """
-    _, man, exp, bc = err._mpf_
+    man, exp = x._man, x._exp
     if not man:
-        return to_str(fzero, digits)
+        return "0.0"
     num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-    k = math.floor((bc + exp - 1) * math.log10(2)) - 1  # below log10 of it
+    k = math.floor((man.bit_length() + exp - 1) * math.log10(2)) - 1  # below log10 of it
     while True:
         shift = digits - 1 - k
         q = -(-num * 10 ** shift // den) if shift >= 0 else -(-num // (den * 10 ** -shift))
         if q < 10 ** digits:
-            return to_str(from_str(f"{q}e{-shift}", 64, RN), digits)
+            text = str(q)
+            return _layout("", text, len(text) - 1 - shift, digits)
         k += 1
 
 
+#: ``log2(10)`` as libmp's decimal writer takes it.
+_LOG2_10 = math.log(10, 2)
+
+
+def _decimal_text(v: tuple, dps: int) -> str:
+    """libmp's ``to_str(v, dps)`` for a raw tuple ``v`` and ``dps >= 1``, byte for byte, in integers.
+
+    As libmp does: the digits are floored at ``dps + 3`` digits, rounded
+    half up on the digit string, and laid out by :func:`_layout`.  Past
+    ``|exp + bc| > 3500`` libmp finds the power of ten by its logs, so
+    such a value goes to libmp.
+    """
+    sign, man, exp, bc = v
+    if not man:
+        return "0.0"
+    if abs(exp + bc) > 3500:
+        from mpmath import libmp
+        return libmp.to_str(v, dps)
+    bitprec = int((dps + 3) * _LOG2_10) + 10
+    fixprec = max(bitprec - exp - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    digits = _decimal((man << shift if shift >= 0 else man >> -shift) * 10 ** fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    if len(digits) > dps and digits[dps] in "56789":
+        digits = str(int(digits[:dps]) + 1)
+        if len(digits) > dps:  # carried through nines: 9.9996 -> 10.00
+            digits = digits[:dps]
+            exponent += 1
+    else:
+        digits = digits[:dps]
+    return _layout("-" if sign else "", digits, exponent, dps)
+
+
+def _layout(sign: str, digits: str, exponent: int, dps: int) -> str:
+    """``sign d.ddd e exponent`` as libmp's ``to_str`` lays out ``dps`` digits, trailing zeros stripped.
+
+    Fixed point when ``min(-(dps // 3), -5) < exponent < dps``, otherwise
+    ``e+n`` or ``e-n``; ``1.0`` keeps one zero.
+    """
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+        exponent = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    if not exponent:
+        return sign + digits
+    return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"
+
+
 def pi_times(k: int, prec: int) -> BigReal:
-    """``k * pi`` at the working precision of ``prec``: pi rounds, then the product, exact if ``|k| = 2**j``."""
+    """``k * pi`` at the working precision of ``prec``: libmp's pi rounds, then the product, exact if ``|k| = 2**j``."""
     b, m = _BITS[check_prec(prec)], abs(k)
-    return _ball(mpf_mul_int(mpf_pi(b, RN), k, b, RN), prec, (2 if m & m - 1 else 1) - b)
+    from mpmath import libmp
+    return _ball(_mul(libmp.mpf_pi(b, libmp.round_nearest), _exact(1 if k < 0 else 0, m, 0), b), prec,
+                 (2 if m & m - 1 else 1) - b)
 
 
 def log_of(q: int | Fraction, prec: int) -> BigReal:
@@ -728,9 +905,11 @@ def log_of(q: int | Fraction, prec: int) -> BigReal:
     if num <= 0:
         raise DomainError(f"log_of needs q > 0, got {exact_str(q)}")
     if num == den:
-        return _new_ball(fzero, 0, 0, prec)
+        return _new_ball(_ZERO, 0, 0, prec)
+    from mpmath import libmp
     b = _BITS[prec]
-    return _ball(mpf_log(_quotient(num, den, b), b, RN), prec, 2 - b)  # the quotient, then the log
+    # the quotient, then the log
+    return _ball(libmp.mpf_log(_quotient(num, den, b), b, libmp.round_nearest), prec, 2 - b)
 
 
 def faithful(f, x: BigReal, slope: int | Fraction) -> BigReal:
@@ -739,8 +918,10 @@ def faithful(f, x: BigReal, slope: int | Fraction) -> BigReal:
     One count at the midpoint, plus ``slope`` times the radius, where the
     caller proves ``|f'| <= slope`` over the ball.
     """
+    from mpmath.libmp import round_nearest
     b, (num, den) = _BITS[x._prec], slope.as_integer_ratio()
-    return _ball(f(x._mid, b, RN), x._prec, 1 - b, ((-(-num * x._man << 32) // den, x._exp - 32),))
+    return _ball(f(x._mid, b, round_nearest), x._prec, 1 - b,
+                 ((-(-num * x._man << 32) // den, x._exp - 32),))
 
 
 def _finish(total: int, frac_bits: int, units: int, prec: int) -> BigReal:
@@ -748,14 +929,14 @@ def _finish(total: int, frac_bits: int, units: int, prec: int) -> BigReal:
 
     ``total`` is the value in units of ``2**-frac_bits`` and ``units`` the
     error the engine proved for it, in the same units.  The value rounds to
-    nearest at ``b = working_bits(prec)`` bits, which errs by at most
-    ``|total| 2**-b`` units, so the radius adds ``(|total| >> b) + 1``, and
-    the sum rounds up by :func:`_up`.  Both go through mpmath.libmp at
-    explicit precisions, with no mpmath context.
+    nearest at ``b = working_bits(prec)`` bits by :func:`_round`, which
+    errs by at most ``|total| 2**-b`` units, so the radius adds ``(|total|
+    >> b) + 1``, and the sum rounds up by :func:`_up`.  Both are integer
+    steps.
     """
     b = _BITS[prec]
-    return _new_ball(from_man_exp(total, -frac_bits, b, RN), *_up(units + (abs(total) >> b) + 1, -frac_bits),
-                     prec)
+    v = _round(1, -total, -frac_bits, b) if total < 0 else _round(0, total, -frac_bits, b)
+    return _new_ball(v, *_up(units + (abs(total) >> b) + 1, -frac_bits), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -904,8 +1085,9 @@ def _libmp_rows(s: Fraction, ks: Sequence[int], bits: int) -> list[int]:
     ``s = 1 + 10**-9`` and closer, every ``zeta`` and ``phi`` row is one of
     these.
     """
-    minus_s = mpf_neg(_quotient(s.numerator, s.denominator, bits))
-    return [to_int(mpf_shift(mpf_pow(from_int(k), minus_s, bits, RN), bits), round_floor) for k in ks]
+    from mpmath import libmp
+    minus_s, rnd = _quotient(-s.numerator, s.denominator, bits), libmp.round_nearest
+    return [libmp.to_fixed(libmp.mpf_pow(_exact(0, k, 0), minus_s, bits, rnd), bits) for k in ks]
 
 
 def alt_terms_needed(prec: int) -> int:
@@ -1154,7 +1336,8 @@ def em_sum(prec: int) -> BigReal:
     one = 1 << bits
     rows = [one // k for k in range(1, n + 1)]
     tail, tail_err = rows[-1] * n, 2 * n  # 2**bits, within 2 n units
-    log_n = to_int(mpf_neg(mpf_shift(mpf_log(from_int(n), bits + 16, RN), bits)), round_floor)
+    from mpmath import libmp
+    log_n = libmp.to_fixed(libmp.mpf_neg(libmp.mpf_log(_exact(0, n, 0), bits + 16, libmp.round_nearest)), bits)
     total = sum(rows) + log_n - rows[-1] // 2
     units = 2 * n + 4
     npow, err_bits = 1, tail_err.bit_length()

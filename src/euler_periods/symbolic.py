@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 from .errors import DomainError, InputError, ParseError, TooLarge
 from .eulerfun import polylog, zeta
 from .numkernel import (COACTION_TERM_CAP, COASSOC_TERM_CAP, WEIGHT_CAP, BigReal, as_fraction, check_digits,
-                        check_prec, exact_str, inner_prec, pi_times)
+                        check_prec, exact_str, inner_prec, pi_times, _relabel)
 
 __all__ = [
     "MotivicExpr",
@@ -898,4 +898,4 @@ def period_map(e: MotivicExpr, prec: int = 15) -> BigReal:
         for atom in mono:
             term = term * atom_value(atom)
         total = total + term
-    return BigReal(total.value, total.err, prec).demand("period_map")
+    return _relabel(total, prec).demand("period_map")

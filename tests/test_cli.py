@@ -882,6 +882,32 @@ def test_bernoulli_call_loads_no_layer():
         assert name not in loaded
 
 
+#: The subcommands that load no mpmath, by a route of each: zeta and phi at
+#: integers and at rationals whose rows are exact floors, polylog n >= 2 off
+#: its reflection window, the iterated integrals, the exact and symbolic
+#: commands, and the period map of zeta values and polylogarithms of weight
+#: >= 2 off the window.
+NO_MPMATH_COMMANDS = [
+    ["zeta", "2"], ["zeta", "--prec", "100", "7/3"], ["zeta", "--json", "11/10"],
+    ["phi", "1/2"], ["phi", "--prec", "1", "3"],
+    ["polylog", "2", "1/3"], ["polylog", "--prec", "50", "3", "--", "-3/4"], ["polylog", "4", "1"],
+    ["mzv", "2", "3"], ["mzv", "--prec", "100", "2", "2", "3"], ["multiphi", "1", "3"],
+    ["stuffle-check", "2", "3"], ["stuffle-check", "--json", "--prec", "100", "3", "4"],
+    ["bernoulli", "30"], ["coact", "zeta_m(3)*Li_m(2; 1/2)"], ["conjugates", "Li_m(3; 1/2)"],
+    ["per", "5*zeta_m(4) - 2*zeta_m(2)*zeta_m(2)"], ["per", "--json", "Li_m(2; 1/2) + Li_m(3; -1/2)"],
+]
+
+
+def test_numeric_commands_load_no_mpmath():
+    # One fresh interpreter runs them all: none may import mpmath, whose
+    # import is the largest start-up cost the package controls.
+    calls = "".join(f"assert dispatch({argv!r}) == 0, {argv!r}\n" for argv in NO_MPMATH_COMMANDS)
+    out = fresh_python(f"import sys\nfrom euler_periods.cli import dispatch\n{calls}"
+                       "print(sorted(name for name in sys.modules if name.split('.')[0] == 'mpmath'))")
+    assert out[-1] == "[]"
+    assert len(out) > len(NO_MPMATH_COMMANDS)
+
+
 def test_period_call_loads_numpy():
     loaded = loaded_after(
         "from euler_periods.cli import dispatch; dispatch(['period', 'k4', '--samples', '10000'])")

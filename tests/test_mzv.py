@@ -203,11 +203,12 @@ def test_bruteforce_cutoff_validation():
 
 
 def test_bruteforce_refuses_a_huge_cutoff_before_summing(monkeypatch):
-    # A step costs about 10 us: 10**9 steps would run for hours.
-    def no_power(*args):
+    # A step costs about 10 us: 10**9 steps would run for hours.  Each step
+    # makes its term's ball, so none may be made before the refusal.
+    def no_term(*args):
         raise AssertionError("summed before refusing")
 
-    monkeypatch.setattr(importlib.import_module("euler_periods.mzv"), "mpf_pow_int", no_power)
+    monkeypatch.setattr(importlib.import_module("euler_periods.mzv"), "_new_ball", no_term)
     for idx, cutoff in [((2, 3), 10 ** 9), ((2, 3), BRUTEFORCE_STEP_CAP // 2 + 1),
                         ((1, 1, 1, 1, 2), BRUTEFORCE_STEP_CAP // 5 + 1)]:
         with pytest.raises(TooLarge, match="cutoff"):

@@ -840,11 +840,11 @@ def test_demand_writes_its_bound_rounded_up():
     for _ in range(2000):
         man, exp = rng.getrandbits(rng.randint(1, 200)) | 1, rng.randint(-7000, 7000)
         for digits in (2, 3):
-            text = bound_text(dyadic(man, exp), digits)
+            text = bound_text(numkernel._new_ball(numkernel._ZERO, man, exp, 15), digits)
             shown, true = Fraction(text), man * Fraction(2) ** exp
             step = Fraction(10) ** (Decimal(text).adjusted() - digits + 1)
             assert shown - step < true <= shown, (man, exp, text)
-    assert bound_text(mpf(0), 2) == "0.0"
+    assert bound_text(BigReal(1, 0, 15), 2) == "0.0"
 
 
 @pytest.mark.parametrize("prec", [MIN_PREC, 2, 15, 50, MAX_PREC])
@@ -1061,14 +1061,16 @@ def test_finish_rounds_to_nearest_and_adds_its_units(prec):
 
 
 def test_engines_finish_in_no_mpmath_context(monkeypatch):
-    # The one shared finish calls mpmath.libmp at explicit precisions: with
-    # the mpmath module out of reach every engine still runs (em_sum's rows
-    # and body are integers, its log libmp's).
-    monkeypatch.setattr(numkernel, "mpmath", Absent())
+    # The one shared finish rounds in integers: with mpmath unimportable the
+    # Chebyshev and iterated-integral engines still run.  em_sum's rows and
+    # body are integers too, but its log n is libmp's, a stated premise.
+    rows = {prec: unit_rows(prec, eta2) for prec in (1, 15, 100)}
+    block_mpmath(monkeypatch)
     for prec in (1, 15, 100):
-        rows = unit_rows(prec, eta2)
-        for x in (em_sum(prec), accel_alt_sum(rows, prec), numkernel._at_one([0, 1], prec)):
+        for x in (accel_alt_sum(rows[prec], prec), numkernel._at_one([0, 1], prec)):
             assert x.prec == prec and x.certified()
+    with pytest.raises(ImportError):
+        em_sum(15)
 
 
 # ---------------------------------------------------------------------------
@@ -1108,20 +1110,15 @@ def test_zeta_values_raise_when_the_pass_is_too_short(monkeypatch):
         numkernel._zeta_batch.__wrapped__(5, 30)
 
 
-class Absent:
-    """Stands in for ``mpmath`` or ``mpf`` in numkernel: any use fails the test."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"used mpmath.{name}")
-
-    def __call__(self, *args):
-        raise AssertionError("built an mpf")
+def block_mpmath(monkeypatch) -> None:
+    """Make every import of mpmath or its modules fail until the test ends."""
+    for name in [name for name in sys.modules if name.split(".")[0] == "mpmath"]:
+        monkeypatch.setitem(sys.modules, name, None)
 
 
 def test_zeta_values_build_no_mpf(monkeypatch):
     # The batch is integers end to end: it reaches neither mpmath nor mpf.
-    monkeypatch.setattr(numkernel, "mpmath", Absent())
-    monkeypatch.setattr(numkernel, "mpf", Absent())
+    block_mpmath(monkeypatch)
     bits, values = numkernel._zeta_batch.__wrapped__(40, 27)
     assert all(type(total) is int and type(err) is int for total, err in values)
 
