@@ -32,7 +32,7 @@ from .errors import (
     SchemaError,
     TooLarge,
 )
-from .numkernel import BigReal, as_fraction, bernoulli, bound_text, check_prec, exact_str, value_text
+from .numkernel import BigReal, _fraction, as_fraction, bernoulli, bound_text, check_prec, exact_str, value_text
 
 if TYPE_CHECKING:
     from . import feynper, g2
@@ -139,7 +139,7 @@ def _cmd_identity_check(args):
     payload = {"kind": kind, "residual": resid, "bound": bound}
     if tol is None:
         return [f"residual {resid} ± {bound}"], payload, 0
-    ok = as_fraction(magnitude.value) <= tol  # the midpoint against the tol as written, exactly
+    ok = _fraction(magnitude._mid) <= tol  # the midpoint against the tol as written, exactly
     verdict = "pass" if ok else "FAIL"
     payload["tol"] = args.tol
     payload["passed"] = ok
@@ -327,9 +327,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("phi", "Alternating zeta phi(s) for s > 0.")
     p.add_argument("s", help="argument, a rational like 1 or 1/2")
 
-    p = add("polylog", "Polylogarithm Li_n(z) on the real interval [-1, 1].")
+    p = add("polylog", "Polylogarithm Li_n(z): n = 1 on [-1, 1), n = 2 on [-1, 1], n >= 3 on [-1, 1/2] and 1.")
     p.add_argument("n", type=int, help="integer order n >= 1")
-    p.add_argument("z", help="argument, a rational in [-1, 1]; put -- before a negative one")
+    p.add_argument("z", help="argument, a rational in [-1, 1) for n = 1, [-1, 1] for n = 2, "
+                             "[-1, 1/2] or 1 for n >= 3; put -- before a negative one")
 
     p = add("gamma", "Euler's constant.")
     p.add_argument("--method", choices=("EM", "ZETA_SERIES"), default="EM",

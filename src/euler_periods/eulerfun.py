@@ -38,9 +38,11 @@ from .numkernel import (
     _at_one,
     _decimal_text,
     _finish,
+    _fraction,
     _libmp_rows,
     _power_rows,
     _quotient,
+    _radius,
     _relabel,
     _word,
     _zeta_pass,
@@ -149,7 +151,7 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
 
 
 def polylog(n: int, z: ScalarLike, prec: int) -> BigReal:
-    """Real polylogarithm ``Li_n(z)`` for integer ``n >= 1``, ``z in [-1, 1]``.
+    """Real polylogarithm ``Li_n(z)``: n = 1 on [-1, 1), n = 2 on [-1, 1], n >= 3 on [-1, 1/2] and 1.
 
     ``z`` is the exact rational it denotes: a decimal string as written, a
     float or mpf as its binary value.  For ``n >= 2`` the endpoints are
@@ -347,7 +349,7 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
     exp, sinh and ``sin(pi x)`` as faithful, through
     :func:`~euler_periods.numkernel.faithful`, imported from libmp here.
     """
-    from mpmath.libmp import mpf_cos, mpf_exp, mpf_gamma, mpf_log, mpf_lt, mpf_sin, mpf_sin_pi, mpf_sinh
+    from mpmath.libmp import mpf_cos, mpf_exp, mpf_gamma, mpf_log, mpf_sin, mpf_sin_pi, mpf_sinh
     check_prec(prec)
     kind = IdentityKind(kind)
     unused = [key for key in params if key not in _PARAMS[kind]]
@@ -374,12 +376,12 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
             raise DomainError(f"cotangent check needs an integer terms >= 1, got {terms!r}")
         bernoulli(2 * terms)  # term m takes B_2m: all built, or refused, before any work
         pi = pi_times(1, prec)
-        above = as_fraction(pi.value) + as_fraction(pi.err)
+        above = _fraction(pi._mid) + _radius(pi)
         if not 0 < q < above:
             raise DomainError(f"cotangent check requires x in (0, pi), got {_shown(raw, q, 0, above)}")
         # x < above < 2 pi, so a sine ball above 0 places x below pi.
         x, sinc = BigReal.exact(q, prec), _sinc(mpf_sin, q, 1, prec)
-        if not mpf_lt(sinc.err._mpf_, sinc.value._mpf_):
+        if sinc.holds_zero() or sinc._mid[0]:
             raise PrecisionNotMet(f"cotangent check: at prec {prec} the ball of sin x holds 0 or less, "
                                   f"so it cannot place x = {_shown(raw, q, above)} below pi")
         # 2 * sum(zeta(2m) (x/pi)**2m) == 2 * sum(r_m x**2m), r_m exact, by Horner's rule in x**2.

@@ -41,13 +41,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
-
-from mpmath.libmp import from_int, mpf_nthroot, round_nearest, to_float
 
 from .errors import (Disconnected, DomainError, InputError, InternalCheckError,
                      NonFiniteSample, NotPrimitive, SchemaError, TooLarge)
-from .numkernel import BigReal, check_prec
+from .numkernel import BigReal, _float, _iroot, check_prec
 
 if TYPE_CHECKING:
     import numpy as np
@@ -558,6 +557,12 @@ class SelfTestReport:
         return "\n".join(lines)
 
 
+#: ``5**(1/3)`` to the nearest float: the root floored at 200 fraction bits rounds to
+#: the root's own nearest float unless a tie between two floats lies within
+#: ``2**-200`` below the root, which the tests rule out against libmp's root.
+_CUBE_ROOT_5 = float(Fraction(_iroot(5 << 600, 3), 1 << 200))
+
+
 def integrator_selftest(samples: int, seed: int = 42) -> SelfTestReport:
     """Check the sampler on volume integrals with known values.
 
@@ -576,7 +581,7 @@ def integrator_selftest(samples: int, seed: int = 42) -> SelfTestReport:
     cases = [
         ("2^(1/2)", 1, 2.0, lambda p: (2.0 * p[:, 0]) ** 2 < 2.0, math.sqrt(2)),
         ("5^(1/3)", 1, 5.0, lambda p: (5.0 * p[:, 0]) ** 3 < 5.0,
-         to_float(mpf_nthroot(from_int(5), 3, 53, round_nearest))),
+         _CUBE_ROOT_5),
         ("pi", 2, 4.0,
          lambda p: (2.0 * p[:, 0] - 1.0) ** 2 + (2.0 * p[:, 1] - 1.0) ** 2 <= 1.0,
          math.pi),
@@ -594,13 +599,21 @@ def integrator_selftest(samples: int, seed: int = 42) -> SelfTestReport:
 
 
 def snap_to_multiple(est: PeriodEstimate, base) -> tuple[int, float]:
-    """Nearest integer multiple of ``base`` and the residual in sigmas."""
-    if isinstance(base, BigReal):
-        b = float(base.value)
-    else:
-        b = float(base)
-    if not b > 0:
-        raise DomainError(f"base must be positive, got {base!r}")
+    """Nearest integer multiple of ``base`` and the residual in sigmas.
+
+    ``base`` is read as the float nearest it, a BigReal as that of its
+    midpoint.  One that is not a real number raises :class:`InputError`;
+    one that is not positive and finite, or so small that the multiple
+    passes the float range, raises :class:`DomainError`.
+    """
+    try:
+        b = _float(base._mid) if isinstance(base, BigReal) else float(base)
+    except (TypeError, ValueError):
+        raise InputError(f"base must be a real number, got {base!r}") from None
+    except OverflowError:
+        b = math.inf
+    if not (0 < b < math.inf and math.isfinite(est.estimate / b)):
+        raise DomainError(f"base must be positive and finite, with a multiple in the float range, got {base!r}")
     multiple = round(est.estimate / b)
     residual = abs(est.estimate - multiple * b) / est.stderr
     return int(multiple), residual

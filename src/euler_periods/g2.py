@@ -41,21 +41,18 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
-import mpmath
-from mpmath import mpf
-from mpmath.libmp import from_rational, mpf_add, mpf_div, mpf_mul, mpf_shift, mpf_sub, round_ceiling
-from mpmath.libmp import round_nearest as RN
-
 from .errors import DomainError, InputError, NoConvergence, PrecisionNotMet, SchemaError
-from .numkernel import BigReal, as_fraction, check_prec, inner_prec, pi_times, value_text, working_bits
+from .numkernel import (BigReal, _add, _div, _exact, _float, _fraction, _mul, _new_ball, _radius, _relabel, _widen,
+                        as_fraction, check_prec, inner_prec, pi_times, value_text, working_bits)
 
 MAX_ORDER = 4
 
 #: Fourth-order coefficient, 51 decimals (Laporta's value, label a4:laporta:2017).
 A4_DIGITS = "-1.912245764926445574152647167439830054060873390658725"
 
-#: One unit in the last decimal of :data:`A4_DIGITS`, 1e-51 rounded upward: a4's radius.
-_A4_UNIT = mpmath.mp.make_mpf(from_rational(1, 10 ** 51, 64, round_ceiling))
+#: One unit in the last decimal of :data:`A4_DIGITS`, 1e-51 rounded upward at 64 bits: a4's
+#: radius.  10**51 lies in [2**169, 2**170), so the quotient 2**233 / 10**51 has 64 bits.
+_A4_UNIT = Fraction(-(-(1 << 233) // 10 ** 51), 1 << 233)
 
 _REGISTRY_FIELDS = ("label", "value", "uncertainty_components", "year", "source_eq")
 
@@ -171,20 +168,23 @@ class Measurement:
         return f"{float(f'{_root_up(square, Fraction(10) ** shift)}e{-shift}'):.2g}"
 
     @cached_property
-    def _total_up(self) -> mpf:
-        """The quadrature total of the exact components rounded upward at 64 bits, found once."""
+    def _total_up(self) -> Fraction:
+        """The quadrature total of the exact components rounded up to a multiple of ``2**(h - 64)``, found once.
+
+        ``h`` is :func:`_half_log2` of the square, within 1 of the total's
+        binary exponent, so the total keeps about 64 bits.
+        """
         square = self._square
-        bits = 64 - _half_log2(square)
-        return mpmath.ldexp(_root_up(square, Fraction(2) ** bits), -bits)
+        scale = Fraction(2) ** (64 - _half_log2(square))
+        return _root_up(square, scale) / scale
 
     def as_bigreal(self, prec: int) -> BigReal:
         """The value with the quoted uncertainty folded into the bound.
 
-        :attr:`_total_up` adds to the value's bound exactly, and the
-        constructor rounds the sum up.
+        :attr:`_total_up` adds to the value's bound exactly, and the sum
+        rounds up as the constructor rounds a bound (:func:`~.numkernel._widen`).
         """
-        check_prec(prec)
-        return BigReal(self.value.value, mpmath.fadd(self.value.err, self._total_up, exact=True), prec)
+        return _widen(_relabel(self.value, prec), self._total_up)
 
 
 def default_registry_path() -> str:
@@ -351,8 +351,7 @@ _TOTALS = {2: "th:1957", 3: "th:2017"}
 @lru_cache(maxsize=None)
 def _a4(prec: int) -> BigReal:
     """``a_4`` at ``prec``: :data:`A4_DIGITS` as read, its radius widened by :data:`_A4_UNIT`."""
-    a4 = BigReal.from_decimal(A4_DIGITS, prec)
-    return BigReal(a4.value, mpmath.fadd(a4.err, _A4_UNIT, exact=True), prec)
+    return _widen(BigReal.from_decimal(A4_DIGITS, prec), _A4_UNIT)
 
 
 def _backed_out(n: int, prec: int, registry: Sequence[Measurement] | None) -> BigReal:
@@ -367,8 +366,7 @@ def _backed_out(n: int, prec: int, registry: Sequence[Measurement] | None) -> Bi
     powers = _powers(r, 4 if n == 3 else n)
     if n == 3:
         rest = rest - coeff_a2(prec=inner) * powers[2] - _a4(inner) * powers[4]
-    a = rest / powers[n]
-    return BigReal(a.value, a.err, prec)
+    return _relabel(rest / powers[n], prec)
 
 
 #: The closed-form brackets by order and mode: ln 2 = Li_m(1; 1/2), phi(n) = (1 - 2**(1-n)) zeta(n),
@@ -483,21 +481,22 @@ def _as_input(x: object, name: str, prec: int | None = None) -> BigReal:
     """``x`` as a BigReal at ``prec``, by default its own or else 15.
 
     ``x`` is a Measurement (its uncertainty folded in), a BigReal, a decimal
-    string or a number; anything else raises :class:`InputError`, and so
-    does a number past :func:`~.numkernel.as_fraction`'s digit cap, however
-    it is written.
+    string or a number: an int, float, Fraction or mpf, the last taken by
+    its ``_mpf_`` as :func:`~.numkernel._raw` takes it, with no mpmath
+    import.  Anything else raises :class:`InputError`, and so does a number
+    past :func:`~.numkernel.as_fraction`'s digit cap, however it is written.
     """
     if isinstance(x, Measurement):
         x = x.as_bigreal(x.value.prec)
     if isinstance(x, BigReal):
-        return x if prec is None else BigReal(x.value, x.err, prec)
+        return x if prec is None else _relabel(x, prec)
     prec = 15 if prec is None else prec
     if isinstance(x, str):
         try:
             return BigReal.from_decimal(x, prec)
         except DomainError:
             raise InputError(f"{name} {x!r} is not a decimal number") from None
-    if isinstance(x, bool) or not isinstance(x, (int, float, Fraction, mpf)):
+    if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)) and not hasattr(x, "_mpf_"):
         raise InputError(f"{name} must be a number, got {x!r}")
     as_fraction(x, name)
     return BigReal.exact(x, prec)
@@ -524,14 +523,14 @@ def assemble(alpha_inv: object, coeffs: CoefficientSet | None = None, order: int
         coeffs = CoefficientSet()
     inner = inner_prec(prec, 6)
     ainv = _as_input(alpha_inv, "alpha_inv", inner)
-    if not ainv.value > 0:
+    if not _fraction(ainv._mid, "alpha_inv") > 0:
         raise DomainError(f"alpha_inv must be positive, got {alpha_inv!r}")
     r = _alpha_ratio(ainv, inner)
     total = None
     for n, power in enumerate(_powers(r, order)[1:], start=1):
         term = coeffs.coefficient(n, inner, registry) * power
         total = term if total is None else total + term
-    return BigReal(total.value, total.err, prec)
+    return _relabel(total, prec)
 
 
 def g_factor(a_e: object, prec: int | None = None) -> BigReal:
@@ -552,10 +551,10 @@ def _horner(coeffs: Sequence[BigReal], r: BigReal) -> BigReal:
 
 
 def _horner_mid(coeffs: Sequence[tuple], r: tuple, b: int) -> tuple:
-    """:func:`_horner` on raw mpf midpoints, each op rounded to nearest at ``b`` bits as BigReal's."""
+    """:func:`_horner` on raw midpoints, each op rounded at ``b`` bits by the integer op BigReal's rounds with."""
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
-        acc = mpf_add(mpf_mul(acc, r, b, RN), c, b, RN)
+        acc = _add(_mul(acc, r, b), c, b)
     return acc
 
 
@@ -567,12 +566,13 @@ def invert_alpha(target_ae: object, coeffs: CoefficientSet | None = None, order:
     The target must lie in (0, 2e-3), where the quartic is monotone and the
     physical branch unambiguous.  Newton's iteration in alpha from the
     one-loop seed ``alpha = 2 pi target`` finds a point ``m`` and carries no
-    bound, so it runs on the bare midpoints of the balls below: the same
-    libmp operations in the same order, rounded to nearest at ``b`` working
-    bits, as BigReal would apply to them, so ``m`` has the bits the balls'
-    midpoints would give.  At most 50 steps, until one moves alpha by about
-    ``2**(8 - b)`` of it or less.  A list passed as ``trace`` records the
-    alpha_inv iterates, one per step.
+    bound, so it runs on the bare midpoints of the balls below: numkernel's
+    integer ops in the same order, rounded to nearest at ``b`` working bits,
+    the very functions BigReal rounds its midpoints with, so ``m`` has the
+    bits the balls' midpoints would give.  At most 50 steps, until one moves
+    alpha by about ``2**(8 - b)`` of it or less.  A list passed as ``trace``
+    records the alpha_inv iterates, one per step, each the float nearest
+    ``1/alpha``.
 
     The bound is one interval Newton step (Moore, *Interval Analysis*, 1966;
     Rump, "Verification methods", Acta Numerica 19, 2010).  ``f(a) =
@@ -595,42 +595,41 @@ def invert_alpha(target_ae: object, coeffs: CoefficientSet | None = None, order:
     if coeffs is None:
         coeffs = CoefficientSet()
     target = _as_input(target_ae, "target_ae", prec)
-    if not 0 < target.value < 1 or as_fraction(target.value) >= Fraction(1, 500):
+    if not 0 < _fraction(target._mid) < Fraction(1, 500):
         shown = (f"row {target_ae.label!r}" if isinstance(target_ae, Measurement)
                  else value_text(target_ae) if isinstance(target_ae, BigReal) else repr(target_ae))
         raise DomainError(f"target_ae must lie in (0, 2e-3), got {shown}")
     inner = inner_prec(prec, 6)
-    t = BigReal(target.value, target.err, inner)
+    t = _relabel(target, inner)
     cs = [coeffs.coefficient(n, inner, registry) for n in range(1, order + 1)]
     slopes = [c * n for n, c in enumerate(cs, start=1)]
     pi = pi_times(1, inner)
     b = working_bits(inner)
-    mids, slope_mids = [c.value._mpf_ for c in cs], [c.value._mpf_ for c in slopes]
-    pi_mid, t_mid = pi.value._mpf_, t.value._mpf_
-    a = mpf_shift(mpf_mul(pi_mid, t_mid, b, RN), 1)
+    mids, slope_mids = [c._mid for c in cs], [c._mid for c in slopes]
+    pi_mid, t_mid = pi._mid, t._mid
+    a = _mul(_mul(pi_mid, t_mid, b), _exact(0, 2, 0), b)
     try:
         for k in range(_NEWTON_STEPS + 1):
-            r = mpf_div(a, pi_mid, b, RN)
-            fa = mpf_sub(mpf_mul(_horner_mid(mids, r, b), r, b, RN), t_mid, b, RN)
-            step = mpf_div(fa, mpf_div(_horner_mid(slope_mids, r, b), pi_mid, b, RN), b, RN)
+            r = _div(a, pi_mid, b)
+            fa = _add(_mul(_horner_mid(mids, r, b), r, b), t_mid, b, 1)
+            step = _div(fa, _div(_horner_mid(slope_mids, r, b), pi_mid, b), b)
             # A step of 0, or of magnitude (exp + bc) at most 2**(8 - b) of a's, ends the iteration.
             if k == _NEWTON_STEPS or not step[1] or step[2] + step[3] <= a[2] + a[3] + 8 - b:
                 break
-            a = mpf_sub(a, step, b, RN)
+            a = _add(a, step, b, 1)
             if trace is not None:
-                trace.append(float(1 / mpmath.mp.make_mpf(a)))
-        m = BigReal(mpmath.mp.make_mpf(a), 0, inner)
+                trace.append(_float(_div(_exact(0, 1, 0), a, 53)))
+        m = _new_ball(a, 0, 0, inner)
         r = m / pi
         fa = _horner(cs, r) * r - t
         step = fa / (_horner(slopes, r) / pi)
-        rho = 2 * (abs(float(step.value)) + float(step.err))
+        rho = 2 * (abs(_float(step._mid)) + math.ldexp(step._man, step._exp))
         for _ in range(_WIDENINGS):
-            x = BigReal(m.value, rho, inner)
+            x = _widen(m, Fraction(rho))
             root = m - fa / (_horner(slopes, x / pi) / pi)
-            gap = abs(as_fraction(root.value) - as_fraction(m.value))
-            if gap + as_fraction(root.err) <= as_fraction(x.err):  # N(X) lies in X
-                inv = 1 / root
-                return BigReal(inv.value, inv.err, prec)
+            gap = abs(_fraction(root._mid) - _fraction(a))
+            if gap + _radius(root) <= _radius(x):  # N(X) lies in X
+                return _relabel(1 / root, prec)
             rho *= 4
     except (PrecisionNotMet, ZeroDivisionError):  # a slope midpoint of exactly 0 as well
         raise NoConvergence("alpha inversion: a slope's or the root's ball holds 0") from None
@@ -684,4 +683,4 @@ def compare(a: Measurement, b: Measurement) -> ComparisonResult:
     Exactly antisymmetric: swapping the arguments flips the signs of the
     difference and the pull bit for bit.
     """
-    return ComparisonResult(as_fraction(a.value.value) - as_fraction(b.value.value), a._square + b._square)
+    return ComparisonResult(_fraction(a.value._mid) - _fraction(b.value._mid), a._square + b._square)

@@ -16,8 +16,8 @@ from typing import Sequence
 
 from .errors import DivergentIndex, DomainError, TooLarge
 from .eulerfun import phi, zeta
-from .numkernel import (BRUTEFORCE_STEP_CAP, BigReal, as_fraction, check_prec, inner_prec, log_of, working_bits,
-                        _at_one, _new_ball, _relabel, _up, _word)
+from .numkernel import (BRUTEFORCE_STEP_CAP, BigReal, check_prec, inner_prec, log_of, working_bits,
+                        _at_one, _fraction, _new_ball, _radius, _relabel, _up, _widen, _word)
 
 
 def _parts(idx: Sequence[int]) -> tuple[int, ...]:
@@ -94,14 +94,9 @@ def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
             term = _new_ball(t, *_up(t[1], t[2] + 1 - b), prec)
             s[j] += term * s[j - 1] if j > 1 else term  # s[0] is an exact 1
     ball = log_of(cutoff, prec)
-    log_k = as_fraction(ball.value) + as_fraction(ball.err)  # at or above log(cutoff)
+    log_k = _fraction(ball._mid) + _radius(ball)  # at or above log(cutoff)
     caps = math.prod(1 + Fraction(1, part - 1) for part in idx[:-1] if part >= 2)  # inner sums' caps
-    tail = _log_poly_tail(cutoff, idx[-1], idx[:-1].count(1), log_k)
-    # The radius plus the tail, rounded up to a 32-bit radius as every ball's is.
-    num, den = (as_fraction(s[d].err) + tail * caps).as_integer_ratio()
-    e = num.bit_length() - den.bit_length() - 33
-    units = -((-num << max(-e, 0)) // (den << max(e, 0)))
-    return _new_ball(s[d]._mid, *_up(units, e), prec)
+    return _widen(s[d], _log_poly_tail(cutoff, idx[-1], idx[:-1].count(1), log_k) * caps)
 
 
 def _log_poly_tail(cutoff: int, q: int, r: int, log_k: Fraction) -> Fraction:

@@ -227,10 +227,7 @@ def as_fraction(x: ScalarLike, what: str = "the number") -> Fraction:
     if isinstance(x, str):
         check_digits(x, what)
     elif raw is not None and (raw[1] or not raw[2]):  # a finite mpf
-        sign, man, exp, bc = raw
-        if max(bc + exp, 1 - exp) > _CAP.bit_length():  # the numerator's or the denominator's bits
-            raise InputError(f"{what} is past the cap {DIGIT_CAP} digits")
-        x = Fraction(-man if sign else man) * Fraction(2) ** exp
+        x = _fraction(raw, what)
     try:
         q = Fraction(x)
     except (ValueError, OverflowError, TypeError, ZeroDivisionError):
@@ -238,6 +235,21 @@ def as_fraction(x: ScalarLike, what: str = "the number") -> Fraction:
     if max(abs(q.numerator), q.denominator) >= _CAP:
         raise InputError(f"{what} is past the cap {DIGIT_CAP} digits")
     return q
+
+
+def _fraction(v: tuple, what: str = "the number") -> Fraction:
+    """The exact rational of a finite raw tuple ``(sign, man, exp, bc)``, held to :data:`DIGIT_CAP` digits.
+
+    How the other modules read a ball's midpoint or radius, and how
+    :func:`as_fraction` reads an mpf: past the cap in the bits its exponent
+    and mantissa give it raises :class:`InputError` before the integer is
+    built.
+    """
+    sign, man, exp, bc = v
+    if max(bc + exp, 1 - exp) > _CAP.bit_length():  # the numerator's or the denominator's bits
+        raise InputError(f"{what} is past the cap {DIGIT_CAP} digits")
+    q = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -q if sign else q
 
 
 def check_digits(text: str, what: str) -> str:
@@ -364,8 +376,10 @@ class BigReal:
     integers and the radius a Python integer below ``2**32`` times a power
     of 2, as Arb holds its ``mag_t`` (Johansson, arXiv:1611.02831).
     ``value`` and ``err`` are read-only mpfs built on access, which imports
-    mpmath; ``BigReal(value, err, prec)`` takes a finite mpf, int or float
-    and rounds a given bound up into the integer form.
+    mpmath: a bridge for the tests and the benchmark, which no code in this
+    package reads; it reads the raw fields, exactly by :func:`_fraction`.
+    ``BigReal(value, err, prec)`` takes a finite mpf, int or float and
+    rounds a given bound up into the integer form.
 
     The constructors, ``+ - * /``, :func:`pi_times` and :func:`log_of`
     enclose: when the operands' targets lie in their balls, the exact result
@@ -774,6 +788,35 @@ def _new_ball(v: tuple, man: int, exp: int, prec: int) -> BigReal:
 def _relabel(x: BigReal, prec: int) -> BigReal:
     """``x`` with its midpoint and radius as they are, labelled ``prec``: an inner step's ball handed out."""
     return _new_ball(x._mid, x._man, x._exp, check_prec(prec))
+
+
+def _radius(x: BigReal) -> Fraction:
+    """The radius of ``x`` as an exact rational, read by :func:`_fraction`."""
+    return _fraction((0, x._man, x._exp, x._man.bit_length()), "a radius")
+
+
+def _widen(x: BigReal, extra: Fraction) -> BigReal:
+    """``x`` with ``extra >= 0``, an exact rational, added to its radius.
+
+    The sum is rounded up to 32 bits as the constructor rounds a given
+    bound: a sum with a power-of-2 denominator is taken exactly and goes
+    to :func:`_up`, which keeps it if it fits; any other is first rounded
+    up to 33 or more bits.
+    """
+    num, den = (_radius(x) + extra).as_integer_ratio()
+    shift = den.bit_length() - 1
+    if den == 1 << shift:
+        _, man, exp, _ = _exact(0, num, -shift)
+    else:
+        exp = num.bit_length() - den.bit_length() - 33
+        man = -((-num << max(-exp, 0)) // (den << max(exp, 0)))
+    return _new_ball(x._mid, *_up(man, exp), x._prec)
+
+
+def _float(v: tuple) -> float:
+    """The float nearest the raw tuple ``v``, rounded to 53 bits by :func:`_round` as an mpf's ``float`` is."""
+    sign, man, exp, _ = _round(v[0], v[1], v[2], 53)
+    return math.ldexp(-man if sign else man, exp)
 
 
 def _at_most_ten_to(n: int, e: int, prec: int) -> bool:

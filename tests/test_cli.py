@@ -480,6 +480,14 @@ def test_negative_rational_follows_a_double_dash(capsys):
     assert out.startswith("-0.691703603690459 ± 1e-15")
 
 
+def test_polylog_help_states_the_evaluated_domain_and_3_4_is_still_refused(capsys):
+    code, out, err = run(capsys, "polylog", "-h")
+    assert code == 0 and "n >= 3 on [-1, 1/2] and 1" in " ".join(out.split())
+    code, out, err = run(capsys, "polylog", "3", "3/4")
+    assert (code, out) == (2, "")
+    assert err == "error: Li_3 is only evaluated on [-1, 1/2] and the endpoint 1; got z = 3/4\n"
+
+
 def test_exit_one_uncertifiable_precision(capsys):
     # zeta(1 + 10**-30) at prec 100 needs 31 digits past it, beyond the working top.
     code, out, err = run(capsys, "zeta", "--prec", "100", "1.000000000000000000000000000001")
@@ -885,8 +893,9 @@ def test_bernoulli_call_loads_no_layer():
 #: The subcommands that load no mpmath, by a route of each: zeta and phi at
 #: integers and at rationals whose rows are exact floors, polylog n >= 2 off
 #: its reflection window, the iterated integrals, the exact and symbolic
-#: commands, and the period map of zeta values and polylogarithms of weight
-#: >= 2 off the window.
+#: commands, the period map of zeta values and polylogarithms of weight >= 2
+#: off the window, the Monte Carlo commands, and the g2 registry commands that
+#: take no pi.
 NO_MPMATH_COMMANDS = [
     ["zeta", "2"], ["zeta", "--prec", "100", "7/3"], ["zeta", "--json", "11/10"],
     ["phi", "1/2"], ["phi", "--prec", "1", "3"],
@@ -895,6 +904,8 @@ NO_MPMATH_COMMANDS = [
     ["stuffle-check", "2", "3"], ["stuffle-check", "--json", "--prec", "100", "3", "4"],
     ["bernoulli", "30"], ["coact", "zeta_m(3)*Li_m(2; 1/2)"], ["conjugates", "Li_m(3; 1/2)"],
     ["per", "5*zeta_m(4) - 2*zeta_m(2)*zeta_m(2)"], ["per", "--json", "Li_m(2; 1/2) + Li_m(3; -1/2)"],
+    ["period", "k4", "--samples", "10000"], ["selftest", "--samples", "10000"],
+    ["registry-list"], ["g2-compare", "th:2017", "exp:2008"],
 ]
 
 

@@ -506,6 +506,27 @@ def test_snap_to_multiple_validation():
         snap_to_multiple(est, -2.5)
 
 
+@pytest.mark.parametrize("base, error", [(float("inf"), DomainError), ("abc", InputError),
+                                         (None, InputError), (1e-320, DomainError)])
+def test_snap_to_multiple_refuses_a_base_that_gives_no_multiple(base, error):
+    est = period_mc(bubble(), 20000, seed=42)
+    with pytest.raises(error):
+        snap_to_multiple(est, base)
+
+
+def test_snap_to_multiple_reads_a_bigreal_base_as_the_float_of_its_midpoint():
+    from euler_periods.eulerfun import zeta
+    est = period_mc(k4(), 20000, seed=42)
+    for prec in (1, 15, 100):
+        base = zeta(3, prec)
+        assert snap_to_multiple(est, base) == snap_to_multiple(est, float(base.value))
+
+
+def test_the_cube_root_reference_is_libmps_correctly_rounded_root():
+    from mpmath.libmp import from_int, mpf_nthroot, round_nearest, to_float
+    assert feynper._CUBE_ROOT_5 == to_float(mpf_nthroot(from_int(5), 3, 53, round_nearest))
+
+
 def test_selftest_passes_and_prints():
     report = integrator_selftest(20000, seed=42)
     assert report.passed

@@ -966,3 +966,72 @@ def test_compare_zero_uncertainty_pull():
     assert result.uncertainty == 0.0
     assert math.isinf(result.pull)
     assert result.pull < 0
+
+
+# ---------------------------------------------------------------------------
+# The package reads balls by their raw fields, in numkernel's integers
+# ---------------------------------------------------------------------------
+
+
+class BallReadThroughMpf(Exception):
+    pass
+
+
+def test_no_code_in_the_package_reads_a_ball_through_value_or_err(monkeypatch, capsys):
+    import importlib
+    from euler_periods.cli import dispatch
+    from euler_periods.eulerfun import identity_residual, zeta
+    from euler_periods.feynper import k4, period_mc, snap_to_multiple
+    mzv_module = importlib.import_module("euler_periods.mzv")
+
+    def refuse(self):
+        raise BallReadThroughMpf
+    # Emptied, so the coefficients and the registry are built under the patch.
+    for cache in (g2_module._packaged_coefficient, g2_module._a4, g2_module._default_registry):
+        cache.cache_clear()
+    monkeypatch.setattr(BigReal, "value", property(refuse))
+    monkeypatch.setattr(BigReal, "err", property(refuse))
+    registry = load_registry()
+    rows = [m.as_bigreal(15) for m in registry]
+    for a3 in ("EXACT_BRACKET", "AS_PRINTED", "REGISTRY"):
+        assemble("137.035999", CoefficientSet(a3_mode=a3), prec=15)
+    assemble(rows[-1], prec=15)
+    invert_alpha(lookup(None, "exp:2008"), prec=15, trace=[])
+    invert_alpha("1.159652e-3", prec=50)
+    coeff_a3("REGISTRY", 15, registry=registry)
+    compare(lookup(registry, "th:2017"), lookup(registry, "exp:2008"))
+    g_factor("1.159652e-3", 15)
+    g_factor(rows[0], 20)
+    snap_to_multiple(period_mc(k4(), 10000, seed=1), zeta(3, 15))
+    identity_residual("COTANGENT", {"x": "1/3", "terms": 5}, 15)
+    mzv_module.mzv_bruteforce((2, 3), 50, 15)
+    assert dispatch(["identity-check", "cotangent", "--x", "1/3", "--terms", "5", "--tol", "1e-3"]) in (0, 3)
+    capsys.readouterr()
+
+
+def test_the_exact_widenings_are_the_upward_values_libmp_gave():
+    from mpmath.libmp import from_rational, round_ceiling, to_rational
+    assert g2_module._A4_UNIT == Fraction(*to_rational(from_rational(1, 10 ** 51, 64, round_ceiling)))
+    for m in load_registry():
+        bits = 64 - g2_module._half_log2(m._square)
+        old = mpmath.ldexp(g2_module._root_up(m._square, Fraction(2) ** bits), -bits)
+        assert m._total_up == Fraction(*to_rational(old._mpf_)), m.label
+
+
+@pytest.mark.parametrize("prec", [1, 15, 50, 100])
+def test_a_widened_ball_has_the_radius_the_constructor_rounds_the_exact_sum_to(prec):
+    # The old route, field for field: the exact mpf sum of the radius and the
+    # width, rounded up by the constructor.
+    from mpmath.libmp import from_man_exp, mpf_add
+
+    def widened(v, width):
+        num, den = width.as_integer_ratio()
+        err = mpmath.mp.make_mpf(mpf_add(v.err._mpf_, from_man_exp(num, 1 - den.bit_length()), 0))
+        return BigReal(v.value, err, prec)
+
+    def fields(x):
+        return x._mid, x._man, x._exp, x.prec
+    for m in load_registry():
+        assert fields(m.as_bigreal(prec)) == fields(widened(m.value, m._total_up)), m.label
+    a4 = BigReal.from_decimal(A4_DIGITS, prec)
+    assert fields(g2_module._a4(prec)) == fields(widened(a4, g2_module._A4_UNIT))
