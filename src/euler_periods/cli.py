@@ -318,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="measurement registry JSON (default: packaged, or EULER_PERIODS_REGISTRY)")
         if seed:
             p.add_argument("--seed", type=int, default=42, metavar="N",
-                           help="random seed (default 42)")
+                           help="random seed, an integer >= 0 (default 42)")
         return p
 
     p = add("zeta", "Riemann zeta at a real point s > 1.")
@@ -370,11 +370,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("period", "Monte-Carlo period of a primitive log-divergent graph.", seed=True)
     p.add_argument("graph", help="named graph (bubble, triangle, k4, w4) or a JSON file")
     p.add_argument("--samples", type=int, default=100_000, metavar="N",
-                   help="sample count (default 100000)")
+                   help="sample count, 1 to 10000000 (default 100000)")
 
     p = add("selftest", "Integrator self-test on known volumes.", seed=True)
     p.add_argument("--samples", type=int, default=100_000, metavar="N",
-                   help="sample count (default 100000)")
+                   help="sample count, 10000 to 10000000 (default 100000)")
 
     p = add("g2-assemble", "Partial sum of the a_e series through a given order.", registry=True)
     p.add_argument("alpha_inv", nargs="?", default=None,

@@ -56,7 +56,7 @@ def _shown(x: ScalarLike, q: Fraction, *edges: Fraction | int) -> str:
     """``x`` of exact value ``q`` as written, or in 8 or more digits that keep ``q``'s side of each edge."""
     digits = 8
     while not isinstance(x, str):
-        text = _decimal_text(_quotient(*q.as_integer_ratio(), dps_to_prec(digits) + 8, False), digits)
+        text = _decimal_text(_quotient(*q.as_integer_ratio(), dps_to_prec(digits) + 8), digits)
         if all((Fraction(text) > e) - (Fraction(text) < e) == (q > e) - (q < e) for e in edges):
             return text
         digits *= 2
@@ -305,10 +305,14 @@ def _sinc(f, q: Fraction, slope: Fraction, prec: int, c: BigReal | int = 1) -> B
     ``(2, 8)``: no ball is as small as ``q`` and the quotient does not
     amplify, however small ``q`` is.  ``slope`` bounds its derivative in ``y``.
     """
-    from mpmath.libmp import mpf_shift
     e = q.denominator.bit_length() - q.numerator.bit_length() + 2
     y = BigReal.exact(q * 2 ** e, prec) * c
-    return faithful(lambda v, b, rnd: mpf_shift(f(mpf_shift(v, -e), b, rnd), e), y, slope) / y
+    return faithful(lambda v, b, rnd: _shift(f(_shift(v, -e), b, rnd), e), y, slope) / y
+
+
+def _shift(v: tuple, n: int) -> tuple:
+    """The raw tuple ``v`` times ``2**n``, exactly: ``n`` added to its exponent, and 0 left as it is."""
+    return (v[0], v[1], v[2] + n, v[3]) if v[1] else v
 
 
 def _libmp_rows(s: Fraction, ks: Sequence[int], bits: int) -> list[int]:

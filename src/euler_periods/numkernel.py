@@ -49,9 +49,10 @@ This module works at explicit binary precisions only and keeps one rule:
 rounding counts ``(1 + |v|) 2**(1 - b)`` at the precision ``b`` it happens
 at, one count per rounding that makes ``v`` (as Arb does,
 arXiv:1611.02831).  ``+ - * /``, the constructors and :func:`_finish`
-round to nearest, ties to even, in Python integers (:func:`_round`), and
-the decimal writer :func:`_decimal_text` prints in integers too, both bit
-for bit as mpmath.libmp does.  ``pi`` and ``log`` are Python integers as
+are correctly rounded: to nearest, ties to even, in Python integers
+(:func:`_round`), each value once, and the decimal writer
+:func:`_decimal_text` prints in integers too, byte for byte as
+mpmath.libmp's ``to_str``.  ``pi`` and ``log`` are Python integers as
 well: :func:`_pi` and :func:`_log` sum one atan/atanh series kernel
 (:func:`_arc`) and round to nearest by a Ziv loop that widens its guard
 bits until the error interval decides the rounding, so they are correctly
@@ -375,8 +376,10 @@ class BigReal:
     ``prec`` of their operands.
 
     The midpoint is a raw mpf tuple ``(sign, man, exp, bc)`` of Python
-    integers and the radius a Python integer below ``2**32`` times a power
-    of 2, as Arb holds its ``mag_t`` (Johansson, arXiv:1611.02831).
+    integers and the radius an odd Python integer below ``2**32`` times a
+    power of 2, or 0, as Arb holds its ``mag_t`` (Johansson,
+    arXiv:1611.02831).  Both shed their trailing zero bits, so a ball has
+    one form and equal balls have equal fields.
     ``value`` and ``err`` are read-only mpfs built on access, which imports
     mpmath: a bridge for the tests and the benchmark, which no code in this
     package reads; it reads the raw fields, exactly by :func:`_fraction`.
@@ -387,12 +390,11 @@ class BigReal:
     enclose: when the operands' targets lie in their balls, the exact result
     lies in the result's ball.  Each rounds its midpoint to nearest at the
     explicit binary precision ``b = working_bits(p)`` of the result's ``prec
-    = p``, bit for bit as the mpf operators round at an ambient ``b`` bits.
-    ``+ - * /`` round in integers (:func:`_add`, :func:`_mul`,
-    :func:`_div`), as does a ``Fraction`` or a decimal string, read exactly
-    by :func:`as_fraction`, through :func:`_quotient` (a Fraction's wide
-    numerator rounded first), and ``pi`` times ``k`` and a log take the
-    correctly rounded :func:`_pi` and :func:`_log`.
+    = p``, correctly rounded.  ``+ - * /`` round in integers (:func:`_add`,
+    :func:`_mul`, :func:`_div`), as does a ``Fraction`` or a decimal string,
+    read exactly by :func:`as_fraction`, through :func:`_quotient`, and
+    ``pi`` times ``k`` and a log take the correctly rounded :func:`_pi` and
+    :func:`_log`.
     The radius is summed in integers and rounded upward (:func:`_ball`),
     from one count ``(1 + |v|) 2**(1 - b)`` per rounding that makes the
     midpoint ``v`` (round to nearest errs by at most ``|v| 2**-b``) plus:
@@ -409,11 +411,9 @@ class BigReal:
     :meth:`certified` compares the radius with ``10**-prec`` exactly, in
     integers.
 
-    Instances are immutable and compare and hash by their midpoint, the
-    value of their radius and ``prec``.  Cost: 1.9-4.6 microseconds per op
-    at prec 15 and 100 on a shared 2-core x86-64 VM (Python 3.11), division
-    the most; interleaved with the same ops through libmp's ``mpf_add``,
-    ``mpf_mul`` and ``mpf_div`` they took 0.7-0.97 of the time.
+    Instances are immutable and compare and hash by their fields.  Cost:
+    1.8-3.6 microseconds per op at prec 15 and 2.0-4.1 at prec 100 on a
+    shared 2-core x86-64 VM (Python 3.11), division the most.
     """
 
     __slots__ = ("_mid", "_man", "_exp", "_prec")
@@ -440,16 +440,13 @@ class BigReal:
 
     prec = property(attrgetter("_prec"))
 
-    def _fields(self) -> tuple:
-        return self._mid, _exact(0, self._man, self._exp), self._prec
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return (self._mid, self._man, self._exp, self._prec) == (other._mid, other._man, other._exp, other._prec)
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash((self._mid, self._man, self._exp, self._prec))
 
     def __reduce__(self):
         return _new_ball, (self._mid, self._man, self._exp, self._prec)
@@ -460,27 +457,24 @@ class BigReal:
     def exact(cls, x: ScalarLike, prec: int) -> "BigReal":
         """Wrap a value known exactly up to representation rounding.
 
-        A value that converts without change has a zero bound.  For a
-        ``Fraction`` ``num/den`` in lowest terms that is decided in
-        integers: only a power of 2 ``den`` can give an exact binary
-        result ``man 2**exp``, exact iff ``man 2**exp den == num``.  A
-        string is an input: :func:`as_fraction` reads its exact rational,
-        which rounds once to nearest, so ``"0.5"`` has a zero bound and
-        ``"inf"`` raises :class:`DomainError`, as does a float or mpf that
-        is not finite.
+        A value that converts without change has a zero bound; any other
+        rounds once, one count.  For a ``Fraction`` ``num/den`` in lowest
+        terms that is decided in integers: only a power of 2 ``den`` can
+        give an exact binary result ``man 2**exp``, exact iff ``man 2**exp
+        den == num``.  A string is an input: :func:`as_fraction` reads its
+        exact rational, which rounds as a Fraction does, so ``"0.5"`` has a
+        zero bound and ``"inf"`` raises :class:`DomainError`, as does a
+        float or mpf that is not finite.
         """
         b = _BITS[check_prec(prec)]
         if isinstance(x, (str, Fraction)):
-            # A decimal rounds its exact value once; a Fraction rounds its
-            # numerator, then the quotient: two counts.
-            is_str = isinstance(x, str)
-            num, den = (as_fraction(x, "the decimal") if is_str else x).as_integer_ratio()
-            v = _quotient(num, den, b, not is_str)
+            num, den = (as_fraction(x, "the decimal") if isinstance(x, str) else x).as_integer_ratio()
+            v = _quotient(num, den, b)
             if not den & den - 1:
                 _, man, exp, _ = v  # v has the sign of num
                 if man * den << max(exp, 0) == abs(num) << max(-exp, 0):
                     return _new_ball(v, 0, 0, prec)
-            return _ball(v, prec, (1 if is_str else 2) - b)
+            return _ball(v, prec, 1 - b)
         raw = _raw(x, "value")
         v = _round(raw[0], raw[1], raw[2], b)
         return _new_ball(v, 0, 0, prec) if v == raw else _ball(v, prec, 1 - b)
@@ -619,9 +613,8 @@ def _exact(sign: int, man: int, exp: int) -> tuple:
 def _round(sign: int, man: int, exp: int, b: int) -> tuple:
     """``(-1)**sign man 2**exp``, ``man >= 0``, rounded to nearest at ``b`` bits as a raw tuple.
 
-    libmp's ``normalize`` at ``round_nearest``: ties go to the even
-    mantissa, and the result sheds its trailing zero bits, so equal values
-    have equal tuples.
+    Correctly rounded: ties go to the even mantissa, and the result sheds
+    its trailing zero bits, so equal values have equal tuples.
     """
     n = man.bit_length() - b
     if n > 0:
@@ -638,15 +631,15 @@ def _round(sign: int, man: int, exp: int, b: int) -> tuple:
 
 
 def _add(s: tuple, t: tuple, b: int, sub: int = 0) -> tuple:
-    """``s + t``, or ``s - t`` for ``sub = 1``, of raw tuples rounded at ``b`` bits: libmp's ``mpf_add``.
+    """``s + t``, or ``s - t`` for ``sub = 1``, of raw tuples, correctly rounded at ``b`` bits.
 
     The sum is exact, then rounded once by :func:`_round`, except where an
     operand's exponent lies more than 100 bits below the other's and its
-    magnitude more than ``b + 4`` bits below: as in libmp it then counts as
-    one sticky bit ``b + 4`` bits below the larger operand's last bit, so no
-    integer grows with the gap.  When the larger operand has at most ``b`` bits the result is
-    correctly rounded either way; a wider one (a relabelled midpoint) errs
-    by under ``|v| 2**(1 - b)``, within the op's one count.
+    magnitude below ``2**low``, for ``low`` at least 1 bit under the larger
+    operand's last bit and ``b + 3`` under its top: it then counts as one
+    sticky bit at ``low``, so no integer grows with the gap.  That rounds
+    alike: the sum and the sticky one lie strictly between the same two
+    even multiples of ``2**low``, and every rounding boundary is one.
     """
     ssign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
@@ -655,30 +648,26 @@ def _add(s: tuple, t: tuple, b: int, sub: int = 0) -> tuple:
         return _round(tsign, tman, texp, b)
     if not tman:
         return _round(ssign, sman, sexp, b)
-    offset = sexp - texp
-    if offset > 100 and sbc + sexp - tbc - texp > b + 4:
-        return _round(ssign, (sman << b + 4) + (1 if ssign == tsign else -1), sexp - b - 4, b)
-    if offset < -100 and tbc + texp - sbc - sexp > b + 4:
-        return _round(tsign, (tman << b + 4) + (1 if ssign == tsign else -1), texp - b - 4, b)
-    if offset >= 0:
-        sman <<= offset
-        exp = texp
-    else:
-        tman <<= -offset
-        exp = sexp
+    if sexp < texp:  # s has the larger exponent from here on
+        ssign, sman, sexp, sbc, tsign, tman, texp, tbc = tsign, tman, texp, tbc, ssign, sman, sexp, sbc
+    if sexp - texp > 100:
+        n = b + 3 - sbc if sbc < b + 2 else 1  # s << n has its last bit at low = sexp - n
+        if tbc + texp <= sexp - n:
+            return _round(ssign, (sman << n) + (1 if ssign == tsign else -1), sexp - n, b)
+    sman <<= sexp - texp
     if ssign == tsign:
-        return _round(ssign, sman + tman, exp, b)
+        return _round(ssign, sman + tman, texp, b)
     man = sman - tman
-    return _round(ssign, man, exp, b) if man >= 0 else _round(tsign, -man, exp, b)
+    return _round(ssign, man, texp, b) if man >= 0 else _round(tsign, -man, texp, b)
 
 
 def _mul(s: tuple, t: tuple, b: int) -> tuple:
-    """``s t`` of raw tuples, exact, then rounded at ``b`` bits: libmp's ``mpf_mul``."""
+    """``s t`` of raw tuples, exact, then correctly rounded at ``b`` bits."""
     return _round(s[0] ^ t[0], s[1] * t[1], s[2] + t[2], b)
 
 
 def _div(s: tuple, t: tuple, b: int) -> tuple:
-    """``s / t`` of raw tuples, ``t`` nonzero, rounded at ``b`` bits: libmp's ``mpf_div``.
+    """``s / t`` of raw tuples, ``t`` nonzero, correctly rounded at ``b`` bits.
 
     The floored quotient keeps at least ``b + 4`` bits, and a nonzero
     remainder is one sticky bit past them, so the one rounding is correct.
@@ -724,7 +713,7 @@ def _ball(v: tuple, prec: int, count: int, terms: Sequence[tuple[int, int]] = ()
     at least ``2**62`` units and at most five are added, so it exceeds the
     exact sum by a relative ``2**-59`` at most, however far apart the terms
     lie, and no integer grows past 64 bits more than the widest term.  It is
-    then rounded up to 32 bits, as by :func:`_up`.
+    then rounded up to an odd integer below ``2**32``, as by :func:`_up`.
     """
     _, vman, vexp, vbc = v
     top = vexp + vbc
@@ -744,22 +733,19 @@ def _ball(v: tuple, prec: int, count: int, terms: Sequence[tuple[int, int]] = ()
         if m:
             d = e - low
             total += m << d if d >= 0 else (m >> -d) + 1
-    s = total.bit_length() - 32
+    s = total.bit_length() - 32  # _up inline: its call cost a fifth of a + at prec 15
     total = -(-total >> s)
-    if total >> 32:
-        return _new_ball(v, total >> 1, low + s + 1, prec)
-    return _new_ball(v, total, low + s, prec)
+    zeros = (total & -total).bit_length() - 1
+    return _new_ball(v, total >> zeros, low + s + zeros, prec)
 
 
-def _quotient(num: int, den: int, b: int, twice: bool = True) -> tuple:
-    """``num / den`` for ``den > 0`` rounded to nearest at ``b`` bits, as a raw tuple.
+def _quotient(num: int, den: int, b: int) -> tuple:
+    """``num / den`` for ``den > 0``, correctly rounded at ``b`` bits, as a raw tuple.
 
-    The bits of ``mpf(num) / den`` at an ambient ``b`` bits.  A numerator
-    wider than ``b`` bits rounds first, unless ``twice`` is false (a
-    decimal's exact value rounds once), and goes through :func:`_div`.
-    Otherwise the floored quotient has ``b + 1`` or ``b + 2`` bits, and
-    rounding it half up at ``b`` bits rounds the true quotient to nearest,
-    since no tie can occur: a tie has ``b + 1`` bits and ends in 1, and for
+    A numerator wider than ``b`` bits goes through :func:`_div`.  Otherwise
+    the floored quotient has ``b + 1`` or ``b + 2`` bits, and rounding it
+    half up at ``b`` bits rounds the true quotient to nearest, since no tie
+    can occur: a tie has ``b + 1`` bits and ends in 1, and for
     ``num/den`` in lowest terms so would ``num``.
     """
     sign = 1 if num < 0 else 0
@@ -768,7 +754,7 @@ def _quotient(num: int, den: int, b: int, twice: bool = True) -> tuple:
     elif not num:
         return _ZERO
     if num.bit_length() > b:
-        return _div(_round(sign, num, 0, b) if twice else _exact(sign, num, 0), _exact(0, den, 0), b)
+        return _div(_exact(sign, num, 0), _exact(0, den, 0), b)
     shift = b + 1 + den.bit_length() - num.bit_length()
     q = (num << shift) // den
     extra = q.bit_length() - b
@@ -801,15 +787,14 @@ def _radius(x: BigReal) -> Fraction:
 def _widen(x: BigReal, extra: Fraction) -> BigReal:
     """``x`` with ``extra >= 0``, an exact rational, added to its radius.
 
-    The sum is rounded up to 32 bits as the constructor rounds a given
-    bound: a sum with a power-of-2 denominator is taken exactly and goes
-    to :func:`_up`, which keeps it if it fits; any other is first rounded
-    up to 33 or more bits.
+    The sum is rounded up by :func:`_up` as the constructor rounds a given
+    bound: a sum with a power-of-2 denominator is taken exactly, and any
+    other is first rounded up to 33 or more bits.
     """
     num, den = (_radius(x) + extra).as_integer_ratio()
     shift = den.bit_length() - 1
     if den == 1 << shift:
-        _, man, exp, _ = _exact(0, num, -shift)
+        man, exp = num, -shift
     else:
         exp = num.bit_length() - den.bit_length() - 33
         man = -((-num << max(-exp, 0)) // (den << max(exp, 0)))
@@ -829,12 +814,18 @@ def _at_most_ten_to(n: int, e: int, prec: int) -> bool:
 
 
 def _up(n: int, e: int) -> tuple[int, int]:
-    """``(m, f)``: ``n 2**e`` for an integer ``n >= 0`` rounded up to ``m < 2**32``."""
+    """``(m, f)``: ``n 2**e`` for an integer ``n >= 0`` rounded up to ``m 2**f``, ``m < 2**32`` odd, or ``(0, 0)``.
+
+    The one form of a radius: equal values give equal pairs.
+    """
+    if not n:
+        return 0, 0
     s = n.bit_length() - 32
-    if s <= 0:
-        return (n, e) if n else (0, 0)
-    n = -(-n >> s)
-    return (n >> 1, e + s + 1) if n >> 32 else (n, e + s)
+    if s > 0:
+        n = -(-n >> s)
+        e += s
+    zeros = (n & -n).bit_length() - 1
+    return n >> zeros, e + zeros
 
 
 def value_text(x: BigReal, digits: int | None = None) -> str:
@@ -940,8 +931,8 @@ def pi_times(k: int, prec: int) -> BigReal:
 def log_of(q: int | Fraction, prec: int) -> BigReal:
     """``log q`` for a rational ``q > 0`` at the working precision of ``prec``, with two counts.
 
-    ``q`` rounds as :meth:`BigReal.exact` rounds a ``Fraction``, once or
-    twice, which moves the log by at most ``2**(1 - b)``, one count; the
+    ``q`` rounds once, as :meth:`BigReal.exact` rounds a ``Fraction``,
+    which moves the log by at most ``2**(1 - b)``, one count; the
     correctly rounded :func:`_log` adds one more.  ``log 1`` is an exact 0.
     """
     check_prec(prec)

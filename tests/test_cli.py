@@ -21,7 +21,7 @@ import mpmath
 import pytest
 
 import euler_periods
-from euler_periods import eulerfun, g2
+from euler_periods import eulerfun, feynper, g2
 from euler_periods.cli import _certified_line, dispatch
 from euler_periods.numkernel import (BERNOULLI_CAP, COACTION_TERM_CAP, DIGIT_CAP, WEIGHT_CAP, BigReal,
                                      as_fraction, bernoulli)
@@ -252,7 +252,7 @@ def test_per_with_a_radius_past_one_exits_1(capsys):
     # A bound far above 1 is reported, rounded upward, as not certified.
     code, out, err = run(capsys, "per", f"{10 ** 60}*zeta_m(3)")
     assert (code, out) == (1, "")
-    assert err == "error: period_map: certified bound 1.29e+30 exceeds 1e-15\n"
+    assert err == "error: period_map: certified bound 1.26e+30 exceeds 1e-15\n"
 
 
 def test_g2_assemble_default_alpha(capsys):
@@ -620,6 +620,29 @@ def test_huge_input_exits_two_at_once_without_a_traceback(argv):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert (f"digits, past the cap {DIGIT_CAP}" in err) == (argv[0] not in ("bernoulli", "identity-check"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("period", "k4", "--seed", "-1", "--samples", "10000"),  # ended in numpy's ValueError traceback, exit 1
+    ("selftest", "--seed", "-5", "--samples", "10000"),
+    ("selftest", "--samples", str(feynper.SAMPLE_CAP + 1), "--seed", "1"),
+    ("period", "k4", "--samples", "100000000000000000000000"),  # ran until it was killed
+])
+def test_a_negative_seed_or_a_sample_count_past_the_cap_exits_two_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert "non-negative" in err if "--seed" in argv and int(argv[argv.index("--seed") + 1]) < 0 else \
+        f"exceeds the cap {feynper.SAMPLE_CAP}" in err
+
+
+def test_the_sampling_help_states_the_seed_range_and_the_sample_cap(capsys):
+    for command in ("period", "selftest"):
+        code, out, _ = run(capsys, command, "--help")
+        out = " ".join(out.split())
+        assert code == 0 and "an integer >= 0" in out and f"to {feynper.SAMPLE_CAP} (default 100000)" in out
 
 
 @pytest.mark.parametrize("s", ["1e-30", "1e-999", "0." + "9" * 200], ids=["1e-30", "1e-999", "0.9..9"])

@@ -483,6 +483,22 @@ def test_period_input_validation():
         period_mc(bubble(), 1000, seed="x")
 
 
+def test_a_negative_seed_or_a_count_past_the_cap_is_refused_before_any_work(monkeypatch):
+    # numpy's SeedSequence refused a negative seed with a ValueError, after
+    # the graph's plan was built; a huge count ran until it was killed.
+    def no_sampling(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(feynper, "_sample_mean", no_sampling)
+    for run in (lambda **kw: period_mc(k4(), **kw), integrator_selftest):
+        with pytest.raises(InputError, match="non-negative"):
+            run(samples=10 ** 4, seed=-1)
+        with pytest.raises(TooLarge, match=f"cap {feynper.SAMPLE_CAP}"):
+            run(samples=feynper.SAMPLE_CAP + 1, seed=1)
+        with pytest.raises(TooLarge):
+            run(samples=10 ** 23, seed=-5)
+
+
 def test_period_str_format():
     est = period_mc(bubble(), 20000, seed=42)
     value, err = str(est).split(" ± ")

@@ -1,9 +1,12 @@
-"""The integer rounding and the decimal writer of numkernel, against mpmath.libmp.
+"""The integer rounding of numkernel against exact rationals, and its decimal writer against mpmath.libmp.
 
 ``BigReal``'s ``+ - * /``, its constructors and ``_finish`` round in Python
-integers, and ``value_text``, ``bound_text`` and the argument echo of the
-evaluators print through one integer writer.  Both must give libmp's bits
-and bytes, at every working precision the kernel admits.
+integers, correctly: each result is its exact rational rounded to nearest,
+ties to even, at every working precision the kernel admits, wide operands
+and exponent gaps included.  The oracle here is exact rational arithmetic,
+not libmp.  ``value_text``, ``bound_text`` and the argument echo of the
+evaluators print through one integer writer, which must give the bytes of
+libmp's ``to_str``.
 """
 
 import random
@@ -31,12 +34,49 @@ def test_working_bits_is_dps_to_prec_of_the_working_digits():
 
 
 def raw(sign: int, man: int, exp: int) -> tuple:
-    """The exact raw tuple of ``(-1)**sign man 2**exp``, by libmp."""
-    return libmp.from_man_exp(-man if sign else man, exp)
+    """The raw tuple of ``(-1)**sign man 2**exp``, trailing zero bits shed, exactly."""
+    if not man:
+        return 0, 0, 0, 0
+    while not man & 1:
+        man >>= 1
+        exp += 1
+    return sign, man, exp, man.bit_length()
+
+
+def value(v: tuple) -> Fraction:
+    """The exact rational of a raw tuple."""
+    sign, man, exp, _ = v
+    q = man * Fraction(2) ** exp
+    return -q if sign else q
+
+
+def nearest(q: Fraction, b: int) -> tuple:
+    """``q`` rounded to nearest at ``b`` bits, ties to even, as a raw tuple: the oracle."""
+    if not q:
+        return 0, 0, 0, 0
+    sign, q = int(q < 0), abs(q)
+    exp = q.numerator.bit_length() - q.denominator.bit_length() - b
+    while q >= Fraction(2) ** (exp + b):
+        exp += 1
+    while q < Fraction(2) ** (exp + b - 1):
+        exp -= 1
+    scaled = q / Fraction(2) ** exp  # in [2**(b - 1), 2**b)
+    man, rest = divmod(scaled.numerator, scaled.denominator)
+    if 2 * rest > scaled.denominator or 2 * rest == scaled.denominator and man & 1:
+        man += 1
+    return raw(sign, man, exp)
+
+
+def test_the_oracle_rounds_half_to_even():
+    assert nearest(Fraction(5, 2), 2) == raw(0, 1, 1)  # 2.5 -> 2
+    assert nearest(Fraction(-7, 2), 2) == raw(1, 1, 2)  # -3.5 -> -4
+    assert nearest(Fraction(11, 4), 2) == raw(0, 3, 0)  # 2.75 -> 3
+    assert nearest(Fraction(1, 3), 4) == raw(0, 11, -5)  # 0.0101|01.. -> 0.01011
+    assert nearest(Fraction(0), 9) == (0, 0, 0, 0)
 
 
 def operand_pairs(rng: random.Random, b: int):
-    """Pairs ``(s, t)`` of raw tuples that reach every branch of libmp's add, mul and div."""
+    """Pairs ``(s, t)`` of raw tuples that reach every branch of the integer add, mul and div."""
     def rand(bits: int | None = None, exp: int | None = None) -> tuple:
         bits = rng.randint(1, 2 * b + 10) if bits is None else bits
         exp = rng.randint(-3 * b, 3 * b) if exp is None else exp
@@ -44,25 +84,33 @@ def operand_pairs(rng: random.Random, b: int):
 
     for _ in range(40):  # random operands, as wide as a relabelled midpoint
         yield rand(), rand()
-    for _ in range(20):  # exponent gaps past 100 bits: libmp's sticky-bit path, both ways round
+    for _ in range(20):  # exponent gaps past 100 bits, both ways round
         s = rand()
         t = rand(exp=s[2] - rng.randint(101, 3 * b + 300))
         yield s, t
         yield t, s
-    for _ in range(10):  # near the gap's edges, where the sticky bit starts
+    for _ in range(10):  # near the gap's edges
         s = rand(bits=rng.randint(1, b + 8))
         t = rand(bits=rng.randint(1, b + 8), exp=s[2] - rng.randint(95, 110))
         yield s, t
+    for _ in range(20):  # past the gap, with the smaller operand's top at the sticky bit or a bit either side
+        s = rand(bits=rng.randint(1, 2 * b + 10))
+        low = s[2] - max(1, b + 3 - s[3])
+        top = low + rng.randint(-2, 2)
+        texp = min(s[2] - rng.randint(101, 140), top - 1)
+        t = rand(bits=top - texp, exp=texp)
+        yield s, t
+        yield t, s
     # A midpoint 20 bits wider than b, just below a half unit, and a wide
     # operand 101 bits below it worth 2**14 of its last bits: the exact sum
-    # rounds up, libmp's sticky bit down.  So the sticky bit must be kept.
+    # rounds up, so the smaller operand is not a sticky bit.
     s = raw(0, (1 << b - 1 | 5) << 20 | (1 << 19) - 1, 0)
     yield s, raw(0, (1 << 115) + 1, -101)
     yield raw(0, (1 << 115) + 1, -101), s
     for _ in range(5):  # exact cancellation
         s = rand()
         yield s, s
-        yield s, libmp.mpf_neg(s)
+        yield s, (1 - s[0],) + s[1:]
     for _ in range(10):  # half-even ties of a sum: b bits plus a half unit, odd and even
         man = rng.getrandbits(b - 1) | 1 << b - 1
         exp = rng.randint(-b, b)
@@ -72,27 +120,51 @@ def operand_pairs(rng: random.Random, b: int):
     for _ in range(5):  # products with b + 1 or b + 2 bits, some of them ties
         k = rng.randint(1, b + 1)
         yield rand(bits=k), rand(bits=b + 2 - k)
-    zero = libmp.fzero
+    zero = (0, 0, 0, 0)
     for s in (rand(), rand(bits=1), raw(1, 1, 0)):  # zeros and signs
         yield s, zero
         yield zero, s
     yield zero, zero
 
 
-def test_integer_ops_round_as_libmp_at_every_working_precision():
+def test_integer_ops_are_correctly_rounded_at_every_working_precision():
     rng = random.Random(35)
     for b in BITS:
         for s, t in operand_pairs(rng, b):
-            assert numkernel._add(s, t, b) == libmp.mpf_add(s, t, b, RN), (s, t, b)
-            assert numkernel._add(s, t, b, 1) == libmp.mpf_sub(s, t, b, RN), (s, t, b)
-            assert numkernel._mul(s, t, b) == libmp.mpf_mul(s, t, b, RN), (s, t, b)
-            if t[1]:
-                assert numkernel._div(s, t, b) == libmp.mpf_div(s, t, b, RN), (s, t, b)
-            for x in (s, t):
-                assert numkernel._round(x[0], x[1], x[2], b) == libmp.mpf_pos(x, b, RN), (x, b)
+            x, y = value(s), value(t)
+            assert numkernel._add(s, t, b) == nearest(x + y, b), (s, t, b)
+            assert numkernel._add(s, t, b, 1) == nearest(x - y, b), (s, t, b)
+            assert numkernel._mul(s, t, b) == nearest(x * y, b), (s, t, b)
+            if y:
+                assert numkernel._div(s, t, b) == nearest(x / y, b), (s, t, b)
+            for v in (s, t):
+                assert numkernel._round(v[0], v[1], v[2], b) == nearest(value(v), b), (v, b)
 
 
-def test_round_and_exact_are_from_man_exp_with_and_without_precision():
+def test_a_wide_midpoint_and_an_operand_past_the_gap_round_correctly():
+    # The sum is 2**19 + 3 units of 2**21 less 2**-101 of one, just above a
+    # half unit of 2**20: libmp's mpf_add, which takes the smaller operand as a
+    # sticky bit, gives 524293 2**20.
+    s = raw(0, (1 << 19 | 5) << 20 | (1 << 19) - 1, 0)
+    t = raw(0, (1 << 115) + 1, -101)
+    assert numkernel._add(s, t, 20) == numkernel._add(t, s, 20) == raw(0, 262147, 21)
+
+
+def test_quotient_is_the_correctly_rounded_rational_at_every_working_precision():
+    # Narrow numerators take the integer path, wide ones go through _div once;
+    # 41 and 400 bits lie between and past the working precisions.
+    rng = random.Random(38)
+    for b in sorted({*BITS, 41, 400}):
+        for _ in range(100):
+            num = rng.choice((1, -1)) * rng.getrandbits(rng.randint(0, 3 * b))
+            kind = rng.random()
+            den = (1 << rng.randint(0, 60) if kind < 0.2 else rng.randint(1, 20) if kind < 0.3
+                   else rng.getrandbits(rng.randint(1, 400)) + 1)
+            num, den = Fraction(num, den).as_integer_ratio()
+            assert numkernel._quotient(num, den, b) == nearest(Fraction(num, den), b), (num, den, b)
+
+
+def test_round_and_exact_against_exact_rationals():
     rng = random.Random(350)
     for b in BITS:
         for _ in range(60):
@@ -100,11 +172,10 @@ def test_round_and_exact_are_from_man_exp_with_and_without_precision():
             if rng.random() < 0.2:  # a tie at b bits: b + 1 bits ending in 1
                 man = (rng.getrandbits(b) | 1 << b) << 1 | 1
             sign, exp = rng.getrandbits(1), rng.randint(-4 * b, 4 * b)
-            signed = -man if sign else man
-            assert numkernel._round(sign, man, exp, b) == libmp.from_man_exp(signed, exp, b, RN), (man, exp, b)
-            assert numkernel._exact(sign, man, exp) == libmp.from_man_exp(signed, exp), (man, exp)
+            assert numkernel._round(sign, man, exp, b) == nearest(value((sign, man, exp, 0)), b), (man, exp, b)
+            assert numkernel._exact(sign, man, exp) == raw(sign, man, exp), (man, exp)
     for n in (0, 1, -1, 2, -6, 10 ** 40, -(2 ** 200)):
-        assert numkernel._exact(int(n < 0), abs(n), 0) == libmp.from_int(n)
+        assert numkernel._exact(int(n < 0), abs(n), 0) == raw(int(n < 0), abs(n), 0)
 
 
 def test_the_ops_keep_int_signs():
@@ -216,6 +287,34 @@ def test_relabel_keeps_the_fields_and_checks_the_prec():
 
 def test_equal_radii_written_apart_compare_and_hash_equal():
     v = BigReal.exact(Fraction(2, 3), 15)._mid
-    a, b = numkernel._new_ball(v, 6, -60, 15), numkernel._new_ball(v, 3, -59, 15)
+    a, b = (numkernel._new_ball(v, *numkernel._up(m, e), 15) for m, e in ((6, -60), (3, -59)))
+    assert (a._man, a._exp) == (b._man, b._exp) == (3, -59)
     assert a == b and hash(a) == hash(b)
-    assert a != numkernel._new_ball(v, 7, -60, 15)
+    assert a != numkernel._new_ball(v, *numkernel._up(7, -60), 15)
+
+
+def canonical(x: BigReal) -> bool:
+    """The radius is an odd integer below ``2**32`` times a power of 2, or ``(0, 0)``."""
+    return x._man & 1 and x._man < 1 << 32 or (x._man, x._exp) == (0, 0)
+
+
+def test_a_radius_written_two_ways_gives_one_ball_under_every_op():
+    # Radius (m, e) and (m 2**k, e - k): the same ball, so the same fields
+    # after + - * / by the same operand.  Before the radius had one form, a
+    # term that fits _ball's window exactly in one and not in the other form
+    # added a unit to one of them.
+    rng = random.Random(91)
+    for _ in range(2000):
+        prec = rng.randint(1, 100)
+        b = working_bits(prec)
+        v = raw(rng.getrandbits(1), rng.getrandbits(rng.randint(1, b)) | 1, rng.randint(-b, b))
+        # Radii below 2**40 units 41 or more bits under the midpoints' last bits, so no ball holds 0.
+        m, e, k = rng.getrandbits(rng.randint(1, 40)) | 1, v[2] - rng.randint(41, 3 * b), rng.randint(1, 40)
+        x = numkernel._new_ball(v, *numkernel._up(m, e), prec)
+        x2 = numkernel._new_ball(v, *numkernel._up(m << k, e - k), prec)
+        assert (x._mid, x._man, x._exp) == (x2._mid, x2._man, x2._exp) and canonical(x)
+        w = raw(0, rng.getrandbits(rng.randint(1, 2 * b)) | 1, rng.randint(-b, b))
+        ey = numkernel._up(rng.getrandbits(rng.randint(0, 40)), w[2] - rng.randint(41, 3 * b))
+        y = numkernel._new_ball(w, *ey, prec)
+        for z, z2 in ((x + y, x2 + y), (x - y, x2 - y), (x * y, x2 * y), (x / y, x2 / y), (y / x, y / x2)):
+            assert (z._mid, z._man, z._exp) == (z2._mid, z2._man, z2._exp) and canonical(z), (x, y)
