@@ -27,7 +27,6 @@ from .numkernel import (
     as_fraction,
     bernoulli,
     check_prec,
-    dps_to_prec,
     em_sum,
     faithful,
     inner_prec,
@@ -36,10 +35,12 @@ from .numkernel import (
     working_bits,
     zeta_values,
     _at_one,
-    _decimal_text,
+    _digits,
     _exact,
     _finish,
     _fraction,
+    _layout,
+    _log,
     _power_rows,
     _quotient,
     _radius,
@@ -54,9 +55,10 @@ MAX_PRIME_BOUND = 10_000_000
 
 def _shown(x: ScalarLike, q: Fraction, *edges: Fraction | int) -> str:
     """``x`` of exact value ``q`` as written, or in 8 or more digits that keep ``q``'s side of each edge."""
+    num, den = q.as_integer_ratio()
     digits = 8
     while not isinstance(x, str):
-        text = _decimal_text(_quotient(*q.as_integer_ratio(), dps_to_prec(digits) + 8), digits)
+        text = _layout("-" if num < 0 else "", *_digits(abs(num), den, digits), digits) if num else "0.0"
         if all((Fraction(text) > e) - (Fraction(text) < e) == (q > e) - (q < e) for e in edges):
             return text
         digits *= 2
@@ -356,10 +358,11 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
       ``phi(1-s)/phi(s) = -Gamma(s) (2**s - 1) cos(pi s / 2) /
       ((2**(s-1) - 1) pi**s)`` as a ratio-minus-one residual.
 
-    ``pi`` and ``log`` are :mod:`.numkernel`'s correctly rounded integers.
-    COTANGENT and PHI_FUNCEQ take libmp's cos, sin, gamma, log, exp, sinh
-    and ``sin(pi x)`` as faithful, through
-    :func:`~euler_periods.numkernel.faithful`, and EULER_PRODUCT takes
+    ``pi`` and ``log`` are :mod:`.numkernel`'s correctly rounded integers;
+    PHI_FUNCEQ's ``log pi`` too, counted by
+    :func:`~euler_periods.numkernel.faithful`'s slope rule.  COTANGENT and
+    PHI_FUNCEQ take libmp's cos, sin, gamma, exp, sinh and ``sin(pi x)`` as
+    faithful, through that function, and EULER_PRODUCT takes
     libmp's power as its own route (:func:`_libmp_rows`); each imports libmp
     in its branch, so DILOG_REFLECTION loads no mpmath.
     """
@@ -434,10 +437,10 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
         # ball: 1/3 for log pi, sqrt(2) pi < 9/2 for exp, gamma < 3/5 for
         # Gamma on [1, 2], cosh(ln 2/2) < 17/16 for sinh and pi < 22/7 for
         # sin(pi x).  The parts run two digits higher than the residual.
-        from mpmath.libmp import mpf_exp, mpf_gamma, mpf_log, mpf_sin_pi, mpf_sinh
+        from mpmath.libmp import mpf_exp, mpf_gamma, mpf_sin_pi, mpf_sinh
         t, inner = 1 - q, inner_prec(prec, 2)
         ln2 = log_of(2, inner)
-        log_pi = faithful(mpf_log, pi_times(1, inner), Fraction(1, 3))
+        log_pi = faithful(lambda v, b, rnd: _log(v, b), pi_times(1, inner), Fraction(1, 3))
         scale = faithful(mpf_exp, BigReal.exact(q, inner) * log_pi + ln2 / 2, Fraction(9, 2))
         gamma = faithful(mpf_gamma, BigReal.exact(1 + q, inner), Fraction(3, 5))
         sinhc = [_sinc(mpf_sinh, w / 2, Fraction(17, 16), inner, ln2) for w in (q, t)]

@@ -50,17 +50,17 @@ rounding counts ``(1 + |v|) 2**(1 - b)`` at the precision ``b`` it happens
 at, one count per rounding that makes ``v`` (as Arb does,
 arXiv:1611.02831).  ``+ - * /``, the constructors and :func:`_finish`
 are correctly rounded: to nearest, ties to even, in Python integers
-(:func:`_round`), each value once, and the decimal writer
-:func:`_decimal_text` prints in integers too, byte for byte as
-mpmath.libmp's ``to_str``.  ``pi`` and ``log`` are Python integers as
-well: :func:`_pi` and :func:`_log` sum one atan/atanh series kernel
-(:func:`_arc`) and round to nearest by a Ziv loop that widens its guard
-bits until the error interval decides the rounding, so they are correctly
-rounded, and equal libmp's ``mpf_pi`` and ``mpf_log`` wherever those round
-correctly.  No libmp premise is left on the value path, and nothing on it
-imports mpmath: :func:`faithful`, which the identity checks alone call,
-takes a libmp function as faithful and imports libmp on first use, as does
-the writer for an exponent past 3500 bits.
+(:func:`_round`), each value once.  One integer digit rule,
+:func:`_digits`, writes every number as decimal text, exactly: a value
+rounded to nearest with ties up, a bound upward, laid out as
+mpmath.libmp's ``to_str`` lays out digits.  ``pi`` and ``log`` are
+Python integers as well: :func:`_pi` and :func:`_log` sum one atan/atanh
+series kernel (:func:`_arc`) and round to nearest by a Ziv loop that
+widens its guard bits until the error interval decides the rounding, so
+they are correctly rounded, and equal libmp's ``mpf_pi`` and ``mpf_log``
+wherever those round correctly.  No libmp premise is left on the value
+path, and nothing on it imports mpmath: :func:`faithful`, which the
+identity checks alone call, imports libmp on first use.
 Each :class:`BigReal` constructor and ``+ - * /``, :func:`pi_times` and
 :func:`log_of` add their counts to the propagated radius in integers and
 round the sum upward, so the square of a relative error is in it too.
@@ -542,7 +542,7 @@ class BigReal:
             else:
                 den -= my << ey - low if ey >= low else (my >> low - ey) + 1
             if den <= 0:
-                raise PrecisionNotMet(f"division by a ball that holds 0: {o!r}")
+                raise PrecisionNotMet(f"division by a ball that holds 0: {value_text(o, o._prec)} ± {bound_text(o, 3)}")
         # e_x / den + |x/y| e_y / den, each rounded up with at least 31 bits.
         # |x/y| is at most |v| plus half a unit of its last place at b bits,
         # (man 2**(b + 1 - bc) + 1) 2**(exp + bc - b - 1) for v = man 2**exp.
@@ -829,7 +829,7 @@ def _up(n: int, e: int) -> tuple[int, int]:
 
 
 def value_text(x: BigReal, digits: int | None = None) -> str:
-    """The midpoint of ``x`` as ``nstr`` writes it in ``digits`` digits, rounded to nearest.
+    """The midpoint of ``x`` in ``digits`` significant digits, correctly rounded: to nearest, ties up.
 
     ``digits`` omitted writes a certified value: ``x.prec`` digits, or ``0``
     when ``|v| <= e`` and ``|v| + e <= 10**-prec``, decided exactly, since
@@ -846,59 +846,48 @@ def value_text(x: BigReal, digits: int | None = None) -> str:
 
 
 def bound_text(x: BigReal, digits: int) -> str:
-    """The radius of ``x`` as ``nstr`` writes it in ``digits`` digits, rounded upward.
+    """The radius of ``x`` in ``digits`` significant digits, rounded upward.
 
-    The digits are the least ones at or above the radius, found in
-    integers and laid out by :func:`_layout`, so a printed bound never
-    understates the declared one.  A bound is a result, not an input, so it
-    may pass :data:`DIGIT_CAP` digits.
+    The least digits at or above the radius, by :func:`_digits`, so a
+    printed bound never understates the declared one.  A bound is a result,
+    not an input, so it may pass :data:`DIGIT_CAP` digits.
     """
     man, exp = x._man, x._exp
     if not man:
         return "0.0"
     num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-    k = math.floor((man.bit_length() + exp - 1) * math.log10(2)) - 1  # below log10 of it
-    while True:
-        shift = digits - 1 - k
-        q = -(-num * 10 ** shift // den) if shift >= 0 else -(-num // (den * 10 ** -shift))
-        if q < 10 ** digits:
-            text = str(q)
-            return _layout("", text, len(text) - 1 - shift, digits)
-        k += 1
-
-
-#: ``log2(10)`` as libmp's decimal writer takes it.
-_LOG2_10 = math.log(10, 2)
+    return _layout("", *_digits(num, den, digits, up=True), digits)
 
 
 def _decimal_text(v: tuple, dps: int) -> str:
-    """libmp's ``to_str(v, dps)`` for a raw tuple ``v`` and ``dps >= 1``, byte for byte, in integers.
-
-    As libmp does: the digits are floored at ``dps + 3`` digits, rounded
-    half up on the digit string, and laid out by :func:`_layout`.  Past
-    ``|exp + bc| > 3500`` libmp finds the power of ten by its logs, so
-    such a value goes to libmp.
-    """
-    sign, man, exp, bc = v
+    """A raw tuple ``v`` in ``dps >= 1`` significant digits, correctly rounded by :func:`_digits`, laid out by :func:`_layout`."""
+    sign, man, exp, _ = v
     if not man:
         return "0.0"
-    if abs(exp + bc) > 3500:
-        from mpmath import libmp
-        return libmp.to_str(v, dps)
-    bitprec = int((dps + 3) * _LOG2_10) + 10
-    fixprec = max(bitprec - exp - bc, 0)
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    shift = exp + fixprec
-    digits = _decimal((man << shift if shift >= 0 else man >> -shift) * 10 ** fixdps >> fixprec)
-    exponent = len(digits) - fixdps - 1
-    if len(digits) > dps and digits[dps] in "56789":
-        digits = str(int(digits[:dps]) + 1)
-        if len(digits) > dps:  # carried through nines: 9.9996 -> 10.00
-            digits = digits[:dps]
-            exponent += 1
-    else:
-        digits = digits[:dps]
-    return _layout("-" if sign else "", digits, exponent, dps)
+    num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    return _layout("-" if sign else "", *_digits(num, den, dps), dps)
+
+
+def _digits(num: int, den: int, n: int, up: bool = False) -> tuple[str, int]:
+    """``(d, e)``: a rational ``num/den > 0`` as the ``n`` digits ``d`` of ``d.dd 10**e``, exactly, in integers.
+
+    Rounded to nearest with ties up, or upward for ``up``: the one rule by
+    which a binary number becomes decimal text.  The float logs place ``e``
+    within 1, and the loop settles it on the integer quotient.
+    """
+    e, low, high = math.floor(math.log10(num) - math.log10(den)), 10 ** (n - 1), 10 ** n
+    while True:
+        shift = n - 1 - e
+        top, bottom = (num * 10 ** shift, den) if shift >= 0 else (num, den * 10 ** -shift)
+        d, r = divmod(top, bottom)
+        if low <= d < high:
+            break
+        e += 1 if d >= high else -1
+    if r and (up or 2 * r >= bottom):
+        d += 1
+        if d == high:  # carried through nines: 9.9996 -> 10.00
+            d, e = low, e + 1
+    return _decimal(d), e
 
 
 def _layout(sign: str, digits: str, exponent: int, dps: int) -> str:
@@ -1119,7 +1108,7 @@ def _exp_fixed(y: int, w: int) -> tuple[int, int]:
 
 
 def faithful(f, x: BigReal, slope: int | Fraction) -> BigReal:
-    """``f(x)`` for a libmp function ``f(v, b, rnd)`` taken as faithful, at ``b = working_bits(x.prec)``.
+    """``f(x)`` for a function ``f(v, b, rnd)`` taken as faithful, libmp's or :func:`_log`, at ``b = working_bits(x.prec)``.
 
     One count at the midpoint, plus ``slope`` times the radius, where the
     caller proves ``|f'| <= slope`` over the ball.

@@ -752,6 +752,16 @@ def test_g2_decimal_that_is_no_number_exits_two_without_a_repr(capsys, argv):
     assert "Traceback" not in err and "BigReal(" not in err
 
 
+def test_g2_divisor_ball_that_holds_zero_is_written_as_value_and_bound(capsys):
+    # alpha = 1e-400 makes a divisor far below its absolute rounding count,
+    # so the ball holds 0: exit 1, one error line written by the value and
+    # bound writers, no repr.
+    code, out, err = run(capsys, "g2-assemble", "1e-400")
+    assert code == 1 and out == ""
+    assert err == "error: division by a ball that holds 0: 3.14159265358979323846e-400 ± 1.03e-31\n"
+    assert "Traceback" not in err and "BigReal(" not in err
+
+
 @pytest.mark.parametrize("target,shown", [("0.5", "'0.5'"), ("2.50e-3", "'2.50e-3'"),
                                           ("alpha:rb:2011", "row 'alpha:rb:2011'")])
 def test_g2_target_outside_the_domain_is_shown_as_given(capsys, target, shown):

@@ -1,17 +1,25 @@
-"""The integer rounding of numkernel against exact rationals, and its decimal writer against mpmath.libmp.
+"""The integer rounding of numkernel against exact rationals, and its decimal writer against Python's decimal.
 
 ``BigReal``'s ``+ - * /``, its constructors and ``_finish`` round in Python
 integers, correctly: each result is its exact rational rounded to nearest,
 ties to even, at every working precision the kernel admits, wide operands
 and exponent gaps included.  The oracle here is exact rational arithmetic,
 not libmp.  ``value_text``, ``bound_text`` and the argument echo of the
-evaluators print through one integer writer, which must give the bytes of
-libmp's ``to_str``.
+evaluators print through one integer digit rule: a value correctly rounded
+to nearest with ties up, a bound the least decimal at or above it, each
+checked against Python's ``decimal`` module, an exact route apart from the
+integers.  The layout, where the point goes and when an exponent is
+written, stays libmp's ``to_str``'s.
 """
 
+import math
+import os
 import random
-from decimal import ROUND_CEILING, Context, Decimal
+import subprocess
+import sys
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_HALF_UP, Context, Decimal, Inexact
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -21,6 +29,8 @@ from mpmath.libmp import round_nearest as RN
 from euler_periods import numkernel
 from euler_periods.errors import DomainError
 from euler_periods.numkernel import INNER_TOP, BigReal, bound_text, value_text, working_bits, working_dps
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Every binary precision an op rounds at, from prec 1 to the inner top.
 BITS = sorted({working_bits(p) for p in range(1, INNER_TOP + 1)})
@@ -205,13 +215,29 @@ def test_non_finite_values_are_refused_in_integers():
 # ---------------------------------------------------------------------------
 
 
-def test_writer_prints_as_libmp_to_str_on_random_midpoints():
+def oracle_text(v: tuple, dps: int, rounding: str = ROUND_HALF_UP) -> str:
+    """The raw tuple ``v`` rounded once to ``dps`` digits by Python's decimal, laid out by ``_layout``.
+
+    The value is built at a precision wide enough to hold it exactly, which
+    the Inexact trap checks, and ``plus`` rounds it once: half up (away
+    from 0 on a tie) for a value, ceiling for a bound.
+    """
+    sign, man, exp, _ = v
+    wide = Context(prec=man.bit_length() + abs(exp) + 10, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+    exact = wide.multiply(Decimal(-man if sign else man), wide.power(2, exp))
+    d = Context(prec=dps, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN).plus(exact)
+    if not d:
+        return "0.0"
+    return numkernel._layout("-" if d < 0 else "", "".join(map(str, d.as_tuple().digits)), d.adjusted(), dps)
+
+
+def test_writer_rounds_random_midpoints_to_nearest():
     rng = random.Random(3500)
     for _ in range(4000):
         man = rng.getrandbits(rng.randint(1, 400)) | 1
         v = raw(rng.getrandbits(1), man, rng.randint(-700, 400))
         dps = rng.randint(1, 120)
-        assert numkernel._decimal_text(v, dps) == libmp.to_str(v, dps), (v, dps)
+        assert numkernel._decimal_text(v, dps) == oracle_text(v, dps), (v, dps)
 
 
 def near(text: str) -> list[tuple]:
@@ -226,6 +252,7 @@ def near(text: str) -> list[tuple]:
 
 
 def test_writer_carries_through_nines_and_keeps_both_layout_boundaries():
+    # The layout pin: exact rounding and libmp's to_str agree on these values.
     nines = libmp.from_str("9.9996", 200, RN)
     assert numkernel._decimal_text(nines, 4) == libmp.to_str(nines, 4) == "10.0"
     for dps in range(1, 121):
@@ -237,11 +264,49 @@ def test_writer_carries_through_nines_and_keeps_both_layout_boundaries():
 
 
 def test_writer_zero_and_the_far_exponents():
-    assert numkernel._decimal_text(libmp.fzero, 15) == libmp.to_str(libmp.fzero, 15) == "0.0"
+    assert numkernel._decimal_text(libmp.fzero, 15) == "0.0"
     for exp in (3400, 3600, -3600, -3700, 10 ** 6):
         for dps in (1, 15, 50):
             v = raw(1, 123456789, exp)
-            assert numkernel._decimal_text(v, dps) == libmp.to_str(v, dps), (exp, dps)
+            assert numkernel._decimal_text(v, dps) == oracle_text(v, dps), (exp, dps)
+
+
+def around(q: Fraction, bits: int) -> set[tuple]:
+    """The raw tuples of ``bits`` bits just below and just above ``q > 0``: one tuple if ``q`` is one."""
+    exp = q.numerator.bit_length() - q.denominator.bit_length() - bits
+    scaled = q / Fraction(2) ** exp
+    return {raw(0, math.floor(scaled), exp), raw(0, math.ceil(scaled), exp)}
+
+
+def test_writer_rounds_near_decimal_ties_to_nearest_at_every_digit_count():
+    # At each dps, ties k.5 10**e with k of dps digits, near 1 and past
+    # 3500 bits either way, and the dyadics of a few widths either side of
+    # them, some wider than the (dps + 3) log2(10) + 10 bits that libmp's
+    # to_str truncates to before it rounds: it writes a value just above a
+    # tie as if below, and the test must reach such values.
+    rng, libmp_wrong = random.Random(120), 0
+    for dps in range(1, 121):
+        bitprec = int((dps + 3) * math.log2(10)) + 10
+        for e in (rng.randint(-30, 30), 1100, -1100):
+            k = rng.randrange(10 ** (dps - 1), 10 ** dps)
+            tie = (2 * k + 1) * Fraction(10) ** (e - dps + 1) / 2
+            for bits in (bitprec - 8, bitprec + 8, bitprec + 64, 4 * bitprec):
+                for v in around(tie, bits):
+                    for w in (v, (1,) + v[1:]):
+                        text = numkernel._decimal_text(w, dps)
+                        assert text == oracle_text(w, dps), (w, dps)
+                        libmp_wrong += text != libmp.to_str(w, dps)
+    assert libmp_wrong
+
+
+def test_writer_rounds_the_tie_libmp_truncates_away():
+    # 1717986919 2**-36 = 0.0250000000087...: 0.03 to nearest at one digit.
+    # libmp's to_str truncates it to 23 bits first, below the tie, and
+    # writes 0.02.
+    v = raw(0, 1717986919, -36)
+    assert numkernel._decimal_text(v, 1) == oracle_text(v, 1) == "0.03"
+    assert value_text(numkernel._new_ball(v, 0, 0, 1)) == "0.03"
+    assert libmp.to_str(v, 1) == "0.02"
 
 
 def test_value_text_is_the_writer_on_the_midpoint():
@@ -250,25 +315,45 @@ def test_value_text_is_the_writer_on_the_midpoint():
         prec = rng.randint(1, 100)
         x = BigReal.exact(Fraction(rng.getrandbits(200) - 2 ** 199, rng.getrandbits(150) + 1), prec)
         digits = rng.randint(1, prec + 2)
-        assert value_text(x, digits) == libmp.to_str(x._mid, digits)
+        assert value_text(x, digits) == oracle_text(x._mid, digits)
 
 
-def least_decimal_at_or_above(err: Fraction, digits: int) -> Decimal:
-    """The least decimal of ``digits`` significant digits at or above a dyadic ``err > 0``, by Python's decimal."""
-    exact = Context(prec=2000).divide(Decimal(err.numerator), Decimal(err.denominator))  # exact for these
-    return Context(prec=digits, rounding=ROUND_CEILING).plus(exact)
-
-
-def test_bound_text_writes_what_the_libmp_route_wrote():
-    # The route before the integer writer: the least decimal at or above the
-    # bound, read back through libmp at 64 bits and written by to_str.
+def test_bound_text_writes_the_least_decimal_at_or_above():
     rng = random.Random(37)
     for _ in range(3000):
         man, exp = rng.getrandbits(rng.randint(1, 64)) | 1, rng.randint(-520, 200)
         digits = rng.randint(1, 5)
-        q = least_decimal_at_or_above(Fraction(man) * Fraction(2) ** exp, digits)
-        old = libmp.to_str(libmp.from_str(str(q), 64, RN), digits)
-        assert bound_text(numkernel._new_ball(numkernel._ZERO, man, exp, 15), digits) == old, (man, exp, digits)
+        text = bound_text(numkernel._new_ball(numkernel._ZERO, man, exp, 15), digits)
+        assert text == oracle_text(raw(0, man, exp), digits, ROUND_CEILING), (man, exp, digits)
+
+
+def test_bound_text_rounds_up_near_decimals_at_every_digit_count():
+    # At each digit count, decimals k 10**e with k of that many digits, near
+    # 1 and past 3500 bits either way, and the radii of a few widths either
+    # side of them: a radius's own 32 bits and wider.
+    rng = random.Random(121)
+    for digits in range(1, 121):
+        for e in (rng.randint(-30, 30), 1100, -1100):
+            k = rng.randrange(10 ** (digits - 1), 10 ** digits)
+            at = k * Fraction(10) ** (e - digits + 1)
+            for bits in (32, int(digits * math.log2(10)) + 8, 4 * digits + 100):
+                for v in around(at, bits):
+                    text = bound_text(numkernel._new_ball(numkernel._ZERO, v[1], v[2], 15), digits)
+                    assert text == oracle_text(v, digits, ROUND_CEILING), (v, digits)
+
+
+def test_far_exponents_print_without_mpmath():
+    # A value and a radius past 3500 bits print in integers: a fresh
+    # interpreter that writes them loads no mpmath module.
+    code = ("import sys\n"
+            "from euler_periods.numkernel import _ZERO, BigReal, _new_ball, bound_text, value_text\n"
+            "print(value_text(BigReal.exact(3 ** 4000, 15)))\n"
+            "print(bound_text(_new_ball(_ZERO, 3, -3700, 15), 3))\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'mpmath'))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, check=True, timeout=120).stdout.splitlines()
+    assert out == [oracle_text(BigReal.exact(3 ** 4000, 15)._mid, 15),
+                   oracle_text(raw(0, 3, -3700), 3, ROUND_CEILING), "[]"]
 
 
 # ---------------------------------------------------------------------------

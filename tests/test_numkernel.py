@@ -41,6 +41,7 @@ from euler_periods.numkernel import (
     working_dps,
     zeta_values,
 )
+from test_integer_ops import oracle_text
 from test_symbolic import read_digits
 
 
@@ -839,7 +840,8 @@ def test_demand_writes_its_bound_rounded_up():
 def test_value_text_zero_rule_is_exact_on_the_ball(prec):
     # The certified line writes 0 iff |v| <= e and |v| + e <= 10**-prec, taken
     # exactly: balls one radius unit either side of |v| = e, and of |v| + e =
-    # 10**-prec, against a Fraction oracle.  Otherwise it writes nstr's digits.
+    # 10**-prec, against a Fraction oracle.  Otherwise it writes the midpoint
+    # correctly rounded, against Python's decimal.
     limit = Fraction(1, 10 ** prec)
     exp = math.floor(math.log2(limit)) - 32
     top = math.floor(limit / Fraction(2) ** exp)  # the most units of 2**exp that |v| + e may hold
@@ -859,17 +861,17 @@ def test_value_text_zero_rule_is_exact_on_the_ball(prec):
             assert (mid <= rad and mid + rad <= limit) is expected
             assert (value_text(x) == "0") is expected, (v, r)
             if not expected:
-                assert value_text(x) == mpmath.nstr(x.value, prec)
-            assert value_text(x, prec) == mpmath.nstr(x.value, prec)
+                assert value_text(x) == oracle_text(x._mid, prec)
+            assert value_text(x, prec) == oracle_text(x._mid, prec)
 
 
-def test_value_text_writes_the_midpoint_as_nstr_does():
+def test_value_text_writes_the_midpoint_correctly_rounded():
     rng = random.Random(11)
     for _ in range(500):
         man, exp = rng.getrandbits(rng.randint(1, 400)) * rng.choice((1, -1)), rng.randint(-1500, 1500)
         x = BigReal(dyadic(man, exp), mpf(2) ** -20, 15)
         for digits in (1, 3, 15, 60):
-            assert value_text(x, digits) == mpmath.nstr(x.value, digits)
+            assert value_text(x, digits) == oracle_text(x._mid, digits)
     assert value_text(BigReal(mpf(0), 0, 15), 3) == "0.0"
     assert value_text(BigReal(mpf(0), 0, 15)) == "0"
 
