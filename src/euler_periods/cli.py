@@ -370,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("period", "Monte-Carlo period of a primitive log-divergent graph.", seed=True)
     p.add_argument("graph", help="named graph (bubble, triangle, k4, w4) or a JSON file")
     p.add_argument("--samples", type=int, default=100_000, metavar="N",
-                   help="sample count, 1 to 10000000 (default 100000)")
+                   help="sample count, 2 to 10000000 (default 100000)")
 
     p = add("selftest", "Integrator self-test on known volumes.", seed=True)
     p.add_argument("--samples", type=int, default=100_000, metavar="N",

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 from .errors import DomainError, PrecisionNotMet, TooLarge
 from .numkernel import (
+    BERNOULLI_CAP,
     INNER_TOP,
     BigReal,
     ScalarLike,
@@ -40,7 +41,7 @@ from .numkernel import (
     _finish,
     _fraction,
     _layout,
-    _log,
+    _mpmath,
     _power_rows,
     _quotient,
     _radius,
@@ -300,21 +301,17 @@ def _li_direct(z: Fraction, prec: int, given: ScalarLike) -> BigReal:
     return _finish(total, frac, 2 * n - (-(power + n) * a // ((c - a) * (n + 1) ** 2)), prec)
 
 
-def _sinc(f, q: Fraction, slope: Fraction, prec: int, c: BigReal | int = 1) -> BigReal:
-    """``f(q c) / (q c)`` for libmp's sin, sinh or ``sin(pi x)``, a rational ``q > 0`` and a ball ``c``.
+def _sinc(name: str, q: Fraction, slope: Fraction, prec: int, c: BigReal | int = 1) -> BigReal:
+    """``f(q c) / (q c)`` for libmp's ``sin``, ``sinh`` or ``sin_pi``, a rational ``q > 0`` and a ball ``c``.
 
     It is ``2**e f(y 2**-e) / y`` for ``y = q 2**e c`` with ``q 2**e`` in
-    ``(2, 8)``: no ball is as small as ``q`` and the quotient does not
-    amplify, however small ``q`` is.  ``slope`` bounds its derivative in ``y``.
+    ``(2, 8)``: the scaling serves only the absolute ``2**(1 - b)`` of
+    :func:`~euler_periods.numkernel.faithful`, which the quotient then does
+    not amplify, however small ``q`` is.  ``slope`` bounds the derivative in ``y``.
     """
     e = q.denominator.bit_length() - q.numerator.bit_length() + 2
     y = BigReal.exact(q * 2 ** e, prec) * c
-    return faithful(lambda v, b, rnd: _shift(f(_shift(v, -e), b, rnd), e), y, slope) / y
-
-
-def _shift(v: tuple, n: int) -> tuple:
-    """The raw tuple ``v`` times ``2**n``, exactly: ``n`` added to its exponent, and 0 left as it is."""
-    return (v[0], v[1], v[2] + n, v[3]) if v[1] else v
+    return faithful(name, y, slope, e) / y
 
 
 def _libmp_rows(s: Fraction, ks: Sequence[int], bits: int) -> list[int]:
@@ -325,9 +322,8 @@ def _libmp_rows(s: Fraction, ks: Sequence[int], bits: int) -> list[int]:
     that libmp's power is faithful, and ``|s' - s| <= s 2**-bits`` moves
     ``2**bits k**-s`` by at most ``s log(k) k**-s <= 1/e`` units more.
     """
-    from mpmath import libmp
-    minus_s, rnd = _quotient(-s.numerator, s.denominator, bits), libmp.round_nearest
-    return [libmp.to_fixed(libmp.mpf_pow(_exact(0, k, 0), minus_s, bits, rnd), bits) for k in ks]
+    libmp, minus_s = _mpmath().libmp, _quotient(-s.numerator, s.denominator, bits)
+    return [libmp.to_fixed(libmp.mpf_pow(_exact(0, k, 0), minus_s, bits, libmp.round_nearest), bits) for k in ks]
 
 
 def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], prec: int) -> BigReal:
@@ -363,8 +359,9 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
     :func:`~euler_periods.numkernel.faithful`'s slope rule.  COTANGENT and
     PHI_FUNCEQ take libmp's cos, sin, gamma, exp, sinh and ``sin(pi x)`` as
     faithful, through that function, and EULER_PRODUCT takes
-    libmp's power as its own route (:func:`_libmp_rows`); each imports libmp
-    in its branch, so DILOG_REFLECTION loads no mpmath.
+    libmp's power as its own route (:func:`_libmp_rows`); both reach libmp
+    through ``numkernel._mpmath`` on first use, so DILOG_REFLECTION loads
+    no mpmath.
     """
     check_prec(prec)
     kind = IdentityKind(kind)
@@ -388,16 +385,17 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
 
     if kind is IdentityKind.COTANGENT:
         terms = params["terms"]
-        if not isinstance(terms, int) or terms < 1:
+        if isinstance(terms, bool) or not isinstance(terms, int) or terms < 1:
             raise DomainError(f"cotangent check needs an integer terms >= 1, got {terms!r}")
-        bernoulli(2 * terms)  # term m takes B_2m: all built, or refused, before any work
-        from mpmath.libmp import mpf_cos, mpf_sin
+        if terms > BERNOULLI_CAP // 2:
+            raise TooLarge(f"cotangent check terms {terms} exceeds the cap {BERNOULLI_CAP // 2}")
+        bernoulli(2 * terms)  # term m takes B_2m: all built before any work
         pi = pi_times(1, prec)
         above = _fraction(pi._mid) + _radius(pi)
         if not 0 < q < above:
             raise DomainError(f"cotangent check requires x in (0, pi), got {_shown(raw, q, 0, above)}")
         # x < above < 2 pi, so a sine ball above 0 places x below pi.
-        x, sinc = BigReal.exact(q, prec), _sinc(mpf_sin, q, 1, prec)
+        x, sinc = BigReal.exact(q, prec), _sinc("sin", q, 1, prec)
         if sinc.holds_zero() or sinc._mid[0]:
             raise PrecisionNotMet(f"cotangent check: at prec {prec} the ball of sin x holds 0 or less, "
                                   f"so it cannot place x = {_shown(raw, q, above)} below pi")
@@ -405,7 +403,7 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
         x2, acc = x * x, BigReal.exact(0, prec)
         for m in range(terms, 0, -1):
             acc = (acc + zeta_even_closed(m)) * x2
-        return abs(faithful(mpf_cos, x, 1) / sinc - 1 + 2 * acc)
+        return abs(faithful("cos", x, 1) / sinc - 1 + 2 * acc)
 
     if kind is IdentityKind.EULER_PRODUCT:
         bound = params["prime_bound"]
@@ -437,14 +435,13 @@ def identity_residual(kind: IdentityKind | str, params: Mapping[str, object], pr
         # ball: 1/3 for log pi, sqrt(2) pi < 9/2 for exp, gamma < 3/5 for
         # Gamma on [1, 2], cosh(ln 2/2) < 17/16 for sinh and pi < 22/7 for
         # sin(pi x).  The parts run two digits higher than the residual.
-        from mpmath.libmp import mpf_exp, mpf_gamma, mpf_sin_pi, mpf_sinh
         t, inner = 1 - q, inner_prec(prec, 2)
         ln2 = log_of(2, inner)
-        log_pi = faithful(lambda v, b, rnd: _log(v, b), pi_times(1, inner), Fraction(1, 3))
-        scale = faithful(mpf_exp, BigReal.exact(q, inner) * log_pi + ln2 / 2, Fraction(9, 2))
-        gamma = faithful(mpf_gamma, BigReal.exact(1 + q, inner), Fraction(3, 5))
-        sinhc = [_sinc(mpf_sinh, w / 2, Fraction(17, 16), inner, ln2) for w in (q, t)]
-        rhs = gamma * sinhc[0] * _sinc(mpf_sin_pi, t / 2, Fraction(22, 7), inner) / (sinhc[1] * scale)
+        log_pi = faithful("log", pi_times(1, inner), Fraction(1, 3))
+        scale = faithful("exp", BigReal.exact(q, inner) * log_pi + ln2 / 2, Fraction(9, 2))
+        gamma = faithful("gamma", BigReal.exact(1 + q, inner), Fraction(3, 5))
+        sinhc = [_sinc("sinh", w / 2, Fraction(17, 16), inner, ln2) for w in (q, t)]
+        rhs = gamma * sinhc[0] * _sinc("sin_pi", t / 2, Fraction(22, 7), inner) / (sinhc[1] * scale)
         r = abs(phi(1 - q, inner) / (phi(q, inner) * rhs) - 1)
         return _relabel(r, prec)
 

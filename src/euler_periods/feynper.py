@@ -506,10 +506,12 @@ def _exact_sum(vals: np.ndarray) -> float:
 
 
 def _check_run(samples: int, seed: int) -> None:
-    """Refuse, before any work, a sample count past :data:`SAMPLE_CAP` or a seed that is not an integer ``>= 0``."""
+    """Refuse, before any work, a bool or non-int samples or seed, samples past :data:`SAMPLE_CAP` or a seed below 0."""
+    if isinstance(samples, bool) or not isinstance(samples, int):
+        raise InputError(f"samples must be an integer, got {samples!r}")
     if samples > SAMPLE_CAP:
         raise TooLarge(f"{samples} samples exceeds the cap {SAMPLE_CAP}")
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -529,11 +531,12 @@ def period_mc(g: MultiGraph, samples: int, seed: int = 42,
     Raises :class:`NotPrimitive` if the power-counting test fails and
     :class:`NonFiniteSample` if any integrand evaluation is not finite;
     before any work, :class:`TooLarge` past :data:`SAMPLE_CAP` samples and
-    :class:`InputError` for a seed that is not an integer ``>= 0``.
+    :class:`InputError` for fewer than 2, since one sample has no variance
+    and so no standard error, or for a seed that is not an integer ``>= 0``.
     """
-    if not isinstance(samples, int) or samples < 1:
-        raise InputError(f"samples must be a positive integer, got {samples!r}")
     _check_run(samples, seed)
+    if samples < 2:
+        raise InputError(f"samples must be at least 2 for a standard error, got {samples!r}")
     check_prec(prec_report)
     if not is_primitive_log_divergent(g):
         raise NotPrimitive(

@@ -46,10 +46,11 @@ Rounding
 
 This module works at explicit binary precisions only and keeps one rule:
 :class:`BigReal` encloses, and the integer engines prove their units.  A
-rounding counts ``(1 + |v|) 2**(1 - b)`` at the precision ``b`` it happens
-at, one count per rounding that makes ``v`` (as Arb does,
-arXiv:1611.02831).  ``+ - * /``, the constructors and :func:`_finish`
-are correctly rounded: to nearest, ties to even, in Python integers
+rounding counts ``|v| 2**(1 - b)`` at the precision ``b`` it happens at,
+one count per rounding that makes ``v``, relative as Arb counts
+(arXiv:1611.02831), since a nonzero value never rounds to 0.  ``+ - *
+/``, the constructors and :func:`_finish` are correctly rounded: to
+nearest, ties to even, in Python integers
 (:func:`_round`), each value once.  One integer digit rule,
 :func:`_digits`, writes every number as decimal text, exactly: a value
 rounded to nearest with ties up, a bound upward, laid out as
@@ -60,12 +61,12 @@ widens its guard bits until the error interval decides the rounding, so
 they are correctly rounded, and equal libmp's ``mpf_pi`` and ``mpf_log``
 wherever those round correctly.  No libmp premise is left on the value
 path, and nothing on it imports mpmath: :func:`faithful`, which the
-identity checks alone call, imports libmp on first use.
+identity checks alone call, reaches libmp through :func:`_mpmath`.
 Each :class:`BigReal` constructor and ``+ - * /``, :func:`pi_times` and
 :func:`log_of` add their counts to the propagated radius in integers and
-round the sum upward, so the square of a relative error is in it too.
-:func:`faithful` adds one count, plus a slope the caller proves times the
-radius.
+round the sum upward (:func:`_ball`), so the square of a relative error is
+in it too.  :func:`log_of` and :func:`faithful` add an absolute ``2**(1 -
+b)``, and :func:`faithful` a slope the caller proves times the radius.
 
 Every row ``floor(2**b k**-s)`` of the Euler-Maclaurin and Chebyshev bodies
 is an exact floor, at every rational ``s > 0``: :func:`em_sum` takes
@@ -396,8 +397,8 @@ class BigReal:
     ``pi`` times ``k`` and a log take the correctly rounded :func:`_pi` and
     :func:`_log`.
     The radius is summed in integers and rounded upward (:func:`_ball`),
-    from one count ``(1 + |v|) 2**(1 - b)`` per rounding that makes the
-    midpoint ``v`` (round to nearest errs by at most ``|v| 2**-b``) plus:
+    from one count ``|v| 2**(1 - b)`` per rounding that makes the midpoint
+    ``v`` (round to nearest errs by at most ``|v| 2**-b``) plus:
 
     * ``x + y``, ``x - y``: ``e_x + e_y``;
     * ``x y``: ``|x| e_y + |y| e_x + e_x e_y``;
@@ -429,14 +430,12 @@ class BigReal:
     @property
     def value(self) -> mpf:
         """The midpoint as an mpf."""
-        from mpmath import mp
-        return mp.make_mpf(self._mid)
+        return _mpmath().mp.make_mpf(self._mid)
 
     @property
     def err(self) -> mpf:
         """The radius as an exact mpf."""
-        from mpmath import mp
-        return mp.make_mpf(_exact(0, self._man, self._exp))
+        return _mpmath().mp.make_mpf(_exact(0, self._man, self._exp))
 
     prec = property(attrgetter("_prec"))
 
@@ -706,8 +705,9 @@ def _raw(x: mpf | int | float, what: str) -> tuple:
 def _ball(v: tuple, prec: int, count: int, terms: Sequence[tuple[int, int]] = ()) -> BigReal:
     """A :class:`BigReal` of midpoint ``v`` whose radius rounds up a sum of terms.
 
-    The sum is ``(1 + |v|) 2**count``, the rounding count, plus ``m 2**e``
-    for each ``(m, e)`` in ``terms``, integers ``m >= 0``.  It is taken in
+    The sum is ``|v| 2**count``, the rounding count, plus ``m 2**e`` for
+    each ``(m, e)`` in ``terms``, integers ``m >= 0``; an absolute count is
+    a term.  A sum of 0 is a radius of 0; any other is taken in
     units of ``2**low``, 64 bits below the top of its largest term; each
     term, or the part of one, below ``low`` counts as one unit.  The sum is
     at least ``2**62`` units and at most five are added, so it exceeds the
@@ -716,19 +716,18 @@ def _ball(v: tuple, prec: int, count: int, terms: Sequence[tuple[int, int]] = ()
     then rounded up to an odd integer below ``2**32``, as by :func:`_up`.
     """
     _, vman, vexp, vbc = v
-    top = vexp + vbc
-    top = count + 1 + (top if top > 0 else 0)  # (1 + |v|) 2**count < 2**top
+    vexp += count
+    top = vexp + vbc if vman else None  # |v| 2**count < 2**top
     for m, e in terms:
         if m:
             t = e + m.bit_length()
-            if t > top:
+            if top is None or t > top:
                 top = t
+    if top is None:
+        return _new_ball(v, 0, 0, prec)
     low = top - 64
-    d = count - low
-    total = 1 << d if d >= 0 else 1
-    if vman:
-        d += vexp
-        total += vman << d if d >= 0 else (vman >> -d) + 1
+    d = vexp - low
+    total = vman << d if d >= 0 else -(-vman >> -d)
     for m, e in terms:
         if m:
             d = e - low
@@ -912,17 +911,17 @@ def _layout(sign: str, digits: str, exponent: int, dps: int) -> str:
 
 
 def pi_times(k: int, prec: int) -> BigReal:
-    """``k * pi`` at the working precision of ``prec``: :func:`_pi` rounds, then the product, exact if ``|k| = 2**j``."""
+    """``k pi`` at the working precision of ``prec``: a count for :func:`_pi`, one for the product unless ``|k| = 2**j``."""
     b, m = _BITS[check_prec(prec)], abs(k)
     return _ball(_mul(_pi(b), _exact(1 if k < 0 else 0, m, 0), b), prec, (2 if m & m - 1 else 1) - b)
 
 
 def log_of(q: int | Fraction, prec: int) -> BigReal:
-    """``log q`` for a rational ``q > 0`` at the working precision of ``prec``, with two counts.
+    """``log q`` for a rational ``q > 0`` at the working precision of ``prec``: one count and an absolute term.
 
     ``q`` rounds once, as :meth:`BigReal.exact` rounds a ``Fraction``,
-    which moves the log by at most ``2**(1 - b)``, one count; the
-    correctly rounded :func:`_log` adds one more.  ``log 1`` is an exact 0.
+    which moves the log by at most ``2**(1 - b)`` whatever its size; the
+    correctly rounded :func:`_log` counts one.  ``log 1`` is an exact 0.
     """
     check_prec(prec)
     num, den = q.as_integer_ratio()
@@ -931,8 +930,7 @@ def log_of(q: int | Fraction, prec: int) -> BigReal:
     if num == den:
         return _new_ball(_ZERO, 0, 0, prec)
     b = _BITS[prec]
-    # the quotient, then the log
-    return _ball(_log(_quotient(num, den, b), b), prec, 2 - b)
+    return _ball(_log(_quotient(num, den, b), b), prec, 1 - b, ((1, 1 - b),))
 
 
 # ---------------------------------------------------------------------------
@@ -1107,16 +1105,29 @@ def _exp_fixed(y: int, w: int) -> tuple[int, int]:
     return x >> h + 4, (2 * len(terms) + 5 >> 4) + 2
 
 
-def faithful(f, x: BigReal, slope: int | Fraction) -> BigReal:
-    """``f(x)`` for a function ``f(v, b, rnd)`` taken as faithful, libmp's or :func:`_log`, at ``b = working_bits(x.prec)``.
+def faithful(name: str, x: BigReal, slope: int | Fraction, shift: int = 0) -> BigReal:
+    """``2**shift f(x 2**-shift)`` for libmp's ``mpf_<name>``, or :func:`_log` for ``"log"``, taken as faithful.
 
-    One count at the midpoint, plus ``slope`` times the radius, where the
-    caller proves ``|f'| <= slope`` over the ball.
+    ``f`` runs on the midpoint at ``b = working_bits(x.prec)``, to nearest;
+    its result ``v`` is a premise counted ``(1 + |v|) 2**(1 - b)``, plus
+    ``slope`` times the radius, where the caller proves ``|g'| <= slope``
+    over the ball for ``g(y) = 2**shift f(y 2**-shift)``.
     """
-    from mpmath.libmp import round_nearest
     b, (num, den) = _BITS[x._prec], slope.as_integer_ratio()
-    return _ball(f(x._mid, b, round_nearest), x._prec, 1 - b,
-                 ((-(-num * x._man << 32) // den, x._exp - 32),))
+    u = _exact(x._mid[0], x._mid[1], x._mid[2] - shift)
+    if name == "log":
+        v = _log(u, b)
+    else:
+        libmp = _mpmath().libmp
+        v = getattr(libmp, "mpf_" + name)(u, b, libmp.round_nearest)
+    return _ball(_exact(v[0], v[1], v[2] + shift), x._prec, 1 - b,
+                 ((1, 1 - b), (-(-num * x._man << 32) // den, x._exp - 32)))
+
+
+def _mpmath():
+    """``mpmath``, imported on the first call: the package's one import of it, off the value path."""
+    import mpmath
+    return mpmath
 
 
 def _finish(total: int, frac_bits: int, units: int, prec: int) -> BigReal:

@@ -6,6 +6,7 @@ The tests of what a call imports run a fresh interpreter, because this
 process has loaded every layer long before they run.
 """
 
+import ast
 import json
 import os
 import re
@@ -620,6 +621,8 @@ def test_huge_input_exits_two_at_once_without_a_traceback(argv):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert (f"digits, past the cap {DIGIT_CAP}" in err) == (argv[0] not in ("bernoulli", "identity-check"))
+    if argv[0] == "identity-check":  # the user's terms, not the Bernoulli index 2 terms it needs
+        assert f"terms {BERNOULLI_CAP // 2 + 1} exceeds the cap {BERNOULLI_CAP // 2}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -627,6 +630,7 @@ def test_huge_input_exits_two_at_once_without_a_traceback(argv):
     ("selftest", "--seed", "-5", "--samples", "10000"),
     ("selftest", "--samples", str(feynper.SAMPLE_CAP + 1), "--seed", "1"),
     ("period", "k4", "--samples", "100000000000000000000000"),  # ran until it was killed
+    ("period", "k4", "--samples", "1"),  # printed a standard error of 0 raised to its floor
 ])
 def test_a_negative_seed_or_a_sample_count_past_the_cap_exits_two_at_once(capsys, argv):
     start = time.perf_counter()
@@ -634,8 +638,11 @@ def test_a_negative_seed_or_a_sample_count_past_the_cap_exits_two_at_once(capsys
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
-    assert "non-negative" in err if "--seed" in argv and int(argv[argv.index("--seed") + 1]) < 0 else \
-        f"exceeds the cap {feynper.SAMPLE_CAP}" in err
+    samples = int(argv[argv.index("--samples") + 1])
+    if "--seed" in argv and int(argv[argv.index("--seed") + 1]) < 0:
+        assert "non-negative" in err
+    else:
+        assert (f"exceeds the cap {feynper.SAMPLE_CAP}" if samples > 1 else "at least 2") in err
 
 
 def test_the_sampling_help_states_the_seed_range_and_the_sample_cap(capsys):
@@ -752,14 +759,16 @@ def test_g2_decimal_that_is_no_number_exits_two_without_a_repr(capsys, argv):
     assert "Traceback" not in err and "BigReal(" not in err
 
 
-def test_g2_divisor_ball_that_holds_zero_is_written_as_value_and_bound(capsys):
-    # alpha = 1e-400 makes a divisor far below its absolute rounding count,
-    # so the ball holds 0: exit 1, one error line written by the value and
-    # bound writers, no repr.
+def test_g2_assemble_of_a_tiny_inverse_alpha_prints_its_leading_term(capsys):
+    # alpha = 1e400: the divisor 1e-400 pi is counted relative to its size, so
+    # its ball stays away from 0, and a_4 r**4, r = alpha/pi, dominates the
+    # sum: the lower terms are below 1e1200, the bound near 1e1568.
     code, out, err = run(capsys, "g2-assemble", "1e-400")
-    assert code == 1 and out == ""
-    assert err == "error: division by a ball that holds 0: 3.14159265358979323846e-400 ± 1.03e-31\n"
-    assert "Traceback" not in err and "BigReal(" not in err
+    assert code == 0 and err == ""
+    value, bound = out.rstrip("\n").split(" ± ")
+    with mpmath.workdps(60):
+        lead = mpmath.mpf(g2.A4_DIGITS) / (mpmath.mpf("1e-400") * mpmath.pi) ** 4
+        assert abs(mpmath.mpf(value) - lead) <= mpmath.mpf(bound) + abs(lead) * mpmath.mpf(10) ** -14
 
 
 @pytest.mark.parametrize("target,shown", [("0.5", "'0.5'"), ("2.50e-3", "'2.50e-3'"),
@@ -978,6 +987,41 @@ def test_the_value_path_loads_no_mpmath():
         "g2.assemble('137.035999084', prec=30), g2.invert_alpha(g2.lookup(None, 'exp:2008'), prec=30)\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'mpmath'))")
     assert out == ["[]"]
+
+
+#: Every mpmath import statement ``src`` may hold, as ``file:enclosing function``:
+#: numkernel's one door and the type hint.
+MPMATH_IMPORTS = {"numkernel.py:_mpmath", "numkernel.py:TYPE_CHECKING"}
+
+
+def mpmath_imports(root: Path) -> set[str]:
+    """``file:where`` of each mpmath import under ``root``: ``where`` is its function, ``TYPE_CHECKING`` or ``<module>``."""
+    found = set()
+
+    def visit(node, where, name):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING":
+                inner = "TYPE_CHECKING"
+            elif isinstance(child, ast.Import):
+                if any(alias.name.split(".")[0] == "mpmath" for alias in child.names):
+                    found.add(f"{name}:{where}")
+            elif isinstance(child, ast.ImportFrom):
+                if not child.level and (child.module or "").split(".")[0] == "mpmath":
+                    found.add(f"{name}:{where}")
+            visit(child, inner, name)
+
+    for path in sorted(root.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>", path.name)
+    return found
+
+
+def test_mpmath_is_imported_only_through_the_door():
+    # numkernel._mpmath imports mpmath on its first call; every other module
+    # reaches libmp through it, so no command loads mpmath unless it calls it.
+    assert mpmath_imports(Path(euler_periods.__file__).parent) == MPMATH_IMPORTS
 
 
 def test_period_call_loads_numpy():

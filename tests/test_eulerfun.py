@@ -28,7 +28,7 @@ from euler_periods.eulerfun import (
 )
 from euler_periods.numkernel import (DIGIT_CAP, INNER_DIGITS, MAX_PREC, MIN_PREC, WEIGHT_CAP, working_dps,
                                      zeta_values, _at_one, _word)
-from test_numkernel import _mp, ref_rounding
+from test_numkernel import _mp
 from test_rounding import _true_residual
 
 
@@ -371,6 +371,7 @@ def test_cotangent_residual_shrinks_with_terms():
     {"x": "0.5"},
     {"x": "0.5", "terms": 0},
     {"x": "0.5", "terms": 2.0},
+    {"x": "0.5", "terms": True},  # ran one term
     {"x": "4.0", "terms": 5},
     {"x": 0, "terms": 5},
 ])
@@ -805,16 +806,21 @@ def reference_polylog(n, z, prec):
     """``polylog`` as it was before :func:`numkernel.log_of`, for the routes that changed.
 
     ``n = 1`` and the ``n = 2`` reflection window computed in an mpmath
-    context at the working precision, with the first-order count of
-    :func:`ref_rounding`; every other point goes to :func:`polylog`.
+    context at the working precision, with the first-order count those
+    routes kept, ``(1 + |v|) 2**(1 - b)`` a rounding, the absolute floor
+    :func:`ref_rounding` has since dropped; every other point goes to
+    :func:`polylog`.
     """
+    def rounding(v, count):
+        return mpmath.ldexp(count * (1 + abs(v)), 1 - mpmath.mp.prec)
+
     q = numkernel.as_fraction(z)
     w = 1 - q
     if n == 1:
         with mpmath.workdps(working_dps(prec)):
             # 1 - z rounds twice as a Fraction, moving the log by 2 2**-prec; the log once more.
             v = -mpmath.log(_mp(w))
-            return numkernel.BigReal(v, ref_rounding(v, 2), prec)
+            return numkernel.BigReal(v, rounding(v, 2), prec)
     if not (n == 2 and Fraction(1, 2) < q < 1):
         return polylog(n, z, prec)
     li_w = numkernel._at_one(numkernel._word((2,), (1 / w,)), prec + 4)
@@ -822,7 +828,7 @@ def reference_polylog(n, z, prec):
         log_w = mpmath.log(_mp(w))
         v = mpmath.pi ** 2 / 6 - mpmath.log(_mp(q)) * log_w - li_w.value
         # pi**2/6 rounds 3 times, each log 3 counts on its size, the product and two sums once.
-        return numkernel.BigReal(v, li_w.err + ref_rounding(v, 4 + 2 * abs(log_w)), prec)
+        return numkernel.BigReal(v, li_w.err + rounding(v, 4 + 2 * abs(log_w)), prec)
 
 
 REFERENCE_GRID = [-1, 0, "0.3", Fraction(1, 2), Fraction(51, 100), Fraction(3, 4), Fraction(99, 100),

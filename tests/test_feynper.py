@@ -497,6 +497,12 @@ def test_a_negative_seed_or_a_count_past_the_cap_is_refused_before_any_work(monk
             run(samples=feynper.SAMPLE_CAP + 1, seed=1)
         with pytest.raises(TooLarge):
             run(samples=10 ** 23, seed=-5)
+        with pytest.raises(InputError, match="non-negative"):
+            run(samples=10 ** 4, seed=True)
+    # One sample has no variance, so no standard error; True ran one sample.
+    for samples in (1, True):
+        with pytest.raises(InputError):
+            period_mc(k4(), samples)
 
 
 def test_period_str_format():

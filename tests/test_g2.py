@@ -850,12 +850,27 @@ def test_a_stopped_midpoint_iteration_gives_the_bits_of_the_ball_iteration(monke
             assert mine == outcome(reference_invert_alpha, target, None, prec), (target, prec)
 
 
-@pytest.mark.parametrize("prec", [1, 15])
-def test_a_target_of_1e_30_still_fails_to_invert_as_before(prec):
-    with pytest.raises(NoConvergence) as exc:
-        invert_alpha("1e-30", prec=prec)
-    assert str(exc.value) == "alpha inversion: a slope's or the root's ball holds 0"
-    assert outcome(invert_alpha, "1e-30", None, prec) == outcome(reference_invert_alpha, "1e-30", None, prec)
+def test_a_target_of_1e_30_inverts_and_encloses_the_root_at_every_prec():
+    # Each rounding counts relative to its result, so the small slopes and
+    # root of t = 1e-30 hold no 0.  The root is mpmath's, at
+    # 130 digits, of the quartic with the closed-form a_2 and a_3.
+    with mpmath.workdps(130):
+        pi2, ln2 = mpmath.pi ** 2, mpmath.log(2)
+        a2 = mpf(197) / 144 + pi2 / 12 - pi2 * ln2 / 2 + 3 * mpmath.zeta(3) / 4
+        cs, t = (mpf(1) / 2, a2, laporta_remiddi(), mpf(A4_DIGITS)), mpf("1e-30")
+        f = lambda a: sum(c * (a / mpmath.pi) ** n for n, c in enumerate(cs, start=1)) - t
+        root = 1 / mpmath.findroot(f, 2 * mpmath.pi * t)
+    for prec in range(MIN_PREC, MAX_PREC + 1):
+        x = invert_alpha("1e-30", BRACKETS, prec=prec)
+        with mpmath.workdps(130):
+            assert abs(x.value - root) <= x.err, prec
+    # The default a_3 exceeds the closed form by 4e-4, which moves the root by
+    # under 1e-33, far inside the bound at prec 1 and 15.
+    for prec in (1, 15):
+        x = invert_alpha("1e-30", prec=prec)
+        with mpmath.workdps(130):
+            assert abs(x.value - root) <= x.err, prec
+        assert outcome(invert_alpha, "1e-30", None, prec) == outcome(reference_invert_alpha, "1e-30", None, prec)
 
 
 def test_invert_round_trips():

@@ -27,7 +27,6 @@ the engine on both sides with different words, so they check its
 arithmetic and word convention.
 """
 
-import importlib
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -208,7 +207,7 @@ def test_bruteforce_refuses_a_huge_cutoff_before_summing(monkeypatch):
     def no_term(*args):
         raise AssertionError("summed before refusing")
 
-    monkeypatch.setattr(importlib.import_module("euler_periods.mzv"), "_new_ball", no_term)
+    monkeypatch.setattr(BigReal, "exact", no_term)
     for idx, cutoff in [((2, 3), 10 ** 9), ((2, 3), BRUTEFORCE_STEP_CAP // 2 + 1),
                         ((1, 1, 1, 1, 2), BRUTEFORCE_STEP_CAP // 5 + 1)]:
         with pytest.raises(TooLarge, match="cutoff"):

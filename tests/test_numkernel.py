@@ -323,8 +323,10 @@ def test_from_decimal_reads_the_exact_rational(prec):
     for text in ("0.5", "-0.375", "1e3", "1/4", "0"):
         x = BigReal.from_decimal(text, prec)
         assert x.err == 0 and as_fraction(x.value) == Fraction(text), text
-    x = BigReal.from_decimal("0.1", prec)
-    assert 0 < as_fraction(x.err) and abs(as_fraction(x.value) - Fraction(1, 10)) <= as_fraction(x.err)
+    for text in ("0.1", "1e-12"):  # a rounding counts relative to its value: a small one holds no 0
+        x = BigReal.from_decimal(text, prec)
+        assert 0 < as_fraction(x.err) and abs(as_fraction(x.value) - Fraction(text)) <= as_fraction(x.err)
+        assert not x.holds_zero()
     for text in ("inf", "-inf", "nan", "abc", ""):
         with pytest.raises(DomainError):
             BigReal.from_decimal(text, prec)
@@ -392,6 +394,15 @@ def test_division_by_zero_raises():
     z = BigReal.exact(0, 15)
     with pytest.raises(DomainError):
         a / z
+
+
+def test_division_by_a_ball_that_holds_zero_is_written_as_value_and_bound():
+    # The message shows the divisor by the value and bound writers, not a repr.
+    y = BigReal(mpf("3e-20"), mpf("4e-20"), 15)
+    with pytest.raises(PrecisionNotMet) as exc:
+        BigReal.exact(1, 15) / y
+    assert str(exc.value) == "division by a ball that holds 0: 3.0e-20 ± 4.01e-20"
+    assert "BigReal(" not in str(exc.value)
 
 
 def test_power_matches_repeated_product():
@@ -471,8 +482,8 @@ def test_bigreal_is_immutable_and_compares_by_fields():
 
 
 def ref_rounding(v, count):
-    """``count (1 + |v|) 2**(1 - mp.prec)``: ``count`` roundings of an mpf ``v``, first order."""
-    return mpmath.ldexp(count * (1 + abs(v)), 1 - mpmath.mp.prec)
+    """``count |v| 2**(1 - mp.prec)``: ``count`` roundings of an mpf ``v``, first order."""
+    return mpmath.ldexp(count * abs(v), 1 - mpmath.mp.prec)
 
 
 def _mp(x) -> mpf:
@@ -596,8 +607,8 @@ OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b
 
 
 def counts(v, prec, n=1) -> Fraction:
-    """``n`` counts of rounding ``v``, exactly: ``n (1 + |v|) 2**(1 - b)``."""
-    return n * (1 + abs(rational(v))) / 2 ** (working_bits(prec) - 1)
+    """``n`` counts of rounding ``v``, exactly: ``n |v| 2**(1 - b)``."""
+    return n * abs(rational(v)) / 2 ** (working_bits(prec) - 1)
 
 
 def first_order(sym, left, right, v, prec) -> Fraction:
