@@ -989,11 +989,6 @@ def test_the_value_path_loads_no_mpmath():
     assert out == ["[]"]
 
 
-#: Every mpmath import statement ``src`` may hold, as ``file:enclosing function``:
-#: numkernel's one door and the type hint.
-MPMATH_IMPORTS = {"numkernel.py:_mpmath", "numkernel.py:TYPE_CHECKING"}
-
-
 def mpmath_imports(root: Path) -> set[str]:
     """``file:where`` of each mpmath import under ``root``: ``where`` is its function, ``TYPE_CHECKING`` or ``<module>``."""
     found = set()
@@ -1019,9 +1014,10 @@ def mpmath_imports(root: Path) -> set[str]:
 
 
 def test_mpmath_is_imported_only_through_the_door():
-    # numkernel._mpmath imports mpmath on its first call; every other module
-    # reaches libmp through it, so no command loads mpmath unless it calls it.
-    assert mpmath_imports(Path(euler_periods.__file__).parent) == MPMATH_IMPORTS
+    # The allowlist: numkernel._mpmath imports mpmath on its first call, and
+    # every other module reaches libmp through it; and the type hint.
+    allowed = {"numkernel.py:_mpmath", "numkernel.py:TYPE_CHECKING"}
+    assert mpmath_imports(Path(euler_periods.__file__).parent) == allowed
 
 
 def test_period_call_loads_numpy():
