@@ -9,12 +9,14 @@ strings only, so reports can be compared across machines and languages.
 
 Each subcommand imports the layer it runs when it runs, so a call loads
 only what it needs; numpy is loaded by ``period`` and ``selftest`` alone.
+A call builds the subparser of its own command only, from the one table
+:data:`_COMMANDS`; no module of the package imports ``dataclasses``, and
+``json`` is loaded only to read or write JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -274,128 +276,98 @@ def _cmd_registry_list(args):
     return lines, {"entries": entries}, 0
 
 
-_COMMANDS = {
-    "zeta": _cmd_zeta,
-    "phi": _cmd_phi,
-    "polylog": _cmd_polylog,
-    "gamma": _cmd_gamma,
-    "bernoulli": _cmd_bernoulli,
-    "mzv": _cmd_mzv,
-    "multiphi": _cmd_multiphi,
-    "stuffle-check": _cmd_stuffle_check,
-    "identity-check": _cmd_identity_check,
-    "coact": _cmd_coact,
-    "conjugates": _cmd_conjugates,
-    "per": _cmd_per,
-    "period": _cmd_period,
-    "selftest": _cmd_selftest,
-    "g2-assemble": _cmd_g2_assemble,
-    "g2-invert-alpha": _cmd_g2_invert_alpha,
-    "g2-compare": _cmd_g2_compare,
-    "registry-list": _cmd_registry_list,
-}
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*names: str, **kw) -> tuple[tuple[str, ...], dict]:
+    """One ``add_argument`` call of a subcommand, as ``(names, keywords)``."""
+    return names, kw
+
+
+_PREC = _arg("--prec", type=int, default=15, metavar="N", help="requested decimal precision (default 15)")
+_JSON = _arg("--json", action="store_true", help="emit a JSON report")
+_REGISTRY = _arg("--registry", metavar="PATH", default=None,
+                 help="measurement registry JSON (default: packaged, or EULER_PERIODS_REGISTRY)")
+_SEED = _arg("--seed", type=int, default=42, metavar="N", help="random seed, an integer >= 0 (default 42)")
+_EXPR = _arg("expr", help="expression in zeta_m(n), Li_m(n; z), twopi_i")
+_ORDER = _arg("--order", type=int, default=4, choices=(1, 2, 3, 4))
+_A2_MODE = _arg("--a2-mode", choices=_COEFF_MODES[:3], default=None)
+_A3_MODE = _arg("--a3-mode", choices=_COEFF_MODES, default=None)
+
+#: Each subcommand: its function, its help text and its arguments after
+#: ``--prec`` and ``--json``, in the order the help lists them.
+_COMMANDS = {
+    "zeta": (_cmd_zeta, "Riemann zeta at a real point s > 1.",
+             _arg("s", help="argument, a rational like 2 or 3/2")),
+    "phi": (_cmd_phi, "Alternating zeta phi(s) for s > 0.",
+            _arg("s", help="argument, a rational like 1 or 1/2")),
+    "polylog": (_cmd_polylog,
+                "Polylogarithm Li_n(z): n = 1 on [-1, 1), n = 2 on [-1, 1], n >= 3 on [-1, 1/2] and 1.",
+                _arg("n", type=int, help="integer order n >= 1"),
+                _arg("z", help="argument, a rational in [-1, 1) for n = 1, [-1, 1] for n = 2, "
+                               "[-1, 1/2] or 1 for n >= 3; put -- before a negative one")),
+    "gamma": (_cmd_gamma, "Euler's constant.",
+              _arg("--method", choices=("EM", "ZETA_SERIES"), default="EM", help="summation route (default EM)")),
+    "bernoulli": (_cmd_bernoulli, "Exact Bernoulli number B_n (B_1 = -1/2).",
+                  _arg("n", type=int, help="index n >= 0")),
+    "mzv": (_cmd_mzv, "Multiple zeta value zeta(n1, ..., nd): sum k1^-n1 ... kd^-nd over 0 < k1 < ... < kd.",
+            _arg("parts", type=int, nargs="+", help="index parts, last must be >= 2")),
+    "multiphi": (_cmd_multiphi,
+                 "Alternating sum of (-1)^(k1+...+kd) k1^-n1 ... kd^-nd over 0 < k1 < ... < kd.",
+                 _arg("parts", type=int, nargs="+", help="index parts n1 ... nd, each >= 1")),
+    "stuffle-check": (_cmd_stuffle_check, "Verify zeta(m) zeta(n) = zeta(m,n) + zeta(n,m) + zeta(m+n).",
+                      _arg("m", type=int), _arg("n", type=int)),
+    "identity-check": (_cmd_identity_check, "Evaluate the defect of a classical identity.",
+                       _arg("kind", choices=_IDENTITY_KINDS),
+                       _arg("--x", default=None, help="point for dilog-reflection / cotangent"),
+                       _arg("--s", default=None, help="exponent for euler-product / phi-funceq"),
+                       _arg("--terms", type=int, default=None, help="cotangent truncation order"),
+                       _arg("--prime-bound", type=int, default=None, help="euler-product prime cap"),
+                       _arg("--tol", default=None,
+                            help="fail (exit 3) when the residual exceeds this, a non-negative rational")),
+    "coact": (_cmd_coact, "Galois coaction of a motivic expression.", _EXPR),
+    "conjugates": (_cmd_conjugates, "Galois conjugates and their span dimension.", _EXPR),
+    "per": (_cmd_per, "Numerical period of a motivic expression.", _EXPR),
+    "period": (_cmd_period, "Monte-Carlo period of a primitive log-divergent graph.", _SEED,
+               _arg("graph", help="named graph (bubble, triangle, k4, w4) or a JSON file"),
+               _arg("--samples", type=int, default=100_000, metavar="N",
+                    help="sample count, 2 to 10000000 (default 100000)")),
+    "selftest": (_cmd_selftest, "Integrator self-test on known volumes.", _SEED,
+                 _arg("--samples", type=int, default=100_000, metavar="N",
+                      help="sample count, 10000 to 10000000 (default 100000)")),
+    "g2-assemble": (_cmd_g2_assemble, "Partial sum of the a_e series through a given order.", _REGISTRY,
+                    _arg("alpha_inv", nargs="?", default=None,
+                         help="1/alpha as a decimal (default: the rubidium value from the registry)"),
+                    _ORDER, _A2_MODE, _A3_MODE),
+    "g2-invert-alpha": (_cmd_g2_invert_alpha, "Solve the a_e series for 1/alpha.", _REGISTRY,
+                        _arg("target", help="a_e as a registry label (like exp:2008) or a decimal"),
+                        _ORDER, _A2_MODE, _A3_MODE),
+    "g2-compare": (_cmd_g2_compare,
+                   "Difference of two registry values with combined 1σ uncertainty, rounded upward.", _REGISTRY,
+                   _arg("a", help="registry label"), _arg("b", help="registry label")),
+    "registry-list": (_cmd_registry_list, "List the measurement registry.", _REGISTRY),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subcommand ``command`` alone, or with all of them.
+
+    One subparser parses and reports its own errors as the full parser
+    does; the full one is for top-level help, a missing command and an
+    unknown one, whose messages list every command.
+    """
     parser = argparse.ArgumentParser(
         prog="euler-periods",
         description="Certified evaluation of Euler-type sums, graph periods and the electron g-2 series.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name: str, help_text: str, registry: bool = False, seed: bool = False):
+    for name in (command,) if command in _COMMANDS else _COMMANDS:
+        _, help_text, *arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument("--prec", type=int, default=15, metavar="N",
-                       help="requested decimal precision (default 15)")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        if registry:
-            p.add_argument("--registry", metavar="PATH", default=None,
-                           help="measurement registry JSON (default: packaged, or EULER_PERIODS_REGISTRY)")
-        if seed:
-            p.add_argument("--seed", type=int, default=42, metavar="N",
-                           help="random seed, an integer >= 0 (default 42)")
-        return p
-
-    p = add("zeta", "Riemann zeta at a real point s > 1.")
-    p.add_argument("s", help="argument, a rational like 2 or 3/2")
-
-    p = add("phi", "Alternating zeta phi(s) for s > 0.")
-    p.add_argument("s", help="argument, a rational like 1 or 1/2")
-
-    p = add("polylog", "Polylogarithm Li_n(z): n = 1 on [-1, 1), n = 2 on [-1, 1], n >= 3 on [-1, 1/2] and 1.")
-    p.add_argument("n", type=int, help="integer order n >= 1")
-    p.add_argument("z", help="argument, a rational in [-1, 1) for n = 1, [-1, 1] for n = 2, "
-                             "[-1, 1/2] or 1 for n >= 3; put -- before a negative one")
-
-    p = add("gamma", "Euler's constant.")
-    p.add_argument("--method", choices=("EM", "ZETA_SERIES"), default="EM",
-                   help="summation route (default EM)")
-
-    p = add("bernoulli", "Exact Bernoulli number B_n (B_1 = -1/2).")
-    p.add_argument("n", type=int, help="index n >= 0")
-
-    p = add("mzv", "Multiple zeta value zeta(n1, ..., nd): sum k1^-n1 ... kd^-nd over 0 < k1 < ... < kd.")
-    p.add_argument("parts", type=int, nargs="+", help="index parts, last must be >= 2")
-
-    p = add("multiphi", "Alternating sum of (-1)^(k1+...+kd) k1^-n1 ... kd^-nd over 0 < k1 < ... < kd.")
-    p.add_argument("parts", type=int, nargs="+", help="index parts n1 ... nd, each >= 1")
-
-    p = add("stuffle-check", "Verify zeta(m) zeta(n) = zeta(m,n) + zeta(n,m) + zeta(m+n).")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-
-    p = add("identity-check", "Evaluate the defect of a classical identity.")
-    p.add_argument("kind", choices=_IDENTITY_KINDS)
-    p.add_argument("--x", default=None, help="point for dilog-reflection / cotangent")
-    p.add_argument("--s", default=None, help="exponent for euler-product / phi-funceq")
-    p.add_argument("--terms", type=int, default=None, help="cotangent truncation order")
-    p.add_argument("--prime-bound", type=int, default=None, help="euler-product prime cap")
-    p.add_argument("--tol", default=None,
-                   help="fail (exit 3) when the residual exceeds this, a non-negative rational")
-
-    p = add("coact", "Galois coaction of a motivic expression.")
-    p.add_argument("expr", help="expression in zeta_m(n), Li_m(n; z), twopi_i")
-
-    p = add("conjugates", "Galois conjugates and their span dimension.")
-    p.add_argument("expr", help="expression in zeta_m(n), Li_m(n; z), twopi_i")
-
-    p = add("per", "Numerical period of a motivic expression.")
-    p.add_argument("expr", help="expression in zeta_m(n), Li_m(n; z), twopi_i")
-
-    p = add("period", "Monte-Carlo period of a primitive log-divergent graph.", seed=True)
-    p.add_argument("graph", help="named graph (bubble, triangle, k4, w4) or a JSON file")
-    p.add_argument("--samples", type=int, default=100_000, metavar="N",
-                   help="sample count, 2 to 10000000 (default 100000)")
-
-    p = add("selftest", "Integrator self-test on known volumes.", seed=True)
-    p.add_argument("--samples", type=int, default=100_000, metavar="N",
-                   help="sample count, 10000 to 10000000 (default 100000)")
-
-    p = add("g2-assemble", "Partial sum of the a_e series through a given order.", registry=True)
-    p.add_argument("alpha_inv", nargs="?", default=None,
-                   help="1/alpha as a decimal (default: the rubidium value from the registry)")
-    p.add_argument("--order", type=int, default=4, choices=(1, 2, 3, 4))
-    p.add_argument("--a2-mode", choices=_COEFF_MODES[:3], default=None)
-    p.add_argument("--a3-mode", choices=_COEFF_MODES, default=None)
-
-    p = add("g2-invert-alpha", "Solve the a_e series for 1/alpha.", registry=True)
-    p.add_argument("target", help="a_e as a registry label (like exp:2008) or a decimal")
-    p.add_argument("--order", type=int, default=4, choices=(1, 2, 3, 4))
-    p.add_argument("--a2-mode", choices=_COEFF_MODES[:3], default=None)
-    p.add_argument("--a3-mode", choices=_COEFF_MODES, default=None)
-
-    p = add("g2-compare", "Difference of two registry values with combined 1σ uncertainty, rounded upward.",
-            registry=True)
-    p.add_argument("a", help="registry label")
-    p.add_argument("b", help="registry label")
-
-    add("registry-list", "List the measurement registry.", registry=True)
-
+        for names, kw in (_PREC, _JSON, *arguments):
+            p.add_argument(*names, **kw)
     return parser
 
 
@@ -421,7 +393,8 @@ def _write(text: str) -> None:
 
 def dispatch(argv: list[str] | None = None) -> int:
     """Run one subcommand; returns the process exit code."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as ex:
@@ -431,7 +404,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         return 2
     try:
         check_prec(args.prec)
-        lines, payload, code = _COMMANDS[args.command](args)
+        lines, payload, code = _COMMANDS[args.command][0](args)
     except PrecisionNotMet as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
@@ -443,6 +416,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return 3
     if args.json:
+        import json
         lines = [json.dumps({"command": args.command, **payload, "output": "\n".join(lines)},
                             ensure_ascii=False)]
     try:

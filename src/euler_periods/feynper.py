@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
 from .errors import (Disconnected, DomainError, InputError, InternalCheckError,
                      NonFiniteSample, NotPrimitive, SchemaError, TooLarge)
-from .numkernel import BigReal, _float, _iroot, check_prec
+from .numkernel import BigReal, _float, _iroot, _Record, check_prec
 
 if TYPE_CHECKING:
     import numpy as np
@@ -424,19 +423,19 @@ def is_primitive_log_divergent(g: MultiGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodEstimate:
+class PeriodEstimate(_Record):
     """Monte-Carlo estimate with its standard error and sampling parameters."""
 
-    estimate: float
-    stderr: float
-    samples: int
-    seed: int
-    prec_report: int = 15
+    _fields = ("estimate", "stderr", "samples", "seed", "prec_report")
 
-    def __post_init__(self) -> None:
-        if not self.stderr > 0:
+    def __init__(self, estimate: float, stderr: float, samples: int, seed: int, prec_report: int = 15):
+        if not stderr > 0:
             raise InputError("stderr must be positive")
+        self.estimate = estimate
+        self.stderr = stderr
+        self.samples = samples
+        self.seed = seed
+        self.prec_report = prec_report
 
     def __str__(self) -> str:
         return f"{self.estimate:.{self.prec_report}g} ± {self.stderr:.3g}"
@@ -548,25 +547,29 @@ def period_mc(g: MultiGraph, samples: int, seed: int = 42,
                           seed=seed, prec_report=prec_report)
 
 
-@dataclass(frozen=True)
-class SelfTestEntry:
-    label: str
-    estimate: float
-    stderr: float
-    reference: float
-    sigmas: float
+class SelfTestEntry(_Record):
+    _fields = ("label", "estimate", "stderr", "reference", "sigmas")
+
+    def __init__(self, label: str, estimate: float, stderr: float, reference: float, sigmas: float):
+        self.label = label
+        self.estimate = estimate
+        self.stderr = stderr
+        self.reference = reference
+        self.sigmas = sigmas
 
     def __str__(self) -> str:
         return (f"{self.label}: {self.estimate:.6f} ± {self.stderr:.2g} "
                 f"(reference {self.reference:.6f}, {self.sigmas:.2f} sigma)")
 
 
-@dataclass(frozen=True)
-class SelfTestReport:
-    entries: tuple[SelfTestEntry, ...]
-    samples: int
-    seed: int
-    passed: bool
+class SelfTestReport(_Record):
+    _fields = ("entries", "samples", "seed", "passed")
+
+    def __init__(self, entries: tuple[SelfTestEntry, ...], samples: int, seed: int, passed: bool):
+        self.entries = entries
+        self.samples = samples
+        self.seed = seed
+        self.passed = passed
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"

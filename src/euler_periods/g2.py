@@ -35,15 +35,14 @@ import enum
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InputError, NoConvergence, PrecisionNotMet, SchemaError
-from .numkernel import (BigReal, _add, _div, _exact, _float, _fraction, _mul, _new_ball, _radius, _relabel, _widen,
-                        as_fraction, check_prec, inner_prec, pi_times, value_text, working_bits)
+from .numkernel import (BigReal, _add, _div, _exact, _float, _fraction, _mul, _new_ball, _radius, _Record, _relabel,
+                        _widen, as_fraction, check_prec, inner_prec, pi_times, value_text, working_bits)
 
 MAX_ORDER = 4
 
@@ -135,15 +134,18 @@ def _half_log2(square: Fraction) -> int:
     return (square.numerator.bit_length() - square.denominator.bit_length()) // 2
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(_Record):
     """One published value with its quoted uncertainty components, a registry row's as exact rationals."""
 
-    label: str
-    value: BigReal
-    uncertainty_components: tuple[Fraction | float, ...]
-    year: int
-    source: str
+    _fields = ("label", "value", "uncertainty_components", "year", "source")
+
+    def __init__(self, label: str, value: BigReal, uncertainty_components: tuple[Fraction | float, ...],
+                 year: int, source: str):
+        self.label = label
+        self.value = value
+        self.uncertainty_components = uncertainty_components
+        self.year = year
+        self.source = source
 
     @property
     def total_uncertainty(self) -> float:
@@ -449,8 +451,7 @@ def coeff_a3(mode: CoeffMode | str = CoeffMode.CONSISTENT, prec: int = 15,
     return _coefficient(3, mode, prec, registry)
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
+class CoefficientSet(_Record):
     """Choice of coefficient modes for assembling the series.
 
     ``a_1 = 1/2`` always.  ``a_4`` is read from the decimal string
@@ -458,8 +459,11 @@ class CoefficientSet:
     and its radius holds one unit in the last of them.
     """
 
-    a2_mode: CoeffMode = CoeffMode.EXACT_BRACKET
-    a3_mode: CoeffMode = CoeffMode.CONSISTENT
+    _fields = ("a2_mode", "a3_mode")
+
+    def __init__(self, a2_mode: CoeffMode = CoeffMode.EXACT_BRACKET, a3_mode: CoeffMode = CoeffMode.CONSISTENT):
+        self.a2_mode = a2_mode
+        self.a3_mode = a3_mode
 
     def coefficient(self, n: int, prec: int,
                     registry: Sequence[Measurement] | None = None) -> BigReal:
@@ -641,15 +645,17 @@ def invert_alpha(target_ae: object, coeffs: CoefficientSet | None = None, order:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(_Record):
     """Exact ``delta`` of two midpoints and ``square``, both rows' ``sum(c**2)``, which ``str`` writes.
 
     The floats are ``delta`` to nearest, the least float at or above the root, and their quotient.
     """
 
-    delta: Fraction
-    square: Fraction
+    _fields = ("delta", "square")
+
+    def __init__(self, delta: Fraction, square: Fraction):
+        self.delta = delta
+        self.square = square
 
     @property
     def difference(self) -> float:

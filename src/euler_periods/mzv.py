@@ -17,7 +17,7 @@ from typing import Sequence
 from .errors import DivergentIndex, DomainError, TooLarge
 from .eulerfun import phi, zeta
 from .numkernel import (BRUTEFORCE_STEP_CAP, BigReal, check_prec, inner_prec, log_of,
-                        _at_one, _fraction, _radius, _relabel, _widen, _word)
+                        _at_one, _fraction, _radius, _ratio, _relabel, _widen, _word)
 
 
 def _parts(idx: Sequence[int]) -> tuple[int, ...]:
@@ -67,8 +67,9 @@ def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
     ``1 + log m`` for parts equal to 1); a nested sum of positive terms is
     at most the product of its unnested partial sums.  The sums enclose in
     :class:`~euler_periods.numkernel.BigReal`, each power ``m**-n`` the
-    exact ``Fraction(1, m**n)`` rounded and counted once by
-    :meth:`~euler_periods.numkernel.BigReal.exact`.  The tail bound
+    exact ``1/m**n`` rounded and counted once by
+    :func:`~euler_periods.numkernel._ratio`, as ``BigReal.exact`` takes a
+    Fraction.  The tail bound
     is an exact rational, taken at the upper end of the ball of ``log(cutoff)``
     (:func:`~euler_periods.numkernel.log_of`), and ``err`` is the radius plus
     it, rounded upward, so the value is certified without reference to any
@@ -87,7 +88,7 @@ def mzv_bruteforce(idx: Sequence[int], cutoff: int, prec: int = 15) -> BigReal:
     s = [BigReal(1, 0, prec)] + [BigReal(0, 0, prec)] * d
     for m in range(1, cutoff + 1):
         for j in range(d, 0, -1):
-            term = BigReal.exact(Fraction(1, m ** idx[j - 1]), prec)
+            term = _ratio(1, m ** idx[j - 1], prec)
             s[j] += term * s[j - 1] if j > 1 else term  # s[0] is an exact 1
     ball = log_of(cutoff, prec)
     log_k = _fraction(ball._mid) + _radius(ball)  # at or above log(cutoff)

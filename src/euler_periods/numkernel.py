@@ -301,6 +301,29 @@ def exact_str(q: int | Fraction) -> str:
     return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
 
 
+class _Record:
+    """A result record: equal, hashed and shown by the attributes ``_fields`` names.
+
+    A subclass's ``__init__`` sets them.  This is what the records took from
+    ``dataclasses``, whose import loads ``inspect`` and costs a command
+    about 5 ms; a record that is not hashable sets ``__hash__ = None``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and friends
 # ---------------------------------------------------------------------------
@@ -457,23 +480,15 @@ class BigReal:
         """Wrap a value known exactly up to representation rounding.
 
         A value that converts without change has a zero bound; any other
-        rounds once, one count.  For a ``Fraction`` ``num/den`` in lowest
-        terms that is decided in integers: only a power of 2 ``den`` can
-        give an exact binary result ``man 2**exp``, exact iff ``man 2**exp
-        den == num``.  A string is an input: :func:`as_fraction` reads its
+        rounds once, one count; for a ``Fraction``, :func:`_ratio` decides
+        that in integers.  A string is an input: :func:`as_fraction` reads its
         exact rational, which rounds as a Fraction does, so ``"0.5"`` has a
         zero bound and ``"inf"`` raises :class:`DomainError`, as does a
         float or mpf that is not finite.
         """
         b = _BITS[check_prec(prec)]
         if isinstance(x, (str, Fraction)):
-            num, den = (as_fraction(x, "the decimal") if isinstance(x, str) else x).as_integer_ratio()
-            v = _quotient(num, den, b)
-            if not den & den - 1:
-                _, man, exp, _ = v  # v has the sign of num
-                if man * den << max(exp, 0) == abs(num) << max(-exp, 0):
-                    return _new_ball(v, 0, 0, prec)
-            return _ball(v, prec, 1 - b)
+            return _ratio(*(as_fraction(x, "the decimal") if isinstance(x, str) else x).as_integer_ratio(), prec)
         raw = _raw(x, "value")
         v = _round(raw[0], raw[1], raw[2], b)
         return _new_ball(v, 0, 0, prec) if v == raw else _ball(v, prec, 1 - b)
@@ -761,6 +776,23 @@ def _quotient(num: int, den: int, b: int) -> tuple:
     zeros = (q & -q).bit_length() - 1
     q >>= zeros
     return sign, q, extra - shift + zeros, q.bit_length()
+
+
+def _ratio(num: int, den: int, prec: int) -> BigReal:
+    """``num/den`` in lowest terms, ``den > 0``, as a ball at a checked ``prec``.
+
+    :meth:`BigReal.exact` takes a Fraction here, and ``mzv_bruteforce`` its
+    terms ``1, m**n``, with no Fraction built.  Only a power of 2 ``den`` can
+    give an exact binary result ``man 2**exp``, exact iff ``man 2**exp den
+    == num``; any other rounds once, one count.
+    """
+    b = _BITS[prec]
+    v = _quotient(num, den, b)
+    if not den & den - 1:
+        _, man, exp, _ = v  # v has the sign of num
+        if man * den << max(exp, 0) == abs(num) << max(-exp, 0):
+            return _new_ball(v, 0, 0, prec)
+    return _ball(v, prec, 1 - b)
 
 
 def _new_ball(v: tuple, man: int, exp: int, prec: int) -> BigReal:

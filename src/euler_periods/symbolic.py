@@ -32,14 +32,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, InputError, ParseError, TooLarge
-from .eulerfun import polylog, zeta
 from .numkernel import (COACTION_TERM_CAP, COASSOC_TERM_CAP, WEIGHT_CAP, BigReal, as_fraction, check_digits,
-                        check_prec, exact_str, inner_prec, pi_times, _relabel)
+                        check_prec, exact_str, inner_prec, pi_times, _Record, _relabel)
 
 __all__ = [
     "MotivicExpr",
@@ -641,8 +639,7 @@ def galois_conjugates(e: MotivicExpr) -> tuple[list[MotivicExpr], int]:
     return conjugates, len(_echelon(conjugates))
 
 
-@dataclass
-class StabilityReport:
+class StabilityReport(_Record):
     """Outcome of :func:`stability_report`.
 
     ``outside`` pairs each family member with the conjugates that fall
@@ -650,8 +647,12 @@ class StabilityReport:
     list is empty.
     """
 
-    stable: bool
-    outside: list[tuple[MotivicExpr, list[MotivicExpr]]]
+    _fields = ("stable", "outside")
+    __hash__ = None  # its outside is a list
+
+    def __init__(self, stable: bool, outside: list[tuple[MotivicExpr, list[MotivicExpr]]]):
+        self.stable = stable
+        self.outside = outside
 
     def __str__(self) -> str:
         lines = ["stable" if self.stable else "unstable"]
@@ -862,6 +863,8 @@ def period_map(e: MotivicExpr, prec: int = 15) -> BigReal:
     declared bound; ``5*zeta_m(4) - 2*zeta_m(2)*zeta_m(2)`` is the canonical
     example.
     """
+    from .eulerfun import polylog, zeta  # here, so that coact and conjugates load no evaluator
+
     if not isinstance(e, MotivicExpr):
         raise DomainError("period_map expects a MotivicExpr")
     check_prec(prec)

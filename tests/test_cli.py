@@ -23,10 +23,10 @@ import pytest
 
 import euler_periods
 from euler_periods import eulerfun, feynper, g2
-from euler_periods.cli import _certified_line, dispatch
+from euler_periods.cli import _COMMANDS, _build_parser, _certified_line, dispatch
 from euler_periods.numkernel import (BERNOULLI_CAP, COACTION_TERM_CAP, DIGIT_CAP, WEIGHT_CAP, BigReal,
                                      as_fraction, bernoulli)
-from make_bits import _commands as bit_commands
+from make_bits import CLI_PRECS, _commands as bit_commands
 from test_mzv import NEWTON, zagier
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -145,9 +145,107 @@ def test_subcommand_smoke(capsys, argv):
 
 
 def test_all_commands_covered_by_smoke():
-    from euler_periods.cli import _COMMANDS
-
     assert {argv[0] for argv in SMOKE} == set(_COMMANDS)
+
+
+# ---------------------------------------------------------------------------
+# The parser: a call builds its own subcommand's entry alone
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_one_entry_prints_the_help_of_the_whole_table(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    shown = []
+    for parser in (_build_parser(command), _build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "-h"])
+        shown.append((exc.value.code, capsys.readouterr()))
+    assert shown[0] == shown[1]
+    assert shown[0][1].out.startswith(f"usage: euler-periods {command} [-h] [--prec N] [--json]")
+
+
+def parsed(parser, argv: list[str], capsys):
+    """The Namespace ``parser`` makes of ``argv``, or its exit code and what it printed."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
+def test_one_entry_parses_every_bits_argv_as_the_whole_table_does(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [argv[:1] + ["--prec", str(p)] + mode + argv[1:]
+             for argv in bit_commands() for p in CLI_PRECS for mode in ([], ["--json"])]
+    for argv in argvs:
+        assert parsed(_build_parser(argv[0]), argv, capsys) == parsed(_build_parser(), argv, capsys), argv
+
+
+TOP_LEVEL_HELP = """\
+usage: euler-periods [-h] command ...
+
+Certified evaluation of Euler-type sums, graph periods and the electron g-2
+series.
+
+positional arguments:
+  command
+    zeta           Riemann zeta at a real point s > 1.
+    phi            Alternating zeta phi(s) for s > 0.
+    polylog        Polylogarithm Li_n(z): n = 1 on [-1, 1), n = 2 on [-1, 1],
+                   n >= 3 on [-1, 1/2] and 1.
+    gamma          Euler's constant.
+    bernoulli      Exact Bernoulli number B_n (B_1 = -1/2).
+    mzv            Multiple zeta value zeta(n1, ..., nd): sum k1^-n1 ...
+                   kd^-nd over 0 < k1 < ... < kd.
+    multiphi       Alternating sum of (-1)^(k1+...+kd) k1^-n1 ... kd^-nd over
+                   0 < k1 < ... < kd.
+    stuffle-check  Verify zeta(m) zeta(n) = zeta(m,n) + zeta(n,m) + zeta(m+n).
+    identity-check
+                   Evaluate the defect of a classical identity.
+    coact          Galois coaction of a motivic expression.
+    conjugates     Galois conjugates and their span dimension.
+    per            Numerical period of a motivic expression.
+    period         Monte-Carlo period of a primitive log-divergent graph.
+    selftest       Integrator self-test on known volumes.
+    g2-assemble    Partial sum of the a_e series through a given order.
+    g2-invert-alpha
+                   Solve the a_e series for 1/alpha.
+    g2-compare     Difference of two registry values with combined 1σ
+                   uncertainty, rounded upward.
+    registry-list  List the measurement registry.
+
+options:
+  -h, --help       show this help message and exit
+"""
+
+#: What the whole table prints at 80 columns: the top-level help on stdout
+#: with exit 0, and the usage errors on stderr with exit 2.
+PARSER_TEXTS = [
+    (["-h"], 0, TOP_LEVEL_HELP, ""),
+    (["nope"], 2, "", (
+        "usage: euler-periods [-h] command ...\n"
+        "euler-periods: error: argument command: invalid choice: 'nope' (choose from 'zeta', 'phi', "
+        "'polylog', 'gamma', 'bernoulli', 'mzv', 'multiphi', 'stuffle-check', 'identity-check', 'coact', "
+        "'conjugates', 'per', 'period', 'selftest', 'g2-assemble', 'g2-invert-alpha', 'g2-compare', "
+        "'registry-list')\n")),
+    (["zeta"], 2, "", (
+        "usage: euler-periods zeta [-h] [--prec N] [--json] s\n"
+        "euler-periods zeta: error: the following arguments are required: s\n")),
+    (["g2-assemble", "--a3-mode", "bogus"], 2, "", (
+        "usage: euler-periods g2-assemble [-h] [--prec N] [--json] [--registry PATH]\n"
+        "                                 [--order {1,2,3,4}]\n"
+        "                                 [--a2-mode {exact-bracket,as-printed,registry}]\n"
+        "                                 [--a3-mode {exact-bracket,as-printed,registry,consistent}]\n"
+        "                                 [alpha_inv]\n"
+        "euler-periods g2-assemble: error: argument --a3-mode: invalid choice: 'bogus' "
+        "(choose from 'exact-bracket', 'as-printed', 'registry', 'consistent')\n")),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", PARSER_TEXTS, ids=[" ".join(t[0]) for t in PARSER_TEXTS])
+def test_help_and_usage_errors_print_what_they_always_printed(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (code, out, err)
 
 
 # ---------------------------------------------------------------------------
@@ -989,8 +1087,11 @@ def test_the_value_path_loads_no_mpmath():
     assert out == ["[]"]
 
 
-def mpmath_imports(root: Path) -> set[str]:
-    """``file:where`` of each mpmath import under ``root``: ``where`` is its function, ``TYPE_CHECKING`` or ``<module>``."""
+def module_imports(root: Path, module: str) -> set[str]:
+    """``file:where`` of each import of ``module`` under ``root``.
+
+    ``where`` is the importing function, ``TYPE_CHECKING`` or ``<module>``.
+    """
     found = set()
 
     def visit(node, where, name):
@@ -1001,10 +1102,10 @@ def mpmath_imports(root: Path) -> set[str]:
             elif isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING":
                 inner = "TYPE_CHECKING"
             elif isinstance(child, ast.Import):
-                if any(alias.name.split(".")[0] == "mpmath" for alias in child.names):
+                if any(alias.name.split(".")[0] == module for alias in child.names):
                     found.add(f"{name}:{where}")
             elif isinstance(child, ast.ImportFrom):
-                if not child.level and (child.module or "").split(".")[0] == "mpmath":
+                if not child.level and (child.module or "").split(".")[0] == module:
                     found.add(f"{name}:{where}")
             visit(child, inner, name)
 
@@ -1017,7 +1118,32 @@ def test_mpmath_is_imported_only_through_the_door():
     # The allowlist: numkernel._mpmath imports mpmath on its first call, and
     # every other module reaches libmp through it; and the type hint.
     allowed = {"numkernel.py:_mpmath", "numkernel.py:TYPE_CHECKING"}
-    assert mpmath_imports(Path(euler_periods.__file__).parent) == allowed
+    assert module_imports(Path(euler_periods.__file__).parent, "mpmath") == allowed
+
+
+#: The first smoke call of each subcommand.
+FIRST_SMOKE = {argv[0]: list(argv) for argv in reversed(SMOKE)}
+
+#: Layers a command does not run: coact and conjugates evaluate nothing.
+NOT_RUN = {"coact": {"euler_periods.eulerfun"}, "conjugates": {"euler_periods.eulerfun"}}
+
+#: Commands that read and write no JSON without --json.
+NO_JSON_COMMANDS = ("zeta", "polylog", "coact", "bernoulli")
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_a_call_loads_no_dataclasses_and_no_module_it_does_not_run(command):
+    loaded = loaded_after(f"from euler_periods.cli import dispatch; assert dispatch({FIRST_SMOKE[command]!r}) == 0")
+    unwanted = {"dataclasses", *NOT_RUN.get(command, ())}
+    if "numpy" not in loaded:  # numpy 2 imports inspect itself
+        unwanted.add("inspect")
+    if command in NO_JSON_COMMANDS:
+        unwanted.add("json")
+    assert not unwanted & loaded
+
+
+def test_no_module_imports_dataclasses():
+    assert module_imports(Path(euler_periods.__file__).parent, "dataclasses") == set()
 
 
 def test_period_call_loads_numpy():

@@ -1,12 +1,10 @@
 """Registry handling, series coefficients, assembly, inversion, comparison."""
 
-import dataclasses
 import json
 import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -556,8 +554,8 @@ def test_mode_spellings_share_one_cache_entry():
 
 def test_a_callers_registry_is_not_cached_and_leaves_the_packaged_value(tmp_path):
     packaged = coeff_a3(CoeffMode.CONSISTENT, 15)
-    rows = [dataclasses.replace(m, value=m.value + mpf("1e-12")) if m.label == "th:2017" else m
-            for m in load_registry()]
+    rows = [Measurement(m.label, m.value + mpf("1e-12"), m.uncertainty_components, m.year, m.source)
+            if m.label == "th:2017" else m for m in load_registry()]
     changed = coeff_a3(CoeffMode.CONSISTENT, 15, registry=rows)
     assert bits(changed) != bits(packaged)
     assert bits(coeff_a3(CoeffMode.CONSISTENT, 15, registry=rows)) == bits(changed)
@@ -764,7 +762,6 @@ def test_an_early_stopped_newton_point_still_encloses_or_raises(monkeypatch, ste
 
 
 def test_a_slope_ball_that_holds_zero_raises_no_convergence_naming_the_inversion():
-    @dataclass(frozen=True)
     class Loose(CoefficientSet):
         def coefficient(self, n, prec, registry=None):
             c = super().coefficient(n, prec, registry)

@@ -28,6 +28,7 @@ arithmetic and word convention.
 """
 
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -207,7 +208,7 @@ def test_bruteforce_refuses_a_huge_cutoff_before_summing(monkeypatch):
     def no_term(*args):
         raise AssertionError("summed before refusing")
 
-    monkeypatch.setattr(BigReal, "exact", no_term)
+    monkeypatch.setattr(sys.modules["euler_periods.mzv"], "_ratio", no_term)
     for idx, cutoff in [((2, 3), 10 ** 9), ((2, 3), BRUTEFORCE_STEP_CAP // 2 + 1),
                         ((1, 1, 1, 1, 2), BRUTEFORCE_STEP_CAP // 5 + 1)]:
         with pytest.raises(TooLarge, match="cutoff"):
