@@ -29,7 +29,10 @@ which cannot cancel as a determinant would; it is checked once per graph at
 x = 1 against the matrix-tree count.  Sampling is sharded with per-shard
 derived seeds, and each shard is summed exactly in integers (equal to
 ``math.fsum`` bit for bit), so results are bit-identical for a fixed
-(graph, samples, seed) regardless of shard evaluation order.
+(graph, samples, seed) regardless of shard evaluation order.  That lets
+the shards of one call run on a thread pool of up to one thread per usable
+CPU, with the same bits on any number of CPUs; a call of one shard runs
+inline.
 
 The sampler lives in :mod:`euler_periods._tropical`, imported with numpy on
 the first primitivity test or period estimate, so spanning trees, Kirchhoff
@@ -38,8 +41,8 @@ polynomials, and a program that does neither, do without both.
 
 from __future__ import annotations
 
-import json
 import math
+import os
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
@@ -83,7 +86,8 @@ SUBGRAPH_EDGE_CAP = 16
 #: Most samples :func:`period_mc` and :func:`integrator_selftest` draw,
 #: 10 times the README's example and equal to the largest count the tests
 #: draw.  At the cap, on a shared 2-core x86-64 VM (Python 3.11, numpy 2),
-#: K4 took 2.2 s, the 16-edge wheel W8 11.4 s and the self-test 1.3 s.
+#: K4 took 1.8 s, the 16-edge wheel W8 7.3 s and the self-test 0.9 s, with
+#: the shards on two threads (2.5 s, 13 s and 1.6 s one after another).
 SAMPLE_CAP = 10 ** 7
 
 _SHARD_SIZE = 1 << 17
@@ -455,14 +459,22 @@ def _sample_mean(f: Callable[[np.ndarray], np.ndarray], dim: int, samples: int, 
     points come in shards of :data:`_SHARD_SIZE`, shard ``i`` from
     ``_shard_rng(seed, *key, i)``, and the shard sums are combined by
     exactly rounded summation, so the result is bit-identical for fixed
-    arguments whatever the shard order.  Raises :class:`NonFiniteSample` at
-    the first value that is not finite.
+    arguments whatever the shard order or the number of CPUs.  Several
+    shards run on a thread pool of one worker per usable CPU, at most one
+    per shard; numpy releases the GIL in the generator and the ufuncs, so
+    the shards overlap, and ``f`` must be safe to call from several threads
+    at once.  One shard, or one CPU, runs inline and starts no thread.  A
+    worker holds one shard at a time, so the points take at most
+    ``workers * _SHARD_SIZE * dim * 8`` bytes, 31 MB a worker at the
+    16-edge cap.  Raises :class:`NonFiniteSample` at the first value that
+    is not finite, in shard order, and an exception of ``f`` as it is; the
+    shards not yet started are cancelled.
     """
     import numpy as np
 
-    sums, squares = [], []
-    for shard, start in enumerate(range(0, samples, _SHARD_SIZE)):
-        x = _shard_rng(seed, *key, shard).random((min(_SHARD_SIZE, samples - start), dim))
+    def shard_sums(shard: int) -> tuple[float, float]:
+        size = min(_SHARD_SIZE, samples - shard * _SHARD_SIZE)
+        x = _shard_rng(seed, *key, shard).random((size, dim))
         vals = f(x)
         bad = ~np.isfinite(vals)
         if bad.any():
@@ -470,12 +482,29 @@ def _sample_mean(f: Callable[[np.ndarray], np.ndarray], dim: int, samples: int, 
             raise NonFiniteSample(
                 f"integrand overflow at shard {shard}, row {where} "
                 f"(x = {x[where].tolist()})", shard=shard)
-        sums.append(_exact_sum(vals))
-        squares.append(_exact_sum(vals * vals))
+        return _exact_sum(vals), _exact_sum(vals * vals)
+
+    shards = range(-(-samples // _SHARD_SIZE))
+    workers = min(len(shards), _usable_cpus())
+    if workers < 2:
+        parts = list(map(shard_sums, shards))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(shard_sums, shards))
+    sums, squares = zip(*parts)
     mean = math.fsum(sums) / samples
     variance = max(math.fsum(squares) / samples - mean * mean, 0.0)
     floor = (_RELATIVE_VARIANCE_FLOOR * (1.0 + abs(mean))) ** 2
     return mean, math.sqrt(max(variance, floor) / samples)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 def _exact_sum(vals: np.ndarray) -> float:
@@ -724,6 +753,7 @@ def graph_from_dict(obj) -> MultiGraph:
 
 def load_graph(path: str) -> MultiGraph:
     """Read a graph JSON file (see :func:`graph_from_dict`)."""
+    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)

@@ -1152,6 +1152,20 @@ def test_period_call_loads_numpy():
     assert "numpy" in loaded
 
 
+def test_a_one_shard_period_call_loads_no_thread_pool_and_no_json_and_starts_no_thread():
+    # 20000 samples are one shard, which runs inline: concurrent.futures, whose
+    # import loads logging, stays unloaded, and so does json without --json.
+    out = fresh_python(
+        "import sys, threading\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: (started.append(self.name), start(self))[1]\n"
+        "from euler_periods.cli import dispatch\n"
+        "assert dispatch(['period', 'k4', '--samples', '20000']) == 0\n"
+        "print(started, sorted({'concurrent.futures', 'json'} & set(sys.modules)))")
+    assert out[-1] == "[] []"
+
+
 # ---------------------------------------------------------------------------
 # The package namespace: names resolve from their layer on first use
 # ---------------------------------------------------------------------------

@@ -3,8 +3,15 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
+import time
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -361,6 +368,135 @@ def test_sample_mean_stops_at_the_first_non_finite_value():
     with pytest.raises(NonFiniteSample, match=r"shard 1, row 2 \(x = \[") as info:
         feynper._sample_mean(f, 2, feynper._SHARD_SIZE + 5, 3)
     assert info.value.shard == 1
+
+
+# ---------------------------------------------------------------------------
+# Shards on a thread pool: the bits of one shard after another
+# ---------------------------------------------------------------------------
+
+
+def serial_sample_mean(f, dim, samples, seed, *key):
+    """The shard loop of ``_sample_mean`` one shard after another on the
+    calling thread, as it ran before the thread pool: the reference bits."""
+    sums, squares = [], []
+    for shard, start in enumerate(range(0, samples, feynper._SHARD_SIZE)):
+        x = feynper._shard_rng(seed, *key, shard).random((min(feynper._SHARD_SIZE, samples - start), dim))
+        vals = f(x)
+        assert np.isfinite(vals).all()
+        sums.append(feynper._exact_sum(vals))
+        squares.append(feynper._exact_sum(vals * vals))
+    mean = math.fsum(sums) / samples
+    variance = max(math.fsum(squares) / samples - mean * mean, 0.0)
+    floor = (feynper._RELATIVE_VARIANCE_FLOOR * (1.0 + abs(mean))) ** 2
+    return mean, math.sqrt(max(variance, floor) / samples)
+
+
+def pi_indicator(p):
+    """The self-test's pi case: 4 on the unit disc, 0 off it."""
+    return 4.0 * ((2.0 * p[:, 0] - 1.0) ** 2 + (2.0 * p[:, 1] - 1.0) ** 2 <= 1.0).astype(np.float64)
+
+
+def period_integrand(g):
+    _, dim, integrand = _tropical.plan(g)
+    return integrand, dim, ()
+
+
+#: Integrand name -> (integrand, dimension, key): the K4, W4 and W5 periods
+#: and the self-test's pi case under its key.
+POOL_INTEGRANDS = {
+    "k4": period_integrand(k4()),
+    "w4": period_integrand(wheel(4)),
+    "w5": period_integrand(wheel(5)),
+    "pi": (pi_indicator, 2, (2,)),
+}
+
+#: One shard, two with a tiny last one, two, and more shards than workers.
+POOL_SAMPLES = [1 << 17, (1 << 17) + 5, 250000, 5 * (1 << 17) + 3]
+
+POOL_SEED = 7
+
+
+def sample_mean_hex(mean_of, name, samples):
+    f, dim, key = POOL_INTEGRANDS[name]
+    return tuple(v.hex() for v in mean_of(f, dim, samples, POOL_SEED, *key))
+
+
+@lru_cache(maxsize=None)
+def reference_hex(name, samples):
+    return sample_mean_hex(serial_sample_mean, name, samples)
+
+
+@pytest.mark.parametrize("workers", ["usable", 3])
+@pytest.mark.parametrize("samples", POOL_SAMPLES)
+@pytest.mark.parametrize("name", list(POOL_INTEGRANDS))
+def test_the_pool_gives_the_bits_of_one_shard_after_another(monkeypatch, name, samples, workers):
+    if workers != "usable":
+        monkeypatch.setattr(feynper, "_usable_cpus", lambda: workers)
+    assert sample_mean_hex(feynper._sample_mean, name, samples) == reference_hex(name, samples)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity")
+def test_one_cpu_gives_the_same_bits():
+    code = ("import json, os, threading\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from euler_periods import feynper\n"
+            "from test_feynper import POOL_INTEGRANDS, POOL_SAMPLES, sample_mean_hex\n"
+            "assert feynper._usable_cpus() == 1\n"
+            "print(json.dumps([sample_mean_hex(feynper._sample_mean, name, n)\n"
+            "                  for name in POOL_INTEGRANDS for n in POOL_SAMPLES]))\n"
+            "print(threading.active_count())")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True, timeout=300)
+    hexes, threads = proc.stdout.splitlines()
+    assert [tuple(h) for h in json.loads(hexes)] == [
+        reference_hex(name, n) for name in POOL_INTEGRANDS for n in POOL_SAMPLES]
+    assert threads == "1"
+
+
+def shard_of_first_value(seed, shards):
+    """Shard index keyed by the first coordinate of the shard's first point."""
+    return {feynper._shard_rng(seed, shard).random(): shard for shard in range(shards)}
+
+
+def test_the_first_non_finite_shard_in_shard_order_raises_from_the_pool(monkeypatch):
+    # Shard 2 fails first in time, shard 0 later; shard 0 is reported.
+    monkeypatch.setattr(feynper, "_usable_cpus", lambda: 3)
+    shard_of = shard_of_first_value(5, 4)
+
+    def f(x):
+        vals = np.ones(len(x))
+        shard = shard_of[x[0, 0]]
+        if shard == 0:
+            time.sleep(0.2)
+            vals[7] = np.nan
+        elif shard == 2:
+            vals[3] = np.inf
+        return vals
+
+    before = threading.active_count()
+    with pytest.raises(NonFiniteSample, match=r"shard 0, row 7 \(x = \[") as info:
+        feynper._sample_mean(f, 2, 4 * feynper._SHARD_SIZE, 5)
+    assert info.value.shard == 0
+    assert threading.active_count() == before
+
+
+def test_an_exception_of_the_integrand_reaches_the_caller_unchanged(monkeypatch):
+    monkeypatch.setattr(feynper, "_usable_cpus", lambda: 3)
+    shard_of = shard_of_first_value(5, 4)
+    error = LookupError("raised in shard 1")
+
+    def f(x):
+        if shard_of[x[0, 0]] == 1:
+            raise error
+        return np.ones(len(x))
+
+    before = threading.active_count()
+    with pytest.raises(LookupError) as info:
+        feynper._sample_mean(f, 2, 4 * feynper._SHARD_SIZE, 5)
+    assert info.value is error
+    assert threading.active_count() == before
 
 
 def _zeta(s):
