@@ -86,8 +86,8 @@ SUBGRAPH_EDGE_CAP = 16
 #: Most samples :func:`period_mc` and :func:`integrator_selftest` draw,
 #: 10 times the README's example and equal to the largest count the tests
 #: draw.  At the cap, on a shared 2-core x86-64 VM (Python 3.11, numpy 2),
-#: K4 took 1.8 s, the 16-edge wheel W8 7.3 s and the self-test 0.9 s, with
-#: the shards on two threads (2.5 s, 13 s and 1.6 s one after another).
+#: K4 took 1.4 s, the 16-edge wheel W8 5.2 s and the self-test 0.8 s, with
+#: the shards on two threads (2.2 s, 10.3 s and 1.7 s one after another).
 SAMPLE_CAP = 10 ** 7
 
 _SHARD_SIZE = 1 << 17
