@@ -1728,19 +1728,25 @@ WEIGHT_CAP = 1000
 
 #: Most terms the coaction of one monomial may have: the product over its
 #: atoms of ``n + 1`` for ``Li_m(n; z)``, 2 for an odd ``zeta_m`` and 1
-#: otherwise.  The cap admits ``zeta_m(3)*Li_m(1000; 1/2)``, 2002 terms of up
-#: to 1000 factors, 12 MB printed in about 2.5 s; the cost of a product of
-#: polylogarithms grows about as the cube of their weight.
+#: otherwise.  The Hopf coproduct of a unipotent monomial is held to the same
+#: cap, counting ``n + 1`` for ``Li_u(n; z)`` and ``k + 1`` for the ``k``-th
+#: power of ``ln_u`` or ``zeta_u``.  The cap admits ``zeta_m(3)*Li_m(1000;
+#: 1/2)``, 2002 terms of up to 1000 factors, 12 MB printed in about 0.65 s
+#: for the whole ``coact`` command (2-core x86-64 VM); the cost of a product
+#: of polylogarithms grows about as the cube of their weight.
 COACTION_TERM_CAP = 2 * (WEIGHT_CAP + 1)
 
 #: Most terms :func:`~euler_periods.symbolic.coassoc_residual` may form for
 #: one monomial, estimated as the product over its atoms of ``C(n + 3, 3)``,
 #: about ``n**3 / 6``, for ``Li_m(n; z)``, 3 for an odd ``zeta_m`` and 1
-#: otherwise.  A lone ``Li_m(n; z)`` passes the coaction cap with ``n + 1``
-#: terms, but its check takes about 1 s at n = 64, 4 s at n = 100 and 51 s
-#: at n = 200 (2-core x86-64 VM); the cap admits n = 64 (47905) and three
-#: weight-4 polylogarithms (42875).
-COASSOC_TERM_CAP = 50_000
+#: otherwise.  Per estimated term the check costs 0.4-0.5 us for products of
+#: polylogarithms and up to 0.9 us for a lone ``Li_m(n; z)`` or one with an
+#: odd ``zeta_m``, whose keys are longest, so the cap is priced at about 1 s
+#: for the costliest shape (2-core x86-64 VM): ``Li_m(206; 1/2)`` (1499784)
+#: takes 0.9-1.25 s and 73 MB of peak memory, ``zeta_m(3)*Li_m(142; 1/2)``
+#: (1492920) 1.1-1.4 s and 63 MB, ``Li_m(17; 1/2)*Li_m(17; 1/3)`` (1299600)
+#: 0.6-0.75 s and 44 MB, ``Li_m(12; 1/2)*Li_m(12; 1/3)`` (207025) 0.15 s.
+COASSOC_TERM_CAP = 1_500_000
 
 #: Largest index :func:`bernoulli` computes.  The tangent numbers cost about
 #: ``n**2`` steps on integers of about ``n log n`` bits: B_1000 takes 0.15 s

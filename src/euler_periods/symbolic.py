@@ -13,14 +13,18 @@ generators receives the left tensor factors of the coaction, which sends a
 left.  One class, ``_Combination``, holds all of this algebra: a rational
 combination keyed by one monomial per tensor factor, each factor motivic or
 unipotent.  :class:`MotivicExpr`, :class:`UnipotentExpr`, :class:`TensorSum`
-and :class:`UTensorSum` only declare their factors; the coaction, the Hopf
-coproduct and the coassociativity check are its products and tensor
-products.
+and :class:`UTensorSum` only declare their factors.  The coaction and the
+Hopf coproduct are linear maps, multiplicative on monomials and given per
+atom; one routine, ``_Image``, builds every such map, forming each atom's
+image and each power of it once per call, a power of a primitive in closed
+form.  The coassociativity check builds its two triple tensors from the
+same images, adding the products in place.
 
 The distinct right factors of the coaction are the conjugates of an
 expression; a family is stable when every conjugate of every member stays
 inside the family's rational span.  A span is an echelon basis of
-combinations, so a conjugate lies in it when it reduces to zero.
+combinations, kept in pivot order, so a conjugate lies in it when it
+reduces to zero.
 :func:`period_map` sends symbols to numbers through :mod:`.eulerfun`.
 
 All coefficients are exact :class:`fractions.Fraction` values, so the
@@ -30,9 +34,12 @@ coassociativity) are decided exactly rather than numerically.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import re
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, InputError, ParseError, TooLarge
@@ -54,7 +61,6 @@ __all__ = [
     "period_map",
 ]
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -115,7 +121,15 @@ def _mono_weight(mono: tuple) -> int:
 
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
+    if not a:
+        return b
+    if not b:
+        return a
     return tuple(sorted(a + b))
+
+
+def _pair_mul(a: tuple, b: tuple) -> tuple:
+    return _mono_mul(a[0], b[0]), _mono_mul(a[1], b[1])
 
 
 def _add_into(d: dict, key, c: Fraction) -> None:
@@ -126,6 +140,30 @@ def _add_into(d: dict, key, c: Fraction) -> None:
         d[key] = nc
     else:
         del d[key]
+
+
+def _mul_into(out: dict, x: dict, y: dict, key_mul) -> dict:
+    """Add the product of the term dicts ``x`` and ``y`` into ``out``, in place.
+
+    ``key_mul`` multiplies two keys.  A coefficient 1 is not multiplied.
+    """
+    ys = [(k2, c2, c2 == 1) for k2, c2 in y.items()]
+    get = out.get
+    for k1, c1 in x.items():
+        one = c1 == 1
+        for k2, c2, one2 in ys:
+            key = key_mul(k1, k2)
+            c = c2 if one else c1 if one2 else c1 * c2
+            old = get(key)
+            if old is None:
+                out[key] = c
+            else:
+                c += old
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+    return out
 
 
 def _check_weight(n: int) -> None:
@@ -226,10 +264,6 @@ def _join_signed(rendered: list[str]) -> str:
 # The combination algebra
 # ---------------------------------------------------------------------------
 
-#: Each combination class by its tuple of factor kinds; :meth:`tensor` finds
-#: the class of a product here.
-_BY_FACTORS: dict[tuple, type] = {}
-
 
 class _Combination:
     """Rational combination of keys that hold one monomial per tensor factor.
@@ -238,15 +272,11 @@ class _Combination:
     one factor a key is the monomial itself; with several it is the tuple of
     monomials, e.g. ``(left, right)``.  Every coefficient is a non-zero
     :class:`Fraction` and every monomial a sorted tuple of atoms.  Products
-    multiply factor by factor; :meth:`tensor` concatenates the factors.
+    multiply factor by factor.
     """
 
     __slots__ = ("terms",)
     _factors: tuple = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        _BY_FACTORS[cls._factors] = cls
 
     def __init__(self, terms=None):
         clean: dict[tuple, Fraction] = {}
@@ -359,11 +389,7 @@ class _Combination:
         else:
             def key_mul(a, b):
                 return tuple(map(_mono_mul, a, b))
-        out: dict[tuple, Fraction] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                _add_into(out, key_mul(k1, k2), c1 * c2)
-        return self._raw(out)
+        return self._raw(_mul_into({}, self.terms, other.terms, key_mul))
 
     __rmul__ = __mul__
 
@@ -374,18 +400,6 @@ class _Combination:
         for _ in range(k):
             out = out * self
         return out
-
-    def tensor(self, other):
-        """Tensor product: the factors of ``self`` followed by those of ``other``.
-
-        Defined where a combination class with those factors exists.
-        """
-        out = {}
-        for k1, c1 in self.terms.items():
-            m1 = self._monos(k1)
-            for k2, c2 in other.terms.items():
-                out[m1 + other._monos(k2)] = c1 * c2
-        return _BY_FACTORS[self._factors + other._factors]._raw(out)
 
     def __str__(self) -> str:
         # Each distinct atom is formatted once: the atoms of a large
@@ -510,38 +524,84 @@ def _hopf_atom(atom: tuple) -> UTensorSum:
     return _li_tower(atom[1], atom[2], "liu", UTensorSum)
 
 
-def _coaction_terms(atom: tuple) -> int:
-    if atom[0] == "lim":
-        return atom[1] + 1
-    return 2 if atom[0] == "zm" and atom[1] % 2 else 1
+def _powers(mono: tuple) -> list[tuple[tuple, int]]:
+    """The distinct atoms of a monomial, each with its exponent."""
+    return [(atom, len(list(run))) for atom, run in groupby(mono)]
 
 
-def _coassoc_terms(atom: tuple) -> int:
-    if atom[0] == "lim":
-        return math.comb(atom[1] + 3, 3)
-    return 3 if atom[0] == "zm" and atom[1] % 2 else 1
+def _coaction_terms(mono: tuple) -> int:
+    return math.prod(a[1] + 1 if a[0] == "lim" else 2 if a[0] == "zm" and a[1] % 2 else 1 for a in mono)
 
 
-def _check_size(e: MotivicExpr, what: str = "the coaction", count=_coaction_terms,
+def _coassoc_terms(mono: tuple) -> int:
+    return math.prod(math.comb(a[1] + 3, 3) if a[0] == "lim" else 3 if a[0] == "zm" and a[1] % 2 else 1
+                     for a in mono)
+
+
+def _hopf_terms(mono: tuple) -> int:
+    # The k-th power of a primitive has k + 1 terms; each Li_u(n; z) has n + 1.
+    return math.prod(k + 1 if a[0] in ("zu", "lnu") else (a[1] + 1) ** k for a, k in _powers(mono))
+
+
+def _check_size(e: _Combination, what: str = "the coaction", count=_coaction_terms,
                 cap: int = COACTION_TERM_CAP) -> None:
-    # Per monomial, the product of its atoms' term counts; checked before any work.
+    # Per monomial, its count of terms; checked before any work.
     for mono in e.terms:
-        size = math.prod(map(count, mono))
+        size = count(mono)
         if size > cap:
-            shown = "*".join(map(_fmt_motivic_atom, mono))
+            shown = "*".join(map(e._factors[0].fmt, mono))
             raise TooLarge(f"{what} of {shown} has {size} terms, past the cap {cap}")
 
 
-def _linear_image(e: _Combination, atom_rule: Callable[[tuple], _Combination],
-                  target: type) -> _Combination:
-    # The linear map that is multiplicative on monomials, given per atom.
-    total = target.zero()
-    for mono, c in e.terms.items():
-        image = target.from_rational(c)
-        for atom in mono:
-            image = image * atom_rule(atom)
-        total = total + image
-    return total
+class _Image:
+    """A linear map into a two-factor tensor sum, multiplicative on monomials.
+
+    ``rule`` gives the image of each atom.  Each atom's image, each power of
+    an atom and each monomial's image are formed once, and kept as long as
+    the object: one call makes it and drops it.  The ``k``-th power of an
+    atom ``a`` whose image is primitive, exactly ``a (x) 1 + 1 (x) a``, is
+    the binomial sum of ``C(k, i) a^i (x) a^(k - i)``.  That is read off the
+    rule's own output, so a wrong rule still shows; other powers are
+    successive products.
+    """
+
+    __slots__ = ("rule", "powers", "monos")
+
+    def __init__(self, rule: Callable[[tuple], _Combination]):
+        self.rule = rule
+        self.powers: dict[tuple, dict] = {}
+        self.monos: dict[tuple, dict] = {}
+
+    def power(self, atom: tuple, k: int) -> dict:
+        powers = self.powers
+        if (atom, k) not in powers:
+            base = powers.get((atom, 1))
+            if base is None:
+                base = powers[atom, 1] = self.rule(atom).terms
+            if base == {((atom,), ()): 1, ((), (atom,)): 1}:
+                powers[atom, k] = {((atom,) * i, (atom,) * (k - i)): Fraction(math.comb(k, i))
+                                   for i in range(k + 1)}
+            else:
+                for j in range(2, k + 1):
+                    if (atom, j) not in powers:
+                        powers[atom, j] = _mul_into({}, powers[atom, j - 1], base, _pair_mul)
+        return powers[atom, k]
+
+    def mono(self, mono: tuple) -> dict:
+        image = self.monos.get(mono)
+        if image is None:
+            factors = [self.power(atom, k) for atom, k in _powers(mono)]
+            image = factors[0] if factors else {((), ()): _F1}
+            for p in factors[1:]:
+                image = _mul_into({}, image, p, _pair_mul)
+            self.monos[mono] = image
+        return image
+
+    def of(self, terms: dict) -> dict:
+        out: dict = {}
+        for mono, c in terms.items():
+            _mul_into(out, {((), ()): c}, self.mono(mono), _pair_mul)
+        return out
 
 
 def coact(e: MotivicExpr) -> TensorSum:
@@ -557,7 +617,7 @@ def coact(e: MotivicExpr) -> TensorSum:
     if not isinstance(e, MotivicExpr):
         raise DomainError("coact expects a MotivicExpr")
     _check_size(e)
-    return _linear_image(e, _coact_atom, TensorSum)
+    return TensorSum._raw(_Image(_coact_atom).of(e.terms))
 
 
 def hopf_coproduct(e: UnipotentExpr) -> UTensorSum:
@@ -566,10 +626,28 @@ def hopf_coproduct(e: UnipotentExpr) -> UTensorSum:
     ``zeta_u`` and ``ln_u`` are primitive; ``Li_u(n; z)`` follows the same
     binomial tower as the coaction of ``Li_m`` with ``Li_u`` in both slots.
     This is the minimal choice under which the coaction is coassociative.
+    A monomial whose coproduct would have more than
+    ``numkernel.COACTION_TERM_CAP`` terms, counting ``n + 1`` per ``Li_u(n;
+    z)`` and ``k + 1`` for the ``k``-th power of a primitive, raises
+    :class:`TooLarge` before any work.
     """
     if not isinstance(e, UnipotentExpr):
         raise DomainError("hopf_coproduct expects a UnipotentExpr")
-    return _linear_image(e, _hopf_atom, UTensorSum)
+    _check_size(e, "the Hopf coproduct", _hopf_terms)
+    return UTensorSum._raw(_Image(_hopf_atom).of(e.terms))
+
+
+def _coassoc_sides(e: MotivicExpr) -> tuple[_TripleSum, _TripleSum]:
+    # (hopf (x) id) and (id (x) coact) of coact(e), each a whole triple tensor.
+    # Each left monomial's Hopf image and each right monomial's coaction is
+    # formed once, and the two tensor products add into their sides in place.
+    co, hopf = _Image(_coact_atom), _Image(_hopf_atom)
+    lhs: dict = {}
+    rhs: dict = {}
+    for (left, right), c in co.of(e.terms).items():
+        _mul_into(lhs, hopf.mono(left), {(right,): c}, operator.add)
+        _mul_into(rhs, {(left,): c}, co.mono(right), operator.add)
+    return _TripleSum._raw(lhs), _TripleSum._raw(rhs)
 
 
 def coassoc_residual(e: MotivicExpr) -> bool:
@@ -585,41 +663,40 @@ def coassoc_residual(e: MotivicExpr) -> bool:
         raise DomainError("coassoc_residual expects a MotivicExpr")
     _check_size(e)
     _check_size(e, "the coassociativity check", _coassoc_terms, COASSOC_TERM_CAP)
-    lhs = rhs = _TripleSum.zero()
-    for left, right in coact(e).group_by_left().items():
-        u = UnipotentExpr._raw({left: _F1})
-        lhs = lhs + hopf_coproduct(u).tensor(right)
-        rhs = rhs + u.tensor(coact(right))
+    lhs, rhs = _coassoc_sides(e)
     return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
 # Conjugates, spans, stability
 #
-# A span is kept as an echelon basis: a dict from pivot to row, where each
-# row is a combination whose largest monomial, its pivot, has coefficient 1
-# and is the pivot of no other row.  Reducing by the rows in descending pivot
-# order clears every pivot, since a row only touches monomials at or below
-# its own pivot; a combination lies in the span when it reduces to zero.
+# A span is kept as an echelon basis: a list of (pivot, row) in ascending
+# pivot order, where each row is a term dict whose largest monomial, its
+# pivot, has coefficient 1 and is the pivot of no other row.  Reducing by the
+# rows in descending pivot order clears every pivot, since a row only touches
+# monomials at or below its own pivot; a combination lies in the span when it
+# reduces to zero.
 # ---------------------------------------------------------------------------
 
 
-def _reduce(rows: dict, e: _Combination) -> _Combination:
-    for pivot in sorted(rows, reverse=True):
-        c = e.terms.get(pivot)
+def _reduce(span: list, terms: dict) -> dict:
+    # Reduces ``terms`` in place.
+    for pivot, row in reversed(span):
+        c = terms.get(pivot)
         if c:
-            e = e + (-c) * rows[pivot]
-    return e
+            _mul_into(terms, {(): -c}, row, _mono_mul)
+    return terms
 
 
-def _echelon(exprs) -> dict:
-    rows: dict = {}
+def _echelon(exprs) -> list:
+    span: list = []
     for e in exprs:
-        r = _reduce(rows, e)
-        if not r.is_zero():
-            pivot = max(r.terms)
-            rows[pivot] = r * (1 / r.terms[pivot])
-    return rows
+        r = _reduce(span, dict(e.terms))
+        if r:
+            pivot = max(r)
+            inv = 1 / r[pivot]
+            bisect.insort(span, (pivot, {k: c * inv for k, c in r.items()}))
+    return span
 
 
 def _conjugates(e: MotivicExpr) -> list[MotivicExpr]:
@@ -675,8 +752,7 @@ def stability_report(family: list[MotivicExpr]) -> StabilityReport:
             raise DomainError("stability_report expects MotivicExpr members")
         _check_size(f)
     span = _echelon(members)
-    outside = [(f, [c for c in _conjugates(f) if not _reduce(span, c).is_zero()])
-               for f in members]
+    outside = [(f, [c for c in _conjugates(f) if _reduce(span, dict(c.terms))]) for f in members]
     return StabilityReport(stable=all(not m for _, m in outside), outside=outside)
 
 
