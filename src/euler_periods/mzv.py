@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DivergentIndex, DomainError, TooLarge
-from .eulerfun import phi, zeta
 from .numkernel import (BRUTEFORCE_STEP_CAP, BigReal, check_prec, inner_prec, log_of,
                         _at_one, _fraction, _radius, _ratio, _relabel, _widen, _word)
 
@@ -53,6 +52,7 @@ def mzv(idx: Sequence[int], prec: int) -> BigReal:
     check_prec(prec)
     word = _word(idx[::-1], [1] * len(idx))  # raises TooLarge past numkernel.WEIGHT_CAP
     if len(idx) == 1:
+        from .eulerfun import zeta  # here, so that a deeper index loads no eulerfun
         return zeta(idx[0], prec)
     return _at_one(word, prec).demand("mzv")
 
@@ -141,6 +141,7 @@ def multiphi(idx: Sequence[int], prec: int) -> BigReal:
     check_prec(prec)
     word = _word(idx[::-1], (-1, 1) * len(idx))  # raises TooLarge past numkernel.WEIGHT_CAP
     if len(idx) == 1:
+        from .eulerfun import phi
         return -phi(idx[0], prec)
     return _at_one(word, prec).demand("multiphi")
 
@@ -161,6 +162,7 @@ def stuffle_residual(m: int, n: int, prec: int) -> BigReal:
         if not isinstance(part, int) or part < 2:
             raise DomainError(f"stuffle check requires parts >= 2, got ({m!r}, {n!r})")
     check_prec(prec)
+    from .eulerfun import zeta
     inner = inner_prec(prec, 2)
     lhs = zeta(m, inner) * zeta(n, inner)
     rhs = mzv((m, n), inner) + mzv((n, m), inner) + zeta(m + n, inner)
@@ -171,6 +173,7 @@ def stuffle_residual(m: int, n: int, prec: int) -> BigReal:
 def p35_combination(prec: int) -> BigReal:
     """The weight-8 combination ``(2/5)(29 zeta(8) - 12 zeta(3,5)) - 9 zeta(5) zeta(3)``."""
     check_prec(prec)
+    from .eulerfun import zeta
     inner = inner_prec(prec, 4)
     z8 = zeta(8, inner)
     z35 = mzv((3, 5), inner)

@@ -107,13 +107,21 @@ the signs of ``w_1 .. w_j``,
     I_1(w) = sum(sigma_j I_(1/2)(phi(w_j)..phi(w_1)) I_(1/2)(w_(j+1)..w_n), j = 0..n).
 
 Each ``phi(a)`` must be 0 or a letter too, ``|1 - a| >= 1``; for ``Li_n(z)``
-that means ``z`` in ``[-1, 1/2]`` or ``z = 1``.  :func:`_suffix_integrals`
-gives ``I_(1/2)`` of every suffix in one pass over the power series ``I_t =
-sum(c_k t**k)``: letter 0 divides ``c_k`` by ``k``, and letter ``a`` runs
-``D_k = (D_(k-1) + c_k)/a``, ``c'_(k+1) = D_k/(k+1)``.  In integer fixed
-point with ``b`` fraction bits and ``e_k = c_k 2**-k`` that is ``E_k =
-(E_(k-1) + e_k) // (2a)`` (for ``a = p/q`` one floor of ``(E_(k-1) + e_k)
-q / (2p)``) and ``e'_(k+1) = E_k // (k+1)``.  The declared bound is a proof:
+that means ``z`` in ``[-1, 1/2]`` or ``z = 1``.  Each side is one pass per
+letter over the power series ``I_t = sum(c_k t**k)``, innermost letter
+first, from the unit series ``I_t = 1``; the series' sum after each pass is
+``I_(1/2)`` of the letters run so far.  Letter 0 divides ``c_k`` by ``k``,
+and letter ``a`` runs ``D_k = (D_(k-1) + c_k)/a``, ``c'_(k+1) =
+D_k/(k+1)``.  In integer fixed point with ``b`` fraction bits and ``e_k =
+c_k 2**-k`` that is ``E_k = (E_(k-1) + e_k) // (2a)`` (for ``a = p/q`` one
+floor of ``(E_(k-1) + e_k) q / (2p)``) and ``e'_(k+1) = E_k // (k+1)``.
+:func:`_passes` runs them with one integer kernel per letter kind, each
+taking these same floors (for letters 1 and 2 a shift by 1 or 2 bits).  The
+factors ahead run ``w_n .. w_1`` and those behind ``phi(w_1) .. phi(w_n)``;
+the ``c`` leading letters the two share run once, and both sides fork from
+there.  Every MZV word shares at least one, since ``w_n = 1 = phi(w_1)``
+for an admissible word, and a word equal to its dual, such as that of
+``zeta(2, ..., 2)``, shares all ``n``.  The declared bound is a proof:
 
 1. Every ``|c_k| <= 1``: letter 0 divides by ``k >= 1``, and a letter with
    ``|a| >= 1`` gives ``|D_k| <= k + 1``.  So a series summed over ``k <=
@@ -136,8 +144,8 @@ priori: with ``wd = working_dps(prec)``, ``T = ceil(wd log2 10) + bitlen(n
 1) U)``.  Then ``alpha <= 2**(1-T)``, and steps 3 and 4 (for values of
 modulus below 2) stay below ``10**-wd / 2``, so a caller that scales a
 value (``coeff_a3`` takes ``50/3`` of ``multiphi((1, 3))``) keeps its
-margin.  Cost: ``2n`` passes of ``N + 1`` big-integer steps, linear in the
-weight, which :data:`WEIGHT_CAP` bounds.
+margin.  Cost: ``2n - c`` passes of ``N + 1`` big-integer steps, linear in
+the weight, which :data:`WEIGHT_CAP` bounds.
 """
 
 from __future__ import annotations
@@ -1723,7 +1731,10 @@ def _em_plan(digits: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 #: Maximum weight (word length) the iterated-integral engine runs on; cost
-#: is linear in it, about 70 ms at the cap and prec 100.
+#: is linear in it.  At the cap and prec 100 ``Li_1000(1/2)`` and ``multiphi``
+#: at weight 1000, whose two sides share one pass or none, take 50-70 ms, and
+#: ``zeta(2, ..., 2)``, whose sides share every pass, 22-28 ms (2-core x86-64
+#: VM).
 WEIGHT_CAP = 1000
 
 #: Most terms the coaction of one monomial may have: the product over its
@@ -1738,14 +1749,18 @@ COACTION_TERM_CAP = 2 * (WEIGHT_CAP + 1)
 
 #: Most terms :func:`~euler_periods.symbolic.coassoc_residual` may form for
 #: one monomial, estimated as the product over its atoms of ``C(n + 3, 3)``,
-#: about ``n**3 / 6``, for ``Li_m(n; z)``, 3 for an odd ``zeta_m`` and 1
-#: otherwise.  Per estimated term the check costs 0.4-0.5 us for products of
-#: polylogarithms and up to 0.9 us for a lone ``Li_m(n; z)`` or one with an
-#: odd ``zeta_m``, whose keys are longest, so the cap is priced at about 1 s
-#: for the costliest shape (2-core x86-64 VM): ``Li_m(206; 1/2)`` (1499784)
-#: takes 0.9-1.25 s and 73 MB of peak memory, ``zeta_m(3)*Li_m(142; 1/2)``
-#: (1492920) 1.1-1.4 s and 63 MB, ``Li_m(17; 1/2)*Li_m(17; 1/3)`` (1299600)
-#: 0.6-0.75 s and 44 MB, ``Li_m(12; 1/2)*Li_m(12; 1/3)`` (207025) 0.15 s.
+#: about ``n**3 / 6``, for ``Li_m(n; z)``, 4 for an odd ``zeta_m`` and 1
+#: otherwise.  An odd ``zeta_m`` forms 3 terms, but it lengthens every key:
+#: counted as 3, the time per estimated term grew about 1.3-fold with each
+#: one (0.67, 0.78, 1.02, 1.34 and 1.63 us for 0 to 4 of them beside one
+#: ``Li_m(n; 1/2)``, 7.6 us for ten alone), so it counts 4.  The cap is priced
+#: at about 1 s for the costliest shape, a lone ``Li_m(n; z)``, whose keys are
+#: longest (2-core x86-64 VM): ``Li_m(206; 1/2)`` (1499784) takes 0.8-1.45 s
+#: and 73 MB of peak memory, ``zeta_m(3)*Li_m(129; 1/2)`` (1498640) 0.8-1.2 s,
+#: ``zeta_m(3)*zeta_m(5)*zeta_m(7)*Li_m(50; 1/2)`` (1499264) 0.65-1.1 s, ten
+#: distinct odd ``zeta_m`` (1048576) 0.5-0.8 s, ``Li_m(17; 1/2)*Li_m(17;
+#: 1/3)`` (1299600) 0.45-0.75 s, ``Li_m(12; 1/2)*Li_m(12; 1/3)`` (207025)
+#: 0.15 s.
 COASSOC_TERM_CAP = 1_500_000
 
 #: Largest index :func:`bernoulli` computes.  The tangent numbers cost about
@@ -1776,26 +1791,34 @@ def _word(parts: Sequence[int], letters: Sequence[int | Fraction]) -> list[int |
     return [x for s, a in zip(parts, letters) for x in [0] * (s - 1) + [a]]
 
 
-def _suffix_integrals(word: Sequence[int | Fraction], terms: int, bits: int) -> list[int]:
-    """``I_(1/2)`` of ``word[j:]`` for ``j = 0..len(word)``, in units of ``2**-bits``.
+def _passes(letters: Sequence[int | Fraction], e: list[int], sums: list[int]) -> list[int]:
+    """Run one pass per letter over the series coefficients ``e``; append each new sum to ``sums``.
 
-    Each is the sum of the series coefficients ``e_0 .. e_terms``; the
-    last entry is the empty word, exactly 1.
+    ``e`` holds ``e_0 .. e_N`` in units of ``2**-bits`` and is not changed;
+    the coefficients after the last letter are returned.  Each letter kind
+    has its own integer kernel, and every kernel takes the floors of the
+    module docstring: letter 0 divides in one C-level map; a letter ``a =
+    p/q`` averages by ``(E + e_k) q // (2p)``, which for ``q = 1`` drops the
+    ``* q`` and for ``2p`` a positive power of two ``2**s`` (letters 1 and
+    2) is the shift ``(E + e_k) >> s``, the same floor.
     """
-    e = [1 << bits] + [0] * terms
-    out = [e[0]]
-    for a in reversed(word):
+    ks = range(1, len(e))
+    for a in letters:
         if a == 0:
-            e = [0] + [x // k for k, x in enumerate(e[1:], 1)]
+            e = [0, *map(floordiv, e[1:], ks)]
         else:
             q, p2 = a.denominator, 2 * a.numerator
-            avg, e_next = 0, [0]
-            for k in range(terms):
-                avg = (avg + e[k]) * q // p2
-                e_next.append(avg // (k + 1))
-            e = e_next
-        out.append(sum(e))
-    return out[::-1]
+            avg = 0
+            if q == 1 and p2 > 0 and not p2 & (p2 - 1):
+                s = p2.bit_length() - 1
+                avgs = [avg := (avg + x) >> s for x in e[:-1]]
+            elif q == 1:
+                avgs = [avg := (avg + x) // p2 for x in e[:-1]]
+            else:
+                avgs = [avg := (avg + x) * q // p2 for x in e[:-1]]
+            e = [0, *map(floordiv, avgs, ks)]
+        sums.append(sum(e))
+    return e
 
 
 def _at_one(word: Sequence[int | Fraction], prec: int, terms: int | None = None) -> BigReal:
@@ -1811,10 +1834,19 @@ def _at_one(word: Sequence[int | Fraction], prec: int, terms: int | None = None)
     planned = math.ceil(working_dps(prec) * math.log2(10)) + (n + 1).bit_length() + 3
     terms = planned if terms is None else terms
     bits = planned + ((terms + 1) * units).bit_length()
-    ahead = _suffix_integrals(word, terms, bits)
-    # Under t -> 1 - t letter a becomes 1 - a, and the sign flips unless a is 0 or 1.
-    behind = _suffix_integrals([1 - a for a in reversed(word)], terms, bits)[::-1]
+    # ahead[i] is I_(1/2) of the last i letters and behind[i] of phi(w_1)..phi(w_i):
+    # under t -> 1 - t letter a becomes 1 - a, and the sign flips unless a is 0 or 1.
+    # The two sides run their common leading letters once and fork from there.
+    first, second = word[::-1], [1 - a for a in word]
+    shared = 0
+    while shared < n and first[shared] == second[shared]:
+        shared += 1
+    ahead = [1 << bits]
+    e = _passes(first[:shared], [1 << bits] + [0] * terms, ahead)
+    behind = ahead[:]
+    _passes(first[shared:], e, ahead)
+    _passes(second[shared:], e, behind)
     signs = accumulate((1 if a in (0, 1) else -1 for a in word), mul, initial=1)
-    total = sum(s * x * y for s, x, y in zip(signs, behind, ahead))
+    total = sum(map(mul, map(mul, signs, behind), reversed(ahead)))
     alpha = (1 << max(bits - terms, 0)) + (terms + 1) * units
     return _finish(total, 2 * bits, (n + 1) * alpha * ((2 << bits) + alpha), prec)

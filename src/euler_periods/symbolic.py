@@ -534,7 +534,9 @@ def _coaction_terms(mono: tuple) -> int:
 
 
 def _coassoc_terms(mono: tuple) -> int:
-    return math.prod(math.comb(a[1] + 3, 3) if a[0] == "lim" else 3 if a[0] == "zm" and a[1] % 2 else 1
+    # An odd zeta_m has 3 terms but counts 4: each one lengthens every key, and
+    # the time per term grows about 1.3-fold with it (numkernel.COASSOC_TERM_CAP).
+    return math.prod(math.comb(a[1] + 3, 3) if a[0] == "lim" else 4 if a[0] == "zm" and a[1] % 2 else 1
                      for a in mono)
 
 

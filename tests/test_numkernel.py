@@ -1,7 +1,9 @@
 """Kernel tests: exact rationals, BigReal propagation, the two summers."""
 
+import __future__
 import copy
 import dataclasses
+import inspect
 import math
 import os
 import pickle
@@ -11,6 +13,9 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate
+from operator import mul
 from pathlib import Path
 
 import mpmath
@@ -40,6 +45,9 @@ from euler_periods.numkernel import (
     working_bits,
     working_dps,
     zeta_values,
+    _at_one,
+    _finish,
+    _word,
 )
 from test_integer_ops import oracle_text
 from test_symbolic import read_digits
@@ -1690,3 +1698,122 @@ def bits_in_fresh_interpreter(calls: list[str]) -> str:
 ])
 def test_cached_weights_do_not_leak_across_precisions(warm, call):
     assert bits_in_fresh_interpreter([warm, call]) == bits_in_fresh_interpreter([call])
+
+
+# ---------------------------------------------------------------------------
+# The iterated-integral engine against the one-pass-per-side reference
+# ---------------------------------------------------------------------------
+
+
+def ref_suffix_integrals(word, terms: int, bits: int) -> list[int]:
+    """``I_(1/2)`` of ``word[j:]`` for ``j = 0..len(word)``, in units of ``2**-bits``.
+
+    Each is the sum of the series coefficients ``e_0 .. e_terms``; the
+    last entry is the empty word, exactly 1.
+    """
+    e = [1 << bits] + [0] * terms
+    out = [e[0]]
+    for a in reversed(word):
+        if a == 0:
+            e = [0] + [x // k for k, x in enumerate(e[1:], 1)]
+        else:
+            q, p2 = a.denominator, 2 * a.numerator
+            avg, e_next = 0, [0]
+            for k in range(terms):
+                avg = (avg + e[k]) * q // p2
+                e_next.append(avg // (k + 1))
+            e = e_next
+        out.append(sum(e))
+    return out[::-1]
+
+
+def ref_at_one(word, prec: int, terms: int | None = None) -> BigReal:
+    """The engine as it ran each side in full, every letter by one general loop."""
+    n = len(word)
+    units = sum(3 if a else 1 for a in word)
+    planned = math.ceil(working_dps(prec) * math.log2(10)) + (n + 1).bit_length() + 3
+    terms = planned if terms is None else terms
+    bits = planned + ((terms + 1) * units).bit_length()
+    ahead = ref_suffix_integrals(word, terms, bits)
+    # Under t -> 1 - t letter a becomes 1 - a, and the sign flips unless a is 0 or 1.
+    behind = ref_suffix_integrals([1 - a for a in reversed(word)], terms, bits)[::-1]
+    signs = accumulate((1 if a in (0, 1) else -1 for a in word), mul, initial=1)
+    total = sum(s * x * y for s, x, y in zip(signs, behind, ahead))
+    alpha = (1 << max(bits - terms, 0)) + (terms + 1) * units
+    return _finish(total, 2 * bits, (n + 1) * alpha * ((2 << bits) + alpha), prec)
+
+
+#: Words over every letter kind: 0; 1 and 2, which shift; the other integers
+#: -1, 3 and -2; and 1/z with a denominator, 7/2, -7/2, 4/3 and 5/2 (z = 2/7,
+#: -2/7, 3/4, 2/5), whose images 1 - a are -5/2, 9/2, -1/3 and -3/2.
+ENGINE_WORDS = [
+    [0, 1], _word((3, 2), (1, 1)), _word((4, 1, 1), (1, 1, 1)), _word((2, 1, 1, 3), (1,) * 4),
+    _word((3, 1, 3, 1), (1,) * 4), _word((3, 1), (-1, 1)), _word((2, 3), (-1, 1)), [-1, 1],
+    [0, 0, 2], [0, -2], [0, 0, 3], [0, 2, 0, -1, 1], [0, Fraction(7, 2)],
+    [0, 0, Fraction(-7, 2)], [0, Fraction(4, 3)], [0, 0, Fraction(5, 2)], [3, 0, -2, 0, 1],
+]
+ENGINE_TERMS = [None, 0, 1, 12, 64, 128]
+ENGINE_PRECS = [1, 15, 50, 100]
+
+
+def shared_passes(word) -> int:
+    """How many leading letters the two sides of the split have in common."""
+    first, second = word[::-1], [1 - a for a in word]
+    return next((j for j, (x, y) in enumerate(zip(first, second)) if x != y), len(word))
+
+
+@cache
+def ref_fields(word: tuple, prec: int, terms: int | None) -> tuple:
+    x = ref_at_one(list(word), prec, terms)
+    return x._mid, x._man, x._exp, x._prec
+
+
+def mismatches(at_one=_at_one) -> list[tuple]:
+    """The (word, prec, terms) of the grid on which ``at_one`` differs from the reference in any bit."""
+    out = []
+    for prec in ENGINE_PRECS:
+        for word in ENGINE_WORDS:
+            for terms in ENGINE_TERMS:
+                x = at_one(word, prec, terms)
+                if (x._mid, x._man, x._exp, x._prec) != ref_fields(tuple(word), prec, terms):
+                    out.append((word, prec, terms))
+    return out
+
+
+def mutant(name: str, old: str, new: str):
+    """numkernel's function ``name`` compiled with ``old`` in its source replaced by ``new``."""
+    source = inspect.getsource(getattr(numkernel, name))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(numkernel))
+    code = compile(source.replace(old, new), numkernel.__file__, "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    exec(code, namespace)
+    return namespace[name]
+
+
+def test_the_engine_words_cover_every_letter_kind_and_shared_prefix():
+    letters = {a for word in ENGINE_WORDS for a in word}
+    assert {0, 1, 2, -1, 3, -2} <= letters
+    assert {a.denominator > 1 for a in letters if a > 0} == {True, False}
+    assert any(a.denominator > 1 for a in letters if a < 0)
+    shares = {(shared_passes(w), len(w)) for w in ENGINE_WORDS}
+    assert {0, 1} <= {c for c, _ in shares}
+    assert any(1 < c < n for c, n in shares) and any(c == n for c, n in shares)
+
+
+def test_iterated_integrals_match_the_reference_bit_for_bit():
+    assert mismatches() == []
+
+
+def test_the_reference_catches_a_shift_for_a_negative_letter(monkeypatch):
+    # -1 and -2 are powers of two in size, but floor division by -2p is no shift.
+    shifted = mutant("_passes", "q == 1 and p2 > 0 and not p2 & (p2 - 1)", "q == 1 and not abs(p2) & (abs(p2) - 1)")
+    monkeypatch.setattr(numkernel, "_passes", shifted)
+    wrong = {tuple(word) for word, _, _ in mismatches()}
+    assert wrong == {tuple(word) for word in ENGINE_WORDS if {-1, -2} & {*word, *(1 - a for a in word)}}
+
+
+def test_the_reference_catches_a_shared_prefix_run_one_letter_too_far():
+    too_far = mutant("_at_one", "    ahead = [1 << bits]\n", "    shared = min(shared + 1, n)\n    ahead = [1 << bits]\n")
+    wrong = {tuple(word) for word, _, _ in mismatches(too_far)}
+    assert wrong == {tuple(word) for word in ENGINE_WORDS if shared_passes(word) < len(word)}

@@ -741,10 +741,15 @@ def test_coaction_past_the_term_cap_is_refused_before_any_work(monkeypatch, call
 @pytest.mark.parametrize("text,size", [("Li_m(207; 1/2)", 1521520), ("Li_m(20; 1/2)*Li_m(20; 1/3)", 1771 * 1771),
                                        ("Li_m(8; 1/2)*Li_m(8; 1/3)*Li_m(8; -1)", 165 ** 3),
                                        ("zeta_m(3)*zeta_m(5)*Li_m(60; 1/2)*Li_m(3; 1/3) + zeta_m(2)",
-                                        9 * 39711 * 20)])
+                                        16 * 39711 * 20),
+                                       ("zeta_m(3)*Li_m(130; 1/2)", 4 * 383306),
+                                       ("zeta_m(3)*Li_m(142; 1/2)", 4 * 497640),
+                                       ("zeta_m(3)*zeta_m(5)*zeta_m(7)*Li_m(51; 1/2)", 64 * 24804)])
 def test_coassociativity_past_its_cap_is_refused_before_any_work(monkeypatch, text, size):
     # Each passes the coaction cap; the two double coactions form about n**3/6
-    # terms per Li_m(n; z), C(n + 3, 3), and 3 per odd zeta_m.
+    # terms per Li_m(n; z), C(n + 3, 3), and 3 per odd zeta_m, which counts 4
+    # for the longer keys it makes.  The last three were admitted when an odd
+    # zeta_m counted 3: zeta_m(3)*Li_m(142; 1/2) took 1.1-1.4 s.
     e = parse_expr(text)
     assert len(coact(e).terms) <= COACTION_TERM_CAP
     monkeypatch.setattr(symbolic, "_Image", refuse_work)
@@ -762,9 +767,12 @@ def test_coassociativity_up_to_its_cap_is_allowed(text):
     assert coassoc_residual(parse_expr(text))
 
 
-@pytest.mark.parametrize("text,size", [("Li_m(206; 1/2)", 1499784), ("zeta_m(3)*Li_m(142; 1/2)", 3 * 497640)])
+@pytest.mark.parametrize("text,size", [("Li_m(206; 1/2)", 1499784), ("zeta_m(3)*Li_m(129; 1/2)", 4 * 374660),
+                                       ("zeta_m(3)*zeta_m(5)*zeta_m(7)*Li_m(50; 1/2)", 64 * 23426),
+                                       ("zeta_m(3)" + "*zeta_m(3)" * 9, 4 ** 10)])
 def test_coassociativity_at_its_cap_reaches_the_work(monkeypatch, text, size):
-    # The costliest shapes just under the cap, about 1 s each, are admitted.
+    # The costliest shapes just under the cap, at most about 1 s each, are
+    # admitted, and so is the most odd zeta_m the coaction cap lets through.
     e = parse_expr(text)
     assert symbolic._coassoc_terms(next(iter(e.terms))) == size <= COASSOC_TERM_CAP
     monkeypatch.setattr(symbolic, "_coassoc_sides", lambda e: ("reached", "reached"))
