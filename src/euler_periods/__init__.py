@@ -47,6 +47,8 @@ _EXPORTS = {
     "numkernel": (
         "BigReal",
         "accel_alt_sum",
+        "alt_bits",
+        "alt_terms_needed",
         "bernoulli",
         "em_sum",
         "working_bits",

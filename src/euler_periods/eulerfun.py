@@ -24,6 +24,7 @@ from .numkernel import (
     BigReal,
     ScalarLike,
     accel_alt_sum,
+    alt_bits,
     alt_terms_needed,
     as_fraction,
     bernoulli,
@@ -48,6 +49,7 @@ from .numkernel import (
     _relabel,
     _word,
     _zeta_pass,
+    _zeta_plan,
 )
 
 #: Largest prime bound accepted by the Euler-product residual check.
@@ -73,7 +75,9 @@ def zeta(s: ScalarLike, prec: int) -> BigReal:
     ``"3"``, ``3.0`` and ``Fraction(3)`` are one argument.  Every ``s`` is
     ``phi(s) / (1 - 2**(1-s))``: one Chebyshev pass over the rows of
     :func:`phi`, then :func:`~euler_periods.numkernel._zeta_pass`, the step
-    :func:`~euler_periods.numkernel.zeta_values` takes, finished by
+    :func:`~euler_periods.numkernel.zeta_values` takes on the same plan
+    (:func:`~euler_periods.numkernel._zeta_plan`, one bit finer than
+    ``phi``'s for the step's factor of up to 2), finished by
     :func:`~euler_periods.numkernel._finish`, so ``zeta(n, p)`` at an
     integer is the batch's integer for ``n`` at ``p``.  Raises
     :class:`DomainError` for ``s <= 1``; the ``s = 1`` series is harmonic
@@ -84,11 +88,14 @@ def zeta(s: ScalarLike, prec: int) -> BigReal:
     :func:`~euler_periods.numkernel.inner_prec` ``(prec, k)``, with ``k``
     the digits of ``floor(1/(s - 1))``: ``floor(log10(1/(s - 1))) + 1``
     below ``s = 2`` and 1 above, where it covers the divisor's factor of up
-    to 2.  The ball is returned at ``prec``; an integer ``s`` adds none.  A
-    ``prec + k`` past :data:`~euler_periods.numkernel.INNER_TOP` (118) raises
-    :class:`PrecisionNotMet` naming ``s - 1`` and ``prec`` before any row is
-    built: ``zeta(1 + 10**-12, 15)`` and ``zeta(1 + 10**-60, 15)`` certify,
-    ``zeta(1 + 10**-30, 100)`` is refused.
+    to 2.  There the pass plans one bit finer than ``T = 2**-MARGIN_BITS
+    10**-(prec + k)``, and the factor ``2**(s-1) / (2**(s-1) - 1)``, below
+    ``2 / (s - 1) < 2 10**k`` and at most 2, keeps the bound within ``T`` at
+    ``prec``.  The ball is returned at ``prec``; an integer ``s`` adds none.
+    A ``prec + k`` past :data:`~euler_periods.numkernel.INNER_TOP` (118)
+    raises :class:`PrecisionNotMet` naming ``s - 1`` and ``prec`` before any
+    row is built: ``zeta(1 + 10**-12, 15)`` and ``zeta(1 + 10**-60, 15)``
+    certify, ``zeta(1 + 10**-30, 100)`` is refused.
     """
     check_prec(prec)
     q = as_fraction(s, "s")
@@ -103,7 +110,7 @@ def zeta(s: ScalarLike, prec: int) -> BigReal:
             f"zeta at s = {_shown(s, q, 1)}: s - 1 = {_shown(q - 1, q - 1)} needs {extra} digits past "
             f"prec {prec}, beyond the working top {INNER_TOP}")
     inner = inner_prec(prec, extra)
-    n, bits = alt_terms_needed(inner), working_bits(inner)
+    n, bits = _zeta_plan(inner)
     total, err = _zeta_pass(_power_rows(q, n, bits), q, n, bits)
     z = _finish(total, bits, err, inner)
     return _relabel(z, prec).demand("zeta")
@@ -128,7 +135,7 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
     and continues it below: ``phi(1) = log 2``.  Evaluated by accelerated
     alternating summation.  ``s`` must be a finite rational, as for
     :func:`zeta`.  The rows ``floor(2**b k**-s)`` of
-    :func:`~euler_periods.numkernel._power_rows`, ``b = working_bits(prec)``,
+    :func:`~euler_periods.numkernel._power_rows`, ``b = alt_bits(prec)``,
     exact floors at every ``s``, go to
     :func:`~euler_periods.numkernel.accel_alt_sum` as they are, within the
     one unit the engine allows a row.  Rows that floor to 0 end the series
@@ -138,8 +145,7 @@ def phi(s: ScalarLike, prec: int) -> BigReal:
     q = as_fraction(s, "s")
     if not q > 0:
         raise DomainError(f"phi requires s > 0, got s = {_shown(s, q, 0)}")
-    n, bits = alt_terms_needed(prec), working_bits(prec)
-    return accel_alt_sum(_power_rows(q, n, bits), prec)
+    return accel_alt_sum(_power_rows(q, alt_terms_needed(prec), alt_bits(prec)), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -212,30 +218,40 @@ def gamma_const(prec: int, method: str = "EM") -> BigReal:
     alternating acceleration.  The two must agree within their combined
     bounds, which the test suite enforces.
 
-    ``"ZETA_SERIES"`` takes all of its ``zeta(n)`` from one
-    :func:`~euler_periods.numkernel.zeta_values` batch at ``prec``, as
-    integers ``total`` within ``err`` units of ``2**-b``, ``b =
-    working_bits(prec)``, and the declared bound includes their propagated
-    uncertainty.  Row ``k`` of the
-    :func:`~euler_periods.numkernel.accel_alt_sum` pass is ``total // (k +
-    1)``, within ``err / (k + 1)`` of ``2**b zeta(k + 1) / (k + 1)`` before
-    its floor, so its bound is ``ceil(err / (k + 1))`` units.  No mpf is
-    built before the pass's one conversion.  Cost: at prec 15 / 50 / 100
-    the batch is ``zeta(2)..zeta(n)`` for n = 33 / 79 / 144, each from one
-    Chebyshev pass over shared rows, about 0.2 / 0.9 / 3.3 ms on a shared
+    ``"ZETA_SERIES"`` runs at ``inner = inner_prec(prec, 1)``: each
+    ``zeta(k + 1)`` carries up to twice the Chebyshev bound into row ``k``,
+    and their sum over ``k`` about ``log n`` times it, so the pass and its
+    batch plan a digit finer than ``prec`` for the value to meet ``T =
+    2**-MARGIN_BITS 10**-prec``; a ``prec`` at the working top 118 raises
+    :class:`PrecisionNotMet`.  It takes all of its ``zeta(n)`` from one
+    :func:`~euler_periods.numkernel.zeta_values` batch at ``inner``, as
+    integers ``total`` within ``err`` units of ``2**-B``, and the declared
+    bound includes their propagated uncertainty.  With ``b =
+    alt_bits(inner)`` and ``h = B - b``, row ``k`` of the
+    :func:`~euler_periods.numkernel.accel_alt_sum` pass is ``(total >> h)
+    // (k + 1)``, the floor of ``total / (2**h (k + 1))``, within ``err /
+    (2**h (k + 1))`` of ``2**b zeta(k + 1) / (k + 1)`` before its floor, so
+    its bound is ``ceil(err / (2**h (k + 1)))`` units.  No mpf is built
+    before the pass's one conversion.  Cost: at prec 15 / 50 / 100 the
+    batch is ``zeta(2)..zeta(n)`` for n = 25 / 70 / 136, each from one
+    Chebyshev pass over shared rows, about 0.16 / 0.8 / 3.2 ms on a shared
     2-core x86-64 VM the first time at a prec.  ``zeta_values`` caches the
     batch as integers, so a warm call is the one more pass over the n - 1
-    rows of the series, about 0.03 / 0.06 / 0.13 ms.  No gamma value and no
-    mpf is cached.
+    rows of the series.  No gamma value and no mpf is cached.
     """
     check_prec(prec)
     if method == "EM":
         return em_sum(prec)
     if method == "ZETA_SERIES":
-        _, zetas = zeta_values(alt_terms_needed(prec) + 1, prec)
-        rows = [total // s for s, (total, _) in enumerate(zetas, 2)]
-        bounds = [-(-err // s) for s, (_, err) in enumerate(zetas, 2)]
-        return accel_alt_sum(rows, prec, bounds)
+        if prec >= INNER_TOP:
+            raise PrecisionNotMet(f"gamma_const by the zeta series runs a digit past prec {prec}, "
+                                  f"beyond the working top {INNER_TOP}")
+        inner = inner_prec(prec, 1)
+        bits, zetas = zeta_values(alt_terms_needed(inner) + 1, inner)
+        shift = bits - alt_bits(inner)
+        rows = [(total >> shift) // s for s, (total, _) in enumerate(zetas, 2)]
+        bounds = [-(-err // (s << shift)) for s, (_, err) in enumerate(zetas, 2)]
+        return _relabel(accel_alt_sum(rows, inner, bounds), prec)
     raise DomainError(f"unknown gamma_const method {method!r}; use 'EM' or 'ZETA_SERIES'")
 
 

@@ -22,24 +22,35 @@ Everything numerical in this package funnels through this module:
   words give multiple zeta values, alternating sums and polylogarithms.
 
 Every engine sizes itself a priori and runs once; a plan that misses
-raises :class:`PrecisionNotMet`.  Euler-Maclaurin, whose one caller is
-:func:`em_sum`, takes the cheapest split and term count whose closed-form
-first omitted term meets its target (:func:`_em_plan`).  Chebyshev takes
-``n = ceil((wd - 1 + log10 2) / log10(3 + sqrt(8)))`` terms and the
+raises :class:`PrecisionNotMet`.  The Chebyshev pass and the iterated
+integrals plan by one rule: the fewest terms and fixed-point bits whose
+proved bound meets ``T = 2**-MARGIN_BITS 10**-prec``, taken as ``2**-t``
+for the fewest such bits ``t`` (:func:`_target_bits`).  Chebyshev takes
+the least ``n`` with ``(3 + sqrt(8))**n >= 2**(t + 2)``, by the
 Cohen-Rodriguez Villegas-Zagier bound ``2 |S| / (3 + sqrt(8))**n``, a
-theorem for the moment sequences every caller sums.  No engine caches an
-mpf: the integer Chebyshev weights and their absolute sum are cached per
-term count, the Euler-Maclaurin plan per digit count, the last 128
-:func:`zeta_values` batches per ``(top, prec)`` as tuples of integers, the
-least prime factors the power rows start from, and the raw tuples of
-:func:`_pi` per precision and the last 256 of :func:`_log`.
+theorem for the moment sequences every caller sums, and the bits that
+the rows' units need past ``t`` (:func:`_alt_plan`); ``zeta`` and
+:func:`zeta_values` plan one bit finer for the factor of at most 2 their
+last step applies (:func:`_zeta_plan`).  The iterated integrals plan
+their terms and bits from ``t`` and the weight.  Euler-Maclaurin, whose
+one caller is :func:`em_sum`, keeps its own rule: the cheapest split and
+term count whose closed-form first omitted term meets ``10**-(prec +
+GUARD_DIGITS - 1)`` (:func:`_em_plan`).  No engine caches an mpf: the
+integer Chebyshev weights and their absolute sum are cached per term
+count, the Chebyshev plan per target, the Euler-Maclaurin plan per digit
+count, the last 128 :func:`zeta_values` batches per ``(top, prec)`` as
+tuples of integers, the least prime factors the power rows start from,
+and the raw tuples of :func:`_pi` per precision and the last 256 of
+:func:`_log`.
 
-Every engine sums in Python-integer fixed point at the binary precision
-:func:`working_bits` of ``prec`` plus :data:`GUARD_DIGITS` decimal digits:
-the Euler-Maclaurin body of :func:`em_sum`, the Chebyshev dot product in
-:func:`_chebyshev` and the iterated integrals.  Identical inputs produce
-bit-identical outputs.  Each engine is exercised against independent
-references in the test suite.
+Every engine sums in Python-integer fixed point at the bits of its plan:
+the Chebyshev dot product in :func:`_chebyshev` and the iterated integrals
+at those of ``T``, the Euler-Maclaurin body of :func:`em_sum` at
+:func:`working_bits`.  :class:`BigReal` rounds its ops, and
+:func:`_finish` each engine's one result, at :func:`working_bits`, the
+binary precision of ``prec`` plus :data:`GUARD_DIGITS` decimal digits.
+Identical inputs produce bit-identical outputs.  Each engine is exercised
+against independent references in the test suite.
 
 Rounding
 --------
@@ -86,9 +97,10 @@ integers: their bounds are proved in the docstrings of :func:`em_sum` and
 :func:`_finish`, which rounds the integer total to nearest at ``b =
 working_bits(prec)`` bits and adds ``(|total| >> b) + 1`` units for it.
 :func:`zeta_values` converts nothing: it hands over its integer sums and
-unit bounds at the same ``b``, proved in its docstring, and
-``gamma_const("ZETA_SERIES")`` divides them into its Chebyshev rows;
-``zeta`` converts the pair of :func:`_zeta_pass` by :func:`_finish`.
+unit bounds at the bits of its plan, proved in its docstring, and
+``gamma_const("ZETA_SERIES")`` shifts and divides them into the rows of a
+Chebyshev pass a digit finer than ``prec``; ``zeta`` converts the pair of
+:func:`_zeta_pass` by :func:`_finish`.
 
 Iterated integrals at 1/2
 -------------------------
@@ -139,13 +151,15 @@ for an admissible word, and a word equal to its dual, such as that of
    bits adds at most ``|value| 2**-p`` (:func:`_finish`).
 
 The bound is that count of units, rounded up to an mpf.  The plan comes a
-priori: with ``wd = working_dps(prec)``, ``T = ceil(wd log2 10) + bitlen(n
-+ 1) + 3``, ``N = T`` unless the caller sets it, and ``b = T + bitlen((N +
-1) U)``.  Then ``alpha <= 2**(1-T)``, and steps 3 and 4 (for values of
-modulus below 2) stay below ``10**-wd / 2``, so a caller that scales a
-value (``coeff_a3`` takes ``50/3`` of ``multiphi((1, 3))``) keeps its
-margin.  Cost: ``2n - c`` passes of ``N + 1`` big-integer steps, linear in
-the weight, which :data:`WEIGHT_CAP` bounds.
+priori, the fewest terms and bits whose bound meets the engines' one target
+``2**-t <= 2**-MARGIN_BITS 10**-prec`` (:func:`_target_bits`): with ``P =
+t + bitlen(n + 1) + 3``, ``N = P`` unless the caller sets it, and ``b = P +
+bitlen((N + 1) U)``.  Then ``alpha <= 2**(1-P)``, and steps 3 and 4 (for
+values of modulus below 2) stay below ``2**-(t+1)``; a caller that scales a
+value (``coeff_a3`` takes ``50/3`` of ``multiphi((1, 3))``) keeps the
+margin of its own :func:`inner_prec`.  Cost: ``2n - c`` passes of ``N +
+1`` big-integer steps, linear in the weight, which :data:`WEIGHT_CAP`
+bounds.
 """
 
 from __future__ import annotations
@@ -163,8 +177,16 @@ from .errors import DomainError, InputError, PrecisionNotMet, TooLarge
 if TYPE_CHECKING:
     from mpmath import mpf
 
-#: Decimal digits carried internally beyond the requested precision.
+#: Decimal digits past ``prec`` at which :class:`BigReal` rounds its ops:
+#: they set :func:`working_bits` and nothing else.  The engines plan from
+#: :data:`MARGIN_BITS` instead.
 GUARD_DIGITS = 10
+
+#: Bits below ``10**-prec`` that every engine plans for: each asks for the
+#: fewest terms and fixed-point bits whose proved bound meets ``T =
+#: 2**-MARGIN_BITS 10**-prec``.  At 3, a bound plus half a unit of the
+#: ``prec``-th decimal stays within ``10**-prec`` with 3/8 of a unit to spare.
+MARGIN_BITS = 3
 
 #: Inclusive bounds for the ``prec`` argument accepted throughout.
 MIN_PREC = 1
@@ -174,7 +196,7 @@ ScalarLike = Union[int, Fraction, str, "mpf", float]
 
 
 def working_dps(prec: int) -> int:
-    """Internal decimal precision used for a request of ``prec`` digits."""
+    """``prec + GUARD_DIGITS``: the decimal digits of :class:`BigReal`'s op rounding at ``prec``."""
     return prec + GUARD_DIGITS
 
 
@@ -185,8 +207,13 @@ def dps_to_prec(dps: int) -> int:
 
 @lru_cache(maxsize=None)
 def working_bits(prec: int) -> int:
-    """``b``, the binary precision mpmath carries at ``working_dps(prec)`` digits."""
+    """``b``, the binary precision mpmath carries at ``working_dps(prec)`` digits: where :class:`BigReal` rounds."""
     return dps_to_prec(working_dps(prec))
+
+
+def _target_bits(prec: int) -> int:
+    """``t``, the fewest bits with ``2**-t <= T = 2**-MARGIN_BITS 10**-prec``: the one target of every engine plan."""
+    return MARGIN_BITS + _TEN_TO[prec].bit_length()
 
 
 #: Most digits a chain of inner steps adds past :data:`MAX_PREC`: g2's
@@ -1236,14 +1263,17 @@ def _iroot(x: int, q: int) -> int:
 #: by integer roots; past it the rows are :func:`_exp_rows`'s, the same
 #: integers, so the cap moves cost and never a value.  Its value is kept
 #: from when libmp's power took the rows past it; it is not a measured
-#: crossover, and no benchmark workload has ``q * bits`` above 4428 (``q <=
-#: 12`` at prec 100).  Scratch timings on a 2-core x86-64 VM put the
-#: crossover near 4400 at prec 100: the exp and log rows cost about 1.2 ms
-#: for the 143 rows whatever ``q`` is, while the roots took 1.3 ms at ``q *
-#: bits = 4428`` (``s = 13/12``) and 2.6 ms at 8118 (``s = 45/22``).  Under
-#: it the roots win: on 40 exponents drawn as the sweep draws them they
-#: took 0.04 / 0.14 / 0.38 ms against 0.14 / 0.44 / 1.19 ms at prec 15,
-#: 50 and 100.
+#: crossover.  The planned row bits at prec 100 are 344 for ``phi`` and 345
+#: for ``zeta`` at an integer, 348 at a non-integer ``s`` (a digit higher),
+#: so no benchmark workload has ``q * bits`` above 4176 (``q <= 12``), and
+#: ``s = 45/23`` (8004 for ``zeta``) is the last ``q`` under the cap, ``49/24``
+#: the first past it.  Scratch timings at the old 369 bits on a 2-core
+#: x86-64 VM put the crossover near 4400 at prec 100: the exp and log rows
+#: cost about 1.2 ms for the 143 rows whatever ``q`` is, while the roots
+#: took 1.3 ms at ``q * bits = 4428`` (``s = 13/12``) and 2.6 ms at 8118
+#: (``s = 45/22``).  Under it the roots win: on 40 exponents drawn as the
+#: sweep draws them they took 0.04 / 0.14 / 0.38 ms against 0.14 / 0.44 /
+#: 1.19 ms at prec 15, 50 and 100.
 _ROOT_BITS_CAP = 1 << 13
 
 #: ``_LEAST_FACTOR[k]`` is the least prime factor of ``k >= 2``; filled by
@@ -1293,7 +1323,7 @@ def _power_rows(s: Fraction, n: int, bits: int) -> list[int]:
     ``_power_rows(s, 2, bits + g)`` of :func:`_zeta_pass`, count the one
     unit :func:`accel_alt_sum` allows a row.
 
-    Cost at prec 100 (143 rows): 34 roots and 108 products, of which 11
+    Cost for 143 rows at 369 bits: 34 roots and 108 products, of which 11
     need the check at ``s = 37/11`` and 90 at ``s = 1/2``.  At ``s =
     37/11`` the rows take about 1.1 ms against 3.7 ms for a root per row,
     four fifths of it in the roots (2-core x86-64 VM).
@@ -1363,7 +1393,7 @@ def _exp_rows(s: Fraction, n: int, bits: int) -> list[int]:
     would take about ``log2(1/f)`` guard bits.  Any other value is not an
     integer, so doubling ``g`` from ``48`` plus the bits of ``s`` until each
     floor is decided ends.  Rows never grow with ``k``, so once one is 0 the
-    rest are.  Cost at prec 100 (146 rows of ``s = 101/100``): about half the
+    rest are.  Cost for 146 rows of ``s = 101/100`` at 375 bits: about half the
     time of libmp's powers, 1.1 against 1.9 ms (2-core x86-64 VM).
     """
     p, q = s.numerator, s.denominator
@@ -1409,17 +1439,40 @@ def _exp_rows(s: Fraction, n: int, bits: int) -> list[int]:
         g *= 2
 
 
+@lru_cache(maxsize=None)
+def _alt_plan(t: int) -> tuple[int, int]:
+    """``(n, b)``: the fewest Chebyshev terms and fraction bits whose bound meets ``2**-t``.
+
+    For rows that are exact floors of a series with ``|a_1| <= 1``, by the
+    count of :func:`accel_alt_sum`: ``n`` is the least with ``2 d - 1 >=
+    2**(t + 2)``, so the truncation costs under ``2**(b - t - 1) + 2``
+    units, and ``b = t + 1 + bitlen(R)`` with ``R = ceil(sum(|c_k|) / d) +
+    8``, so the rows, the floor and the finish, ``R - 6`` units more, leave
+    the bound below ``2**(b - t) - 5`` units: ``2**-t`` with 5 units to
+    spare for a caller's last floors (:func:`_zeta_pass`).
+    """
+    n, d, d_next = 0, 1, 3
+    while 2 * d - 1 < 1 << t + 2:
+        n, d, d_next = n + 1, d_next, 6 * d_next - d
+    _, d, size = _cvz_weights(n)
+    return n, t + 1 + (8 - (-size // d)).bit_length()
+
+
 def alt_terms_needed(prec: int) -> int:
-    """Leading terms :func:`accel_alt_sum` reads at ``prec``: 32 / 78 / 143 at 15 / 50 / 100."""
-    wd = working_dps(check_prec(prec))
-    return math.ceil((wd - 1 + math.log10(2)) / math.log10(3 + math.sqrt(8)))
+    """Leading terms :func:`accel_alt_sum` reads at ``prec``: 22 / 68 / 133 at 15 / 50 / 100."""
+    return _alt_plan(_target_bits(check_prec(prec)))[0]
+
+
+def alt_bits(prec: int) -> int:
+    """``b``: :func:`accel_alt_sum` reads its rows at ``prec`` in units of ``2**-b``; 59 / 177 / 344 at 15 / 50 / 100."""
+    return _alt_plan(_target_bits(check_prec(prec)))[1]
 
 
 def accel_alt_sum(rows: Sequence[int], prec: int, bounds: Sequence[int] | None = None) -> BigReal:
     """``sum((-1)**(k-1) * a_k, k >= 1)`` to ``prec`` certified digits, from integer rows.
 
     ``rows[k-1]`` is ``|a_k|`` as a non-negative integer in units of
-    ``2**-b``, ``b = working_bits(prec)``, for the first ``n =
+    ``2**-b``, ``b = alt_bits(prec)``, for the first ``n =
     alt_terms_needed(prec)`` terms; rows past ``n`` are not read.
     ``bounds``, if given, holds a non-negative integer ``delta_k`` per row,
     with ``|rows[k-1] - 2**b |a_k|| <= delta_k + 1``; without it every
@@ -1443,8 +1496,9 @@ def accel_alt_sum(rows: Sequence[int], prec: int, bounds: Sequence[int] | None =
        sign like the terms, so the estimate moves by at most ``sum(|c_k|
        (delta_k + 1)) / d``, all of it when every term errs the same way.
     3. The dot product is exact, and the floor division costs one unit.
-    4. Converting ``E`` to an mpf of ``b`` bits rounds to nearest, within
-       ``|E| 2**-b``: at most ``(|E| >> b) + 1`` units.
+    4. Converting ``E`` to an mpf at ``working_bits(prec)`` bits rounds to
+       nearest, within ``|E| 2**-working_bits(prec)``: at most ``(|E| >>
+       working_bits(prec)) + 1`` units.
 
     The sum of the units is rounded up to an mpf.  Two consecutive zero
     rows end a finite series, summed exactly as its own best acceleration:
@@ -1452,21 +1506,26 @@ def accel_alt_sum(rows: Sequence[int], prec: int, bounds: Sequence[int] | None =
     ``|a_j| <= delta_j + 1``, and step 4 its units; every ``delta_k`` is
     added, read or not.
 
-    Cost: ``n = ceil((wd - 1 + log10 2) / log10(3 + sqrt(8)))`` rows, ``wd =
-    working_dps(prec)``: one integer dot product and one division.  The
+    The plan ``(n, b)`` is :func:`_alt_plan`'s at ``t =`` :func:`_target_bits`
+    ``(prec)``: the fewest terms and bits whose bound meets ``T =
+    2**-MARGIN_BITS 10**-prec`` for exact rows and ``|a_1| <= 1``, as
+    ``phi``'s are.  Rows with bounds, or a larger ``|a_1|``, widen the
+    bound past ``T``, and past ``10**-prec`` raise.
+
+    Cost: ``n`` rows, one integer dot product and one division.  The
     integer weights and ``sum(|c_k|)`` depend only on ``n`` and are cached
     under it: at most 100 entries, about 0.5 MB for all ``prec``.
 
     Raises :class:`PrecisionNotMet` when the bound cannot be certified.
     """
-    n = alt_terms_needed(prec)
+    n, b = _alt_plan(_target_bits(check_prec(prec)))
     rows = rows[:n]
     checked = [0] * n if bounds is None else bounds[:n]
     if len(rows) < n or len(checked) < n or min(*rows, *checked) < 0:
         raise DomainError(f"accel_alt_sum at prec {prec} reads {n} rows and bounds, "
                           f"non-negative integers; got {len(rows)} and {len(checked)}")
     estimate, units = _chebyshev(rows, n, None if bounds is None else checked)
-    return _finish(estimate, working_bits(prec), units, prec).demand("accel_alt_sum")
+    return _finish(estimate, b, units, prec).demand("accel_alt_sum")
 
 
 def _chebyshev(rows: Sequence[int], n: int, bounds: Sequence[int] | None = None) -> tuple[int, int]:
@@ -1495,13 +1554,14 @@ def _chebyshev(rows: Sequence[int], n: int, bounds: Sequence[int] | None = None)
 def zeta_values(top: int, prec: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """``(b, ((total, err), ...))``: ``zeta(s)`` for ``s = 2..top`` in units of ``2**-b``.
 
-    ``b = working_bits(prec)``.  For each ``s``, ``total`` is an integer
-    within ``err`` of ``2**b zeta(s)``, and every ``err`` meets ``err
-    10**prec <= 2**b``, checked in integers.  No mpf is built: the caller
-    scales the integers itself.  Each ``zeta(s)`` is ``phi(s) 2**(s-1) /
-    (2**(s-1) - 1)``, with ``phi(s)`` from one Chebyshev pass
-    (:func:`_chebyshev`) over ``n = alt_terms_needed(prec)`` rows shared by
-    all ``s``.  The bound is a proof, in units of ``2**-b``:
+    ``(n, b)`` is :func:`_zeta_plan`'s, the plan of ``zeta`` at an integer.
+    For each ``s``, ``total`` is an integer within ``err`` of ``2**b
+    zeta(s)``, and every ``err`` meets ``T = 2**-MARGIN_BITS 10**-prec``,
+    ``err 10**prec 2**MARGIN_BITS <= 2**b``, checked in integers.  No mpf is
+    built: the caller scales the integers itself.  Each ``zeta(s)`` is
+    ``phi(s) 2**(s-1) / (2**(s-1) - 1)``, with ``phi(s)`` from one Chebyshev
+    pass (:func:`_chebyshev`) over ``n`` rows shared by all ``s``.  The
+    bound is a proof, in units of ``2**-b``:
 
     1. The rows are exact floors.  Row ``m`` for ``s`` is row ``m`` for ``s
        - 1`` floor-divided by ``m``, and ``floor(floor(x) / m) = floor(x /
@@ -1526,8 +1586,9 @@ def zeta_values(top: int, prec: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
     Cost: ``top - 1`` passes, each ``n`` small floor divisions and one
     integer dot product against the cached weights, fewer once rows are 0;
-    no Bernoulli number is formed.  ``(144, 100)`` takes about 3.3 ms on a
-    shared 2-core x86-64 VM.  The batch depends on ``(top, prec)`` alone, so
+    no Bernoulli number is formed.  ``(136, 101)``, the batch of
+    ``gamma_const(100, "ZETA_SERIES")``, takes about 3.2 ms on a shared
+    2-core x86-64 VM.  The batch depends on ``(top, prec)`` alone, so
     the last 128 are cached as immutable tuples of integers
     (:func:`_zeta_batch`): the batches that ``gamma_const`` reads at all 100
     ``prec`` hold about 1.5 MB (tracemalloc).
@@ -1540,8 +1601,8 @@ def zeta_values(top: int, prec: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 @lru_cache(maxsize=128)
 def _zeta_batch(top: int, prec: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """:func:`zeta_values` on checked arguments; ``_zeta_batch.__wrapped__`` is the uncached body."""
-    n, bits = alt_terms_needed(prec), working_bits(prec)
-    one, scale = 1 << bits, 10 ** prec
+    n, bits = _zeta_plan(prec)
+    one, scale = 1 << bits, _TEN_TO[prec] << MARGIN_BITS
     rows = [one // m for m in range(1, n + 1)]
     out = []
     for s in range(2, top + 1):
@@ -1551,9 +1612,21 @@ def _zeta_batch(top: int, prec: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         total, err = _zeta_pass(rows, s, n, bits)
         if err * scale > one:
             raise PrecisionNotMet(
-                f"zeta_values: zeta({s}) bound of {err} units of 2**-{bits} exceeds 1e-{prec}")
+                f"zeta_values: zeta({s}) bound of {err} units of 2**-{bits} exceeds 2**-{MARGIN_BITS} 1e-{prec}")
         out.append((total, err))
     return bits, tuple(out)
+
+
+def _zeta_plan(prec: int) -> tuple[int, int]:
+    """``(n, b)`` of a :func:`_zeta_pass` at ``prec``: the Chebyshev plan one bit past ``T``.
+
+    The pass multiplies ``phi(s)``'s bound by ``2**(s-1) / (2**(s-1) - 1)``,
+    at most 2 from ``s = 2`` on and below ``2 / (s - 1)`` under it, where
+    ``zeta`` runs at a ``prec`` that many digits higher.  So one bit more
+    than :func:`_alt_plan` gives ``phi`` meets ``T`` for ``zeta``; the last
+    floors take the 5 units the plan spares.
+    """
+    return _alt_plan(_target_bits(prec) + 1)
 
 
 def _zeta_pass(rows: Sequence[int], s: int | Fraction, n: int, bits: int) -> tuple[int, int]:
@@ -1825,13 +1898,13 @@ def _at_one(word: Sequence[int | Fraction], prec: int, terms: int | None = None)
     """``I_1(word)`` by the Hoelder split at 1/2, with the bound of the module docstring.
 
     ``terms`` is ``N``, the series terms on each side of the split; by
-    default the plan that meets ``10**-working_dps(prec)``, which every
-    caller in the package takes.  A smaller ``N`` widens the bound, which
-    the returned value carries uncertified.
+    default the plan that meets ``T = 2**-MARGIN_BITS 10**-prec``, which
+    every caller in the package takes.  A smaller ``N`` widens the bound,
+    which the returned value carries uncertified.
     """
     n = len(word)
     units = sum(3 if a else 1 for a in word)
-    planned = math.ceil(working_dps(prec) * math.log2(10)) + (n + 1).bit_length() + 3
+    planned = _target_bits(prec) + (n + 1).bit_length() + 3
     terms = planned if terms is None else terms
     bits = planned + ((terms + 1) * units).bit_length()
     # ahead[i] is I_(1/2) of the last i letters and behind[i] of phi(w_1)..phi(w_i):

@@ -690,33 +690,40 @@ def test_zeta_and_phi_at_large_denominators_certify_and_cover(prec):
     assert_covers(zeta(near_pole, prec), lambda: mpmath.zeta(exact(near_pole)), prec, 300)
 
 
-#: The radii ``(man, exp)`` of ``zeta`` and ``phi`` when the rows past the root
-#: cap came from libmp's power and counted 3 units each; 45/23 at prec 15 and
-#: 50 is within the cap, where the rows were exact floors already.
-RADII_WITH_LIBMP_ROWS = {
-    (Fraction(101, 100), 15): ((17765, -96), (120, -86)),
-    (Fraction(101, 100), 50): ((31953, -213), (218, -203)),
-    (Fraction(101, 100), 100): ((55840, -379), (387, -369)),
-    (1 + Fraction(1, 10 ** 9), 15): ((2171855063, -113), (120, -86)),
-    (1 + Fraction(1, 10 ** 9), 50): ((2746678868, -229), (218, -203)),
-    (1 + Fraction(1, 10 ** 9), 100): ((2314472528, -394), (387, -369)),
-    (Fraction(45, 23), 15): ((108, -90), (75, -86)),
-    (Fraction(45, 23), 50): ((264, -206), (108, -203)),
-    (Fraction(45, 23), 100): ((683, -372), (387, -369)),
+#: Whether the rows of ``zeta(s, prec)`` and ``phi(s, prec)`` pass the root
+#: cap: ``1 + 10**-9`` at every prec, ``101/100`` from prec 50 on, and at prec
+#: 100 ``45/23`` just under it and ``49/24`` just past it, from the planned
+#: row bits.
+ROOT_CAP_ROUTES = {
+    (Fraction(101, 100), 15): False,
+    **{(Fraction(101, 100), prec): True for prec in (50, 100)},
+    **{(1 + Fraction(1, 10 ** 9), prec): True for prec in (15, 50, 100)},
+    (Fraction(45, 23), 100): False,
+    (Fraction(49, 24), 100): True,
 }
 
 
-@pytest.mark.parametrize("s, prec", sorted(RADII_WITH_LIBMP_ROWS), ids=str)
-def test_zeta_and_phi_past_the_root_cap_cover_with_no_wider_bound(s, prec):
-    # Past the cap the rows are exact floors too, one unit each, so each
-    # bound is at most what it was with libmp's rows.
+@pytest.mark.parametrize("s, prec", sorted(ROOT_CAP_ROUTES), ids=str)
+def test_zeta_and_phi_past_the_root_cap_cover_with_no_wider_bound(s, prec, monkeypatch):
+    # Each call's route is asserted, q * bits against the cap, so the pair
+    # under and past it cannot drift with the plan.  Past the cap the rows
+    # are exact floors too, one unit each: phi declares the bound that
+    # accel_alt_sum proves on its rows, below the one for rows counted as
+    # libmp's 3 units, and both bounds meet T = 2**-MARGIN_BITS 10**-prec.
+    calls, power_rows = [], eulerfun._power_rows
+    monkeypatch.setattr(eulerfun, "_power_rows", lambda *args: calls.append((args, power_rows(*args))) or calls[-1][1])
     with mpmath.workdps(130):
         refs = mpmath.zeta(exact(s)), mpmath.altzeta(exact(s))
-    for x, ref, (man, exp) in zip((zeta(s, prec), phi(s, prec)), refs, RADII_WITH_LIBMP_ROWS[s, prec]):
-        assert x.prec == prec and x.certified()
-        with mpmath.workdps(130):
-            assert abs(x.value - ref) <= x.err
-        assert x.err <= mpmath.ldexp(man, exp)
+        target = mpmath.ldexp(mpf(10) ** -prec, -numkernel.MARGIN_BITS)
+    for f, ref in zip((zeta, phi), refs):
+        x = f(s, prec)
+        ((_, n, b), rows), = calls
+        calls.clear()
+        assert (s.denominator * b > numkernel._ROOT_BITS_CAP) == ROOT_CAP_ROUTES[s, prec], (f.__name__, b)
+        assert_covers(x, lambda: ref, prec, 130)
+        assert x.err <= target
+    assert bits(x) == bits(numkernel.accel_alt_sum(rows, prec))
+    assert x.err < numkernel.accel_alt_sum(rows, prec, [2] * n).err
 
 
 def test_rows_past_bits_count_as_exact_floors_past_the_root_cap_too():
@@ -724,13 +731,16 @@ def test_rows_past_bits_count_as_exact_floors_past_the_root_cap_too():
     # an exact 0 with no power formed, so phi declares the bound that
     # accel_alt_sum proves on the same rows, and zeta's pass counts them as exact.
     s, prec = Fraction(10 ** 10 + 1, 10 ** 4), 15
-    b = numkernel.working_bits(prec)
+    b = numkernel.alt_bits(prec)
     assert s.denominator * b > numkernel._ROOT_BITS_CAP
     rows = numkernel._power_rows(s, numkernel.alt_terms_needed(prec), b)
     assert rows[1:] == [0] * (len(rows) - 1)
     x = phi(s, prec)
     assert bits(x) == bits(numkernel.accel_alt_sum(rows, prec))
-    assert x.err < mpf("6e-26")  # 8.8e-25 while phi counted libmp rows from q * bits alone
+    # The finite sum's 2 units and the finish's 1: 5.2e-18, where rows
+    # counted as libmp's 3 units would declare 8.2e-17.
+    assert x.err == mpmath.ldexp(3, -b)
+    assert numkernel.accel_alt_sum(rows, prec, [2] * len(rows)).err > 5 * x.err
     assert_covers(x, lambda: mpmath.altzeta(exact(s)), prec)
     assert_covers(zeta(s, prec), lambda: mpmath.zeta(exact(s)), prec)
 

@@ -33,6 +33,7 @@ from euler_periods.numkernel import (
     MIN_PREC,
     BigReal,
     accel_alt_sum,
+    alt_bits,
     alt_terms_needed,
     as_fraction,
     bernoulli,
@@ -915,8 +916,8 @@ def test_rounding_matches_the_mpf_reference_and_pi_times_keeps_its_bits():
 
 
 def unit_rows(prec: int, magnitude) -> list[int]:
-    """``floor(2**b magnitude(k))`` for the rows accel_alt_sum reads at ``prec``."""
-    bits = working_bits(prec)
+    """``floor(2**b magnitude(k))`` for the rows accel_alt_sum reads at ``prec``, ``b = alt_bits(prec)``."""
+    bits = alt_bits(prec)
     return [math.floor(magnitude(k) * 2 ** bits) for k in range(1, alt_terms_needed(prec) + 1)]
 
 
@@ -958,9 +959,9 @@ def test_accel_alt_rejects_a_negative_row_or_bound():
 
 def test_accel_alt_rejects_too_few_rows_or_bounds():
     rows = unit_rows(15, lambda k: Fraction(1, k))
-    with pytest.raises(DomainError, match="reads 32 rows"):
+    with pytest.raises(DomainError, match="reads 22 rows"):
         accel_alt_sum(rows[:-1], 15)
-    with pytest.raises(DomainError, match="reads 32 rows"):
+    with pytest.raises(DomainError, match="reads 22 rows"):
         accel_alt_sum(rows, 15, [0] * (len(rows) - 1))
 
 
@@ -994,7 +995,9 @@ def test_accel_alt_bound_covers_worst_case_input_error():
     # The Chebyshev weights alternate in sign like the terms, so one shift
     # of every signed term by +delta units moves the estimate by sum(|c_k|)
     # * delta / d, the most rows within delta of the true ones can move it.
-    prec, delta = 15, 100
+    # At 59 bits a delta of 10 units, 1.7e-17, is as much as a certified
+    # bound at prec 15 leaves room for.
+    prec, delta = 15, 10
     exact = unit_rows(prec, eta2)
     shifted = [r + delta if k % 2 == 0 else r - delta for k, r in enumerate(exact)]
     blind = accel_alt_sum(shifted, prec)
@@ -1020,7 +1023,7 @@ def test_accel_alt_finite_series_adds_every_bound():
     blind = accel_alt_sum(rows, prec)
     aware = accel_alt_sum(rows, prec, [delta] * len(rows))
     assert blind.value == aware.value
-    unit = mpf(2) ** -working_bits(prec)
+    unit = mpf(2) ** -alt_bits(prec)
     with mpmath.workdps(working_dps(prec)):
         assert abs(blind.value - mpf("0.5")) > blind.err
         assert abs(aware.value - mpf("0.5")) <= aware.err
@@ -1090,12 +1093,11 @@ def test_engines_finish_in_no_mpmath_context(monkeypatch):
 
 def assert_zeta_values_cover(batch: tuple, prec: int) -> None:
     bits, values = batch
-    with mpmath.workdps(working_dps(prec)):
-        assert bits == mpmath.mp.prec
+    assert bits == numkernel._zeta_plan(prec)[1]
     with mpmath.workdps(max(130, prec + 40)):
         for s, (total, err) in enumerate(values, start=2):
             assert type(total) is int and type(err) is int and err >= 0, s
-            assert err * 10 ** prec <= 2 ** bits, s
+            assert err * 10 ** prec << numkernel.MARGIN_BITS <= 2 ** bits, s
             assert abs(total - mpmath.ldexp(mpmath.zeta(s), bits)) <= err, s
             if s % 2 == 0:
                 r = zeta_even_closed(s // 2)
@@ -1105,18 +1107,20 @@ def assert_zeta_values_cover(batch: tuple, prec: int) -> None:
 
 @pytest.mark.parametrize("prec", [1, 50, 100])
 def test_zeta_values_match_mpmath_and_even_closed_forms(prec):
-    # The batch Euler's constant by the zeta series takes at this prec.
-    top = alt_terms_needed(prec) + 1
-    batch = zeta_values(top, prec)
+    # The batch Euler's constant by the zeta series takes, a digit past this prec.
+    inner = numkernel.inner_prec(prec, 1)
+    top = alt_terms_needed(inner) + 1
+    batch = zeta_values(top, inner)
     assert len(batch[1]) == top - 1
-    assert_zeta_values_cover(batch, prec)
+    assert_zeta_values_cover(batch, inner)
 
 
 def test_zeta_values_raise_when_the_pass_is_too_short(monkeypatch):
     # Two Chebyshev terms cannot certify thirty digits of zeta(2).
     # The uncached body, so a batch cached at (5, 30) cannot stand in for it.
-    monkeypatch.setattr(numkernel, "alt_terms_needed", lambda prec: 2)
-    with pytest.raises(PrecisionNotMet, match="zeta\\(2\\) bound of .* exceeds 1e-30"):
+    plan = numkernel._zeta_plan
+    monkeypatch.setattr(numkernel, "_zeta_plan", lambda prec: (2, plan(prec)[1]))
+    with pytest.raises(PrecisionNotMet, match="zeta\\(2\\) bound of .* exceeds 2\\*\\*-3 1e-30"):
         numkernel._zeta_batch.__wrapped__(5, 30)
 
 
@@ -1163,7 +1167,7 @@ def reference_zeta_batch(top: int, prec: int) -> tuple[tuple[int, int], ...]:
     before the first two zero rows, and its units those of the proof.  The
     total scales the estimate by ``2**(s-1) / (2**(s-1) - 1)`` in one floor.
     """
-    n, bits = alt_terms_needed(prec), working_bits(prec)
+    n, bits = numkernel._zeta_plan(prec)
     weights, d, _ = numkernel._cvz_weights(n)
     out = []
     for s in range(2, top + 1):
@@ -1183,20 +1187,27 @@ def reference_zeta_batch(top: int, prec: int) -> tuple[tuple[int, int], ...]:
 
 
 def test_zeta_batch_for_gamma_is_the_chebyshev_pass_bit_for_bit(monkeypatch):
-    # At every prec each batch entry is the reference's, and gamma's rows
-    # and bounds are its totals over s, floored, and its bounds over s,
-    # rounded up.
+    # At every prec gamma runs its pass a digit higher.  Each batch entry
+    # there is the reference's, and gamma's rows and bounds are its totals
+    # over s 2**shift, floored, and its bounds over s 2**shift, rounded up,
+    # for the shift from the batch's bits to the pass's.
     seen = []
-    monkeypatch.setattr(eulerfun, "accel_alt_sum", lambda rows, prec, bounds: seen.append((rows, bounds)))
+    accel = eulerfun.accel_alt_sum
+    monkeypatch.setattr(eulerfun, "accel_alt_sum",
+                        lambda rows, prec, bounds: seen.append((rows, prec, bounds)) or accel(rows, prec, bounds))
     for prec in range(MIN_PREC, MAX_PREC + 1):
-        top = alt_terms_needed(prec) + 1
-        reference = reference_zeta_batch(top, prec)
-        assert zeta_values(top, prec) == (working_bits(prec), reference), prec
+        inner = numkernel.inner_prec(prec, 1)
+        top = alt_terms_needed(inner) + 1
+        reference = reference_zeta_batch(top, inner)
+        bits = numkernel._zeta_plan(inner)[1]
+        assert zeta_values(top, inner) == (bits, reference), prec
+        shift = bits - alt_bits(inner)
         seen.clear()
-        eulerfun.gamma_const(prec, "ZETA_SERIES")
-        (rows, bounds), = seen
-        assert rows == [total // s for s, (total, _) in enumerate(reference, 2)], prec
-        assert bounds == [math.ceil(Fraction(err, s)) for s, (_, err) in enumerate(reference, 2)], prec
+        assert eulerfun.gamma_const(prec, "ZETA_SERIES").prec == prec
+        (rows, at, bounds), = seen
+        assert at == inner and shift > 0, prec
+        assert rows == [total // (s << shift) for s, (total, _) in enumerate(reference, 2)], prec
+        assert bounds == [math.ceil(Fraction(err, s << shift)) for s, (_, err) in enumerate(reference, 2)], prec
 
 
 @pytest.mark.parametrize("top,prec", [(1, 30), (2.0, 30), (5, 0), (5, 30.5), (5, MAX_PREC + 1)])
@@ -1731,7 +1742,7 @@ def ref_at_one(word, prec: int, terms: int | None = None) -> BigReal:
     """The engine as it ran each side in full, every letter by one general loop."""
     n = len(word)
     units = sum(3 if a else 1 for a in word)
-    planned = math.ceil(working_dps(prec) * math.log2(10)) + (n + 1).bit_length() + 3
+    planned = numkernel._target_bits(prec) + (n + 1).bit_length() + 3
     terms = planned if terms is None else terms
     bits = planned + ((terms + 1) * units).bit_length()
     ahead = ref_suffix_integrals(word, terms, bits)

@@ -213,3 +213,73 @@ def test_no_certified_value_reads_the_ambient_precision(name):
         for bits in (20, 3000):
             with mpmath.workprec(bits):
                 assert _outcome(call, prec) == default, (prec, bits)
+
+
+# ---------------------------------------------------------------------------
+# Engine headroom: every planned bound lies between T 2**-16 and T
+# ---------------------------------------------------------------------------
+
+
+def _headroom_cases():
+    """``name: (call, reference, planned)``; ``planned`` is False where a margin other than the engines' plan sets the bound."""
+    z, q = mpmath.zeta, Fraction
+    with mpmath.workdps(130):
+        ln2, li4_half = mpmath.log(2), mpmath.polylog(4, mpf(1) / 2)
+        return {
+            "zeta(3)": (lambda p: eulerfun.zeta(3, p), z(3), True),
+            "zeta(2)": (lambda p: eulerfun.zeta(2, p), z(2), True),
+            "zeta(11/10)": (lambda p: eulerfun.zeta(q(11, 10), p), z(mpf(11) / 10), True),
+            "zeta(7/3)": (lambda p: eulerfun.zeta(q(7, 3), p), z(mpf(7) / 3), True),
+            "phi(1/2)": (lambda p: eulerfun.phi(q(1, 2), p), mpmath.altzeta(mpf(1) / 2), True),
+            "phi(1)": (lambda p: eulerfun.phi(1, p), ln2, True),
+            "phi(5/2)": (lambda p: eulerfun.phi(q(5, 2), p), mpmath.altzeta(mpf(5) / 2), True),
+            "polylog(2, 1/3)": (lambda p: eulerfun.polylog(2, q(1, 3), p), mpmath.polylog(2, mpf(1) / 3), True),
+            "polylog(3, -1/2)": (lambda p: eulerfun.polylog(3, q(-1, 2), p), mpmath.polylog(3, mpf(-1) / 2), True),
+            "polylog(4, 1)": (lambda p: eulerfun.polylog(4, 1, p), z(4), True),
+            "polylog(3, -1)": (lambda p: eulerfun.polylog(3, -1, p), -mpmath.altzeta(3), True),
+            "polylog(2, 3/4)": (lambda p: eulerfun.polylog(2, q(3, 4), p), mpmath.polylog(2, mpf(3) / 4), False),
+            "mzv(1, 2)": (lambda p: mzv((1, 2), p), z(3), True),
+            "mzv(2, 2)": (lambda p: mzv((2, 2), p), (z(2) ** 2 - z(4)) / 2, True),
+            "mzv(1, 1, 3)": (lambda p: mzv((1, 1, 3), p), 2 * z(5) - z(2) * z(3), True),
+            "mzv(5,)": (lambda p: mzv((5,), p), z(5), True),
+            "multiphi(1, 1)": (lambda p: multiphi((1, 1), p), (ln2 ** 2 - z(2)) / 2, True),
+            "multiphi(1, 3)": (lambda p: multiphi((1, 3), p),
+                               -2 * li4_half - ln2 ** 4 / 12 + mpmath.pi ** 2 * ln2 ** 2 / 12 + mpmath.pi ** 4 / 180, True),
+            "multiphi(3,)": (lambda p: multiphi((3,), p), -mpmath.altzeta(3), True),
+            "gamma_const(ZETA_SERIES)": (lambda p: eulerfun.gamma_const(p, "ZETA_SERIES"), +mpmath.euler, True),
+            "gamma_const(EM)": (lambda p: eulerfun.gamma_const(p, "EM"), +mpmath.euler, False),
+        }
+
+
+HEADROOM = _headroom_cases()
+
+
+def _headroom_precs(name):
+    """Every public prec, then every inner prec up to ``INNER_TOP`` that the call does not refuse.
+
+    ``zeta`` at a non-integer ``s`` adds the digits of ``floor(1/(s - 1))``,
+    at least one, and refuses past the top; gamma's zeta series adds one, and
+    the polylog window 4.
+    """
+    extra = {"zeta(11/10)": 2, "zeta(7/3)": 1, "gamma_const(ZETA_SERIES)": 1, "polylog(2, 3/4)": 4}.get(name, 0)
+    inner = [numkernel.inner_prec(numkernel.MAX_PREC, k) for k in range(1, numkernel.INNER_DIGITS + 1 - extra)]
+    return [*range(numkernel.MIN_PREC, numkernel.MAX_PREC + 1), *inner]
+
+
+@pytest.mark.parametrize("name", HEADROOM)
+def test_engine_bounds_meet_the_target_with_no_headroom_to_spare(name):
+    # Each engine plans the fewest terms and bits whose proved bound meets
+    # T = 2**-MARGIN_BITS 10**-prec, so every declared bound is at most T and,
+    # since no planner over-provisions, at least T 2**-16, and it covers
+    # mpmath at 130 digits.  Two bounds are set by margins outside the plan
+    # and are held to T and coverage only: the polylog window takes its atoms
+    # at inner_prec(prec, 4), and gamma's EM route plans by em_sum's own rule.
+    call, ref, planned = HEADROOM[name]
+    for prec in _headroom_precs(name):
+        x = call(prec)
+        target = Fraction(1, 10 ** prec << numkernel.MARGIN_BITS)
+        radius = numkernel._radius(x)
+        assert radius <= target, (prec, float(radius / target))
+        assert not planned or radius >= target / 2 ** 16, (prec, float(radius / target))
+        with mpmath.workdps(130):
+            assert abs(x.value - ref) <= x.err, prec
